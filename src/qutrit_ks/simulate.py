@@ -1,4 +1,4 @@
-"""Monte Carlo simulation of the sequential fluorescence-detection runs.
+"""Simulation of the sequential fluorescence-detection runs.
 
 The physics of one shot is exact 3x3 quantum mechanics: prepare a density
 matrix, apply the compiled setting unitary, swap the interrogated slot onto
@@ -6,17 +6,20 @@ the dark state |3>, and detect. Collapse always follows the TRUE projection
 outcome; readout errors affect only the recorded symbol and the decision to
 continue a sequential pair, exactly as the physical apparatus behaves.
 
-Shot loops are vectorized: each branch probability is computed once from the
-density matrix and the per-shot randomness reduces to uniform (and Poisson)
-draws, which keeps full-roster runs at paper shot budgets fast while staying
-sample-for-sample equivalent to the one-shot `detect` below.
+Shots are i.i.d., so the counts of one sub-experiment follow an exact
+multinomial law. `outcome_law` computes it once from the true branch
+probabilities and the closed-form readout rates of `readout_rates`, and each
+sub-experiment makes a single binomial or multinomial draw from its own
+`derive_rng` stream. Time and memory therefore do not grow with the shot
+count. The one-shot `detect` below is the reference process: the counts
+match it in distribution, not sample for sample.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,93 +213,131 @@ def detect(rho: np.ndarray, noise: NoiseModel,
             "dark" if true_dark else "bright")
 
 
+def readout_rates(noise: NoiseModel) -> tuple[float, float]:
+    """Closed-form readout rates (r_d, r_b) of `_readout_dark`:
+    r_d = P(read dark | dark) and r_b = P(read dark | bright)."""
+    if noise.mode == "ideal":
+        return 1.0, 0.0
+    if noise.mode == "flip":
+        return 1.0 - noise.eps_dark_to_bright, noise.eps_bright_to_dark
+    return (_poisson_below(noise.threshold, noise.lambda_dark),
+            _poisson_below(noise.threshold, noise.lambda_bright))
+
+
+def _poisson_below(threshold: int, lam: float) -> float:
+    """P(N < threshold) for N ~ Poisson(lam)."""
+    if lam == 0.0:
+        return 1.0
+    log_lam = math.log(lam)
+    return _clip01(math.fsum(math.exp(k * log_lam - lam - math.lgamma(k + 1))
+                             for k in range(threshold)))
+
+
+def read_dark_probability(p_dark: float, rates: tuple[float, float]) -> float:
+    """P(read dark) when the true outcome is dark with probability p_dark."""
+    r_d, r_b = rates
+    return _clip01(p_dark * r_d + (1.0 - p_dark) * r_b)
+
+
+def _clip01(p: float) -> float:
+    return min(max(p, 0.0), 1.0)
+
+
 def _dark_prob(rho: np.ndarray) -> float:
-    return min(max(float(rho[2, 2].real), 0.0), 1.0)
+    return _clip01(float(rho[2, 2].real))
+
+
+def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return u @ rho @ linalg.adjoint(u)
+
+
+def outcome_law(state: StateSpec, setting: MeasurementSetting,
+                chain: tuple[int, ...], noise: NoiseModel,
+                unitary: np.ndarray | None = None) -> dict[str, float]:
+    """Per-shot outcome probabilities of one sub-experiment, keyed by the
+    count-table symbols: D/B for a single, B/DB/DD for a sequential pair.
+
+    `unitary` is the compiled setting; it is compiled here when omitted.
+    """
+    slots = [_slot_of(setting, ray) for ray in chain]
+    if unitary is None:
+        unitary = compile_setting(setting)
+    rho = _conjugate(unitary, _prepare(state, noise))
+    if slots[0] != 3:
+        rho = _conjugate(pulse_matrix(swap_pulse(slots[0])), rho)
+    rates = readout_rates(noise)
+    p1 = _dark_prob(rho)
+    q1 = read_dark_probability(p1, rates)
+    if len(chain) == 1:
+        return {"D": q1, "B": 1.0 - q1}
+
+    # When ray_j sat in |3>, the first swap moved it to the first slot.
+    slot_j = slots[0] if slots[1] == 3 else slots[1]
+    w2 = pulse_matrix(swap_pulse(slot_j))
+    # Post-first-measurement branches, then second swap.
+    p2_given_dark = _dark_prob(_conjugate(w2, DARK))
+    if p1 < 1.0:
+        rho_bright = BRIGHT @ rho @ BRIGHT / (1.0 - p1)
+        p2_given_bright = _dark_prob(_conjugate(w2, rho_bright))
+    else:
+        p2_given_bright = 0.0
+
+    # The stop/continue decision follows the noisy readout; the collapse
+    # follows the true outcome.
+    r_d, r_b = rates
+    p_dd = (p1 * r_d * read_dark_probability(p2_given_dark, rates)
+            + (1.0 - p1) * r_b * read_dark_probability(p2_given_bright, rates))
+    return {"B": 1.0 - q1, "DB": _clip01(q1 - p_dd), "DD": p_dd}
+
+
+def _draw(law: dict[str, float], shots: int,
+          rng: np.random.Generator) -> dict[str, int]:
+    """Counts of `shots` i.i.d. shots: one multinomial draw, which for a
+    two-outcome law is the binomial draw `rng.binomial(shots, P(D))`."""
+    counts = rng.multinomial(shots, list(law.values()))
+    return {symbol: int(n) for symbol, n in zip(law, counts)}
 
 
 def run_single(state: StateSpec, setting: MeasurementSetting, ray: int,
                noise: NoiseModel, shots: int,
                rng: np.random.Generator) -> dict[str, int]:
     """Single-observable run: dark counts estimate the projector average."""
-    slot = _slot_of(setting, ray)
-    rho = _prepare(state, noise)
-    u = compile_setting(setting)
-    rho = u @ rho @ linalg.adjoint(u)
-    if slot != 3:
-        w = pulse_matrix(swap_pulse(slot))
-        rho = w @ rho @ linalg.adjoint(w)
-    p_dark = _dark_prob(rho)
-    true_dark = rng.random(shots) < p_dark
-    read_dark = _readout_dark(true_dark, noise, rng)
-    n_dark = int(read_dark.sum())
-    return {"D": n_dark, "B": shots - n_dark}
+    return _draw(outcome_law(state, setting, (ray,), noise), shots, rng)
 
 
 def run_pair(state: StateSpec, setting: MeasurementSetting, ray_i: int,
              ray_j: int, noise: NoiseModel, shots: int,
              rng: np.random.Generator) -> dict[str, int]:
-    """Sequential pair run with symbols B (first bright), DB, DD.
-
-    The stop/continue decision follows the noisy readout; the collapse
-    follows the true outcome.
-    """
-    slot_i = _slot_of(setting, ray_i)
-    slot_j = _slot_of(setting, ray_j)
-    rho = _prepare(state, noise)
-    u = compile_setting(setting)
-    rho = u @ rho @ linalg.adjoint(u)
-
-    if slot_i != 3:
-        w1 = pulse_matrix(swap_pulse(slot_i))
-        rho = w1 @ rho @ linalg.adjoint(w1)
-        if slot_j == 3:
-            slot_j = slot_i  # the first swap moved ray_j out of |3>
-    w2 = pulse_matrix(swap_pulse(slot_j))
-
-    p1 = _dark_prob(rho)
-    # Post-first-measurement branches, then second swap.
-    rho_dark2 = w2 @ DARK @ linalg.adjoint(w2)
-    p2_given_dark = _dark_prob(rho_dark2)
-    if p1 < 1.0:
-        rho_bright = BRIGHT @ rho @ BRIGHT / (1.0 - p1)
-        rho_bright2 = w2 @ rho_bright @ linalg.adjoint(w2)
-        p2_given_bright = _dark_prob(rho_bright2)
-    else:
-        p2_given_bright = 0.0
-
-    true1 = rng.random(shots) < p1
-    read1 = _readout_dark(true1, noise, rng)
-    true2 = rng.random(shots) < np.where(true1, p2_given_dark, p2_given_bright)
-    read2 = _readout_dark(true2, noise, rng)
-
-    n_b = int((~read1).sum())
-    n_dd = int((read1 & read2).sum())
-    n_db = shots - n_b - n_dd
-    return {"B": n_b, "DB": n_db, "DD": n_dd}
+    """Sequential pair run with symbols B (first bright), DB, DD."""
+    return _draw(outcome_law(state, setting, (ray_i, ray_j), noise), shots, rng)
 
 
 def run_subexperiment(state: StateSpec, sub: SubExperiment,
                       settings_by_id: dict[str, MeasurementSetting],
-                      noise: NoiseModel, master_seed: int) -> CountTable:
-    setting = settings_by_id[sub.setting_id]
+                      noise: NoiseModel, master_seed: int,
+                      unitary: np.ndarray | None = None) -> CountTable:
+    """One sub-experiment from its own stream; `unitary` is the compiled
+    setting, compiled here when omitted."""
+    law = outcome_law(state, settings_by_id[sub.setting_id], sub.chain, noise,
+                      unitary)
     seed_key = f"{master_seed}/{state.label}/{sub.key}"
     rng = derive_rng(master_seed, state.label, sub.key)
-    if len(sub.chain) == 1:
-        counts = run_single(state, setting, sub.chain[0], noise, sub.shots, rng)
-    else:
-        counts = run_pair(state, setting, *sub.chain, noise, sub.shots, rng)
-    return CountTable(sub, state.label, counts, seed_key)
+    return CountTable(sub, state.label, _draw(law, sub.shots, rng), seed_key)
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
     """Full run; deterministic for a given master seed regardless of the
-    order in which sub-experiments execute."""
+    order in which sub-experiments execute. Each setting the plan uses is
+    compiled once."""
     by_id = {s.id: s for s in settings}
+    unitaries = {sid: compile_setting(by_id[sid])
+                 for sid in dict.fromkeys(sub.setting_id for sub in plan)}
     return {
         state.label: [
-            run_subexperiment(state, sub, by_id, noise, master_seed)
+            run_subexperiment(state, sub, by_id, noise, master_seed,
+                              unitaries[sub.setting_id])
             for sub in plan
         ]
         for state in roster

@@ -17,7 +17,8 @@ import numpy as np
 from . import linalg
 from .analysis import ConfusionModel, correct_ml, estimate_probability
 from .pulses import Pulse, pulse_matrix, r1_matrix, r2_matrix, swap_pulse
-from .simulate import NoiseModel, StateSpec, _prepare, _readout_dark
+from .simulate import (NoiseModel, StateSpec, _prepare, read_dark_probability,
+                       readout_rates)
 
 RANK_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-9
@@ -99,6 +100,8 @@ def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
                         rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Measured outcome frequencies, one |3>-detection sub-run per basis state.
 
+    Each sub-run's dark count is one binomial draw from its exact law.
+
     In flip mode the frequencies are detection-error corrected with the
     noise model's own confusion matrix before being returned.
     """
@@ -106,6 +109,7 @@ def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
     if noise.mode == "flip" and (noise.eps_dark_to_bright or noise.eps_bright_to_dark):
         confusion = ConfusionModel(noise.eps_dark_to_bright,
                                    noise.eps_bright_to_dark)
+    rates = readout_rates(noise)
     tables = {}
     for s in settings:
         rho = _prepare(state, noise)
@@ -117,9 +121,8 @@ def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
                 w = pulse_matrix(swap_pulse(k + 1))
                 rho_k = w @ rho @ linalg.adjoint(w)
             p_dark = min(max(float(rho_k[2, 2].real), 0.0), 1.0)
-            true_dark = rng.random(shots) < p_dark
-            read_dark = _readout_dark(true_dark, noise, rng)
-            est = estimate_probability(int(read_dark.sum()), shots)
+            n_dark = int(rng.binomial(shots, read_dark_probability(p_dark, rates)))
+            est = estimate_probability(n_dark, shots)
             if confusion is not None:
                 est = correct_ml(est, confusion)
             probs[k] = est.value

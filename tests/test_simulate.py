@@ -3,7 +3,7 @@ import pytest
 
 from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import build_model, ray_unit
-from qutrit_ks.pulses import settings_table
+from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +207,116 @@ def test_counts_csv_shape(model, settings):
     assert lines[0] == "state,setting,chain,symbol,count,seed"
     # 13 singles x 2 symbols + 24 pairs x 3 symbols
     assert len(lines) - 1 == 13 * 2 + 24 * 3
+
+
+def test_readout_rates():
+    assert simulate.readout_rates(simulate.NoiseModel.ideal()) == (1.0, 0.0)
+    assert simulate.readout_rates(simulate.NoiseModel.paper()) == \
+        pytest.approx((0.99, 0.021), abs=1e-15)
+    photon = simulate.NoiseModel(mode="photon-count",
+                                 lambda_dark=-np.log(0.99), threshold=1)
+    r_d, r_b = simulate.readout_rates(photon)
+    assert r_d == pytest.approx(0.99, abs=1e-15)
+    assert r_b == pytest.approx(np.exp(-10), rel=1e-12)
+    # a higher threshold sums the Poisson terms below it
+    lam = 2.5
+    r_d, r_b = simulate.readout_rates(simulate.NoiseModel(
+        mode="photon-count", lambda_dark=0.0, lambda_bright=lam, threshold=3))
+    assert r_d == 1.0
+    assert r_b == pytest.approx(np.exp(-lam) * (1 + lam + lam ** 2 / 2), rel=1e-12)
+
+
+def test_outcome_law_ideal_matches_projectors(model, settings, by_id):
+    """Under ideal readout every law is the Born rule of the mapped rays."""
+    plan = simulate.build_plan(model, settings)
+    noise = simulate.NoiseModel.ideal()
+    for state in simulate.default_state_roster():
+        for sub in plan:
+            law = simulate.outcome_law(state, by_id[sub.setting_id], sub.chain,
+                                       noise)
+            p = float(np.trace(state.rho @ model.projectors[sub.chain[0]]).real)
+            assert min(law.values()) >= 0.0
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            if len(sub.chain) == 1:
+                assert law["D"] == pytest.approx(p, abs=1e-12)
+            else:
+                # the first detection reads dark exactly on projecting onto v_i
+                assert law["DB"] + law["DD"] == pytest.approx(p, abs=1e-12)
+                assert law["B"] == pytest.approx(1.0 - p, abs=1e-12)
+                # v_i and v_j are orthogonal: no shot is dark twice
+                assert law["DD"] <= 1e-12
+
+
+def _detect_pair_counts(state, setting, ray_i, ray_j, noise, shots, rng):
+    """Sequential pair from one-shot `detect` calls: the reference process."""
+    slot = {ray: basis for basis, ray in setting.mapping.items()}
+    u = compile_setting(setting)
+    rho = u @ state.rho @ u.conj().T
+    if slot[ray_i] != 3:
+        w1 = pulse_matrix(swap_pulse(slot[ray_i]))
+        rho = w1 @ rho @ w1.conj().T
+    w2 = pulse_matrix(swap_pulse(slot[ray_j] if slot[ray_j] != 3 else slot[ray_i]))
+    counts = {"B": 0, "DB": 0, "DD": 0}
+    for _ in range(shots):
+        first, collapsed, _ = simulate.detect(rho, noise, rng)
+        if first == "bright":
+            counts["B"] += 1
+            continue
+        second, _, _ = simulate.detect(w2 @ collapsed @ w2.conj().T, noise, rng)
+        counts["DD" if second == "dark" else "DB"] += 1
+    return counts
+
+
+@pytest.mark.parametrize("noise", [
+    simulate.NoiseModel.paper(),
+    simulate.NoiseModel(mode="photon-count", lambda_dark=0.1,
+                        lambda_bright=4.0, threshold=2),
+], ids=["flip", "photon-count"])
+def test_pair_law_matches_detect_monte_carlo(by_id, noise):
+    # edge (4, 10) in M5 puts v10 in |3>, the branch the first swap moves
+    state = simulate.default_state_roster()[7]
+    law = simulate.outcome_law(state, by_id["M5"], (4, 10), noise)
+    shots = 20_000
+    counts = _detect_pair_counts(state, by_id["M5"], 4, 10, noise, shots,
+                                 np.random.default_rng(12))
+    assert law["DD"] > 1e-3  # readout errors make double-dark shots
+    for symbol, p in law.items():
+        sigma = np.sqrt(p * (1 - p) / shots)
+        assert abs(counts[symbol] / shots - p) < 4 * sigma, symbol
+
+
+def test_roster_counts_independent_of_shot_count(model, settings):
+    shots = 10 ** 9
+    plan = simulate.build_plan(model, settings, shots=shots)
+    roster = simulate.default_state_roster()
+    photon = simulate.NoiseModel(mode="photon-count", lambda_dark=-np.log(0.99))
+    for noise in (simulate.NoiseModel.ideal(), simulate.NoiseModel.paper(),
+                  photon):
+        tables = simulate.run_roster(roster, plan, settings, noise, 21)
+        for t in (t for ts in tables.values() for t in ts):
+            assert t.shots == shots
+            if noise.mode == "ideal" and len(t.subexperiment.chain) == 2:
+                assert t.counts["DD"] == 0
+
+
+def test_run_roster_compiles_each_setting_once(model, settings, by_id,
+                                               monkeypatch):
+    compiled = []
+
+    def counting(setting):
+        compiled.append(setting.id)
+        return compile_setting(setting)
+
+    plan = simulate.build_plan(model, settings, shots=1000)
+    roster = simulate.default_state_roster()
+    noise = simulate.NoiseModel.paper()
+    monkeypatch.setattr(simulate, "compile_setting", counting)
+    tables = simulate.run_roster(roster, plan, settings, noise, 5)
+    assert sorted(compiled) == sorted(s.id for s in settings)
+    # compiling per sub-experiment instead gives byte-identical counts
+    per_sub = {state.label: [simulate.run_subexperiment(state, sub, by_id,
+                                                        noise, 5)
+                             for sub in plan]
+               for state in roster}
+    assert len(compiled) == len(settings) + len(roster) * len(plan)
+    assert simulate.counts_to_csv(per_sub) == simulate.counts_to_csv(tables)
