@@ -12,19 +12,18 @@ edge - far too large for the inequality, whose edge terms enter with weights
 up to 16. `correct_pair_ml` therefore solves the two-step moment equations
 jointly, using the independently measured (and corrected) single probability
 of the second observable to pin down the misread component.
+
+Inequality values come from `assemble`, which reads the coefficients of each
+single and pair probability off the inequality's spec (`coefficients`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
+from dataclasses import dataclass
+from itertools import combinations
 
-from .model import KSModel
-
-# Bounds used in the assembled expressions.
-QUANTUM_CHI13 = 83.0 / 3.0
-QUANTUM_CHI4 = 4.0 / 3.0
+from .model import CHI4, ZO, Inequality, KSModel
 
 
 @dataclass(frozen=True)
@@ -155,16 +154,13 @@ def estimates_from_counts(tables, confusion: ConfusionModel | None) -> StateEsti
     for t in tables:
         chain = t.subexperiment.chain
         if len(chain) == 1:
-            dark, total = t.counts["D"], t.shots
-            ray = chain[0]
+            dark = t.counts["D"]
         else:
             pair_counts[chain] = t.counts
             dark = t.counts["DB"] + t.counts["DD"]
-            total = t.shots
-            ray = chain[0]
-        acc = pooled.setdefault(ray, [0, 0])
+        acc = pooled.setdefault(chain[0], [0, 0])
         acc[0] += dark
-        acc[1] += total
+        acc[1] += t.shots
     singles_raw = {
         i: estimate_probability(dark, total) for i, (dark, total) in pooled.items()
     }
@@ -188,66 +184,62 @@ def estimates_from_counts(tables, confusion: ConfusionModel | None) -> StateEsti
     return StateEstimates(singles_raw, singles, pairs_raw, pairs)
 
 
-def _chi13_coefficients(model: KSModel):
-    """Linear coefficients of the assembled expression in the single and
-    pair probabilities, with the three-projector term dropped."""
-    const = sum(model.mu_i.values()) - sum(model.mu_ij.values()) \
-        - sum(model.mu_ijk.values())
-    c_single = {i: -2.0 * model.mu_i[i] for i in model.mu_i}
-    c_pair = {}
-    for (i, j), mu in model.mu_ij.items():
-        c_single[i] += 2.0 * mu
-        c_single[j] += 2.0 * mu
-        c_pair[(i, j)] = -4.0 * mu
-    for (i, j, k), mu in model.mu_ijk.items():
-        for r in (i, j, k):
-            c_single[r] += 2.0 * mu
-        for e in ((i, j), (i, k), (j, k)):
-            c_pair[tuple(sorted(e))] += -4.0 * mu
-    return const, c_single, c_pair
+def coefficients(ineq: Inequality) -> dict[tuple[int, ...], int]:
+    """Linear coefficients of the inequality in the measured probabilities:
+    () the constant, (i,) the single P(V_i = 1), (i, j) the pair
+    P(V_i = 1 and V_j = 1).
+
+    0/1 terms are these probabilities already. A +-1 term expands with
+    A_r = 1 - 2 V_r as c A_i A_j A_k = c - 2c sum V_r + 4c sum V_r V_s
+    - 8c V_i V_j V_k. The three-projector term is dropped: no sub-experiment
+    measures it, it vanishes in quantum mechanics (the rays of a triangle are
+    mutually orthogonal) and it enters as +8 mu_ijk P_ijk >= 0, so dropping it
+    can only lower the value.
+    """
+    if ineq.alphabet == ZO:
+        return dict(ineq.terms)
+    out: dict[tuple[int, ...], int] = {}
+    for rays, c in ineq.terms.items():
+        out[()] = out.get((), 0) + c
+        for r in rays:
+            out[(r,)] = out.get((r,), 0) - 2 * c
+        for pair in combinations(rays, 2):
+            out[pair] = out.get(pair, 0) + 4 * c
+    return out
+
+
+def assemble(ineq: Inequality, singles: dict[int, Estimate],
+             pairs: dict[tuple[int, int], Estimate]) -> Estimate:
+    """Inequality value from single and pair estimates.
+
+    The stderr treats sub-experiments as independent.
+    """
+    value, var, used = 0, 0.0, []
+    for rays, coef in coefficients(ineq).items():
+        if not rays:
+            value += coef
+            continue
+        est = singles.get(rays[0]) if len(rays) == 1 else pairs.get(rays)
+        if est is None:
+            raise ValueError("missing " + (
+                f"single estimate for ray v{rays[0]}" if len(rays) == 1
+                else f"pair estimate for edge {rays}"))
+        value += coef * est.value
+        var += (coef * est.stderr) ** 2
+        used.append(est)
+    return Estimate(value, math.sqrt(var),
+                    corrected=any(e.corrected for e in used),
+                    sample_size=sum(e.sample_size for e in used))
 
 
 def assemble_chi13(singles: dict[int, Estimate],
                    pairs: dict[tuple[int, int], Estimate],
                    model: KSModel) -> Estimate:
-    """Weighted inequality value from 13 single and 24 pair estimates.
-
-    The triple correlation is expanded in projector averages and the
-    three-projector term is dropped (it is non-negative, so dropping it can
-    only lower the value). The stderr treats sub-experiments as independent.
-    """
-    const, c_single, c_pair = _chi13_coefficients(model)
-    value = const
-    var = 0.0
-    n = 0
-    for i, coef in c_single.items():
-        if i not in singles:
-            raise ValueError(f"missing single estimate for ray v{i}")
-        value += coef * singles[i].value
-        var += (coef * singles[i].stderr) ** 2
-        n += singles[i].sample_size
-    for edge, coef in c_pair.items():
-        if edge not in pairs:
-            raise ValueError(f"missing pair estimate for edge {edge}")
-        value += coef * pairs[edge].value
-        var += (coef * pairs[edge].stderr) ** 2
-        n += pairs[edge].sample_size
-    corrected = any(e.corrected for e in singles.values())
-    return Estimate(value, math.sqrt(var), corrected=corrected, sample_size=n)
+    return assemble(model.chi13, singles, pairs)
 
 
 def assemble_chi4(singles: dict[int, Estimate]) -> Estimate:
-    value = 0.0
-    var = 0.0
-    n = 0
-    for i in (10, 11, 12, 13):
-        if i not in singles:
-            raise ValueError(f"missing single estimate for ray v{i}")
-        value += singles[i].value
-        var += singles[i].stderr ** 2
-        n += singles[i].sample_size
-    corrected = any(singles[i].corrected for i in (10, 11, 12, 13))
-    return Estimate(value, math.sqrt(var), corrected=corrected, sample_size=n)
+    return assemble(CHI4, singles, {})
 
 
 def significance(est: Estimate, classical_bound: float) -> float:

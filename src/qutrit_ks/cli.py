@@ -7,25 +7,22 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, hv, linalg, pulses, simulate, tomography
-from .model import (build_model, chi4_operator, chi13_operator, dump_model,
-                    quantum_expectation)
+from .model import CHI4, Inequality, build_model, dump_model, exact_operator
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-QUANTUM_CHI13 = analysis.QUANTUM_CHI13
-QUANTUM_CHI4 = analysis.QUANTUM_CHI4
 
 
 @dataclass
@@ -39,6 +36,10 @@ class RunConfig:
     states: list[str] = field(default_factory=list)  # empty = full roster
     out_dir: str = "run"
     with_tomography: bool = False
+
+    def __post_init__(self):
+        if self.shots < 1:
+            raise ValueError(f"shots must be at least 1, got {self.shots}")
 
 
 def _noise_from_config(cfg: RunConfig) -> simulate.NoiseModel:
@@ -84,19 +85,17 @@ def run_verification(report_lines: list[str]) -> bool:
     check("graph triangles", set(model.triangles) == expected_tris,
           f"{sorted(model.triangles)}")
 
-    d13 = linalg.frobenius_distance(chi13_operator(model),
-                                    QUANTUM_CHI13 * linalg.IDENTITY)
-    check("quantum chi13 operator = (83/3) I", d13 < 1e-9, f"deficit {d13:.2e}")
-    d4 = linalg.frobenius_distance(chi4_operator(model),
-                                   QUANTUM_CHI4 * linalg.IDENTITY)
-    check("quantum chi4 operator = (4/3) I", d4 < 1e-12, f"deficit {d4:.2e}")
+    for ineq in model.inequalities:
+        excess = exact_operator(ineq) - ineq.quantum_value * np.identity(3, int)
+        err = max(abs(x) for x in excess.flat)
+        check(f"quantum {ineq.name} operator = ({ineq.quantum_value}) I",
+              err == 0, f"exact, max entry error {err}")
 
-    r13 = hv.max_chi13_noncontextual(model)
-    check("classical bound chi13 = 25", r13.maximum == 25,
-          f"max {r13.maximum}, {r13.argmax_count} maximizers")
-    r4 = hv.max_chi4_constrained(model)
-    check("classical bound chi4 = 1", r4.maximum == 1,
-          f"max {r4.maximum}, {r4.admissible_count} admissible assignments")
+    r13, r4 = hv.max_chi13_noncontextual(model), hv.max_chi4_constrained(model)
+    for ineq, r, detail in ((model.chi13, r13, f"{r13.argmax_count} maximizers"),
+                            (CHI4, r4, f"{r4.admissible_count} admissible assignments")):
+        check(f"classical bound {ineq.name} = {ineq.classical_bound}",
+              r.maximum == ineq.classical_bound, f"max {r.maximum}, {detail}")
 
     try:
         reports = pulses.verify_all_settings()
@@ -148,14 +147,8 @@ class StateResult:
     chi13: analysis.Estimate
     chi4_raw: analysis.Estimate
     chi4: analysis.Estimate
-
-    @property
-    def significance13(self) -> float:
-        return analysis.significance(self.chi13, 25.0)
-
-    @property
-    def significance4(self) -> float:
-        return analysis.significance(self.chi4, 1.0)
+    significance13: float
+    significance4: float
 
 
 def run_simulation(cfg: RunConfig) -> tuple[dict, list[StateResult]]:
@@ -187,8 +180,10 @@ def run_simulation(cfg: RunConfig) -> tuple[dict, list[StateResult]]:
                                          state.rho).fidelity_to_target
         else:
             fid = linalg.fidelity(simulate._prepare(state, noise), state.rho)
-        results.append(StateResult(state.label, fid, chi13_raw, chi13,
-                                   chi4_raw, chi4))
+        results.append(StateResult(
+            state.label, fid, chi13_raw, chi13, chi4_raw, chi4,
+            analysis.significance(chi13, model.chi13.classical_bound),
+            analysis.significance(chi4, CHI4.classical_bound)))
     return tables, results
 
 
@@ -206,7 +201,8 @@ def results_csv(results: list[StateResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def results_text(results: list[StateResult]) -> str:
+def results_text(results: list[StateResult],
+                 inequalities: tuple[Inequality, ...]) -> str:
     head = (f"{'state':<8}{'fid':>8}{'chi13 raw':>14}{'chi13 corr':>16}"
             f"{'chi4 corr':>14}{'sig13':>8}{'sig4':>8}")
     lines = [head, "-" * len(head)]
@@ -218,21 +214,33 @@ def results_text(results: list[StateResult]) -> str:
             f"{r.chi4.value:>9.4f} ({r.chi4.stderr:.4f})"
             f"{r.significance13:>8.1f}{r.significance4:>8.1f}")
     lines.append("-" * len(head))
-    lines.append(f"classical bounds: chi13 <= 25, chi4 <= 1; "
-                 f"quantum values: {QUANTUM_CHI13:.4f}, {QUANTUM_CHI4:.4f}")
+    bounds = ", ".join(f"{w.name} <= {w.classical_bound}" for w in inequalities)
+    values = ", ".join(f"{float(w.quantum_value):.4f}" for w in inequalities)
+    lines.append(f"classical bounds: {bounds}; quantum values: {values}")
     return "\n".join(lines) + "\n"
 
 
-def plot_data(results: list[StateResult]) -> str:
-    """Columnar plot-ready data with reference lines."""
+def results_from_csv(text: str) -> list[StateResult]:
+    """Parse `results_csv` output, reading each column by its header name."""
+    def est(row, col):
+        return analysis.Estimate(float(row[col]), float(row[col + "_err"]))
+    return [StateResult(row["state"], float(row["fidelity"]),
+                        est(row, "chi13_raw"), est(row, "chi13"),
+                        est(row, "chi4_raw"), est(row, "chi4"),
+                        float(row["sigma13"]), float(row["sigma4"]))
+            for row in csv.DictReader(io.StringIO(text))]
+
+
+def plot_data(results: list[StateResult],
+              inequalities: tuple[Inequality, ...]) -> str:
+    """Columnar plot-ready data with the inequalities' reference lines."""
     lines = ["# column data: state chi13 chi13_err chi4 chi4_err"]
     for r in results:
         lines.append(f"{r.label} {r.chi13.value:.6f} {r.chi13.stderr:.6f} "
                      f"{r.chi4.value:.6f} {r.chi4.stderr:.6f}")
-    lines.append("# reference classical_chi13 25")
-    lines.append(f"# reference quantum_chi13 {QUANTUM_CHI13:.9f}")
-    lines.append("# reference classical_chi4 1")
-    lines.append(f"# reference quantum_chi4 {QUANTUM_CHI4:.9f}")
+    for w in inequalities:
+        lines.append(f"# reference classical_{w.name} {w.classical_bound}")
+        lines.append(f"# reference quantum_{w.name} {float(w.quantum_value):.9f}")
     return "\n".join(lines) + "\n"
 
 
@@ -242,9 +250,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _manifest(cfg: RunConfig, extra: dict) -> str:
-    payload = {"config": asdict(cfg), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-               **extra}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"config": asdict(cfg), **extra}, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -260,13 +266,15 @@ def cmd_simulate(args) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
+    model = build_model()
+    text = results_text(results, model.inequalities)
     try:
         _write(out / "counts.csv", simulate.counts_to_csv(tables))
         _write(out / "results.csv", results_csv(results))
-        _write(out / "results.txt", results_text(results))
-        _write(out / "plot.dat", plot_data(results))
+        _write(out / "results.txt", text)
+        _write(out / "plot.dat", plot_data(results, model.inequalities))
         plan_size = sum(1 for _ in simulate.build_plan(
-            build_model(), pulses.settings_table(), cfg.shots))
+            model, pulses.settings_table(), cfg.shots))
         _write(out / "manifest.json", _manifest(cfg, {
             "plan_size": plan_size,
             "realizations_per_state": plan_size * cfg.shots,
@@ -274,7 +282,7 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO
-    sys.stdout.write(results_text(results))
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -318,16 +326,12 @@ def cmd_report(args) -> int:
     if not src.exists():
         sys.stderr.write(f"missing results table: {src}\n")
         return EXIT_IO
-    rows = src.read_text().strip().splitlines()[1:]
-    lines = ["# state chi13 chi13_err chi4 chi4_err"]
-    for row in rows:
-        f = row.split(",")
-        lines.append(f"{f[0]} {f[4]} {f[5]} {f[8]} {f[9]}")
-    lines.append("# reference classical_chi13 25")
-    lines.append(f"# reference quantum_chi13 {QUANTUM_CHI13:.9f}")
-    lines.append("# reference classical_chi4 1")
-    lines.append(f"# reference quantum_chi4 {QUANTUM_CHI4:.9f}")
-    text = "\n".join(lines) + "\n"
+    try:
+        results = results_from_csv(src.read_text())
+    except (KeyError, TypeError, ValueError) as exc:
+        sys.stderr.write(f"malformed results table {src}: {exc!r}\n")
+        return EXIT_IO
+    text = plot_data(results, build_model().inequalities)
     try:
         _write(run_dir / "report.dat", text)
     except OSError as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 # Tolerances, fixed once so invariant checks are reproducible.
-ATOL_NORM = 1e-12          # state-vector normalization
 ATOL_HERMITIAN = 1e-12     # entrywise Hermiticity of operators
 ATOL_UNITARY = 1e-10       # Frobenius norm of U†U - I
 ATOL_DM_HERMITIAN = 1e-10  # density-matrix Hermiticity
@@ -38,10 +37,6 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
     return frobenius_distance(adjoint(m) @ m, IDENTITY) <= atol
-
-
-def is_normalized(v: np.ndarray, atol: float = ATOL_NORM) -> bool:
-    return abs(float(np.vdot(v, v).real) - 1.0) <= atol
 
 
 def projector_from_ray(v) -> np.ndarray:
@@ -79,14 +74,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     if float(w.min()) < EIGVAL_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
     return rho
-
-
-def is_density_matrix(rho: np.ndarray) -> bool:
-    try:
-        validate_density_matrix(rho)
-        return True
-    except ValueError:
-        return False
 
 
 def pure_state_dm(psi) -> np.ndarray:

@@ -1,14 +1,19 @@
-"""The 13-ray qutrit model: rays, compatibility graph, inequality weights.
+"""The 13-ray qutrit model: rays, compatibility graph, inequality specs.
 
 Rays are stored as signed integers and never pre-normalized; orthogonality is
 decided in exact integer arithmetic, so the graph carries no floating-point
 ambiguity. Triangles are discovered by clique search over the constructed
 edge set rather than hard-coded.
+
+Each inequality is one `Inequality` record read by enumeration, the exact
+quantum operator, analysis and the CLI; another weighting is a data change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -34,8 +39,25 @@ RAYS: dict[int, tuple[int, int, int]] = {
 
 WEIGHTED_TRIANGLES = frozenset({(1, 4, 7), (2, 5, 8), (3, 6, 9)})
 
-CLASSICAL_BOUND_CHI13 = 25
-CLASSICAL_BOUND_CHI4 = 1
+PM1 = "pm1"  # ray values A_r = +-1, quantum observable I - 2 P_r
+ZO = "01"    # ray values V_r in {0, 1}, quantum projector P_r
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """sum_m c_m prod_{r in m} x_r <= classical_bound for noncontextual x_r
+    (0/1 values obey the product and sum rules); the quantum operator is
+    claimed to be quantum_value * I."""
+
+    name: str
+    alphabet: str  # PM1 or ZO
+    terms: dict[tuple[int, ...], int]  # sorted rays -> integer coefficient
+    classical_bound: int
+    quantum_value: Fraction
+
+
+CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},
+                  classical_bound=1, quantum_value=Fraction(4, 3))
 
 
 def ray_unit(i: int) -> np.ndarray:
@@ -54,26 +76,30 @@ class KSModel:
     mu_i: dict[int, int]
     mu_ij: dict[tuple[int, int], int]
     mu_ijk: dict[tuple[int, int, int], int]
-    classical_bound_chi13: int = CLASSICAL_BOUND_CHI13
-    classical_bound_chi4: int = CLASSICAL_BOUND_CHI4
+
+    @property
+    def chi13(self) -> Inequality:
+        """sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk A_i A_j A_k, read
+        off the weights so that a modified model carries its own inequality."""
+        terms = {(i,): mu for i, mu in self.mu_i.items()}
+        terms.update({e: -mu for e, mu in self.mu_ij.items()})
+        terms.update({t: -mu for t, mu in self.mu_ijk.items()})
+        return Inequality("chi13", PM1, terms, classical_bound=25,
+                          quantum_value=Fraction(83, 3))
+
+    @property
+    def inequalities(self) -> tuple[Inequality, Inequality]:
+        return self.chi13, CHI4
 
 
 def _integer_edges() -> frozenset[tuple[int, int]]:
-    edges = set()
-    for i, j in combinations(RAYS, 2):
-        dot = sum(a * b for a, b in zip(RAYS[i], RAYS[j]))
-        if dot == 0:
-            edges.add((i, j))
-    return frozenset(edges)
+    return frozenset((i, j) for i, j in combinations(RAYS, 2)
+                     if sum(a * b for a, b in zip(RAYS[i], RAYS[j])) == 0)
 
 
 def _cliques3(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, int]]:
-    e = set(edges)
-    tri = set()
-    for i, j, k in combinations(RAYS, 3):
-        if (i, j) in e and (i, k) in e and (j, k) in e:
-            tri.add((i, j, k))
-    return frozenset(tri)
+    return frozenset(t for t in combinations(RAYS, 3)
+                     if all(e in edges for e in combinations(t, 2)))
 
 
 def build_model() -> KSModel:
@@ -82,34 +108,38 @@ def build_model() -> KSModel:
     edges = _integer_edges()
     triangles = _cliques3(edges)
 
-    triangle_edges = {
-        pair for tri in WEIGHTED_TRIANGLES for pair in combinations(tri, 2)
-    }
+    triangle_edges = {e for t in WEIGHTED_TRIANGLES for e in combinations(t, 2)}
     mu_i = {i: (1 if i <= 9 else 2) for i in RAYS}
     mu_ij = {e: (1 if e in triangle_edges else 2) for e in sorted(edges)}
     mu_ijk = {t: (3 if t in WEIGHTED_TRIANGLES else 0) for t in sorted(triangles)}
     return KSModel(projectors, observables, edges, triangles, mu_i, mu_ij, mu_ijk)
 
 
-def chi13_operator(model: KSModel) -> np.ndarray:
-    """Sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk A_i A_j A_k."""
-    a = model.observables
-    out = np.zeros((3, 3), dtype=complex)
-    for i, mu in model.mu_i.items():
-        out += mu * a[i]
-    for (i, j), mu in model.mu_ij.items():
-        out -= mu * (a[i] @ a[j])
-    for (i, j, k), mu in model.mu_ijk.items():
-        out -= mu * (a[i] @ a[j] @ a[k])
+def exact_operator(ineq: Inequality) -> np.ndarray:
+    """The inequality's quantum operator as a 3x3 array of `Fraction`s.
+
+    Integer rays give rational projectors P_r = v v^T / (v . v); each value
+    x_r becomes P_r (0/1 alphabet) or I - 2 P_r (+-1 alphabet), and each
+    monomial the product of its factors.
+    """
+    eye = np.identity(3, dtype=int).astype(object)
+    factors = {}
+    for r in {r for rays in ineq.terms for r in rays}:
+        v = np.array(RAYS[r], dtype=object)
+        p = np.outer(v, v) * Fraction(1, v @ v)
+        factors[r] = eye - 2 * p if ineq.alphabet == PM1 else p
+    out = 0 * eye
+    for rays, c in ineq.terms.items():
+        out += c * reduce(np.matmul, [factors[r] for r in rays])
     return out
+
+
+def chi13_operator(model: KSModel) -> np.ndarray:
+    return exact_operator(model.chi13).astype(float).astype(complex)
 
 
 def chi4_operator(model: KSModel) -> np.ndarray:
-    """Sum of the projectors onto rays 10..13; equals (4/3) I."""
-    out = np.zeros((3, 3), dtype=complex)
-    for i in (10, 11, 12, 13):
-        out += model.projectors[i]
-    return out
+    return exact_operator(CHI4).astype(float).astype(complex)
 
 
 def quantum_expectation(rho: np.ndarray, observable: np.ndarray) -> float:
@@ -137,9 +167,9 @@ def dump_model(model: KSModel) -> str:
     for t in sorted(model.triangles):
         lines.append(f"({t[0]},{t[1]},{t[2]})   mu_ijk = {model.mu_ijk[t]}")
     lines.append("")
-    lines.append(f"[bounds]")
-    lines.append(f"classical bound chi13 = {model.classical_bound_chi13}")
-    lines.append(f"classical bound chi4  = {model.classical_bound_chi4}")
-    lines.append("quantum chi13 = 83/3")
-    lines.append("quantum chi4  = 4/3")
+    lines.append("[bounds]")
+    for ineq in model.inequalities:
+        lines.append(f"classical bound {ineq.name:<5} = {ineq.classical_bound}")
+    for ineq in model.inequalities:
+        lines.append(f"quantum {ineq.name:<5} = {ineq.quantum_value}")
     return "\n".join(lines) + "\n"

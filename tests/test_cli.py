@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -72,15 +73,21 @@ def test_simulate_unknown_state(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_simulate_determinism_byte_identical(tmp_path, capsys):
+def test_simulate_determinism_byte_identical(tmp_path, capsys, monkeypatch):
+    # the manifest records --out-dir, so both runs use the same relative one
     args = ["simulate", "--seed", "11", "--shots", "300", "--noise", "paper",
-            "--states", "psi2"]
-    cli.main(args + ["--out-dir", str(tmp_path / "a")])
-    cli.main(args + ["--out-dir", str(tmp_path / "b")])
+            "--states", "psi2", "--out-dir", "run"]
+    for rerun in ("a", "b"):
+        (tmp_path / rerun).mkdir()
+        monkeypatch.chdir(tmp_path / rerun)
+        assert cli.main(args) == cli.EXIT_OK
     capsys.readouterr()
-    for name in ("counts.csv", "results.csv", "plot.dat"):
-        assert (tmp_path / "a" / name).read_bytes() \
-            == (tmp_path / "b" / name).read_bytes()
+    a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_report_from_run(tmp_path, capsys):
@@ -111,3 +118,39 @@ def test_tomography_command(tmp_path, capsys):
     assert "mean fidelity" in text
     assert (out / "psi1.rho.txt").exists()
     assert (out / "fidelities.csv").exists()
+
+
+def test_verification_fails_on_operator_for_changed_weight(monkeypatch):
+    model = cli.build_model()
+    changed = dataclasses.replace(model, mu_ij={**model.mu_ij, (1, 2): 3})
+    monkeypatch.setattr(cli, "build_model", lambda: changed)
+    lines = []
+    assert cli.run_verification(lines) is False
+    assert any(l.startswith("[FAIL] quantum chi13 operator = (83/3) I")
+               for l in lines)
+    assert any(l.startswith("[ok  ] quantum chi4 operator") for l in lines)
+
+
+def test_report_equals_plot_data(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--seed", "2", "--shots", "500",
+                     "--noise", "paper", "--out-dir", str(out)]) == cli.EXIT_OK
+    assert cli.main(["report", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (out / "report.dat").read_bytes() == (out / "plot.dat").read_bytes()
+
+
+def test_report_malformed_table(tmp_path, capsys):
+    (tmp_path / "results.csv").write_text("state,chi13\npsi1,27.0\n")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+    assert "malformed results table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,shots", [("simulate", "-5"), ("simulate", "0"),
+                                           ("tomography", "0")])
+def test_nonpositive_shots_is_config_error(tmp_path, capsys, command, shots):
+    rc = cli.main([command, "--shots", shots, "--states", "psi1",
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: shots must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

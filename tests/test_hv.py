@@ -1,9 +1,10 @@
-from itertools import product
+import dataclasses
+from itertools import combinations, product
 
 import pytest
 
 from qutrit_ks import hv
-from qutrit_ks.model import build_model
+from qutrit_ks.model import RAYS, build_model
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,32 @@ def test_report_text(chi13_report):
     text = hv.report_to_text("chi13", chi13_report)
     assert "maximum          = 25" in text
     assert "[histogram]" in text
+
+
+def _scalar_histogram(model, alphabet):
+    """Histogram of the scalar reference over all 8192 assignments."""
+    hist = {}
+    for g in product((0, 1), repeat=13):
+        if alphabet == hv.ZO and not hv._admissible(g, model):
+            continue
+        values = g if alphabet == hv.ZO else tuple(1 - 2 * v for v in g)
+        val = hv.evaluate_assignment(hv.Assignment(values, alphabet), model)
+        hist[val] = hist.get(val, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def test_vectorized_chi13_matches_scalar_reference(model, chi13_report):
+    assert chi13_report.histogram == _scalar_histogram(model, hv.PM1)
+
+
+def test_vectorized_chi4_matches_scalar_reference(model, chi4_report):
+    assert chi4_report.histogram == _scalar_histogram(model, hv.ZO)
+
+
+def test_uncolorable_rules_report_no_maximum(model):
+    # every pair exclusive, yet two disjoint triangles each need one ray at 1
+    broken = dataclasses.replace(model, edges=frozenset(combinations(RAYS, 2)),
+                                 triangles=frozenset({(1, 2, 3), (4, 5, 6)}))
+    report = hv.max_chi4_constrained(broken)
+    assert not report.colorable and report.maximum is None
+    assert "KS-uncolorable" in hv.report_to_text("chi4", report)

@@ -1,9 +1,13 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qutrit_ks import linalg
-from qutrit_ks.model import (RAYS, build_model, chi4_operator, chi13_operator,
-                             dump_model, quantum_expectation)
+from qutrit_ks.model import (CHI4, RAYS, build_model, chi4_operator,
+                             chi13_operator, dump_model, exact_operator,
+                             quantum_expectation)
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +111,23 @@ def test_dump_model(model):
     assert "classical bound chi13 = 25" in text
     assert "( 4,10)" in text or "(4,10)" in text.replace(" ", "")
     assert text.count("mu_ijk") >= 4
+
+
+def test_exact_operators_are_multiples_of_identity(model):
+    eye = np.identity(3, dtype=int)
+    for ineq, value in ((model.chi13, Fraction(83, 3)), (CHI4, Fraction(4, 3))):
+        op = exact_operator(ineq)
+        assert all(isinstance(x, Fraction) for x in op.flat)
+        assert all(x == y for x, y in zip(op.flat, (value * eye).flat))
+
+
+def test_float_operators_copy_the_exact_ones(model):
+    assert np.array_equal(chi13_operator(model),
+                          exact_operator(model.chi13).astype(float))
+    assert np.array_equal(chi4_operator(model), exact_operator(CHI4).astype(float))
+
+
+def test_chi13_spec_follows_modified_weights(model):
+    changed = dataclasses.replace(model, mu_ij={**model.mu_ij, (1, 2): 5})
+    assert changed.chi13.terms[(1, 2)] == -5
+    assert model.chi13.terms[(1, 2)] == -2

@@ -1,0 +1,74 @@
+"""The inequality constants live only in the spec records of `model.py`.
+
+The quantum values 83/3 and 4/3 and the chi4 ray set are written once, in
+`CHI4` and `KSModel.chi13`; every other module reads them from there. This
+scans the code (not docstrings or comments) of the package for copies.
+"""
+
+import ast
+from pathlib import Path
+
+import qutrit_ks
+
+PACKAGE = Path(qutrit_ks.__file__).parent
+SPEC_NODES = {"CHI4", "chi13"}  # the spec records in model.py
+
+
+def _is_number(node, value):
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == value)
+
+
+def _copied_constant(node) -> str | None:
+    if _is_number(node, 83):
+        return "83"
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and _is_number(node.left, 4) and _is_number(node.right, 3)):
+        return "4 / 3"
+    if (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+            and len(node.elts) == 4
+            and all(_is_number(e, v) for e, v in zip(node.elts, (10, 11, 12, 13)))):
+        return "(10, 11, 12, 13)"
+    return None
+
+
+def _spec_spans(tree) -> list[tuple[int, int]]:
+    spans = []
+    for node in ast.walk(tree):
+        named = (isinstance(node, ast.FunctionDef) and node.name in SPEC_NODES) \
+            or (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in SPEC_NODES for t in node.targets))
+        if named:
+            spans.append((node.lineno, node.end_lineno))
+    return spans
+
+
+def find_copies(package: Path) -> list[str]:
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = _spec_spans(tree) if path.name == "model.py" else []
+        hits = sorted((node.lineno, what) for node in ast.walk(tree)
+                      if (what := _copied_constant(node)))
+        found += [f"{path.name}:{line}: {what}" for line, what in hits
+                  if not any(a <= line <= b for a, b in spans)]
+    return found
+
+
+def test_spec_constants_are_not_copied():
+    assert find_copies(PACKAGE) == []
+
+
+def test_spec_holds_the_constants():
+    tree = ast.parse((PACKAGE / "model.py").read_text())
+    found = {_copied_constant(n) for n in ast.walk(tree)} - {None}
+    assert found == {"83", "(10, 11, 12, 13)"}
+    assert len(_spec_spans(tree)) == 2
+
+
+def test_scanner_flags_copies(tmp_path):
+    (tmp_path / "model.py").write_text("CHI4 = (10, 11, 12, 13)\n")
+    (tmp_path / "cli.py").write_text(
+        "Q = 83.0 / 3.0\nR = 4 / 3\nS = 4.0 / 3.0\nfor i in (10, 11, 12, 13): pass\n")
+    assert find_copies(tmp_path) == ["cli.py:1: 83", "cli.py:2: 4 / 3",
+                                     "cli.py:3: 4 / 3", "cli.py:4: (10, 11, 12, 13)"]
