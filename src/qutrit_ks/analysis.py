@@ -48,6 +48,15 @@ class ConfusionModel:
         return 1.0 - self.eps_dark_to_bright - self.eps_bright_to_dark
 
 
+def confusion_for(noise) -> ConfusionModel | None:
+    """The detection-error correction for runs under a `simulate.NoiseModel`:
+    the flip model's own confusion matrix when either flip rate is nonzero,
+    otherwise none. Photon-count readout is left uncorrected."""
+    if noise.mode == "flip" and (noise.eps_dark_to_bright or noise.eps_bright_to_dark):
+        return ConfusionModel(noise.eps_dark_to_bright, noise.eps_bright_to_dark)
+    return None
+
+
 def _binomial_stderr(p: float, n: int) -> float:
     if p <= 0.0 or p >= 1.0:
         return 3.0 / n  # rule-of-three bound at the boundary

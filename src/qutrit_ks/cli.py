@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
 
 
 @dataclass
@@ -38,8 +39,9 @@ class RunConfig:
     with_tomography: bool = False
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be at least 1, got {self.shots}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be at least 1 and at most {MAX_SHOTS}, "
+                             f"got {self.shots}")
 
 
 def _noise_from_config(cfg: RunConfig) -> simulate.NoiseModel:
@@ -158,10 +160,7 @@ def run_simulation(cfg: RunConfig) -> tuple[dict, list[StateResult]]:
     plan = simulate.build_plan(model, settings, cfg.shots)
     roster = _select_roster(cfg)
     noise = _noise_from_config(cfg)
-    confusion = None
-    if noise.mode == "flip" and (noise.eps_dark_to_bright or noise.eps_bright_to_dark):
-        confusion = analysis.ConfusionModel(noise.eps_dark_to_bright,
-                                            noise.eps_bright_to_dark)
+    confusion = analysis.confusion_for(noise)
     tables = simulate.run_roster(roster, plan, settings, noise, cfg.master_seed)
 
     tomo_settings = tomography.tomography_settings() if cfg.with_tomography else None
@@ -179,7 +178,7 @@ def run_simulation(cfg: RunConfig) -> tuple[dict, list[StateResult]]:
             fid = tomography.reconstruct(probs, tomo_settings,
                                          state.rho).fidelity_to_target
         else:
-            fid = linalg.fidelity(simulate._prepare(state, noise), state.rho)
+            fid = linalg.fidelity(simulate.prepare(state, noise), state.rho)
         results.append(StateResult(
             state.label, fid, chi13_raw, chi13, chi4_raw, chi4,
             analysis.significance(chi13, model.chi13.classical_bound),
@@ -273,8 +272,7 @@ def cmd_simulate(args) -> int:
         _write(out / "results.csv", results_csv(results))
         _write(out / "results.txt", text)
         _write(out / "plot.dat", plot_data(results, model.inequalities))
-        plan_size = sum(1 for _ in simulate.build_plan(
-            model, pulses.settings_table(), cfg.shots))
+        plan_size = len(next(iter(tables.values())))
         _write(out / "manifest.json", _manifest(cfg, {
             "plan_size": plan_size,
             "realizations_per_state": plan_size * cfg.shots,

@@ -20,11 +20,10 @@ ATOL_FIDELITY = 1e-10      # fidelity cross-checks
 
 IDENTITY = np.eye(3, dtype=complex)
 
-BASIS = [np.eye(3, dtype=complex)[:, k] for k in range(3)]
-
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

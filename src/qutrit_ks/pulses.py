@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .model import KSModel, ray_unit
+from .model import ray_unit
 
 ALPHA = 2.0 * math.asin(1.0 / math.sqrt(3.0))
 

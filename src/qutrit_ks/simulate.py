@@ -6,13 +6,12 @@ the dark state |3>, and detect. Collapse always follows the TRUE projection
 outcome; readout errors affect only the recorded symbol and the decision to
 continue a sequential pair, exactly as the physical apparatus behaves.
 
-Shots are i.i.d., so the counts of one sub-experiment follow an exact
-multinomial law. `outcome_law` computes it once from the true branch
-probabilities and the closed-form readout rates of `readout_rates`, and each
-sub-experiment makes a single binomial or multinomial draw from its own
-`derive_rng` stream. Time and memory therefore do not grow with the shot
-count. The one-shot `detect` below is the reference process: the counts
-match it in distribution, not sample for sample.
+That process is one noise-folded measurement map, which tomography reads
+too: `effects` turns the unitary before each detection and the readout
+rates into one 3x3 effect per readout string, so every outcome probability
+is Tr(rho E). Shots are i.i.d., so each sub-experiment makes a single
+multinomial draw from its law on its own `derive_rng` stream, and cost does
+not grow with the shot count.
 """
 
 from __future__ import annotations
@@ -29,21 +28,23 @@ from .pulses import MeasurementSetting, compile_setting, pulse_matrix, swap_puls
 
 DARK = np.diag([0.0, 0.0, 1.0]).astype(complex)  # |3><3|
 BRIGHT = linalg.IDENTITY - DARK
+# Pi pulse moving basis state `slot` onto the detected |3> (none for |3>).
+SWAP = {1: pulse_matrix(swap_pulse(1)), 2: pulse_matrix(swap_pulse(2)),
+        3: linalg.IDENTITY}
 
 
 @dataclass(frozen=True)
 class StateSpec:
     label: str
-    kind: str  # "pure" | "mixed"
     rho: np.ndarray
 
     @staticmethod
     def pure(label: str, amplitudes) -> "StateSpec":
-        return StateSpec(label, "pure", linalg.pure_state_dm(amplitudes))
+        return StateSpec(label, linalg.pure_state_dm(amplitudes))
 
     @staticmethod
     def mixed(label: str, rho) -> "StateSpec":
-        return StateSpec(label, "mixed", linalg.validate_density_matrix(np.asarray(rho, dtype=complex)))
+        return StateSpec(label, linalg.validate_density_matrix(np.asarray(rho, dtype=complex)))
 
 
 def default_state_roster() -> list[StateSpec]:
@@ -158,7 +159,8 @@ def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def _prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:
+def prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:
+    """The state a run starts from, after preparation depolarization."""
     rho = state.rho
     p = noise.prep_depolarization
     if p > 0.0:
@@ -173,49 +175,9 @@ def _slot_of(setting: MeasurementSetting, ray: int) -> int:
     raise ValueError(f"ray v{ray} is not mapped in setting {setting.id}")
 
 
-def _readout_dark(true_dark: np.ndarray, noise: NoiseModel,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Vector of readout outcomes (True = dark) for a vector of true ones."""
-    n = true_dark.size
-    if noise.mode == "ideal":
-        return true_dark.copy()
-    if noise.mode == "flip":
-        u = rng.random(n)
-        flip = np.where(true_dark, u < noise.eps_dark_to_bright,
-                        u < noise.eps_bright_to_dark)
-        return true_dark ^ flip
-    counts = np.where(true_dark,
-                      rng.poisson(noise.lambda_dark, n),
-                      rng.poisson(noise.lambda_bright, n))
-    return counts < noise.threshold
-
-
-def detect(rho: np.ndarray, noise: NoiseModel,
-           rng: np.random.Generator) -> tuple[str, np.ndarray, str]:
-    """One fluorescence detection: sample the true outcome with
-    p_dark = <3|rho|3>, collapse accordingly, then apply readout noise.
-
-    Returns (readout, collapsed state, true outcome), outcomes as
-    "dark" / "bright".
-    """
-    rho = linalg.validate_density_matrix(rho)
-    p_dark = float(rho[2, 2].real)
-    true_dark = bool(rng.random() < p_dark)
-    if true_dark:
-        collapsed = DARK.copy()
-    else:
-        trb = float(np.trace(BRIGHT @ rho @ BRIGHT).real)
-        if trb <= 0.0:
-            raise ValueError("bright collapse requested for a dark-only state")
-        collapsed = BRIGHT @ rho @ BRIGHT / trb
-    read_dark = bool(_readout_dark(np.array([true_dark]), noise, rng)[0])
-    return ("dark" if read_dark else "bright", collapsed,
-            "dark" if true_dark else "bright")
-
-
 def readout_rates(noise: NoiseModel) -> tuple[float, float]:
-    """Closed-form readout rates (r_d, r_b) of `_readout_dark`:
-    r_d = P(read dark | dark) and r_b = P(read dark | bright)."""
+    """Closed-form readout rates r_d = P(read dark | dark) and r_b =
+    P(read dark | bright); photon-count reads dark below `threshold`."""
     if noise.mode == "ideal":
         return 1.0, 0.0
     if noise.mode == "flip":
@@ -233,61 +195,71 @@ def _poisson_below(threshold: int, lam: float) -> float:
                              for k in range(threshold)))
 
 
-def read_dark_probability(p_dark: float, rates: tuple[float, float]) -> float:
-    """P(read dark) when the true outcome is dark with probability p_dark."""
-    r_d, r_b = rates
-    return _clip01(p_dark * r_d + (1.0 - p_dark) * r_b)
-
-
 def _clip01(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _dark_prob(rho: np.ndarray) -> float:
-    return _clip01(float(rho[2, 2].real))
+def _lueders(v: np.ndarray, inner: np.ndarray, m_d: float,
+             m_b: float) -> np.ndarray:
+    """Effect of `v`, then a |3> detection whose true dark and bright
+    outcomes are weighted m_d and m_b, then `inner` on the collapsed state."""
+    collapsed = m_d * DARK @ inner @ DARK + m_b * BRIGHT @ inner @ BRIGHT
+    return linalg.adjoint(v) @ collapsed @ v
 
 
-def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return u @ rho @ linalg.adjoint(u)
+def effects(steps: list[np.ndarray],
+            rates: tuple[float, float]) -> dict[str, np.ndarray]:
+    """Heisenberg-picture effect E_s, P(s) = Tr(rho E_s), of each readout
+    string s of |3> detections, `steps[k]` being the unitary (or a stack of
+    them) before detection k. Collapse follows the true outcome, the rates
+    weight each branch, and a bright readout ends the sequence. Keys follow
+    the draw order: D, B for one detection; B, DB, DD for two."""
+    r_d, r_b = rates
+    v, rest = steps[0], steps[1:]
+    bright = _lueders(v, linalg.IDENTITY, 1.0 - r_d, 1.0 - r_b)
+    if not rest:
+        return {"D": _lueders(v, linalg.IDENTITY, r_d, r_b), "B": bright}
+    inner = effects(rest, rates)
+    return {"B": bright, **{"D" + s: _lueders(v, inner[s], r_d, r_b)
+                            for s in sorted(inner)}}
+
+
+def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
+           unitary: np.ndarray) -> list[np.ndarray]:
+    """Unitary before each detection of a sub-experiment: the compiled
+    setting `unitary`, then a swap of each ray's slot onto |3>."""
+    slot_i, *rest = (_slot_of(setting, ray) for ray in chain)
+    steps = [SWAP[slot_i] @ unitary]
+    if rest:
+        # When ray_j sat in |3>, the first swap moved it to the first slot.
+        steps.append(SWAP[slot_i if rest[0] == 3 else rest[0]])
+    return steps
+
+
+def _stacked_effects(steps: list[list[np.ndarray]],
+                     rates: tuple[float, float]) -> list[dict[str, np.ndarray]]:
+    """`effects` of many step sequences, in one stacked pass per length."""
+    out = {}
+    for n in {len(seq) for seq in steps}:
+        idx = [i for i, seq in enumerate(steps) if len(seq) == n]
+        stacked = effects([np.array([steps[i][k] for i in idx]) for k in range(n)], rates)
+        out.update({i: {s: e[j] for s, e in stacked.items()} for j, i in enumerate(idx)})
+    return [out[i] for i in range(len(steps))]
+
+
+def _born_law(rho: np.ndarray,
+             effs: dict[str, np.ndarray]) -> dict[str, float]:
+    """Tr(rho E_s) for each readout string s, clipped to [0, 1]."""
+    return {s: _clip01(float(np.vdot(e, rho).real)) for s, e in effs.items()}
 
 
 def outcome_law(state: StateSpec, setting: MeasurementSetting,
-                chain: tuple[int, ...], noise: NoiseModel,
-                unitary: np.ndarray | None = None) -> dict[str, float]:
+                chain: tuple[int, ...], noise: NoiseModel) -> dict[str, float]:
     """Per-shot outcome probabilities of one sub-experiment, keyed by the
-    count-table symbols: D/B for a single, B/DB/DD for a sequential pair.
-
-    `unitary` is the compiled setting; it is compiled here when omitted.
-    """
-    slots = [_slot_of(setting, ray) for ray in chain]
-    if unitary is None:
-        unitary = compile_setting(setting)
-    rho = _conjugate(unitary, _prepare(state, noise))
-    if slots[0] != 3:
-        rho = _conjugate(pulse_matrix(swap_pulse(slots[0])), rho)
-    rates = readout_rates(noise)
-    p1 = _dark_prob(rho)
-    q1 = read_dark_probability(p1, rates)
-    if len(chain) == 1:
-        return {"D": q1, "B": 1.0 - q1}
-
-    # When ray_j sat in |3>, the first swap moved it to the first slot.
-    slot_j = slots[0] if slots[1] == 3 else slots[1]
-    w2 = pulse_matrix(swap_pulse(slot_j))
-    # Post-first-measurement branches, then second swap.
-    p2_given_dark = _dark_prob(_conjugate(w2, DARK))
-    if p1 < 1.0:
-        rho_bright = BRIGHT @ rho @ BRIGHT / (1.0 - p1)
-        p2_given_bright = _dark_prob(_conjugate(w2, rho_bright))
-    else:
-        p2_given_bright = 0.0
-
-    # The stop/continue decision follows the noisy readout; the collapse
-    # follows the true outcome.
-    r_d, r_b = rates
-    p_dd = (p1 * r_d * read_dark_probability(p2_given_dark, rates)
-            + (1.0 - p1) * r_b * read_dark_probability(p2_given_bright, rates))
-    return {"B": 1.0 - q1, "DB": _clip01(q1 - p_dd), "DD": p_dd}
+    count-table symbols: D/B for a single, B/DB/DD for a sequential pair."""
+    return _born_law(prepare(state, noise),
+                    effects(_steps(setting, chain, compile_setting(setting)),
+                            readout_rates(noise)))
 
 
 def _draw(law: dict[str, float], shots: int,
@@ -298,28 +270,16 @@ def _draw(law: dict[str, float], shots: int,
     return {symbol: int(n) for symbol, n in zip(law, counts)}
 
 
-def run_single(state: StateSpec, setting: MeasurementSetting, ray: int,
-               noise: NoiseModel, shots: int,
-               rng: np.random.Generator) -> dict[str, int]:
-    """Single-observable run: dark counts estimate the projector average."""
-    return _draw(outcome_law(state, setting, (ray,), noise), shots, rng)
-
-
-def run_pair(state: StateSpec, setting: MeasurementSetting, ray_i: int,
-             ray_j: int, noise: NoiseModel, shots: int,
-             rng: np.random.Generator) -> dict[str, int]:
-    """Sequential pair run with symbols B (first bright), DB, DD."""
-    return _draw(outcome_law(state, setting, (ray_i, ray_j), noise), shots, rng)
-
-
 def run_subexperiment(state: StateSpec, sub: SubExperiment,
                       settings_by_id: dict[str, MeasurementSetting],
                       noise: NoiseModel, master_seed: int,
-                      unitary: np.ndarray | None = None) -> CountTable:
-    """One sub-experiment from its own stream; `unitary` is the compiled
-    setting, compiled here when omitted."""
-    law = outcome_law(state, settings_by_id[sub.setting_id], sub.chain, noise,
-                      unitary)
+                      compiled: dict[str, np.ndarray] | None = None) -> CountTable:
+    """One sub-experiment from its own stream; `compiled` holds its effects
+    under `noise`, compiled here when omitted."""
+    if compiled is None:
+        law = outcome_law(state, settings_by_id[sub.setting_id], sub.chain, noise)
+    else:
+        law = _born_law(prepare(state, noise), compiled)
     seed_key = f"{master_seed}/{state.label}/{sub.key}"
     rng = derive_rng(master_seed, state.label, sub.key)
     return CountTable(sub, state.label, _draw(law, sub.shots, rng), seed_key)
@@ -330,15 +290,17 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                master_seed: int) -> dict[str, list[CountTable]]:
     """Full run; deterministic for a given master seed regardless of the
     order in which sub-experiments execute. Each setting the plan uses is
-    compiled once."""
+    compiled once, and each plan entry's effects once."""
     by_id = {s.id: s for s in settings}
     unitaries = {sid: compile_setting(by_id[sid])
                  for sid in dict.fromkeys(sub.setting_id for sub in plan)}
+    compiled = _stacked_effects(
+        [_steps(by_id[sub.setting_id], sub.chain, unitaries[sub.setting_id])
+         for sub in plan], readout_rates(noise))
     return {
         state.label: [
-            run_subexperiment(state, sub, by_id, noise, master_seed,
-                              unitaries[sub.setting_id])
-            for sub in plan
+            run_subexperiment(state, sub, by_id, noise, master_seed, effs)
+            for sub, effs in zip(plan, compiled)
         ]
         for state in roster
     }

@@ -4,7 +4,8 @@ The measurement set starts from single-tone quarter rotations and is
 extended with composed two-tone rotations until the stacked response map
 over the 9 real Hermitian degrees of freedom reaches rank 9. Probabilities
 are measured the way the experiment can only measure them: three sub-runs
-per setting, each transferring one basis state to the dark state |3>.
+per setting, each transferring one basis state to the dark state |3>: one
+detection of `simulate.effects`, under ideal rates for the response map.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .analysis import ConfusionModel, correct_ml, estimate_probability
-from .pulses import Pulse, pulse_matrix, r1_matrix, r2_matrix, swap_pulse
-from .simulate import (NoiseModel, StateSpec, _prepare, read_dark_probability,
-                       readout_rates)
+from .analysis import confusion_for, correct_ml, estimate_probability
+from .pulses import r1_matrix, r2_matrix
+from .simulate import SWAP, NoiseModel, StateSpec, effects, prepare, readout_rates
 
 RANK_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-9
+IDEAL_RATES = (1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,28 @@ def _hermitian_basis() -> list[np.ndarray]:
     return basis
 
 
-_BASIS9 = _hermitian_basis()
+_BASIS9 = np.array(_hermitian_basis())
+
+
+def subrun_effects(settings: list[TomographySetting],
+                   rates: tuple[float, float]) -> dict[str, np.ndarray]:
+    """Effects of every sub-run, three per setting; sub-run k swaps basis
+    state k+1 onto |3>, the step rule of the simulated singles."""
+    steps = np.array([SWAP[slot] @ s.unitary for s in settings for slot in (1, 2, 3)])
+    return effects([steps], rates)
+
+
+def _dark_probabilities(rho: np.ndarray, settings: list[TomographySetting],
+                        rates: tuple[float, float]) -> dict[str, np.ndarray]:
+    """P(read dark) = Tr(rho E_D) of the three sub-runs of each setting."""
+    p = np.einsum("ij,kji->k", rho, subrun_effects(settings, rates)["D"]).real
+    return dict(zip((s.id for s in settings), np.clip(p, 0.0, 1.0).reshape(-1, 3)))
 
 
 def response_matrix(settings: list[TomographySetting]) -> np.ndarray:
     """Stacked map from the 9 Hermitian parameters to outcome probabilities."""
-    rows = []
-    for s in settings:
-        for k in range(3):
-            proj = linalg.adjoint(s.unitary) @ np.outer(
-                linalg.BASIS[k], linalg.BASIS[k].conj()) @ s.unitary
-            rows.append([float(np.trace(g @ proj).real) for g in _BASIS9])
-    return np.array(rows)
+    dark = subrun_effects(settings, IDEAL_RATES)["D"]
+    return np.einsum("gij,kji->kg", _BASIS9, dark).real
 
 
 def tomography_settings() -> list[TomographySetting]:
@@ -87,12 +98,8 @@ def tomography_settings() -> list[TomographySetting]:
 
 def exact_probabilities(rho: np.ndarray,
                         settings: list[TomographySetting]) -> dict[str, np.ndarray]:
-    rho = linalg.validate_density_matrix(rho)
-    out = {}
-    for s in settings:
-        r = s.unitary @ rho @ linalg.adjoint(s.unitary)
-        out[s.id] = np.clip(np.diag(r).real, 0.0, 1.0)
-    return out
+    return _dark_probabilities(linalg.validate_density_matrix(rho), settings,
+                               IDEAL_RATES)
 
 
 def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
@@ -100,33 +107,17 @@ def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
                         rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Measured outcome frequencies, one |3>-detection sub-run per basis state.
 
-    Each sub-run's dark count is one binomial draw from its exact law.
-
-    In flip mode the frequencies are detection-error corrected with the
-    noise model's own confusion matrix before being returned.
+    Each sub-run's dark count is one binomial draw from its exact law,
+    corrected as `analysis.confusion_for` says for the noise model.
     """
-    confusion = None
-    if noise.mode == "flip" and (noise.eps_dark_to_bright or noise.eps_bright_to_dark):
-        confusion = ConfusionModel(noise.eps_dark_to_bright,
-                                   noise.eps_bright_to_dark)
-    rates = readout_rates(noise)
+    confusion = confusion_for(noise)
     tables = {}
-    for s in settings:
-        rho = _prepare(state, noise)
-        rho = s.unitary @ rho @ linalg.adjoint(s.unitary)
-        probs = np.empty(3)
-        for k in range(3):
-            rho_k = rho
-            if k != 2:
-                w = pulse_matrix(swap_pulse(k + 1))
-                rho_k = w @ rho @ linalg.adjoint(w)
-            p_dark = min(max(float(rho_k[2, 2].real), 0.0), 1.0)
-            n_dark = int(rng.binomial(shots, read_dark_probability(p_dark, rates)))
-            est = estimate_probability(n_dark, shots)
-            if confusion is not None:
-                est = correct_ml(est, confusion)
-            probs[k] = est.value
-        tables[s.id] = probs
+    for sid, p_dark in _dark_probabilities(prepare(state, noise), settings,
+                                           readout_rates(noise)).items():
+        ests = [estimate_probability(int(rng.binomial(shots, p)), shots) for p in p_dark]
+        if confusion is not None:
+            ests = [correct_ml(e, confusion) for e in ests]
+        tables[sid] = np.array([e.value for e in ests])
     return tables
 
 

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qutrit_ks import analysis, linalg
+from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import build_model
 
 
@@ -187,3 +187,12 @@ def test_significance():
         == pytest.approx(29.8, abs=0.05)
     with pytest.raises(ValueError):
         analysis.significance(analysis.Estimate(1.0, 0.0, True, 1), 1)
+
+
+def test_confusion_for_noise_models():
+    paper = analysis.confusion_for(simulate.NoiseModel.paper())
+    assert paper == analysis.ConfusionModel(0.010, 0.021)
+    assert analysis.confusion_for(simulate.NoiseModel.ideal()) is None
+    assert analysis.confusion_for(simulate.NoiseModel(mode="photon-count")) is None
+    assert analysis.confusion_for(simulate.NoiseModel(
+        eps_dark_to_bright=0.0, eps_bright_to_dark=0.0)) is None

@@ -154,3 +154,14 @@ def test_nonpositive_shots_is_config_error(tmp_path, capsys, command, shots):
     assert rc == cli.EXIT_CONFIG
     assert "config error: shots must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
+def test_oversized_shots_is_config_error(tmp_path, capsys, command):
+    rc = cli.main([command, "--shots", "10000000000000000000", "--states", "psi1",
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "at most 9223372036854775807, got 10000000000000000000" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert cli.RunConfig(shots=2 ** 63 - 1).shots == cli.MAX_SHOTS

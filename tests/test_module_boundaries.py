@@ -1,0 +1,66 @@
+"""Only `simulate` builds a detection, and modules keep to public names.
+
+The swap onto the detected state |3> is part of the noise-folded
+measurement map in `simulate`; any other module that calls `swap_pulse`
+builds a second copy of the detection. A module that reaches into a
+sibling's `_`-prefixed names depends on its internals. This scans the code
+of the package for both.
+"""
+
+import ast
+from pathlib import Path
+
+import qutrit_ks
+
+PACKAGE = Path(qutrit_ks.__file__).parent
+SWAP_OWNERS = {"simulate", "pulses"}
+
+
+def _violations(path: Path, siblings: set[str]) -> list[str]:
+    tree = ast.parse(path.read_text())
+    module = path.stem
+    found = []
+    # Names bound to sibling modules, e.g. `from . import simulate`.
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and not node.module for a in node.names if a.name in siblings}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found += [f"{module}:{node.lineno}: imports {node.module}.{a.name}"
+                      for a in node.names if a.name.startswith("_") or (
+                          a.name == "swap_pulse" and module not in SWAP_OWNERS)]
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            found.append(f"{module}:{node.lineno}: uses {node.value.id}.{node.attr}")
+        if module not in SWAP_OWNERS and (
+                (isinstance(node, ast.Name) and node.id == "swap_pulse")
+                or (isinstance(node, ast.Attribute) and node.attr == "swap_pulse")):
+            found.append(f"{module}:{node.lineno}: uses swap_pulse")
+    return sorted(found, key=lambda v: int(v.split(":")[1]))
+
+
+def find_violations(package: Path) -> list[str]:
+    paths = sorted(package.glob("*.py"))
+    siblings = {p.stem for p in paths}
+    return [v for p in paths for v in _violations(p, siblings)]
+
+
+def test_modules_keep_to_public_names_and_one_detection():
+    assert find_violations(PACKAGE) == []
+
+
+def test_scanner_flags_violations(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "from .pulses import swap_pulse\ndef _prepare(): pass\n")
+    (tmp_path / "pulses.py").write_text("def swap_pulse(b): pass\n")
+    (tmp_path / "tomography.py").write_text(
+        "from .pulses import swap_pulse\nfrom .simulate import _prepare\n")
+    (tmp_path / "cli.py").write_text(
+        "from . import simulate, pulses\nsimulate._prepare()\n"
+        "pulses.swap_pulse(1)\n")
+    assert find_violations(tmp_path) == [
+        "cli:2: uses simulate._prepare",
+        "cli:3: uses swap_pulse",
+        "tomography:1: imports pulses.swap_pulse",
+        "tomography:2: imports simulate._prepare",
+    ]

@@ -1,9 +1,94 @@
 import numpy as np
 import pytest
 
-from qutrit_ks import analysis, linalg, simulate
+from qutrit_ks import linalg, simulate
 from qutrit_ks.model import build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
+from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
+
+NOISE_CONFIGS = {
+    "ideal": NoiseModel.ideal(),
+    "paper": NoiseModel.paper(),
+    "photon-count": NoiseModel(mode="photon-count"),
+    "photon-count-2": NoiseModel(mode="photon-count", lambda_dark=0.1,
+                                 lambda_bright=4.0, threshold=2),
+    "flip-depolarized": NoiseModel(eps_dark_to_bright=0.2, eps_bright_to_dark=0.3,
+                                   prep_depolarization=0.1),
+}
+
+
+def _readout_dark(true_dark: np.ndarray, noise: NoiseModel,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Vector of readout outcomes (True = dark) for a vector of true ones."""
+    n = true_dark.size
+    if noise.mode == "ideal":
+        return true_dark.copy()
+    if noise.mode == "flip":
+        u = rng.random(n)
+        flip = np.where(true_dark, u < noise.eps_dark_to_bright,
+                        u < noise.eps_bright_to_dark)
+        return true_dark ^ flip
+    counts = np.where(true_dark,
+                      rng.poisson(noise.lambda_dark, n),
+                      rng.poisson(noise.lambda_bright, n))
+    return counts < noise.threshold
+
+
+def detect(rho: np.ndarray, noise: NoiseModel,
+           rng: np.random.Generator) -> tuple[str, np.ndarray, str]:
+    """One fluorescence detection: sample the true outcome with
+    p_dark = <3|rho|3>, collapse accordingly, then apply readout noise.
+
+    Returns (readout, collapsed state, true outcome), outcomes as
+    "dark" / "bright".
+    """
+    rho = linalg.validate_density_matrix(rho)
+    p_dark = float(rho[2, 2].real)
+    true_dark = bool(rng.random() < p_dark)
+    if true_dark:
+        collapsed = DARK.copy()
+    else:
+        trb = float(np.trace(BRIGHT @ rho @ BRIGHT).real)
+        if trb <= 0.0:
+            raise ValueError("bright collapse requested for a dark-only state")
+        collapsed = BRIGHT @ rho @ BRIGHT / trb
+    read_dark = bool(_readout_dark(np.array([true_dark]), noise, rng)[0])
+    return ("dark" if read_dark else "bright", collapsed,
+            "dark" if true_dark else "bright")
+
+
+def _conjugate(u, rho):
+    return u @ rho @ u.conj().T
+
+
+def _branch_law(state, setting, chain, noise):
+    """Schroedinger-picture reference: follow rho through each true branch
+    and fold in the readout rates."""
+    def clip(p):
+        return min(max(p, 0.0), 1.0)
+
+    def read_dark(p_dark):
+        return clip(p_dark * r_d + (1.0 - p_dark) * r_b)
+
+    slot = {ray: basis for basis, ray in setting.mapping.items()}
+    slots = [slot[ray] for ray in chain]
+    rho = _conjugate(compile_setting(setting), simulate.prepare(state, noise))
+    if slots[0] != 3:
+        rho = _conjugate(pulse_matrix(swap_pulse(slots[0])), rho)
+    r_d, r_b = simulate.readout_rates(noise)
+    p1 = clip(float(rho[2, 2].real))
+    q1 = read_dark(p1)
+    if len(chain) == 1:
+        return {"D": q1, "B": 1.0 - q1}
+    w2 = pulse_matrix(swap_pulse(slots[0] if slots[1] == 3 else slots[1]))
+    p2_given_dark = clip(float(_conjugate(w2, DARK)[2, 2].real))
+    p2_given_bright = 0.0
+    if p1 < 1.0:
+        rho_bright = BRIGHT @ rho @ BRIGHT / (1.0 - p1)
+        p2_given_bright = clip(float(_conjugate(w2, rho_bright)[2, 2].real))
+    p_dd = (p1 * r_d * read_dark(p2_given_dark)
+            + (1.0 - p1) * r_b * read_dark(p2_given_bright))
+    return {"B": 1.0 - q1, "DB": clip(q1 - p_dd), "DD": p_dd}
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +148,7 @@ def test_detect_dark_state_ideal():
     rng = np.random.default_rng(0)
     rho = linalg.pure_state_dm([0, 0, 1])
     for _ in range(20):
-        readout, collapsed, true = simulate.detect(
+        readout, collapsed, true = detect(
             rho, simulate.NoiseModel.ideal(), rng)
         assert readout == true == "dark"
         assert np.allclose(collapsed, simulate.DARK)
@@ -74,11 +159,11 @@ def test_detect_flip_rates():
     noise = simulate.NoiseModel.paper()
     n = 20_000
     dark = linalg.pure_state_dm([0, 0, 1])
-    flips = sum(simulate.detect(dark, noise, rng)[0] == "bright"
+    flips = sum(detect(dark, noise, rng)[0] == "bright"
                 for _ in range(n))
     assert flips / n == pytest.approx(0.010, abs=0.004)
     bright = linalg.pure_state_dm([1, 0, 0])
-    flips = sum(simulate.detect(bright, noise, rng)[0] == "dark"
+    flips = sum(detect(bright, noise, rng)[0] == "dark"
                 for _ in range(n))
     assert flips / n == pytest.approx(0.021, abs=0.005)
 
@@ -87,7 +172,7 @@ def test_detect_collapse_correctness():
     rng = np.random.default_rng(2)
     rho = linalg.pure_state_dm([1, 1, 1])
     for _ in range(50):
-        _, collapsed, true = simulate.detect(rho, simulate.NoiseModel.ideal(), rng)
+        _, collapsed, true = detect(rho, simulate.NoiseModel.ideal(), rng)
         if true == "dark":
             assert np.allclose(collapsed, simulate.DARK)
         else:
@@ -101,76 +186,68 @@ def test_photon_count_mode_dark_error():
     rng = np.random.default_rng(3)
     dark = linalg.pure_state_dm([0, 0, 1])
     n = 40_000
-    bright_reads = sum(simulate.detect(dark, noise, rng)[0] == "bright"
+    bright_reads = sum(detect(dark, noise, rng)[0] == "bright"
                        for _ in range(n))
     assert bright_reads / n == pytest.approx(0.01, abs=0.003)
     # a bright state essentially never reads dark at Poisson mean 10
     bright = linalg.pure_state_dm([1, 0, 0])
-    dark_reads = sum(simulate.detect(bright, noise, rng)[0] == "dark"
+    dark_reads = sum(detect(bright, noise, rng)[0] == "dark"
                      for _ in range(n))
     assert dark_reads / n < 5e-4
 
 
 def test_run_single_trivial(by_id):
-    rng = np.random.default_rng(4)
     psi3 = simulate.StateSpec.pure("psi3", [0, 0, 1])
-    counts = simulate.run_single(psi3, by_id["M1"], 3,
-                                 simulate.NoiseModel.ideal(), 1000, rng)
-    assert counts == {"D": 1000, "B": 0}
+    sub = simulate.SubExperiment("M1", (3,), 1000)
+    table = simulate.run_subexperiment(psi3, sub, by_id,
+                                       simulate.NoiseModel.ideal(), 4)
+    assert table.counts == {"D": 1000, "B": 0}
 
 
 def test_run_single_unmapped_ray_errors(by_id):
-    rng = np.random.default_rng(5)
     psi1 = simulate.StateSpec.pure("psi1", [1, 0, 0])
     with pytest.raises(ValueError, match="not mapped"):
-        simulate.run_single(psi1, by_id["M1"], 13,
-                            simulate.NoiseModel.ideal(), 10, rng)
+        simulate.outcome_law(psi1, by_id["M1"], (13,),
+                             simulate.NoiseModel.ideal())
 
 
 def test_run_single_matches_trace(by_id, model):
-    """Dark fraction concentrates on Tr(rho V) for every mapped slot."""
-    rng = np.random.default_rng(6)
-    shots = 20_000
-    roster = simulate.default_state_roster()[::3]
-    for state in roster:
+    """The dark probability is Tr(rho V) for every mapped slot."""
+    for state in simulate.default_state_roster()[::3]:
         for sid in ("M1", "M6", "M13"):
             setting = by_id[sid]
             for ray in setting.mapping.values():
-                counts = simulate.run_single(state, setting, ray,
-                                             simulate.NoiseModel.ideal(),
-                                             shots, rng)
+                law = simulate.outcome_law(state, setting, (ray,),
+                                           simulate.NoiseModel.ideal())
                 p = float(np.trace(state.rho @ model.projectors[ray]).real)
-                bound = 4 * np.sqrt(max(p * (1 - p), 1e-9) / shots) + 1e-3
-                assert abs(counts["D"] / shots - p) < bound
+                assert law["D"] == pytest.approx(p, abs=1e-12)
+                assert law["B"] == pytest.approx(1.0 - p, abs=1e-12)
 
 
 def test_run_pair_ideal_dd_is_zero(by_id, model):
-    rng = np.random.default_rng(7)
     state = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
     for edge in sorted(model.edges)[:8]:
         sid = next(s.id for s in settings_table()
                    if set(edge) <= set(s.mapping.values()))
-        counts = simulate.run_pair(state, by_id[sid], *edge,
-                                   simulate.NoiseModel.ideal(), 4000, rng)
-        assert counts["DD"] == 0
+        sub = simulate.SubExperiment(sid, edge, 4000)
+        table = simulate.run_subexperiment(state, sub, by_id,
+                                           simulate.NoiseModel.ideal(), 7)
+        assert table.counts["DD"] == 0
 
 
 def test_run_pair_aligned_state(by_id):
     # state prepared on v4, measured as first element of edge (4, 10) in M5
     state = simulate.StateSpec.pure("v4", ray_unit(4))
-    rng = np.random.default_rng(8)
-    counts = simulate.run_pair(state, by_id["M5"], 4, 10,
-                               simulate.NoiseModel.ideal(), 2000, rng)
-    assert counts["B"] == 0
-    assert counts["DB"] == 2000
+    law = simulate.outcome_law(state, by_id["M5"], (4, 10),
+                               simulate.NoiseModel.ideal())
+    assert law == pytest.approx({"B": 0.0, "DB": 1.0, "DD": 0.0}, abs=1e-12)
 
 
 def test_run_pair_flip_dd_small(by_id):
-    rng = np.random.default_rng(9)
     state = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
-    counts = simulate.run_pair(state, by_id["M5"], 4, 10,
-                               simulate.NoiseModel.paper(), 20_000, rng)
-    assert 0 < counts["DD"] / 20_000 < 0.05
+    law = simulate.outcome_law(state, by_id["M5"], (4, 10),
+                               simulate.NoiseModel.paper())
+    assert 0 < law["DD"] < 0.05
 
 
 def test_roster_determinism(model, settings):
@@ -258,11 +335,11 @@ def _detect_pair_counts(state, setting, ray_i, ray_j, noise, shots, rng):
     w2 = pulse_matrix(swap_pulse(slot[ray_j] if slot[ray_j] != 3 else slot[ray_i]))
     counts = {"B": 0, "DB": 0, "DD": 0}
     for _ in range(shots):
-        first, collapsed, _ = simulate.detect(rho, noise, rng)
+        first, collapsed, _ = detect(rho, noise, rng)
         if first == "bright":
             counts["B"] += 1
             continue
-        second, _, _ = simulate.detect(w2 @ collapsed @ w2.conj().T, noise, rng)
+        second, _, _ = detect(w2 @ collapsed @ w2.conj().T, noise, rng)
         counts["DD" if second == "dark" else "DB"] += 1
     return counts
 
@@ -320,3 +397,31 @@ def test_run_roster_compiles_each_setting_once(model, settings, by_id,
                for state in roster}
     assert len(compiled) == len(settings) + len(roster) * len(plan)
     assert simulate.counts_to_csv(per_sub) == simulate.counts_to_csv(tables)
+
+
+@pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
+def test_outcome_law_matches_branch_reference(model, settings, by_id, noise):
+    """The Heisenberg-picture effects reproduce the Schroedinger-picture
+    branch computation for every state and plan entry, in draw order."""
+    plan = simulate.build_plan(model, settings)
+    for state in simulate.default_state_roster():
+        for sub in plan:
+            setting = by_id[sub.setting_id]
+            law = simulate.outcome_law(state, setting, sub.chain, noise)
+            ref = _branch_law(state, setting, sub.chain, noise)
+            assert list(law) == list(ref)
+            assert law == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
+def test_plan_effects_form_a_povm(model, settings, by_id, noise):
+    """The effects `run_roster` compiles for each plan entry sum to the
+    identity and are positive."""
+    steps = [simulate._steps(by_id[sub.setting_id], sub.chain,
+                             compile_setting(by_id[sub.setting_id]))
+             for sub in simulate.build_plan(model, settings)]
+    for effs in simulate._stacked_effects(steps, simulate.readout_rates(noise)):
+        assert np.allclose(sum(effs.values()), np.eye(3), rtol=0, atol=1e-12)
+        for e in effs.values():
+            assert np.linalg.eigvalsh(e).min() >= -1e-12
+

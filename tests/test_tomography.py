@@ -102,3 +102,28 @@ def test_format_density_matrix():
     text = tg.format_density_matrix(np.eye(3, dtype=complex) / 3)
     assert len(text.strip().splitlines()) == 3
     assert "0.333333333333" in text
+
+
+@pytest.mark.parametrize("noise", [
+    simulate.NoiseModel.ideal(), simulate.NoiseModel.paper(),
+    simulate.NoiseModel(mode="photon-count"),
+    simulate.NoiseModel(mode="photon-count", lambda_dark=0.1,
+                        lambda_bright=4.0, threshold=2),
+    simulate.NoiseModel(eps_dark_to_bright=0.2, eps_bright_to_dark=0.3,
+                        prep_depolarization=0.1),
+], ids=["ideal", "paper", "photon-count", "photon-count-2", "flip-depolarized"])
+def test_subrun_effects_form_a_povm(settings, noise):
+    effs = tg.subrun_effects(settings, simulate.readout_rates(noise))
+    assert list(effs) == ["D", "B"]
+    assert effs["D"].shape == (3 * len(settings), 3, 3)
+    assert np.allclose(sum(effs.values()), np.eye(3), rtol=0, atol=1e-12)
+    for e in effs.values():
+        assert np.linalg.eigvalsh(e).min() >= -1e-12
+
+
+def test_ideal_subrun_k_projects_onto_rotated_basis_state(settings):
+    dark = tg.subrun_effects(settings, tg.IDEAL_RATES)["D"]
+    for i, s in enumerate(settings):
+        for k, row in enumerate(s.unitary):
+            assert np.allclose(dark[3 * i + k], np.outer(row.conj(), row),
+                               atol=1e-12)
