@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, hv, linalg, pulses, simulate, tomography
-from .model import CHI4, Inequality, build_model, dump_model, exact_operator
+from .model import CHI4, Inequality, KSModel, build_model, dump_model, exact_operator
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -28,36 +29,34 @@ MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
 
 @dataclass
 class RunConfig:
+    """One run of `simulate` or `tomography`; each field is one CLI flag
+    and its default the flag's default."""
+
     master_seed: int = 0
     shots: int = 10_000
     noise: str = "paper"  # "ideal" | "paper" | "flip" | "photon-count"
     eps_dark_to_bright: float = 0.010
     eps_bright_to_dark: float = 0.021
     prep_depolarization: float = 0.0
-    states: list[str] = field(default_factory=list)  # empty = full roster
+    states: tuple[str, ...] = ()  # empty = full roster
     out_dir: str = "run"
     with_tomography: bool = False
 
     def __post_init__(self):
+        self.states = tuple(self.states)
         if not 1 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must be at least 1 and at most {MAX_SHOTS}, "
                              f"got {self.shots}")
 
 
 def _noise_from_config(cfg: RunConfig) -> simulate.NoiseModel:
-    if cfg.noise == "ideal":
-        return simulate.NoiseModel.ideal()
-    if cfg.noise in ("paper", "flip"):
-        return simulate.NoiseModel(
-            mode="flip",
-            eps_dark_to_bright=cfg.eps_dark_to_bright,
-            eps_bright_to_dark=cfg.eps_bright_to_dark,
-            prep_depolarization=cfg.prep_depolarization,
-        )
-    if cfg.noise == "photon-count":
-        return simulate.NoiseModel(mode="photon-count",
-                                   prep_depolarization=cfg.prep_depolarization)
-    raise ValueError(f"unknown noise preset {cfg.noise!r}")
+    """The run's noise model; the "paper" preset is flip noise. Every preset
+    validates the flip rates, and only flip mode reads them."""
+    return simulate.NoiseModel(
+        mode="flip" if cfg.noise == "paper" else cfg.noise,
+        eps_dark_to_bright=cfg.eps_dark_to_bright,
+        eps_bright_to_dark=cfg.eps_bright_to_dark,
+        prep_depolarization=cfg.prep_depolarization)
 
 
 def _select_roster(cfg: RunConfig) -> list[simulate.StateSpec]:
@@ -68,6 +67,9 @@ def _select_roster(cfg: RunConfig) -> list[simulate.StateSpec]:
     missing = [s for s in cfg.states if s not in by_label]
     if missing:
         raise ValueError(f"unknown state labels: {', '.join(missing)}")
+    repeated = sorted({s for s in cfg.states if cfg.states.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeated state labels: {', '.join(repeated)}")
     return [by_label[s] for s in cfg.states]
 
 
@@ -116,11 +118,11 @@ def cmd_verify(args) -> int:
     ok = run_verification(lines)
     lines.append("verification " + ("PASSED" if ok else "FAILED"))
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    files = {}
     if args.out:
-        _write(Path(args.out), text)
-        _write(Path(args.out).with_suffix(".model.txt"), dump_model(build_model()))
-    return EXIT_OK if ok else EXIT_VERIFY
+        out = Path(args.out)
+        files = {out: text, out.with_suffix(".model.txt"): dump_model(build_model())}
+    return _emit(files, text, EXIT_OK if ok else EXIT_VERIFY)
 
 
 def cmd_compile(args) -> int:
@@ -129,16 +131,9 @@ def cmd_compile(args) -> int:
     if unknown:
         sys.stderr.write(f"unknown setting ids: {', '.join(unknown)}\n")
         return EXIT_CONFIG
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for sid in (args.settings or sorted(table)):
-            pulses.emit_schedule(table[sid], out_dir / f"{sid}.schedule")
-            sys.stdout.write(f"wrote {out_dir / (sid + '.schedule')}\n")
-    except OSError as exc:
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
-    return EXIT_OK
+    files = {Path(args.out_dir, f"{sid}.schedule"): pulses.format_schedule(table[sid])
+             for sid in (args.settings or sorted(table))}
+    return _emit(files, "".join(f"wrote {path}\n" for path in files))
 
 
 @dataclass
@@ -153,9 +148,16 @@ class StateResult:
     significance4: float
 
 
-def run_simulation(cfg: RunConfig) -> tuple[dict, list[StateResult]]:
+def _tomography(state: simulate.StateSpec, settings: list[tomography.TomographySetting],
+                noise: simulate.NoiseModel, cfg: RunConfig) -> tomography.ReconstructionResult:
+    """Simulated tomography of one state on its own stream, reconstructed."""
+    rng = simulate.derive_rng(cfg.master_seed, state.label, "tomography")
+    probs = tomography.simulate_tomography(state, settings, noise, cfg.shots, rng)
+    return tomography.reconstruct(probs, settings, state.rho)
+
+
+def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResult]]:
     """Execute the full plan for the configured roster; pure computation."""
-    model = build_model()
     settings = pulses.settings_table()
     plan = simulate.build_plan(model, settings, cfg.shots)
     roster = _select_roster(cfg)
@@ -172,11 +174,7 @@ def run_simulation(cfg: RunConfig) -> tuple[dict, list[StateResult]]:
         chi4 = analysis.assemble_chi4(est.singles)
         chi4_raw = analysis.assemble_chi4(est.singles_raw)
         if tomo_settings is not None:
-            rng = simulate.derive_rng(cfg.master_seed, state.label, "tomography")
-            probs = tomography.simulate_tomography(state, tomo_settings, noise,
-                                                   cfg.shots, rng)
-            fid = tomography.reconstruct(probs, tomo_settings,
-                                         state.rho).fidelity_to_target
+            fid = _tomography(state, tomo_settings, noise, cfg).fidelity_to_target
         else:
             fid = linalg.fidelity(simulate.prepare(state, noise), state.rho)
         results.append(StateResult(
@@ -243,9 +241,23 @@ def plot_data(results: list[StateResult],
     return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _emit(files: dict[Path, str], stdout: str, code: int = EXIT_OK) -> int:
+    """The one output path: write every file (creating its directory), then
+    print `stdout` and return `code`; EXIT_IO if a file cannot be written."""
+    try:
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    except OSError as exc:
+        sys.stderr.write(f"I/O error: {exc}\n")
+        return EXIT_IO
+    sys.stdout.write(stdout)
+    return code
+
+
+def _config(args) -> RunConfig:
+    """The run the parsed run flags of `simulate` or `tomography` describe."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _manifest(cfg: RunConfig, extra: dict) -> str:
@@ -254,40 +266,29 @@ def _manifest(cfg: RunConfig, extra: dict) -> str:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = RunConfig(master_seed=args.seed, shots=args.shots, noise=args.noise,
-                        eps_dark_to_bright=args.eps_dark_to_bright,
-                        eps_bright_to_dark=args.eps_bright_to_dark,
-                        prep_depolarization=args.prep_depolarization,
-                        states=args.states or [], out_dir=args.out_dir,
-                        with_tomography=args.tomography)
-        tables, results = run_simulation(cfg)
+        cfg, model = _config(args), build_model()
+        tables, results = run_simulation(cfg, model)
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
-    model = build_model()
     text = results_text(results, model.inequalities)
-    try:
-        _write(out / "counts.csv", simulate.counts_to_csv(tables))
-        _write(out / "results.csv", results_csv(results))
-        _write(out / "results.txt", text)
-        _write(out / "plot.dat", plot_data(results, model.inequalities))
-        plan_size = len(next(iter(tables.values())))
-        _write(out / "manifest.json", _manifest(cfg, {
+    plan_size = len(next(iter(tables.values())))
+    return _emit({
+        out / "counts.csv": simulate.counts_to_csv(tables),
+        out / "results.csv": results_csv(results),
+        out / "results.txt": text,
+        out / "plot.dat": plot_data(results, model.inequalities),
+        out / "manifest.json": _manifest(cfg, {
             "plan_size": plan_size,
             "realizations_per_state": plan_size * cfg.shots,
-        }))
-    except OSError as exc:
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
-    sys.stdout.write(text)
-    return EXIT_OK
+        }),
+    }, text)
 
 
 def cmd_tomography(args) -> int:
     try:
-        cfg = RunConfig(master_seed=args.seed, shots=args.shots, noise=args.noise,
-                        states=args.states or [], out_dir=args.out_dir)
+        cfg = _config(args)
         roster = _select_roster(cfg)
         noise = _noise_from_config(cfg)
         settings = tomography.tomography_settings()
@@ -296,26 +297,17 @@ def cmd_tomography(args) -> int:
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
     lines = ["state,fidelity,residual,projected"]
-    fids = []
-    try:
-        for state in roster:
-            rng = simulate.derive_rng(cfg.master_seed, state.label, "tomography")
-            probs = tomography.simulate_tomography(state, settings, noise,
-                                                   cfg.shots, rng)
-            res = tomography.reconstruct(probs, settings, state.rho)
-            fids.append(res.fidelity_to_target)
-            lines.append(f"{state.label},{res.fidelity_to_target:.6f},"
-                         f"{res.residual:.6g},{int(res.projected)}")
-            _write(out / f"{state.label}.rho.txt",
-                   tomography.format_density_matrix(res.rho))
-        _write(out / "fidelities.csv", "\n".join(lines) + "\n")
-        _write(out / "manifest.json", _manifest(cfg, {"command": "tomography"}))
-    except OSError as exc:
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
-    sys.stdout.write("\n".join(lines) + "\n")
-    sys.stdout.write(f"mean fidelity {sum(fids) / len(fids):.4f}\n")
-    return EXIT_OK
+    files, fids = {}, []
+    for state in roster:
+        res = _tomography(state, settings, noise, cfg)
+        fids.append(res.fidelity_to_target)
+        lines.append(f"{state.label},{res.fidelity_to_target:.6f},"
+                     f"{res.residual:.6g},{int(res.projected)}")
+        files[out / f"{state.label}.rho.txt"] = tomography.format_density_matrix(res.rho)
+    table = "\n".join(lines) + "\n"
+    files[out / "fidelities.csv"] = table
+    files[out / "manifest.json"] = _manifest(cfg, {"command": "tomography"})
+    return _emit(files, f"{table}mean fidelity {sum(fids) / len(fids):.4f}\n")
 
 
 def cmd_report(args) -> int:
@@ -330,59 +322,52 @@ def cmd_report(args) -> int:
         sys.stderr.write(f"malformed results table {src}: {exc!r}\n")
         return EXIT_IO
     text = plot_data(results, build_model().inequalities)
-    try:
-        _write(run_dir / "report.dat", text)
-    except OSError as exc:
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
-    sys.stdout.write(text)
-    return EXIT_OK
+    return _emit({run_dir / "report.dat": text}, text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds no mutable default."""
     p = argparse.ArgumentParser(prog="qutrit-ks",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the static verification suite")
     v.add_argument("--out", help="write the report to this file")
-    v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("compile", help="emit pulse schedules for settings")
     c.add_argument("settings", nargs="*", help="setting ids, e.g. M5 (default all)")
     c.add_argument("--out-dir", default="schedules")
-    c.set_defaults(func=cmd_compile)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--shots", type=int, default=10_000)
-        sp.add_argument("--noise", default="paper",
-                        choices=["ideal", "paper", "flip", "photon-count"])
+        """The run flags, one per `RunConfig` field, defaults from `RunConfig`."""
+        sp.add_argument("--seed", dest="master_seed", type=int)
+        sp.add_argument("--shots", type=int)
+        sp.add_argument("--noise", choices=["ideal", "paper", "flip", "photon-count"])
+        sp.add_argument("--eps-dark-to-bright", type=float)
+        sp.add_argument("--eps-bright-to-dark", type=float)
+        sp.add_argument("--prep-depolarization", type=float)
         sp.add_argument("--states", nargs="*", metavar="LABEL")
-        sp.add_argument("--out-dir", default="run")
+        sp.add_argument("--out-dir")
+        sp.set_defaults(**asdict(RunConfig()))
 
     s = sub.add_parser("simulate", help="run the Monte Carlo experiment")
     common(s)
-    s.add_argument("--eps-dark-to-bright", type=float, default=0.010)
-    s.add_argument("--eps-bright-to-dark", type=float, default=0.021)
-    s.add_argument("--prep-depolarization", type=float, default=0.0)
-    s.add_argument("--tomography", action="store_true",
+    s.add_argument("--tomography", dest="with_tomography", action="store_true",
                    help="take fidelities from simulated tomography")
-    s.set_defaults(func=cmd_simulate)
 
-    t = sub.add_parser("tomography", help="simulate and reconstruct states")
-    common(t)
-    t.set_defaults(func=cmd_tomography)
+    common(sub.add_parser("tomography", help="simulate and reconstruct states"))
 
     r = sub.add_parser("report", help="aggregate a finished run directory")
     r.add_argument("run_dir")
-    r.set_defaults(func=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Looked up by name on every call, not stored in the cached parser, so a
+    # command wrapped on the module after the first parse runs wrapped.
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -92,17 +92,3 @@ def max_chi13_noncontextual(model: KSModel) -> BoundReport:
 
 def max_chi4_constrained(model: KSModel) -> BoundReport:
     return enumerate_bound(CHI4, model)
-
-
-def report_to_text(name: str, report: BoundReport) -> str:
-    lines = [f"# enumeration report: {name}"]
-    if not report.colorable:
-        lines.append("KS-uncolorable: no assignment satisfies the rules")
-        return "\n".join(lines) + "\n"
-    lines.append(f"maximum          = {report.maximum}")
-    lines.append(f"argmax count     = {report.argmax_count}")
-    lines.append(f"admissible count = {report.admissible_count}")
-    lines.append("[histogram]")
-    for val, count in report.histogram.items():
-        lines.append(f"{val:6d} : {count}")
-    return "\n".join(lines) + "\n"

@@ -102,16 +102,6 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def random_hermitian(rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    return (a + adjoint(a)) / 2
-
-
-def random_pure_state(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = a @ adjoint(a)

@@ -167,28 +167,18 @@ def covered_pairs(settings: list[MeasurementSetting]) -> set[tuple[int, int]]:
     return pairs
 
 
-def format_schedule(setting: MeasurementSetting,
-                    extra_pulses: tuple[Pulse, ...] = (),
-                    hw: HardwareParams | None = None) -> str:
+def format_schedule(setting: MeasurementSetting) -> str:
     """Timed schedule text: cooling and pumping preamble, then one pulse per
     line as (channel, theta/pi, phi/pi, duration_us) with 4 decimals."""
-    hw = hw or HardwareParams()
+    hw = HardwareParams()
     lines = [
         f"# schedule {setting.id}",
         f"cool    {hw.doppler_cooling_us:.4f}",
         f"pump    {hw.optical_pumping_us:.4f}",
     ]
-    for p in (*setting.pulses, *extra_pulses):
+    for p in setting.pulses:
         lines.append(
             f"pulse   ch{p.channel}  theta/pi={p.theta / _PI:.4f}  "
             f"phi/pi={p.phi / _PI:.4f}  duration_us={hw.pulse_duration_us(p):.4f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def emit_schedule(setting: MeasurementSetting, destination,
-                  extra_pulses: tuple[Pulse, ...] = (),
-                  hw: HardwareParams | None = None) -> None:
-    text = format_schedule(setting, extra_pulses, hw)
-    with open(destination, "w") as fh:
-        fh.write(text)

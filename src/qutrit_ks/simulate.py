@@ -115,7 +115,6 @@ class SubExperiment:
 @dataclass
 class CountTable:
     subexperiment: SubExperiment
-    state_label: str
     counts: dict[str, int]
     seed_key: str
 
@@ -282,7 +281,7 @@ def run_subexperiment(state: StateSpec, sub: SubExperiment,
         law = _born_law(prepare(state, noise), compiled)
     seed_key = f"{master_seed}/{state.label}/{sub.key}"
     rng = derive_rng(master_seed, state.label, sub.key)
-    return CountTable(sub, state.label, _draw(law, sub.shots, rng), seed_key)
+    return CountTable(sub, _draw(law, sub.shots, rng), seed_key)
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],

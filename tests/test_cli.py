@@ -165,3 +165,83 @@ def test_oversized_shots_is_config_error(tmp_path, capsys, command):
         in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     assert cli.RunConfig(shots=2 ** 63 - 1).shots == cli.MAX_SHOTS
+
+
+def _results(out):
+    return {r.label: r for r in cli.results_from_csv((out / "results.csv").read_text())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "{blocked}/verify.txt"],
+    ["compile", "M5", "--out-dir", "{blocked}/schedules"],
+    ["simulate", "--shots", "100", "--states", "psi1", "--out-dir", "{blocked}/run"],
+    ["tomography", "--shots", "100", "--states", "psi1", "--out-dir", "{blocked}/tomo"],
+])
+def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
+    blocked = tmp_path / "file"
+    blocked.write_text("a regular file, not a directory\n")
+    rc = cli.main([a.format(blocked=blocked) for a in argv])
+    assert rc == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("I/O error:")
+    assert captured.out == ""
+
+
+def test_report_unwritable_output_is_io_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--shots", "100", "--states", "psi1",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    (out / "report.dat").mkdir()
+    assert cli.main(["report", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
+def test_tomography_takes_the_flip_rates(tmp_path, capsys):
+    common = ["tomography", "--seed", "4", "--shots", "2000", "--noise", "flip",
+              "--states", "psi7"]
+    assert cli.main([*common, "--out-dir", str(tmp_path / "a")]) == cli.EXIT_OK
+    assert cli.main([*common, "--eps-dark-to-bright", "0.2",
+                     "--out-dir", str(tmp_path / "b")]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "a" / "fidelities.csv").read_text() \
+        != (tmp_path / "b" / "fidelities.csv").read_text()
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert manifest["config"]["eps_dark_to_bright"] == 0.2
+
+
+def test_ideal_noise_honours_prep_depolarization(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--shots", "200", "--noise", "ideal",
+                     "--prep-depolarization", "0.5", "--states", "psi1",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    # (1 - p) * 1 + p / 3 for a pure state depolarized with weight p
+    assert _results(out)["psi1"].fidelity == pytest.approx(2 / 3, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
+def test_ideal_noise_validates_flip_rates(tmp_path, capsys, command):
+    rc = cli.main([command, "--noise", "ideal", "--eps-dark-to-bright", "1.5",
+                   "--states", "psi1", "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: probabilities must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
+def test_repeated_state_label_is_config_error(tmp_path, capsys, command):
+    rc = cli.main([command, "--shots", "100", "--states", "psi1", "psi2", "psi1",
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: repeated state labels: psi1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
+def test_run_flag_defaults_are_the_config_defaults(command):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser  # built once per process
+    cfg = cli._config(parser.parse_args([command, "--states", "psi3", "--seed", "9"]))
+    assert (cfg.states, cfg.master_seed) == (("psi3",), 9)
+    assert cli._config(parser.parse_args([command])) == cli.RunConfig()

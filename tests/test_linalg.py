@@ -4,6 +4,16 @@ import pytest
 from qutrit_ks import linalg
 
 
+def random_hermitian(rng: np.random.Generator) -> np.ndarray:
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return (a + linalg.adjoint(a)) / 2
+
+
+def random_pure_state(rng: np.random.Generator) -> np.ndarray:
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
 def test_projector_basis_ray():
     p = linalg.projector_from_ray([1, 0, 0])
     assert np.allclose(p, np.diag([1, 0, 0]), atol=1e-15)
@@ -54,7 +64,7 @@ def test_hermitian_eig_rank_one_projector():
 def test_hermitian_eig_reconstruction_1000_seeds():
     rng = np.random.default_rng(3)
     for _ in range(1000):
-        h = linalg.random_hermitian(rng)
+        h = random_hermitian(rng)
         w, u = linalg.hermitian_eig(h)
         recon = (u * w) @ linalg.adjoint(u)
         assert linalg.frobenius_distance(recon, h) < linalg.ATOL_EIG
@@ -82,7 +92,7 @@ def test_fidelity_pure_target_equals_overlap():
     rng = np.random.default_rng(5)
     for _ in range(50):
         rho = linalg.random_density_matrix(rng)
-        psi = linalg.random_pure_state(rng)
+        psi = random_pure_state(rng)
         target = linalg.pure_state_dm(psi)
         overlap = float((psi.conj() @ rho @ psi).real)
         assert linalg.fidelity(rho, target) == pytest.approx(

@@ -1,10 +1,13 @@
-"""Only `simulate` builds a detection, and modules keep to public names.
+"""Only `simulate` builds a detection, only `cli._emit` writes files, and
+modules keep to public names.
 
 The swap onto the detected state |3> is part of the noise-folded
 measurement map in `simulate`; any other module that calls `swap_pulse`
-builds a second copy of the detection. A module that reaches into a
-sibling's `_`-prefixed names depends on its internals. This scans the code
-of the package for both.
+builds a second copy of the detection. Every command writes its output
+through `cli._emit`, the one place that turns a write failure into exit
+code 3; a file written anywhere else escapes that contract. A module that
+reaches into a sibling's `_`-prefixed names depends on its internals. This
+scans the code of the package for all three.
 """
 
 import ast
@@ -64,3 +67,34 @@ def test_scanner_flags_violations(tmp_path):
         "tomography:1: imports pulses.swap_pulse",
         "tomography:2: imports simulate._prepare",
     ]
+
+
+WRITERS = {"open", "write_text", "mkdir"}
+
+
+def find_writers(package: Path) -> list[str]:
+    """Calls that open, write or create a file anywhere but in `cli._emit`."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.stem == "cli" and getattr(top, "name", None) == "_emit":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in WRITERS:
+                        found.append(f"{path.stem}:{node.lineno}: calls {name}")
+    return found
+
+
+def test_only_emit_writes_files():
+    assert find_writers(PACKAGE) == []
+
+
+def test_writer_scanner_flags_writes(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _emit(path):\n    path.parent.mkdir()\n    path.write_text('')\n"
+        "def _write(path):\n    path.write_text('')\n")
+    (tmp_path / "pulses.py").write_text(
+        "class S:\n    def save(self, p):\n        return open(p, 'w')\n")
+    assert find_writers(tmp_path) == ["cli:5: calls write_text", "pulses:3: calls open"]

@@ -119,21 +119,18 @@ def test_swap_pulse():
         pulses.swap_pulse(3)
 
 
-def test_schedule_durations(tmp_path):
+def test_schedule_durations():
     hw = pulses.HardwareParams()
     assert hw.pulse_duration_us(pulses.Pulse(1, math.pi / 2, math.pi)) \
         == pytest.approx(7.375)
     assert hw.pulse_duration_us(pulses.Pulse(2, math.pi, 0)) \
         == pytest.approx(14.75)
     by_id = {s.id: s for s in pulses.settings_table()}
-    dest = tmp_path / "M1.schedule"
-    pulses.emit_schedule(by_id["M1"], dest)
-    text = dest.read_text()
+    text = pulses.format_schedule(by_id["M1"])
     assert "cool    1000.0000" in text
     assert "pump    3.0000" in text
     assert "pulse" not in text  # M1 has no rotations
-    pulses.emit_schedule(by_id["M2"], tmp_path / "M2.schedule")
-    assert "duration_us=7.3750" in (tmp_path / "M2.schedule").read_text()
+    assert "duration_us=7.3750" in pulses.format_schedule(by_id["M2"])
 
 
 def test_faulty_mapping_fails_verification(settings):
