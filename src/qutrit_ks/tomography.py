@@ -22,7 +22,7 @@ from .simulate import SWAP, NoiseModel, StateSpec, effects, prepare, readout_rat
 
 RANK_TOL = 1e-9
 ROUND_TRIP_TOL = 1e-9
-IDEAL_RATES = (1.0, 0.0)
+IDEAL_RATES = readout_rates(NoiseModel.ideal())
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,14 @@ def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
     """Measured outcome frequencies, one |3>-detection sub-run per basis state.
 
     Each sub-run's dark count is one binomial draw from its exact law,
-    corrected as `analysis.confusion_for` says for the noise model.
+    corrected with `analysis.confusion_for` of the noise model.
     """
     confusion = confusion_for(noise)
     tables = {}
     for sid, p_dark in _dark_probabilities(prepare(state, noise), settings,
                                            readout_rates(noise)).items():
         ests = [estimate_probability(int(rng.binomial(shots, p)), shots) for p in p_dark]
-        if confusion is not None:
-            ests = [correct_ml(e, confusion) for e in ests]
-        tables[sid] = np.array([e.value for e in ests])
+        tables[sid] = np.array([correct_ml(e, confusion).value for e in ests])
     return tables
 
 

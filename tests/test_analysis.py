@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qutrit_ks import analysis, linalg, simulate
-from qutrit_ks.model import build_model
+from qutrit_ks.model import CHI4, build_model
+from qutrit_ks.pulses import settings_table
 
 
 @pytest.fixture(scope="module")
@@ -189,10 +190,67 @@ def test_significance():
         analysis.significance(analysis.Estimate(1.0, 0.0, True, 1), 1)
 
 
+NOISE = {
+    "ideal": simulate.NoiseModel.ideal(),
+    "paper": simulate.NoiseModel.paper(),
+    "flip-depolarized": simulate.NoiseModel(eps_dark_to_bright=0.2, eps_bright_to_dark=0.3,
+                                            prep_depolarization=0.1),
+    "photon-count": simulate.NoiseModel(mode="photon-count"),
+    "photon-count-harsh": simulate.NoiseModel(mode="photon-count", lambda_dark=0.1,
+                                              lambda_bright=4.0, threshold=2),
+}
+
+
 def test_confusion_for_noise_models():
-    paper = analysis.confusion_for(simulate.NoiseModel.paper())
-    assert paper == analysis.ConfusionModel(0.010, 0.021)
-    assert analysis.confusion_for(simulate.NoiseModel.ideal()) is None
-    assert analysis.confusion_for(simulate.NoiseModel(mode="photon-count")) is None
-    assert analysis.confusion_for(simulate.NoiseModel(
-        eps_dark_to_bright=0.0, eps_bright_to_dark=0.0)) is None
+    """The correction reads the rates the simulation draws with: rates are
+    compared, since 1 - (1 - 0.010) is not 0.010 in floating point."""
+    for noise in NOISE.values():
+        conf = analysis.confusion_for(noise)
+        r_d, r_b = simulate.readout_rates(noise)
+        assert (1.0 - conf.eps_dark_to_bright, conf.eps_bright_to_dark) == (r_d, r_b)
+        assert conf.visibility == r_d - r_b
+    assert analysis.confusion_for(NOISE["ideal"]) == analysis.ConfusionModel(0.0, 0.0)
+
+
+def _corrected(tables, noise, model):
+    est = analysis.estimates_from_counts(tables, analysis.confusion_for(noise))
+    return (analysis.assemble_chi13(est.singles, est.pairs, model),
+            analysis.assemble_chi4(est.singles))
+
+
+def test_correction_inverts_exact_laws(model):
+    """Counts proportional to the exact outcome laws (10^15 shots) correct
+    back to the quantum values under every readout model."""
+    settings = settings_table()
+    by_id = {s.id: s for s in settings}
+    plan = simulate.build_plan(model, settings)
+    for name, noise in NOISE.items():
+        for state in simulate.default_state_roster():
+            tables = [simulate.CountTable(sub, {
+                s: round(p * 10 ** 15) for s, p in simulate.outcome_law(
+                    state, by_id[sub.setting_id], sub.chain, noise).items()}, "exact")
+                for sub in plan]
+            chi13, chi4 = _corrected(tables, noise, model)
+            assert chi13.value == pytest.approx(float(model.chi13.quantum_value),
+                                                abs=1e-9), (name, state.label)
+            assert chi4.value == pytest.approx(float(CHI4.quantum_value),
+                                               abs=1e-9), (name, state.label)
+
+
+def test_chi13_pulls_are_calibrated(model):
+    """(chi13 - 83/3) / stderr over 100 fixed seeds x 3 states at 10^4 shots
+    has mean near 0 and sd near 1 under each readout model."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots=10_000)
+    roster = [s for s in simulate.default_state_roster()
+              if s.label in ("psi1", "psi7", "rho10")]
+    truth = float(model.chi13.quantum_value)
+    for name in ("ideal", "paper", "photon-count-harsh"):
+        pulls = []
+        for seed in range(100):
+            runs = simulate.run_roster(roster, plan, settings, NOISE[name], seed)
+            for tables in runs.values():
+                chi13, _ = _corrected(tables, NOISE[name], model)
+                pulls.append((chi13.value - truth) / chi13.stderr)
+        mean, sd = np.mean(pulls), np.std(pulls, ddof=1)
+        assert abs(mean) < 0.2 and 0.9 <= sd <= 1.1, f"{name}: {mean:+.3f}, {sd:.3f}"

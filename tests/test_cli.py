@@ -140,6 +140,12 @@ def test_report_equals_plot_data(tmp_path, capsys):
     assert (out / "report.dat").read_bytes() == (out / "plot.dat").read_bytes()
 
 
+def test_report_unreadable_table_is_io_error(tmp_path, capsys):
+    (tmp_path / "results.csv").mkdir()
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
 def test_report_malformed_table(tmp_path, capsys):
     (tmp_path / "results.csv").write_text("state,chi13\npsi1,27.0\n")
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO

@@ -158,13 +158,9 @@ def test_detect_flip_rates():
     rng = np.random.default_rng(1)
     noise = simulate.NoiseModel.paper()
     n = 20_000
-    dark = linalg.pure_state_dm([0, 0, 1])
-    flips = sum(detect(dark, noise, rng)[0] == "bright"
-                for _ in range(n))
+    flips = np.count_nonzero(~_readout_dark(np.ones(n, bool), noise, rng))
     assert flips / n == pytest.approx(0.010, abs=0.004)
-    bright = linalg.pure_state_dm([1, 0, 0])
-    flips = sum(detect(bright, noise, rng)[0] == "dark"
-                for _ in range(n))
+    flips = np.count_nonzero(_readout_dark(np.zeros(n, bool), noise, rng))
     assert flips / n == pytest.approx(0.021, abs=0.005)
 
 
@@ -184,15 +180,11 @@ def test_photon_count_mode_dark_error():
     lam = -np.log(0.99)
     noise = simulate.NoiseModel(mode="photon-count", lambda_dark=lam)
     rng = np.random.default_rng(3)
-    dark = linalg.pure_state_dm([0, 0, 1])
     n = 40_000
-    bright_reads = sum(detect(dark, noise, rng)[0] == "bright"
-                       for _ in range(n))
+    bright_reads = np.count_nonzero(~_readout_dark(np.ones(n, bool), noise, rng))
     assert bright_reads / n == pytest.approx(0.01, abs=0.003)
     # a bright state essentially never reads dark at Poisson mean 10
-    bright = linalg.pure_state_dm([1, 0, 0])
-    dark_reads = sum(detect(bright, noise, rng)[0] == "dark"
-                     for _ in range(n))
+    dark_reads = np.count_nonzero(_readout_dark(np.zeros(n, bool), noise, rng))
     assert dark_reads / n < 5e-4
 
 

@@ -1,8 +1,9 @@
-"""The inequality constants live only in the spec records of `model.py`.
+"""The inequality constants and the paper's flip rates are written once.
 
-The quantum values 83/3 and 4/3 and the chi4 ray set are written once, in
-`CHI4` and `KSModel.chi13`; every other module reads them from there. This
-scans the code (not docstrings or comments) of the package for copies.
+The quantum values 83/3 and 4/3 and the chi4 ray set live in `CHI4` and
+`KSModel.chi13` of `model.py`, the flip rates 0.010 and 0.021 in
+`simulate.NoiseModel`; every other module reads them from there. This scans
+the code (not docstrings or comments) of the package for copies.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 import qutrit_ks
 
 PACKAGE = Path(qutrit_ks.__file__).parent
-SPEC_NODES = {"CHI4", "chi13"}  # the spec records in model.py
+SPEC_NODES = {"model.py": {"CHI4", "chi13"}, "simulate.py": {"NoiseModel"}}
 
 
 def _is_number(node, value):
@@ -22,6 +23,9 @@ def _is_number(node, value):
 def _copied_constant(node) -> str | None:
     if _is_number(node, 83):
         return "83"
+    for rate in ("0.010", "0.021"):
+        if _is_number(node, float(rate)):
+            return rate
     if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
             and _is_number(node.left, 4) and _is_number(node.right, 3)):
         return "4 / 3"
@@ -32,12 +36,12 @@ def _copied_constant(node) -> str | None:
     return None
 
 
-def _spec_spans(tree) -> list[tuple[int, int]]:
+def _spec_spans(tree, names) -> list[tuple[int, int]]:
     spans = []
     for node in ast.walk(tree):
-        named = (isinstance(node, ast.FunctionDef) and node.name in SPEC_NODES) \
+        named = (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names) \
             or (isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id in SPEC_NODES for t in node.targets))
+                isinstance(t, ast.Name) and t.id in names for t in node.targets))
         if named:
             spans.append((node.lineno, node.end_lineno))
     return spans
@@ -47,7 +51,7 @@ def find_copies(package: Path) -> list[str]:
     found = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text())
-        spans = _spec_spans(tree) if path.name == "model.py" else []
+        spans = _spec_spans(tree, SPEC_NODES.get(path.name, ()))
         hits = sorted((node.lineno, what) for node in ast.walk(tree)
                       if (what := _copied_constant(node)))
         found += [f"{path.name}:{line}: {what}" for line, what in hits
@@ -60,15 +64,22 @@ def test_spec_constants_are_not_copied():
 
 
 def test_spec_holds_the_constants():
-    tree = ast.parse((PACKAGE / "model.py").read_text())
-    found = {_copied_constant(n) for n in ast.walk(tree)} - {None}
-    assert found == {"83", "(10, 11, 12, 13)"}
-    assert len(_spec_spans(tree)) == 2
+    for name, constants in (("model.py", {"83", "(10, 11, 12, 13)"}),
+                            ("simulate.py", {"0.010", "0.021"})):
+        tree = ast.parse((PACKAGE / name).read_text())
+        found = {_copied_constant(n) for n in ast.walk(tree)} - {None}
+        assert found == constants
+        assert len(_spec_spans(tree, SPEC_NODES[name])) == len(SPEC_NODES[name])
 
 
 def test_scanner_flags_copies(tmp_path):
     (tmp_path / "model.py").write_text("CHI4 = (10, 11, 12, 13)\n")
+    (tmp_path / "simulate.py").write_text(
+        "class NoiseModel:\n    eps: float = 0.010\nEPS = 0.021\n")
     (tmp_path / "cli.py").write_text(
-        "Q = 83.0 / 3.0\nR = 4 / 3\nS = 4.0 / 3.0\nfor i in (10, 11, 12, 13): pass\n")
+        "Q = 83.0 / 3.0\nR = 4 / 3\nS = 4.0 / 3.0\nfor i in (10, 11, 12, 13): pass\n"
+        "E = (0.01, 0.021)\n")
     assert find_copies(tmp_path) == ["cli.py:1: 83", "cli.py:2: 4 / 3",
-                                     "cli.py:3: 4 / 3", "cli.py:4: (10, 11, 12, 13)"]
+                                     "cli.py:3: 4 / 3", "cli.py:4: (10, 11, 12, 13)",
+                                     "cli.py:5: 0.010", "cli.py:5: 0.021",
+                                     "simulate.py:3: 0.021"]
