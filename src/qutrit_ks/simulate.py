@@ -16,9 +16,12 @@ not grow with the shot count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -247,7 +250,7 @@ def _stacked_effects(steps: list[list[np.ndarray]],
 
 
 def _born_law(rho: np.ndarray,
-             effs: dict[str, np.ndarray]) -> dict[str, float]:
+             effs: Mapping[str, np.ndarray]) -> dict[str, float]:
     """Tr(rho E_s) for each readout string s, clipped to [0, 1]."""
     return {s: _clip01(float(np.vdot(e, rho).real)) for s, e in effs.items()}
 
@@ -272,7 +275,7 @@ def _draw(law: dict[str, float], shots: int,
 def run_subexperiment(state: StateSpec, sub: SubExperiment,
                       settings_by_id: dict[str, MeasurementSetting],
                       noise: NoiseModel, master_seed: int,
-                      compiled: dict[str, np.ndarray] | None = None) -> CountTable:
+                      compiled: Mapping[str, np.ndarray] | None = None) -> CountTable:
     """One sub-experiment from its own stream; `compiled` holds its effects
     under `noise`, compiled here when omitted."""
     if compiled is None:
@@ -284,21 +287,43 @@ def run_subexperiment(state: StateSpec, sub: SubExperiment,
     return CountTable(sub, _draw(law, sub.shots, rng), seed_key)
 
 
+@functools.lru_cache(maxsize=8)
+def _plan_effects(settings: tuple, entries: tuple,
+                  rates: tuple[float, float]) -> tuple[MappingProxyType, ...]:
+    """Read-only effects of each plan entry `(setting id, chain)` under
+    readout `rates`, `settings` holding the content `(id, mapping items,
+    pulses)` of each setting the entries use: every setting compiled once,
+    every entry's effects in one stacked pass. The key is that content, never
+    a setting id alone, so a process computes each distinct plan once."""
+    by_id = {sid: MeasurementSetting(sid, dict(mapping), pulses)
+             for sid, mapping, pulses in settings}
+    unitaries = {sid: compile_setting(s) for sid, s in by_id.items()}
+    compiled = _stacked_effects(
+        [_steps(by_id[sid], chain, unitaries[sid]) for sid, chain in entries],
+        rates)
+    for effs in compiled:
+        for e in effs.values():
+            e.flags.writeable = False
+    return tuple(MappingProxyType(effs) for effs in compiled)
+
+
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
     """Full run; deterministic for a given master seed regardless of the
-    order in which sub-experiments execute. Each setting the plan uses is
-    compiled once, and each plan entry's effects once."""
+    order in which sub-experiments execute. The plan's effects come from
+    `_plan_effects`, which compiles them once per process for each distinct
+    (settings, plan, readout rates)."""
     by_id = {s.id: s for s in settings}
-    unitaries = {sid: compile_setting(by_id[sid])
-                 for sid in dict.fromkeys(sub.setting_id for sub in plan)}
-    compiled = _stacked_effects(
-        [_steps(by_id[sub.setting_id], sub.chain, unitaries[sub.setting_id])
-         for sub in plan], readout_rates(noise))
+    used = [by_id[sid] for sid in dict.fromkeys(sub.setting_id for sub in plan)]
+    compiled = _plan_effects(
+        tuple((s.id, tuple(sorted(s.mapping.items())), s.pulses) for s in used),
+        tuple((sub.setting_id, sub.chain) for sub in plan),
+        readout_rates(noise))
     return {
         state.label: [
-            run_subexperiment(state, sub, by_id, noise, master_seed, effs)
+            run_subexperiment(state, sub, by_id, noise, master_seed,
+                              compiled=effs)
             for sub, effs in zip(plan, compiled)
         ]
         for state in roster

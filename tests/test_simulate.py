@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -380,8 +382,15 @@ def test_run_roster_compiles_each_setting_once(model, settings, by_id,
     roster = simulate.default_state_roster()
     noise = simulate.NoiseModel.paper()
     monkeypatch.setattr(simulate, "compile_setting", counting)
+    simulate._plan_effects.cache_clear()
     tables = simulate.run_roster(roster, plan, settings, noise, 5)
     assert sorted(compiled) == sorted(s.id for s in settings)
+    # equal content in fresh objects: the same plan, settings and rates
+    fresh = settings_table()
+    again = simulate.run_roster(roster, simulate.build_plan(model, fresh, 1000),
+                                fresh, noise, 5)
+    assert len(compiled) == len(settings)
+    assert simulate.counts_to_csv(again) == simulate.counts_to_csv(tables)
     # compiling per sub-experiment instead gives byte-identical counts
     per_sub = {state.label: [simulate.run_subexperiment(state, sub, by_id,
                                                         noise, 5)
@@ -389,6 +398,51 @@ def test_run_roster_compiles_each_setting_once(model, settings, by_id,
                for state in roster}
     assert len(compiled) == len(settings) + len(roster) * len(plan)
     assert simulate.counts_to_csv(per_sub) == simulate.counts_to_csv(tables)
+
+
+def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
+    """A setting that keeps its id but changes one pulse angle gets its own
+    effects: `run_roster` matches the per-sub-experiment path, which compiles
+    the setting it is given."""
+    m5 = by_id["M5"]
+    first, second = m5.pulses
+    tilted = dataclasses.replace(
+        m5, pulses=(first, dataclasses.replace(second, theta=second.theta + 0.1)))
+    altered = [tilted if s.id == "M5" else s for s in settings]
+    plan = simulate.build_plan(model, settings, shots=10 ** 9)
+    state = simulate.default_state_roster()[6]
+    noise = simulate.NoiseModel.paper()
+    for sub in (sub for sub in plan if sub.setting_id == "M5"):
+        assert simulate.outcome_law(state, tilted, sub.chain, noise) != \
+            pytest.approx(simulate.outcome_law(state, m5, sub.chain, noise))
+    simulate.run_roster([state], plan, settings, noise, 3)
+    tables = simulate.run_roster([state], plan, altered, noise, 3)[state.label]
+    altered_by_id = {s.id: s for s in altered}
+    assert [t.counts for t in tables] == [
+        simulate.run_subexperiment(state, sub, altered_by_id, noise, 3).counts
+        for sub in plan]
+
+
+def test_cached_plan_effects_are_read_only(model, settings, monkeypatch):
+    seen = []
+    original = simulate.run_subexperiment
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["compiled"])
+        return original(*args, **kwargs)
+
+    plan = simulate.build_plan(model, settings, shots=1000)
+    state = simulate.default_state_roster()[0]
+    monkeypatch.setattr(simulate, "run_subexperiment", recording)
+    for _ in range(2):
+        simulate.run_roster([state], plan, settings, simulate.NoiseModel.paper(), 1)
+    assert len(seen) == 2 * len(plan)
+    for effs in seen:
+        with pytest.raises(TypeError):
+            effs["B"] = np.eye(3)
+        for e in effs.values():
+            with pytest.raises(ValueError, match="read-only"):
+                e[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
