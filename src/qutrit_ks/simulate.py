@@ -10,8 +10,14 @@ That process is one noise-folded measurement map, which tomography reads
 too: `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
 is Tr(rho E). Shots are i.i.d., so each sub-experiment makes a single
-multinomial draw from its law on its own `derive_rng` stream, and cost does
-not grow with the shot count.
+multinomial draw from its law, and cost does not grow with the shot count.
+
+Each (seed, state, sub-experiment) draws from its own keyed Philox stream
+(`derive_rng`), so counts do not depend on execution order. A process
+compiles the effects of each distinct plan once (`_plan_effects`, keyed on
+setting content, chains and readout rates, never on the seed or state), so a
+`run_roster` call costs little beyond its draws. `numpy.random` is loaded on
+first use, not at import.
 """
 
 from __future__ import annotations
@@ -153,12 +159,30 @@ def build_plan(model: KSModel, settings: list[MeasurementSetting],
 
 
 def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
-    """Independent stream keyed by (seed, labels); order-independent across
-    parallel execution because the key, not the call sequence, decides it."""
-    digest = hashlib.sha256(
-        ("/".join([str(master_seed), *parts])).encode()).digest()
-    words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    """The stream keyed by (seed, labels): Philox4x64 (Salmon et al., SC'11)
+    with its counter at 0 and its key the first 16 bytes of
+    sha256("seed/label/..."), read as two little-endian uint64 words. Each
+    key is its own stream, so draws do not depend on the order in which
+    sub-experiments execute."""
+    return np.random.Generator(np.random.Philox(
+        key=_philox_key("/".join([str(master_seed), *parts]))))
+
+
+def _philox_key(name: str) -> np.ndarray:
+    return np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], dtype="<u8")
+
+
+def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
+    """`rng` moved to the start of the stream `derive_rng` keys by `name`:
+    its Philox bit generator at counter 0, with an empty output buffer."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": _philox_key(name)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 def prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:
@@ -275,15 +299,21 @@ def _draw(law: dict[str, float], shots: int,
 def run_subexperiment(state: StateSpec, sub: SubExperiment,
                       settings_by_id: dict[str, MeasurementSetting],
                       noise: NoiseModel, master_seed: int,
-                      compiled: Mapping[str, np.ndarray] | None = None) -> CountTable:
-    """One sub-experiment from its own stream; `compiled` holds its effects
-    under `noise`, compiled here when omitted."""
+                      compiled: Mapping[str, np.ndarray] | None = None,
+                      rng: np.random.Generator | None = None) -> CountTable:
+    """One sub-experiment on its own stream, `derive_rng(master_seed,
+    state.label, sub.key)`. `compiled` holds its effects under `noise`,
+    compiled here when omitted; `rng`, when given, is re-keyed onto the
+    stream instead of a new generator being built."""
     if compiled is None:
         law = outcome_law(state, settings_by_id[sub.setting_id], sub.chain, noise)
     else:
         law = _born_law(prepare(state, noise), compiled)
     seed_key = f"{master_seed}/{state.label}/{sub.key}"
-    rng = derive_rng(master_seed, state.label, sub.key)
+    if rng is None:
+        rng = derive_rng(master_seed, state.label, sub.key)
+    else:
+        rng = _rekey(rng, seed_key)
     return CountTable(sub, _draw(law, sub.shots, rng), seed_key)
 
 
@@ -313,17 +343,19 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
     """Full run; deterministic for a given master seed regardless of the
     order in which sub-experiments execute. The plan's effects come from
     `_plan_effects`, which compiles them once per process for each distinct
-    (settings, plan, readout rates)."""
+    (settings, plan, readout rates). One generator, re-keyed for each
+    sub-experiment, serves the call and never leaves it."""
     by_id = {s.id: s for s in settings}
     used = [by_id[sid] for sid in dict.fromkeys(sub.setting_id for sub in plan)]
     compiled = _plan_effects(
         tuple((s.id, tuple(sorted(s.mapping.items())), s.pulses) for s in used),
         tuple((sub.setting_id, sub.chain) for sub in plan),
         readout_rates(noise))
+    rng = derive_rng(master_seed)
     return {
         state.label: [
             run_subexperiment(state, sub, by_id, noise, master_seed,
-                              compiled=effs)
+                              compiled=effs, rng=rng)
             for sub, effs in zip(plan, compiled)
         ]
         for state in roster

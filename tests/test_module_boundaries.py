@@ -11,6 +11,9 @@ scans the code of the package for all three.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qutrit_ks
@@ -98,3 +101,16 @@ def test_writer_scanner_flags_writes(tmp_path):
     (tmp_path / "pulses.py").write_text(
         "class S:\n    def save(self, p):\n        return open(p, 'w')\n")
     assert find_writers(tmp_path) == ["cli:5: calls write_text", "pulses:3: calls open"]
+
+
+def test_package_import_leaves_numpy_random_unloaded():
+    """numpy loads `numpy.random` lazily; importing it with the package would
+    add its load time and memory to every command, including `verify`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, qutrit_ks, qutrit_ks.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

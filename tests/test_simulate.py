@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -255,17 +256,44 @@ def test_roster_determinism(model, settings):
     assert simulate.counts_to_csv(a) != simulate.counts_to_csv(c)
 
 
-def test_stream_independence_of_execution_order(model, settings, by_id):
+@pytest.mark.parametrize("noise", [
+    NOISE_CONFIGS["ideal"], NOISE_CONFIGS["paper"], NOISE_CONFIGS["photon-count"],
+], ids=["ideal", "paper", "photon-count"])
+def test_stream_independence_of_execution_order(model, settings, by_id, noise):
     """A sub-experiment's counts depend only on its key, not on which other
-    sub-experiments ran before it."""
-    plan = simulate.build_plan(model, settings, shots=500)
-    roster = simulate.default_state_roster()[:2]
-    noise = simulate.NoiseModel.paper()
+    sub-experiments ran before it: each one run alone, on its own
+    `derive_rng` stream, reproduces the roster for all 12 x 37 entries."""
+    plan = simulate.build_plan(model, settings, shots=10_000)
+    roster = simulate.default_state_roster()
     full = simulate.run_roster(roster, plan, settings, noise, 7)
-    solo = simulate.run_subexperiment(roster[1], plan[5], by_id, noise, 7)
-    match = [t for t in full[roster[1].label]
-             if t.subexperiment == plan[5]][0]
-    assert match.counts == solo.counts
+    for state in roster:
+        solo = [simulate.run_subexperiment(state, sub, by_id, noise, 7)
+                for sub in plan]
+        assert [(t.subexperiment, t.counts, t.seed_key) for t in solo] == \
+            [(t.subexperiment, t.counts, t.seed_key) for t in full[state.label]]
+
+
+def test_derive_rng_is_keyed_philox(model, settings, by_id):
+    """The stream of (seed, labels) is Philox at counter 0 under the first 16
+    bytes of sha256("seed/label/..."), as two little-endian uint64 words."""
+    name = "42/psi7/pair:04-10:M5"
+    key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+    ref = np.random.Philox(key=key)
+    rng = simulate.derive_rng(42, "psi7", "pair:04-10:M5")
+    philox = rng.bit_generator.state["state"]
+    assert philox["key"].tolist() == key.tolist()
+    assert philox["counter"].tolist() == [0, 0, 0, 0]
+    assert rng.random(8).tolist() == np.random.Generator(ref).random(8).tolist()
+    # the roster's draw for that key is a draw from the same stream
+    state = simulate.default_state_roster()[6]
+    sub = simulate.SubExperiment("M5", (4, 10), 10_000)
+    table = simulate.run_roster([state], [sub], settings, NOISE_CONFIGS["paper"],
+                                42)["psi7"][0]
+    law = simulate.outcome_law(state, by_id["M5"], sub.chain, NOISE_CONFIGS["paper"])
+    expected = np.random.Generator(np.random.Philox(key=key)).multinomial(
+        10_000, list(law.values()))
+    assert table.seed_key == name
+    assert list(table.counts.values()) == expected.tolist()
 
 
 def test_counts_csv_shape(model, settings):
