@@ -22,6 +22,7 @@ single and pair probability off the inequality's spec (`coefficients`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -171,16 +172,23 @@ def coefficients(ineq: Inequality) -> dict[tuple[int, ...], int]:
     mutually orthogonal) and it enters as +8 mu_ijk P_ijk >= 0, so dropping it
     can only lower the value.
     """
-    if ineq.alphabet == ZO:
-        return dict(ineq.terms)
+    return dict(_expansion(ineq.alphabet, tuple(ineq.terms.items())))
+
+
+@functools.lru_cache(maxsize=16)
+def _expansion(alphabet: str, terms: tuple) -> tuple:
+    """`coefficients` as (rays, coefficient) items, computed once per
+    distinct inequality content."""
+    if alphabet == ZO:
+        return terms
     out: dict[tuple[int, ...], int] = {}
-    for rays, c in ineq.terms.items():
+    for rays, c in terms:
         out[()] = out.get((), 0) + c
         for r in rays:
             out[(r,)] = out.get((r,), 0) - 2 * c
         for pair in combinations(rays, 2):
             out[pair] = out.get(pair, 0) + 4 * c
-    return out
+    return tuple(out.items())
 
 
 def assemble(ineq: Inequality, singles: dict[int, Estimate],
@@ -195,7 +203,7 @@ def assemble(ineq: Inequality, singles: dict[int, Estimate],
     rates 0.2 / 0.3.
     """
     value, var, used = 0, 0.0, []
-    for rays, coef in coefficients(ineq).items():
+    for rays, coef in _expansion(ineq.alphabet, tuple(ineq.terms.items())):
         if not rays:
             value += coef
             continue

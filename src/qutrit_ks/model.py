@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -77,10 +77,11 @@ class KSModel:
     mu_ij: dict[tuple[int, int], int]
     mu_ijk: dict[tuple[int, int, int], int]
 
-    @property
+    @cached_property
     def chi13(self) -> Inequality:
         """sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk A_i A_j A_k, read
-        off the weights so that a modified model carries its own inequality."""
+        off the weights so that a modified model carries its own inequality;
+        built once per model."""
         terms = {(i,): mu for i, mu in self.mu_i.items()}
         terms.update({e: -mu for e, mu in self.mu_ij.items()})
         terms.update({t: -mu for t, mu in self.mu_ijk.items()})

@@ -10,6 +10,7 @@ detection of `simulate.effects`, under ideal rates for the response map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,14 +128,26 @@ class ReconstructionResult:
     projected: bool
 
 
+@functools.lru_cache(maxsize=4)
+def _checked_response(ids: tuple[str, ...], unitaries: bytes) -> np.ndarray:
+    """Read-only `response_matrix` of the settings with these ids and these
+    stacked unitaries, checked for rank 9; computed once per distinct
+    settings list, so reconstructing many states pays for it once."""
+    stacked = np.frombuffer(unitaries, dtype=complex).reshape(-1, 3, 3)
+    a = response_matrix([TomographySetting(i, u) for i, u in zip(ids, stacked)])
+    if np.linalg.matrix_rank(a, tol=RANK_TOL) < 9:
+        raise ValueError("response map is rank-deficient; extend the settings")
+    a.flags.writeable = False
+    return a
+
+
 def reconstruct(tables: dict[str, np.ndarray],
                 settings: list[TomographySetting],
                 target: np.ndarray | None = None) -> ReconstructionResult:
     """Least-squares linear inversion followed by projection to the physical
     set (eigenvalue clipping and trace renormalization)."""
-    a = response_matrix(settings)
-    if np.linalg.matrix_rank(a, tol=RANK_TOL) < 9:
-        raise ValueError("response map is rank-deficient; extend the settings")
+    a = _checked_response(tuple(s.id for s in settings),
+                          np.array([s.unitary for s in settings], dtype=complex).tobytes())
     b = np.concatenate([tables[s.id] for s in settings])
     # Weighted trace constraint keeps the unit-trace direction well determined.
     trace_row = np.array([[1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0]])

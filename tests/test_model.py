@@ -131,3 +131,4 @@ def test_chi13_spec_follows_modified_weights(model):
     changed = dataclasses.replace(model, mu_ij={**model.mu_ij, (1, 2): 5})
     assert changed.chi13.terms[(1, 2)] == -5
     assert model.chi13.terms[(1, 2)] == -2
+    assert model.chi13 is model.chi13  # built once per model

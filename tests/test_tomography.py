@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qutrit_ks import linalg, simulate, tomography as tg
+from qutrit_ks.pulses import r2_matrix
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,31 @@ def test_reconstruct_rejects_rank_deficient():
     tables = {s.id: np.full(3, 1 / 3) for s in base}
     with pytest.raises(ValueError, match="rank"):
         tg.reconstruct(tables, base)
+
+
+def test_reconstruct_builds_the_response_once_per_settings_list(settings,
+                                                                monkeypatch):
+    calls = []
+    original = tg.response_matrix
+
+    def counting(settings_list):
+        calls.append(len(settings_list))
+        return original(settings_list)
+
+    monkeypatch.setattr(tg, "response_matrix", counting)
+    tg._checked_response.cache_clear()
+    states = simulate.default_state_roster()
+    for state in states:
+        tg.reconstruct(tg.exact_probabilities(state.rho, settings), settings)
+    assert calls == [len(settings)]
+    # a setting that keeps its id but turns its unitary is a new list
+    turned = [*settings[:-1], tg.TomographySetting(
+        settings[-1].id, settings[-1].unitary @ r2_matrix(0.3, 0.0))]
+    for state in states[:3]:
+        res = tg.reconstruct(tg.exact_probabilities(state.rho, turned), turned,
+                             state.rho)
+        assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
+    assert calls == [len(settings)] * 2
 
 
 def test_format_density_matrix():
