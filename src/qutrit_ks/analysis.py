@@ -203,7 +203,7 @@ def assemble(ineq: Inequality, singles: dict[int, Estimate],
     rates 0.2 / 0.3.
     """
     value, var, used = 0, 0.0, []
-    for rays, coef in _expansion(ineq.alphabet, tuple(ineq.terms.items())):
+    for rays, coef in coefficients(ineq).items():
         if not rays:
             value += coef
             continue

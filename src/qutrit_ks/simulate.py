@@ -172,6 +172,9 @@ def _philox_key(name: str) -> np.ndarray:
     return np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], dtype="<u8")
 
 
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
 def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
     """`rng` moved to the start of the stream `derive_rng` keys by `name`:
     its Philox bit generator at counter 0, with an empty output buffer."""
@@ -180,9 +183,6 @@ def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
         "state": {"counter": _ZERO4, "key": _philox_key(name)},
         "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
-
-
-_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 def prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:

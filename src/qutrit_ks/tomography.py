@@ -146,8 +146,8 @@ def reconstruct(tables: dict[str, np.ndarray],
                 target: np.ndarray | None = None) -> ReconstructionResult:
     """Least-squares linear inversion followed by projection to the physical
     set (eigenvalue clipping and trace renormalization)."""
-    a = _checked_response(tuple(s.id for s in settings),
-                          np.array([s.unitary for s in settings], dtype=complex).tobytes())
+    unitaries = np.array([s.unitary for s in settings], dtype=complex)
+    a = _checked_response(tuple(s.id for s in settings), unitaries.tobytes())
     b = np.concatenate([tables[s.id] for s in settings])
     # Weighted trace constraint keeps the unit-trace direction well determined.
     trace_row = np.array([[1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0]])
