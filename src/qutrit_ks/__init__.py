@@ -1,9 +1,10 @@
 """Simulator and verifier for state-independent qutrit contextuality tests."""
 
-from .model import build_model, chi4_operator, chi13_operator, quantum_expectation
+from .model import build_model
 from .hv import max_chi4_constrained, max_chi13_noncontextual
 from .pulses import settings_table, verify_all_settings
-from .simulate import NoiseModel, build_plan, default_state_roster, run_roster
+from .simulate import (NoiseModel, build_plan, default_state_roster, expected_laws,
+                       run_roster)
 from .analysis import (ConfusionModel, assemble_chi4, assemble_chi13,
                        estimates_from_counts, significance)
 from .tomography import reconstruct, simulate_tomography, tomography_settings

@@ -36,7 +36,6 @@ class Estimate:
     value: float
     stderr: float
     corrected: bool = False
-    sample_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ def estimate_probability(dark_count: int, shots: int) -> Estimate:
     if not 0 <= dark_count <= shots:
         raise ValueError("dark count outside [0, shots]")
     p = dark_count / shots
-    return Estimate(p, _binomial_stderr(p, shots), corrected=False,
-                    sample_size=shots)
+    return Estimate(p, _binomial_stderr(p, shots))
 
 
 def correct_ml(raw: Estimate, confusion: ConfusionModel) -> Estimate:
@@ -85,8 +83,7 @@ def correct_ml(raw: Estimate, confusion: ConfusionModel) -> Estimate:
     v = confusion.visibility
     p = (raw.value - confusion.eps_bright_to_dark) / v
     p = min(max(p, 0.0), 1.0)
-    return Estimate(p, raw.stderr / v, corrected=True,
-                    sample_size=raw.sample_size)
+    return Estimate(p, raw.stderr / v, corrected=True)
 
 
 def correct_pair_ml(counts: dict[str, int], confusion: ConfusionModel,
@@ -110,7 +107,7 @@ def correct_pair_ml(counts: dict[str, int], confusion: ConfusionModel,
     # With no continued trial, the rule-of-three bound of DD over all n.
     sigma_dd = q1 * _binomial_stderr(counts["DD"] / n_cont, n_cont) if n_cont else 3.0 / n
     stderr = math.hypot(sigma_dd / vis ** 2, r_b * single_second.stderr / vis)
-    return Estimate(x, stderr, corrected=True, sample_size=n)
+    return Estimate(x, stderr, corrected=True)
 
 
 @dataclass
@@ -215,9 +212,7 @@ def assemble(ineq: Inequality, singles: dict[int, Estimate],
         value += coef * est.value
         var += (coef * est.stderr) ** 2
         used.append(est)
-    return Estimate(value, math.sqrt(var),
-                    corrected=any(e.corrected for e in used),
-                    sample_size=sum(e.sample_size for e in used))
+    return Estimate(value, math.sqrt(var), corrected=any(e.corrected for e in used))
 
 
 def assemble_chi13(singles: dict[int, Estimate],

@@ -18,8 +18,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
-
 # Ray index -> integer direction.
 RAYS: dict[int, tuple[int, int, int]] = {
     1: (1, 0, 0),
@@ -67,10 +65,8 @@ def ray_unit(i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KSModel:
-    """Immutable bundle of projectors, observables, graph and weights."""
+    """Immutable bundle of the compatibility graph and its weights."""
 
-    projectors: dict[int, np.ndarray]
-    observables: dict[int, np.ndarray]
     edges: frozenset[tuple[int, int]]
     triangles: frozenset[tuple[int, int, int]]
     mu_i: dict[int, int]
@@ -104,8 +100,6 @@ def _cliques3(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, in
 
 
 def build_model() -> KSModel:
-    projectors = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
-    observables = {i: linalg.IDENTITY - 2 * projectors[i] for i in RAYS}
     edges = _integer_edges()
     triangles = _cliques3(edges)
 
@@ -113,7 +107,7 @@ def build_model() -> KSModel:
     mu_i = {i: (1 if i <= 9 else 2) for i in RAYS}
     mu_ij = {e: (1 if e in triangle_edges else 2) for e in sorted(edges)}
     mu_ijk = {t: (3 if t in WEIGHTED_TRIANGLES else 0) for t in sorted(triangles)}
-    return KSModel(projectors, observables, edges, triangles, mu_i, mu_ij, mu_ijk)
+    return KSModel(edges, triangles, mu_i, mu_ij, mu_ijk)
 
 
 def exact_operator(ineq: Inequality) -> np.ndarray:
@@ -133,25 +127,6 @@ def exact_operator(ineq: Inequality) -> np.ndarray:
     for rays, c in ineq.terms.items():
         out += c * reduce(np.matmul, [factors[r] for r in rays])
     return out
-
-
-def chi13_operator(model: KSModel) -> np.ndarray:
-    return exact_operator(model.chi13).astype(float).astype(complex)
-
-
-def chi4_operator(model: KSModel) -> np.ndarray:
-    return exact_operator(CHI4).astype(float).astype(complex)
-
-
-def quantum_expectation(rho: np.ndarray, observable: np.ndarray) -> float:
-    """Tr(rho O) for a Hermitian observable on a valid density matrix."""
-    rho = linalg.validate_density_matrix(rho)
-    if not linalg.is_hermitian(observable, atol=linalg.ATOL_DM_HERMITIAN):
-        raise ValueError("observable is not Hermitian")
-    val = complex(np.trace(rho @ observable))
-    if abs(val.imag) >= 1e-8:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real)
 
 
 def dump_model(model: KSModel) -> str:

@@ -9,15 +9,17 @@ continue a sequential pair, exactly as the physical apparatus behaves.
 That process is one noise-folded measurement map, which tomography reads
 too: `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
-is Tr(rho E). Shots are i.i.d., so each sub-experiment makes a single
-multinomial draw from its law, and cost does not grow with the shot count.
+is Tr(rho E). A process stacks the effects of each distinct plan once
+(`_plan_effects`, 13 singles x 2 symbols + 24 pairs x 3 = 98 for the
+default plan, keyed on setting content, chains and readout rates, never on
+the seed or state). `expected_laws` is the one place a law is computed: it
+contracts all prepared states with that stack in one Tr(rho E).
 
-Each (seed, state, sub-experiment) draws from its own keyed Philox stream
-(`derive_rng`), so counts do not depend on execution order. A process
-compiles the effects of each distinct plan once (`_plan_effects`, keyed on
-setting content, chains and readout rates, never on the seed or state), so a
-`run_roster` call costs little beyond its draws. `numpy.random` is loaded on
-first use, not at import.
+Shots are i.i.d., so each sub-experiment makes a single multinomial draw
+from its law (`run_subexperiment`), and cost does not grow with the shot
+count. Each (seed, state, sub-experiment) draws from its own keyed Philox
+stream (`derive_rng`), so counts do not depend on execution order.
+`numpy.random` is loaded on first use, not at import.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -217,12 +217,8 @@ def _poisson_below(threshold: int, lam: float) -> float:
     if lam == 0.0:
         return 1.0
     log_lam = math.log(lam)
-    return _clip01(math.fsum(math.exp(k * log_lam - lam - math.lgamma(k + 1))
-                             for k in range(threshold)))
-
-
-def _clip01(p: float) -> float:
-    return min(max(p, 0.0), 1.0)
+    return min(math.fsum(math.exp(k * log_lam - lam - math.lgamma(k + 1))
+                         for k in range(threshold)), 1.0)
 
 
 def _lueders(v: np.ndarray, inner: np.ndarray, m_d: float,
@@ -262,103 +258,82 @@ def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
     return steps
 
 
-def _stacked_effects(steps: list[list[np.ndarray]],
-                     rates: tuple[float, float]) -> list[dict[str, np.ndarray]]:
-    """`effects` of many step sequences, in one stacked pass per length."""
-    out = {}
-    for n in {len(seq) for seq in steps}:
-        idx = [i for i, seq in enumerate(steps) if len(seq) == n]
-        stacked = effects([np.array([steps[i][k] for i in idx]) for k in range(n)], rates)
-        out.update({i: {s: e[j] for s, e in stacked.items()} for j, i in enumerate(idx)})
-    return [out[i] for i in range(len(steps))]
-
-
-def _born_law(rho: np.ndarray,
-             effs: Mapping[str, np.ndarray]) -> dict[str, float]:
-    """Tr(rho E_s) for each readout string s, clipped to [0, 1]."""
-    return {s: _clip01(float(np.vdot(e, rho).real)) for s, e in effs.items()}
-
-
-def outcome_law(state: StateSpec, setting: MeasurementSetting,
-                chain: tuple[int, ...], noise: NoiseModel) -> dict[str, float]:
-    """Per-shot outcome probabilities of one sub-experiment, keyed by the
-    count-table symbols: D/B for a single, B/DB/DD for a sequential pair."""
-    return _born_law(prepare(state, noise),
-                    effects(_steps(setting, chain, compile_setting(setting)),
-                            readout_rates(noise)))
-
-
-def _draw(law: dict[str, float], shots: int,
-          rng: np.random.Generator) -> dict[str, int]:
-    """Counts of `shots` i.i.d. shots: one multinomial draw, which for a
-    two-outcome law is the binomial draw `rng.binomial(shots, P(D))`."""
-    counts = rng.multinomial(shots, list(law.values()))
-    return {symbol: int(n) for symbol, n in zip(law, counts)}
-
-
-def run_subexperiment(state: StateSpec, sub: SubExperiment,
-                      settings_by_id: dict[str, MeasurementSetting],
-                      noise: NoiseModel, master_seed: int,
-                      compiled: Mapping[str, np.ndarray] | None = None,
-                      rng: np.random.Generator | None = None) -> CountTable:
-    """One sub-experiment on its own stream, `derive_rng(master_seed,
-    state.label, sub.key)`. `compiled` holds its effects under `noise`,
-    compiled here when omitted; `rng`, when given, is re-keyed onto the
-    stream instead of a new generator being built."""
-    if compiled is None:
-        law = outcome_law(state, settings_by_id[sub.setting_id], sub.chain, noise)
-    else:
-        law = _born_law(prepare(state, noise), compiled)
-    seed_key = f"{master_seed}/{state.label}/{sub.key}"
-    if rng is None:
-        rng = derive_rng(master_seed, state.label, sub.key)
-    else:
-        rng = _rekey(rng, seed_key)
-    return CountTable(sub, _draw(law, sub.shots, rng), seed_key)
-
-
 @functools.lru_cache(maxsize=8)
-def _plan_effects(settings: tuple, entries: tuple,
-                  rates: tuple[float, float]) -> tuple[MappingProxyType, ...]:
-    """Read-only effects of each plan entry `(setting id, chain)` under
-    readout `rates`, `settings` holding the content `(id, mapping items,
-    pulses)` of each setting the entries use: every setting compiled once,
-    every entry's effects in one stacked pass. The key is that content, never
-    a setting id alone, so a process computes each distinct plan once."""
+def _plan_effects(settings: tuple, entries: tuple, rates: tuple[float, float]
+                  ) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
+    """The readout symbols of each plan entry `(setting id, chain)` and one
+    read-only `(n, 3, 3)` stack of their effects under readout `rates`, entry
+    after entry in draw order. `settings` holds the content `(id, mapping
+    items, pulses)` of each setting the entries use, and each is compiled
+    once. The key is that content, never a setting id alone, so a process
+    computes each distinct plan once."""
     by_id = {sid: MeasurementSetting(sid, dict(mapping), pulses)
              for sid, mapping, pulses in settings}
     unitaries = {sid: compile_setting(s) for sid, s in by_id.items()}
-    compiled = _stacked_effects(
-        [_steps(by_id[sid], chain, unitaries[sid]) for sid, chain in entries],
-        rates)
-    for effs in compiled:
-        for e in effs.values():
-            e.flags.writeable = False
-    return tuple(MappingProxyType(effs) for effs in compiled)
+    compiled = [effects(_steps(by_id[sid], chain, unitaries[sid]), rates)
+                for sid, chain in entries]
+    stack = np.array([e for effs in compiled for e in effs.values()]).reshape(-1, 3, 3)
+    stack.flags.writeable = False
+    return tuple(tuple(effs) for effs in compiled), stack
+
+
+def _compiled_plan(plan: list[SubExperiment], settings: list[MeasurementSetting],
+                   noise: NoiseModel) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
+    """`_plan_effects` of `plan` under the readout rates of `noise`."""
+    by_id = {s.id: s for s in settings}
+    used = [by_id[sid] for sid in dict.fromkeys(sub.setting_id for sub in plan)]
+    return _plan_effects(
+        tuple((s.id, tuple(sorted(s.mapping.items())), s.pulses) for s in used),
+        tuple((sub.setting_id, sub.chain) for sub in plan),
+        readout_rates(noise))
+
+
+def expected_laws(roster: list[StateSpec], plan: list[SubExperiment],
+                  settings: list[MeasurementSetting],
+                  noise: NoiseModel) -> dict[str, list[dict[str, float]]]:
+    """Per-shot outcome law of every (state, plan entry), keyed by state
+    label, then by the count-table symbols in draw order: D/B for a single,
+    B/DB/DD for a sequential pair. Every Tr(rho_s E_k) comes from one
+    contraction of the prepared states with the plan's cached effect stack,
+    clipped to [0, 1]."""
+    symbols, stack = _compiled_plan(plan, settings, noise)
+    rhos = np.array([prepare(state, noise) for state in roster]).reshape(-1, 1, 9)
+    effs = stack.reshape(1, -1, 9)
+    # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij). The
+    # nine terms are added one by one in a fixed order, so a law's bits do not
+    # depend on the other states or entries in the call, as a BLAS or einsum
+    # reduction's may.
+    terms = rhos.real * effs.real + rhos.imag * effs.imag
+    rows = np.clip(functools.reduce(np.add, np.moveaxis(terms, 2, 0)), 0.0, 1.0)
+    laws = {}
+    for state, row in zip(roster, rows.tolist()):
+        flat = iter(row)
+        laws[state.label] = [{s: next(flat) for s in syms} for syms in symbols]
+    return laws
+
+
+def run_subexperiment(law: dict[str, float], sub: SubExperiment, seed_key: str,
+                      rng: np.random.Generator) -> CountTable:
+    """Counts of `sub.shots` i.i.d. shots of `law`: one multinomial draw
+    (for a two-outcome law, the binomial draw `binomial(shots, P(D))`) from
+    the stream `derive_rng` keys by `seed_key`, onto which `rng` is re-keyed."""
+    counts = _rekey(rng, seed_key).multinomial(sub.shots, list(law.values()))
+    return CountTable(sub, {s: int(n) for s, n in zip(law, counts)}, seed_key)
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
-    """Full run; deterministic for a given master seed regardless of the
-    order in which sub-experiments execute. The plan's effects come from
-    `_plan_effects`, which compiles them once per process for each distinct
-    (settings, plan, readout rates). One generator, re-keyed for each
+    """Full run: each of the `expected_laws` drawn on the stream of its
+    (seed, state, sub-experiment), so counts do not depend on the order in
+    which sub-experiments execute. One generator, re-keyed for each
     sub-experiment, serves the call and never leaves it."""
-    by_id = {s.id: s for s in settings}
-    used = [by_id[sid] for sid in dict.fromkeys(sub.setting_id for sub in plan)]
-    compiled = _plan_effects(
-        tuple((s.id, tuple(sorted(s.mapping.items())), s.pulses) for s in used),
-        tuple((sub.setting_id, sub.chain) for sub in plan),
-        readout_rates(noise))
+    laws = expected_laws(roster, plan, settings, noise)
     rng = derive_rng(master_seed)
     return {
-        state.label: [
-            run_subexperiment(state, sub, by_id, noise, master_seed,
-                              compiled=effs, rng=rng)
-            for sub, effs in zip(plan, compiled)
-        ]
-        for state in roster
+        label: [run_subexperiment(law, sub, f"{master_seed}/{label}/{sub.key}", rng)
+                for sub, law in zip(plan, state_laws)]
+        for label, state_laws in laws.items()
     }
 
 

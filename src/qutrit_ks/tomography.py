@@ -1,11 +1,14 @@
 """Qutrit state tomography: rotation settings, linear inversion, projection.
 
-The measurement set starts from single-tone quarter rotations and is
-extended with composed two-tone rotations until the stacked response map
-over the 9 real Hermitian degrees of freedom reaches rank 9. Probabilities
-are measured the way the experiment can only measure them: three sub-runs
-per setting, each transferring one basis state to the dark state |3>: one
-detection of `simulate.effects`, under ideal rates for the response map.
+The measurement set is five single-tone quarter rotations, which alone are
+rank-deficient, and two composed two-tone rotations; the stacked response
+map over the 9 real Hermitian degrees of freedom is checked for rank 9.
+Probabilities are measured the way the experiment can only measure them:
+three sub-runs per setting, each transferring one basis state to the dark
+state |3>: one detection of `simulate.effects`, under ideal rates for the
+response map. A process builds the sub-run effects of each distinct
+(settings, readout rates) once (`_subrun_dark`), so every state of a run
+reads one stack.
 """
 
 from __future__ import annotations
@@ -62,38 +65,53 @@ def subrun_effects(settings: list[TomographySetting],
     return effects([steps], rates)
 
 
+def _cache_key(settings: list[TomographySetting]) -> tuple[tuple[str, ...], bytes]:
+    """The cache key of a settings list: its ids and its stacked unitaries."""
+    unitaries = np.array([s.unitary for s in settings], dtype=complex)
+    return tuple(s.id for s in settings), unitaries.tobytes()
+
+
+def _settings(ids: tuple[str, ...], unitaries: bytes) -> list[TomographySetting]:
+    stacked = np.frombuffer(unitaries, dtype=complex).reshape(-1, 3, 3)
+    return [TomographySetting(i, u) for i, u in zip(ids, stacked)]
+
+
+@functools.lru_cache(maxsize=8)
+def _subrun_dark(ids: tuple[str, ...], unitaries: bytes,
+                 rates: tuple[float, float]) -> np.ndarray:
+    """Read-only dark effects of `subrun_effects` for the settings with these
+    ids and stacked unitaries under `rates`, built once per distinct key."""
+    dark = subrun_effects(_settings(ids, unitaries), rates)["D"]
+    dark.flags.writeable = False
+    return dark
+
+
 def _dark_probabilities(rho: np.ndarray, settings: list[TomographySetting],
                         rates: tuple[float, float]) -> dict[str, np.ndarray]:
     """P(read dark) = Tr(rho E_D) of the three sub-runs of each setting."""
-    p = np.einsum("ij,kji->k", rho, subrun_effects(settings, rates)["D"]).real
+    p = np.einsum("ij,kji->k", rho, _subrun_dark(*_cache_key(settings), rates)).real
     return dict(zip((s.id for s in settings), np.clip(p, 0.0, 1.0).reshape(-1, 3)))
 
 
 def response_matrix(settings: list[TomographySetting]) -> np.ndarray:
     """Stacked map from the 9 Hermitian parameters to outcome probabilities."""
-    dark = subrun_effects(settings, IDEAL_RATES)["D"]
+    dark = _subrun_dark(*_cache_key(settings), IDEAL_RATES)
     return np.einsum("gij,kji->kg", _BASIS9, dark).real
 
 
 def tomography_settings() -> list[TomographySetting]:
     """Default informationally complete set; rank 9 is asserted, not assumed."""
     half = math.pi / 2
-    base = [
+    settings = [
         TomographySetting("T1", linalg.IDENTITY),
         TomographySetting("T2", r1_matrix(half, 0.0)),
         TomographySetting("T3", r1_matrix(half, half)),
         TomographySetting("T4", r2_matrix(half, 0.0)),
         TomographySetting("T5", r2_matrix(half, half)),
-    ]
-    extensions = [
         TomographySetting("T6", r1_matrix(half, 0.0) @ r2_matrix(half, 0.0)),
         TomographySetting("T7", r1_matrix(half, half) @ r2_matrix(half, 0.0)),
     ]
-    settings = list(base)
-    while np.linalg.matrix_rank(response_matrix(settings), tol=RANK_TOL) < 9:
-        if not extensions:
-            raise ValueError("tomography settings remain rank-deficient")
-        settings.append(extensions.pop(0))
+    _checked_response(*_cache_key(settings))
     return settings
 
 
@@ -133,8 +151,7 @@ def _checked_response(ids: tuple[str, ...], unitaries: bytes) -> np.ndarray:
     """Read-only `response_matrix` of the settings with these ids and these
     stacked unitaries, checked for rank 9; computed once per distinct
     settings list, so reconstructing many states pays for it once."""
-    stacked = np.frombuffer(unitaries, dtype=complex).reshape(-1, 3, 3)
-    a = response_matrix([TomographySetting(i, u) for i, u in zip(ids, stacked)])
+    a = response_matrix(_settings(ids, unitaries))
     if np.linalg.matrix_rank(a, tol=RANK_TOL) < 9:
         raise ValueError("response map is rank-deficient; extend the settings")
     a.flags.writeable = False
@@ -146,8 +163,7 @@ def reconstruct(tables: dict[str, np.ndarray],
                 target: np.ndarray | None = None) -> ReconstructionResult:
     """Least-squares linear inversion followed by projection to the physical
     set (eigenvalue clipping and trace renormalization)."""
-    unitaries = np.array([s.unitary for s in settings], dtype=complex)
-    a = _checked_response(tuple(s.id for s in settings), unitaries.tobytes())
+    a = _checked_response(*_cache_key(settings))
     b = np.concatenate([tables[s.id] for s in settings])
     # Weighted trace constraint keeps the unit-trace direction well determined.
     trace_row = np.array([[1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0]])

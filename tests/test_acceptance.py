@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from qutrit_ks import analysis, hv, linalg, simulate, tomography as tg
-from qutrit_ks.model import build_model, chi4_operator, chi13_operator, \
-    quantum_expectation
+from qutrit_ks.model import CHI4, build_model, exact_operator
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
@@ -65,9 +64,9 @@ def test_criterion_02_classical_bound_chi4(model):
 
 
 def test_criterion_03_quantum_operators(model):
-    d13 = linalg.frobenius_distance(chi13_operator(model),
+    d13 = linalg.frobenius_distance(exact_operator(model.chi13).astype(float),
                                     QUANTUM_CHI13 * linalg.IDENTITY)
-    d4 = linalg.frobenius_distance(chi4_operator(model),
+    d4 = linalg.frobenius_distance(exact_operator(CHI4).astype(float),
                                    QUANTUM_CHI4 * linalg.IDENTITY)
     _report("criterion 3: quantum operators", d13 < 1e-9 and d4 < 1e-12,
             f"|chi13-(83/3)I|={d13:.2e}, |chi4-(4/3)I|={d4:.2e}")
@@ -90,9 +89,9 @@ def test_criterion_05_table_verification(settings):
 
 def test_criterion_06_state_independence(model):
     rng = np.random.default_rng(606)
-    op = chi13_operator(model)
+    op = exact_operator(model.chi13).astype(float)
     t0 = time.perf_counter()
-    worst = max(abs(quantum_expectation(linalg.random_density_matrix(rng), op)
+    worst = max(abs(np.trace(linalg.random_density_matrix(rng) @ op).real
                     - QUANTUM_CHI13) for _ in range(1000))
     dt = time.perf_counter() - t0
     _report("criterion 6: state independence", worst < 1e-9 and dt < 1.0,
@@ -179,8 +178,8 @@ def test_criterion_10_determinism(model, settings):
     b = simulate.counts_to_csv(
         simulate.run_roster(roster, plan, settings, noise, 1234))
     # order independence: running one sub-experiment in isolation matches
-    by_id = {s.id: s for s in settings}
-    solo = simulate.run_subexperiment(roster[4], plan[20], by_id, noise, 1234)
+    [solo] = simulate.run_roster([roster[4]], [plan[20]], settings, noise,
+                                 1234)[roster[4].label]
     full = simulate.run_roster(roster, plan, settings, noise, 1234)
     match = [t for t in full[roster[4].label]
              if t.subexperiment == plan[20]][0]

@@ -1,11 +1,9 @@
 import math
-from itertools import product
-
 import numpy as np
 import pytest
 
 from qutrit_ks import analysis, linalg, simulate
-from qutrit_ks.model import CHI4, build_model
+from qutrit_ks.model import CHI4, RAYS, build_model
 from qutrit_ks.pulses import settings_table
 
 
@@ -16,9 +14,9 @@ def model():
 
 def exact_estimates(model, rho):
     singles = {i: analysis.Estimate(
-        float(np.trace(rho @ model.projectors[i]).real), 1e-6, False, 1)
+        float(np.trace(rho @ linalg.projector_from_ray(RAYS[i])).real), 1e-6)
         for i in range(1, 14)}
-    pairs = {e: analysis.Estimate(0.0, 1e-6, False, 1) for e in model.edges}
+    pairs = {e: analysis.Estimate(0.0, 1e-6) for e in model.edges}
     return singles, pairs
 
 
@@ -45,13 +43,13 @@ def test_confusion_invertibility():
 
 def test_correct_ml_examples():
     conf = analysis.ConfusionModel(0.010, 0.021)
-    raw = analysis.Estimate(0.5, 0.005, False, 10_000)
+    raw = analysis.Estimate(0.5, 0.005)
     corr = analysis.correct_ml(raw, conf)
     assert corr.value == pytest.approx(0.479 / 0.969, abs=1e-9)
     assert corr.stderr == pytest.approx(0.005 / 0.969)
     assert corr.corrected
 
-    low = analysis.correct_ml(analysis.Estimate(0.010, 0.001, False, 10_000), conf)
+    low = analysis.correct_ml(analysis.Estimate(0.010, 0.001), conf)
     assert low.value == 0.0  # clipped below the bright floor
     assert low.stderr > 0.0
 
@@ -63,7 +61,7 @@ def test_correct_ml_examples():
 def test_correct_ml_monotone():
     conf = analysis.ConfusionModel(0.010, 0.021)
     values = [analysis.correct_ml(
-        analysis.Estimate(q, 0.01, False, 100), conf).value
+        analysis.Estimate(q, 0.01), conf).value
         for q in np.linspace(0.03, 0.97, 30)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -71,7 +69,7 @@ def test_correct_ml_monotone():
 def test_correct_pair_ml_noiseless_identity():
     conf = analysis.ConfusionModel(0.0, 0.0)
     counts = {"B": 7000, "DB": 2940, "DD": 60}
-    sj = analysis.Estimate(0.35, 0.005, True, 10_000)
+    sj = analysis.Estimate(0.35, 0.005, True)
     est = analysis.correct_pair_ml(counts, conf, sj)
     assert est.value == pytest.approx(60 / 10_000, abs=1e-12)
 
@@ -87,7 +85,7 @@ def test_correct_pair_ml_removes_flip_bias():
     qc = eps_b + (1 - eps_d - eps_b) * (w * 0.0 + (1 - w) * c)
     counts = {"B": round(n * (1 - q1)), "DD": round(n * q1 * qc)}
     counts["DB"] = n - counts["B"] - counts["DD"]
-    s_j = analysis.Estimate(p1 * 0.0 + (1 - p1) * c, 1e-5, True, n)
+    s_j = analysis.Estimate(p1 * 0.0 + (1 - p1) * c, 1e-5, True)
     conf = analysis.ConfusionModel(eps_d, eps_b)
     est = analysis.correct_pair_ml(counts, conf, s_j)
     assert est.value == pytest.approx(0.0, abs=1e-4)
@@ -102,7 +100,7 @@ def test_correct_pair_ml_recovers_nonzero_joint():
     qc = eps_b + (1 - eps_d - eps_b) * (w * p2d + (1 - w) * c)
     counts = {"B": round(n * (1 - q1)), "DD": round(n * q1 * qc)}
     counts["DB"] = n - counts["B"] - counts["DD"]
-    s_j = analysis.Estimate(p1 * p2d + (1 - p1) * c, 1e-5, True, n)
+    s_j = analysis.Estimate(p1 * p2d + (1 - p1) * c, 1e-5, True)
     conf = analysis.ConfusionModel(eps_d, eps_b)
     est = analysis.correct_pair_ml(counts, conf, s_j)
     assert est.value == pytest.approx(p1 * p2d, abs=1e-4)
@@ -118,37 +116,36 @@ def test_assemble_chi13_exact_inputs(model):
 
 
 def test_assemble_chi13_all_zero_limit(model):
-    singles = {i: analysis.Estimate(0.0, 0.0, False, 1) for i in range(1, 14)}
-    pairs = {e: analysis.Estimate(0.0, 0.0, False, 1) for e in model.edges}
+    singles = {i: analysis.Estimate(0.0, 0.0) for i in range(1, 14)}
+    pairs = {e: analysis.Estimate(0.0, 0.0) for e in model.edges}
     est = analysis.assemble_chi13(singles, pairs, model)
     # A_i = 1 everywhere: 17 - 39 - 9, the all-(+1) hidden-variable value
     assert est.value == pytest.approx(-31.0)
 
 
 def test_assemble_chi13_maximally_mixed_values(model):
-    singles = {i: analysis.Estimate(1 / 3, 0.0, False, 1) for i in range(1, 14)}
-    pairs = {e: analysis.Estimate(0.0, 0.0, False, 1) for e in model.edges}
+    singles = {i: analysis.Estimate(1 / 3, 0.0) for i in range(1, 14)}
+    pairs = {e: analysis.Estimate(0.0, 0.0) for e in model.edges}
     est = analysis.assemble_chi13(singles, pairs, model)
     assert est.value == pytest.approx(83 / 3, abs=1e-12)
 
 
 def test_assemble_chi13_missing_estimate(model):
-    singles = {i: analysis.Estimate(0.0, 0.0, False, 1) for i in range(1, 13)}
-    pairs = {e: analysis.Estimate(0.0, 0.0, False, 1) for e in model.edges}
+    singles = {i: analysis.Estimate(0.0, 0.0) for i in range(1, 13)}
+    pairs = {e: analysis.Estimate(0.0, 0.0) for e in model.edges}
     with pytest.raises(ValueError, match="v13"):
         analysis.assemble_chi13(singles, pairs, model)
 
 
 def test_hidden_variable_assignments_bounded(model):
-    """Deterministic 0/1 assignments with product pairs never exceed 25."""
-    for v in product((0, 1), repeat=13):
-        singles = {i: analysis.Estimate(float(v[i - 1]), 0.0, False, 1)
-                   for i in range(1, 14)}
-        pairs = {(i, j): analysis.Estimate(float(v[i - 1] * v[j - 1]),
-                                           0.0, False, 1)
-                 for (i, j) in model.edges}
-        est = analysis.assemble_chi13(singles, pairs, model)
-        assert est.value <= 25 + 1e-12
+    """Deterministic 0/1 assignments with product pairs never exceed 25: the
+    coefficients of chi13 evaluated on all 8192 x 13 assignments at once."""
+    index = np.arange(2 ** 13)
+    v = (index[:, None] >> np.arange(13)) & 1  # column r - 1 holds V_r
+    values = np.zeros(index.size, dtype=np.int64)
+    for rays, coef in analysis.coefficients(model.chi13).items():
+        values += coef * np.prod(v[:, [r - 1 for r in rays]], axis=1)
+    assert values.max() <= 25
 
 
 def test_dropped_term_is_conservative(model):
@@ -157,9 +154,9 @@ def test_dropped_term_is_conservative(model):
     for _ in range(200):
         s = rng.random(13)
         triple = rng.random(4)
-        singles = {i: analysis.Estimate(s[i - 1], 0.0, False, 1)
+        singles = {i: analysis.Estimate(s[i - 1], 0.0)
                    for i in range(1, 14)}
-        pairs = {e: analysis.Estimate(rng.random() * 0.2, 0.0, False, 1)
+        pairs = {e: analysis.Estimate(rng.random() * 0.2, 0.0)
                  for e in model.edges}
         dropped = analysis.assemble_chi13(singles, pairs, model).value
         bonus = sum(8 * model.mu_ijk[t] * tv
@@ -168,12 +165,12 @@ def test_dropped_term_is_conservative(model):
 
 
 def test_assemble_chi4(model):
-    singles = {i: analysis.Estimate(1 / 3, 0.004, False, 10_000)
+    singles = {i: analysis.Estimate(1 / 3, 0.004)
                for i in range(10, 14)}
     est = analysis.assemble_chi4(singles)
     assert est.value == pytest.approx(4 / 3)
     assert est.stderr == pytest.approx(0.008)
-    zeros = {i: analysis.Estimate(0.0, 0.001, False, 1) for i in range(10, 14)}
+    zeros = {i: analysis.Estimate(0.0, 0.001) for i in range(10, 14)}
     assert analysis.assemble_chi4(zeros).value == 0.0
     with pytest.raises(ValueError, match="v10"):
         analysis.assemble_chi4({11: singles[11], 12: singles[12],
@@ -181,13 +178,13 @@ def test_assemble_chi4(model):
 
 
 def test_significance():
-    assert analysis.significance(analysis.Estimate(27.63, 0.17, True, 1), 25) \
+    assert analysis.significance(analysis.Estimate(27.63, 0.17, True), 25) \
         == pytest.approx(15.47, abs=0.01)
-    assert analysis.significance(analysis.Estimate(25.0, 0.1, True, 1), 25) == 0.0
-    assert analysis.significance(analysis.Estimate(1.328, 0.011, True, 1), 1) \
+    assert analysis.significance(analysis.Estimate(25.0, 0.1, True), 25) == 0.0
+    assert analysis.significance(analysis.Estimate(1.328, 0.011, True), 1) \
         == pytest.approx(29.8, abs=0.05)
     with pytest.raises(ValueError):
-        analysis.significance(analysis.Estimate(1.0, 0.0, True, 1), 1)
+        analysis.significance(analysis.Estimate(1.0, 0.0, True), 1)
 
 
 NOISE = {
@@ -222,14 +219,14 @@ def test_correction_inverts_exact_laws(model):
     """Counts proportional to the exact outcome laws (10^15 shots) correct
     back to the quantum values under every readout model."""
     settings = settings_table()
-    by_id = {s.id: s for s in settings}
     plan = simulate.build_plan(model, settings)
+    roster = simulate.default_state_roster()
     for name, noise in NOISE.items():
-        for state in simulate.default_state_roster():
+        laws = simulate.expected_laws(roster, plan, settings, noise)
+        for state in roster:
             tables = [simulate.CountTable(sub, {
-                s: round(p * 10 ** 15) for s, p in simulate.outcome_law(
-                    state, by_id[sub.setting_id], sub.chain, noise).items()}, "exact")
-                for sub in plan]
+                s: round(p * 10 ** 15) for s, p in law.items()}, "exact")
+                for sub, law in zip(plan, laws[state.label])]
             chi13, chi4 = _corrected(tables, noise, model)
             assert chi13.value == pytest.approx(float(model.chi13.quantum_value),
                                                 abs=1e-9), (name, state.label)

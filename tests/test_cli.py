@@ -25,10 +25,8 @@ def test_verification_detects_injected_fault(monkeypatch):
     assert cli.run_verification([]) is True
     # fault injection: delete edge (1, 2) and the edge-count check must fail
     model = cli.build_model()
-    broken = model.__class__(model.projectors, model.observables,
-                             frozenset(e for e in model.edges if e != (1, 2)),
-                             model.triangles, model.mu_i, model.mu_ij,
-                             model.mu_ijk)
+    broken = dataclasses.replace(
+        model, edges=frozenset(e for e in model.edges if e != (1, 2)))
     monkeypatch.setattr(cli, "build_model", lambda: broken)
     lines = []
     assert cli.run_verification(lines) is False

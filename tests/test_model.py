@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from qutrit_ks import linalg
-from qutrit_ks.model import (CHI4, RAYS, build_model, chi4_operator,
-                             chi13_operator, dump_model, exact_operator,
-                             quantum_expectation)
+from qutrit_ks.model import CHI4, RAYS, build_model, dump_model, exact_operator
+
+PROJECTORS = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
+OBSERVABLES = {i: linalg.IDENTITY - 2 * p for i, p in PROJECTORS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -40,70 +41,56 @@ def test_coefficients(model):
         == model.mu_ijk[(3, 6, 9)] == 3
 
 
-def test_observables_form(model):
+def test_observables_form():
     for i in RAYS:
-        a = model.observables[i]
-        assert np.max(np.abs(a - (linalg.IDENTITY - 2 * model.projectors[i]))) < 1e-12
+        a = OBSERVABLES[i]
+        assert np.max(np.abs(a - (linalg.IDENTITY - 2 * PROJECTORS[i]))) < 1e-12
         assert linalg.frobenius_distance(a @ a, linalg.IDENTITY) < 1e-10
 
 
 def test_edge_compatibility(model):
     for i, j in model.edges:
-        vi, vj = model.projectors[i], model.projectors[j]
+        vi, vj = PROJECTORS[i], PROJECTORS[j]
         assert np.max(np.abs(vi @ vj)) < 1e-12
-        ai, aj = model.observables[i], model.observables[j]
+        ai, aj = OBSERVABLES[i], OBSERVABLES[j]
         assert np.max(np.abs(ai @ aj - aj @ ai)) < 1e-12
 
 
 def test_triangle_completeness(model):
     for i, j, k in model.triangles:
-        s = model.projectors[i] + model.projectors[j] + model.projectors[k]
+        s = PROJECTORS[i] + PROJECTORS[j] + PROJECTORS[k]
         assert linalg.frobenius_distance(s, linalg.IDENTITY) < 1e-12
-        prod = model.observables[i] @ model.observables[j] @ model.observables[k]
+        prod = OBSERVABLES[i] @ OBSERVABLES[j] @ OBSERVABLES[k]
         assert linalg.frobenius_distance(prod, -linalg.IDENTITY) < 1e-10
 
 
-def test_projector_sums(model):
-    s9 = sum(model.projectors[i] for i in range(1, 10))
+def test_projector_sums():
+    s9 = sum(PROJECTORS[i] for i in range(1, 10))
     assert linalg.frobenius_distance(s9, 3 * linalg.IDENTITY) < 1e-12
-    s4 = sum(model.projectors[i] for i in range(10, 14))
+    s4 = sum(PROJECTORS[i] for i in range(10, 14))
     assert linalg.frobenius_distance(s4, (4 / 3) * linalg.IDENTITY) < 1e-12
 
 
 def test_chi13_operator(model):
-    op = chi13_operator(model)
+    op = exact_operator(model.chi13).astype(float)
     assert linalg.frobenius_distance(op, (83 / 3) * linalg.IDENTITY) < 1e-9
     assert op[0, 0].real == pytest.approx(27.666666666, abs=1e-9)
     assert abs(op[0, 1]) < 1e-9
 
 
-def test_chi4_operator(model):
-    op = chi4_operator(model)
+def test_chi4_operator():
+    op = exact_operator(CHI4).astype(float)
     assert linalg.frobenius_distance(op, (4 / 3) * linalg.IDENTITY) < 1e-12
     assert np.trace(op).real == pytest.approx(4.0, abs=1e-12)
     assert abs(op[0, 1]) < 1e-12
 
 
-def test_quantum_expectation_examples(model):
-    one = linalg.pure_state_dm([1, 0, 0])
-    assert quantum_expectation(one, model.projectors[13]) == pytest.approx(1 / 3)
-    assert quantum_expectation(linalg.IDENTITY / 3, model.observables[1]) \
-        == pytest.approx(1 / 3)
-
-
 def test_state_independence_1000_states(model):
     rng = np.random.default_rng(2024)
-    op = chi13_operator(model)
+    op = exact_operator(model.chi13).astype(float)
     for _ in range(1000):
         rho = linalg.random_density_matrix(rng)
-        assert quantum_expectation(rho, op) == pytest.approx(83 / 3, abs=1e-9)
-
-
-def test_quantum_expectation_rejects_non_hermitian(model):
-    bad = np.zeros((3, 3), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        quantum_expectation(linalg.IDENTITY / 3, bad)
+        assert np.trace(rho @ op).real == pytest.approx(83 / 3, abs=1e-9)
 
 
 def test_dump_model(model):
@@ -119,12 +106,6 @@ def test_exact_operators_are_multiples_of_identity(model):
         op = exact_operator(ineq)
         assert all(isinstance(x, Fraction) for x in op.flat)
         assert all(x == y for x, y in zip(op.flat, (value * eye).flat))
-
-
-def test_float_operators_copy_the_exact_ones(model):
-    assert np.array_equal(chi13_operator(model),
-                          exact_operator(model.chi13).astype(float))
-    assert np.array_equal(chi4_operator(model), exact_operator(CHI4).astype(float))
 
 
 def test_chi13_spec_follows_modified_weights(model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qutrit_ks import linalg, pulses
-from qutrit_ks.model import build_model, ray_unit
+from qutrit_ks.model import RAYS, build_model, ray_unit
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +93,10 @@ def test_verify_named_examples(settings):
 
 def test_compatibility_survives_compilation(settings):
     """Mapped projectors become diagonal basis projectors in the rotated frame."""
-    model = build_model()
     for s in settings:
         u = pulses.compile_setting(s)
         for basis, ray in s.mapping.items():
-            rotated = u @ model.projectors[ray] @ linalg.adjoint(u)
+            rotated = u @ linalg.projector_from_ray(RAYS[ray]) @ linalg.adjoint(u)
             target = np.zeros((3, 3), dtype=complex)
             target[basis - 1, basis - 1] = 1.0
             assert linalg.frobenius_distance(rotated, target) < 1e-9

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qutrit_ks import linalg, simulate
-from qutrit_ks.model import build_model, ray_unit
+from qutrit_ks.model import RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
@@ -92,6 +92,17 @@ def _branch_law(state, setting, chain, noise):
     p_dd = (p1 * r_d * read_dark(p2_given_dark)
             + (1.0 - p1) * r_b * read_dark(p2_given_bright))
     return {"B": 1.0 - q1, "DB": clip(q1 - p_dd), "DD": p_dd}
+
+
+def _law(state, setting, chain, noise):
+    """The law of one sub-experiment: `expected_laws` of a one-state,
+    one-entry plan."""
+    sub = simulate.SubExperiment(setting.id, chain)
+    return simulate.expected_laws([state], [sub], [setting], noise)[state.label][0]
+
+
+def _projector(ray):
+    return linalg.projector_from_ray(RAYS[ray])
 
 
 @pytest.fixture(scope="module")
@@ -191,57 +202,55 @@ def test_photon_count_mode_dark_error():
     assert dark_reads / n < 5e-4
 
 
-def test_run_single_trivial(by_id):
+def test_run_single_trivial(settings):
     psi3 = simulate.StateSpec.pure("psi3", [0, 0, 1])
     sub = simulate.SubExperiment("M1", (3,), 1000)
-    table = simulate.run_subexperiment(psi3, sub, by_id,
-                                       simulate.NoiseModel.ideal(), 4)
+    [table] = simulate.run_roster([psi3], [sub], settings,
+                                  simulate.NoiseModel.ideal(), 4)["psi3"]
     assert table.counts == {"D": 1000, "B": 0}
+    assert table.seed_key == "4/psi3/single:03:M1"
 
 
 def test_run_single_unmapped_ray_errors(by_id):
     psi1 = simulate.StateSpec.pure("psi1", [1, 0, 0])
     with pytest.raises(ValueError, match="not mapped"):
-        simulate.outcome_law(psi1, by_id["M1"], (13,),
-                             simulate.NoiseModel.ideal())
+        _law(psi1, by_id["M1"], (13,), simulate.NoiseModel.ideal())
 
 
-def test_run_single_matches_trace(by_id, model):
+def test_run_single_matches_trace(settings, by_id):
     """The dark probability is Tr(rho V) for every mapped slot."""
-    for state in simulate.default_state_roster()[::3]:
-        for sid in ("M1", "M6", "M13"):
-            setting = by_id[sid]
-            for ray in setting.mapping.values():
-                law = simulate.outcome_law(state, setting, (ray,),
-                                           simulate.NoiseModel.ideal())
-                p = float(np.trace(state.rho @ model.projectors[ray]).real)
-                assert law["D"] == pytest.approx(p, abs=1e-12)
-                assert law["B"] == pytest.approx(1.0 - p, abs=1e-12)
+    states = simulate.default_state_roster()[::3]
+    plan = [simulate.SubExperiment(sid, (ray,))
+            for sid in ("M1", "M6", "M13") for ray in by_id[sid].mapping.values()]
+    laws = simulate.expected_laws(states, plan, settings, simulate.NoiseModel.ideal())
+    for state in states:
+        for sub, law in zip(plan, laws[state.label]):
+            p = float(np.trace(state.rho @ _projector(sub.chain[0])).real)
+            assert law["D"] == pytest.approx(p, abs=1e-12)
+            assert law["B"] == pytest.approx(1.0 - p, abs=1e-12)
 
 
-def test_run_pair_ideal_dd_is_zero(by_id, model):
+def test_run_pair_ideal_dd_is_zero(settings, model):
     state = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
-    for edge in sorted(model.edges)[:8]:
-        sid = next(s.id for s in settings_table()
-                   if set(edge) <= set(s.mapping.values()))
-        sub = simulate.SubExperiment(sid, edge, 4000)
-        table = simulate.run_subexperiment(state, sub, by_id,
-                                           simulate.NoiseModel.ideal(), 7)
-        assert table.counts["DD"] == 0
+    plan = [simulate.SubExperiment(next(s.id for s in settings
+                                        if set(edge) <= set(s.mapping.values())),
+                                   edge, 4000)
+            for edge in sorted(model.edges)[:8]]
+    tables = simulate.run_roster([state], plan, settings,
+                                 simulate.NoiseModel.ideal(), 7)["rho10"]
+    assert [t.counts["DD"] for t in tables] == [0] * len(plan)
 
 
 def test_run_pair_aligned_state(by_id):
     # state prepared on v4, measured as first element of edge (4, 10) in M5
     state = simulate.StateSpec.pure("v4", ray_unit(4))
-    law = simulate.outcome_law(state, by_id["M5"], (4, 10),
-                               simulate.NoiseModel.ideal())
+    law = _law(state, by_id["M5"], (4, 10), simulate.NoiseModel.ideal())
     assert law == pytest.approx({"B": 0.0, "DB": 1.0, "DD": 0.0}, abs=1e-12)
 
 
 def test_run_pair_flip_dd_small(by_id):
     state = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
-    law = simulate.outcome_law(state, by_id["M5"], (4, 10),
-                               simulate.NoiseModel.paper())
+    law = _law(state, by_id["M5"], (4, 10), simulate.NoiseModel.paper())
     assert 0 < law["DD"] < 0.05
 
 
@@ -256,24 +265,28 @@ def test_roster_determinism(model, settings):
     assert simulate.counts_to_csv(a) != simulate.counts_to_csv(c)
 
 
-def test_stream_independence_of_execution_order(model, settings, by_id):
+def test_stream_independence_of_execution_order(model, settings):
     """A sub-experiment's counts depend only on its key, not on which other
-    sub-experiments ran before it: each one run alone, on its own
-    `derive_rng` stream, reproduces the roster for all 12 x 37 entries."""
+    sub-experiments ran before it: each law drawn alone, on a fresh
+    `derive_rng` stream of its key, reproduces the roster for all 12 x 37
+    entries."""
     plan = simulate.build_plan(model, settings, shots=500)
     roster = simulate.default_state_roster()
     for name in ("ideal", "paper", "photon-count"):
         noise = NOISE_CONFIGS[name]
         full = simulate.run_roster(roster, plan, settings, noise, 7)
+        laws = simulate.expected_laws(roster, plan, settings, noise)
         for state in roster:
-            solo = [simulate.run_subexperiment(state, sub, by_id, noise, 7)
-                    for sub in plan]
-            assert [(t.subexperiment, t.counts, t.seed_key) for t in solo] == \
-                [(t.subexperiment, t.counts, t.seed_key)
-                 for t in full[state.label]], (name, state.label)
+            solo = []
+            for sub, law in zip(plan, laws[state.label]):
+                rng = simulate.derive_rng(7, state.label, sub.key)
+                counts = rng.multinomial(sub.shots, list(law.values())).tolist()
+                solo.append((sub, dict(zip(law, counts)), f"7/{state.label}/{sub.key}"))
+            assert [(t.subexperiment, t.counts, t.seed_key)
+                    for t in full[state.label]] == solo, (name, state.label)
 
 
-def test_derive_rng_is_keyed_philox(settings, by_id):
+def test_derive_rng_is_keyed_philox(settings):
     """The stream of (seed, labels) is Philox at counter 0 under the first 16
     bytes of sha256("seed/label/..."), as two little-endian uint64 words."""
     name = "42/psi7/pair:04-10:M5"
@@ -289,7 +302,8 @@ def test_derive_rng_is_keyed_philox(settings, by_id):
     sub = simulate.SubExperiment("M5", (4, 10), 10_000)
     table = simulate.run_roster([state], [sub], settings, NOISE_CONFIGS["paper"],
                                 42)["psi7"][0]
-    law = simulate.outcome_law(state, by_id["M5"], sub.chain, NOISE_CONFIGS["paper"])
+    law = simulate.expected_laws([state], [sub], settings,
+                                 NOISE_CONFIGS["paper"])["psi7"][0]
     expected = np.random.Generator(np.random.Philox(key=key)).multinomial(
         10_000, list(law.values()))
     assert table.seed_key == name
@@ -325,15 +339,14 @@ def test_readout_rates():
     assert r_b == pytest.approx(np.exp(-lam) * (1 + lam + lam ** 2 / 2), rel=1e-12)
 
 
-def test_outcome_law_ideal_matches_projectors(model, settings, by_id):
+def test_outcome_law_ideal_matches_projectors(model, settings):
     """Under ideal readout every law is the Born rule of the mapped rays."""
     plan = simulate.build_plan(model, settings)
-    noise = simulate.NoiseModel.ideal()
-    for state in simulate.default_state_roster():
-        for sub in plan:
-            law = simulate.outcome_law(state, by_id[sub.setting_id], sub.chain,
-                                       noise)
-            p = float(np.trace(state.rho @ model.projectors[sub.chain[0]]).real)
+    roster = simulate.default_state_roster()
+    laws = simulate.expected_laws(roster, plan, settings, simulate.NoiseModel.ideal())
+    for state in roster:
+        for sub, law in zip(plan, laws[state.label]):
+            p = float(np.trace(state.rho @ _projector(sub.chain[0])).real)
             assert min(law.values()) >= 0.0
             assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
             if len(sub.chain) == 1:
@@ -379,7 +392,7 @@ def _detect_pair_counts(state, setting, ray_i, ray_j, noise, shots, rng):
 def test_pair_law_matches_detect_monte_carlo(by_id, noise):
     # edge (4, 10) in M5 puts v10 in |3>, the branch the first swap moves
     state = simulate.default_state_roster()[7]
-    law = simulate.outcome_law(state, by_id["M5"], (4, 10), noise)
+    law = _law(state, by_id["M5"], (4, 10), noise)
     shots = 20_000
     counts = _detect_pair_counts(state, by_id["M5"], 4, 10, noise, shots,
                                  np.random.default_rng(12))
@@ -403,8 +416,7 @@ def test_roster_counts_independent_of_shot_count(model, settings):
                 assert t.counts["DD"] == 0
 
 
-def test_run_roster_compiles_each_setting_once(model, settings, by_id,
-                                               monkeypatch):
+def test_run_roster_compiles_each_setting_once(model, settings, monkeypatch):
     compiled = []
 
     def counting(setting):
@@ -424,19 +436,12 @@ def test_run_roster_compiles_each_setting_once(model, settings, by_id,
                                 fresh, noise, 5)
     assert len(compiled) == len(settings)
     assert simulate.counts_to_csv(again) == simulate.counts_to_csv(tables)
-    # compiling per sub-experiment instead gives byte-identical counts
-    per_sub = {state.label: [simulate.run_subexperiment(state, sub, by_id,
-                                                        noise, 5)
-                             for sub in plan]
-               for state in roster}
-    assert len(compiled) == len(settings) + len(roster) * len(plan)
-    assert simulate.counts_to_csv(per_sub) == simulate.counts_to_csv(tables)
 
 
 def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
     """A setting that keeps its id but changes one pulse angle gets its own
-    effects: `run_roster` matches the per-sub-experiment path, which compiles
-    the setting it is given."""
+    effects: its laws follow the branch reference of the setting it is
+    given, and a run after the original plan draws what a fresh cache does."""
     m5 = by_id["M5"]
     first, second = m5.pulses
     tilted = dataclasses.replace(
@@ -445,37 +450,61 @@ def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
     plan = simulate.build_plan(model, settings, shots=10 ** 9)
     state = simulate.default_state_roster()[6]
     noise = simulate.NoiseModel.paper()
-    for sub in (sub for sub in plan if sub.setting_id == "M5"):
-        assert simulate.outcome_law(state, tilted, sub.chain, noise) != \
-            pytest.approx(simulate.outcome_law(state, m5, sub.chain, noise))
-    simulate.run_roster([state], plan, settings, noise, 3)
-    tables = simulate.run_roster([state], plan, altered, noise, 3)[state.label]
-    altered_by_id = {s.id: s for s in altered}
-    assert [t.counts for t in tables] == [
-        simulate.run_subexperiment(state, sub, altered_by_id, noise, 3).counts
-        for sub in plan]
+    laws = simulate.expected_laws([state], plan, settings, noise)[state.label]
+    tilted_laws = simulate.expected_laws([state], plan, altered, noise)[state.label]
+    for sub, law, tilted_law in zip(plan, laws, tilted_laws):
+        if sub.setting_id == "M5":
+            assert tilted_law != pytest.approx(law)
+            assert tilted_law == pytest.approx(
+                _branch_law(state, tilted, sub.chain, noise), abs=1e-12)
+        else:
+            assert tilted_law == law
+    tables = simulate.run_roster([state], plan, altered, noise, 3)
+    simulate._plan_effects.cache_clear()
+    fresh = simulate.run_roster([state], plan, altered, noise, 3)
+    assert simulate.counts_to_csv(tables) == simulate.counts_to_csv(fresh)
 
 
-def test_cached_plan_effects_are_read_only(model, settings, monkeypatch):
-    seen = []
+def test_cached_plan_effects_are_read_only(model, settings):
+    plan = simulate.build_plan(model, settings, shots=1000)
+    noise = simulate.NoiseModel.paper()
+    symbols, stack = simulate._compiled_plan(plan, settings, noise)
+    assert simulate._compiled_plan(plan, settings, noise)[1] is stack
+    assert stack.shape == (13 * 2 + 24 * 3, 3, 3)
+    assert [len(s) for s in symbols] == [len(sub.chain) + 1 for sub in plan]
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 0.0
+
+
+def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
+    """A law's bits are the same whether its state and entry are computed
+    alone or among all states and entries, so a one-state run draws the
+    counts of the full roster."""
+    plan = simulate.build_plan(model, settings)
+    roster = simulate.default_state_roster()
+    for noise in NOISE_CONFIGS.values():
+        full = simulate.expected_laws(roster, plan, settings, noise)
+        for state in roster[::4]:
+            alone = [simulate.expected_laws([state], [sub], settings, noise)[state.label][0]
+                     for sub in plan]
+            assert alone == full[state.label]
+            assert simulate.expected_laws(roster[::-1], plan[::-1], settings,
+                                          noise)[state.label] == full[state.label][::-1]
+
+
+def test_run_roster_draws_once_per_state_and_entry(model, settings, monkeypatch):
+    draws = []
     original = simulate.run_subexperiment
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["compiled"])
-        return original(*args, **kwargs)
+    def counting(law, sub, seed_key, rng):
+        draws.append(seed_key)
+        return original(law, sub, seed_key, rng)
 
-    plan = simulate.build_plan(model, settings, shots=1000)
-    state = simulate.default_state_roster()[0]
-    monkeypatch.setattr(simulate, "run_subexperiment", recording)
-    for _ in range(2):
-        simulate.run_roster([state], plan, settings, simulate.NoiseModel.paper(), 1)
-    assert len(seen) == 2 * len(plan)
-    for effs in seen:
-        with pytest.raises(TypeError):
-            effs["B"] = np.eye(3)
-        for e in effs.values():
-            with pytest.raises(ValueError, match="read-only"):
-                e[0, 0] = 0.0
+    plan = simulate.build_plan(model, settings, shots=100)
+    roster = simulate.default_state_roster()
+    monkeypatch.setattr(simulate, "run_subexperiment", counting)
+    simulate.run_roster(roster, plan, settings, simulate.NoiseModel.paper(), 2)
+    assert draws == [f"2/{state.label}/{sub.key}" for state in roster for sub in plan]
 
 
 @pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
@@ -483,24 +512,26 @@ def test_outcome_law_matches_branch_reference(model, settings, by_id, noise):
     """The Heisenberg-picture effects reproduce the Schroedinger-picture
     branch computation for every state and plan entry, in draw order."""
     plan = simulate.build_plan(model, settings)
-    for state in simulate.default_state_roster():
-        for sub in plan:
-            setting = by_id[sub.setting_id]
-            law = simulate.outcome_law(state, setting, sub.chain, noise)
-            ref = _branch_law(state, setting, sub.chain, noise)
+    roster = simulate.default_state_roster()
+    laws = simulate.expected_laws(roster, plan, settings, noise)
+    for state in roster:
+        for sub, law in zip(plan, laws[state.label]):
+            ref = _branch_law(state, by_id[sub.setting_id], sub.chain, noise)
             assert list(law) == list(ref)
             assert law == pytest.approx(ref, abs=1e-12)
 
 
 @pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
-def test_plan_effects_form_a_povm(model, settings, by_id, noise):
+def test_plan_effects_form_a_povm(model, settings, noise):
     """The effects `run_roster` compiles for each plan entry sum to the
     identity and are positive."""
-    steps = [simulate._steps(by_id[sub.setting_id], sub.chain,
-                             compile_setting(by_id[sub.setting_id]))
-             for sub in simulate.build_plan(model, settings)]
-    for effs in simulate._stacked_effects(steps, simulate.readout_rates(noise)):
-        assert np.allclose(sum(effs.values()), np.eye(3), rtol=0, atol=1e-12)
-        for e in effs.values():
-            assert np.linalg.eigvalsh(e).min() >= -1e-12
+    symbols, stack = simulate._compiled_plan(simulate.build_plan(model, settings),
+                                             settings, noise)
+    start = 0
+    for syms in symbols:
+        effs = stack[start:start + len(syms)]
+        start += len(syms)
+        assert np.allclose(effs.sum(axis=0), np.eye(3), rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(effs).min() >= -1e-12
+    assert start == len(stack)
 

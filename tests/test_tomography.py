@@ -124,6 +124,29 @@ def test_reconstruct_builds_the_response_once_per_settings_list(settings,
     assert calls == [len(settings)] * 2
 
 
+def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
+                                                                  monkeypatch):
+    """Every state of a run reads one sub-run stack per readout rate pair:
+    the noisy rates for the draws, the ideal rates for the response map."""
+    built = []
+    original = tg.subrun_effects
+
+    def counting(settings_list, rates):
+        built.append(rates)
+        return original(settings_list, rates)
+
+    monkeypatch.setattr(tg, "subrun_effects", counting)
+    tg._subrun_dark.cache_clear()
+    tg._checked_response.cache_clear()
+    noise = simulate.NoiseModel.paper()
+    for state in simulate.default_state_roster():
+        rng = simulate.derive_rng(5, state.label, "tomography")
+        tables = tg.simulate_tomography(state, settings, noise, 10_000, rng)
+        tg.reconstruct(tables, settings, state.rho)
+        tg.exact_probabilities(state.rho, settings)
+    assert built == [simulate.readout_rates(noise), tg.IDEAL_RATES]
+
+
 def test_format_density_matrix():
     text = tg.format_density_matrix(np.eye(3, dtype=complex) / 3)
     assert len(text.strip().splitlines()) == 3
