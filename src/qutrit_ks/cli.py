@@ -90,8 +90,7 @@ def run_verification(report_lines: list[str]) -> bool:
           f"{sorted(model.triangles)}")
 
     for ineq in model.inequalities:
-        excess = exact_operator(ineq) - ineq.quantum_value * np.identity(3, int)
-        err = max(abs(x) for x in excess.flat)
+        err = abs(exact_operator(ineq) - ineq.quantum_value * np.identity(3, int)).max()
         check(f"quantum {ineq.name} operator = ({ineq.quantum_value}) I",
               err == 0, f"exact, max entry error {err}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
@@ -115,18 +116,18 @@ def exact_operator(ineq: Inequality) -> np.ndarray:
 
     Integer rays give rational projectors P_r = v v^T / (v . v); each value
     x_r becomes P_r (0/1 alphabet) or I - 2 P_r (+-1 alphabet), and each
-    monomial the product of its factors.
+    monomial the product of its factors, summed in integer arithmetic over
+    one common denominator D^K (D = lcm(v . v), K the top degree).
     """
-    eye = np.identity(3, dtype=int).astype(object)
+    norms = {r: sum(a * a for a in RAYS[r]) for m in ineq.terms for r in m}
+    d, top = lcm(*norms.values()), max(map(len, ineq.terms), default=0)
     factors = {}
-    for r in {r for rays in ineq.terms for r in rays}:
-        v = np.array(RAYS[r], dtype=object)
-        p = np.outer(v, v) * Fraction(1, v @ v)
-        factors[r] = eye - 2 * p if ineq.alphabet == PM1 else p
-    out = 0 * eye
-    for rays, c in ineq.terms.items():
-        out += c * reduce(np.matmul, [factors[r] for r in rays])
-    return out
+    for r, norm in norms.items():
+        p = np.outer(RAYS[r], RAYS[r]).astype(object) * (d // norm)
+        factors[r] = d * np.eye(3, dtype=int) - 2 * p if ineq.alphabet == PM1 else p
+    total = sum((c * d ** (top - len(m)) * reduce(np.matmul, [factors[r] for r in m])
+                 for m, c in ineq.terms.items()), np.zeros((3, 3), dtype=object))
+    return total * Fraction(1, d ** top)
 
 
 def dump_model(model: KSModel) -> str:

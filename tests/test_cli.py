@@ -13,6 +13,13 @@ def test_verify_passes(capsys):
     assert "verification PASSED" in out
 
 
+def test_verify_operator_lines_are_exact(capsys):
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "[ok  ] quantum chi13 operator = (83/3) I: exact, max entry error 0" in lines
+    assert "[ok  ] quantum chi4 operator = (4/3) I: exact, max entry error 0" in lines
+
+
 def test_verify_report_file(tmp_path, capsys):
     report = tmp_path / "verify.txt"
     assert cli.main(["verify", "--out", str(report)]) == cli.EXIT_OK

@@ -1,11 +1,13 @@
 import dataclasses
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qutrit_ks import linalg
-from qutrit_ks.model import CHI4, RAYS, build_model, dump_model, exact_operator
+from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model,
+                             dump_model, exact_operator)
 
 PROJECTORS = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
 OBSERVABLES = {i: linalg.IDENTITY - 2 * p for i, p in PROJECTORS.items()}
@@ -113,3 +115,48 @@ def test_chi13_spec_follows_modified_weights(model):
     assert changed.chi13.terms[(1, 2)] == -5
     assert model.chi13.terms[(1, 2)] == -2
     assert model.chi13 is model.chi13  # built once per model
+
+
+def fraction_operator(ineq):
+    """Reference: every entry of every partial product a `Fraction`."""
+    eye = np.identity(3, dtype=int).astype(object)
+    factors = {}
+    for r in {r for rays in ineq.terms for r in rays}:
+        v = np.array(RAYS[r], dtype=object)
+        p = np.outer(v, v) * Fraction(1, v @ v)
+        factors[r] = eye - 2 * p if ineq.alphabet == PM1 else p
+    out = 0 * eye
+    for rays, c in ineq.terms.items():
+        out += c * reduce(np.matmul, [factors[r] for r in rays])
+    return out
+
+
+HUGE = Inequality("huge", PM1, {(1,): 10**30, (10,): -(10**30), (1, 4): 10**30,
+                                (2, 5, 8): -(10**30), (3, 6, 9): 7},
+                  classical_bound=0, quantum_value=Fraction(0))
+
+
+@pytest.mark.parametrize("case", ["chi13", "chi4", "changed_mu_ij",
+                                  "weighted_123", "huge_pm1", "huge_01"])
+def test_integer_operator_matches_fraction_reference(model, case):
+    ineq = {
+        "chi13": model.chi13,
+        "chi4": CHI4,
+        "changed_mu_ij": dataclasses.replace(
+            model, mu_ij={**model.mu_ij, (1, 2): 5}).chi13,
+        "weighted_123": dataclasses.replace(
+            model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4}).chi13,
+        "huge_pm1": HUGE,  # coefficients beyond int64
+        "huge_01": dataclasses.replace(HUGE, alphabet=ZO),
+    }[case]
+    op = exact_operator(ineq)
+    assert op.shape == (3, 3)
+    assert all(isinstance(x, Fraction) for x in op.flat)
+    assert list(op.flat) == list(fraction_operator(ineq).flat)
+
+
+def test_operator_of_empty_inequality_is_zero():
+    op = exact_operator(Inequality("empty", ZO, {}, classical_bound=0,
+                                   quantum_value=Fraction(0)))
+    assert op.shape == (3, 3)
+    assert all(isinstance(x, Fraction) and x == 0 for x in op.flat)
