@@ -147,7 +147,7 @@ class StateResult:
     significance4: float
 
 
-def _tomography(state: simulate.StateSpec, settings: list[tomography.TomographySetting],
+def _tomography(state: simulate.StateSpec, settings: list[pulses.MeasurementSetting],
                 noise: simulate.NoiseModel, cfg: RunConfig) -> tomography.ReconstructionResult:
     """Simulated tomography of one state on its own stream, reconstructed."""
     rng = simulate.derive_rng(cfg.master_seed, state.label, "tomography")

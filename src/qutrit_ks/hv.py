@@ -33,11 +33,10 @@ class Assignment:
 
 @dataclass
 class BoundReport:
-    maximum: int | None
+    maximum: int | None  # None when no assignment obeys the rules
     argmax_count: int
     admissible_count: int
     histogram: dict[int, int] = field(default_factory=dict)
-    colorable: bool = True
 
 
 def evaluate_assignment(f: Assignment, model: KSModel) -> int:
@@ -76,8 +75,7 @@ def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
             keep &= bits[i] + bits[j] + bits[k] == 1
         values = values[keep]
     if values.size == 0:
-        return BoundReport(maximum=None, argmax_count=0, admissible_count=0,
-                           histogram={}, colorable=False)
+        return BoundReport(maximum=None, argmax_count=0, admissible_count=0)
     lo = int(values.min())
     counts = np.bincount(values - lo)
     histogram = {lo + int(k): int(counts[k]) for k in np.flatnonzero(counts)}

@@ -14,9 +14,6 @@ ATOL_UNITARY = 1e-10       # Frobenius norm of U†U - I
 ATOL_DM_HERMITIAN = 1e-10  # density-matrix Hermiticity
 ATOL_DM_TRACE = 1e-10      # |Tr(rho) - 1|
 EIGVAL_FLOOR = -1e-9       # smallest admissible density-matrix eigenvalue
-ATOL_PROJECTOR = 1e-12     # idempotence / scaling invariance of projectors
-ATOL_EIG = 1e-9            # eigendecomposition reconstruction error
-ATOL_FIDELITY = 1e-10      # fidelity cross-checks
 
 IDENTITY = np.eye(3, dtype=complex)
 
@@ -75,12 +72,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def pure_state_dm(psi) -> np.ndarray:
-    """Density matrix of a pure state, normalizing the amplitude vector."""
-    psi = np.asarray(psi, dtype=complex)
-    return projector_from_ray(psi)
-
-
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, u = hermitian_eig(m)
     # zero out eigenvalues at roundoff scale: sqrt would amplify them to 1e-8
@@ -100,9 +91,3 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     sv = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(target), compute_uv=False)
     f = float(np.sum(sv) ** 2)
     return min(max(f, 0.0), 1.0)
-
-
-def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ adjoint(a)
-    return m / np.trace(m).real

@@ -50,9 +50,16 @@ class HardwareParams:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
+    """One pulse sequence before the |3> detections. Kochen-Specker settings
+    map basis states to rays; tomography settings map none. Equal content
+    hashes equal, so caches key on settings themselves."""
+
     id: str
     mapping: dict[int, int]  # basis state (1..3) -> ray index (1..13)
     pulses: tuple[Pulse, ...]  # chronological
+
+    def __hash__(self) -> int:
+        return hash((self.id, tuple(sorted(self.mapping.items())), self.pulses))
 
 
 def r1_matrix(theta: float, phi: float) -> np.ndarray:

@@ -11,9 +11,10 @@ too: `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
 is Tr(rho E). A process stacks the effects of each distinct plan once
 (`_plan_effects`, 13 singles x 2 symbols + 24 pairs x 3 = 98 for the
-default plan, keyed on setting content, chains and readout rates, never on
-the seed or state). `expected_laws` is the one place a law is computed: it
-contracts all prepared states with that stack in one Tr(rho E).
+default plan, keyed on the settings themselves, which hash by content, the
+chains and the readout rates, never on the seed, state or shots).
+`expected_laws` is the one place a law is computed: it contracts all
+prepared states with that stack in one Tr(rho E).
 
 Shots are i.i.d., so each sub-experiment makes a single multinomial draw
 from its law (`run_subexperiment`), and cost does not grow with the shot
@@ -49,7 +50,7 @@ class StateSpec:
 
     @staticmethod
     def pure(label: str, amplitudes) -> "StateSpec":
-        return StateSpec(label, linalg.pure_state_dm(amplitudes))
+        return StateSpec(label, linalg.projector_from_ray(amplitudes))
 
     @staticmethod
     def mixed(label: str, rho) -> "StateSpec":
@@ -97,6 +98,8 @@ class NoiseModel:
                   self.prep_depolarization):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        if self.eps_dark_to_bright + self.eps_bright_to_dark >= 1.0:
+            raise ValueError("flip rates must sum to less than 1")
         if self.threshold < 1:
             raise ValueError("photon threshold must be >= 1")
 
@@ -259,33 +262,22 @@ def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
 
 
 @functools.lru_cache(maxsize=8)
-def _plan_effects(settings: tuple, entries: tuple, rates: tuple[float, float]
+def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
+                  rates: tuple[float, float]
                   ) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
     """The readout symbols of each plan entry `(setting id, chain)` and one
     read-only `(n, 3, 3)` stack of their effects under readout `rates`, entry
-    after entry in draw order. `settings` holds the content `(id, mapping
-    items, pulses)` of each setting the entries use, and each is compiled
-    once. The key is that content, never a setting id alone, so a process
+    after entry in draw order. Each setting the entries use is compiled
+    once. Settings hash by content, never by id alone, so a process
     computes each distinct plan once."""
-    by_id = {sid: MeasurementSetting(sid, dict(mapping), pulses)
-             for sid, mapping, pulses in settings}
-    unitaries = {sid: compile_setting(s) for sid, s in by_id.items()}
+    by_id = {s.id: s for s in settings}
+    unitaries = {sid: compile_setting(by_id[sid])
+                 for sid in dict.fromkeys(sid for sid, _ in entries)}
     compiled = [effects(_steps(by_id[sid], chain, unitaries[sid]), rates)
                 for sid, chain in entries]
     stack = np.array([e for effs in compiled for e in effs.values()]).reshape(-1, 3, 3)
     stack.flags.writeable = False
     return tuple(tuple(effs) for effs in compiled), stack
-
-
-def _compiled_plan(plan: list[SubExperiment], settings: list[MeasurementSetting],
-                   noise: NoiseModel) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
-    """`_plan_effects` of `plan` under the readout rates of `noise`."""
-    by_id = {s.id: s for s in settings}
-    used = [by_id[sid] for sid in dict.fromkeys(sub.setting_id for sub in plan)]
-    return _plan_effects(
-        tuple((s.id, tuple(sorted(s.mapping.items())), s.pulses) for s in used),
-        tuple((sub.setting_id, sub.chain) for sub in plan),
-        readout_rates(noise))
 
 
 def expected_laws(roster: list[StateSpec], plan: list[SubExperiment],
@@ -296,7 +288,9 @@ def expected_laws(roster: list[StateSpec], plan: list[SubExperiment],
     B/DB/DD for a sequential pair. Every Tr(rho_s E_k) comes from one
     contraction of the prepared states with the plan's cached effect stack,
     clipped to [0, 1]."""
-    symbols, stack = _compiled_plan(plan, settings, noise)
+    symbols, stack = _plan_effects(
+        tuple(settings), tuple((sub.setting_id, sub.chain) for sub in plan),
+        readout_rates(noise))
     rhos = np.array([prepare(state, noise) for state in roster]).reshape(-1, 1, 9)
     effs = stack.reshape(1, -1, 9)
     # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij). The

@@ -1,14 +1,15 @@
 """Qutrit state tomography: rotation settings, linear inversion, projection.
 
-The measurement set is five single-tone quarter rotations, which alone are
-rank-deficient, and two composed two-tone rotations; the stacked response
-map over the 9 real Hermitian degrees of freedom is checked for rank 9.
-Probabilities are measured the way the experiment can only measure them:
-three sub-runs per setting, each transferring one basis state to the dark
-state |3>: one detection of `simulate.effects`, under ideal rates for the
-response map. A process builds the sub-run effects of each distinct
-(settings, readout rates) once (`_subrun_dark`), so every state of a run
-reads one stack.
+The measurement set is seven `pulses.MeasurementSetting`s that map no ray:
+five single-tone quarter rotations, which alone are rank-deficient, and two
+two-pulse sequences; `pulses.compile_setting` builds their unitaries, and
+the stacked response map over the 9 real Hermitian degrees of freedom is
+checked for rank 9. Probabilities are measured the way the experiment can
+only measure them: three sub-runs per setting, each transferring one basis
+state to the dark state |3>: one detection of `simulate.effects`, under
+ideal rates for the response map. Settings hash by content, so a process
+builds the sub-run effects of each distinct (settings, readout rates) once
+(`_subrun_dark`), and every state of a run reads one stack.
 """
 
 from __future__ import annotations
@@ -21,18 +22,11 @@ import numpy as np
 
 from . import linalg
 from .analysis import confusion_for, correct_ml, estimate_probability
-from .pulses import r1_matrix, r2_matrix
+from .pulses import MeasurementSetting, Pulse, compile_setting
 from .simulate import SWAP, NoiseModel, StateSpec, effects, prepare, readout_rates
 
 RANK_TOL = 1e-9
-ROUND_TRIP_TOL = 1e-9
 IDEAL_RATES = readout_rates(NoiseModel.ideal())
-
-
-@dataclass(frozen=True)
-class TomographySetting:
-    id: str
-    unitary: np.ndarray
 
 
 def _hermitian_basis() -> list[np.ndarray]:
@@ -57,71 +51,58 @@ def _hermitian_basis() -> list[np.ndarray]:
 _BASIS9 = np.array(_hermitian_basis())
 
 
-def subrun_effects(settings: list[TomographySetting],
+def subrun_effects(settings: list[MeasurementSetting],
                    rates: tuple[float, float]) -> dict[str, np.ndarray]:
     """Effects of every sub-run, three per setting; sub-run k swaps basis
     state k+1 onto |3>, the step rule of the simulated singles."""
-    steps = np.array([SWAP[slot] @ s.unitary for s in settings for slot in (1, 2, 3)])
+    steps = np.array([SWAP[slot] @ compile_setting(s)
+                      for s in settings for slot in (1, 2, 3)])
     return effects([steps], rates)
 
 
-def _cache_key(settings: list[TomographySetting]) -> tuple[tuple[str, ...], bytes]:
-    """The cache key of a settings list: its ids and its stacked unitaries."""
-    unitaries = np.array([s.unitary for s in settings], dtype=complex)
-    return tuple(s.id for s in settings), unitaries.tobytes()
-
-
-def _settings(ids: tuple[str, ...], unitaries: bytes) -> list[TomographySetting]:
-    stacked = np.frombuffer(unitaries, dtype=complex).reshape(-1, 3, 3)
-    return [TomographySetting(i, u) for i, u in zip(ids, stacked)]
-
-
 @functools.lru_cache(maxsize=8)
-def _subrun_dark(ids: tuple[str, ...], unitaries: bytes,
+def _subrun_dark(settings: tuple[MeasurementSetting, ...],
                  rates: tuple[float, float]) -> np.ndarray:
-    """Read-only dark effects of `subrun_effects` for the settings with these
-    ids and stacked unitaries under `rates`, built once per distinct key."""
-    dark = subrun_effects(_settings(ids, unitaries), rates)["D"]
+    """Read-only dark effects of `subrun_effects` under `rates`, built once
+    per distinct settings content and rates."""
+    dark = subrun_effects(list(settings), rates)["D"]
     dark.flags.writeable = False
     return dark
 
 
-def _dark_probabilities(rho: np.ndarray, settings: list[TomographySetting],
+def _dark_probabilities(rho: np.ndarray, settings: list[MeasurementSetting],
                         rates: tuple[float, float]) -> dict[str, np.ndarray]:
     """P(read dark) = Tr(rho E_D) of the three sub-runs of each setting."""
-    p = np.einsum("ij,kji->k", rho, _subrun_dark(*_cache_key(settings), rates)).real
+    p = np.einsum("ij,kji->k", rho, _subrun_dark(tuple(settings), rates)).real
     return dict(zip((s.id for s in settings), np.clip(p, 0.0, 1.0).reshape(-1, 3)))
 
 
-def response_matrix(settings: list[TomographySetting]) -> np.ndarray:
+def response_matrix(settings: list[MeasurementSetting]) -> np.ndarray:
     """Stacked map from the 9 Hermitian parameters to outcome probabilities."""
-    dark = _subrun_dark(*_cache_key(settings), IDEAL_RATES)
+    dark = _subrun_dark(tuple(settings), IDEAL_RATES)
     return np.einsum("gij,kji->kg", _BASIS9, dark).real
 
 
-def tomography_settings() -> list[TomographySetting]:
-    """Default informationally complete set; rank 9 is asserted, not assumed."""
+def tomography_settings() -> list[MeasurementSetting]:
+    """Default informationally complete set, pulse lists chronological;
+    rank 9 is asserted, not assumed."""
     half = math.pi / 2
-    settings = [
-        TomographySetting("T1", linalg.IDENTITY),
-        TomographySetting("T2", r1_matrix(half, 0.0)),
-        TomographySetting("T3", r1_matrix(half, half)),
-        TomographySetting("T4", r2_matrix(half, 0.0)),
-        TomographySetting("T5", r2_matrix(half, half)),
-        TomographySetting("T6", r1_matrix(half, 0.0) @ r2_matrix(half, 0.0)),
-        TomographySetting("T7", r1_matrix(half, half) @ r2_matrix(half, 0.0)),
-    ]
-    _checked_response(*_cache_key(settings))
+    r1, r2 = (lambda phi: Pulse(1, half, phi)), (lambda phi: Pulse(2, half, phi))
+    sequences = [(), (r1(0.0),), (r1(half),), (r2(0.0),), (r2(half),),
+                 (r2(0.0), r1(0.0)), (r2(0.0), r1(half))]
+    settings = [MeasurementSetting(f"T{k}", {}, seq)
+                for k, seq in enumerate(sequences, start=1)]
+    _checked_response(tuple(settings))
     return settings
 
 
 def exact_probabilities(rho: np.ndarray,
-                        settings: list[TomographySetting]) -> dict[str, np.ndarray]:
+                        settings: list[MeasurementSetting]) -> dict[str, np.ndarray]:
     return _dark_probabilities(linalg.validate_density_matrix(rho), settings,
                                IDEAL_RATES)
 
 
-def simulate_tomography(state: StateSpec, settings: list[TomographySetting],
+def simulate_tomography(state: StateSpec, settings: list[MeasurementSetting],
                         noise: NoiseModel, shots: int,
                         rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Measured outcome frequencies, one |3>-detection sub-run per basis state.
@@ -147,11 +128,11 @@ class ReconstructionResult:
 
 
 @functools.lru_cache(maxsize=4)
-def _checked_response(ids: tuple[str, ...], unitaries: bytes) -> np.ndarray:
-    """Read-only `response_matrix` of the settings with these ids and these
-    stacked unitaries, checked for rank 9; computed once per distinct
-    settings list, so reconstructing many states pays for it once."""
-    a = response_matrix(_settings(ids, unitaries))
+def _checked_response(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
+    """Read-only `response_matrix` of `settings`, checked for rank 9;
+    computed once per distinct settings content, so reconstructing many
+    states pays for it once."""
+    a = response_matrix(list(settings))
     if np.linalg.matrix_rank(a, tol=RANK_TOL) < 9:
         raise ValueError("response map is rank-deficient; extend the settings")
     a.flags.writeable = False
@@ -159,11 +140,11 @@ def _checked_response(ids: tuple[str, ...], unitaries: bytes) -> np.ndarray:
 
 
 def reconstruct(tables: dict[str, np.ndarray],
-                settings: list[TomographySetting],
+                settings: list[MeasurementSetting],
                 target: np.ndarray | None = None) -> ReconstructionResult:
     """Least-squares linear inversion followed by projection to the physical
     set (eigenvalue clipping and trace renormalization)."""
-    a = _checked_response(*_cache_key(settings))
+    a = _checked_response(tuple(settings))
     b = np.concatenate([tables[s.id] for s in settings])
     # Weighted trace constraint keeps the unit-trace direction well determined.
     trace_row = np.array([[1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0]])

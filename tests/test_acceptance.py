@@ -12,6 +12,8 @@ from qutrit_ks.model import CHI4, build_model, exact_operator
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
+from helpers import random_density_matrix
+
 QUANTUM_CHI13 = 83 / 3
 QUANTUM_CHI4 = 4 / 3
 
@@ -91,7 +93,7 @@ def test_criterion_06_state_independence(model):
     rng = np.random.default_rng(606)
     op = exact_operator(model.chi13).astype(float)
     t0 = time.perf_counter()
-    worst = max(abs(np.trace(linalg.random_density_matrix(rng) @ op).real
+    worst = max(abs(np.trace(random_density_matrix(rng) @ op).real
                     - QUANTUM_CHI13) for _ in range(1000))
     dt = time.perf_counter() - t0
     _report("criterion 6: state independence", worst < 1e-9 and dt < 1.0,
@@ -154,7 +156,7 @@ def test_criterion_09_tomography():
         linalg.frobenius_distance(
             tg.reconstruct(tg.exact_probabilities(rho, settings),
                            settings, rho).rho, rho)
-        for rho in (linalg.random_density_matrix(rng) for _ in range(100)))
+        for rho in (random_density_matrix(rng) for _ in range(100)))
     noise = simulate.NoiseModel.paper()
     fids = []
     for state in simulate.default_state_roster()[:9]:

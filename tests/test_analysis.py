@@ -6,6 +6,8 @@ from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import CHI4, RAYS, build_model
 from qutrit_ks.pulses import settings_table
 
+from helpers import random_density_matrix
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -109,7 +111,7 @@ def test_correct_pair_ml_recovers_nonzero_joint():
 def test_assemble_chi13_exact_inputs(model):
     rng = np.random.default_rng(31)
     for _ in range(100):
-        rho = linalg.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         singles, pairs = exact_estimates(model, rho)
         est = analysis.assemble_chi13(singles, pairs, model)
         assert est.value == pytest.approx(83 / 3, abs=1e-9)

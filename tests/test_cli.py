@@ -241,6 +241,15 @@ def test_ideal_noise_validates_flip_rates(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "tomography"])
+def test_flip_rates_summing_to_one_are_config_error(tmp_path, capsys, command):
+    rc = cli.main([command, "--eps-dark-to-bright", "0.6", "--eps-bright-to-dark", "0.5",
+                   "--states", "psi1", "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: flip rates must sum to less than 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "tomography"])
 def test_repeated_state_label_is_config_error(tmp_path, capsys, command):
     rc = cli.main([command, "--shots", "100", "--states", "psi1", "psi2", "psi1",
                    "--out-dir", str(tmp_path / "run")])

@@ -9,7 +9,7 @@ from qutrit_ks.model import RAYS, build_model
 
 def report_to_text(name: str, report: hv.BoundReport) -> str:
     lines = [f"# enumeration report: {name}"]
-    if not report.colorable:
+    if report.maximum is None:
         lines.append("KS-uncolorable: no assignment satisfies the rules")
         return "\n".join(lines) + "\n"
     lines.append(f"maximum          = {report.maximum}")
@@ -158,5 +158,5 @@ def test_uncolorable_rules_report_no_maximum(model):
     broken = dataclasses.replace(model, edges=frozenset(combinations(RAYS, 2)),
                                  triangles=frozenset({(1, 2, 3), (4, 5, 6)}))
     report = hv.max_chi4_constrained(broken)
-    assert not report.colorable and report.maximum is None
+    assert report.maximum is None
     assert "KS-uncolorable" in report_to_text("chi4", report)

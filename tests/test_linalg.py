@@ -3,6 +3,12 @@ import pytest
 
 from qutrit_ks import linalg
 
+from helpers import random_density_matrix
+
+ATOL_PROJECTOR = 1e-12  # idempotence / scaling invariance of projectors
+ATOL_EIG = 1e-9  # eigendecomposition reconstruction error
+ATOL_FIDELITY = 1e-10  # fidelity cross-checks
+
 
 def random_hermitian(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -42,10 +48,10 @@ def test_projector_properties_under_scaling():
         c = complex(rng.normal(), rng.normal()) or 1.0
         p = linalg.projector_from_ray(v)
         assert linalg.is_hermitian(p)
-        assert linalg.frobenius_distance(p @ p, p) < linalg.ATOL_PROJECTOR
-        assert abs(np.trace(p).real - 1) < linalg.ATOL_PROJECTOR
+        assert linalg.frobenius_distance(p @ p, p) < ATOL_PROJECTOR
+        assert abs(np.trace(p).real - 1) < ATOL_PROJECTOR
         assert linalg.frobenius_distance(p, linalg.projector_from_ray(c * v)) \
-            < linalg.ATOL_PROJECTOR
+            < ATOL_PROJECTOR
 
 
 def test_hermitian_eig_diagonal():
@@ -67,7 +73,7 @@ def test_hermitian_eig_reconstruction_1000_seeds():
         h = random_hermitian(rng)
         w, u = linalg.hermitian_eig(h)
         recon = (u * w) @ linalg.adjoint(u)
-        assert linalg.frobenius_distance(recon, h) < linalg.ATOL_EIG
+        assert linalg.frobenius_distance(recon, h) < ATOL_EIG
         assert linalg.frobenius_distance(linalg.adjoint(u) @ u, linalg.IDENTITY) < 1e-9
         assert w[0] >= w[1] >= w[2]
 
@@ -80,10 +86,10 @@ def test_hermitian_eig_rejects_non_hermitian():
 
 
 def test_fidelity_trivial_cases():
-    rho = linalg.pure_state_dm([1, 1, 0])
+    rho = linalg.projector_from_ray([1, 1, 0])
     assert linalg.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-    one = linalg.pure_state_dm([1, 0, 0])
-    two = linalg.pure_state_dm([0, 1, 0])
+    one = linalg.projector_from_ray([1, 0, 0])
+    two = linalg.projector_from_ray([0, 1, 0])
     assert linalg.fidelity(one, two) == pytest.approx(0.0, abs=1e-12)
     assert linalg.fidelity(linalg.IDENTITY / 3, one) == pytest.approx(1 / 3, abs=1e-12)
 
@@ -91,12 +97,12 @@ def test_fidelity_trivial_cases():
 def test_fidelity_pure_target_equals_overlap():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        rho = linalg.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         psi = random_pure_state(rng)
-        target = linalg.pure_state_dm(psi)
+        target = linalg.projector_from_ray(psi)
         overlap = float((psi.conj() @ rho @ psi).real)
         assert linalg.fidelity(rho, target) == pytest.approx(
-            overlap, abs=linalg.ATOL_FIDELITY)
+            overlap, abs=ATOL_FIDELITY)
 
 
 def test_fidelity_symmetric_for_commuting_inputs():
@@ -107,7 +113,7 @@ def test_fidelity_symmetric_for_commuting_inputs():
         rho = np.diag(a / a.sum()).astype(complex)
         sig = np.diag(b / b.sum()).astype(complex)
         assert linalg.fidelity(rho, sig) == pytest.approx(
-            linalg.fidelity(sig, rho), abs=linalg.ATOL_FIDELITY)
+            linalg.fidelity(sig, rho), abs=ATOL_FIDELITY)
 
 
 def test_fidelity_rejects_invalid_density_matrix():

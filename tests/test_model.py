@@ -9,6 +9,8 @@ from qutrit_ks import linalg
 from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model,
                              dump_model, exact_operator)
 
+from helpers import random_density_matrix
+
 PROJECTORS = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
 OBSERVABLES = {i: linalg.IDENTITY - 2 * p for i, p in PROJECTORS.items()}
 
@@ -91,7 +93,7 @@ def test_state_independence_1000_states(model):
     rng = np.random.default_rng(2024)
     op = exact_operator(model.chi13).astype(float)
     for _ in range(1000):
-        rho = linalg.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         assert np.trace(rho @ op).real == pytest.approx(83 / 3, abs=1e-9)
 
 

@@ -140,6 +140,8 @@ def test_noise_model_validation():
         simulate.NoiseModel(eps_dark_to_bright=1.5)
     with pytest.raises(ValueError):
         simulate.NoiseModel(threshold=0)
+    with pytest.raises(ValueError, match="sum to less than 1"):
+        simulate.NoiseModel(eps_dark_to_bright=0.6, eps_bright_to_dark=0.5)
     paper = simulate.NoiseModel.paper()
     assert paper.eps_dark_to_bright == 0.010
     assert paper.eps_bright_to_dark == 0.021
@@ -160,7 +162,7 @@ def test_build_plan_structure(model, settings):
 
 def test_detect_dark_state_ideal():
     rng = np.random.default_rng(0)
-    rho = linalg.pure_state_dm([0, 0, 1])
+    rho = linalg.projector_from_ray([0, 0, 1])
     for _ in range(20):
         readout, collapsed, true = detect(
             rho, simulate.NoiseModel.ideal(), rng)
@@ -180,7 +182,7 @@ def test_detect_flip_rates():
 
 def test_detect_collapse_correctness():
     rng = np.random.default_rng(2)
-    rho = linalg.pure_state_dm([1, 1, 1])
+    rho = linalg.projector_from_ray([1, 1, 1])
     for _ in range(50):
         _, collapsed, true = detect(rho, simulate.NoiseModel.ideal(), rng)
         if true == "dark":
@@ -465,11 +467,36 @@ def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
     assert simulate.counts_to_csv(tables) == simulate.counts_to_csv(fresh)
 
 
+def _plan_effects(plan, settings, noise):
+    """The cached effects `expected_laws` reads for this plan and noise."""
+    return simulate._plan_effects(
+        tuple(settings), tuple((sub.setting_id, sub.chain) for sub in plan),
+        simulate.readout_rates(noise))
+
+
+def test_plan_effects_share_an_entry_across_mapping_orders(model, settings):
+    """Settings equal in content are equal and hash the same whatever the
+    insertion order of their mappings, so they read one cached entry."""
+    reordered = [dataclasses.replace(s, mapping=dict(reversed(s.mapping.items())))
+                 for s in settings]
+    assert [list(s.mapping) for s in reordered] != [list(s.mapping) for s in settings]
+    assert reordered == settings
+    assert [hash(s) for s in reordered] == [hash(s) for s in settings]
+    plan = simulate.build_plan(model, settings)
+    roster = simulate.default_state_roster()
+    noise = simulate.NoiseModel.paper()
+    simulate._plan_effects.cache_clear()
+    laws = simulate.expected_laws(roster, plan, settings, noise)
+    assert simulate.expected_laws(roster, plan, reordered, noise) == laws
+    info = simulate._plan_effects.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_cached_plan_effects_are_read_only(model, settings):
     plan = simulate.build_plan(model, settings, shots=1000)
     noise = simulate.NoiseModel.paper()
-    symbols, stack = simulate._compiled_plan(plan, settings, noise)
-    assert simulate._compiled_plan(plan, settings, noise)[1] is stack
+    symbols, stack = _plan_effects(plan, settings, noise)
+    assert _plan_effects(plan, settings_table(), noise)[1] is stack
     assert stack.shape == (13 * 2 + 24 * 3, 3, 3)
     assert [len(s) for s in symbols] == [len(sub.chain) + 1 for sub in plan]
     with pytest.raises(ValueError, match="read-only"):
@@ -525,8 +552,8 @@ def test_outcome_law_matches_branch_reference(model, settings, by_id, noise):
 def test_plan_effects_form_a_povm(model, settings, noise):
     """The effects `run_roster` compiles for each plan entry sum to the
     identity and are positive."""
-    symbols, stack = simulate._compiled_plan(simulate.build_plan(model, settings),
-                                             settings, noise)
+    symbols, stack = _plan_effects(simulate.build_plan(model, settings),
+                                   settings, noise)
     start = 0
     for syms in symbols:
         effs = stack[start:start + len(syms)]

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qutrit_ks import linalg, simulate, tomography as tg
-from qutrit_ks.pulses import r2_matrix
+from qutrit_ks.pulses import Pulse, compile_setting, r1_matrix, r2_matrix
+
+from helpers import random_density_matrix
+
+ROUND_TRIP_TOL = 1e-9  # reconstruction error of exact probabilities
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +27,14 @@ def test_base_five_settings_are_rank_deficient():
     assert np.linalg.matrix_rank(tg.response_matrix(base), tol=tg.RANK_TOL) < 9
 
 
+def test_two_pulse_settings_run_the_channel_2_pulse_first(settings):
+    half = np.pi / 2
+    for s, phi in zip(settings[5:], (0.0, half)):
+        assert s.mapping == {}
+        assert np.array_equal(compile_setting(s),
+                              r1_matrix(half, phi) @ r2_matrix(half, 0.0))
+
+
 def test_identity_setting_yields_diagonal(settings):
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
     probs = tg.exact_probabilities(rho, settings)
@@ -30,9 +44,9 @@ def test_identity_setting_yields_diagonal(settings):
 def test_exact_round_trip_100_states(settings):
     rng = np.random.default_rng(13)
     for _ in range(100):
-        rho = linalg.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         res = tg.reconstruct(tg.exact_probabilities(rho, settings), settings, rho)
-        assert linalg.frobenius_distance(res.rho, rho) < tg.ROUND_TRIP_TOL
+        assert linalg.frobenius_distance(res.rho, rho) < ROUND_TRIP_TOL
         assert res.residual < 1e-10
 
 
@@ -114,14 +128,29 @@ def test_reconstruct_builds_the_response_once_per_settings_list(settings,
     for state in states:
         tg.reconstruct(tg.exact_probabilities(state.rho, settings), settings)
     assert calls == [len(settings)]
-    # a setting that keeps its id but turns its unitary is a new list
-    turned = [*settings[:-1], tg.TomographySetting(
-        settings[-1].id, settings[-1].unitary @ r2_matrix(0.3, 0.0))]
+    # a setting that keeps its id but starts with one more pulse is a new list
+    last = settings[-1]
+    turned = [*settings[:-1],
+              dataclasses.replace(last, pulses=(Pulse(2, 0.3, 0.0), *last.pulses))]
     for state in states[:3]:
         res = tg.reconstruct(tg.exact_probabilities(state.rho, turned), turned,
                              state.rho)
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert calls == [len(settings)] * 2
+
+
+def test_equal_settings_lists_share_one_subrun_entry():
+    """Settings hash by content, so two fresh `tomography_settings()` lists
+    read one cached sub-run stack."""
+    tg._subrun_dark.cache_clear()
+    tg._checked_response.cache_clear()
+    first, second = tg.tomography_settings(), tg.tomography_settings()
+    assert first == second and first[0] is not second[0]
+    rho = np.eye(3, dtype=complex) / 3
+    assert np.array_equal(tg.exact_probabilities(rho, first)["T6"],
+                          tg.exact_probabilities(rho, second)["T6"])
+    info = tg._subrun_dark.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
@@ -173,6 +202,6 @@ def test_subrun_effects_form_a_povm(settings, noise):
 def test_ideal_subrun_k_projects_onto_rotated_basis_state(settings):
     dark = tg.subrun_effects(settings, tg.IDEAL_RATES)["D"]
     for i, s in enumerate(settings):
-        for k, row in enumerate(s.unitary):
+        for k, row in enumerate(compile_setting(s)):
             assert np.allclose(dark[3 * i + k], np.outer(row.conj(), row),
                                atol=1e-12)
