@@ -7,6 +7,7 @@ from .simulate import (NoiseModel, build_plan, default_state_roster, expected_la
                        run_roster)
 from .analysis import (ConfusionModel, assemble_chi4, assemble_chi13,
                        estimates_from_counts, significance)
-from .tomography import reconstruct, simulate_tomography, tomography_settings
+from .tomography import (reconstruct, run_tomography, simulate_tomography,
+                         tomography_settings)
 
 __version__ = "0.1.0"

@@ -147,14 +147,6 @@ class StateResult:
     significance4: float
 
 
-def _tomography(state: simulate.StateSpec, settings: list[pulses.MeasurementSetting],
-                noise: simulate.NoiseModel, cfg: RunConfig) -> tomography.ReconstructionResult:
-    """Simulated tomography of one state on its own stream, reconstructed."""
-    rng = simulate.derive_rng(cfg.master_seed, state.label, "tomography")
-    probs = tomography.simulate_tomography(state, settings, noise, cfg.shots, rng)
-    return tomography.reconstruct(probs, settings, state.rho)
-
-
 def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResult]]:
     """Execute the full plan for the configured roster; pure computation."""
     settings = pulses.settings_table()
@@ -163,19 +155,21 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
     noise = _noise_from_config(cfg)
     confusion = analysis.confusion_for(noise)
     tables = simulate.run_roster(roster, plan, settings, noise, cfg.master_seed)
+    if cfg.with_tomography:
+        fids = [res.fidelity_to_target for res in tomography.run_tomography(
+            roster, tomography.tomography_settings(), noise, cfg.shots,
+            cfg.master_seed)]
+    else:
+        fids = [linalg.fidelity(simulate.prepare(state, noise), state.rho)
+                for state in roster]
 
-    tomo_settings = tomography.tomography_settings() if cfg.with_tomography else None
     results = []
-    for state in roster:
+    for state, fid in zip(roster, fids):
         est = analysis.estimates_from_counts(tables[state.label], confusion)
         chi13 = analysis.assemble_chi13(est.singles, est.pairs, model)
         chi13_raw = analysis.assemble_chi13(est.singles_raw, est.pairs_raw, model)
         chi4 = analysis.assemble_chi4(est.singles)
         chi4_raw = analysis.assemble_chi4(est.singles_raw)
-        if tomo_settings is not None:
-            fid = _tomography(state, tomo_settings, noise, cfg).fidelity_to_target
-        else:
-            fid = linalg.fidelity(simulate.prepare(state, noise), state.rho)
         results.append(StateResult(
             state.label, fid, chi13_raw, chi13, chi4_raw, chi4,
             analysis.significance(chi13, model.chi13.classical_bound),
@@ -297,8 +291,8 @@ def cmd_tomography(args) -> int:
     out = Path(cfg.out_dir)
     lines = ["state,fidelity,residual,projected"]
     files, fids = {}, []
-    for state in roster:
-        res = _tomography(state, settings, noise, cfg)
+    for state, res in zip(roster, tomography.run_tomography(
+            roster, settings, noise, cfg.shots, cfg.master_seed)):
         fids.append(res.fidelity_to_target)
         lines.append(f"{state.label},{res.fidelity_to_target:.6f},"
                      f"{res.residual:.6g},{int(res.projected)}")

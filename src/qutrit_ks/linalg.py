@@ -2,6 +2,8 @@
 
 All values are plain numpy arrays (complex128); functions are pure and every
 tolerance used anywhere in the package is a named constant here.
+`hermitian_eig` and `fidelities` also take stacks of matrices, and give each
+matrix of a stack the bits a call on that matrix alone gives.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ def projector_from_ray(v) -> np.ndarray:
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian 3x3 matrix.
+    """Eigendecomposition of a Hermitian 3x3 matrix, or of each matrix of a
+    stack; LAPACK decomposes each matrix on its own, so a matrix's result
+    does not depend on the rest of the stack.
 
     Returns (eigenvalues descending, eigenvectors as columns).
     """
@@ -53,8 +57,21 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(m, atol=ATOL_DM_HERMITIAN):
         raise ValueError("hermitian_eig: input is not Hermitian")
     w, u = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return w[order].astype(float), u[:, order]
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return (np.take_along_axis(w, order, -1).astype(float),
+            np.take_along_axis(u, order[..., None, :], -1))
+
+
+def _check_density_matrices(rho: np.ndarray) -> None:
+    """Hermiticity, unit trace and positivity of a 3x3 matrix or of every
+    matrix of a stack."""
+    if not is_hermitian(rho, atol=ATOL_DM_HERMITIAN):
+        raise ValueError("density matrix is not Hermitian")
+    if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > ATOL_DM_TRACE:
+        raise ValueError("density matrix trace differs from 1")
+    w = np.linalg.eigvalsh(rho).min()
+    if float(w) < EIGVAL_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -62,32 +79,37 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError("density matrix must be 3x3")
-    if not is_hermitian(rho, atol=ATOL_DM_HERMITIAN):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(float(np.trace(rho).real) - 1.0) > ATOL_DM_TRACE:
-        raise ValueError("density matrix trace differs from 1")
-    w = np.linalg.eigvalsh(rho)
-    if float(w.min()) < EIGVAL_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+    _check_density_matrices(rho)
     return rho
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a positive semidefinite matrix or of each of a stack."""
     w, u = hermitian_eig(m)
     # zero out eigenvalues at roundoff scale: sqrt would amplify them to 1e-8
-    w = np.where(w > 1e-12 * max(float(w[0]), 1e-300), w, 0.0)
-    return (u * np.sqrt(w)) @ adjoint(u)
+    w = np.where(w > 1e-12 * np.maximum(w[..., :1], 1e-300), w, 0.0)
+    return (u * np.sqrt(w)[..., None, :]) @ adjoint(u)
 
 
-def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr |sqrt(rho) sqrt(sigma)|)^2, in [0, 1].
+def fidelities(rhos: np.ndarray, targets: np.ndarray) -> list[float]:
+    """Uhlmann fidelity (Tr |sqrt(rho) sqrt(sigma)|)^2, in [0, 1], of each
+    state of the stack `rhos` to the target at the same index.
 
     Computed through the nuclear norm of sqrt(rho) sqrt(sigma); unlike the
     symmetric-product form this keeps full precision when either state is
-    (near-)pure, so the pure-target overlap identity holds to 1e-10.
+    (near-)pure, so the pure-target overlap identity holds to 1e-10. The
+    square roots, products and singular values are stacked calls; each
+    pair's sum and square are taken on its own, as for a single pair.
     """
-    rho = validate_density_matrix(rho)
-    target = validate_density_matrix(target)
-    sv = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(target), compute_uv=False)
-    f = float(np.sum(sv) ** 2)
-    return min(max(f, 0.0), 1.0)
+    rhos, targets = (np.asarray(m, dtype=complex) for m in (rhos, targets))
+    if rhos.ndim != 3 or rhos.shape[1:] != (3, 3) or targets.shape != rhos.shape:
+        raise ValueError("fidelities need one 3x3 target per 3x3 state")
+    _check_density_matrices(rhos)
+    _check_density_matrices(targets)
+    sv = np.linalg.svd(_psd_sqrt(rhos) @ _psd_sqrt(targets), compute_uv=False)
+    return [min(max(float(np.sum(s) ** 2), 0.0), 1.0) for s in sv]
+
+
+def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
+    """Uhlmann fidelity of one state to one target; see `fidelities`."""
+    return fidelities([rho], [target])[0]

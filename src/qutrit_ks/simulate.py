@@ -102,6 +102,16 @@ class NoiseModel:
             raise ValueError("flip rates must sum to less than 1")
         if self.threshold < 1:
             raise ValueError("photon threshold must be >= 1")
+        if self.mode == "photon-count":
+            if not all(0.0 <= lam < math.inf
+                       for lam in (self.lambda_bright, self.lambda_dark)):
+                raise ValueError("photon rates must be finite and non-negative")
+            r_d, r_b = readout_rates(self)
+            # The correction divides by the visibility r_d - r_b, formed as
+            # `analysis.confusion_for` forms it.
+            if (1.0 - r_d) + r_b >= 1.0:
+                raise ValueError("photon-count readout must read dark more often "
+                                 "from a dark than from a bright ion (r_d > r_b)")
 
     @staticmethod
     def ideal() -> "NoiseModel":
@@ -312,7 +322,7 @@ def run_subexperiment(law: dict[str, float], sub: SubExperiment, seed_key: str,
     (for a two-outcome law, the binomial draw `binomial(shots, P(D))`) from
     the stream `derive_rng` keys by `seed_key`, onto which `rng` is re-keyed."""
     counts = _rekey(rng, seed_key).multinomial(sub.shots, list(law.values()))
-    return CountTable(sub, {s: int(n) for s, n in zip(law, counts)}, seed_key)
+    return CountTable(sub, dict(zip(law, counts.tolist())), seed_key)
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
@@ -324,9 +334,10 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
     sub-experiment, serves the call and never leaves it."""
     laws = expected_laws(roster, plan, settings, noise)
     rng = derive_rng(master_seed)
+    keys = [sub.key for sub in plan]
     return {
-        label: [run_subexperiment(law, sub, f"{master_seed}/{label}/{sub.key}", rng)
-                for sub, law in zip(plan, state_laws)]
+        label: [run_subexperiment(law, sub, f"{master_seed}/{label}/{key}", rng)
+                for sub, key, law in zip(plan, keys, state_laws)]
         for label, state_laws in laws.items()
     }
 

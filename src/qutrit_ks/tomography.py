@@ -10,6 +10,16 @@ state to the dark state |3>: one detection of `simulate.effects`, under
 ideal rates for the response map. Settings hash by content, so a process
 builds the sub-run effects of each distinct (settings, readout rates) once
 (`_subrun_dark`), and every state of a run reads one stack.
+
+A run reconstructs its whole roster in one stacked pass (`run_tomography`).
+Each state keeps what would make its result depend on the others if shared:
+its own stream `simulate.derive_rng(seed, label, "tomography")`, its own
+contraction with the sub-run stack, one binomial draw of all its sub-runs
+and its own least-squares solve. The detection-error correction, the basis
+sum, the projection and the fidelities run on the stack, in operations whose
+result for one state has the bits of a one-state call, so a state's
+reconstruction does not depend on the rest of the roster.
+`simulate_tomography` and `reconstruct` are the one-state case.
 """
 
 from __future__ import annotations
@@ -21,11 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .analysis import confusion_for, correct_ml, estimate_probability
+from .analysis import confusion_for
 from .pulses import MeasurementSetting, Pulse, compile_setting
-from .simulate import SWAP, NoiseModel, StateSpec, effects, prepare, readout_rates
+from .simulate import (SWAP, NoiseModel, StateSpec, derive_rng, effects, prepare,
+                       readout_rates)
 
 RANK_TOL = 1e-9
+# Weighted trace constraint keeps the unit-trace direction well determined.
+TRACE_ROW = np.array([[1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0]])
 IDEAL_RATES = readout_rates(NoiseModel.ideal())
 
 
@@ -71,10 +84,12 @@ def _subrun_dark(settings: tuple[MeasurementSetting, ...],
 
 
 def _dark_probabilities(rho: np.ndarray, settings: list[MeasurementSetting],
-                        rates: tuple[float, float]) -> dict[str, np.ndarray]:
-    """P(read dark) = Tr(rho E_D) of the three sub-runs of each setting."""
+                        rates: tuple[float, float]) -> np.ndarray:
+    """P(read dark) = Tr(rho E_D) of the three sub-runs of each setting, in
+    settings order, clipped to [0, 1]. One state per contraction: a stacked
+    contraction sums in another order and changes the last bits of a law."""
     p = np.einsum("ij,kji->k", rho, _subrun_dark(tuple(settings), rates)).real
-    return dict(zip((s.id for s in settings), np.clip(p, 0.0, 1.0).reshape(-1, 3)))
+    return np.clip(p, 0.0, 1.0)
 
 
 def response_matrix(settings: list[MeasurementSetting]) -> np.ndarray:
@@ -96,10 +111,26 @@ def tomography_settings() -> list[MeasurementSetting]:
     return settings
 
 
-def exact_probabilities(rho: np.ndarray,
-                        settings: list[MeasurementSetting]) -> dict[str, np.ndarray]:
-    return _dark_probabilities(linalg.validate_density_matrix(rho), settings,
-                               IDEAL_RATES)
+def _frequencies(states: list[StateSpec], settings: list[MeasurementSetting],
+                 noise: NoiseModel, shots: int,
+                 rngs: list[np.random.Generator]) -> np.ndarray:
+    """Corrected dark frequencies, one row per state, one column per sub-run.
+
+    Each state draws the dark counts of all its sub-runs in one binomial call
+    on its own generator, which consumes the stream as one draw per sub-run
+    would; `analysis.confusion_for` of the noise model corrects the stack.
+    """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    rates = readout_rates(noise)
+    counts = [rng.binomial(shots, _dark_probabilities(prepare(state, noise),
+                                                      settings, rates)).tolist()
+              for state, rng in zip(states, rngs)]
+    # Python division rounds n / shots once, whatever the size of shots.
+    q = np.array([[n / shots for n in row] for row in counts])
+    confusion = confusion_for(noise)
+    return np.clip((q - confusion.eps_bright_to_dark) / confusion.visibility,
+                   0.0, 1.0)
 
 
 def simulate_tomography(state: StateSpec, settings: list[MeasurementSetting],
@@ -110,13 +141,8 @@ def simulate_tomography(state: StateSpec, settings: list[MeasurementSetting],
     Each sub-run's dark count is one binomial draw from its exact law,
     corrected with `analysis.confusion_for` of the noise model.
     """
-    confusion = confusion_for(noise)
-    tables = {}
-    for sid, p_dark in _dark_probabilities(prepare(state, noise), settings,
-                                           readout_rates(noise)).items():
-        ests = [estimate_probability(int(rng.binomial(shots, p)), shots) for p in p_dark]
-        tables[sid] = np.array([correct_ml(e, confusion).value for e in ests])
-    return tables
+    [row] = _frequencies([state], settings, noise, shots, [rng])
+    return dict(zip((s.id for s in settings), row.reshape(-1, 3)))
 
 
 @dataclass
@@ -139,29 +165,54 @@ def _checked_response(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
     return a
 
 
+def _reconstruct(b: np.ndarray, settings: list[MeasurementSetting],
+                 targets: list[np.ndarray] | None) -> list[ReconstructionResult]:
+    """`reconstruct` of each row of the stack `b` (sub-run frequencies in
+    settings order), with fidelities to `targets` when given."""
+    a = _checked_response(tuple(settings))
+    a_full = np.vstack([a, TRACE_ROW])
+    # One solve per state: one solve with several right-hand sides gives
+    # most solutions other last bits than solving each alone.
+    x = np.empty((len(b), 9))
+    residuals = []
+    for k, row in enumerate(b):
+        x[k] = np.linalg.lstsq(a_full, np.append(row, 1.0), rcond=None)[0]
+        residuals.append(float(np.linalg.norm(a @ x[k] - row)))
+    # Generators added one at a time from 0, which fixes the signs of zeros.
+    rho = sum(x[:, k, None, None] * g for k, g in enumerate(_BASIS9))
+
+    w, u = linalg.hermitian_eig(rho)
+    projected = w.min(axis=-1) < 0.0
+    w = np.clip(w, 0.0, None)
+    w = w / w.sum(axis=-1, keepdims=True)
+    rho = (u * w[:, None, :]) @ linalg.adjoint(u)
+    rho = (rho + linalg.adjoint(rho)) / 2
+    fids = [None] * len(b) if targets is None else linalg.fidelities(rho, targets)
+    return [ReconstructionResult(r, f, res, proj) for r, f, res, proj
+            in zip(rho, fids, residuals, projected.tolist())]
+
+
 def reconstruct(tables: dict[str, np.ndarray],
                 settings: list[MeasurementSetting],
                 target: np.ndarray | None = None) -> ReconstructionResult:
     """Least-squares linear inversion followed by projection to the physical
     set (eigenvalue clipping and trace renormalization)."""
-    a = _checked_response(tuple(settings))
     b = np.concatenate([tables[s.id] for s in settings])
-    # Weighted trace constraint keeps the unit-trace direction well determined.
-    trace_row = np.array([[1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0]])
-    a_full = np.vstack([a, trace_row])
-    b_full = np.concatenate([b, [1.0]])
-    x, *_ = np.linalg.lstsq(a_full, b_full, rcond=None)
-    rho = sum(c * g for c, g in zip(x, _BASIS9))
-    residual = float(np.linalg.norm(a @ x - b))
+    [res] = _reconstruct(b[None], settings, None if target is None else [target])
+    return res
 
-    w, u = linalg.hermitian_eig(rho)
-    projected = bool(w.min() < 0.0)
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    rho = (u * w) @ linalg.adjoint(u)
-    rho = (rho + linalg.adjoint(rho)) / 2
-    fid = linalg.fidelity(rho, target) if target is not None else None
-    return ReconstructionResult(rho, fid, residual, projected)
+
+def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
+                   noise: NoiseModel, shots: int,
+                   master_seed: int) -> list[ReconstructionResult]:
+    """Simulated tomography of every state of `roster`, each on its own
+    stream `derive_rng(master_seed, label, "tomography")`, reconstructed in
+    one stacked pass and compared with the state's target `rho`; equal, field
+    for field, to `reconstruct(simulate_tomography(...), settings, rho)` of
+    each state alone."""
+    rngs = [derive_rng(master_seed, state.label, "tomography") for state in roster]
+    freqs = _frequencies(roster, settings, noise, shots, rngs)
+    return _reconstruct(freqs, settings, [state.rho for state in roster])
 
 
 def format_density_matrix(rho: np.ndarray) -> str:

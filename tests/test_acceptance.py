@@ -12,7 +12,7 @@ from qutrit_ks.model import CHI4, build_model, exact_operator
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
-from helpers import random_density_matrix
+from helpers import exact_probabilities, random_density_matrix
 
 QUANTUM_CHI13 = 83 / 3
 QUANTUM_CHI4 = 4 / 3
@@ -154,7 +154,7 @@ def test_criterion_09_tomography():
     t0 = time.perf_counter()
     worst_exact = max(
         linalg.frobenius_distance(
-            tg.reconstruct(tg.exact_probabilities(rho, settings),
+            tg.reconstruct(exact_probabilities(rho, settings),
                            settings, rho).rho, rho)
         for rho in (random_density_matrix(rng) for _ in range(100)))
     noise = simulate.NoiseModel.paper()

@@ -1,10 +1,50 @@
 import dataclasses
+from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
 from qutrit_ks import hv
-from qutrit_ks.model import RAYS, build_model
+from qutrit_ks.model import PM1, RAYS, ZO, KSModel, build_model
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """One hidden-variable assignment: a value per ray in one alphabet."""
+
+    values: tuple[int, ...]
+    alphabet: str  # PM1 or ZO
+
+    def __post_init__(self):
+        if len(self.values) != 13:
+            raise ValueError("assignment needs 13 values")
+        allowed = {-1, 1} if self.alphabet == PM1 else {0, 1}
+        if not set(self.values) <= allowed:
+            raise ValueError(f"values do not match alphabet {self.alphabet}")
+
+
+def evaluate_assignment(f: Assignment, model: KSModel) -> int:
+    """Scalar reference for `hv.enumerate_bound`: the value of the model's
+    inequality in the assignment's alphabet, the weighted 13-observable chi13
+    for +-1, chi4 for 0/1."""
+    by_alphabet = {ineq.alphabet: ineq for ineq in model.inequalities}
+    if f.alphabet not in by_alphabet:
+        raise ValueError(f"unknown alphabet {f.alphabet!r}")
+    return sum(c * prod(f.values[r - 1] for r in rays)
+               for rays, c in by_alphabet[f.alphabet].terms.items())
+
+
+def admissible(g: tuple[int, ...], model: KSModel) -> bool:
+    """Scalar reference for the 0/1 rules: the product rule on every edge and
+    the sum rule on every triangle."""
+    for i, j in model.edges:
+        if g[i - 1] * g[j - 1] != 0:
+            return False
+    for i, j, k in model.triangles:
+        if g[i - 1] + g[j - 1] + g[k - 1] != 1:
+            return False
+    return True
 
 
 def report_to_text(name: str, report: hv.BoundReport) -> str:
@@ -50,9 +90,9 @@ def test_chi13_argmax_count_regression(chi13_report):
 
 
 def test_all_plus_one_value(model):
-    f = hv.Assignment((1,) * 13, hv.PM1)
+    f = Assignment((1,) * 13, PM1)
     # sum(mu_i) = 17, sum(mu_ij) = 39, sum(mu_ijk) = 9 -> 17 - 39 - 9
-    assert hv.evaluate_assignment(f, model) == -31
+    assert evaluate_assignment(f, model) == -31
 
 
 def test_chi4_bound_is_1(chi4_report):
@@ -68,23 +108,23 @@ def test_chi4_admissible_count_regression(chi4_report):
 def test_product_rule_rejects_shared_edge(model):
     g = [0] * 13
     g[0] = g[1] = 1  # edge (1, 2)
-    assert not hv._admissible(tuple(g), model)
+    assert not admissible(tuple(g), model)
 
 
 def test_chi4_functional_trivia(model):
-    assert hv.evaluate_assignment(hv.Assignment((0,) * 13, hv.ZO), model) == 0
+    assert evaluate_assignment(Assignment((0,) * 13, ZO), model) == 0
     g = [0] * 13
     g[2] = 1
-    assert hv.evaluate_assignment(hv.Assignment(tuple(g), hv.ZO), model) == 0
+    assert evaluate_assignment(Assignment(tuple(g), ZO), model) == 0
 
 
 def test_alphabet_validation():
     with pytest.raises(ValueError):
-        hv.Assignment((0,) * 13, hv.PM1)
+        Assignment((0,) * 13, PM1)
     with pytest.raises(ValueError):
-        hv.Assignment((2,) * 13, hv.ZO)
+        Assignment((2,) * 13, ZO)
     with pytest.raises(ValueError):
-        hv.Assignment((1,) * 12, hv.PM1)
+        Assignment((1,) * 12, PM1)
 
 
 def test_quantum_violation_gap(chi13_report):
@@ -96,11 +136,11 @@ def test_admissible_chi4_assignments_respect_chi13_bound(model):
     the +-1 bound."""
     count = 0
     for g in product((0, 1), repeat=13):
-        if not hv._admissible(g, model):
+        if not admissible(g, model):
             continue
         count += 1
         f = tuple(1 - 2 * v for v in g)
-        assert hv.evaluate_assignment(hv.Assignment(f, hv.PM1), model) <= 25
+        assert evaluate_assignment(Assignment(f, PM1), model) <= 25
     assert count == 24
 
 
@@ -120,7 +160,7 @@ def test_dropping_triple_products_keeps_bound(model):
     best = None
     for g in product((0, 1), repeat=13):
         f = tuple(1 - 2 * v for v in g)
-        val = hv.evaluate_assignment(hv.Assignment(f, hv.PM1), model)
+        val = evaluate_assignment(Assignment(f, PM1), model)
         val -= 8 * sum(mu * g[i - 1] * g[j - 1] * g[k - 1]
                        for (i, j, k), mu in model.mu_ijk.items())
         best = val if best is None else max(best, val)
@@ -137,20 +177,20 @@ def _scalar_histogram(model, alphabet):
     """Histogram of the scalar reference over all 8192 assignments."""
     hist = {}
     for g in product((0, 1), repeat=13):
-        if alphabet == hv.ZO and not hv._admissible(g, model):
+        if alphabet == ZO and not admissible(g, model):
             continue
-        values = g if alphabet == hv.ZO else tuple(1 - 2 * v for v in g)
-        val = hv.evaluate_assignment(hv.Assignment(values, alphabet), model)
+        values = g if alphabet == ZO else tuple(1 - 2 * v for v in g)
+        val = evaluate_assignment(Assignment(values, alphabet), model)
         hist[val] = hist.get(val, 0) + 1
     return dict(sorted(hist.items()))
 
 
 def test_vectorized_chi13_matches_scalar_reference(model, chi13_report):
-    assert chi13_report.histogram == _scalar_histogram(model, hv.PM1)
+    assert chi13_report.histogram == _scalar_histogram(model, PM1)
 
 
 def test_vectorized_chi4_matches_scalar_reference(model, chi4_report):
-    assert chi4_report.histogram == _scalar_histogram(model, hv.ZO)
+    assert chi4_report.histogram == _scalar_histogram(model, ZO)
 
 
 def test_uncolorable_rules_report_no_maximum(model):

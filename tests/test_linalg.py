@@ -122,6 +122,18 @@ def test_fidelity_rejects_invalid_density_matrix():
         linalg.fidelity(bad, linalg.IDENTITY / 3)
 
 
+def test_fidelities_of_a_stack_equal_one_pair_calls():
+    rng = np.random.default_rng(29)
+    rhos = [random_density_matrix(rng) for _ in range(6)]
+    targets = [random_density_matrix(rng) for _ in range(6)]
+    assert linalg.fidelities(rhos, targets) == [
+        linalg.fidelity(r, t) for r, t in zip(rhos, targets)]
+    with pytest.raises(ValueError, match="one 3x3 target per 3x3 state"):
+        linalg.fidelities(rhos, targets[:1])
+    with pytest.raises(ValueError, match="one 3x3 target per 3x3 state"):
+        linalg.fidelity(np.eye(2) / 2, np.eye(2) / 2)
+
+
 def test_mat_helpers():
     assert np.trace(linalg.IDENTITY).real == 3
     m = np.arange(9).reshape(3, 3) + 1j

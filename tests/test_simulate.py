@@ -142,6 +142,26 @@ def test_noise_model_validation():
         simulate.NoiseModel(threshold=0)
     with pytest.raises(ValueError, match="sum to less than 1"):
         simulate.NoiseModel(eps_dark_to_bright=0.6, eps_bright_to_dark=0.5)
+
+
+@pytest.mark.parametrize("rates", [
+    {"lambda_bright": -1.0}, {"lambda_dark": -0.5},
+    {"lambda_bright": float("nan")}, {"lambda_bright": float("inf")},
+])
+def test_photon_count_model_rejects_bad_photon_rates(rates):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        simulate.NoiseModel(mode="photon-count", **rates)
+
+
+@pytest.mark.parametrize("rates", [
+    {"lambda_dark": 10.0},  # r_d = r_b
+    {"lambda_dark": 12.0},  # r_d < r_b
+    {"lambda_dark": 0.0, "lambda_bright": 0.0},  # both always dark
+])
+def test_photon_count_model_rejects_readout_that_cannot_tell_dark(rates):
+    """Caught when the model is built, not at its first correction."""
+    with pytest.raises(ValueError, match="r_d > r_b"):
+        simulate.NoiseModel(mode="photon-count", **rates)
     paper = simulate.NoiseModel.paper()
     assert paper.eps_dark_to_bright == 0.010
     assert paper.eps_bright_to_dark == 0.021

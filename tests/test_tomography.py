@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg, simulate, tomography as tg
+from qutrit_ks import analysis, linalg, simulate, tomography as tg
 from qutrit_ks.pulses import Pulse, compile_setting, r1_matrix, r2_matrix
 
-from helpers import random_density_matrix
+from helpers import exact_probabilities, random_density_matrix
 
 ROUND_TRIP_TOL = 1e-9  # reconstruction error of exact probabilities
 
@@ -37,7 +37,7 @@ def test_two_pulse_settings_run_the_channel_2_pulse_first(settings):
 
 def test_identity_setting_yields_diagonal(settings):
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    probs = tg.exact_probabilities(rho, settings)
+    probs = exact_probabilities(rho, settings)
     assert np.allclose(probs["T1"], [0.5, 0.3, 0.2])
 
 
@@ -45,7 +45,7 @@ def test_exact_round_trip_100_states(settings):
     rng = np.random.default_rng(13)
     for _ in range(100):
         rho = random_density_matrix(rng)
-        res = tg.reconstruct(tg.exact_probabilities(rho, settings), settings, rho)
+        res = tg.reconstruct(exact_probabilities(rho, settings), settings, rho)
         assert linalg.frobenius_distance(res.rho, rho) < ROUND_TRIP_TOL
         assert res.residual < 1e-10
 
@@ -126,14 +126,14 @@ def test_reconstruct_builds_the_response_once_per_settings_list(settings,
     tg._checked_response.cache_clear()
     states = simulate.default_state_roster()
     for state in states:
-        tg.reconstruct(tg.exact_probabilities(state.rho, settings), settings)
+        tg.reconstruct(exact_probabilities(state.rho, settings), settings)
     assert calls == [len(settings)]
     # a setting that keeps its id but starts with one more pulse is a new list
     last = settings[-1]
     turned = [*settings[:-1],
               dataclasses.replace(last, pulses=(Pulse(2, 0.3, 0.0), *last.pulses))]
     for state in states[:3]:
-        res = tg.reconstruct(tg.exact_probabilities(state.rho, turned), turned,
+        res = tg.reconstruct(exact_probabilities(state.rho, turned), turned,
                              state.rho)
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert calls == [len(settings)] * 2
@@ -147,8 +147,8 @@ def test_equal_settings_lists_share_one_subrun_entry():
     first, second = tg.tomography_settings(), tg.tomography_settings()
     assert first == second and first[0] is not second[0]
     rho = np.eye(3, dtype=complex) / 3
-    assert np.array_equal(tg.exact_probabilities(rho, first)["T6"],
-                          tg.exact_probabilities(rho, second)["T6"])
+    assert np.array_equal(exact_probabilities(rho, first)["T6"],
+                          exact_probabilities(rho, second)["T6"])
     info = tg._subrun_dark.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
@@ -172,8 +172,78 @@ def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
         rng = simulate.derive_rng(5, state.label, "tomography")
         tables = tg.simulate_tomography(state, settings, noise, 10_000, rng)
         tg.reconstruct(tables, settings, state.rho)
-        tg.exact_probabilities(state.rho, settings)
+        exact_probabilities(state.rho, settings)
     assert built == [simulate.readout_rates(noise), tg.IDEAL_RATES]
+
+
+STACK_NOISES = {
+    "ideal": simulate.NoiseModel.ideal(),
+    "paper": simulate.NoiseModel.paper(),
+    "photon-count": simulate.NoiseModel(mode="photon-count"),
+    "flip-harsh": simulate.NoiseModel(eps_dark_to_bright=0.2, eps_bright_to_dark=0.3,
+                                      prep_depolarization=0.1),
+}
+
+
+def _descending_eigh(m):
+    w, u = np.linalg.eigh(m)
+    order = np.argsort(w)[::-1]
+    return w[order], u[:, order]
+
+
+def _reference_fidelity(rho, target):
+    def psd_sqrt(m):
+        w, u = _descending_eigh(m)
+        w = np.where(w > 1e-12 * max(float(w[0]), 1e-300), w, 0.0)
+        return (u * np.sqrt(w)) @ linalg.adjoint(u)
+    sv = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(target), compute_uv=False)
+    return min(max(float(np.sum(sv) ** 2), 0.0), 1.0)
+
+
+def _reference_tomography(state, settings, noise, shots, rng):
+    """One state at a time, one scalar binomial draw and one `Estimate` per
+    sub-run: the tomography the stacked pass replaced, step for step."""
+    confusion = analysis.confusion_for(noise)
+    dark = tg.subrun_effects(settings, simulate.readout_rates(noise))["D"]
+    p = np.einsum("ij,kji->k", simulate.prepare(state, noise), dark).real
+    b = np.array([analysis.correct_ml(analysis.estimate_probability(
+        int(rng.binomial(shots, pk)), shots), confusion).value
+        for pk in np.clip(p, 0.0, 1.0)])
+    a = tg.response_matrix(settings)
+    x = np.linalg.lstsq(np.vstack([a, tg.TRACE_ROW]), np.append(b, 1.0),
+                        rcond=None)[0]
+    rho = sum(c * g for c, g in zip(x, tg._BASIS9))
+    w, u = _descending_eigh(rho)
+    projected = bool(w.min() < 0.0)
+    w = np.clip(w, 0.0, None)
+    rho = (u * (w / w.sum())) @ linalg.adjoint(u)
+    rho = (rho + linalg.adjoint(rho)) / 2
+    return tg.ReconstructionResult(rho, _reference_fidelity(rho, state.rho),
+                                   float(np.linalg.norm(a @ x - b)), projected)
+
+
+def _bits(res):
+    return (res.rho.tobytes(), repr(res.fidelity_to_target), repr(res.residual),
+            res.projected)
+
+
+@pytest.mark.parametrize("shots", [100, 10_000, 1_000_000])
+@pytest.mark.parametrize("noise", STACK_NOISES.values(), ids=STACK_NOISES.keys())
+def test_run_tomography_equals_one_state_calls(settings, noise, shots):
+    """A state's reconstruction does not depend on the rest of the roster:
+    the stacked pass equals, bit for bit, each state's one-state calls and
+    the per-state reference."""
+    roster = simulate.default_state_roster()
+    stacked = tg.run_tomography(roster, settings, noise, shots, 7)
+    assert len(stacked) == len(roster)
+    for state, res in zip(roster, stacked):
+        def rng():
+            return simulate.derive_rng(7, state.label, "tomography")
+        alone = tg.reconstruct(tg.simulate_tomography(state, settings, noise,
+                                                      shots, rng()),
+                               settings, state.rho)
+        reference = _reference_tomography(state, settings, noise, shots, rng())
+        assert _bits(res) == _bits(alone) == _bits(reference), state.label
 
 
 def test_format_density_matrix():
