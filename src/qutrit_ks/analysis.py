@@ -16,8 +16,8 @@ of the second observable to pin down the misread component. Pairs are not
 clipped: orthogonal rays have joint probability 0, so a clip at 0 would bias
 every edge the same way.
 
-Inequality values come from `assemble`, which reads the coefficients of each
-single and pair probability off the inequality's spec (`coefficients`).
+`estimates_from_counts` pools each ray over its contexts in one pass, in exact
+Python ints; `assemble` walks the cached expansion of the spec (`coefficients`).
 """
 
 from __future__ import annotations
@@ -130,27 +130,26 @@ def estimates_from_counts(tables, confusion: ConfusionModel | None) -> StateEsti
     estimates; no measured data is discarded.
     """
     confusion = confusion or ConfusionModel(0.0, 0.0)
-    pooled: dict[int, list[int]] = {}  # ray -> [dark, total]
-    pair_counts: dict[tuple[int, int], dict[str, int]] = {}
+    dark_of, shots_of = {}, {}  # ray -> dark count, shots pooled over its contexts
+    pair_counts = []
     for t in tables:
-        chain = t.subexperiment.chain
+        counts, chain = t.counts, t.subexperiment.chain
         if len(chain) == 1:
-            dark = t.counts["D"]
+            dark, bright = counts["D"], counts["B"]
         else:
-            pair_counts[chain] = t.counts
-            dark = t.counts["DB"] + t.counts["DD"]
-        acc = pooled.setdefault(chain[0], [0, 0])
-        acc[0] += dark
-        acc[1] += t.shots
-    singles_raw = {
-        i: estimate_probability(dark, total) for i, (dark, total) in pooled.items()
-    }
-    singles = {i: correct_ml(e, confusion) for i, e in singles_raw.items()}
+            dark, bright = counts["DB"] + counts["DD"], counts["B"]
+            pair_counts.append((chain, counts, dark + bright))
+        ray = chain[0]
+        dark_of[ray] = dark_of.get(ray, 0) + dark
+        shots_of[ray] = shots_of.get(ray, 0) + dark + bright
+    singles_raw, singles = {}, {}
+    for ray, dark in dark_of.items():
+        raw = singles_raw[ray] = estimate_probability(dark, shots_of[ray])
+        singles[ray] = correct_ml(raw, confusion)
 
-    pairs_raw: dict[tuple[int, int], Estimate] = {}
-    pairs: dict[tuple[int, int], Estimate] = {}
-    for (i, j), counts in pair_counts.items():
-        pairs_raw[(i, j)] = estimate_probability(counts["DD"], sum(counts.values()))
+    pairs_raw, pairs = {}, {}
+    for (i, j), counts, shots in pair_counts:
+        pairs_raw[(i, j)] = estimate_probability(counts["DD"], shots)
         if j not in singles:
             raise ValueError(f"missing single estimate for ray v{j}")
         pairs[(i, j)] = correct_pair_ml(counts, confusion, singles[j])
@@ -199,8 +198,8 @@ def assemble(ineq: Inequality, singles: dict[int, Estimate],
     photon-count readout with r_b = 0.092, and 1.05-1.11 times with flip
     rates 0.2 / 0.3.
     """
-    value, var, used = 0, 0.0, []
-    for rays, coef in coefficients(ineq).items():
+    value, var, corrected = 0, 0.0, False
+    for rays, coef in _expansion(ineq.alphabet, tuple(ineq.terms.items())):
         if not rays:
             value += coef
             continue
@@ -211,8 +210,8 @@ def assemble(ineq: Inequality, singles: dict[int, Estimate],
                 else f"pair estimate for edge {rays}"))
         value += coef * est.value
         var += (coef * est.stderr) ** 2
-        used.append(est)
-    return Estimate(value, math.sqrt(var), corrected=any(e.corrected for e in used))
+        corrected = corrected or est.corrected
+    return Estimate(value, math.sqrt(var), corrected)
 
 
 def assemble_chi13(singles: dict[int, Estimate],

@@ -100,14 +100,15 @@ def run_verification(report_lines: list[str]) -> bool:
         check(f"classical bound {ineq.name} = {ineq.classical_bound}",
               r.maximum == ineq.classical_bound, f"max {r.maximum}, {detail}")
 
+    settings = pulses.settings_table()
     try:
-        reports = pulses.verify_all_settings()
+        reports = pulses.verify_all_settings(settings)
         worst = max(d for r in reports for _, _, d in r.deficits)
         check("all 16 setting mappings", True, f"worst deficit {worst:.2e}")
     except ValueError as exc:
         check("all 16 setting mappings", False, str(exc))
 
-    covered = pulses.covered_pairs(pulses.settings_table())
+    covered = pulses.covered_pairs(settings)
     check("settings cover all 24 edges", covered == set(model.edges))
     return ok
 

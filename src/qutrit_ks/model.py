@@ -2,8 +2,8 @@
 
 Rays are stored as signed integers and never pre-normalized; orthogonality is
 decided in exact integer arithmetic, so the graph carries no floating-point
-ambiguity. Triangles are discovered by clique search over the constructed
-edge set rather than hard-coded.
+ambiguity. Triangles are found as the common neighbours of each edge's
+ends in the constructed edge set rather than hard-coded.
 
 Each inequality is one `Inequality` record read by enumeration, the exact
 quantum operator, analysis and the CLI; another weighting is a data change.
@@ -95,14 +95,16 @@ def _integer_edges() -> frozenset[tuple[int, int]]:
                      if sum(a * b for a, b in zip(RAYS[i], RAYS[j])) == 0)
 
 
-def _cliques3(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, int]]:
-    return frozenset(t for t in combinations(RAYS, 3)
-                     if all(e in edges for e in combinations(t, 2)))
+def _triangles(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, int]]:
+    """Each triangle (i, j, k), i < j < k, as edge (i, j) and a common
+    neighbour k > j of its two ends."""
+    above = {r: {b for a, b in edges if a == r} for r in RAYS}  # higher neighbours
+    return frozenset((i, j, k) for i, j in edges for k in above[i] & above[j])
 
 
 def build_model() -> KSModel:
     edges = _integer_edges()
-    triangles = _cliques3(edges)
+    triangles = _triangles(edges)
 
     triangle_edges = {e for t in WEIGHTED_TRIANGLES for e in combinations(t, 2)}
     mu_i = {i: (1 if i <= 9 else 2) for i in RAYS}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -151,8 +152,8 @@ def verify_mapping(setting: MeasurementSetting) -> MappingReport:
     return MappingReport(setting.id, deficits)
 
 
-def verify_all_settings(settings: list[MeasurementSetting] | None = None) -> list[MappingReport]:
-    reports = [verify_mapping(s) for s in (settings or settings_table())]
+def verify_all_settings(settings: list[MeasurementSetting]) -> list[MappingReport]:
+    reports = [verify_mapping(s) for s in settings]
     for r in reports:
         if not r.ok:
             worst = max(r.deficits, key=lambda d: d[2])
@@ -165,13 +166,8 @@ def verify_all_settings(settings: list[MeasurementSetting] | None = None) -> lis
 
 def covered_pairs(settings: list[MeasurementSetting]) -> set[tuple[int, int]]:
     """All unordered ray pairs co-mapped within a single setting."""
-    pairs = set()
-    for s in settings:
-        rays = sorted(s.mapping.values())
-        for i, a in enumerate(rays):
-            for b in rays[i + 1:]:
-                pairs.add((a, b))
-    return pairs
+    return {pair for s in settings
+            for pair in combinations(sorted(s.mapping.values()), 2)}
 
 
 def format_schedule(setting: MeasurementSetting) -> str:

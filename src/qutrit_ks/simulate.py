@@ -19,8 +19,9 @@ prepared states with that stack in one Tr(rho E).
 Shots are i.i.d., so each sub-experiment makes a single multinomial draw
 from its law (`run_subexperiment`), and cost does not grow with the shot
 count. Each (seed, state, sub-experiment) draws from its own keyed Philox
-stream (`derive_rng`), so counts do not depend on execution order.
-`numpy.random` is loaded on first use, not at import.
+stream (`derive_rng`), so counts do not depend on execution order. A run
+re-keys one generator for each draw (`_rekey`, from Python ints), and each
+sub-experiment formats its key once. `numpy.random` is loaded on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,8 @@ class StateSpec:
 
     @staticmethod
     def pure(label: str, amplitudes) -> "StateSpec":
-        return StateSpec(label, linalg.projector_from_ray(amplitudes))
+        return StateSpec(label, linalg.validate_density_matrix(
+            linalg.projector_from_ray(amplitudes)))
 
     @staticmethod
     def mixed(label: str, rho) -> "StateSpec":
@@ -59,10 +62,16 @@ class StateSpec:
 
 def default_state_roster() -> list[StateSpec]:
     """Twelve initial states: basis states, ray-aligned and generic
-    superpositions, and three mixed states."""
+    superpositions, and three mixed states; a fresh list on each call."""
+    return list(_default_states())
+
+
+@functools.cache
+def _default_states() -> tuple[StateSpec, ...]:
+    """The default states, built and validated once per process; `rho` is read-only."""
     s2 = math.sqrt(2)
     psi7 = np.array([1, 1, s2]) / 2
-    roster = [
+    states = (
         StateSpec.pure("psi1", [1, 0, 0]),
         StateSpec.pure("psi2", [0, 1, 0]),
         StateSpec.pure("psi3", [0, 0, 1]),
@@ -75,10 +84,10 @@ def default_state_roster() -> list[StateSpec]:
         StateSpec.mixed("rho10", linalg.IDENTITY / 3),
         StateSpec.mixed("rho11", np.diag([0.5, 0.5, 0.0])),
         StateSpec.mixed("rho12", 0.8 * np.outer(psi7, psi7.conj()) + 0.2 * np.eye(3) / 3),
-    ]
-    for spec in roster:
-        linalg.validate_density_matrix(spec.rho)
-    return roster
+    )
+    for spec in states:
+        spec.rho.flags.writeable = False
+    return states
 
 
 @dataclass(frozen=True)
@@ -128,8 +137,8 @@ class SubExperiment:
     chain: tuple[int, ...]  # 1 ray (single) or 2 rays (sequential pair)
     shots: int = 10_000
 
-    @property
-    def key(self) -> str:
+    @functools.cached_property
+    def key(self) -> str:  # formatted once per sub-experiment
         return f"{'single' if len(self.chain) == 1 else 'pair'}:" \
                f"{'-'.join(f'{r:02d}' for r in self.chain)}:{self.setting_id}"
 
@@ -152,19 +161,15 @@ def build_plan(model: KSModel, settings: list[MeasurementSetting],
 
     Returns 13 + 24 = 37 sub-experiments; total realizations = 37 * shots.
     """
-    by_id = {s.id: s for s in settings}
-    order = [s.id for s in settings]
-
     plan: list[SubExperiment] = []
     for ray in range(1, 14):
-        sid = next((i for i in order if ray in by_id[i].mapping.values()), None)
+        sid = next((s.id for s in settings if ray in s.mapping.values()), None)
         if sid is None:
             raise ValueError(f"no setting maps ray v{ray}")
         plan.append(SubExperiment(sid, (ray,), shots))
     for edge in sorted(model.edges):
-        sid = next(
-            (i for i in order
-             if set(edge) <= set(by_id[i].mapping.values())), None)
+        sid = next((s.id for s in settings
+                    if set(edge) <= set(s.mapping.values())), None)
         if sid is None:
             raise ValueError(f"no setting covers edge {edge}")
         plan.append(SubExperiment(sid, edge, shots))
@@ -177,15 +182,13 @@ def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
     sha256("seed/label/..."), read as two little-endian uint64 words. Each
     key is its own stream, so draws do not depend on the order in which
     sub-experiments execute."""
-    return np.random.Generator(np.random.Philox(
-        key=_philox_key("/".join([str(master_seed), *parts]))))
+    key = _philox_key("/".join([str(master_seed), *parts]))
+    # numpy reads a tuple of one word below 2**63 and one above as float64.
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def _philox_key(name: str) -> np.ndarray:
-    return np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], dtype="<u8")
-
-
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+def _philox_key(name: str) -> tuple[int, int]:
+    return struct.unpack_from("<2Q", hashlib.sha256(name.encode()).digest())
 
 
 def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
@@ -193,8 +196,8 @@ def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
     its Philox bit generator at counter 0, with an empty output buffer."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": _philox_key(name)},
-        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        "state": {"counter": (0, 0, 0, 0), "key": _philox_key(name)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
 
@@ -334,10 +337,9 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
     sub-experiment, serves the call and never leaves it."""
     laws = expected_laws(roster, plan, settings, noise)
     rng = derive_rng(master_seed)
-    keys = [sub.key for sub in plan]
     return {
-        label: [run_subexperiment(law, sub, f"{master_seed}/{label}/{key}", rng)
-                for sub, key, law in zip(plan, keys, state_laws)]
+        label: [run_subexperiment(law, sub, f"{master_seed}/{label}/{sub.key}", rng)
+                for sub, law in zip(plan, state_laws)]
         for label, state_laws in laws.items()
     }
 

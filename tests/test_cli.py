@@ -178,6 +178,36 @@ def test_oversized_shots_is_config_error(tmp_path, capsys, command):
     assert cli.RunConfig(shots=2 ** 63 - 1).shots == cli.MAX_SHOTS
 
 
+def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
+    """At 2**63 - 1 shots every table still sums to its shots, and each
+    pooled single, whose totals exceed int64, is Python's exact dark / total."""
+    argv = ["--shots", str(cli.MAX_SHOTS), "--states", "psi7", "rho10"]
+    out = tmp_path / "run"
+    assert cli.main(["simulate", *argv, "--out-dir", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    text = (out / "counts.csv").read_text()
+    totals, dark, pooled = {}, {}, {}
+    for row in text.splitlines()[1:]:
+        state, _, chain, symbol, count, _ = row.split(",")
+        totals[state, chain] = totals.get((state, chain), 0) + int(count)
+        first = (state, int(chain.split("-")[0]))
+        pooled[first] = pooled.get(first, 0) + int(count)
+        if symbol in ("D", "DB", "DD"):
+            dark[first] = dark.get(first, 0) + int(count)
+    assert len(totals) == 2 * 37
+    assert set(totals.values()) == {cli.MAX_SHOTS}
+    assert max(pooled.values()) > 2 ** 63
+
+    model = cli.build_model()
+    cfg = cli.RunConfig(shots=cli.MAX_SHOTS, states=("psi7", "rho10"))
+    tables, _ = cli.run_simulation(cfg, model)
+    assert cli.simulate.counts_to_csv(tables) == text
+    for label in ("psi7", "rho10"):
+        singles = cli.analysis.estimates_from_counts(tables[label], None).singles_raw
+        assert {ray: e.value for ray, e in singles.items()} == {
+            ray: dark[label, ray] / pooled[label, ray] for ray in range(1, 14)}
+
+
 def _results(out):
     return {r.label: r for r in cli.results_from_csv((out / "results.csv").read_text())}
 

@@ -1,11 +1,12 @@
 import dataclasses
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg
+from qutrit_ks import linalg, model as model_module
 from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model,
                              dump_model, exact_operator)
 
@@ -162,3 +163,36 @@ def test_operator_of_empty_inequality_is_zero():
                                    quantum_value=Fraction(0)))
     assert op.shape == (3, 3)
     assert all(isinstance(x, Fraction) and x == 0 for x in op.flat)
+
+
+def all_triples_triangles(edges):
+    """Reference: every triple of rays whose three pairs are all edges."""
+    return frozenset(t for t in combinations(RAYS, 3)
+                     if all(e in edges for e in combinations(t, 2)))
+
+
+def test_triangles_match_the_all_triples_search(model):
+    assert model.triangles == all_triples_triangles(model.edges)
+    assert all(type(r) is int for e in model.edges for r in e)
+    assert all(type(r) is int for t in model.triangles for r in t)
+    assert model == build_model()
+    rng = np.random.default_rng(13)
+    pairs = list(combinations(RAYS, 2))
+    for density in (0.2, 0.5, 0.8):
+        for _ in range(20):
+            edges = frozenset(p for p, keep in zip(pairs, rng.random(len(pairs)) < density)
+                              if keep)
+            assert model_module._triangles(edges) == all_triples_triangles(edges)
+
+
+def test_build_model_does_not_search_all_triples(monkeypatch):
+    sizes = []
+
+    def recording(items, r):
+        sizes.append(r)
+        return combinations(items, r)
+
+    monkeypatch.setattr(model_module, "combinations", recording)
+    built = build_model()
+    assert sizes and 3 not in sizes
+    assert built.triangles == all_triples_triangles(built.edges)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -582,3 +583,89 @@ def test_plan_effects_form_a_povm(model, settings, noise):
         assert np.linalg.eigvalsh(effs).min() >= -1e-12
     assert start == len(stack)
 
+
+def test_rekey_reproduces_derive_rng_streams():
+    """A generator re-keyed by `_rekey`, whatever it drew before, is the
+    `derive_rng` stream of the name: counter 0, empty buffer, the key words
+    of sha256 read little-endian (top bit set included), and equal 2- and
+    3-outcome multinomial draws."""
+    rng = simulate.derive_rng(0)
+    top_bit = 0
+    for n in range(1000):
+        parts = (f"psi{n % 12 + 1}", f"pair:{n % 13 + 1:02d}-10:M{n % 16 + 1}")
+        name = "/".join([str(n), *parts])
+        key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+        top_bit += int(key.max() >= 2 ** 63)
+        rng.integers(2 ** 32, dtype=np.uint32)  # leave a half-used word behind
+        assert rng.bit_generator.state["has_uint32"] == 1
+        state = simulate._rekey(rng, name).bit_generator.state
+        assert [int(w) for w in state["state"]["key"]] == key.tolist()
+        assert [int(w) for w in state["state"]["counter"]] == [0, 0, 0, 0]
+        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+        fresh = simulate.derive_rng(n, *parts)
+        assert fresh.bit_generator.state["state"]["key"].tolist() == key.tolist()
+        for law in ([0.3, 0.7], [0.2, 0.5, 0.3]):
+            assert rng.multinomial(n + 1, law).tolist() == \
+                fresh.multinomial(n + 1, law).tolist()
+    assert top_bit > 500
+
+
+def test_default_roster_is_built_once_and_read_only(monkeypatch):
+    first, second = simulate.default_state_roster(), simulate.default_state_roster()
+    assert first is not second
+    assert [s.label for s in first] == [s.label for s in second]
+    assert all(np.array_equal(a.rho, b.rho) for a, b in zip(first, second))
+    second.pop()
+    assert len(simulate.default_state_roster()) == 12
+    for spec in first:
+        with pytest.raises(ValueError, match="read-only"):
+            spec.rho[0, 0] = 0.5
+    # Once built, a roster costs no validation; building it validates each
+    # state once.
+    calls = []
+    original = linalg.validate_density_matrix
+    monkeypatch.setattr(linalg, "validate_density_matrix",
+                        lambda rho: calls.append(1) or original(rho))
+    simulate.default_state_roster()
+    assert calls == []
+    simulate._default_states.__wrapped__()
+    assert len(calls) == 12
+
+
+def test_run_roster_builds_one_generator_per_call(model, settings, monkeypatch):
+    """However many states and entries, a run constructs one Philox bit
+    generator; every other stream is a re-key of it."""
+    built = []
+    original = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    plan = simulate.build_plan(model, settings, shots=100)
+    roster = simulate.default_state_roster()
+    for states in (roster[:1], roster):
+        built.clear()
+        simulate.run_roster(states, plan, settings, simulate.NoiseModel.paper(), 3)
+        assert len(built) == 1
+
+
+def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
+    formatted = []
+    original = simulate.SubExperiment.key
+
+    def counting(sub):
+        formatted.append(sub)
+        return original.func(sub)
+
+    key = functools.cached_property(counting)
+    key.__set_name__(simulate.SubExperiment, "key")
+    monkeypatch.setattr(simulate.SubExperiment, "key", key)
+    plan = simulate.build_plan(model, settings, shots=100)
+    roster = simulate.default_state_roster()
+    for seed in (1, 2):
+        tables = simulate.run_roster(roster, plan, settings, NOISE_CONFIGS["paper"], seed)
+    assert formatted == plan
+    assert [t.seed_key for t in tables["psi1"]] == [f"2/psi1/{sub.key}" for sub in plan]
+    assert plan[13].key == "pair:01-02:M1"
