@@ -5,8 +5,7 @@ from .hv import max_chi4_constrained, max_chi13_noncontextual
 from .pulses import settings_table, verify_all_settings
 from .simulate import (NoiseModel, build_plan, default_state_roster, expected_laws,
                        run_roster)
-from .analysis import (ConfusionModel, assemble_chi4, assemble_chi13,
-                       estimates_from_counts, significance)
+from .analysis import ConfusionModel, estimate, frequencies, significance
 from .tomography import (reconstruct, run_tomography, simulate_tomography,
                          tomography_settings)
 

@@ -164,13 +164,13 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
         fids = [linalg.fidelity(simulate.prepare(state, noise), state.rho)
                 for state in roster]
 
+    raw = analysis.ConfusionModel(0.0, 0.0)
     results = []
     for state, fid in zip(roster, fids):
-        est = analysis.estimates_from_counts(tables[state.label], confusion)
-        chi13 = analysis.assemble_chi13(est.singles, est.pairs, model)
-        chi13_raw = analysis.assemble_chi13(est.singles_raw, est.pairs_raw, model)
-        chi4 = analysis.assemble_chi4(est.singles)
-        chi4_raw = analysis.assemble_chi4(est.singles_raw)
+        freqs = analysis.frequencies(tables[state.label])
+        chi13_raw, chi13, chi4_raw, chi4 = (
+            analysis.estimate(ineq, freqs, c)
+            for ineq in (model.chi13, CHI4) for c in (raw, confusion))
         results.append(StateResult(
             state.label, fid, chi13_raw, chi13, chi4_raw, chi4,
             analysis.significance(chi13, model.chi13.classical_bound),

@@ -34,14 +34,15 @@ def _report(name, ok, detail=""):
 
 
 def _state_results(tabs, model, confusion):
+    raw = analysis.ConfusionModel(0.0, 0.0)
+    confusion = confusion or raw
     results = {}
     for label, tables in tabs.items():
-        est = analysis.estimates_from_counts(tables, confusion)
+        freqs = analysis.frequencies(tables)
         results[label] = {
-            "chi13": analysis.assemble_chi13(est.singles, est.pairs, model),
-            "chi13_raw": analysis.assemble_chi13(est.singles_raw,
-                                                 est.pairs_raw, model),
-            "chi4": analysis.assemble_chi4(est.singles),
+            "chi13": analysis.estimate(model.chi13, freqs, confusion),
+            "chi13_raw": analysis.estimate(model.chi13, freqs, raw),
+            "chi4": analysis.estimate(CHI4, freqs, confusion),
         }
     return results
 

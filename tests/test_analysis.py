@@ -1,12 +1,17 @@
 import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qutrit_ks import analysis, linalg, simulate
-from qutrit_ks.model import CHI4, RAYS, build_model
+from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model
 from qutrit_ks.pulses import settings_table
 
 from helpers import random_density_matrix
+
+IDENTITY = analysis.ConfusionModel(0.0, 0.0)
+PAPER = analysis.ConfusionModel(0.010, 0.021)
 
 
 @pytest.fixture(scope="module")
@@ -14,28 +19,62 @@ def model():
     return build_model()
 
 
-def exact_estimates(model, rho):
-    singles = {i: analysis.Estimate(
-        float(np.trace(rho @ linalg.projector_from_ray(RAYS[i])).real), 1e-6)
-        for i in range(1, 14)}
-    pairs = {e: analysis.Estimate(0.0, 1e-6) for e in model.edges}
-    return singles, pairs
+@pytest.fixture(scope="module")
+def layout(model):
+    """Each table's chain and count total for the default plan."""
+    return tuple((sub.chain, sub.shots)
+                 for sub in simulate.build_plan(model, settings_table()))
+
+
+def exact_f(layout, single, pair):
+    """The frequency vector of noiseless tables that read P(V_i = 1) =
+    single(i) and P(V_i = 1 and V_j = 1) = pair(i, j) exactly; with array
+    arguments, one column per input."""
+    f = []
+    for chain, _ in layout:
+        p = single(chain[0])
+        if len(chain) == 1:
+            f += [p, 1 - p]
+        else:
+            x = pair(*chain)
+            f += [1 - p, p - x, x]
+    return np.array(f)
+
+
+def exact_estimate(ineq, layout, single, pair=lambda i, j: 0.0):
+    return analysis.estimate(
+        ineq, analysis.Frequencies(layout, exact_f(layout, single, pair)), IDENTITY)
+
+
+def probability(*rays):
+    """The inequality whose value is P(V_r = 1 for every r in rays)."""
+    return Inequality("p", ZO, {rays: 1}, classical_bound=1,
+                      quantum_value=Fraction(1))
+
+
+def tables_of(*chains_counts):
+    """Count tables (chain, counts); the setting id and key do not matter."""
+    return [simulate.CountTable(simulate.SubExperiment("M1", chain), counts, "t")
+            for chain, counts in chains_counts]
+
+
+def single_estimate(dark, shots, confusion, ray=10):
+    tables = tables_of(((ray,), {"D": dark, "B": shots - dark}))
+    return analysis.estimate(probability(ray), analysis.frequencies(tables), confusion)
 
 
 def test_estimate_probability():
-    e = analysis.estimate_probability(5000, 10_000)
+    """A raw single is its dark fraction with the exact binomial stderr,
+    which is 0 at a boundary; a table with no counts is rejected."""
+    e = single_estimate(5000, 10_000, IDENTITY)
     assert e.value == 0.5
     assert e.stderr == pytest.approx(0.005)
-    zero = analysis.estimate_probability(0, 10_000)
-    assert zero.value == 0.0
-    assert zero.stderr == pytest.approx(3e-4)
-    full = analysis.estimate_probability(10_000, 10_000)
-    assert full.value == 1.0
-    assert full.stderr == pytest.approx(3e-4)
-    with pytest.raises(ValueError):
-        analysis.estimate_probability(1, 0)
-    with pytest.raises(ValueError):
-        analysis.estimate_probability(11, 10)
+    zero = single_estimate(0, 10_000, IDENTITY)
+    assert (zero.value, zero.stderr) == (0.0, 0.0)
+    full = single_estimate(10_000, 10_000, IDENTITY)
+    assert (full.value, full.stderr) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="no counts"):
+        single_estimate(0, 0, IDENTITY)
 
 
 def test_confusion_invertibility():
@@ -44,139 +83,132 @@ def test_confusion_invertibility():
 
 
 def test_correct_ml_examples():
-    conf = analysis.ConfusionModel(0.010, 0.021)
-    raw = analysis.Estimate(0.5, 0.005)
-    corr = analysis.correct_ml(raw, conf)
+    corr = single_estimate(5000, 10_000, PAPER)
     assert corr.value == pytest.approx(0.479 / 0.969, abs=1e-9)
     assert corr.stderr == pytest.approx(0.005 / 0.969)
-    assert corr.corrected
 
-    low = analysis.correct_ml(analysis.Estimate(0.010, 0.001), conf)
-    assert low.value == 0.0  # clipped below the bright floor
+    # Below the bright floor the corrected value is negative: no clip.
+    low = single_estimate(100, 10_000, PAPER)
+    assert low.value == pytest.approx((0.010 - 0.021) / 0.969, abs=1e-12)
     assert low.stderr > 0.0
 
-    identity = analysis.ConfusionModel(0.0, 0.0)
-    same = analysis.correct_ml(raw, identity)
-    assert same.value == raw.value
+    assert single_estimate(5000, 10_000, IDENTITY).value == 0.5
 
 
 def test_correct_ml_monotone():
-    conf = analysis.ConfusionModel(0.010, 0.021)
-    values = [analysis.correct_ml(
-        analysis.Estimate(q, 0.01), conf).value
-        for q in np.linspace(0.03, 0.97, 30)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
+    values = [single_estimate(int(d), 10_000, PAPER).value
+              for d in np.linspace(300, 9700, 30)]
+    assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def pair_estimate(counts, n, dark_j, confusion, i=4, j=7):
+    """The corrected pair (i, j) from its B/DB/DD counts and a single table
+    of ray j with `dark_j` of n dark."""
+    tables = tables_of(((i, j), counts), ((j,), {"D": dark_j, "B": n - dark_j}))
+    return analysis.estimate(probability(i, j), analysis.frequencies(tables),
+                             confusion)
+
+
+def forward_pair(p1, p2d, c, n=10_000_000, eps_d=0.010, eps_b=0.021):
+    """Counts of a pair whose first ray is dark with probability p1, whose
+    second is then dark with p2d (first dark) or c (first bright), read with
+    flip rates eps, and the dark count of the second ray's single."""
+    q1 = p1 * (1 - eps_d) + (1 - p1) * eps_b
+    w = p1 * (1 - eps_d) / q1
+    qc = eps_b + (1 - eps_d - eps_b) * (w * p2d + (1 - w) * c)
+    counts = {"B": round(n * (1 - q1)), "DD": round(n * q1 * qc)}
+    counts["DB"] = n - counts["B"] - counts["DD"]
+    s_j = p1 * p2d + (1 - p1) * c
+    return counts, round(n * (eps_b + (1 - eps_d - eps_b) * s_j))
 
 
 def test_correct_pair_ml_noiseless_identity():
-    conf = analysis.ConfusionModel(0.0, 0.0)
-    counts = {"B": 7000, "DB": 2940, "DD": 60}
-    sj = analysis.Estimate(0.35, 0.005, True)
-    est = analysis.correct_pair_ml(counts, conf, sj)
+    est = pair_estimate({"B": 7000, "DB": 2940, "DD": 60}, 10_000, 3500, IDENTITY)
     assert est.value == pytest.approx(60 / 10_000, abs=1e-12)
 
 
 def test_correct_pair_ml_removes_flip_bias():
     """Forward-model counts with the paper's flip rates invert back to the
     true joint probability (which is zero for compatible projectors)."""
-    eps_d, eps_b = 0.010, 0.021
-    p1, c = 0.3, 0.45  # true first-dark and conditional bright-branch dark
-    n = 10_000_000
-    q1 = p1 * (1 - eps_d) + (1 - p1) * eps_b
-    w = p1 * (1 - eps_d) / q1
-    qc = eps_b + (1 - eps_d - eps_b) * (w * 0.0 + (1 - w) * c)
-    counts = {"B": round(n * (1 - q1)), "DD": round(n * q1 * qc)}
-    counts["DB"] = n - counts["B"] - counts["DD"]
-    s_j = analysis.Estimate(p1 * 0.0 + (1 - p1) * c, 1e-5, True)
-    conf = analysis.ConfusionModel(eps_d, eps_b)
-    est = analysis.correct_pair_ml(counts, conf, s_j)
+    counts, dark_j = forward_pair(0.3, 0.0, 0.45)
+    est = pair_estimate(counts, 10_000_000, dark_j, PAPER)
     assert est.value == pytest.approx(0.0, abs=1e-4)
 
 
 def test_correct_pair_ml_recovers_nonzero_joint():
-    eps_d, eps_b = 0.010, 0.021
-    p1, p2d, c = 0.4, 0.25, 0.5
-    n = 10_000_000
-    q1 = p1 * (1 - eps_d) + (1 - p1) * eps_b
-    w = p1 * (1 - eps_d) / q1
-    qc = eps_b + (1 - eps_d - eps_b) * (w * p2d + (1 - w) * c)
-    counts = {"B": round(n * (1 - q1)), "DD": round(n * q1 * qc)}
-    counts["DB"] = n - counts["B"] - counts["DD"]
-    s_j = analysis.Estimate(p1 * p2d + (1 - p1) * c, 1e-5, True)
-    conf = analysis.ConfusionModel(eps_d, eps_b)
-    est = analysis.correct_pair_ml(counts, conf, s_j)
-    assert est.value == pytest.approx(p1 * p2d, abs=1e-4)
+    counts, dark_j = forward_pair(0.4, 0.25, 0.5)
+    est = pair_estimate(counts, 10_000_000, dark_j, PAPER)
+    assert est.value == pytest.approx(0.4 * 0.25, abs=1e-4)
 
 
-def test_assemble_chi13_exact_inputs(model):
+def test_assemble_chi13_exact_inputs(model, layout):
     rng = np.random.default_rng(31)
     for _ in range(100):
         rho = random_density_matrix(rng)
-        singles, pairs = exact_estimates(model, rho)
-        est = analysis.assemble_chi13(singles, pairs, model)
+        est = exact_estimate(model.chi13, layout, lambda i: float(
+            np.trace(rho @ linalg.projector_from_ray(RAYS[i])).real))
         assert est.value == pytest.approx(83 / 3, abs=1e-9)
 
 
-def test_assemble_chi13_all_zero_limit(model):
-    singles = {i: analysis.Estimate(0.0, 0.0) for i in range(1, 14)}
-    pairs = {e: analysis.Estimate(0.0, 0.0) for e in model.edges}
-    est = analysis.assemble_chi13(singles, pairs, model)
+def test_assemble_chi13_all_zero_limit(model, layout):
     # A_i = 1 everywhere: 17 - 39 - 9, the all-(+1) hidden-variable value
+    est = exact_estimate(model.chi13, layout, lambda i: 0.0)
     assert est.value == pytest.approx(-31.0)
 
 
-def test_assemble_chi13_maximally_mixed_values(model):
-    singles = {i: analysis.Estimate(1 / 3, 0.0) for i in range(1, 14)}
-    pairs = {e: analysis.Estimate(0.0, 0.0) for e in model.edges}
-    est = analysis.assemble_chi13(singles, pairs, model)
+def test_assemble_chi13_maximally_mixed_values(model, layout):
+    est = exact_estimate(model.chi13, layout, lambda i: 1 / 3)
     assert est.value == pytest.approx(83 / 3, abs=1e-12)
 
 
-def test_assemble_chi13_missing_estimate(model):
-    singles = {i: analysis.Estimate(0.0, 0.0) for i in range(1, 13)}
-    pairs = {e: analysis.Estimate(0.0, 0.0) for e in model.edges}
+def test_assemble_chi13_missing_estimate(model, layout):
+    without_v13 = tuple(t for t in layout if t[0] != (13,))
     with pytest.raises(ValueError, match="v13"):
-        analysis.assemble_chi13(singles, pairs, model)
+        exact_estimate(model.chi13, without_v13, lambda i: 0.0)
 
 
-def test_hidden_variable_assignments_bounded(model):
-    """Deterministic 0/1 assignments with product pairs never exceed 25: the
-    coefficients of chi13 evaluated on all 8192 x 13 assignments at once."""
+@pytest.fixture(scope="module")
+def assignments(model, layout):
+    """Every 0/1 assignment of the 13 rays (column r - 1 holds V_r) and the
+    estimator's chi13 on its noiseless tables, pairs the products."""
     index = np.arange(2 ** 13)
-    v = (index[:, None] >> np.arange(13)) & 1  # column r - 1 holds V_r
-    values = np.zeros(index.size, dtype=np.int64)
-    for rays, coef in analysis.coefficients(model.chi13).items():
-        values += coef * np.prod(v[:, [r - 1 for r in rays]], axis=1)
-    assert values.max() <= 25
+    v = (index[:, None] >> np.arange(13)) & 1
+    col = lambda r: v[:, r - 1]  # noqa: E731
+    m = analysis.affine_map(model.chi13, layout, IDENTITY)
+    return v, m.w0 + m.w @ exact_f(layout, col, lambda i, j: col(i) * col(j))
 
 
-def test_dropped_term_is_conservative(model):
-    """Including the non-negative triple term can only raise the value."""
-    rng = np.random.default_rng(77)
-    for _ in range(200):
-        s = rng.random(13)
-        triple = rng.random(4)
-        singles = {i: analysis.Estimate(s[i - 1], 0.0)
-                   for i in range(1, 14)}
-        pairs = {e: analysis.Estimate(rng.random() * 0.2, 0.0)
-                 for e in model.edges}
-        dropped = analysis.assemble_chi13(singles, pairs, model).value
-        bonus = sum(8 * model.mu_ijk[t] * tv
-                    for t, tv in zip(sorted(model.triangles), triple))
-        assert dropped <= dropped + bonus + 1e-12
+def test_hidden_variable_assignments_bounded(assignments):
+    """Deterministic 0/1 assignments with product pairs never exceed 25:
+    the estimator evaluated on all 8192 noiseless runs at once."""
+    _, values = assignments
+    assert values.max() <= 25 + 1e-9
 
 
-def test_assemble_chi4(model):
-    singles = {i: analysis.Estimate(1 / 3, 0.004)
-               for i in range(10, 14)}
-    est = analysis.assemble_chi4(singles)
+def test_dropped_term_is_conservative(model, assignments):
+    """The dropped triple term is never negative: on every assignment the
+    estimator's value is at most chi13 of A = 1 - 2V with the triple terms,
+    and equal where no triangle is all dark."""
+    v, values = assignments
+    a = 1 - 2 * v
+    full = sum(c * np.prod(a[:, [r - 1 for r in rays]], axis=1)
+               for rays, c in model.chi13.terms.items())
+    all_dark = sum(np.prod(v[:, [r - 1 for r in t]], axis=1)
+                   for t in model.triangles)
+    assert np.all(values <= full + 1e-9)
+    assert np.allclose(values[all_dark == 0], full[all_dark == 0], atol=1e-9)
+    assert (all_dark > 0).any()
+
+
+def test_assemble_chi4():
+    third = tables_of(*(((r,), {"D": 3000, "B": 6000}) for r in range(10, 14)))
+    est = analysis.estimate(CHI4, analysis.frequencies(third), IDENTITY)
     assert est.value == pytest.approx(4 / 3)
-    assert est.stderr == pytest.approx(0.008)
-    zeros = {i: analysis.Estimate(0.0, 0.001) for i in range(10, 14)}
-    assert analysis.assemble_chi4(zeros).value == 0.0
+    assert est.stderr == pytest.approx(math.sqrt(4 * (1 / 3) * (2 / 3) / 9000))
+    zeros = tables_of(*(((r,), {"D": 0, "B": 9000}) for r in range(10, 14)))
+    assert analysis.estimate(CHI4, analysis.frequencies(zeros), IDENTITY).value == 0.0
     with pytest.raises(ValueError, match="v10"):
-        analysis.assemble_chi4({11: singles[11], 12: singles[12],
-                                13: singles[13]})
+        analysis.estimate(CHI4, analysis.frequencies(third[1:]), IDENTITY)
 
 
 def test_significance():
@@ -185,8 +217,7 @@ def test_significance():
     assert analysis.significance(analysis.Estimate(25.0, 0.1, True), 25) == 0.0
     assert analysis.significance(analysis.Estimate(1.328, 0.011, True), 1) \
         == pytest.approx(29.8, abs=0.05)
-    with pytest.raises(ValueError):
-        analysis.significance(analysis.Estimate(1.0, 0.0, True), 1)
+    assert math.isnan(analysis.significance(analysis.Estimate(1.0, 0.0, True), 1))
 
 
 NOISE = {
@@ -212,9 +243,9 @@ def test_confusion_for_noise_models():
 
 
 def _corrected(tables, noise, model):
-    est = analysis.estimates_from_counts(tables, analysis.confusion_for(noise))
-    return (analysis.assemble_chi13(est.singles, est.pairs, model),
-            analysis.assemble_chi4(est.singles))
+    freqs, confusion = analysis.frequencies(tables), analysis.confusion_for(noise)
+    return (analysis.estimate(model.chi13, freqs, confusion),
+            analysis.estimate(CHI4, freqs, confusion))
 
 
 def test_correction_inverts_exact_laws(model):
@@ -253,3 +284,85 @@ def test_chi13_pulls_are_calibrated(model):
                 pulls.append((chi13.value - truth) / chi13.stderr)
         mean, sd = np.mean(pulls), np.std(pulls, ddof=1)
         assert abs(mean) < 0.2 and 0.9 <= sd <= 1.1, f"{name}: {mean:+.3f}, {sd:.3f}"
+
+
+def test_stderr_is_the_multinomial_variance(model):
+    """The estimator's variance equals sum_k W_k' Cov_k W_k / n_k, Cov_k =
+    diag(f_k) - f_k f_k' the multinomial covariance of table k, summed
+    table by table in plain Python."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots=2000)
+    noise = NOISE["flip-depolarized"]
+    confusion = analysis.confusion_for(noise)
+    for label, tables in simulate.run_roster(simulate.default_state_roster(), plan,
+                                             settings, noise, 5).items():
+        freqs = analysis.frequencies(tables)
+        for ineq in (model.chi13, CHI4):
+            m = analysis.affine_map(ineq, freqs.layout, confusion)
+            var, start = 0.0, 0
+            for _, n in freqs.layout:
+                stop = start + int(np.sum(m.table == m.table[start]))
+                w, f = m.w[start:stop], freqs.f[start:stop]
+                var += (w @ (np.diag(f) - np.outer(f, f)) @ w) / n
+                start = stop
+            est = analysis.estimate(ineq, freqs, confusion)
+            assert est.stderr == pytest.approx(math.sqrt(var), rel=1e-9), label
+            assert est.value == pytest.approx(m.w0 + m.w @ freqs.f, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(NOISE))
+def test_estimator_operator_is_the_quantum_value(model, name):
+    """w0 I + sum_k W_k E_k, over the plan's effect stack under the same
+    readout, is (83/3) I for chi13 and (4/3) I for chi4: the estimator is
+    unbiased for every state at once, through the compiled settings, the
+    sequential collapse and the correction."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings)
+    layout = tuple((sub.chain, sub.shots) for sub in plan)
+    entries = tuple((sub.setting_id, sub.chain) for sub in plan)
+
+    def operator(ineq, noise_of_map, noise_of_stack):
+        _, stack = simulate._plan_effects(tuple(settings), entries,
+                                          simulate.readout_rates(noise_of_stack))
+        m = analysis.affine_map(ineq, layout, analysis.confusion_for(noise_of_map))
+        return m.w0 * np.identity(3) + np.tensordot(m.w, stack, 1)
+
+    noise = NOISE[name]
+    for ineq in (model.chi13, CHI4):
+        err = abs(operator(ineq, noise, noise)
+                  - float(ineq.quantum_value) * np.identity(3)).max()
+        assert err <= 1e-12, (ineq.name, err)
+    if name == "paper":  # the paper-rate map does not correct harsh readout
+        err = abs(operator(model.chi13, noise, NOISE["photon-count-harsh"])
+                  - float(model.chi13.quantum_value) * np.identity(3)).max()
+        assert err > 1e-3
+
+
+def _pulls(model, noise, labels, seeds):
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots=10_000)
+    roster = [s for s in simulate.default_state_roster() if s.label in labels]
+    truth = float(model.chi13.quantum_value)
+    pulls = []
+    for seed in seeds:
+        for tables in simulate.run_roster(roster, plan, settings, noise, seed).values():
+            chi13, _ = _corrected(tables, noise, model)
+            pulls.append((chi13.value - truth) / chi13.stderr)
+    return np.mean(pulls), np.std(pulls, ddof=1)
+
+
+def test_chi13_stderr_is_calibrated_at_large_flip_rates(model):
+    """With flip rates 0.2 / 0.3 and 0.1 depolarization the pair terms share
+    the singles they correct with, and their DD and first-dark fractions
+    covary; the stderr must carry both (400 seeds x psi1, psi7, rho10)."""
+    mean, sd = _pulls(model, NOISE["flip-depolarized"], ("psi1", "psi7", "rho10"),
+                      range(400))
+    assert abs(sd - 1) < 0.07, f"{mean:+.3f}, {sd:.3f}"
+
+
+def test_chi13_unbiased_for_deterministic_singles(model):
+    """psi1 has singles at exactly 0 and 1, where a clip of the corrected
+    single would bias chi13; under harsh photon-count readout the pull mean
+    over 400 seeds stays near 0."""
+    mean, sd = _pulls(model, NOISE["photon-count-harsh"], ("psi1",), range(400))
+    assert abs(mean) < 0.15, f"{mean:+.3f}, {sd:.3f}"

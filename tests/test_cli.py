@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +110,21 @@ def test_report_from_run(tmp_path, capsys):
     assert (out / "report.dat").exists()
 
 
+def test_one_shot_run_has_nan_significance(tmp_path, capsys):
+    """At one shot every table sees a single outcome, so every stderr is 0:
+    the z-scores are written as nan, and `report` reads the table back."""
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--shots", "1", "--states", "psi1",
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    assert (out / "results.csv").read_text().splitlines()[1].endswith(",nan,nan")
+    [r] = cli.results_from_csv((out / "results.csv").read_text())
+    assert (r.chi13.stderr, r.chi4.stderr) == (0.0, 0.0)
+    assert math.isnan(r.significance13) and math.isnan(r.significance4)
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("psi1 ")
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "nowhere")]) == cli.EXIT_IO
     capsys.readouterr()
@@ -179,8 +196,9 @@ def test_oversized_shots_is_config_error(tmp_path, capsys, command):
 
 
 def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
-    """At 2**63 - 1 shots every table still sums to its shots, and each
-    pooled single, whose totals exceed int64, is Python's exact dark / total."""
+    """At 2**63 - 1 shots every table still sums to its shots, and raw chi4,
+    whose pooled totals exceed int64, is the float of the exact sum of each
+    ray's dark / total."""
     argv = ["--shots", str(cli.MAX_SHOTS), "--states", "psi7", "rho10"]
     out = tmp_path / "run"
     assert cli.main(["simulate", *argv, "--out-dir", str(out)]) == cli.EXIT_OK
@@ -202,10 +220,11 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
     cfg = cli.RunConfig(shots=cli.MAX_SHOTS, states=("psi7", "rho10"))
     tables, _ = cli.run_simulation(cfg, model)
     assert cli.simulate.counts_to_csv(tables) == text
+    raw = cli.analysis.ConfusionModel(0.0, 0.0)
     for label in ("psi7", "rho10"):
-        singles = cli.analysis.estimates_from_counts(tables[label], None).singles_raw
-        assert {ray: e.value for ray, e in singles.items()} == {
-            ray: dark[label, ray] / pooled[label, ray] for ray in range(1, 14)}
+        chi4 = cli.analysis.estimate(cli.CHI4, cli.analysis.frequencies(tables[label]), raw)
+        assert chi4.value == float(sum(Fraction(dark[label, ray], pooled[label, ray])
+                                       for ray in range(10, 14)))
 
 
 def _results(out):

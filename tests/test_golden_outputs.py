@@ -1,9 +1,12 @@
 """Run directories pinned by digest: a refactor of the simulation or the
 tomography path must reproduce every output file byte for byte.
 
-The digests were recorded from the per-state tomography implementation that
-preceded the stacked pass (commit 1b81b2f). A change that means to alter a
-draw or a reconstruction updates them and says why in CHANGES.md.
+The tomography digests were recorded from the per-state tomography
+implementation that preceded the stacked pass (commit 1b81b2f). The simulate
+digests were re-recorded when one affine estimator replaced the per-term
+correction chain: `results.csv` changed (no clip, exact variance) while
+`counts.csv` stayed byte-identical. A change that means to alter a draw, a
+reconstruction or an estimate updates them and says why in CHANGES.md.
 """
 
 import hashlib
@@ -28,21 +31,21 @@ SHOTS = 10_000
 
 DIGESTS = {
     ("simulate", "ideal", 0):
-        "7fe817e6f8b5a89bde76daae98f5f2e7cf38d5036afcc6f4be33b17183ff7f3d",
+        "486d4574e54e8f870ab39a6bbf75cfee5946ee70798aa96cfae6cdfabd640476",
     ("simulate", "ideal", 7):
-        "b0e891403deb657087e5b479a2a70d88afadbda4030e8a56424b34890ef6457e",
+        "5a85e584e343aca9d5daa438315b9035363f591afc6b6d2cd6cc9c6203cb737e",
     ("simulate", "paper", 0):
-        "083975e792a4222acb4c99cb0d2fe230e64d672027ee198ca5d20be8c31187ed",
+        "48193db9a8c9b2b922a8b3991be627bd3a0fcbb687732efbb7c8d2c765546191",
     ("simulate", "paper", 7):
-        "0a0d1b73a29589df0a9d5cb5590f7ffbc7cf050fdcf45e405f32339652780f51",
+        "4789174858d5dbbf9f93634471427466d50683b31c58a98b9507639464c42968",
     ("simulate", "photon-count", 0):
-        "f0c35fb2341728ea116d60f021157fc2ab3c69f03904d3a2775b8a62b70ff725",
+        "fb877b343aaf1753d0dc30d6f07574d0f2a055b1659c0cb0342ccaa414b6fa51",
     ("simulate", "photon-count", 7):
-        "ee8f4c360b405454d7430b6db6cf551611d455352260172ec3a9191471694812",
+        "abc634084433d9c17ae116675d400924e8bd6e5e431b4d8a66442fad0105371e",
     ("simulate", "flip-harsh", 0):
-        "1a1fadcf73f9ab9f91ae79615c611c9e3a4d99b8566f974e9e41e5706d2af5f7",
+        "b91c43dced3194e3da27e81daf39344ddcb2c80121154332caabc1bf00e6a0c4",
     ("simulate", "flip-harsh", 7):
-        "c666c0e218ec1bca9541d38a65169ece630b22a7d72c5fb3a558cc33ba2d913d",
+        "eea210fb73b519cbb42c8ff41a1eefbccf51765b1bd2f1bd71989ee4394b9f84",
     ("tomography", "ideal", 0):
         "8ad0b60a6f0720abff88e7addca508fdfbce8d03110f418fc765d503b813f965",
     ("tomography", "ideal", 7):

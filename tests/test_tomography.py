@@ -201,14 +201,16 @@ def _reference_fidelity(rho, target):
 
 
 def _reference_tomography(state, settings, noise, shots, rng):
-    """One state at a time, one scalar binomial draw and one `Estimate` per
-    sub-run: the tomography the stacked pass replaced, step for step."""
+    """One state at a time, one scalar binomial draw and one clipped
+    correction per sub-run: the tomography the stacked pass replaced, step
+    for step."""
     confusion = analysis.confusion_for(noise)
     dark = tg.subrun_effects(settings, simulate.readout_rates(noise))["D"]
     p = np.einsum("ij,kji->k", simulate.prepare(state, noise), dark).real
-    b = np.array([analysis.correct_ml(analysis.estimate_probability(
-        int(rng.binomial(shots, pk)), shots), confusion).value
-        for pk in np.clip(p, 0.0, 1.0)])
+    r_b, vis = confusion.eps_bright_to_dark, confusion.visibility
+    b = np.array([min(max((int(rng.binomial(shots, pk)) / shots - r_b) / vis,
+                          0.0), 1.0)
+                  for pk in np.clip(p, 0.0, 1.0)])
     a = tg.response_matrix(settings)
     x = np.linalg.lstsq(np.vstack([a, tg.TRACE_ROW]), np.append(b, 1.0),
                         rcond=None)[0]
