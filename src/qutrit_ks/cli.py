@@ -161,8 +161,8 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
             roster, tomography.tomography_settings(), noise, cfg.shots,
             cfg.master_seed)]
     else:
-        fids = [linalg.fidelity(simulate.prepare(state, noise), state.rho)
-                for state in roster]
+        fids = linalg.fidelities([simulate.prepare(state, noise) for state in roster],
+                                 [state.rho for state in roster])
 
     raw = analysis.ConfusionModel(0.0, 0.0)
     results = []
@@ -178,9 +178,12 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
     return tables, results
 
 
+RESULTS_HEADER = ("state,fidelity,chi13_raw,chi13_raw_err,chi13,chi13_err,"
+                  "chi4_raw,chi4_raw_err,chi4,chi4_err,sigma13,sigma4")
+
+
 def results_csv(results: list[StateResult]) -> str:
-    lines = ["state,fidelity,chi13_raw,chi13_raw_err,chi13,chi13_err,"
-             "chi4_raw,chi4_raw_err,chi4,chi4_err,sigma13,sigma4"]
+    lines = [RESULTS_HEADER]
     for r in results:
         lines.append(
             f"{r.label},{r.fidelity:.6f},"
@@ -212,14 +215,20 @@ def results_text(results: list[StateResult],
 
 
 def results_from_csv(text: str) -> list[StateResult]:
-    """Parse `results_csv` output, reading each column by its header name."""
+    """Parse `results_csv` output, reading each column by its header name; a
+    header that lacks any column `results_csv` writes is malformed."""
     def est(row, col):
         return analysis.Estimate(float(row[col]), float(row[col + "_err"]))
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames or []
+    missing = [c for c in RESULTS_HEADER.split(",") if c not in header]
+    if missing:
+        raise ValueError(f"missing columns {', '.join(missing)}")
     return [StateResult(row["state"], float(row["fidelity"]),
                         est(row, "chi13_raw"), est(row, "chi13"),
                         est(row, "chi4_raw"), est(row, "chi4"),
                         float(row["sigma13"]), float(row["sigma4"]))
-            for row in csv.DictReader(io.StringIO(text))]
+            for row in reader]
 
 
 def plot_data(results: list[StateResult],

@@ -2,8 +2,9 @@
 
 All values are plain numpy arrays (complex128); functions are pure and every
 tolerance used anywhere in the package is a named constant here.
-`hermitian_eig` and `fidelities` also take stacks of matrices, and give each
-matrix of a stack the bits a call on that matrix alone gives.
+`hermitian_eig` takes a matrix or a stack of them and `fidelities` a stack
+of pairs; each matrix or pair of a stack gets the bits a call on it alone
+gives.
 """
 
 from __future__ import annotations
@@ -108,8 +109,3 @@ def fidelities(rhos: np.ndarray, targets: np.ndarray) -> list[float]:
     _check_density_matrices(targets)
     sv = np.linalg.svd(_psd_sqrt(rhos) @ _psd_sqrt(targets), compute_uv=False)
     return [min(max(float(np.sum(s) ** 2), 0.0), 1.0) for s in sv]
-
-
-def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """Uhlmann fidelity of one state to one target; see `fidelities`."""
-    return fidelities([rho], [target])[0]

@@ -182,21 +182,17 @@ def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
     sha256("seed/label/..."), read as two little-endian uint64 words. Each
     key is its own stream, so draws do not depend on the order in which
     sub-experiments execute."""
-    key = _philox_key("/".join([str(master_seed), *parts]))
-    # numpy reads a tuple of one word below 2**63 and one above as float64.
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
-def _philox_key(name: str) -> tuple[int, int]:
-    return struct.unpack_from("<2Q", hashlib.sha256(name.encode()).digest())
+    return _rekey(np.random.Generator(np.random.Philox(0)),
+                  "/".join([str(master_seed), *parts]))
 
 
 def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
     """`rng` moved to the start of the stream `derive_rng` keys by `name`:
     its Philox bit generator at counter 0, with an empty output buffer."""
+    key = struct.unpack_from("<2Q", hashlib.sha256(name.encode()).digest())
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _philox_key(name)},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 

@@ -11,7 +11,8 @@ ideal rates for the response map. Settings hash by content, so a process
 builds the sub-run effects of each distinct (settings, readout rates) once
 (`_subrun_dark`), and every state of a run reads one stack.
 
-A run reconstructs its whole roster in one stacked pass (`run_tomography`).
+`run_tomography` is the one entry point: it simulates and reconstructs a
+whole roster in one stacked pass (`_frequencies`, then `_reconstruct`).
 Each state keeps what would make its result depend on the others if shared:
 its own stream `simulate.derive_rng(seed, label, "tomography")`, its own
 contraction with the sub-run stack, one binomial draw of all its sub-runs
@@ -19,7 +20,6 @@ and its own least-squares solve. The detection-error correction, the basis
 sum, the projection and the fidelities run on the stack, in operations whose
 result for one state has the bits of a one-state call, so a state's
 reconstruction does not depend on the rest of the roster.
-`simulate_tomography` and `reconstruct` are the one-state case.
 """
 
 from __future__ import annotations
@@ -64,38 +64,30 @@ def _hermitian_basis() -> list[np.ndarray]:
 _BASIS9 = np.array(_hermitian_basis())
 
 
-def subrun_effects(settings: list[MeasurementSetting],
-                   rates: tuple[float, float]) -> dict[str, np.ndarray]:
-    """Effects of every sub-run, three per setting; sub-run k swaps basis
-    state k+1 onto |3>, the step rule of the simulated singles."""
-    steps = np.array([SWAP[slot] @ compile_setting(s)
-                      for s in settings for slot in (1, 2, 3)])
-    return effects([steps], rates)
-
-
 @functools.lru_cache(maxsize=8)
 def _subrun_dark(settings: tuple[MeasurementSetting, ...],
                  rates: tuple[float, float]) -> np.ndarray:
-    """Read-only dark effects of `subrun_effects` under `rates`, built once
-    per distinct settings content and rates."""
-    dark = subrun_effects(list(settings), rates)["D"]
+    """Read-only dark effects of every sub-run under `rates`, three per
+    setting in settings order; sub-run k swaps basis state k+1 onto |3>, the
+    step rule of the simulated singles. Built once per distinct settings
+    content and rates."""
+    steps = np.array([SWAP[slot] @ compile_setting(s)
+                      for s in settings for slot in (1, 2, 3)])
+    dark = effects([steps], rates)["D"]
     dark.flags.writeable = False
     return dark
 
 
-def _dark_probabilities(rho: np.ndarray, settings: list[MeasurementSetting],
-                        rates: tuple[float, float]) -> np.ndarray:
-    """P(read dark) = Tr(rho E_D) of the three sub-runs of each setting, in
-    settings order, clipped to [0, 1]. One state per contraction: a stacked
-    contraction sums in another order and changes the last bits of a law."""
-    p = np.einsum("ij,kji->k", rho, _subrun_dark(tuple(settings), rates)).real
-    return np.clip(p, 0.0, 1.0)
-
-
-def response_matrix(settings: list[MeasurementSetting]) -> np.ndarray:
-    """Stacked map from the 9 Hermitian parameters to outcome probabilities."""
-    dark = _subrun_dark(tuple(settings), IDEAL_RATES)
-    return np.einsum("gij,kji->kg", _BASIS9, dark).real
+@functools.lru_cache(maxsize=4)
+def _checked_response(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
+    """Read-only map from the 9 Hermitian parameters to the ideal dark
+    probabilities of the sub-runs, checked for rank 9; computed once per
+    distinct settings content, so many reconstructions pay for it once."""
+    a = np.einsum("gij,kji->kg", _BASIS9, _subrun_dark(settings, IDEAL_RATES)).real
+    if np.linalg.matrix_rank(a, tol=RANK_TOL) < 9:
+        raise ValueError("response map is rank-deficient; extend the settings")
+    a.flags.writeable = False
+    return a
 
 
 def tomography_settings() -> list[MeasurementSetting]:
@@ -122,10 +114,13 @@ def _frequencies(states: list[StateSpec], settings: list[MeasurementSetting],
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    rates = readout_rates(noise)
-    counts = [rng.binomial(shots, _dark_probabilities(prepare(state, noise),
-                                                      settings, rates)).tolist()
-              for state, rng in zip(states, rngs)]
+    dark = _subrun_dark(tuple(settings), readout_rates(noise))
+    counts = []
+    for state, rng in zip(states, rngs):
+        # One contraction per state: a stacked contraction sums in another
+        # order and changes the last bits of a law.
+        p = np.einsum("ij,kji->k", prepare(state, noise), dark).real
+        counts.append(rng.binomial(shots, np.clip(p, 0.0, 1.0)).tolist())
     # Python division rounds n / shots once, whatever the size of shots.
     q = np.array([[n / shots for n in row] for row in counts])
     confusion = confusion_for(noise)
@@ -133,42 +128,20 @@ def _frequencies(states: list[StateSpec], settings: list[MeasurementSetting],
                    0.0, 1.0)
 
 
-def simulate_tomography(state: StateSpec, settings: list[MeasurementSetting],
-                        noise: NoiseModel, shots: int,
-                        rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Measured outcome frequencies, one |3>-detection sub-run per basis state.
-
-    Each sub-run's dark count is one binomial draw from its exact law,
-    corrected with `analysis.confusion_for` of the noise model.
-    """
-    [row] = _frequencies([state], settings, noise, shots, [rng])
-    return dict(zip((s.id for s in settings), row.reshape(-1, 3)))
-
-
 @dataclass
 class ReconstructionResult:
     rho: np.ndarray
-    fidelity_to_target: float | None
+    fidelity_to_target: float
     residual: float
     projected: bool
 
 
-@functools.lru_cache(maxsize=4)
-def _checked_response(settings: tuple[MeasurementSetting, ...]) -> np.ndarray:
-    """Read-only `response_matrix` of `settings`, checked for rank 9;
-    computed once per distinct settings content, so reconstructing many
-    states pays for it once."""
-    a = response_matrix(list(settings))
-    if np.linalg.matrix_rank(a, tol=RANK_TOL) < 9:
-        raise ValueError("response map is rank-deficient; extend the settings")
-    a.flags.writeable = False
-    return a
-
-
 def _reconstruct(b: np.ndarray, settings: list[MeasurementSetting],
-                 targets: list[np.ndarray] | None) -> list[ReconstructionResult]:
-    """`reconstruct` of each row of the stack `b` (sub-run frequencies in
-    settings order), with fidelities to `targets` when given."""
+                 targets: list[np.ndarray]) -> list[ReconstructionResult]:
+    """Least-squares linear inversion of each row of the stack `b` (sub-run
+    frequencies in settings order), projection to the physical set
+    (eigenvalue clipping and trace renormalization), and the fidelity to the
+    target at the same index."""
     a = _checked_response(tuple(settings))
     a_full = np.vstack([a, TRACE_ROW])
     # One solve per state: one solve with several right-hand sides gives
@@ -187,19 +160,9 @@ def _reconstruct(b: np.ndarray, settings: list[MeasurementSetting],
     w = w / w.sum(axis=-1, keepdims=True)
     rho = (u * w[:, None, :]) @ linalg.adjoint(u)
     rho = (rho + linalg.adjoint(rho)) / 2
-    fids = [None] * len(b) if targets is None else linalg.fidelities(rho, targets)
     return [ReconstructionResult(r, f, res, proj) for r, f, res, proj
-            in zip(rho, fids, residuals, projected.tolist())]
-
-
-def reconstruct(tables: dict[str, np.ndarray],
-                settings: list[MeasurementSetting],
-                target: np.ndarray | None = None) -> ReconstructionResult:
-    """Least-squares linear inversion followed by projection to the physical
-    set (eigenvalue clipping and trace renormalization)."""
-    b = np.concatenate([tables[s.id] for s in settings])
-    [res] = _reconstruct(b[None], settings, None if target is None else [target])
-    return res
+            in zip(rho, linalg.fidelities(rho, targets), residuals,
+                   projected.tolist())]
 
 
 def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
@@ -207,9 +170,9 @@ def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
                    master_seed: int) -> list[ReconstructionResult]:
     """Simulated tomography of every state of `roster`, each on its own
     stream `derive_rng(master_seed, label, "tomography")`, reconstructed in
-    one stacked pass and compared with the state's target `rho`; equal, field
-    for field, to `reconstruct(simulate_tomography(...), settings, rho)` of
-    each state alone."""
+    one stacked pass and compared with the state's target `rho`. A state's
+    result does not depend on the rest of the roster: it equals, field for
+    field, the result of a roster of that state alone."""
     rngs = [derive_rng(master_seed, state.label, "tomography") for state in roster]
     freqs = _frequencies(roster, settings, noise, shots, rngs)
     return _reconstruct(freqs, settings, [state.rho for state in roster])

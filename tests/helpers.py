@@ -12,10 +12,10 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def exact_probabilities(rho: np.ndarray,
-                        settings: list) -> dict[str, np.ndarray]:
+def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     """Noise-free dark probability of every tomography sub-run, three per
-    setting id: the tables `tomography.reconstruct` inverts exactly."""
-    p = tomography._dark_probabilities(linalg.validate_density_matrix(rho),
-                                       settings, tomography.IDEAL_RATES)
-    return dict(zip((s.id for s in settings), p.reshape(-1, 3)))
+    setting in settings order: the row `tomography._reconstruct` inverts
+    exactly."""
+    dark = tomography._subrun_dark(tuple(settings), tomography.IDEAL_RATES)
+    p = np.einsum("ij,kji->k", linalg.validate_density_matrix(rho), dark).real
+    return np.clip(p, 0.0, 1.0)

@@ -153,18 +153,15 @@ def test_criterion_09_tomography():
     settings = tg.tomography_settings()
     rng = np.random.default_rng(909)
     t0 = time.perf_counter()
-    worst_exact = max(
-        linalg.frobenius_distance(
-            tg.reconstruct(exact_probabilities(rho, settings),
-                           settings, rho).rho, rho)
-        for rho in (random_density_matrix(rng) for _ in range(100)))
-    noise = simulate.NoiseModel.paper()
-    fids = []
-    for state in simulate.default_state_roster()[:9]:
-        srng = simulate.derive_rng(909, state.label, "tomography")
-        tables = tg.simulate_tomography(state, settings, noise, 10_000, srng)
-        fids.append(tg.reconstruct(tables, settings,
-                                   state.rho).fidelity_to_target)
+    rhos = [random_density_matrix(rng) for _ in range(100)]
+    exact = tg._reconstruct(
+        np.array([exact_probabilities(rho, settings) for rho in rhos]),
+        settings, rhos)
+    worst_exact = max(linalg.frobenius_distance(res.rho, rho)
+                      for res, rho in zip(exact, rhos))
+    fids = [res.fidelity_to_target for res in tg.run_tomography(
+        simulate.default_state_roster()[:9], settings,
+        simulate.NoiseModel.paper(), 10_000, 909)]
     dt = time.perf_counter() - t0
     _report("criterion 9: tomography",
             worst_exact < 1e-9 and min(fids) >= 0.98 and dt < 60.0,

@@ -8,19 +8,21 @@ breaks the benchmark without breaking any other test. The benchmark's files
 are imported, never changed.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import harness  # noqa: E402
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from qutrit_ks import simulate, tomography  # noqa: E402
+from qutrit_ks import hv, pulses, simulate, tomography  # noqa: E402
+from qutrit_ks.model import build_model  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", [workloads.Roster, workloads.CalibrationSweep],
@@ -39,13 +41,38 @@ def test_traced_pass_reproduces_the_untraced_pass(tmp_path, workload):
 
 
 def test_observers_read_what_the_traced_functions_return():
-    """Every observer accepts a real result of the function it watches."""
+    """Every observer accepts a real result of the function it watches, called
+    as a traced call calls it. `bench/spans.py` runs an observer on every
+    traced call of its function, so an observed name that the package has
+    must be fed here; one it lacks is never traced."""
     obs = harness.Observers()
-    settings = tomography.tomography_settings()
+    obs.tracer = spans.Tracer()
+    model = build_model()
+    noise = simulate.NoiseModel.paper()
     state = simulate.default_state_roster()[0]
-    res = tomography.reconstruct(
-        tomography.simulate_tomography(state, settings, simulate.NoiseModel.paper(),
-                                       10_000, np.random.default_rng(0)),
-        settings, state.rho)
+    settings = pulses.settings_table()
+    sub = simulate.build_plan(model, settings, 1000)[0]
+    law = simulate.expected_laws([state], [sub], settings, noise)[state.label][0]
+    draw = (law, sub, "0/psi1/key", simulate.derive_rng(0))
+    calls = {
+        "pulses.compile_setting": (pulses.compile_setting, (settings[0],)),
+        "simulate.run_subexperiment": (simulate.run_subexperiment, draw),
+        "hv.max_chi13_noncontextual": (hv.max_chi13_noncontextual, (model,)),
+        "hv.max_chi4_constrained": (hv.max_chi4_constrained, (model,)),
+    }
+    for name, (fn, args) in calls.items():
+        obs.table()[name](args, {}, fn(*args))
+    [res] = tomography.run_tomography([state], tomography.tomography_settings(),
+                                      noise, 10_000, 0)
     obs.table()["tomography.reconstruct"]((), {}, res)
     assert (obs.reconstructions, len(obs.fidelities)) == (1, 1)
+    assert obs.settings == {(-1, settings[0].id)}
+    assert obs.shots == sub.shots
+    assert obs.chi4_enumerated == 2 ** len(model.mu_i)
+    assert obs.chi4_admissible > 0 and obs.assignments > obs.chi4_admissible
+
+    def traced(name):
+        module, attr = name.split(".")
+        return hasattr(importlib.import_module(f"qutrit_ks.{module}"), attr)
+
+    assert [n for n in obs.table() if n not in calls and traced(n)] == []

@@ -174,6 +174,19 @@ def test_report_malformed_table(tmp_path, capsys):
     assert "malformed results table" in capsys.readouterr().err
 
 
+def test_report_rejects_an_incomplete_header_without_rows(tmp_path, capsys):
+    """A header that lacks a column is malformed whether or not rows follow;
+    the full header without rows is an empty table."""
+    for text in ("", "state,fidelity\n"):
+        (tmp_path / "results.csv").write_text(text)
+        assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+        assert "malformed results table" in capsys.readouterr().err
+        assert not (tmp_path / "report.dat").exists()
+    (tmp_path / "results.csv").write_text(cli.RESULTS_HEADER + "\n")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_OK
+    assert all(line.startswith("#") for line in capsys.readouterr().out.splitlines())
+
+
 @pytest.mark.parametrize("command,shots", [("simulate", "-5"), ("simulate", "0"),
                                            ("tomography", "0")])
 def test_nonpositive_shots_is_config_error(tmp_path, capsys, command, shots):

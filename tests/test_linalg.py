@@ -85,13 +85,18 @@ def test_hermitian_eig_rejects_non_hermitian():
         linalg.hermitian_eig(m)
 
 
+def fidelity(rho, target):
+    """Fidelity of one pair, as a one-pair stack."""
+    return linalg.fidelities([rho], [target])[0]
+
+
 def test_fidelity_trivial_cases():
     rho = linalg.projector_from_ray([1, 1, 0])
-    assert linalg.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
     one = linalg.projector_from_ray([1, 0, 0])
     two = linalg.projector_from_ray([0, 1, 0])
-    assert linalg.fidelity(one, two) == pytest.approx(0.0, abs=1e-12)
-    assert linalg.fidelity(linalg.IDENTITY / 3, one) == pytest.approx(1 / 3, abs=1e-12)
+    assert fidelity(one, two) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(linalg.IDENTITY / 3, one) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_fidelity_pure_target_equals_overlap():
@@ -101,7 +106,7 @@ def test_fidelity_pure_target_equals_overlap():
         psi = random_pure_state(rng)
         target = linalg.projector_from_ray(psi)
         overlap = float((psi.conj() @ rho @ psi).real)
-        assert linalg.fidelity(rho, target) == pytest.approx(
+        assert fidelity(rho, target) == pytest.approx(
             overlap, abs=ATOL_FIDELITY)
 
 
@@ -112,14 +117,14 @@ def test_fidelity_symmetric_for_commuting_inputs():
         b = np.sort(rng.random(3))
         rho = np.diag(a / a.sum()).astype(complex)
         sig = np.diag(b / b.sum()).astype(complex)
-        assert linalg.fidelity(rho, sig) == pytest.approx(
-            linalg.fidelity(sig, rho), abs=ATOL_FIDELITY)
+        assert fidelity(rho, sig) == pytest.approx(
+            fidelity(sig, rho), abs=ATOL_FIDELITY)
 
 
 def test_fidelity_rejects_invalid_density_matrix():
     bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        linalg.fidelity(bad, linalg.IDENTITY / 3)
+        linalg.fidelities([bad], [linalg.IDENTITY / 3])
 
 
 def test_fidelities_of_a_stack_equal_one_pair_calls():
@@ -127,11 +132,11 @@ def test_fidelities_of_a_stack_equal_one_pair_calls():
     rhos = [random_density_matrix(rng) for _ in range(6)]
     targets = [random_density_matrix(rng) for _ in range(6)]
     assert linalg.fidelities(rhos, targets) == [
-        linalg.fidelity(r, t) for r, t in zip(rhos, targets)]
+        fidelity(r, t) for r, t in zip(rhos, targets)]
     with pytest.raises(ValueError, match="one 3x3 target per 3x3 state"):
         linalg.fidelities(rhos, targets[:1])
     with pytest.raises(ValueError, match="one 3x3 target per 3x3 state"):
-        linalg.fidelity(np.eye(2) / 2, np.eye(2) / 2)
+        linalg.fidelities([np.eye(2) / 2], [np.eye(2) / 2])
 
 
 def test_mat_helpers():

@@ -72,6 +72,56 @@ def test_scanner_flags_violations(tmp_path):
     ]
 
 
+def find_unreferenced(package: Path, others: list[Path]) -> list[str]:
+    """Public top-level functions and classes of the package that no code
+    reads. A file reads a bare name, or `m.name` for `m` the package or one
+    of its modules, under any alias; attributes of other objects (a method
+    `self.reconstruct`) and the `__init__` re-exports do not count. `cli.main`
+    dispatches the `cmd_*` commands by name, so they are exempt."""
+    modules = [p for p in sorted(package.glob("*.py")) if p.stem != "__init__"]
+    stems = {p.stem for p in modules}
+    used = set()
+    for path in modules + others:
+        tree = ast.parse(path.read_text())
+        owners = stems | {"qutrit_ks"} | {
+            a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.name in stems and a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and getattr(
+                    node.value, "id", getattr(node.value, "attr", None)) in owners:
+                used.add(node.attr)
+    return [f"{path.stem}.{top.name}" for path in modules
+            for top in ast.parse(path.read_text()).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and not top.name.startswith(("_", "cmd_")) and top.name not in used]
+
+
+def test_every_public_name_has_a_caller():
+    """Production code that only tests call is dead weight in the package."""
+    bench = sorted((PACKAGE.parent.parent / "bench").glob("*.py"))
+    assert bench and find_unreferenced(PACKAGE, bench) == []
+
+
+def test_unreferenced_scanner_flags_test_only_names(tmp_path):
+    pkg, bench = tmp_path / "qutrit_ks", tmp_path / "bench.py"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .tomography import reconstruct\n")
+    (pkg / "tomography.py").write_text(
+        "class Result: pass\ndef _solve(): return Result()\n"
+        "def reconstruct(): return _solve()\ndef run(): return _solve()\n"
+        "def fit(): pass\ndef plot(): pass\n")
+    (pkg / "cli.py").write_text(
+        "from . import tomography as tg\ndef main(): pass\n"
+        "def cmd_run(): return tg.run()\n")
+    bench.write_text(
+        "import qutrit_ks\nfrom qutrit_ks import tomography\nqutrit_ks.cli.main()\n"
+        "tomography.fit()\nclass Obs:\n    def reconstruct(self): self.plot()\n")
+    assert find_unreferenced(pkg, [bench]) == ["tomography.reconstruct",
+                                               "tomography.plot"]
+
+
 WRITERS = {"open", "write_text", "mkdir"}
 
 
