@@ -93,7 +93,7 @@ class AffineMap(NamedTuple):
 def affine_map(ineq: Inequality, layout, confusion: ConfusionModel) -> AffineMap:
     """The estimator of `ineq` over tables laid out as `layout` and
     corrected by `confusion`, built once per distinct content of the three."""
-    return _affine_map(ineq.alphabet, tuple(ineq.terms.items()), layout, confusion)
+    return _affine_map(ineq.alphabet, ineq.term_items, layout, confusion)
 
 
 @functools.lru_cache(maxsize=32)
@@ -161,11 +161,12 @@ def estimate(ineq: Inequality, freqs: Frequencies,
              confusion: ConfusionModel) -> Estimate:
     """Value and exact multinomial stderr of `ineq` from one state's
     `Frequencies`, corrected by `confusion`; raw under `ConfusionModel(0, 0)`."""
-    m, f = affine_map(ineq, freqs.layout, confusion), freqs.f
-    mean = np.bincount(m.table, weights=m.w * f)  # W . f_k of each table
-    dev = m.w - mean[m.table]
-    var = np.bincount(m.table, weights=f * dev * dev) / m.n
-    return Estimate(m.w0 + float(mean.sum()), math.sqrt(float(var.sum())))
+    w0, w, table, n = affine_map(ineq, freqs.layout, confusion)
+    f = freqs.f
+    mean = np.bincount(table, weights=w * f)  # W . f_k of each table
+    dev = w - mean[table]
+    var = np.bincount(table, weights=f * dev * dev) / n
+    return Estimate(w0 + float(np.add.reduce(mean)), math.sqrt(np.add.reduce(var)))
 
 
 def significance(est: Estimate, classical_bound: float) -> float:

@@ -200,13 +200,15 @@ def results_text(results: list[StateResult],
     head = (f"{'state':<8}{'fid':>8}{'chi13 raw':>14}{'chi13 corr':>16}"
             f"{'chi4 corr':>14}{'sig13':>8}{'sig4':>8}")
     lines = [head, "-" * len(head)]
+    # Each number opens with a space, so a value wider than its column
+    # shifts the row instead of running into the column before it.
     for r in results:
         lines.append(
-            f"{r.label:<8}{r.fidelity:>8.4f}"
-            f"{r.chi13_raw.value:>14.3f}"
-            f"{r.chi13.value:>10.3f} ({r.chi13.stderr:.3f})"
-            f"{r.chi4.value:>9.4f} ({r.chi4.stderr:.4f})"
-            f"{r.significance13:>8.1f}{r.significance4:>8.1f}")
+            f"{r.label:<8} {r.fidelity:>7.4f}"
+            f" {r.chi13_raw.value:>13.3f}"
+            f" {r.chi13.value:>9.3f} ({r.chi13.stderr:.3f})"
+            f" {r.chi4.value:>8.4f} ({r.chi4.stderr:.4f})"
+            f" {r.significance13:>7.1f} {r.significance4:>7.1f}")
     lines.append("-" * len(head))
     bounds = ", ".join(f"{w.name} <= {w.classical_bound}" for w in inequalities)
     values = ", ".join(f"{float(w.quantum_value):.4f}" for w in inequalities)

@@ -11,11 +11,13 @@ quantum operator, analysis and the CLI; another weighting is a data change.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,13 +48,22 @@ ZO = "01"    # ray values V_r in {0, 1}, quantum projector P_r
 class Inequality:
     """sum_m c_m prod_{r in m} x_r <= classical_bound for noncontextual x_r
     (0/1 values obey the product and sum rules); the quantum operator is
-    claimed to be quantum_value * I."""
+    claimed to be quantum_value * I. The terms are kept as a read-only
+    copy, so `term_items`, computed on first use, cannot go stale."""
 
     name: str
     alphabet: str  # PM1 or ZO
-    terms: dict[tuple[int, ...], int]  # sorted rays -> integer coefficient
+    terms: Mapping[tuple[int, ...], int]  # sorted rays -> integer coefficient
     classical_bound: int
     quantum_value: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+
+    @cached_property
+    def term_items(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The terms as (rays, coefficient) items in their given order."""
+        return tuple(self.terms.items())
 
 
 CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},

@@ -9,9 +9,11 @@ The angle alpha is stored exactly as 2*arcsin(1/sqrt(3)); the rounded value
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,13 +55,21 @@ class HardwareParams:
 class MeasurementSetting:
     """One pulse sequence before the |3> detections. Kochen-Specker settings
     map basis states to rays; tomography settings map none. Equal content
-    hashes equal, so caches key on settings themselves."""
+    hashes equal, so caches key on settings themselves. The mapping is kept
+    as a read-only copy, so the hash, computed on first use, cannot go stale."""
 
     id: str
-    mapping: dict[int, int]  # basis state (1..3) -> ray index (1..13)
+    mapping: Mapping[int, int]  # basis state (1..3) -> ray index (1..13)
     pulses: tuple[Pulse, ...]  # chronological
 
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
+
     def __hash__(self) -> int:
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> int:
         return hash((self.id, tuple(sorted(self.mapping.items())), self.pulses))
 
 
@@ -171,11 +181,16 @@ def covered_pairs(settings: list[MeasurementSetting]) -> set[tuple[int, int]]:
 
 
 def format_schedule(setting: MeasurementSetting) -> str:
-    """Timed schedule text: cooling and pumping preamble, then one pulse per
-    line as (channel, theta/pi, phi/pi, duration_us) with 4 decimals."""
+    """Timed schedule text: a header naming the transition each channel
+    drives (omega/2pi in MHz) and the magnetic field, the cooling and
+    pumping preamble, then one pulse per line as (channel, theta/pi,
+    phi/pi, duration_us) with 4 decimals."""
     hw = HardwareParams()
     lines = [
         f"# schedule {setting.id}",
+        f"# ch1 |1>-|3> omega1/2pi={hw.omega1_mhz:.4f} MHz  "
+        f"ch2 |2>-|3> (omega2-omega1)/2pi={hw.omega2_offset_mhz:.4f} MHz  "
+        f"B={hw.b_field_gauss:.4f} G",
         f"cool    {hw.doppler_cooling_us:.4f}",
         f"pump    {hw.optical_pumping_us:.4f}",
     ]

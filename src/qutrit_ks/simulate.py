@@ -11,16 +11,21 @@ too: `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
 is Tr(rho E). A process stacks the effects of each distinct plan once
 (`_plan_effects`, 13 singles x 2 symbols + 24 pairs x 3 = 98 for the
-default plan, keyed on the settings themselves, which hash by content, the
-chains and the readout rates, never on the seed, state or shots).
-`expected_laws` is the one place a law is computed: it contracts all
-prepared states with that stack in one Tr(rho E).
+default plan, keyed on the settings themselves, the chains and the readout
+rates, never on the seed, state or shots). A setting hashes by content and
+computes that hash once, on first use. The stack is kept as (9, n) real
+and imaginary planes of the effects' matrix elements, so `_law_rows`, the
+one place a law is computed, forms each state's row of Tr(rho E) as nine
+row adds in a fixed order.
 
-Shots are i.i.d., so each sub-experiment makes a single multinomial draw
-from its law (`run_subexperiment`), and cost does not grow with the shot
-count. Each (seed, state, sub-experiment) draws from its own keyed Philox
-stream (`derive_rng`), so counts do not depend on execution order. A run
-re-keys one generator for each draw (`_rekey`, from Python ints), and each
+Shots are i.i.d., so each sub-experiment makes a single draw from its law
+(`run_subexperiment`), and cost does not grow with the shot count: one
+multinomial draw for a pair's three outcomes, and for a single's two the
+binomial draw that is the first step of that multinomial, so both give the
+same counts. `run_roster` draws from each state's law row directly. Each
+(seed, state, sub-experiment) draws from its own keyed Philox stream
+(`derive_rng`), so counts do not depend on execution order. A run re-keys
+one generator for each draw (`_rekey`, from Python ints), and each
 sub-experiment formats its key once. `numpy.random` is loaded on first use.
 """
 
@@ -28,9 +33,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,74 +277,90 @@ def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
     return steps
 
 
+class PlanEffects(NamedTuple):
+    """A plan's n noise-folded effects under one readout, entry after entry
+    in draw order, as contiguous (9, n) planes of the real and imaginary
+    parts of their matrix elements, element ij in row 3i + j."""
+    symbols: tuple[tuple[str, ...], ...]  # each entry's readout symbols
+    re: np.ndarray
+    im: np.ndarray
+    slices: tuple[slice, ...]  # each entry's columns
+
+
 @functools.lru_cache(maxsize=8)
 def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
-                  rates: tuple[float, float]
-                  ) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
-    """The readout symbols of each plan entry `(setting id, chain)` and one
-    read-only `(n, 3, 3)` stack of their effects under readout `rates`, entry
-    after entry in draw order. Each setting the entries use is compiled
-    once. Settings hash by content, never by id alone, so a process
+                  rates: tuple[float, float]) -> PlanEffects:
+    """The `PlanEffects` of the plan entries `(setting id, chain)` under
+    readout `rates`, both planes read-only. Each setting the entries use is
+    compiled once. Settings hash by content, never by id alone, so a process
     computes each distinct plan once."""
     by_id = {s.id: s for s in settings}
     unitaries = {sid: compile_setting(by_id[sid])
                  for sid in dict.fromkeys(sid for sid, _ in entries)}
     compiled = [effects(_steps(by_id[sid], chain, unitaries[sid]), rates)
                 for sid, chain in entries]
-    stack = np.array([e for effs in compiled for e in effs.values()]).reshape(-1, 3, 3)
-    stack.flags.writeable = False
-    return tuple(tuple(effs) for effs in compiled), stack
+    planes = np.array([e for effs in compiled for e in effs.values()]).reshape(-1, 9).T
+    re, im = np.ascontiguousarray(planes.real), np.ascontiguousarray(planes.imag)
+    re.flags.writeable = im.flags.writeable = False
+    stops = list(itertools.accumulate(len(effs) for effs in compiled))
+    return PlanEffects(tuple(tuple(effs) for effs in compiled), re, im,
+                       tuple(map(slice, [0, *stops], stops)))
 
 
-def expected_laws(roster: list[StateSpec], plan: list[SubExperiment],
-                  settings: list[MeasurementSetting],
-                  noise: NoiseModel) -> dict[str, list[dict[str, float]]]:
-    """Per-shot outcome law of every (state, plan entry), keyed by state
-    label, then by the count-table symbols in draw order: D/B for a single,
-    B/DB/DD for a sequential pair. Every Tr(rho_s E_k) comes from one
-    contraction of the prepared states with the plan's cached effect stack,
-    clipped to [0, 1]."""
-    symbols, stack = _plan_effects(
-        tuple(settings), tuple((sub.setting_id, sub.chain) for sub in plan),
-        readout_rates(noise))
-    rhos = np.array([prepare(state, noise) for state in roster]).reshape(-1, 1, 9)
-    effs = stack.reshape(1, -1, 9)
+def _law_rows(roster: list[StateSpec], plan: list[SubExperiment],
+              settings: list[MeasurementSetting], noise: NoiseModel
+              ) -> tuple[tuple[tuple[str, ...], ...], list[list[list[float]]]]:
+    """Each plan entry's readout symbols and, for each state, the law of
+    each entry: P(s) = Tr(rho E_s) for its symbols in draw order, clipped
+    to [0, 1]."""
+    effs = _plan_effects(tuple(settings),
+                         tuple((sub.setting_id, sub.chain) for sub in plan),
+                         readout_rates(noise))
+    rhos = np.array([prepare(state, noise) for state in roster]).reshape(-1, 9).T
     # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij). The
     # nine terms are added one by one in a fixed order, so a law's bits do not
     # depend on the other states or entries in the call, as a BLAS or einsum
     # reduction's may.
-    terms = rhos.real * effs.real + rhos.imag * effs.imag
-    rows = np.clip(functools.reduce(np.add, np.moveaxis(terms, 2, 0)), 0.0, 1.0)
-    laws = {}
-    for state, row in zip(roster, rows.tolist()):
-        flat = iter(row)
-        laws[state.label] = [{s: next(flat) for s in syms} for syms in symbols]
-    return laws
+    terms = (rhos.real[:, :, None] * effs.re[:, None]
+             + rhos.imag[:, :, None] * effs.im[:, None])
+    rows = np.clip(functools.reduce(np.add, terms), 0.0, 1.0).tolist()
+    return effs.symbols, [[row[s] for s in effs.slices] for row in rows]
 
 
-def run_subexperiment(law: dict[str, float], sub: SubExperiment, seed_key: str,
+def run_subexperiment(symbols: tuple[str, ...], law: list[float],
+                      sub: SubExperiment, seed_key: str,
                       rng: np.random.Generator) -> CountTable:
-    """Counts of `sub.shots` i.i.d. shots of `law`: one multinomial draw
-    (for a two-outcome law, the binomial draw `binomial(shots, P(D))`) from
-    the stream `derive_rng` keys by `seed_key`, onto which `rng` is re-keyed."""
-    counts = _rekey(rng, seed_key).multinomial(sub.shots, list(law.values()))
-    return CountTable(sub, dict(zip(law, counts.tolist())), seed_key)
+    """Counts of `sub.shots` i.i.d. shots of `law`, the probability of each
+    readout symbol in draw order, from the stream `derive_rng` keys by
+    `seed_key`, onto which `rng` is re-keyed. A law of three outcomes is one
+    multinomial draw. A law of two outcomes draws `binomial(shots, P(first))`:
+    numpy's `multinomial` draws exactly that binomial first and leaves the
+    rest to the last outcome, so both give the same counts."""
+    rng, shots = _rekey(rng, seed_key), sub.shots
+    if len(law) == 2:
+        first = rng.binomial(shots, law[0])
+        counts = (first, shots - first)
+    else:
+        counts = rng.multinomial(shots, law).tolist()
+    return CountTable(sub, dict(zip(symbols, counts)), seed_key)
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
-    """Full run: each of the `expected_laws` drawn on the stream of its
-    (seed, state, sub-experiment), so counts do not depend on the order in
-    which sub-experiments execute. One generator, re-keyed for each
+    """Full run: each state's law rows drawn entry by entry on the stream of
+    its (seed, state, sub-experiment), so counts do not depend on the order
+    in which sub-experiments execute. One generator, re-keyed for each
     sub-experiment, serves the call and never leaves it."""
-    laws = expected_laws(roster, plan, settings, noise)
+    symbols, laws = _law_rows(roster, plan, settings, noise)
     rng = derive_rng(master_seed)
-    return {
-        label: [run_subexperiment(law, sub, f"{master_seed}/{label}/{sub.key}", rng)
-                for sub, law in zip(plan, state_laws)]
-        for label, state_laws in laws.items()
-    }
+    tables = {}
+    for state, state_laws in zip(roster, laws):
+        prefix = f"{master_seed}/{state.label}/"
+        tables[state.label] = [
+            run_subexperiment(syms, law, sub, prefix + sub.key, rng)
+            for syms, law, sub in zip(symbols, state_laws, plan)]
+    return tables
 
 
 def counts_to_csv(tables: dict[str, list[CountTable]]) -> str:

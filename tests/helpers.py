@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qutrit_ks import linalg, tomography
+from qutrit_ks import linalg, simulate, tomography
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
@@ -19,3 +19,18 @@ def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     dark = tomography._subrun_dark(tuple(settings), tomography.IDEAL_RATES)
     p = np.einsum("ij,kji->k", linalg.validate_density_matrix(rho), dark).real
     return np.clip(p, 0.0, 1.0)
+
+
+def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, float]]]:
+    """Per-shot outcome law of every (state, plan entry), keyed by state
+    label, then by the count-table symbols in draw order (D/B for a single,
+    B/DB/DD for a sequential pair): the law rows `simulate.run_roster` draws
+    from, as dicts."""
+    symbols, laws = simulate._law_rows(roster, plan, settings, noise)
+    return {state.label: [dict(zip(syms, law)) for syms, law in zip(symbols, state_laws)]
+            for state, state_laws in zip(roster, laws)}
+
+
+def effect_stack(plan_effects) -> np.ndarray:
+    """The `(n, 3, 3)` effects held in the planes of `simulate._plan_effects`."""
+    return (plan_effects.re + 1j * plan_effects.im).T.reshape(-1, 3, 3)

@@ -8,7 +8,7 @@ from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model
 from qutrit_ks.pulses import settings_table
 
-from helpers import random_density_matrix
+from helpers import effect_stack, expected_laws, random_density_matrix
 
 IDENTITY = analysis.ConfusionModel(0.0, 0.0)
 PAPER = analysis.ConfusionModel(0.010, 0.021)
@@ -255,7 +255,7 @@ def test_correction_inverts_exact_laws(model):
     plan = simulate.build_plan(model, settings)
     roster = simulate.default_state_roster()
     for name, noise in NOISE.items():
-        laws = simulate.expected_laws(roster, plan, settings, noise)
+        laws = expected_laws(roster, plan, settings, noise)
         for state in roster:
             tables = [simulate.CountTable(sub, {
                 s: round(p * 10 ** 15) for s, p in law.items()}, "exact")
@@ -322,8 +322,8 @@ def test_estimator_operator_is_the_quantum_value(model, name):
     entries = tuple((sub.setting_id, sub.chain) for sub in plan)
 
     def operator(ineq, noise_of_map, noise_of_stack):
-        _, stack = simulate._plan_effects(tuple(settings), entries,
-                                          simulate.readout_rates(noise_of_stack))
+        stack = effect_stack(simulate._plan_effects(
+            tuple(settings), entries, simulate.readout_rates(noise_of_stack)))
         m = analysis.affine_map(ineq, layout, analysis.confusion_for(noise_of_map))
         return m.w0 * np.identity(3) + np.tensordot(m.w, stack, 1)
 

@@ -24,6 +24,8 @@ import workloads  # noqa: E402
 from qutrit_ks import hv, pulses, simulate, tomography  # noqa: E402
 from qutrit_ks.model import build_model  # noqa: E402
 
+from helpers import expected_laws  # noqa: E402
+
 
 @pytest.mark.parametrize("workload", [workloads.Roster, workloads.CalibrationSweep],
                          ids=lambda w: w.name)
@@ -52,8 +54,8 @@ def test_observers_read_what_the_traced_functions_return():
     state = simulate.default_state_roster()[0]
     settings = pulses.settings_table()
     sub = simulate.build_plan(model, settings, 1000)[0]
-    law = simulate.expected_laws([state], [sub], settings, noise)[state.label][0]
-    draw = (law, sub, "0/psi1/key", simulate.derive_rng(0))
+    law = expected_laws([state], [sub], settings, noise)[state.label][0]
+    draw = (tuple(law), list(law.values()), sub, "0/psi1/key", simulate.derive_rng(0))
     calls = {
         "pulses.compile_setting": (pulses.compile_setting, (settings[0],)),
         "simulate.run_subexperiment": (simulate.run_subexperiment, draw),

@@ -240,6 +240,26 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
                                        for ray in range(10, 14)))
 
 
+def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
+    """A significance wider than its column (here 9 and 10 digits) still
+    stands apart from its neighbours; an ordinary or nan row fills its
+    columns exactly as before."""
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--states", "psi1", "--shots", str(cli.MAX_SHOTS),
+                     "--out-dir", str(out)]) == cli.EXIT_OK
+    row = (out / "results.txt").read_text().splitlines()[2]
+    [r] = cli.results_from_csv((out / "results.csv").read_text())
+    assert r.significance13 >= 1e8 and r.significance4 >= 1e8
+    assert row.split()[-2:] == [f"{r.significance13:.1f}", f"{r.significance4:.1f}"]
+    assert capsys.readouterr().out == (out / "results.txt").read_text()
+
+    est = cli.analysis.Estimate
+    ordinary = cli.StateResult("rho10", 0.9876, est(25.846, 0.1), est(27.5, 0.146),
+                               est(1.2, 0.2), est(1.33, 0.0123), 17.25, math.nan)
+    assert cli.results_text([ordinary], cli.build_model().inequalities).splitlines()[2] \
+        == "rho10     0.9876        25.846    27.500 (0.146)   1.3300 (0.0123)    17.2     nan"
+
+
 def _results(out):
     return {r.label: r for r in cli.results_from_csv((out / "results.csv").read_text())}
 

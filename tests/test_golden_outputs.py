@@ -7,13 +7,19 @@ digests were re-recorded when one affine estimator replaced the per-term
 correction chain: `results.csv` changed (no clip, exact variance) while
 `counts.csv` stayed byte-identical. A change that means to alter a draw, a
 reconstruction or an estimate updates them and says why in CHANGES.md.
+
+The law digests pin every per-shot law itself, bit for bit, so a 1-ulp
+change shows on the law and not only on a count table drawn from it.
 """
 
 import hashlib
 
 import pytest
 
-from qutrit_ks import cli, simulate
+from qutrit_ks import cli, pulses, simulate
+from qutrit_ks.model import build_model
+
+from helpers import expected_laws
 
 NOISES = {
     "ideal": ["--noise", "ideal"],
@@ -80,3 +86,46 @@ def run_digest(out_dir, command: str, noise: str, seed: int) -> str:
 @pytest.mark.parametrize("command, noise, seed", sorted(DIGESTS))
 def test_run_directory_matches_pinned_digest(tmp_path, capsys, command, noise, seed):
     assert run_digest(tmp_path, command, noise, seed) == DIGESTS[command, noise, seed]
+
+
+# Every `expected_laws` value, as `float.hex`, of the 12 default states and
+# the 37 plan entries under each golden noise configuration, recorded before
+# the law path was restructured; a 1-ulp drift in any law fails here and not
+# only through the count tables drawn from it.
+LAW_NOISES = {
+    "ideal": simulate.NoiseModel.ideal(),
+    "paper": simulate.NoiseModel.paper(),
+    "photon-count": simulate.NoiseModel(mode="photon-count"),
+    "flip-harsh": simulate.NoiseModel(eps_dark_to_bright=0.2, eps_bright_to_dark=0.3,
+                                      prep_depolarization=0.1),
+}
+LAW_DIGESTS = {
+    "ideal":
+        "6d9c949a92104734a9b1886646feb4629fe36fdda98840b5c953ef03de10c57e",
+    "paper":
+        "cfef7140556401de16f2e2516995355611d95d9d767d61f4a528430bc71c1e6d",
+    "photon-count":
+        "8768cf2330d175670ff4fe1a7cfe0bf3779324b781b427d7e9c7a9053771b702",
+    "flip-harsh":
+        "bd013edf7465f80013d5f5bc409ae07830f7a5363d755ccaac6b8a397c3d4adc",
+}
+
+
+def law_digest(noise: simulate.NoiseModel) -> str:
+    """sha256 over each state, plan entry, symbol and `float.hex` of its law."""
+    settings = pulses.settings_table()
+    plan = simulate.build_plan(build_model(), settings)
+    laws = expected_laws(simulate.default_state_roster(), plan, settings, noise)
+    digest = hashlib.sha256()
+    for label, state_laws in laws.items():
+        for sub, law in zip(plan, state_laws):
+            digest.update(f"{label}/{sub.key}".encode())
+            for symbol, p in law.items():
+                digest.update(f" {symbol}={p.hex()}".encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("noise", sorted(LAW_DIGESTS))
+def test_expected_laws_match_pinned_digest(noise):
+    assert law_digest(LAW_NOISES[noise]) == LAW_DIGESTS[noise]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,6 +131,39 @@ def test_schedule_durations():
     assert "pump    3.0000" in text
     assert "pulse" not in text  # M1 has no rotations
     assert "duration_us=7.3750" in pulses.format_schedule(by_id["M2"])
+
+
+def test_schedule_names_transitions_and_field():
+    """Each schedule's header states the transition frequencies and the
+    magnetic field it assumes, read from `HardwareParams`."""
+    hw = pulses.HardwareParams()
+    for s in pulses.settings_table():
+        header = pulses.format_schedule(s).splitlines()[1]
+        assert header == (f"# ch1 |1>-|3> omega1/2pi={hw.omega1_mhz:.4f} MHz  "
+                          f"ch2 |2>-|3> (omega2-omega1)/2pi="
+                          f"{hw.omega2_offset_mhz:.4f} MHz  B={hw.b_field_gauss:.4f} G")
+    assert "omega1/2pi=12642.8213 MHz" in header
+    assert "(omega2-omega1)/2pi=7.6372 MHz" in header and "B=5.4550 G" in header
+
+
+def test_setting_mapping_is_read_only_and_hash_is_lazy():
+    """The mapping is a read-only copy, so the content hash, computed on
+    first use and then kept, cannot go stale; building the table computes
+    no hash."""
+    table = pulses.settings_table()
+    assert all("_content_hash" not in vars(s) for s in table)
+    m2 = table[1]
+    with pytest.raises(TypeError):
+        m2.mapping[1] = 13
+    with pytest.raises(AttributeError):
+        m2.mapping.clear()
+    source = {3: 8, 2: 2, 1: 5}  # M2's mapping in another insertion order
+    copy = dataclasses.replace(m2, mapping=source)
+    source[1] = 13
+    assert copy.mapping == {1: 5, 2: 2, 3: 8}
+    assert copy == m2 and hash(copy) == hash(m2)
+    assert "_content_hash" in vars(m2)
+    assert hash(dataclasses.replace(m2, mapping={1: 13, 2: 2, 3: 8})) != hash(m2)
 
 
 def test_faulty_mapping_fails_verification(settings):

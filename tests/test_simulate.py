@@ -10,6 +10,8 @@ from qutrit_ks.model import RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
+from helpers import effect_stack, expected_laws
+
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
     "paper": NoiseModel.paper(),
@@ -99,7 +101,7 @@ def _law(state, setting, chain, noise):
     """The law of one sub-experiment: `expected_laws` of a one-state,
     one-entry plan."""
     sub = simulate.SubExperiment(setting.id, chain)
-    return simulate.expected_laws([state], [sub], [setting], noise)[state.label][0]
+    return expected_laws([state], [sub], [setting], noise)[state.label][0]
 
 
 def _projector(ray):
@@ -245,7 +247,7 @@ def test_run_single_matches_trace(settings, by_id):
     states = simulate.default_state_roster()[::3]
     plan = [simulate.SubExperiment(sid, (ray,))
             for sid in ("M1", "M6", "M13") for ray in by_id[sid].mapping.values()]
-    laws = simulate.expected_laws(states, plan, settings, simulate.NoiseModel.ideal())
+    laws = expected_laws(states, plan, settings, simulate.NoiseModel.ideal())
     for state in states:
         for sub, law in zip(plan, laws[state.label]):
             p = float(np.trace(state.rho @ _projector(sub.chain[0])).real)
@@ -298,7 +300,7 @@ def test_stream_independence_of_execution_order(model, settings):
     for name in ("ideal", "paper", "photon-count"):
         noise = NOISE_CONFIGS[name]
         full = simulate.run_roster(roster, plan, settings, noise, 7)
-        laws = simulate.expected_laws(roster, plan, settings, noise)
+        laws = expected_laws(roster, plan, settings, noise)
         for state in roster:
             solo = []
             for sub, law in zip(plan, laws[state.label]):
@@ -325,8 +327,7 @@ def test_derive_rng_is_keyed_philox(settings):
     sub = simulate.SubExperiment("M5", (4, 10), 10_000)
     table = simulate.run_roster([state], [sub], settings, NOISE_CONFIGS["paper"],
                                 42)["psi7"][0]
-    law = simulate.expected_laws([state], [sub], settings,
-                                 NOISE_CONFIGS["paper"])["psi7"][0]
+    law = expected_laws([state], [sub], settings, NOISE_CONFIGS["paper"])["psi7"][0]
     expected = np.random.Generator(np.random.Philox(key=key)).multinomial(
         10_000, list(law.values()))
     assert table.seed_key == name
@@ -366,7 +367,7 @@ def test_outcome_law_ideal_matches_projectors(model, settings):
     """Under ideal readout every law is the Born rule of the mapped rays."""
     plan = simulate.build_plan(model, settings)
     roster = simulate.default_state_roster()
-    laws = simulate.expected_laws(roster, plan, settings, simulate.NoiseModel.ideal())
+    laws = expected_laws(roster, plan, settings, simulate.NoiseModel.ideal())
     for state in roster:
         for sub, law in zip(plan, laws[state.label]):
             p = float(np.trace(state.rho @ _projector(sub.chain[0])).real)
@@ -473,8 +474,8 @@ def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
     plan = simulate.build_plan(model, settings, shots=10 ** 9)
     state = simulate.default_state_roster()[6]
     noise = simulate.NoiseModel.paper()
-    laws = simulate.expected_laws([state], plan, settings, noise)[state.label]
-    tilted_laws = simulate.expected_laws([state], plan, altered, noise)[state.label]
+    laws = expected_laws([state], plan, settings, noise)[state.label]
+    tilted_laws = expected_laws([state], plan, altered, noise)[state.label]
     for sub, law, tilted_law in zip(plan, laws, tilted_laws):
         if sub.setting_id == "M5":
             assert tilted_law != pytest.approx(law)
@@ -507,21 +508,28 @@ def test_plan_effects_share_an_entry_across_mapping_orders(model, settings):
     roster = simulate.default_state_roster()
     noise = simulate.NoiseModel.paper()
     simulate._plan_effects.cache_clear()
-    laws = simulate.expected_laws(roster, plan, settings, noise)
-    assert simulate.expected_laws(roster, plan, reordered, noise) == laws
+    laws = expected_laws(roster, plan, settings, noise)
+    assert expected_laws(roster, plan, reordered, noise) == laws
     info = simulate._plan_effects.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
-def test_cached_plan_effects_are_read_only(model, settings):
+def test_cached_plan_effects_are_read_only(model, settings, by_id):
     plan = simulate.build_plan(model, settings, shots=1000)
     noise = simulate.NoiseModel.paper()
-    symbols, stack = _plan_effects(plan, settings, noise)
-    assert _plan_effects(plan, settings_table(), noise)[1] is stack
-    assert stack.shape == (13 * 2 + 24 * 3, 3, 3)
-    assert [len(s) for s in symbols] == [len(sub.chain) + 1 for sub in plan]
-    with pytest.raises(ValueError, match="read-only"):
-        stack[0, 0, 0] = 0.0
+    effs = _plan_effects(plan, settings, noise)
+    assert _plan_effects(plan, settings_table(), noise) is effs
+    assert [len(s) for s in effs.symbols] == [len(sub.chain) + 1 for sub in plan]
+    for plane in (effs.re, effs.im):
+        assert plane.shape == (9, 13 * 2 + 24 * 3) and plane.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            plane[0, 0] = 0.0
+    # element ij of each effect in row 3i + j, entry after entry
+    expected = [e for sub in plan for e in simulate.effects(
+        simulate._steps(by_id[sub.setting_id], sub.chain,
+                        compile_setting(by_id[sub.setting_id])),
+        simulate.readout_rates(noise)).values()]
+    assert np.array_equal(effect_stack(effs), np.array(expected))
 
 
 def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
@@ -531,22 +539,22 @@ def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
     plan = simulate.build_plan(model, settings)
     roster = simulate.default_state_roster()
     for noise in NOISE_CONFIGS.values():
-        full = simulate.expected_laws(roster, plan, settings, noise)
+        full = expected_laws(roster, plan, settings, noise)
         for state in roster[::4]:
-            alone = [simulate.expected_laws([state], [sub], settings, noise)[state.label][0]
+            alone = [expected_laws([state], [sub], settings, noise)[state.label][0]
                      for sub in plan]
             assert alone == full[state.label]
-            assert simulate.expected_laws(roster[::-1], plan[::-1], settings,
-                                          noise)[state.label] == full[state.label][::-1]
+            assert expected_laws(roster[::-1], plan[::-1], settings,
+                                 noise)[state.label] == full[state.label][::-1]
 
 
 def test_run_roster_draws_once_per_state_and_entry(model, settings, monkeypatch):
     draws = []
     original = simulate.run_subexperiment
 
-    def counting(law, sub, seed_key, rng):
+    def counting(symbols, law, sub, seed_key, rng):
         draws.append(seed_key)
-        return original(law, sub, seed_key, rng)
+        return original(symbols, law, sub, seed_key, rng)
 
     plan = simulate.build_plan(model, settings, shots=100)
     roster = simulate.default_state_roster()
@@ -561,7 +569,7 @@ def test_outcome_law_matches_branch_reference(model, settings, by_id, noise):
     branch computation for every state and plan entry, in draw order."""
     plan = simulate.build_plan(model, settings)
     roster = simulate.default_state_roster()
-    laws = simulate.expected_laws(roster, plan, settings, noise)
+    laws = expected_laws(roster, plan, settings, noise)
     for state in roster:
         for sub, law in zip(plan, laws[state.label]):
             ref = _branch_law(state, by_id[sub.setting_id], sub.chain, noise)
@@ -573,8 +581,8 @@ def test_outcome_law_matches_branch_reference(model, settings, by_id, noise):
 def test_plan_effects_form_a_povm(model, settings, noise):
     """The effects `run_roster` compiles for each plan entry sum to the
     identity and are positive."""
-    symbols, stack = _plan_effects(simulate.build_plan(model, settings),
-                                   settings, noise)
+    plan_effs = _plan_effects(simulate.build_plan(model, settings), settings, noise)
+    symbols, stack = plan_effs.symbols, effect_stack(plan_effs)
     start = 0
     for syms in symbols:
         effs = stack[start:start + len(syms)]
@@ -582,6 +590,23 @@ def test_plan_effects_form_a_povm(model, settings, noise):
         assert np.allclose(effs.sum(axis=0), np.eye(3), rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(effs).min() >= -1e-12
     assert start == len(stack)
+
+
+@pytest.mark.parametrize("p_dark", [0.0, 5e-324, 0.021, 0.5, 0.99, 1 - 2 ** -53, 1.0])
+def test_two_outcome_draw_is_the_multinomial_draw(p_dark):
+    """A two-outcome law is drawn as `binomial(shots, P(D))`, the first
+    binomial step of numpy's `multinomial`, so on the same keyed stream it
+    gives the same counts at every law and shot count."""
+    law = [p_dark, 1.0 - p_dark]
+    rng = simulate.derive_rng(0)
+    for shots in (1, 2000, 10 ** 6, 2 ** 62):
+        for seed in range(3):
+            sub = simulate.SubExperiment("M1", (1,), shots)
+            key = f"{seed}/psi1/{sub.key}"
+            table = simulate.run_subexperiment(("D", "B"), law, sub, key, rng)
+            expected = simulate.derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
+            assert table.counts == dict(zip("DB", expected.tolist())), (shots, seed)
+            assert table.seed_key == key
 
 
 def test_rekey_reproduces_derive_rng_streams():
