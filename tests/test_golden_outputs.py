@@ -16,8 +16,8 @@ import hashlib
 
 import pytest
 
-from qutrit_ks import cli, pulses, simulate
-from qutrit_ks.model import build_model
+from qutrit_ks import analysis, cli, pulses, simulate
+from qutrit_ks.model import CHI4, build_model
 
 from helpers import expected_laws
 
@@ -129,3 +129,51 @@ def law_digest(noise: simulate.NoiseModel) -> str:
 @pytest.mark.parametrize("noise", sorted(LAW_DIGESTS))
 def test_expected_laws_match_pinned_digest(noise):
     assert law_digest(LAW_NOISES[noise]) == LAW_DIGESTS[noise]
+
+
+# One-state runs and their four estimates, the operation that every pull
+# gate repeats over seeds: each count and the `float.hex` of the value and
+# stderr of raw and corrected chi13 and chi4, for all 12 states at 2000
+# shots and for psi1 and rho10 at 1 and 2^63 - 1 shots, seeds 0, 1 and
+# 10000; recorded before the draw loop and the estimator lookup were
+# restructured.
+CALIBRATION_SEEDS = (0, 1, 10_000)
+CALIBRATION_DIGESTS = {
+    "ideal":
+        "91d09266ac8518786deea9dbd9073170ebd471bcc962a489a7709fe22e070d69",
+    "paper":
+        "f4267d9e08ac9560629b0f6dbdd026abf82c70e84f532bc40cd8a55437b811d4",
+    "photon-count":
+        "0dad0ff93a57018440d24331c91f37aff46607327327da8fb260790cc751a3b1",
+}
+
+
+def calibration_digest(noise: simulate.NoiseModel) -> str:
+    """sha256 over one-state runs: every count, then each estimate's bits."""
+    model, settings = build_model(), pulses.settings_table()
+    roster = simulate.default_state_roster()
+    corrections = (analysis.confusion_for(simulate.NoiseModel.ideal()),
+                   analysis.confusion_for(noise))
+    runs = [(2000, roster)] + [(shots, [s for s in roster if s.label in ("psi1", "rho10")])
+                               for shots in (1, 2 ** 63 - 1)]
+    digest = hashlib.sha256()
+    for shots, states in runs:
+        plan = simulate.build_plan(model, settings, shots)
+        for seed in CALIBRATION_SEEDS:
+            for state in states:
+                [tables] = simulate.run_roster([state], plan, settings, noise, seed).values()
+                digest.update(f"{shots}/{seed}/{state.label}".encode())
+                for t in tables:
+                    digest.update(f" {t.seed_key}:{sorted(t.counts.items())}".encode())
+                freqs = analysis.frequencies(tables)
+                for ineq in (model.chi13, CHI4):
+                    for confusion in corrections:
+                        est = analysis.estimate(ineq, freqs, confusion)
+                        digest.update(f" {est.value.hex()} {est.stderr.hex()}".encode())
+                digest.update(b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("noise", sorted(CALIBRATION_DIGESTS))
+def test_one_state_runs_and_estimates_match_pinned_digest(noise):
+    assert calibration_digest(LAW_NOISES[noise]) == CALIBRATION_DIGESTS[noise]
