@@ -66,20 +66,45 @@ class Frequencies(NamedTuple):
     f: np.ndarray
 
 
+class _Layout(tuple):
+    """A table layout that computes its hash once, however many estimates
+    look up the estimator cache by it."""
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@functools.lru_cache(maxsize=8)
+def _interned(layout: tuple) -> _Layout:
+    """The one `_Layout` of this content: the `Frequencies` of every run with
+    this layout share it, so an estimate finds its cached map by identity,
+    without rehashing or comparing the layout."""
+    return _Layout(layout)
+
+
 def frequencies(tables) -> Frequencies:
     """The `Frequencies` of one state's `simulate.CountTable`s; each is
-    Python's correctly rounded count / n_k."""
+    Python's correctly rounded count / n_k. Each table's counts are read
+    once, in draw order: D, B for a single; B, DB, DD for a pair."""
     layout, f = [], []
     for t in tables:
-        n, counts, chain = t.shots, t.counts, t.subexperiment.chain
+        counts, chain = t.counts, t.subexperiment.chain
+        single = len(chain) == 1
+        if single:
+            d, b = counts["D"], counts["B"]
+            n = d + b
+        else:
+            b, db, dd = counts["B"], counts["DB"], counts["DD"]
+            n = b + db + dd
         if n <= 0:
             raise ValueError(f"count table {t.subexperiment.key} has no counts")
         layout.append((chain, n))
-        if len(chain) == 1:
-            f += (counts["D"] / n, counts["B"] / n)
-        else:
-            f += (counts["B"] / n, counts["DB"] / n, counts["DD"] / n)
-    return Frequencies(tuple(layout), np.array(f))
+        f += (d / n, b / n) if single else (b / n, db / n, dd / n)
+    return Frequencies(_interned(tuple(layout)), np.array(f))
 
 
 class AffineMap(NamedTuple):
@@ -90,15 +115,11 @@ class AffineMap(NamedTuple):
     n: np.ndarray  # each table's count total
 
 
-def affine_map(ineq: Inequality, layout, confusion: ConfusionModel) -> AffineMap:
-    """The estimator of `ineq` over tables laid out as `layout` and
-    corrected by `confusion`, built once per distinct content of the three."""
-    return _affine_map(ineq.alphabet, ineq.term_items, layout, confusion)
-
-
 @functools.lru_cache(maxsize=32)
-def _affine_map(alphabet: str, terms: tuple, layout: tuple,
-                confusion: ConfusionModel) -> AffineMap:
+def affine_map(ineq: Inequality, layout: tuple, confusion: ConfusionModel) -> AffineMap:
+    """The estimator of `ineq` over tables laid out as `layout` and
+    corrected by `confusion`, built once per distinct content of the three.
+    An inequality hashes once, and so does a layout from `frequencies`."""
     r_b, vis = confusion.eps_bright_to_dark, confusion.visibility
     sizes = [len(chain) + 1 for chain, _ in layout]
     # The dark entries of f by table (D, or DB and DD), with the table's
@@ -123,7 +144,7 @@ def _affine_map(alphabet: str, terms: tuple, layout: tuple,
         add((ray,), coef / vis)
         return -coef * r_b / vis
 
-    for rays, coef in _expansion(alphabet, terms):
+    for rays, coef in _expansion(ineq):
         if len(rays) == 2:
             c = coef / vis ** 2
             add(rays, (-r_b * c, (1.0 - r_b) * c))
@@ -137,7 +158,7 @@ def _affine_map(alphabet: str, terms: tuple, layout: tuple,
     return AffineMap(w0, w, table, n)
 
 
-def _expansion(alphabet: str, terms: tuple) -> tuple:
+def _expansion(ineq: Inequality):
     """The inequality as (rays, coefficient) items over the measured
     probabilities: () the constant, (i,) P(V_i = 1), (i, j) P(V_i = V_j = 1).
     A +-1 term expands with A_r = 1 - 2 V_r as c A_i A_j A_k = c - 2c sum V_r
@@ -145,16 +166,16 @@ def _expansion(alphabet: str, terms: tuple) -> tuple:
     term; it vanishes in quantum mechanics (a triangle's rays are mutually
     orthogonal) and enters as +8 mu_ijk P_ijk >= 0, so dropping it can only
     lower the value."""
-    if alphabet == ZO:
-        return terms
+    if ineq.alphabet == ZO:
+        return ineq.terms.items()
     out: dict[tuple[int, ...], int] = {}
-    for rays, c in terms:
+    for rays, c in ineq.terms.items():
         out[()] = out.get((), 0) + c
         for r in rays:
             out[(r,)] = out.get((r,), 0) - 2 * c
         for pair in combinations(rays, 2):
             out[pair] = out.get(pair, 0) + 4 * c
-    return tuple(out.items())
+    return out.items()
 
 
 def estimate(ineq: Inequality, freqs: Frequencies,

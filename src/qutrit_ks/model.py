@@ -49,7 +49,7 @@ class Inequality:
     """sum_m c_m prod_{r in m} x_r <= classical_bound for noncontextual x_r
     (0/1 values obey the product and sum rules); the quantum operator is
     claimed to be quantum_value * I. The terms are kept as a read-only
-    copy, so `term_items`, computed on first use, cannot go stale."""
+    copy, so the hash, computed on first use, cannot go stale."""
 
     name: str
     alphabet: str  # PM1 or ZO
@@ -61,9 +61,12 @@ class Inequality:
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @cached_property
-    def term_items(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The terms as (rays, coefficient) items in their given order."""
-        return tuple(self.terms.items())
+    def _hash(self) -> int:
+        return hash((self.name, self.alphabet, tuple(self.terms.items()),
+                     self.classical_bound, self.quantum_value))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},

@@ -24,8 +24,11 @@ multinomial draw for a pair's three outcomes, and for a single's two the
 binomial draw that is the first step of that multinomial, so both give the
 same counts. `run_roster` draws from each state's law row directly. Each
 (seed, state, sub-experiment) draws from its own keyed Philox stream
-(`derive_rng`), so counts do not depend on execution order. A run re-keys
-one generator for each draw (`_rekey`, from Python ints), and each
+(`derive_rng`), so counts do not depend on execution order. A run takes one
+generator from a small module pool and gives it back when it returns, so no
+two live runs, concurrent or nested, share one, and a run builds none while
+the pool has one idle. It re-keys that generator for each draw by swapping
+the key words, as Python ints, into one kept state dict, and each
 sub-experiment formats its key once. `numpy.random` is loaded on first use.
 """
 
@@ -35,6 +38,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,6 +148,13 @@ class SubExperiment:
     chain: tuple[int, ...]  # 1 ray (single) or 2 rays (sequential pair)
     shots: int = 10_000
 
+    def __post_init__(self):
+        # Checked once, when the plan is built: numpy ints pass as ints.
+        shots = operator.index(self.shots)
+        if shots < 1:
+            raise ValueError(f"a sub-experiment needs at least 1 shot, got {shots}")
+        object.__setattr__(self, "shots", shots)
+
     @functools.cached_property
     def key(self) -> str:  # formatted once per sub-experiment
         return f"{'single' if len(self.chain) == 1 else 'pair'}:" \
@@ -188,20 +199,39 @@ def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
     with its counter at 0 and its key the first 16 bytes of
     sha256("seed/label/..."), read as two little-endian uint64 words. Each
     key is its own stream, so draws do not depend on the order in which
-    sub-experiments execute."""
-    return _rekey(np.random.Generator(np.random.Philox(0)),
-                  "/".join([str(master_seed), *parts]))
+    sub-experiments execute. Each call returns a fresh generator."""
+    stream = _KeyedStream()
+    stream.rekey("/".join([str(master_seed), *parts]))
+    return stream.rng
 
 
-def _rekey(rng: np.random.Generator, name: str) -> np.random.Generator:
-    """`rng` moved to the start of the stream `derive_rng` keys by `name`:
-    its Philox bit generator at counter 0, with an empty output buffer."""
-    key = struct.unpack_from("<2Q", hashlib.sha256(name.encode()).digest())
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return rng
+class _KeyedStream:
+    """One Philox generator moved from keyed stream to keyed stream: `rekey`
+    puts it at the start of the stream `derive_rng` keys by a name, counter
+    0 with an empty output buffer. It keeps one state dict, whose key words
+    it replaces (as Python ints) before setting it, and the generator's two
+    bound draws."""
+
+    __slots__ = ("rng", "binomial", "multinomial", "_bit_generator", "_state", "_key")
+
+    def __init__(self):
+        self.rng = np.random.Generator(np.random.Philox(0))
+        self.binomial, self.multinomial = self.rng.binomial, self.rng.multinomial
+        self._bit_generator = self.rng.bit_generator
+        self._key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        self._state = {"bit_generator": "Philox", "state": self._key,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+                       "uinteger": 0}
+
+    def rekey(self, name: str) -> None:
+        self._key["key"] = struct.unpack_from("<2Q", hashlib.sha256(name.encode()).digest())
+        self._bit_generator.state = self._state
+
+
+# Idle streams. A `run_roster` call pops one (or builds one when none is
+# idle) and pushes it back when it returns, so no two live calls, concurrent
+# or nested, share a generator; list pop and append are atomic.
+_IDLE_STREAMS: list[_KeyedStream] = []
 
 
 def prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:
@@ -329,19 +359,21 @@ def _law_rows(roster: list[StateSpec], plan: list[SubExperiment],
 
 def run_subexperiment(symbols: tuple[str, ...], law: list[float],
                       sub: SubExperiment, seed_key: str,
-                      rng: np.random.Generator) -> CountTable:
+                      stream: _KeyedStream) -> CountTable:
     """Counts of `sub.shots` i.i.d. shots of `law`, the probability of each
     readout symbol in draw order, from the stream `derive_rng` keys by
-    `seed_key`, onto which `rng` is re-keyed. A law of three outcomes is one
-    multinomial draw. A law of two outcomes draws `binomial(shots, P(first))`:
-    numpy's `multinomial` draws exactly that binomial first and leaves the
-    rest to the last outcome, so both give the same counts."""
-    rng, shots = _rekey(rng, seed_key), sub.shots
+    `seed_key`, onto which `stream` is re-keyed: `run_roster` passes the
+    pooled stream it holds, which no other live call uses. A law of three
+    outcomes is one multinomial draw. A law of two outcomes draws `binomial(shots,
+    P(first))`: numpy's `multinomial` draws exactly that binomial first and
+    leaves the rest to the last outcome, so both give the same counts."""
+    stream.rekey(seed_key)
+    shots = sub.shots
     if len(law) == 2:
-        first = rng.binomial(shots, law[0])
+        first = stream.binomial(shots, law[0])
         counts = (first, shots - first)
     else:
-        counts = rng.multinomial(shots, law).tolist()
+        counts = stream.multinomial(shots, law).tolist()
     return CountTable(sub, dict(zip(symbols, counts)), seed_key)
 
 
@@ -350,17 +382,24 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                master_seed: int) -> dict[str, list[CountTable]]:
     """Full run: each state's law rows drawn entry by entry on the stream of
     its (seed, state, sub-experiment), so counts do not depend on the order
-    in which sub-experiments execute. One generator, re-keyed for each
-    sub-experiment, serves the call and never leaves it."""
+    in which sub-experiments execute. The call holds one idle stream from a
+    module pool, re-keyed for each sub-experiment, and returns it when done:
+    a call builds no generator unless every pooled one is in use."""
     symbols, laws = _law_rows(roster, plan, settings, noise)
-    rng = derive_rng(master_seed)
-    tables = {}
-    for state, state_laws in zip(roster, laws):
-        prefix = f"{master_seed}/{state.label}/"
-        tables[state.label] = [
-            run_subexperiment(syms, law, sub, prefix + sub.key, rng)
-            for syms, law, sub in zip(symbols, state_laws, plan)]
-    return tables
+    try:
+        stream = _IDLE_STREAMS.pop()
+    except IndexError:
+        stream = _KeyedStream()
+    try:
+        tables = {}
+        for state, state_laws in zip(roster, laws):
+            prefix = f"{master_seed}/{state.label}/"
+            tables[state.label] = [
+                run_subexperiment(syms, law, sub, prefix + sub.key, stream)
+                for syms, law, sub in zip(symbols, state_laws, plan)]
+        return tables
+    finally:
+        _IDLE_STREAMS.append(stream)
 
 
 def counts_to_csv(tables: dict[str, list[CountTable]]) -> str:

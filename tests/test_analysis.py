@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -270,20 +271,37 @@ def test_correction_inverts_exact_laws(model):
 def test_chi13_pulls_are_calibrated(model):
     """(chi13 - 83/3) / stderr over 100 fixed seeds x 3 states at 10^4 shots
     has mean near 0 and sd near 1 under each readout model."""
-    settings = settings_table()
-    plan = simulate.build_plan(model, settings, shots=10_000)
-    roster = [s for s in simulate.default_state_roster()
-              if s.label in ("psi1", "psi7", "rho10")]
-    truth = float(model.chi13.quantum_value)
     for name in ("ideal", "paper", "photon-count-harsh"):
-        pulls = []
-        for seed in range(100):
-            runs = simulate.run_roster(roster, plan, settings, NOISE[name], seed)
-            for tables in runs.values():
-                chi13, _ = _corrected(tables, NOISE[name], model)
-                pulls.append((chi13.value - truth) / chi13.stderr)
-        mean, sd = np.mean(pulls), np.std(pulls, ddof=1)
+        mean, sd = _pulls(model, NOISE[name], ("psi1", "psi7", "rho10"), range(100))
         assert abs(mean) < 0.2 and 0.9 <= sd <= 1.1, f"{name}: {mean:+.3f}, {sd:.3f}"
+
+
+def test_estimator_lookup_hashes_layout_and_terms_once(model, monkeypatch):
+    """Every run of one table layout gets the same layout object, which
+    hashes once, and an inequality hashes once, so the four estimates of
+    each run find their cached maps without rehashing either."""
+    calls = []
+    original = analysis._Layout._hash.func
+    counting = functools.cached_property(lambda layout: calls.append(1) or original(layout))
+    counting.__set_name__(analysis._Layout, "_hash")
+    monkeypatch.setattr(analysis._Layout, "_hash", counting)
+    analysis._interned.cache_clear()
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots=300)
+    state, noise = simulate.default_state_roster()[4], NOISE["paper"]
+    layouts = []
+    for seed in range(3):
+        freqs = analysis.frequencies(
+            simulate.run_roster([state], plan, settings, noise, seed)[state.label])
+        layouts.append(freqs.layout)
+        for ineq in (model.chi13, CHI4):
+            for confusion in (IDENTITY, analysis.confusion_for(noise)):
+                analysis.estimate(ineq, freqs, confusion)
+    assert layouts[0] is layouts[1] is layouts[2]
+    assert layouts[0] == tuple((sub.chain, 300) for sub in plan)
+    assert hash(layouts[0]) == hash(tuple(layouts[0])) and calls == [1]
+    for ineq in (model.chi13, CHI4):
+        assert vars(ineq)["_hash"] == hash(ineq)
 
 
 def test_stderr_is_the_multinomial_variance(model):

@@ -55,7 +55,7 @@ def test_observers_read_what_the_traced_functions_return():
     settings = pulses.settings_table()
     sub = simulate.build_plan(model, settings, 1000)[0]
     law = expected_laws([state], [sub], settings, noise)[state.label][0]
-    draw = (tuple(law), list(law.values()), sub, "0/psi1/key", simulate.derive_rng(0))
+    draw = (tuple(law), list(law.values()), sub, "0/psi1/key", simulate._KeyedStream())
     calls = {
         "pulses.compile_setting": (pulses.compile_setting, (settings[0],)),
         "simulate.run_subexperiment": (simulate.run_subexperiment, draw),

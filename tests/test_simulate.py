@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -181,6 +183,26 @@ def test_build_plan_structure(model, settings):
     assert sum(p.shots for p in plan) == 37 * 10_000
     # edge (1, 4) is co-mapped first in M3
     assert next(p for p in pairs if p.chain == (1, 4)).setting_id == "M3"
+
+
+@pytest.mark.parametrize("shots, error", [(2.5, TypeError), ("10", TypeError),
+                                          (0, ValueError), (-5, ValueError)])
+def test_build_plan_rejects_a_shot_count_below_one_or_not_an_integer(
+        model, settings, shots, error):
+    """A fractional count would draw a fractional table, zero would leave
+    empty tables for `analysis` to trip on, and a negative one would fail
+    inside numpy: each is refused when the plan is built."""
+    with pytest.raises(error):
+        simulate.build_plan(model, settings, shots)
+    with pytest.raises(error):
+        simulate.SubExperiment("M1", (1,), shots)
+
+
+def test_sub_experiment_takes_numpy_integer_shots_as_int(model, settings):
+    plan = simulate.build_plan(model, settings, np.int64(7))
+    assert {type(sub.shots) for sub in plan} == {int}
+    assert all(sub.shots == 7 for sub in plan)
+    assert simulate.SubExperiment("M1", (1,), np.uint8(1)).shots == 1
 
 
 def test_detect_dark_state_ideal():
@@ -598,23 +620,24 @@ def test_two_outcome_draw_is_the_multinomial_draw(p_dark):
     binomial step of numpy's `multinomial`, so on the same keyed stream it
     gives the same counts at every law and shot count."""
     law = [p_dark, 1.0 - p_dark]
-    rng = simulate.derive_rng(0)
+    stream = simulate._KeyedStream()
     for shots in (1, 2000, 10 ** 6, 2 ** 62):
         for seed in range(3):
             sub = simulate.SubExperiment("M1", (1,), shots)
             key = f"{seed}/psi1/{sub.key}"
-            table = simulate.run_subexperiment(("D", "B"), law, sub, key, rng)
+            table = simulate.run_subexperiment(("D", "B"), law, sub, key, stream)
             expected = simulate.derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
             assert table.counts == dict(zip("DB", expected.tolist())), (shots, seed)
             assert table.seed_key == key
 
 
 def test_rekey_reproduces_derive_rng_streams():
-    """A generator re-keyed by `_rekey`, whatever it drew before, is the
-    `derive_rng` stream of the name: counter 0, empty buffer, the key words
-    of sha256 read little-endian (top bit set included), and equal 2- and
-    3-outcome multinomial draws."""
-    rng = simulate.derive_rng(0)
+    """A stream re-keyed by `_KeyedStream.rekey`, whatever it drew before, is
+    the `derive_rng` stream of the name: counter 0, empty buffer, the key
+    words of sha256 read little-endian (top bit set included), and equal 2-
+    and 3-outcome multinomial draws."""
+    stream = simulate._KeyedStream()
+    rng = stream.rng
     top_bit = 0
     for n in range(1000):
         parts = (f"psi{n % 12 + 1}", f"pair:{n % 13 + 1:02d}-10:M{n % 16 + 1}")
@@ -623,14 +646,15 @@ def test_rekey_reproduces_derive_rng_streams():
         top_bit += int(key.max() >= 2 ** 63)
         rng.integers(2 ** 32, dtype=np.uint32)  # leave a half-used word behind
         assert rng.bit_generator.state["has_uint32"] == 1
-        state = simulate._rekey(rng, name).bit_generator.state
+        stream.rekey(name)
+        state = rng.bit_generator.state
         assert [int(w) for w in state["state"]["key"]] == key.tolist()
         assert [int(w) for w in state["state"]["counter"]] == [0, 0, 0, 0]
         assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
         fresh = simulate.derive_rng(n, *parts)
         assert fresh.bit_generator.state["state"]["key"].tolist() == key.tolist()
         for law in ([0.3, 0.7], [0.2, 0.5, 0.3]):
-            assert rng.multinomial(n + 1, law).tolist() == \
+            assert stream.multinomial(n + 1, law).tolist() == \
                 fresh.multinomial(n + 1, law).tolist()
     assert top_bit > 500
 
@@ -657,9 +681,11 @@ def test_default_roster_is_built_once_and_read_only(monkeypatch):
     assert len(calls) == 12
 
 
-def test_run_roster_builds_one_generator_per_call(model, settings, monkeypatch):
-    """However many states and entries, a run constructs one Philox bit
-    generator; every other stream is a re-key of it."""
+def test_run_roster_draws_from_a_pooled_generator(model, settings, monkeypatch):
+    """A run takes an idle generator from the module pool and returns it, so
+    only a call that finds the pool empty constructs a Philox bit generator,
+    however many states and entries it draws; `derive_rng` builds a fresh
+    one on every call."""
     built = []
     original = np.random.Philox
 
@@ -668,12 +694,86 @@ def test_run_roster_builds_one_generator_per_call(model, settings, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
+    monkeypatch.setattr(simulate, "_IDLE_STREAMS", [])
     plan = simulate.build_plan(model, settings, shots=100)
     roster = simulate.default_state_roster()
-    for states in (roster[:1], roster):
-        built.clear()
+    for states in (roster[:1], roster, roster[:1]):
         simulate.run_roster(states, plan, settings, simulate.NoiseModel.paper(), 3)
-        assert len(built) == 1
+    assert len(built) == 1 and len(simulate._IDLE_STREAMS) == 1
+    simulate.derive_rng(3)
+    simulate.derive_rng(3)
+    assert len(built) == 3 and len(simulate._IDLE_STREAMS) == 1
+
+
+def _one_state_tables(model, settings, seeds, noise=NOISE_CONFIGS["paper"]):
+    plan = simulate.build_plan(model, settings, shots=2000)
+    state = simulate.default_state_roster()[6]
+    return [[(t.seed_key, t.counts) for t in
+             simulate.run_roster([state], plan, settings, noise, seed)[state.label]]
+            for seed in seeds]
+
+
+def test_concurrent_runs_never_share_a_generator(model, settings):
+    """Two threads that run one-state rosters over 50 seeds each get exactly
+    the serial tables. A thread switch is forced every microsecond, so a
+    generator shared between live calls would be re-keyed between another
+    call's re-key and draw."""
+    seeds = (range(50), range(50, 100))
+    serial = [_one_state_tables(model, settings, s) for s in seeds]
+    results = [None, None]
+
+    def work(i):
+        results[i] = _one_state_tables(model, settings, seeds[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
+def test_nested_run_leaves_the_outer_counts_unchanged(model, settings, monkeypatch):
+    """A `run_roster` called from inside a draw (a wrapped
+    `run_subexperiment`) takes another generator from the pool, so the outer
+    run keeps one generator throughout and its counts do not move."""
+    expected = _one_state_tables(model, settings, [4])
+    original = simulate.run_subexperiment
+    streams, depth = ([], []), []
+
+    def nested(symbols, law, sub, seed_key, stream):
+        streams[len(depth)].append(stream)
+        if not depth:
+            depth.append(1)
+            _one_state_tables(model, settings, [len(streams[0])], NOISE_CONFIGS["ideal"])
+            depth.pop()
+        return original(symbols, law, sub, seed_key, stream)
+
+    monkeypatch.setattr(simulate, "run_subexperiment", nested)
+    assert _one_state_tables(model, settings, [4]) == expected
+    outer, inner = ({id(s) for s in d} for d in streams)
+    assert (len(streams[0]), len(streams[1])) == (37, 37 * 37)
+    assert len(outer) == 1 and not outer & inner
+
+
+def test_derived_generators_drawn_in_alternation_match_each_alone():
+    """Two `derive_rng` generators are independent objects: drawing from them
+    in alternation gives the same draws as drawing from each alone."""
+    keys = (("psi1", "tomography"), ("rho10", "tomography"))
+    alone = [simulate.derive_rng(5, *k).binomial(1000, [0.1, 0.5, 0.9] * 4).tolist()
+             for k in keys]
+    a, b = (simulate.derive_rng(5, *k) for k in keys)
+    mixed = [[], []]
+    for _ in range(4):
+        for i, rng in enumerate((a, b)):
+            mixed[i] += rng.binomial(1000, [0.1, 0.5, 0.9]).tolist()
+    assert mixed == alone
 
 
 def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
