@@ -167,10 +167,6 @@ class CountTable:
     counts: dict[str, int]
     seed_key: str
 
-    @property
-    def shots(self) -> int:
-        return sum(self.counts.values())
-
 
 def build_plan(model: KSModel, settings: list[MeasurementSetting],
                shots: int = 10_000) -> list[SubExperiment]:
