@@ -220,7 +220,8 @@ class _KeyedStream:
                        "uinteger": 0}
 
     def rekey(self, name: str) -> None:
-        self._key["key"] = struct.unpack_from("<2Q", hashlib.sha256(name.encode()).digest())
+        digest = hashlib.sha256(name.encode()).digest()
+        self._key["key"] = struct.unpack_from("<2Q", digest)
         self._bit_generator.state = self._state
 
 
@@ -360,9 +361,10 @@ def run_subexperiment(symbols: tuple[str, ...], law: list[float],
     readout symbol in draw order, from the stream `derive_rng` keys by
     `seed_key`, onto which `stream` is re-keyed: `run_roster` passes the
     pooled stream it holds, which no other live call uses. A law of three
-    outcomes is one multinomial draw. A law of two outcomes draws `binomial(shots,
-    P(first))`: numpy's `multinomial` draws exactly that binomial first and
-    leaves the rest to the last outcome, so both give the same counts."""
+    outcomes is one multinomial draw. A law of two outcomes draws
+    `binomial(shots, P(first))`: numpy's `multinomial` draws exactly that
+    binomial first and leaves the rest to the last outcome, so both give the
+    same counts."""
     stream.rekey(seed_key)
     shots = sub.shots
     if len(law) == 2:

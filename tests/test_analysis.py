@@ -282,7 +282,8 @@ def test_estimator_lookup_hashes_layout_and_terms_once(model, monkeypatch):
     each run find their cached maps without rehashing either."""
     calls = []
     original = analysis._Layout._hash.func
-    counting = functools.cached_property(lambda layout: calls.append(1) or original(layout))
+    counting = functools.cached_property(
+        lambda layout: calls.append(1) or original(layout))
     counting.__set_name__(analysis._Layout, "_hash")
     monkeypatch.setattr(analysis._Layout, "_hash", counting)
     analysis._interned.cache_clear()
