@@ -177,3 +177,22 @@ def calibration_digest(noise: simulate.NoiseModel) -> str:
 @pytest.mark.parametrize("noise", sorted(CALIBRATION_DIGESTS))
 def test_one_state_runs_and_estimates_match_pinned_digest(noise):
     assert calibration_digest(LAW_NOISES[noise]) == CALIBRATION_DIGESTS[noise]
+
+
+# `verify`'s stdout, its `--out` report and the `.model.txt` dump beside it,
+# recorded before the hidden-variable enumeration and the exact operator were
+# restructured; a changed check line, count or model dump fails here.
+VERIFY_DIGESTS = {
+    "stdout": "9498af176be2cad24b84835f72e32e9f6196b1cdeebda4e493d28216d59fbeee",
+    "verify.txt": "9498af176be2cad24b84835f72e32e9f6196b1cdeebda4e493d28216d59fbeee",
+    "verify.model.txt": "7d5e93793beccf74a627ed7e0d04993feac6b47918303a10dadde4ff3e63e173",
+}
+
+
+def test_verify_outputs_match_pinned_digests(tmp_path, capsys):
+    assert cli.main(["verify", "--out", str(tmp_path / "verify.txt")]) == cli.EXIT_OK
+    outputs = {"stdout": capsys.readouterr().out.encode()}
+    outputs.update({name: (tmp_path / name).read_bytes()
+                    for name in ("verify.txt", "verify.model.txt")})
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()} == VERIFY_DIGESTS
