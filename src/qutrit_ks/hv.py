@@ -1,17 +1,17 @@
 """Classical bounds by exhaustive hidden-variable enumeration.
 
 `enumerate_bound` evaluates an inequality spec from `model` on all 2^13
-assignments at once: one int8 column per ray, integer arithmetic only. In the
-+-1 alphabet every assignment counts; in the 0/1 alphabet only those obeying
-the product rule on every edge and the sum rule on every triangle of the
-model's graph. The tests hold a scalar reference for the same spec and
-rules, one assignment at a time.
+assignments at once, in integer arithmetic: one gather from a ray-major int8
+table per group of terms of equal degree and coefficient. In the +-1 alphabet
+every assignment counts; in the 0/1 alphabet only those obeying the product
+rule on every edge and the sum rule on every triangle of the model's graph.
+The tests hold a scalar reference for the same spec and rules, one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -26,29 +26,44 @@ class BoundReport:
     histogram: dict[int, int] = field(default_factory=dict)
 
 
+@functools.cache
+def _table(alphabet: str) -> np.ndarray:
+    """Read-only x_r of assignment a at [r - 1, a], V_r being bit r - 1 of a."""
+    index = np.arange(2 ** len(RAYS), dtype=np.uint16)
+    bits = np.stack([(index >> r & 1).astype(np.int8) for r in range(len(RAYS))])
+    table = bits if alphabet == ZO else 1 - 2 * bits
+    table.flags.writeable = False
+    return table
+
+
 def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
     """Exact maximum of `ineq` over every admissible assignment."""
-    index = np.arange(2 ** len(RAYS))
-    bits = {r: ((index >> (r - 1)) & 1).astype(np.int8) for r in RAYS}
-    cols = bits if ineq.alphabet == ZO else {r: 1 - 2 * b for r, b in bits.items()}
-    values = np.zeros(index.size, dtype=np.int32)
+    if (sum(map(abs, ineq.terms.values())) >= 2 ** 63
+            or not {r for m in ineq.terms for r in m} <= RAYS.keys()):
+        raise ValueError(f"inequality {ineq.name}: terms need rays 1..13 and a sum "
+                         "of |coefficients| below 2^63")
+    table = _table(ineq.alphabet)
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for rays, c in ineq.terms.items():
-        values += np.int32(c) * prod(cols[r] for r in rays)
+        groups.setdefault((len(rays), c), []).append(rays)
+    values = np.zeros(table.shape[1], dtype=np.int64)
+    for (_, c), monomials in groups.items():
+        products = table[np.array(monomials, dtype=np.intp) - 1].prod(axis=1, dtype=np.int8)
+        # products are -1, 0 or 1: the smallest dtype holding -1 - m sums m exactly
+        values += np.int64(c) * products.sum(
+            axis=0, dtype=np.min_scalar_type(-1 - len(monomials)))
     if ineq.alphabet == ZO:
-        keep = np.ones(index.size, dtype=bool)
-        for i, j in model.edges:
-            keep &= (bits[i] & bits[j]) == 0
-        for i, j, k in model.triangles:
-            keep &= bits[i] + bits[j] + bits[k] == 1
-        values = values[keep]
+        edges, triangles = (np.array(list(s), dtype=np.intp).reshape(-1, n) - 1
+                            for s, n in ((model.edges, 2), (model.triangles, 3)))
+        keep = np.flatnonzero((table[triangles].sum(axis=1, dtype=np.int8) == 1).all(axis=0))
+        # the product rule only on assignments the sum rule keeps: a small gather
+        values = values[keep[~table[:, keep][edges].all(axis=1).any(axis=0)]]
     if values.size == 0:
         return BoundReport(maximum=None, argmax_count=0, admissible_count=0)
-    lo = int(values.min())
-    counts = np.bincount(values - lo)
-    histogram = {lo + int(k): int(counts[k]) for k in np.flatnonzero(counts)}
-    best = max(histogram)
-    return BoundReport(maximum=best, argmax_count=histogram[best],
-                       admissible_count=int(values.size), histogram=histogram)
+    keys, counts = np.unique(values, return_counts=True)
+    return BoundReport(maximum=int(keys[-1]), argmax_count=int(counts[-1]),
+                       admissible_count=int(values.size),
+                       histogram=dict(zip(keys.tolist(), counts.tolist())))
 
 
 def max_chi13_noncontextual(model: KSModel) -> BoundReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import lcm
 from types import MappingProxyType
@@ -73,9 +73,12 @@ CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},
                   classical_bound=1, quantum_value=Fraction(4, 3))
 
 
+@cache
 def ray_unit(i: int) -> np.ndarray:
     v = np.asarray(RAYS[i], dtype=complex)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False  # shared by every caller
+    return v
 
 
 @dataclass(frozen=True)
@@ -133,16 +136,21 @@ def exact_operator(ineq: Inequality) -> np.ndarray:
     Integer rays give rational projectors P_r = v v^T / (v . v); each value
     x_r becomes P_r (0/1 alphabet) or I - 2 P_r (+-1 alphabet), and each
     monomial the product of its factors, summed in integer arithmetic over
-    one common denominator D^K (D = lcm(v . v), K the top degree).
+    one common denominator D^K (D = lcm(v . v), K the top degree): stacked
+    object-dtype (Python int) matmuls per degree, one tensordot per degree.
     """
-    norms = {r: sum(a * a for a in RAYS[r]) for m in ineq.terms for r in m}
-    d, top = lcm(*norms.values()), max(map(len, ineq.terms), default=0)
-    factors = {}
-    for r, norm in norms.items():
-        p = np.outer(RAYS[r], RAYS[r]).astype(object) * (d // norm)
-        factors[r] = d * np.eye(3, dtype=int) - 2 * p if ineq.alphabet == PM1 else p
-    total = sum((c * d ** (top - len(m)) * reduce(np.matmul, [factors[r] for r in m])
-                 for m, c in ineq.terms.items()), np.zeros((3, 3), dtype=object))
+    rays = sorted({r for m in ineq.terms for r in m})
+    v = np.array([RAYS[r] for r in rays], dtype=object).reshape(-1, 3)
+    norms = (v * v).sum(axis=1)
+    d, top = lcm(*norms), max(map(len, ineq.terms), default=0)
+    p = v[:, :, None] * v[:, None, :] * (d // norms)[:, None, None]
+    factors = d * np.eye(3, dtype=int) - 2 * p if ineq.alphabet == PM1 else p
+    total = np.zeros((3, 3), dtype=object)
+    for k in set(map(len, ineq.terms)):
+        terms = {m: c * d ** (top - k) for m, c in ineq.terms.items() if len(m) == k}
+        idx = np.searchsorted(rays, np.array(list(terms), dtype=int)).T  # factor rows
+        products = reduce(np.matmul, factors[idx]) if k else np.eye(3, dtype=int)[None]
+        total += np.tensordot(np.array([*terms.values()], dtype=object), products, axes=1)
     return total * Fraction(1, d ** top)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from types import MappingProxyType
 
@@ -93,8 +93,11 @@ def r2_matrix(theta: float, phi: float) -> np.ndarray:
     ], dtype=complex)
 
 
+@cache
 def pulse_matrix(p: Pulse) -> np.ndarray:
-    return r1_matrix(p.theta, p.phi) if p.channel == 1 else r2_matrix(p.theta, p.phi)
+    m = r1_matrix(p.theta, p.phi) if p.channel == 1 else r2_matrix(p.theta, p.phi)
+    m.flags.writeable = False  # shared by every caller
+    return m
 
 
 def swap_pulse(basis_state: int) -> Pulse:

@@ -1,8 +1,17 @@
 """Shared test inputs."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from qutrit_ks import linalg, simulate, tomography
+from qutrit_ks.model import PM1, Inequality
+
+# Coefficients beyond int64: exact arithmetic must carry them, and int64
+# enumeration must refuse them.
+HUGE = Inequality("huge", PM1, {(1,): 10**30, (10,): -(10**30), (1, 4): 10**30,
+                                (2, 5, 8): -(10**30), (3, 6, 9): 7},
+                  classical_bound=0, quantum_value=Fraction(0))
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:

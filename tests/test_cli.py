@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,21 @@ def test_verify_report_file(tmp_path, capsys):
     capsys.readouterr()
     assert "PASSED" in report.read_text()
     assert (tmp_path / "verify.model.txt").exists()
+
+
+def test_verification_suite_peak_memory():
+    """A warm `verify` suite allocates at most 768 KiB at its peak. A faster
+    suite lets a benchmark run keep more per-operation records, so the
+    suite's own transients must stay small for peak RSS to hold."""
+    assert cli.run_verification([]) is True  # builds the per-process tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert cli.run_verification([]) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 768 * 1024
 
 
 def test_verification_detects_injected_fault(monkeypatch):

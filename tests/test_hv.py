@@ -1,12 +1,15 @@
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 import pytest
 
 from qutrit_ks import hv
-from qutrit_ks.model import PM1, RAYS, ZO, KSModel, build_model
+from qutrit_ks.model import CHI4, PM1, RAYS, ZO, Inequality, KSModel, build_model
+
+from helpers import HUGE
 
 
 @dataclass(frozen=True)
@@ -24,15 +27,19 @@ class Assignment:
             raise ValueError(f"values do not match alphabet {self.alphabet}")
 
 
+def spec_value(ineq: Inequality, values: tuple[int, ...]) -> int:
+    """Scalar reference for `hv.enumerate_bound`: sum_m c_m prod_{r in m} x_r
+    at one assignment, in Python ints."""
+    return sum(c * prod(values[r - 1] for r in rays) for rays, c in ineq.terms.items())
+
+
 def evaluate_assignment(f: Assignment, model: KSModel) -> int:
-    """Scalar reference for `hv.enumerate_bound`: the value of the model's
-    inequality in the assignment's alphabet, the weighted 13-observable chi13
-    for +-1, chi4 for 0/1."""
+    """The value of the model's inequality in the assignment's alphabet, the
+    weighted 13-observable chi13 for +-1, chi4 for 0/1."""
     by_alphabet = {ineq.alphabet: ineq for ineq in model.inequalities}
     if f.alphabet not in by_alphabet:
         raise ValueError(f"unknown alphabet {f.alphabet!r}")
-    return sum(c * prod(f.values[r - 1] for r in rays)
-               for rays, c in by_alphabet[f.alphabet].terms.items())
+    return spec_value(by_alphabet[f.alphabet], f.values)
 
 
 def admissible(g: tuple[int, ...], model: KSModel) -> bool:
@@ -173,30 +180,80 @@ def test_report_text(chi13_report):
     assert "[histogram]" in text
 
 
-def _scalar_histogram(model, alphabet):
+def _scalar_histogram(model, ineq):
     """Histogram of the scalar reference over all 8192 assignments."""
     hist = {}
     for g in product((0, 1), repeat=13):
-        if alphabet == ZO and not admissible(g, model):
+        if ineq.alphabet == ZO and not admissible(g, model):
             continue
-        values = g if alphabet == ZO else tuple(1 - 2 * v for v in g)
-        val = evaluate_assignment(Assignment(values, alphabet), model)
+        values = g if ineq.alphabet == ZO else tuple(1 - 2 * v for v in g)
+        val = spec_value(ineq, values)
         hist[val] = hist.get(val, 0) + 1
     return dict(sorted(hist.items()))
 
 
 def test_vectorized_chi13_matches_scalar_reference(model, chi13_report):
-    assert chi13_report.histogram == _scalar_histogram(model, PM1)
+    assert chi13_report.histogram == _scalar_histogram(model, model.chi13)
 
 
 def test_vectorized_chi4_matches_scalar_reference(model, chi4_report):
-    assert chi4_report.histogram == _scalar_histogram(model, ZO)
+    assert chi4_report.histogram == _scalar_histogram(model, CHI4)
+
+
+def _uncolorable(model):
+    """Every pair exclusive, yet two disjoint triangles each need one ray at 1."""
+    return dataclasses.replace(model, edges=frozenset(combinations(RAYS, 2)),
+                               triangles=frozenset({(1, 2, 3), (4, 5, 6)}))
+
+
+@pytest.mark.parametrize("case", ["changed_mu_ij", "weighted_123", "constant_and_zero",
+                                  "01_pairs_and_triples", "uncolorable"])
+def test_grouped_enumeration_matches_scalar_reference(model, case):
+    """Terms grouped by degree and coefficient, beyond the two default specs:
+    a constant term, a zero coefficient, several groups of one degree, and
+    0/1 rules that admit nothing."""
+    graph, ineq = model, {
+        "changed_mu_ij": dataclasses.replace(
+            model, mu_ij={**model.mu_ij, (1, 2): 5}).chi13,
+        "weighted_123": dataclasses.replace(
+            model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4}).chi13,
+        "constant_and_zero": Inequality(
+            "constant", PM1, {(): 5, (1,): 0, (2,): -3, (10, 13): 2, (11, 12): 2,
+                              (1, 5, 9): -1, (4, 8, 12): 0}, 0, Fraction(0)),
+        "01_pairs_and_triples": Inequality(
+            "pairs", ZO, {(10,): 1, (1, 5): 2, (10, 13): -2, (5, 12): 3,
+                          (1, 5, 9): 4, (3, 10, 13): -1}, 0, Fraction(0)),
+        "uncolorable": CHI4,
+    }[case]
+    if case == "uncolorable":
+        graph = _uncolorable(model)
+    report = hv.enumerate_bound(ineq, graph)
+    expected = _scalar_histogram(graph, ineq)
+    assert report.histogram == expected
+    assert report.admissible_count == sum(expected.values())
+    if expected:
+        assert (report.maximum, report.argmax_count) == max(expected.items())
+    else:
+        assert report.maximum is None and report.argmax_count == 0
+
+
+def test_enumeration_sums_in_int64():
+    """Two terms of 2^30 reach 2^31, past int32, exactly."""
+    big = Inequality("big", PM1, {(1,): 2 ** 30, (2,): 2 ** 30}, 0, Fraction(0))
+    report = hv.enumerate_bound(big, build_model())
+    assert report.maximum == 2 ** 31
+    assert report.histogram == {-(2 ** 31): 2 ** 11, 0: 2 ** 12, 2 ** 31: 2 ** 11}
+
+
+def test_enumeration_refuses_unknown_rays_and_coefficients_beyond_int64():
+    with pytest.raises(ValueError, match="inequality huge"):
+        hv.enumerate_bound(HUGE, build_model())
+    with pytest.raises(ValueError, match="inequality ray0"):
+        hv.enumerate_bound(Inequality("ray0", PM1, {(0, 1): 1}, 0, Fraction(0)),
+                           build_model())
 
 
 def test_uncolorable_rules_report_no_maximum(model):
-    # every pair exclusive, yet two disjoint triangles each need one ray at 1
-    broken = dataclasses.replace(model, edges=frozenset(combinations(RAYS, 2)),
-                                 triangles=frozenset({(1, 2, 3), (4, 5, 6)}))
-    report = hv.max_chi4_constrained(broken)
+    report = hv.max_chi4_constrained(_uncolorable(model))
     assert report.maximum is None
     assert "KS-uncolorable" in report_to_text("chi4", report)

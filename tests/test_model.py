@@ -10,7 +10,7 @@ from qutrit_ks import linalg, model as model_module
 from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model,
                              dump_model, exact_operator)
 
-from helpers import random_density_matrix
+from helpers import HUGE, random_density_matrix
 
 PROJECTORS = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
 OBSERVABLES = {i: linalg.IDENTITY - 2 * p for i, p in PROJECTORS.items()}
@@ -132,11 +132,6 @@ def fraction_operator(ineq):
     for rays, c in ineq.terms.items():
         out += c * reduce(np.matmul, [factors[r] for r in rays])
     return out
-
-
-HUGE = Inequality("huge", PM1, {(1,): 10**30, (10,): -(10**30), (1, 4): 10**30,
-                                (2, 5, 8): -(10**30), (3, 6, 9): 7},
-                  classical_bound=0, quantum_value=Fraction(0))
 
 
 @pytest.mark.parametrize("case", ["chi13", "chi4", "changed_mu_ij",

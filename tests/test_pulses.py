@@ -119,6 +119,20 @@ def test_swap_pulse():
         pulses.swap_pulse(3)
 
 
+def test_memoized_rays_and_pulses_match_fresh_and_are_read_only(settings):
+    for r in RAYS:
+        v = np.asarray(RAYS[r], dtype=complex)
+        assert ray_unit(r).tobytes() == (v / np.linalg.norm(v)).tobytes()
+        with pytest.raises(ValueError):
+            ray_unit(r)[0] = 0
+    swaps = [pulses.swap_pulse(b) for b in (1, 2)]
+    for p in [p for s in settings for p in s.pulses] + swaps:
+        rotation = pulses.r1_matrix if p.channel == 1 else pulses.r2_matrix
+        assert pulses.pulse_matrix(p).tobytes() == rotation(p.theta, p.phi).tobytes()
+        with pytest.raises(ValueError):
+            pulses.pulse_matrix(p)[0, 0] = 0
+
+
 def test_schedule_durations():
     hw = pulses.HardwareParams()
     assert hw.pulse_duration_us(pulses.Pulse(1, math.pi / 2, math.pi)) \
