@@ -73,8 +73,8 @@ def _select_roster(cfg: RunConfig) -> list[simulate.StateSpec]:
     return [by_label[s] for s in cfg.states]
 
 
-def run_verification(report_lines: list[str]) -> bool:
-    """Static checks: graph, operators, classical bounds, setting mappings."""
+def run_verification(report_lines: list[str], model: KSModel | None = None) -> bool:
+    """Static checks of `model`: graph, operators, bounds, setting mappings."""
     ok = True
 
     def check(name: str, passed: bool, detail: str = ""):
@@ -83,7 +83,7 @@ def run_verification(report_lines: list[str]) -> bool:
         status = "ok  " if passed else "FAIL"
         report_lines.append(f"[{status}] {name}" + (f": {detail}" if detail else ""))
 
-    model = build_model()
+    model = build_model() if model is None else model
     check("graph edges", len(model.edges) == 24, f"{len(model.edges)} edges")
     expected_tris = {(1, 2, 3), (1, 4, 7), (2, 5, 8), (3, 6, 9)}
     check("graph triangles", set(model.triangles) == expected_tris,
@@ -115,13 +115,14 @@ def run_verification(report_lines: list[str]) -> bool:
 
 def cmd_verify(args) -> int:
     lines: list[str] = []
-    ok = run_verification(lines)
+    model = build_model()
+    ok = run_verification(lines, model)
     lines.append("verification " + ("PASSED" if ok else "FAILED"))
     text = "\n".join(lines) + "\n"
     files = {}
     if args.out:
         out = Path(args.out)
-        files = {out: text, out.with_suffix(".model.txt"): dump_model(build_model())}
+        files = {out: text, out.with_suffix(".model.txt"): dump_model(model)}
     return _emit(files, text, EXIT_OK if ok else EXIT_VERIFY)
 
 

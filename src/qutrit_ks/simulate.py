@@ -16,13 +16,14 @@ rates, never on the seed, state or shots). A setting hashes by content and
 computes that hash once, on first use. The stack is kept as (9, n) real
 and imaginary planes of the effects' matrix elements, so `_law_rows`, the
 one place a law is computed, forms each state's row of Tr(rho E) as nine
-row adds in a fixed order.
+row adds in a fixed order; kept by the bytes of the prepared rho, a row is
+formed once for a state redrawn over seeds.
 
 Shots are i.i.d., so each sub-experiment makes a single draw from its law
-(`run_subexperiment`), and cost does not grow with the shot count: one
-multinomial draw for a pair's three outcomes, and for a single's two the
-binomial draw that is the first step of that multinomial, so both give the
-same counts. `run_roster` draws from each state's law row directly. Each
+(`run_subexperiment`), and cost does not grow with the shot count: numpy's
+`multinomial` draw, made as its binomial steps, one for a single's two
+outcomes and two for a pair's three, so the counts are those of
+`multinomial`. `run_roster` draws from each state's law row directly. Each
 (seed, state, sub-experiment) draws from its own keyed Philox stream
 (`derive_rng`), so counts do not depend on execution order. A run takes one
 generator from a small module pool and gives it back when it returns, so no
@@ -54,6 +55,7 @@ BRIGHT = linalg.IDENTITY - DARK
 # Pi pulse moving basis state `slot` onto the detected |3> (none for |3>).
 SWAP = {1: pulse_matrix(swap_pulse(1)), 2: pulse_matrix(swap_pulse(2)),
         3: linalg.IDENTITY}
+_MEMO_ROWS = 32  # law rows a plan's effects keep, ~5 KB each for the default plan
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class SubExperiment:
                f"{'-'.join(f'{r:02d}' for r in self.chain)}:{self.setting_id}"
 
 
-@dataclass
+@dataclass(slots=True)
 class CountTable:
     subexperiment: SubExperiment
     counts: dict[str, int]
@@ -205,14 +207,14 @@ class _KeyedStream:
     """One Philox generator moved from keyed stream to keyed stream: `rekey`
     puts it at the start of the stream `derive_rng` keys by a name, counter
     0 with an empty output buffer. It keeps one state dict, whose key words
-    it replaces (as Python ints) before setting it, and the generator's two
-    bound draws."""
+    it replaces (as Python ints) before setting it, and the generator's
+    bound `binomial`."""
 
-    __slots__ = ("rng", "binomial", "multinomial", "_bit_generator", "_state", "_key")
+    __slots__ = ("rng", "binomial", "_bit_generator", "_state", "_key")
 
     def __init__(self):
         self.rng = np.random.Generator(np.random.Philox(0))
-        self.binomial, self.multinomial = self.rng.binomial, self.rng.multinomial
+        self.binomial = self.rng.binomial
         self._bit_generator = self.rng.bit_generator
         self._key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
         self._state = {"bit_generator": "Philox", "state": self._key,
@@ -312,6 +314,7 @@ class PlanEffects(NamedTuple):
     re: np.ndarray
     im: np.ndarray
     slices: tuple[slice, ...]  # each entry's columns
+    rows: dict[bytes, tuple[tuple[float, ...], ...]]  # kept by `_law_rows`
 
 
 @functools.lru_cache(maxsize=8)
@@ -331,48 +334,59 @@ def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
     re.flags.writeable = im.flags.writeable = False
     stops = list(itertools.accumulate(len(effs) for effs in compiled))
     return PlanEffects(tuple(tuple(effs) for effs in compiled), re, im,
-                       tuple(map(slice, [0, *stops], stops)))
+                       tuple(map(slice, [0, *stops], stops)), {})
 
 
 def _law_rows(roster: list[StateSpec], plan: list[SubExperiment],
               settings: list[MeasurementSetting], noise: NoiseModel
-              ) -> tuple[tuple[tuple[str, ...], ...], list[list[list[float]]]]:
+              ) -> tuple[tuple[tuple[str, ...], ...], list[tuple]]:
     """Each plan entry's readout symbols and, for each state, the law of
     each entry: P(s) = Tr(rho E_s) for its symbols in draw order, clipped
-    to [0, 1]."""
+    to [0, 1], as tuples. The plan's effects keep up to `_MEMO_ROWS` rows,
+    keyed by the bytes of the prepared rho, and a call forms only the rest."""
     effs = _plan_effects(tuple(settings),
                          tuple((sub.setting_id, sub.chain) for sub in plan),
                          readout_rates(noise))
-    rhos = np.array([prepare(state, noise) for state in roster]).reshape(-1, 9).T
-    # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij). The
-    # nine terms are added one by one in a fixed order, so a law's bits do not
-    # depend on the other states or entries in the call, as a BLAS or einsum
-    # reduction's may.
-    terms = (rhos.real[:, :, None] * effs.re[:, None]
-             + rhos.imag[:, :, None] * effs.im[:, None])
-    rows = np.clip(functools.reduce(np.add, terms), 0.0, 1.0).tolist()
-    return effs.symbols, [[row[s] for s in effs.slices] for row in rows]
+    keys = [np.ascontiguousarray(prepare(state, noise), dtype=complex).tobytes()
+            for state in roster]
+    rows = {key: effs.rows.get(key) for key in keys}  # read once: others may clear it
+    missing = [key for key, row in rows.items() if row is None]
+    if missing:
+        rhos = np.frombuffer(b"".join(missing), complex).reshape(-1, 9).T
+        # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij).
+        # The nine terms are added one by one in a fixed order, so a law's bits
+        # do not depend on the other states or entries in the call, as a BLAS
+        # or einsum reduction's may.
+        terms = (rhos.real[:, :, None] * effs.re[:, None]
+                 + rhos.imag[:, :, None] * effs.im[:, None])
+        laws = np.clip(functools.reduce(np.add, terms), 0.0, 1.0).tolist()
+        for key, law in zip(missing, laws):
+            rows[key] = tuple(tuple(law[s]) for s in effs.slices)
+        if len(effs.rows) + len(missing) > _MEMO_ROWS:
+            effs.rows.clear()
+        effs.rows.update({key: rows[key] for key in missing[:_MEMO_ROWS]})
+    return effs.symbols, [rows[key] for key in keys]
 
 
-def run_subexperiment(symbols: tuple[str, ...], law: list[float],
+def run_subexperiment(symbols: tuple[str, ...], law: tuple[float, ...],
                       sub: SubExperiment, seed_key: str,
                       stream: _KeyedStream) -> CountTable:
     """Counts of `sub.shots` i.i.d. shots of `law`, the probability of each
     readout symbol in draw order, from the stream `derive_rng` keys by
     `seed_key`, onto which `stream` is re-keyed: `run_roster` passes the
-    pooled stream it holds, which no other live call uses. A law of three
-    outcomes is one multinomial draw. A law of two outcomes draws
-    `binomial(shots, P(first))`: numpy's `multinomial` draws exactly that
-    binomial first and leaves the rest to the last outcome, so both give the
-    same counts."""
+    pooled stream it holds, which no other live call uses. The draw is
+    numpy's `multinomial`, made as its binomial steps: `binomial(shots,
+    P(first))`, then the rest split at P(second) / (1 - P(first)), clamped
+    to 1 as rounding can exceed it (`multinomial` then draws all the rest)."""
     stream.rekey(seed_key)
-    shots = sub.shots
+    shots, binomial = sub.shots, stream.binomial
+    first = binomial(shots, law[0])
+    rest = shots - first
     if len(law) == 2:
-        first = stream.binomial(shots, law[0])
-        counts = (first, shots - first)
-    else:
-        counts = stream.multinomial(shots, law).tolist()
-    return CountTable(sub, dict(zip(symbols, counts)), seed_key)
+        return CountTable(sub, {symbols[0]: first, symbols[1]: rest}, seed_key)
+    second = binomial(rest, min(law[1] / (1.0 - law[0]), 1.0)) if rest > 0 else 0
+    return CountTable(sub, {symbols[0]: first, symbols[1]: second,
+                            symbols[2]: rest - second}, seed_key)
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
@@ -391,6 +405,8 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
     try:
         tables = {}
         for state, state_laws in zip(roster, laws):
+            if state.label in tables:
+                raise ValueError(f"repeated state label: {state.label}")
             prefix = f"{master_seed}/{state.label}/"
             tables[state.label] = [
                 run_subexperiment(syms, law, sub, prefix + sub.key, stream)

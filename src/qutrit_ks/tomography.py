@@ -173,7 +173,10 @@ def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
     one stacked pass and compared with the state's target `rho`. A state's
     result does not depend on the rest of the roster: it equals, field for
     field, the result of a roster of that state alone."""
-    rngs = [derive_rng(master_seed, state.label, "tomography") for state in roster]
+    labels = [state.label for state in roster]
+    if repeated := [label for label in labels if labels.count(label) > 1]:
+        raise ValueError(f"repeated state label: {repeated[0]}")
+    rngs = [derive_rng(master_seed, label, "tomography") for label in labels]
     freqs = _frequencies(roster, settings, noise, shots, rngs)
     return _reconstruct(freqs, settings, [state.rho for state in roster])
 

@@ -31,6 +31,17 @@ def test_verify_report_file(tmp_path, capsys):
     assert (tmp_path / "verify.model.txt").exists()
 
 
+def test_verify_out_builds_the_model_once(tmp_path, capsys, monkeypatch):
+    """`verify --out` dumps the model its checks ran on; it builds no second."""
+    built = []
+    original = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda: built.append(1) or original())
+    assert cli.main(["verify", "--out", str(tmp_path / "verify.txt")]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(built) == 1
+    assert (tmp_path / "verify.model.txt").read_text() == cli.dump_model(original())
+
+
 def test_verification_suite_peak_memory():
     """A warm `verify` suite allocates at most 768 KiB at its peak. A faster
     suite lets a benchmark run keep more per-operation records, so the

@@ -3,16 +3,17 @@ import functools
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg, simulate
-from qutrit_ks.model import RAYS, build_model, ray_unit
+from qutrit_ks import analysis, linalg, simulate
+from qutrit_ks.model import CHI4, RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
-from helpers import effect_stack, expected_laws
+from helpers import effect_stack, expected_laws, random_density_matrix
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -560,14 +561,19 @@ def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
     counts of the full roster."""
     plan = simulate.build_plan(model, settings)
     roster = simulate.default_state_roster()
+
+    def computed(states, entries, noise):
+        # a cleared cache forms every row afresh, never reading a kept one
+        simulate._plan_effects.cache_clear()
+        return expected_laws(states, entries, settings, noise)
+
     for noise in NOISE_CONFIGS.values():
-        full = expected_laws(roster, plan, settings, noise)
+        full = computed(roster, plan, noise)
         for state in roster[::4]:
-            alone = [expected_laws([state], [sub], settings, noise)[state.label][0]
-                     for sub in plan]
+            alone = [computed([state], [sub], noise)[state.label][0] for sub in plan]
             assert alone == full[state.label]
-            assert expected_laws(roster[::-1], plan[::-1], settings,
-                                 noise)[state.label] == full[state.label][::-1]
+            assert computed(roster[::-1], plan[::-1], noise)[state.label] == \
+                full[state.label][::-1]
 
 
 def test_run_roster_draws_once_per_state_and_entry(model, settings, monkeypatch):
@@ -614,21 +620,50 @@ def test_plan_effects_form_a_povm(model, settings, noise):
     assert start == len(stack)
 
 
+DRAW_SHOTS = (1, 7, 2000, 10 ** 6, 2 ** 62, 2 ** 63 - 1)
+
+
+def _assert_draws_are_multinomial(symbols, law):
+    """On three keyed streams and at every shot count of `DRAW_SHOTS`,
+    `run_subexperiment` gives, as Python ints, the counts of numpy's
+    `multinomial` on a fresh `derive_rng` stream of the same key."""
+    stream = simulate._KeyedStream()
+    chain = (1,) if len(law) == 2 else (1, 2)
+    for shots in DRAW_SHOTS:
+        for seed in range(3):
+            sub = simulate.SubExperiment("M1", chain, shots)
+            key = f"{seed}/psi1/{sub.key}"
+            table = simulate.run_subexperiment(symbols, law, sub, key, stream)
+            expected = simulate.derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
+            assert table.counts == dict(zip(symbols, expected.tolist())), (shots, seed)
+            assert all(type(c) is int for c in table.counts.values())
+            assert table.seed_key == key
+
+
 @pytest.mark.parametrize("p_dark", [0.0, 5e-324, 0.021, 0.5, 0.99, 1 - 2 ** -53, 1.0])
 def test_two_outcome_draw_is_the_multinomial_draw(p_dark):
     """A two-outcome law is drawn as `binomial(shots, P(D))`, the first
     binomial step of numpy's `multinomial`, so on the same keyed stream it
     gives the same counts at every law and shot count."""
-    law = [p_dark, 1.0 - p_dark]
-    stream = simulate._KeyedStream()
-    for shots in (1, 2000, 10 ** 6, 2 ** 62):
-        for seed in range(3):
-            sub = simulate.SubExperiment("M1", (1,), shots)
-            key = f"{seed}/psi1/{sub.key}"
-            table = simulate.run_subexperiment(("D", "B"), law, sub, key, stream)
-            expected = simulate.derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
-            assert table.counts == dict(zip("DB", expected.tolist())), (shots, seed)
-            assert table.seed_key == key
+    _assert_draws_are_multinomial(("D", "B"), [p_dark, 1.0 - p_dark])
+
+
+@pytest.mark.parametrize("law", [
+    [0.3, 0.7000000000000001, 0.0],  # P(DB) / (1 - P(B)) rounds above 1
+    [0.0, 0.4, 0.6],
+    [5e-324, 0.4, 0.6],
+    [1 - 2 ** -53, 2 ** -54, 2 ** -54],
+    [1 - 2 ** -53, 2 ** -53, 0.0],
+    [1.0, 0.0, 0.0],
+    [0.3, 0.0, 0.7],
+    [0.021, 0.5, 0.479],
+])
+def test_pair_draw_is_the_multinomial_draw(law):
+    """A pair's law is drawn as numpy's `multinomial` draws it, in two
+    binomial steps, the second at P(DB) / (1 - P(B)) clamped to 1, so on the
+    same keyed stream it gives the same counts at every law and shot count,
+    including laws whose ratio rounds above 1."""
+    _assert_draws_are_multinomial(("B", "DB", "DD"), law)
 
 
 def test_rekey_reproduces_derive_rng_streams():
@@ -654,7 +689,7 @@ def test_rekey_reproduces_derive_rng_streams():
         fresh = simulate.derive_rng(n, *parts)
         assert fresh.bit_generator.state["state"]["key"].tolist() == key.tolist()
         for law in ([0.3, 0.7], [0.2, 0.5, 0.3]):
-            assert stream.multinomial(n + 1, law).tolist() == \
+            assert rng.multinomial(n + 1, law).tolist() == \
                 fresh.multinomial(n + 1, law).tolist()
     assert top_bit > 500
 
@@ -713,22 +748,18 @@ def _one_state_tables(model, settings, seeds, noise=NOISE_CONFIGS["paper"]):
             for seed in seeds]
 
 
-def test_concurrent_runs_never_share_a_generator(model, settings):
-    """Two threads that run one-state rosters over 50 seeds each get exactly
-    the serial tables. A thread switch is forced every microsecond, so a
-    generator shared between live calls would be re-keyed between another
-    call's re-key and draw."""
-    seeds = (range(50), range(50, 100))
-    serial = [_one_state_tables(model, settings, s) for s in seeds]
+def _in_two_threads(work, inputs):
+    """`work` of each of two inputs, run in two threads at once with a thread
+    switch forced every microsecond."""
     results = [None, None]
 
-    def work(i):
-        results[i] = _one_state_tables(model, settings, seeds[i])
+    def run(i):
+        results[i] = work(inputs[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
         for t in threads:
             t.start()
         for t in threads:
@@ -736,7 +767,17 @@ def test_concurrent_runs_never_share_a_generator(model, settings):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == serial
+    return results
+
+
+def test_concurrent_runs_never_share_a_generator(model, settings):
+    """Two threads that run one-state rosters over 50 seeds each get exactly
+    the serial tables. A thread switch is forced every microsecond, so a
+    generator shared between live calls would be re-keyed between another
+    call's re-key and draw."""
+    seeds = (range(50), range(50, 100))
+    serial = [_one_state_tables(model, settings, s) for s in seeds]
+    assert _in_two_threads(lambda s: _one_state_tables(model, settings, s), seeds) == serial
 
 
 def test_nested_run_leaves_the_outer_counts_unchanged(model, settings, monkeypatch):
@@ -794,3 +835,137 @@ def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
     assert formatted == plan
     assert [t.seed_key for t in tables["psi1"]] == [f"2/psi1/{sub.key}" for sub in plan]
     assert plan[13].key == "pair:01-02:M1"
+
+
+def test_repeated_state_label_is_refused(model, settings):
+    """Two states under one label would draw on the same keyed streams and
+    one state's tables would be lost, so a run refuses the roster."""
+    psi1, psi4 = (simulate.default_state_roster()[i] for i in (0, 3))
+    plan = simulate.build_plan(model, settings, shots=100)
+    with pytest.raises(ValueError, match="repeated state label: psi1"):
+        simulate.run_roster([psi1, simulate.StateSpec("psi1", psi4.rho)], plan,
+                            settings, NOISE_CONFIGS["paper"], 1)
+
+
+def _rows(states, plan, settings, noise):
+    return simulate._law_rows(states, plan, settings, noise)[1]
+
+
+def test_law_rows_are_kept_read_only_tuples(model, settings):
+    """A row is formed once per (plan, readout, prepared rho) and kept as
+    tuples, so a later call hands out the same row and nobody can alter it."""
+    plan = simulate.build_plan(model, settings)
+    roster = simulate.default_state_roster()
+    noise = NOISE_CONFIGS["paper"]
+    simulate._plan_effects.cache_clear()
+    first = _rows(roster, plan, settings, noise)
+    again = _rows(roster[:1], plan, settings, noise)
+    assert again[0] is first[0]
+    for row in first:
+        assert type(row) is tuple and len(row) == len(plan)
+        assert all(type(law) is tuple for law in row)
+        assert all(type(p) is float for law in row for p in law)
+    assert len(_plan_effects(plan, settings, noise).rows) == len(roster)
+
+
+def test_law_rows_are_keyed_by_the_prepared_state(model, settings):
+    """Rows are kept by the prepared rho, never by label: two states under
+    one label, and one state under two depolarizations with the same
+    readout rates, each get the rows a fresh computation gives them."""
+    plan = simulate.build_plan(model, settings)
+    psi1, psi4 = (simulate.default_state_roster()[i] for i in (0, 3))
+    paper = NOISE_CONFIGS["paper"]
+    depolarized = dataclasses.replace(paper, prep_depolarization=0.1)
+    cases = [([psi1], paper), ([simulate.StateSpec("psi1", psi4.rho)], paper),
+             ([psi4], paper), ([psi4], depolarized)]
+    simulate._plan_effects.cache_clear()
+    kept = [_rows(states, plan, settings, noise) for states, noise in cases]
+    assert len(_plan_effects(plan, settings, paper).rows) == 3
+    fresh = []
+    for states, noise in cases:
+        simulate._plan_effects.cache_clear()
+        fresh.append(_rows(states, plan, settings, noise))
+    assert kept == fresh
+    assert kept[0] != kept[1] == kept[2] != kept[3]
+
+
+def _random_states(n, seed):
+    rng = np.random.default_rng(seed)
+    return [simulate.StateSpec.mixed(f"r{i}", random_density_matrix(rng))
+            for i in range(n)]
+
+
+def test_law_rows_kept_stay_within_the_cap(model, settings):
+    """However many distinct states a process draws, one plan and readout
+    keep at most `_MEMO_ROWS` rows, whether the states come one per call or
+    all in one call, and every row returned is the one formed afresh."""
+    plan = simulate.build_plan(model, settings)
+    noise = NOISE_CONFIGS["paper"]
+    states = _random_states(500, 3)
+    simulate._plan_effects.cache_clear()
+    kept = _plan_effects(plan, settings, noise).rows
+    rows = []
+    for state in states:
+        rows += _rows([state], plan, settings, noise)
+        assert len(kept) <= simulate._MEMO_ROWS
+    assert _rows(states, plan, settings, noise) == rows
+    assert len(kept) <= simulate._MEMO_ROWS
+    simulate._plan_effects.cache_clear()
+    assert [_rows([state], plan, settings, noise)[0] for state in states[::50]] == rows[::50]
+
+
+def test_concurrent_runs_that_overflow_the_kept_rows(model, settings):
+    """Two threads whose distinct states overflow the kept rows many times
+    over, with a thread switch forced every microsecond, get exactly the
+    serial tables: a row is never read back from the shared memo."""
+    plan = simulate.build_plan(model, settings, shots=2000)
+    noise = NOISE_CONFIGS["paper"]
+    work_lists = (_random_states(60, 5), _random_states(60, 6))
+
+    def tables(states):
+        return [[(t.seed_key, t.counts) for t in
+                 simulate.run_roster([state], plan, settings, noise, 1)[state.label]]
+                for state in states]
+
+    serial = [tables(states) for states in work_lists]
+    assert _in_two_threads(tables, work_lists) == serial
+
+
+def _sweep(model, settings, plan, noises):
+    """36 one-state runs, each with its four estimates, as a pull gate
+    repeats them over seeds."""
+    for noise in noises:
+        corrections = (analysis.confusion_for(NoiseModel.ideal()),
+                       analysis.confusion_for(noise))
+        for state in simulate.default_state_roster():
+            [tables] = simulate.run_roster([state], plan, settings, noise, 1).values()
+            freqs = analysis.frequencies(tables)
+            for ineq in (model.chi13, CHI4):
+                for confusion in corrections:
+                    analysis.estimate(ineq, freqs, confusion)
+
+
+def test_one_state_runs_stay_small_in_memory(model, settings):
+    """Warm one-state runs and their estimates allocate at most 64 KiB at
+    their peak over three sweeps, and 500 distinct states leave at most
+    256 KiB held: the kept law rows are bounded. A faster run lets a
+    benchmark keep more per-operation records, so the run's own memory must
+    stay small for peak RSS to hold."""
+    plan = simulate.build_plan(model, settings, shots=2000)
+    noises = [NOISE_CONFIGS[name] for name in ("ideal", "paper", "photon-count")]
+    states = _random_states(500, 7)
+    _sweep(model, settings, plan, noises)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for _ in range(3):
+            _sweep(model, settings, plan, noises)
+        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        for state in states:
+            simulate.run_roster([state], plan, settings, noises[1], 1)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+    assert held <= 256 * 1024

@@ -245,6 +245,15 @@ def test_run_tomography_equals_one_state_calls(settings, noise, shots):
         assert _bits(res) == _bits(alone) == _bits(reference), state.label
 
 
+def test_run_tomography_refuses_a_repeated_label(settings):
+    """Two states under one label would share one stream, so a run refuses
+    the roster and names the label."""
+    psi1, psi4 = (simulate.default_state_roster()[i] for i in (0, 3))
+    with pytest.raises(ValueError, match="repeated state label: psi1"):
+        tg.run_tomography([psi1, simulate.StateSpec("psi1", psi4.rho)], settings,
+                          simulate.NoiseModel.paper(), 100, 7)
+
+
 def test_format_density_matrix():
     text = tg.format_density_matrix(np.eye(3, dtype=complex) / 3)
     assert len(text.strip().splitlines()) == 3
