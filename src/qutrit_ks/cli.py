@@ -122,7 +122,8 @@ def cmd_verify(args) -> int:
     files = {}
     if args.out:
         out = Path(args.out)
-        files = {out: text, out.with_suffix(".model.txt"): dump_model(model)}
+        # with_suffix raises on a nameless "." or "/"; writing one of those exits 3.
+        files = {out: text, out.parent / f"{out.stem}.model.txt": dump_model(model)}
     return _emit(files, text, EXIT_OK if ok else EXIT_VERIFY)
 
 
@@ -296,16 +297,16 @@ def cmd_tomography(args) -> int:
     try:
         cfg = _config(args)
         roster = _select_roster(cfg)
-        noise = _noise_from_config(cfg)
-        settings = tomography.tomography_settings()
+        results = tomography.run_tomography(
+            roster, tomography.tomography_settings(), _noise_from_config(cfg),
+            cfg.shots, cfg.master_seed)
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
     lines = ["state,fidelity,residual,projected"]
     files, fids = {}, []
-    for state, res in zip(roster, tomography.run_tomography(
-            roster, settings, noise, cfg.shots, cfg.master_seed)):
+    for state, res in zip(roster, results):
         fids.append(res.fidelity_to_target)
         lines.append(f"{state.label},{res.fidelity_to_target:.6f},"
                      f"{res.residual:.6g},{int(res.projected)}")

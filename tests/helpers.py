@@ -21,11 +21,14 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
+IDEAL_RATES = simulate.readout_rates(simulate.NoiseModel.ideal())
+
+
 def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     """Noise-free dark probability of every tomography sub-run, three per
     setting in settings order: the row `tomography._reconstruct` inverts
-    exactly."""
-    dark = tomography._subrun_dark(tuple(settings), tomography.IDEAL_RATES)
+    exactly under `IDEAL_RATES`."""
+    dark = tomography._subrun_dark(tuple(settings), IDEAL_RATES)
     p = np.einsum("ij,kji->k", linalg.validate_density_matrix(rho), dark).real
     return np.clip(p, 0.0, 1.0)
 

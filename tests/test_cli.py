@@ -42,6 +42,19 @@ def test_verify_out_builds_the_model_once(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "verify.model.txt").read_text() == cli.dump_model(original())
 
 
+def test_verify_out_without_a_file_name_is_io_error(tmp_path, capsys, monkeypatch):
+    """`--out .` names a directory, not a report file: the run exits 3 with
+    an I/O error line and writes nothing, as `--out ..` does."""
+    monkeypatch.chdir(tmp_path)
+    for out in (".", ".."):
+        assert cli.main(["verify", "--out", out]) == cli.EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err.startswith("I/O error:")
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path.parent / "...model.txt").exists()
+
+
 def test_verification_suite_peak_memory():
     """A warm `verify` suite allocates at most 768 KiB at its peak. A faster
     suite lets a benchmark run keep more per-operation records, so the
@@ -328,6 +341,16 @@ def test_tomography_takes_the_flip_rates(tmp_path, capsys):
         != (tmp_path / "b" / "fidelities.csv").read_text()
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["config"]["eps_dark_to_bright"] == 0.2
+
+
+def test_tomography_at_near_zero_visibility_runs(tmp_path, capsys):
+    """A readout of visibility 1e-10 scales the solved map by 1e-10; its
+    rank check is relative to that scale, so the run still ends normally."""
+    assert cli.main(["tomography", "--noise", "flip", "--eps-dark-to-bright", "0.5",
+                     "--eps-bright-to-dark", "0.4999999999", "--states", "psi1",
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "psi1.rho.txt").exists()
 
 
 def test_ideal_noise_honours_prep_depolarization(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Run directories pinned by digest: a refactor of the simulation or the
 tomography path must reproduce every output file byte for byte.
 
-The tomography digests were recorded from the per-state tomography
-implementation that preceded the stacked pass (commit 1b81b2f). The simulate
-digests were re-recorded when one affine estimator replaced the per-term
-correction chain: `results.csv` changed (no clip, exact variance) while
-`counts.csv` stayed byte-identical. A change that means to alter a draw, a
-reconstruction or an estimate updates them and says why in CHANGES.md.
+All 16 run digests were re-recorded when tomography moved to least squares
+on the raw frequencies against the run-rate sub-run map, with the trace
+fixed exactly and the nearest-state projection: `fidelities.csv` and the
+`*.rho.txt` files changed, and so did the fidelity column of the simulate
+`results.csv`, while `counts.csv` stayed byte-identical. A change that means
+to alter a draw, a reconstruction or an estimate updates them and says why
+in CHANGES.md.
 
 The law digests pin every per-shot law itself, bit for bit, so a 1-ulp
 change shows on the law and not only on a count table drawn from it.
@@ -37,37 +38,37 @@ SHOTS = 10_000
 
 DIGESTS = {
     ("simulate", "ideal", 0):
-        "486d4574e54e8f870ab39a6bbf75cfee5946ee70798aa96cfae6cdfabd640476",
+        "31ddb7d34553af749aa21153fbe7ae0e5c62f6ddfcdfb77b54ce300ad6477b14",
     ("simulate", "ideal", 7):
-        "5a85e584e343aca9d5daa438315b9035363f591afc6b6d2cd6cc9c6203cb737e",
+        "ce6701fc955ca5371b5debe6cd611d59a96c3c906ac1e145401bf7948ef9e25d",
     ("simulate", "paper", 0):
-        "48193db9a8c9b2b922a8b3991be627bd3a0fcbb687732efbb7c8d2c765546191",
+        "b62e94e41b0d75fdf1914b2a1febfde6500caf18c2d1981d25c8a8951206eca2",
     ("simulate", "paper", 7):
-        "4789174858d5dbbf9f93634471427466d50683b31c58a98b9507639464c42968",
+        "8ed83108489c2bc55374027ce9868a46b92b08d042175f9274fe843e93b93b13",
     ("simulate", "photon-count", 0):
-        "fb877b343aaf1753d0dc30d6f07574d0f2a055b1659c0cb0342ccaa414b6fa51",
+        "66688326e5a1b56027d8e37e4d7c5c09c4d58e2d90b1aa310f19ef8591bb4d7d",
     ("simulate", "photon-count", 7):
-        "abc634084433d9c17ae116675d400924e8bd6e5e431b4d8a66442fad0105371e",
+        "0d4a94ed9ac7b243e2d37d0827e265cd883128ba854d6f92e65f33d3b6d0b3c9",
     ("simulate", "flip-harsh", 0):
-        "b91c43dced3194e3da27e81daf39344ddcb2c80121154332caabc1bf00e6a0c4",
+        "9c69ca8f60edf1fbad8e3088a2ee4dc1ede49a934edd8a0b852af9851cf80318",
     ("simulate", "flip-harsh", 7):
-        "eea210fb73b519cbb42c8ff41a1eefbccf51765b1bd2f1bd71989ee4394b9f84",
+        "734f25c755ecb6f0308e913ed02d5a2ef80cd9e44cac6f43088ebd7d1abe7c22",
     ("tomography", "ideal", 0):
-        "8ad0b60a6f0720abff88e7addca508fdfbce8d03110f418fc765d503b813f965",
+        "d71483499294e7a8aeae71667febbe686457eb7766600257a17aa0086d5461cc",
     ("tomography", "ideal", 7):
-        "0792e5d44bf75c15b72082ff8bed817df1644760706e73ff870f6410c5850e5d",
+        "a5c50a5b360f2b594a319b41a39c852c276004d8780d05459d994b6a2b720dc3",
     ("tomography", "paper", 0):
-        "005b359add361ad7e703b3a047ead0ed554ded5ccc5049e6cb32f2c5817abc79",
+        "9a03dba992e552bd9427789a96c0e72052265b0e1e84a7899d3efafa923d3157",
     ("tomography", "paper", 7):
-        "eeebad2c5b580892f6b72dec7882ca3465d191bcfb246597f11b47c60a5735f2",
+        "0489f32f687a92acd3881879d7b3cd370f0fbfad32c74a135b4c75d9bdbf5f05",
     ("tomography", "photon-count", 0):
-        "30fb8e76305160c91c7e5c043e0dc5d885615db586d164ef4285aadb5bf0b267",
+        "1d1c140689be33be568a997e317afcfab6a84bb82af4536052dfb24fe33032d4",
     ("tomography", "photon-count", 7):
-        "fbeb9950ef53ef4486536590f0b62f621b283a83dfb817755958add7155ba3c9",
+        "dffd3d6820fa7b38470be7469e8a4b463c56d77ae8f0578f69c942d91e4dc492",
     ("tomography", "flip-harsh", 0):
-        "bffdf09bbeca53003c9af8532be2320d16438efd1a616b2e907e4c0d50fa4609",
+        "193234037a4d5328f47cdf77d2400151a1780b76d52a9e3406b32aa9ee6801d2",
     ("tomography", "flip-harsh", 7):
-        "4bcdd8f2b6e5154f66e117736d400dee6c96a9d9d9caf4a11971581f89913e4f",
+        "b7a9e2a267d4b8b30e9d9838cb5804b2c71cdbed87905eaf77928eabceeca0e5",
 }
 
 

@@ -1,13 +1,16 @@
-"""Only `simulate` builds a detection, only `cli._emit` writes files, and
-modules keep to public names.
+"""Only `simulate` builds a detection, only `cli._emit` writes files,
+tomography corrects readout through the noise-folded map alone, and modules
+keep to public names.
 
 The swap onto the detected state |3> is part of the noise-folded
 measurement map in `simulate`; any other module that calls `swap_pulse`
-builds a second copy of the detection. Every command writes its output
+builds a second copy of the detection. Tomography solves against that map
+under the run's readout rates, which is its readout correction; an import
+of `analysis` would bring in a second one. Every command writes its output
 through `cli._emit`, the one place that turns a write failure into exit
 code 3; a file written anywhere else escapes that contract. A module that
 reaches into a sibling's `_`-prefixed names depends on its internals. This
-scans the code of the package for all three.
+scans the code of the package for all four.
 """
 
 import ast
@@ -20,6 +23,8 @@ import qutrit_ks
 
 PACKAGE = Path(qutrit_ks.__file__).parent
 SWAP_OWNERS = {"simulate", "pulses"}
+# Sibling modules a module must not import at all.
+FORBIDDEN_IMPORTS = {"tomography": {"analysis"}}
 
 
 def _violations(path: Path, siblings: set[str]) -> list[str]:
@@ -30,7 +35,12 @@ def _violations(path: Path, siblings: set[str]) -> list[str]:
     aliases = {a.asname or a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level == 1
                and not node.module for a in node.names if a.name in siblings}
+    forbidden = FORBIDDEN_IMPORTS.get(module, set())
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [f"{module}:{node.lineno}: imports {name}"
+                      for name in names if name in forbidden]
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             found += [f"{module}:{node.lineno}: imports {node.module}.{a.name}"
                       for a in node.names if a.name.startswith("_") or (
@@ -60,15 +70,19 @@ def test_scanner_flags_violations(tmp_path):
         "from .pulses import swap_pulse\ndef _prepare(): pass\n")
     (tmp_path / "pulses.py").write_text("def swap_pulse(b): pass\n")
     (tmp_path / "tomography.py").write_text(
-        "from .pulses import swap_pulse\nfrom .simulate import _prepare\n")
+        "from .pulses import swap_pulse\nfrom .simulate import _prepare\n"
+        "from .analysis import confusion_for\nfrom . import linalg, analysis\n")
+    (tmp_path / "analysis.py").write_text("def confusion_for(noise): pass\n")
     (tmp_path / "cli.py").write_text(
-        "from . import simulate, pulses\nsimulate._prepare()\n"
+        "from . import simulate, pulses, analysis\nsimulate._prepare()\n"
         "pulses.swap_pulse(1)\n")
     assert find_violations(tmp_path) == [
         "cli:2: uses simulate._prepare",
         "cli:3: uses swap_pulse",
         "tomography:1: imports pulses.swap_pulse",
         "tomography:2: imports simulate._prepare",
+        "tomography:3: imports analysis",
+        "tomography:4: imports analysis",
     ]
 
 

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qutrit_ks import analysis, linalg, simulate, tomography as tg
+from qutrit_ks import linalg, simulate, tomography as tg
 from qutrit_ks.pulses import Pulse, compile_setting, r1_matrix, r2_matrix
 
-from helpers import exact_probabilities, random_density_matrix
+from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix
 
 ROUND_TRIP_TOL = 1e-9  # reconstruction error of exact probabilities
 
@@ -24,22 +24,49 @@ def _subrun_effects(settings, rates):
     return simulate.effects([steps], rates)
 
 
-def _response(settings):
-    """Map from the 9 Hermitian parameters to ideal dark probabilities."""
-    dark = _subrun_effects(settings, tg.IDEAL_RATES)["D"]
-    return np.einsum("gij,kji->kg", tg._BASIS9, dark).real
+def _response(settings, rates=IDEAL_RATES):
+    """Map from the 8 traceless parameters to the dark probabilities under
+    `rates`, and its offset column, the dark probabilities of |3><3|."""
+    dark = _subrun_effects(settings, rates)["D"]
+    return np.einsum("gij,kji->kg", tg._BASIS8, dark).real, dark[:, 2, 2].real
 
 
-def test_settings_rank_nine(settings):
-    a = tg._checked_response(tuple(settings))
-    assert np.array_equal(a, _response(settings))
-    assert np.linalg.matrix_rank(a, tol=tg.RANK_TOL) == 9
+def test_traceless_basis_spans_the_unit_trace_states():
+    """|3><3| plus the span of the eight generators is every unit-trace
+    Hermitian matrix: the generators are traceless, Hermitian and
+    independent, so the trace is fixed exactly and nothing else is."""
+    assert np.array_equal(np.trace(tg._BASIS8, axis1=1, axis2=2), np.zeros(8))
+    assert np.array_equal(tg._BASIS8, linalg.adjoint(tg._BASIS8))
+    flat = tg._BASIS8.reshape(8, 9)
+    assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == 8
+
+
+# The last pair has visibility 1e-10, which scales the map by 1e-10: the
+# rank check is relative to that scale, where an absolute 1e-9 finds rank 0.
+READOUT_RATES = [simulate.readout_rates(noise) for noise in (
+    simulate.NoiseModel.ideal(), simulate.NoiseModel.paper(),
+    simulate.NoiseModel(mode="photon-count"),
+    simulate.NoiseModel(eps_dark_to_bright=0.2, eps_bright_to_dark=0.3),
+    simulate.NoiseModel(eps_dark_to_bright=0.5, eps_bright_to_dark=0.4999999999))]
+
+
+def test_settings_rank_eight(settings):
+    for rates in READOUT_RATES:
+        a, offset = tg._checked_response(tuple(settings), rates)
+        expected_a, expected_offset = _response(settings, rates)
+        assert np.array_equal(a, expected_a)
+        assert np.array_equal(offset, expected_offset)
+        assert not a.flags.writeable and not offset.flags.writeable
+        assert np.linalg.matrix_rank(a) == 8
     assert len(settings) >= 5
 
 
 def test_base_five_settings_are_rank_deficient():
-    base = tg.tomography_settings()[:5]
-    assert np.linalg.matrix_rank(_response(base), tol=tg.RANK_TOL) < 9
+    base = tuple(tg.tomography_settings()[:5])
+    for rates in READOUT_RATES:
+        assert np.linalg.matrix_rank(_response(base, rates)[0]) < 8
+        with pytest.raises(ValueError, match="rank-deficient"):
+            tg._checked_response(base, rates)
 
 
 def test_two_pulse_settings_run_the_channel_2_pulse_first(settings):
@@ -60,7 +87,7 @@ def test_exact_round_trip_100_states(settings):
     rng = np.random.default_rng(13)
     rhos = [random_density_matrix(rng) for _ in range(100)]
     b = np.array([exact_probabilities(rho, settings) for rho in rhos])
-    for rho, res in zip(rhos, tg._reconstruct(b, settings, rhos)):
+    for rho, res in zip(rhos, tg._reconstruct(b, settings, IDEAL_RATES, rhos)):
         assert linalg.frobenius_distance(res.rho, rho) < ROUND_TRIP_TOL
         assert res.residual < 1e-10
 
@@ -70,8 +97,57 @@ def test_reconstruction_is_always_physical(settings):
     rng = np.random.default_rng(17)
     b = np.array([np.concatenate([np.clip(rng.normal(1 / 3, 0.3, 3), 0, 1)
                                   for _ in settings]) for _ in range(20)])
-    for res in tg._reconstruct(b, settings, [linalg.IDENTITY / 3] * len(b)):
+    for rates in (IDEAL_RATES, simulate.readout_rates(simulate.NoiseModel.paper())):
+        for res in tg._reconstruct(b, settings, rates, [linalg.IDENTITY / 3] * len(b)):
+            linalg.validate_density_matrix(res.rho)
+
+
+def _parameters(h):
+    """The eight real coefficients x of a unit-trace Hermitian h = |3><3| +
+    sum_k x_k G_k."""
+    flat = tg._BASIS8.reshape(8, 9)
+    lhs = np.hstack([flat.real, flat.imag]).T
+    rest = h - simulate.DARK
+    rhs = np.concatenate([rest.real.ravel(), rest.imag.ravel()])
+    return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+
+
+def _random_pure(rng):
+    return linalg.projector_from_ray(rng.normal(size=3) + 1j * rng.normal(size=3))
+
+
+@pytest.mark.parametrize("noise", [simulate.NoiseModel.ideal(),
+                                   simulate.NoiseModel.paper()], ids=["ideal", "paper"])
+def test_reconstruction_is_the_nearest_state(settings, noise):
+    """Frequencies that the map sends exactly to a unit-trace Hermitian H come
+    back as the density matrix nearest to H: for every state sigma,
+    Re Tr[(rho - H)(sigma - rho)] >= 0, the condition for the Frobenius
+    projection onto a convex set. sigma runs over H's eigenprojectors and
+    200 random pure and mixed states; a physical H comes back unchanged."""
+    rng = np.random.default_rng(29)
+    rates = simulate.readout_rates(noise)
+    a, offset = tg._checked_response(tuple(settings), rates)
+    sigmas = [f(rng) for _ in range(100) for f in (_random_pure, random_density_matrix)]
+    unphysical = []
+    while len(unphysical) < 20:
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = random_density_matrix(rng) + 0.2 * (g + linalg.adjoint(g))
+        h -= (np.trace(h).real - 1.0) / 3 * np.eye(3)
+        if np.linalg.eigvalsh(h).min() < -1e-3:
+            unphysical.append(h)
+    physical = [random_density_matrix(rng) for _ in range(5)] + [_random_pure(rng)]
+    hs = unphysical + physical
+    q = np.array([offset + a @ _parameters(h) for h in hs])
+    results = tg._reconstruct(q, settings, rates, [linalg.IDENTITY / 3] * len(hs))
+    for h, res in zip(unphysical, results):
+        assert res.projected
         linalg.validate_density_matrix(res.rho)
+        _, vecs = np.linalg.eigh(h)
+        eigenprojectors = [np.outer(v, v.conj()) for v in vecs.T]
+        for sigma in eigenprojectors + sigmas:
+            assert np.trace((res.rho - h) @ (sigma - res.rho)).real >= -1e-12
+    for h, res in zip(physical, results[len(unphysical):]):
+        assert linalg.frobenius_distance(res.rho, h) < 1e-12
 
 
 def test_simulated_tomography_trivia(settings):
@@ -102,7 +178,7 @@ def test_statistical_round_trip_ideal(settings):
     b = tg._frequencies([psi7] * 5, settings, simulate.NoiseModel.ideal(),
                         10_000, rngs)
     fids = [res.fidelity_to_target
-            for res in tg._reconstruct(b, settings, [psi7.rho] * 5)]
+            for res in tg._reconstruct(b, settings, IDEAL_RATES, [psi7.rho] * 5)]
     assert min(fids) >= 0.985
     assert np.mean(fids) >= 0.99
 
@@ -110,15 +186,17 @@ def test_statistical_round_trip_ideal(settings):
 def test_paper_noise_fidelities(settings):
     states = simulate.default_state_roster()[:9]
     rngs = [simulate.derive_rng(101, state.label, "tomo") for state in states]
-    b = tg._frequencies(states, settings, simulate.NoiseModel.paper(), 10_000, rngs)
-    for res in tg._reconstruct(b, settings, [state.rho for state in states]):
+    noise = simulate.NoiseModel.paper()
+    b = tg._frequencies(states, settings, noise, 10_000, rngs)
+    for res in tg._reconstruct(b, settings, simulate.readout_rates(noise),
+                               [state.rho for state in states]):
         assert res.fidelity_to_target >= 0.98
 
 
 def test_reconstruct_rejects_rank_deficient():
     base = tg.tomography_settings()[:5]
     with pytest.raises(ValueError, match="rank"):
-        tg._reconstruct(np.full((1, 3 * len(base)), 1 / 3), base,
+        tg._reconstruct(np.full((1, 3 * len(base)), 1 / 3), base, IDEAL_RATES,
                         [linalg.IDENTITY / 3])
 
 
@@ -127,7 +205,7 @@ def test_reconstruct_builds_the_response_once_per_settings_list(settings):
     states = simulate.default_state_roster()
     for state in states:
         tg._reconstruct(exact_probabilities(state.rho, settings)[None], settings,
-                        [state.rho])
+                        IDEAL_RATES, [state.rho])
     assert tg._checked_response.cache_info().misses == 1
     # a setting that keeps its id but starts with one more pulse is a new list
     last = settings[-1]
@@ -135,7 +213,7 @@ def test_reconstruct_builds_the_response_once_per_settings_list(settings):
               dataclasses.replace(last, pulses=(Pulse(2, 0.3, 0.0), *last.pulses))]
     for state in states[:3]:
         [res] = tg._reconstruct(exact_probabilities(state.rho, turned)[None],
-                                turned, [state.rho])
+                                turned, IDEAL_RATES, [state.rho])
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
     assert tg._checked_response.cache_info().misses == 2
 
@@ -156,8 +234,8 @@ def test_equal_settings_lists_share_one_subrun_entry():
 
 def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
                                                                   monkeypatch):
-    """Every state of a run reads one sub-run stack per readout rate pair:
-    the noisy rates for the draws, the ideal rates for the response map."""
+    """Every state of a run reads one sub-run stack, under the run's readout
+    rates, both to draw and to solve: a run builds one stack, not two."""
     built = []
     original = tg.effects
 
@@ -171,8 +249,7 @@ def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
     noise = simulate.NoiseModel.paper()
     for state in simulate.default_state_roster():
         tg.run_tomography([state], settings, noise, 10_000, 5)
-        exact_probabilities(state.rho, settings)
-    assert built == [simulate.readout_rates(noise), tg.IDEAL_RATES]
+    assert built == [simulate.readout_rates(noise)]
 
 
 STACK_NOISES = {
@@ -200,24 +277,27 @@ def _reference_fidelity(rho, target):
 
 
 def _reference_tomography(state, settings, noise, shots, rng):
-    """One state at a time, one scalar binomial draw and one clipped
-    correction per sub-run: the tomography the stacked pass replaced, step
-    for step."""
-    confusion = analysis.confusion_for(noise)
-    dark = _subrun_effects(settings, simulate.readout_rates(noise))["D"]
+    """One state at a time: one scalar binomial draw per sub-run, raw
+    frequencies, least squares for the eight traceless parameters against
+    the run-rate map less its offset, then the Smolin-Gambetta-Smith loop on
+    the spectrum."""
+    rates = simulate.readout_rates(noise)
+    dark = _subrun_effects(settings, rates)["D"]
     p = np.einsum("ij,kji->k", simulate.prepare(state, noise), dark).real
-    r_b, vis = confusion.eps_bright_to_dark, confusion.visibility
-    b = np.array([min(max((int(rng.binomial(shots, pk)) / shots - r_b) / vis,
-                          0.0), 1.0)
-                  for pk in np.clip(p, 0.0, 1.0)])
-    a = _response(settings)
-    x = np.linalg.lstsq(np.vstack([a, tg.TRACE_ROW]), np.append(b, 1.0),
-                        rcond=None)[0]
-    rho = sum(c * g for c, g in zip(x, tg._BASIS9))
+    q = np.array([int(rng.binomial(shots, pk)) / shots for pk in np.clip(p, 0.0, 1.0)])
+    a, offset = _response(settings, rates)
+    b = q - offset
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    rho = simulate.DARK + sum(c * g for c, g in zip(x, tg._BASIS8))
     w, u = _descending_eigh(rho)
     projected = bool(w.min() < 0.0)
-    w = np.clip(w, 0.0, None)
-    rho = (u * (w / w.sum())) @ linalg.adjoint(u)
+    lam, n, acc = [float(v) for v in w], 3, 0.0
+    while lam[n - 1] + acc / n < 0.0:
+        acc += lam[n - 1]
+        lam[n - 1] = 0.0
+        n -= 1
+    lam[:n] = [v + acc / n for v in lam[:n]]
+    rho = (u * np.array(lam)) @ linalg.adjoint(u)
     rho = (rho + linalg.adjoint(rho)) / 2
     return tg.ReconstructionResult(rho, _reference_fidelity(rho, state.rho),
                                    float(np.linalg.norm(a @ x - b)), projected)
@@ -280,7 +360,7 @@ def test_subrun_effects_form_a_povm(settings, noise):
 
 
 def test_ideal_subrun_k_projects_onto_rotated_basis_state(settings):
-    dark = tg._subrun_dark(tuple(settings), tg.IDEAL_RATES)
+    dark = tg._subrun_dark(tuple(settings), IDEAL_RATES)
     for i, s in enumerate(settings):
         for k, row in enumerate(compile_setting(s)):
             assert np.allclose(dark[3 * i + k], np.outer(row.conj(), row),
