@@ -180,8 +180,8 @@ def _expansion(ineq: Inequality):
 
 def estimate(ineq: Inequality, freqs: Frequencies,
              confusion: ConfusionModel) -> Estimate:
-    """Value and exact multinomial stderr of `ineq` from one state's
-    `Frequencies`, corrected by `confusion`; raw under `ConfusionModel(0, 0)`."""
+    """Value and exact multinomial stderr of `ineq` from one state's `Frequencies`,
+    corrected by `confusion`; raw under `confusion_for(NoiseModel.ideal())`."""
     w0, w, table, n = affine_map(ineq, freqs.layout, confusion)
     f = freqs.f
     mean = np.bincount(table, weights=w * f)  # W . f_k of each table

@@ -166,7 +166,7 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
         fids = linalg.fidelities([simulate.prepare(state, noise) for state in roster],
                                  [state.rho for state in roster])
 
-    raw = analysis.ConfusionModel(0.0, 0.0)
+    raw = analysis.confusion_for(simulate.NoiseModel.ideal())
     results = []
     for state, fid in zip(roster, fids):
         freqs = analysis.frequencies(tables[state.label])

@@ -6,17 +6,18 @@ the dark state |3>, and detect. Collapse always follows the TRUE projection
 outcome; readout errors affect only the recorded symbol and the decision to
 continue a sequential pair, exactly as the physical apparatus behaves.
 
-That process is one noise-folded measurement map, which tomography reads
-too: `effects` turns the unitary before each detection and the readout
+That process is one noise-folded measurement map, which tomography draws
+and solves through too (its settings map no ray, so its singles name their
+slot): `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
 is Tr(rho E). A process stacks the effects of each distinct plan once
 (`_plan_effects`, 13 singles x 2 symbols + 24 pairs x 3 = 98 for the
 default plan, keyed on the settings themselves, the chains and the readout
 rates, never on the seed, state or shots). A setting hashes by content and
-computes that hash once, on first use. The stack is kept as (9, n) real
-and imaginary planes of the effects' matrix elements, so `_law_rows`, the
-one place a law is computed, forms each state's row of Tr(rho E) as nine
-row adds in a fixed order; kept by the bytes of the prepared rho, a row is
+computes that hash once, on first use. The stack is kept as (9, n) real and
+imaginary planes of the effects' matrix elements, so `_law_rows`, the one
+place a law is computed, forms each state's row of Tr(rho E) as nine row
+adds in a fixed order; kept by the bytes of the prepared rho, a row is
 formed once for a state redrawn over seeds.
 
 Shots are i.i.d., so each sub-experiment makes a single draw from its law
@@ -25,7 +26,7 @@ Shots are i.i.d., so each sub-experiment makes a single draw from its law
 outcomes and two for a pair's three, so the counts are those of
 `multinomial`. `run_roster` draws from each state's law row directly. Each
 (seed, state, sub-experiment) draws from its own keyed Philox stream
-(`derive_rng`), so counts do not depend on execution order. A run takes one
+(`_KeyedStream`), so counts do not depend on execution order. A run takes one
 generator from a small module pool and gives it back when it returns, so no
 two live runs, concurrent or nested, share one, and a run builds none while
 the pool has one idle. It re-keys that generator for each draw by swapping
@@ -192,23 +193,14 @@ def build_plan(model: KSModel, settings: list[MeasurementSetting],
     return plan
 
 
-def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
-    """The stream keyed by (seed, labels): Philox4x64 (Salmon et al., SC'11)
-    with its counter at 0 and its key the first 16 bytes of
-    sha256("seed/label/..."), read as two little-endian uint64 words. Each
-    key is its own stream, so draws do not depend on the order in which
-    sub-experiments execute. Each call returns a fresh generator."""
-    stream = _KeyedStream()
-    stream.rekey("/".join([str(master_seed), *parts]))
-    return stream.rng
-
-
 class _KeyedStream:
-    """One Philox generator moved from keyed stream to keyed stream: `rekey`
-    puts it at the start of the stream `derive_rng` keys by a name, counter
-    0 with an empty output buffer. It keeps one state dict, whose key words
-    it replaces (as Python ints) before setting it, and the generator's
-    bound `binomial`."""
+    """One Philox generator moved from keyed stream to keyed stream. A name
+    "seed/label/..." keys Philox4x64 (Salmon et al., SC'11) at counter 0,
+    with an empty output buffer and the first 16 bytes of sha256(name) read
+    as two little-endian uint64 key words; each key is its own stream, so
+    draws do not depend on the order in which sub-experiments execute.
+    `rekey` moves the generator to the start of a name's stream by setting
+    one kept state dict with the new key words (as Python ints)."""
 
     __slots__ = ("rng", "binomial", "_bit_generator", "_state", "_key")
 
@@ -243,6 +235,8 @@ def prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:
 
 
 def _slot_of(setting: MeasurementSetting, ray: int) -> int:
+    if not setting.mapping and ray in SWAP:  # a setting that maps no ray names the slot
+        return ray
     for basis, r in setting.mapping.items():
         if r == ray:
             return basis
@@ -337,6 +331,14 @@ def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
                        tuple(map(slice, [0, *stops], stops)), {})
 
 
+def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
+                 rates: tuple[float, float]) -> PlanEffects:
+    """The cached `PlanEffects` of `plan` under readout `rates`: the effects
+    every draw of the plan reads."""
+    return _plan_effects(tuple(settings),
+                         tuple((sub.setting_id, sub.chain) for sub in plan), rates)
+
+
 def _law_rows(roster: list[StateSpec], plan: list[SubExperiment],
               settings: list[MeasurementSetting], noise: NoiseModel
               ) -> tuple[tuple[tuple[str, ...], ...], list[tuple]]:
@@ -344,9 +346,7 @@ def _law_rows(roster: list[StateSpec], plan: list[SubExperiment],
     each entry: P(s) = Tr(rho E_s) for its symbols in draw order, clipped
     to [0, 1], as tuples. The plan's effects keep up to `_MEMO_ROWS` rows,
     keyed by the bytes of the prepared rho, and a call forms only the rest."""
-    effs = _plan_effects(tuple(settings),
-                         tuple((sub.setting_id, sub.chain) for sub in plan),
-                         readout_rates(noise))
+    effs = plan_effects(plan, settings, readout_rates(noise))
     keys = [np.ascontiguousarray(prepare(state, noise), dtype=complex).tobytes()
             for state in roster]
     rows = {key: effs.rows.get(key) for key in keys}  # read once: others may clear it
@@ -372,12 +372,12 @@ def run_subexperiment(symbols: tuple[str, ...], law: tuple[float, ...],
                       sub: SubExperiment, seed_key: str,
                       stream: _KeyedStream) -> CountTable:
     """Counts of `sub.shots` i.i.d. shots of `law`, the probability of each
-    readout symbol in draw order, from the stream `derive_rng` keys by
-    `seed_key`, onto which `stream` is re-keyed: `run_roster` passes the
-    pooled stream it holds, which no other live call uses. The draw is
-    numpy's `multinomial`, made as its binomial steps: `binomial(shots,
-    P(first))`, then the rest split at P(second) / (1 - P(first)), clamped
-    to 1 as rounding can exceed it (`multinomial` then draws all the rest)."""
+    readout symbol in draw order, from the keyed stream of `seed_key`, onto
+    which `stream` is re-keyed: `run_roster` passes the pooled stream it
+    holds, which no other live call uses. The draw is numpy's `multinomial`,
+    made as its binomial steps: `binomial(shots, P(first))`, then the rest
+    split at P(second) / (1 - P(first)), clamped to 1 as rounding can exceed
+    it (`multinomial` then draws all the rest)."""
     stream.rekey(seed_key)
     shots, binomial = sub.shots, stream.binomial
     first = binomial(shots, law[0])

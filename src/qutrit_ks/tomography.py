@@ -5,24 +5,23 @@ The measurement set is seven `pulses.MeasurementSetting`s that map no ray:
 five single-tone quarter rotations, which alone are rank-deficient, and two
 two-pulse sequences; `pulses.compile_setting` builds their unitaries. Each
 setting runs three sub-runs, each transferring one basis state to the dark
-state |3>: one detection of `simulate.effects` under the run's readout
-rates, built once per process for each distinct (settings, rates) and read
-by every state of a run, to draw and to solve (`_subrun_dark`). A dark
+state |3>. The 21 sub-runs are a plan of `simulate.SubExperiment` singles
+whose chain names the detected slot, so `simulate.run_roster` draws them as
+it draws every count, one draw per (seed, state, sub-run) on its own keyed
+stream "seed/label/single:0k:Tn", and the solve reads the plan's cached
+effects (`simulate.plan_effects`), the very ones the draw read. A dark
 effect is r_b*I + vis*P, so least squares on the raw frequencies against
 that map is the readout correction, unclipped. The trace is exact: rho =
 |3><3| + sum_k x_k G_k over eight traceless generators, whose map is checked
 for rank 8. A negative eigenvalue sends the estimate to the nearest density
 matrix (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
 
-`run_tomography` is the one entry point: it simulates and reconstructs a
-whole roster in one stacked pass (`_frequencies`, then `_reconstruct`).
-Each state keeps its own stream `simulate.derive_rng(seed, label,
-"tomography")`, its own contraction with the sub-run stack, one binomial
-draw of all its sub-runs, its own least-squares solve and its own
-projection; the basis sum, the eigendecomposition and the fidelities run on
-the stack in operations whose result for one state has the bits of a
-one-state call, so a state's result does not depend on the rest of the
-roster.
+`run_tomography` is the one entry point: it draws a whole roster and
+reconstructs it in one stacked pass. Each state keeps its own least-squares
+solve and its own projection; the basis sum, the eigendecomposition and the
+fidelities run on the stack in operations whose result for one state has
+the bits of a one-state call, so a state's result does not depend on the
+rest of the roster.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .pulses import MeasurementSetting, Pulse, compile_setting
-from .simulate import (DARK, SWAP, NoiseModel, StateSpec, derive_rng, effects,
-                       prepare, readout_rates)
+from .pulses import MeasurementSetting, Pulse
+from .simulate import (DARK, NoiseModel, StateSpec, SubExperiment, plan_effects,
+                       readout_rates, run_roster)
 
 
 def _traceless_basis() -> np.ndarray:
@@ -54,18 +53,10 @@ def _traceless_basis() -> np.ndarray:
 _BASIS8 = _traceless_basis()
 
 
-@functools.lru_cache(maxsize=8)
-def _subrun_dark(settings: tuple[MeasurementSetting, ...],
-                 rates: tuple[float, float]) -> np.ndarray:
-    """Read-only dark effects of every sub-run under `rates`, three per
-    setting in settings order; sub-run k swaps basis state k+1 onto |3>, the
-    step rule of the simulated singles. Built once per distinct settings
-    content and rates."""
-    steps = np.array([SWAP[slot] @ compile_setting(s)
-                      for s in settings for slot in (1, 2, 3)])
-    dark = effects([steps], rates)["D"]
-    dark.flags.writeable = False
-    return dark
+def _subruns(settings: list[MeasurementSetting], shots: int) -> list[SubExperiment]:
+    """The sub-runs as a plan, three per setting in settings order: sub-run k
+    swaps basis state k onto |3>, the slot its chain names."""
+    return [SubExperiment(s.id, (slot,), shots) for s in settings for slot in (1, 2, 3)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -74,13 +65,17 @@ def _checked_response(settings: tuple[MeasurementSetting, ...],
     """Read-only map from the 8 traceless parameters to the sub-runs' dark
     probabilities under `rates`, checked for rank 8 at a tolerance relative
     to its scale (it scales with the visibility), and the offset column, the
-    dark probabilities of |3><3|; built once per settings content and rates."""
-    dark = _subrun_dark(settings, rates)
-    a = np.einsum("gij,kji->kg", _BASIS8, dark).real
+    dark probabilities of |3><3|, read off the planes the sub-runs are drawn from."""
+    effs = plan_effects(_subruns(settings, 1), settings, rates)  # any shot count
+    re, im = effs.re[:, ::2], effs.im[:, ::2]  # each sub-run's D, not its B
+    # Tr(G E) = sum_ij Re(G_ij) Re(E_ij) + Im(G_ij) Im(E_ij) for Hermitian
+    # G and E, the form in which a law reads the planes.
+    flat = _BASIS8.reshape(8, 9).T
+    a = re.T @ flat.real + im.T @ flat.imag
     if np.linalg.matrix_rank(a) < 8:
         raise ValueError("response map is rank-deficient; extend the settings")
     a.flags.writeable = False
-    return a, dark[:, 2, 2].real
+    return a, re[8]  # element (3, 3) of each dark effect
 
 
 def tomography_settings() -> list[MeasurementSetting]:
@@ -94,36 +89,19 @@ def tomography_settings() -> list[MeasurementSetting]:
             for k, seq in enumerate(sequences, start=1)]
 
 
-def _frequencies(states: list[StateSpec], settings: list[MeasurementSetting],
-                 noise: NoiseModel, shots: int,
-                 rngs: list[np.random.Generator]) -> np.ndarray:
-    """Raw dark frequencies, one row per state, one column per sub-run. Each
-    state draws the dark counts of all its sub-runs in one binomial call on
-    its own generator, which consumes the stream as one draw per sub-run
-    would."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    dark = _subrun_dark(tuple(settings), readout_rates(noise))
-    counts = []
-    for state, rng in zip(states, rngs):
-        # One contraction per state: a stacked contraction sums in another
-        # order and changes the last bits of a law.
-        p = np.einsum("ij,kji->k", prepare(state, noise), dark).real
-        counts.append(rng.binomial(shots, np.clip(p, 0.0, 1.0)).tolist())
-    # Python division rounds n / shots once, whatever the size of shots.
-    return np.array([[n / shots for n in row] for row in counts])
-
-
 def _nearest_spectrum(mu: list[float]) -> list[float]:
     """Spectrum of the density matrix nearest to a unit-trace Hermitian
     matrix of descending spectrum `mu` (Smolin, Gambetta & Smith 2012): zero
-    the negative tail from the bottom and spread its mass evenly over the
-    rest. A non-negative spectrum comes back unchanged."""
+    the negative tail from the bottom, spread its mass evenly over the rest,
+    and rescale to unit sum: the spread alone misses it by ~1e-16 |mu|, too
+    much at the large scale that a visibility near 0 gives."""
     i, acc = len(mu), 0.0
     while mu[i - 1] + acc / i < 0.0:
         acc += mu[i - 1]
         i -= 1
-    return [m + acc / i for m in mu[:i]] + [0.0] * (len(mu) - i)
+    kept = [m + acc / i for m in mu[:i]]
+    total = math.fsum(kept)
+    return [m / total for m in kept] + [0.0] * (len(mu) - i)
 
 
 @dataclass
@@ -164,18 +142,15 @@ def _reconstruct(q: np.ndarray, settings: list[MeasurementSetting],
 def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
                    noise: NoiseModel, shots: int,
                    master_seed: int) -> list[ReconstructionResult]:
-    """Simulated tomography of every state of `roster`, each on its own
-    stream `derive_rng(master_seed, label, "tomography")`, reconstructed in
-    one stacked pass and compared with the state's target `rho`. A state's
-    result does not depend on the rest of the roster: it equals, field for
-    field, the result of a roster of that state alone."""
-    labels = [state.label for state in roster]
-    if repeated := [label for label in labels if labels.count(label) > 1]:
-        raise ValueError(f"repeated state label: {repeated[0]}")
-    rngs = [derive_rng(master_seed, label, "tomography") for label in labels]
-    freqs = _frequencies(roster, settings, noise, shots, rngs)
-    return _reconstruct(freqs, settings, readout_rates(noise),
-                        [state.rho for state in roster])
+    """Simulated tomography of every state of `roster`: its sub-runs drawn by
+    `simulate.run_roster` on the streams of (seed, state, sub-run),
+    reconstructed in one stacked pass and compared with the state's target
+    `rho`. A state's result does not depend on the rest of the roster: it
+    equals, field for field, the result of a roster of that state alone."""
+    tables = run_roster(roster, _subruns(settings, shots), settings, noise, master_seed)
+    # Python division rounds n / shots once, whatever the size of shots.
+    q = np.array([[t.counts["D"] / shots for t in ts] for ts in tables.values()])
+    return _reconstruct(q, settings, readout_rates(noise), [s.rho for s in roster])
 
 
 def format_density_matrix(rho: np.ndarray) -> str:

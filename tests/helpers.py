@@ -26,11 +26,20 @@ IDEAL_RATES = simulate.readout_rates(simulate.NoiseModel.ideal())
 
 def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     """Noise-free dark probability of every tomography sub-run, three per
-    setting in settings order: the row `tomography._reconstruct` inverts
-    exactly under `IDEAL_RATES`."""
-    dark = tomography._subrun_dark(tuple(settings), IDEAL_RATES)
-    p = np.einsum("ij,kji->k", linalg.validate_density_matrix(rho), dark).real
-    return np.clip(p, 0.0, 1.0)
+    setting in settings order: the law each sub-run is drawn from, the row
+    `tomography._reconstruct` inverts exactly under `IDEAL_RATES`."""
+    state = simulate.StateSpec("exact", linalg.validate_density_matrix(rho))
+    _, [row] = simulate._law_rows([state], tomography._subruns(settings, 1), settings,
+                                  simulate.NoiseModel.ideal())
+    return np.array([law[0] for law in row])
+
+
+def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
+    """A fresh generator at the start of the keyed stream of the name
+    "seed/part/...", the stream every count of that key is drawn from."""
+    stream = simulate._KeyedStream()
+    stream.rekey("/".join([str(master_seed), *parts]))
+    return stream.rng
 
 
 def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, float]]]:

@@ -1,13 +1,13 @@
 """Run directories pinned by digest: a refactor of the simulation or the
 tomography path must reproduce every output file byte for byte.
 
-All 16 run digests were re-recorded when tomography moved to least squares
-on the raw frequencies against the run-rate sub-run map, with the trace
-fixed exactly and the nearest-state projection: `fidelities.csv` and the
-`*.rho.txt` files changed, and so did the fidelity column of the simulate
-`results.csv`, while `counts.csv` stayed byte-identical. A change that means
-to alter a draw, a reconstruction or an estimate updates them and says why
-in CHANGES.md.
+All 16 run digests were re-recorded when tomography's sub-runs became a
+plan drawn by `simulate.run_roster`, each on its own keyed stream
+(seed/label/sub-run key) where a state's sub-runs used to share one
+stream: `fidelities.csv` and the `*.rho.txt` files changed, and so did the
+fidelity column of the simulate `results.csv`, while `counts.csv` stayed
+byte-identical. A change that means to alter a draw, a reconstruction or an
+estimate updates them and says why in CHANGES.md.
 
 The law digests pin every per-shot law itself, bit for bit, so a 1-ulp
 change shows on the law and not only on a count table drawn from it.
@@ -38,37 +38,37 @@ SHOTS = 10_000
 
 DIGESTS = {
     ("simulate", "ideal", 0):
-        "31ddb7d34553af749aa21153fbe7ae0e5c62f6ddfcdfb77b54ce300ad6477b14",
+        "94db9d5e9f5cba73bf89070455a5abde2e01a9affac8e35ea8449f779357948e",
     ("simulate", "ideal", 7):
-        "ce6701fc955ca5371b5debe6cd611d59a96c3c906ac1e145401bf7948ef9e25d",
+        "335cc46faa48d156338309eb6bccd977a2914fe431738d434feb182270a219a1",
     ("simulate", "paper", 0):
-        "b62e94e41b0d75fdf1914b2a1febfde6500caf18c2d1981d25c8a8951206eca2",
+        "0a75e28bbcb661ff0294ef3b72b09b37a2d8ca9c958ee9593c4f23a3f74d376f",
     ("simulate", "paper", 7):
-        "8ed83108489c2bc55374027ce9868a46b92b08d042175f9274fe843e93b93b13",
+        "c906ce2ae7ae12771ce7d166de698a7ccb3a732d7755fb28254584d3e99a3b57",
     ("simulate", "photon-count", 0):
-        "66688326e5a1b56027d8e37e4d7c5c09c4d58e2d90b1aa310f19ef8591bb4d7d",
+        "9f9f292b34ad85a4d5c7502eb1e0a5633b88db1133f7a2d8aabb496c23f5408e",
     ("simulate", "photon-count", 7):
-        "0d4a94ed9ac7b243e2d37d0827e265cd883128ba854d6f92e65f33d3b6d0b3c9",
+        "7e73715e4fd5ef024d7672bd4f44d0344c4610c82b54126f0c78a64c716f5a0a",
     ("simulate", "flip-harsh", 0):
-        "9c69ca8f60edf1fbad8e3088a2ee4dc1ede49a934edd8a0b852af9851cf80318",
+        "dec0ad4fe9a457dfc01d9a326818946ecf0709d98fc6f15860548082cd68eee5",
     ("simulate", "flip-harsh", 7):
-        "734f25c755ecb6f0308e913ed02d5a2ef80cd9e44cac6f43088ebd7d1abe7c22",
+        "14523b7ab4add5c6f2edb9f03d711a329a90e2db4949107d80ebbe5b244888d9",
     ("tomography", "ideal", 0):
-        "d71483499294e7a8aeae71667febbe686457eb7766600257a17aa0086d5461cc",
+        "d13c4e17b91bfebe086e9b8ca73584675a2184ebf7f2add271fac931d919bbfb",
     ("tomography", "ideal", 7):
-        "a5c50a5b360f2b594a319b41a39c852c276004d8780d05459d994b6a2b720dc3",
+        "6453972167c808e8209a82c850a14f7f01238e15c121e1495081281e7b53f8f9",
     ("tomography", "paper", 0):
-        "9a03dba992e552bd9427789a96c0e72052265b0e1e84a7899d3efafa923d3157",
+        "e733471cad4bc735a96c5c918fe460fa3c2b5537e271dccfaaf99fe228ca4982",
     ("tomography", "paper", 7):
-        "0489f32f687a92acd3881879d7b3cd370f0fbfad32c74a135b4c75d9bdbf5f05",
+        "b408b0ca2593af0a46a03ffba032d4398fc8687f5b6373a29723f41f1cf8b6d8",
     ("tomography", "photon-count", 0):
-        "1d1c140689be33be568a997e317afcfab6a84bb82af4536052dfb24fe33032d4",
+        "90729136789edc294c4d7fa7fb8fe20d8103d168ffee9ef74d3e02d2b73481c8",
     ("tomography", "photon-count", 7):
-        "dffd3d6820fa7b38470be7469e8a4b463c56d77ae8f0578f69c942d91e4dc492",
+        "ea22fde99e83219dadc3f73411f36d0deae7ad2cd652e15454a9a1f01fefe10b",
     ("tomography", "flip-harsh", 0):
-        "193234037a4d5328f47cdf77d2400151a1780b76d52a9e3406b32aa9ee6801d2",
+        "cc23fa6124d115344823595d2f4ec648bef0ca3628b0110c42a241ac1f8ceb59",
     ("tomography", "flip-harsh", 7):
-        "b7a9e2a267d4b8b30e9d9838cb5804b2c71cdbed87905eaf77928eabceeca0e5",
+        "fcfb9aa5ea39a2527ef739eae3f8c038af85f5ae68c31c8ff707ae5f50db42c9",
 }
 
 

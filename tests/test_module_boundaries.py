@@ -1,16 +1,18 @@
-"""Only `simulate` builds a detection, only `cli._emit` writes files,
-tomography corrects readout through the noise-folded map alone, and modules
-keep to public names.
+"""Only `simulate` builds a detection and draws counts, only `cli._emit`
+writes files, tomography corrects readout through the noise-folded map
+alone, and modules keep to public names.
 
 The swap onto the detected state |3> is part of the noise-folded
 measurement map in `simulate`; any other module that calls `swap_pulse`
-builds a second copy of the detection. Tomography solves against that map
-under the run's readout rates, which is its readout correction; an import
-of `analysis` would bring in a second one. Every command writes its output
-through `cli._emit`, the one place that turns a write failure into exit
-code 3; a file written anywhere else escapes that contract. A module that
-reaches into a sibling's `_`-prefixed names depends on its internals. This
-scans the code of the package for all four.
+builds a second copy of the detection. Every count is drawn by `simulate`
+on its keyed stream; a module that calls `binomial`, `multinomial` or
+`numpy.random` itself is a second draw path. Tomography solves against
+that map under the run's readout rates, which is its readout correction;
+an import of `analysis` would bring in a second one. Every command writes
+its output through `cli._emit`, the one place that turns a write failure
+into exit code 3; a file written anywhere else escapes that contract. A
+module that reaches into a sibling's `_`-prefixed names depends on its
+internals. This scans the code of the package for all five.
 """
 
 import ast
@@ -23,6 +25,7 @@ import qutrit_ks
 
 PACKAGE = Path(qutrit_ks.__file__).parent
 SWAP_OWNERS = {"simulate", "pulses"}
+DRAWS = {"binomial", "multinomial"}
 # Sibling modules a module must not import at all.
 FORBIDDEN_IMPORTS = {"tomography": {"analysis"}}
 
@@ -52,6 +55,15 @@ def _violations(path: Path, siblings: set[str]) -> list[str]:
                 (isinstance(node, ast.Name) and node.id == "swap_pulse")
                 or (isinstance(node, ast.Attribute) and node.attr == "swap_pulse")):
             found.append(f"{module}:{node.lineno}: uses swap_pulse")
+        if module != "simulate" and (
+                (isinstance(node, ast.Attribute) and node.attr in DRAWS)
+                or (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and getattr(node.value, "id", None) in ("np", "numpy"))
+                or (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.startswith("numpy.random"))
+                or (isinstance(node, ast.Import)
+                    and any(a.name.startswith("numpy.random") for a in node.names))):
+            found.append(f"{module}:{node.lineno}: draws")
     return sorted(found, key=lambda v: int(v.split(":")[1]))
 
 
@@ -67,7 +79,8 @@ def test_modules_keep_to_public_names_and_one_detection():
 
 def test_scanner_flags_violations(tmp_path):
     (tmp_path / "simulate.py").write_text(
-        "from .pulses import swap_pulse\ndef _prepare(): pass\n")
+        "from .pulses import swap_pulse\ndef _prepare(): pass\n"
+        "rng = np.random.Generator(np.random.Philox(0))\nrng.binomial(5, 0.5)\n")
     (tmp_path / "pulses.py").write_text("def swap_pulse(b): pass\n")
     (tmp_path / "tomography.py").write_text(
         "from .pulses import swap_pulse\nfrom .simulate import _prepare\n"
@@ -75,10 +88,17 @@ def test_scanner_flags_violations(tmp_path):
     (tmp_path / "analysis.py").write_text("def confusion_for(noise): pass\n")
     (tmp_path / "cli.py").write_text(
         "from . import simulate, pulses, analysis\nsimulate._prepare()\n"
-        "pulses.swap_pulse(1)\n")
+        "pulses.swap_pulse(1)\nrng.binomial(5, 0.5)\ndraw = rng.multinomial\n"
+        "numpy.random.default_rng(1)\nfrom numpy.random import Philox\n"
+        "import numpy.random\n")
     assert find_violations(tmp_path) == [
         "cli:2: uses simulate._prepare",
         "cli:3: uses swap_pulse",
+        "cli:4: draws",
+        "cli:5: draws",
+        "cli:6: draws",
+        "cli:7: draws",
+        "cli:8: draws",
         "tomography:1: imports pulses.swap_pulse",
         "tomography:2: imports simulate._prepare",
         "tomography:3: imports analysis",

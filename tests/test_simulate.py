@@ -13,7 +13,7 @@ from qutrit_ks.model import CHI4, RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
-from helpers import effect_stack, expected_laws, random_density_matrix
+from helpers import derive_rng, effect_stack, expected_laws, random_density_matrix
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -327,7 +327,7 @@ def test_stream_independence_of_execution_order(model, settings):
         for state in roster:
             solo = []
             for sub, law in zip(plan, laws[state.label]):
-                rng = simulate.derive_rng(7, state.label, sub.key)
+                rng = derive_rng(7, state.label, sub.key)
                 counts = rng.multinomial(sub.shots, list(law.values())).tolist()
                 solo.append((sub, dict(zip(law, counts)), f"7/{state.label}/{sub.key}"))
             assert [(t.subexperiment, t.counts, t.seed_key)
@@ -340,7 +340,7 @@ def test_derive_rng_is_keyed_philox(settings):
     name = "42/psi7/pair:04-10:M5"
     key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
     ref = np.random.Philox(key=key)
-    rng = simulate.derive_rng(42, "psi7", "pair:04-10:M5")
+    rng = derive_rng(42, "psi7", "pair:04-10:M5")
     philox = rng.bit_generator.state["state"]
     assert philox["key"].tolist() == key.tolist()
     assert philox["counter"].tolist() == [0, 0, 0, 0]
@@ -634,7 +634,7 @@ def _assert_draws_are_multinomial(symbols, law):
             sub = simulate.SubExperiment("M1", chain, shots)
             key = f"{seed}/psi1/{sub.key}"
             table = simulate.run_subexperiment(symbols, law, sub, key, stream)
-            expected = simulate.derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
+            expected = derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
             assert table.counts == dict(zip(symbols, expected.tolist())), (shots, seed)
             assert all(type(c) is int for c in table.counts.values())
             assert table.seed_key == key
@@ -686,7 +686,7 @@ def test_rekey_reproduces_derive_rng_streams():
         assert [int(w) for w in state["state"]["key"]] == key.tolist()
         assert [int(w) for w in state["state"]["counter"]] == [0, 0, 0, 0]
         assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
-        fresh = simulate.derive_rng(n, *parts)
+        fresh = derive_rng(n, *parts)
         assert fresh.bit_generator.state["state"]["key"].tolist() == key.tolist()
         for law in ([0.3, 0.7], [0.2, 0.5, 0.3]):
             assert rng.multinomial(n + 1, law).tolist() == \
@@ -735,8 +735,8 @@ def test_run_roster_draws_from_a_pooled_generator(model, settings, monkeypatch):
     for states in (roster[:1], roster, roster[:1]):
         simulate.run_roster(states, plan, settings, simulate.NoiseModel.paper(), 3)
     assert len(built) == 1 and len(simulate._IDLE_STREAMS) == 1
-    simulate.derive_rng(3)
-    simulate.derive_rng(3)
+    derive_rng(3)
+    derive_rng(3)
     assert len(built) == 3 and len(simulate._IDLE_STREAMS) == 1
 
 
@@ -807,9 +807,9 @@ def test_derived_generators_drawn_in_alternation_match_each_alone():
     """Two `derive_rng` generators are independent objects: drawing from them
     in alternation gives the same draws as drawing from each alone."""
     keys = (("psi1", "tomography"), ("rho10", "tomography"))
-    alone = [simulate.derive_rng(5, *k).binomial(1000, [0.1, 0.5, 0.9] * 4).tolist()
+    alone = [derive_rng(5, *k).binomial(1000, [0.1, 0.5, 0.9] * 4).tolist()
              for k in keys]
-    a, b = (simulate.derive_rng(5, *k) for k in keys)
+    a, b = (derive_rng(5, *k) for k in keys)
     mixed = [[], []]
     for _ in range(4):
         for i, rng in enumerate((a, b)):

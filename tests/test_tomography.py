@@ -1,12 +1,17 @@
 import dataclasses
+import functools
+import math
+import operator
 
 import numpy as np
 import pytest
 
 from qutrit_ks import linalg, simulate, tomography as tg
-from qutrit_ks.pulses import Pulse, compile_setting, r1_matrix, r2_matrix
+from qutrit_ks.model import build_model
+from qutrit_ks.pulses import Pulse, compile_setting, r1_matrix, r2_matrix, settings_table
 
-from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix
+from helpers import (IDEAL_RATES, derive_rng, effect_stack, exact_probabilities,
+                     random_density_matrix)
 
 ROUND_TRIP_TOL = 1e-9  # reconstruction error of exact probabilities
 
@@ -17,18 +22,28 @@ def settings():
 
 
 def _subrun_effects(settings, rates):
-    """Both effects of every sub-run, three per setting; sub-run k swaps
-    basis state k+1 onto |3>, the step rule of the simulated singles."""
-    steps = np.array([simulate.SWAP[slot] @ compile_setting(s)
-                      for s in settings for slot in (1, 2, 3)])
-    return simulate.effects([steps], rates)
+    """Both effects of every sub-run, three per setting, each built on its
+    own: sub-run k swaps basis state k onto |3>, the step rule of the
+    simulated singles."""
+    effs = [simulate.effects([simulate.SWAP[slot] @ compile_setting(s)], rates)
+            for s in settings for slot in (1, 2, 3)]
+    return {symbol: np.array([e[symbol] for e in effs]) for symbol in ("D", "B")}
+
+
+def _drawn_effects(settings, rates):
+    """The effects every sub-run is drawn from, D then B of each in turn."""
+    return effect_stack(simulate.plan_effects(tg._subruns(settings, 1), settings, rates))
 
 
 def _response(settings, rates=IDEAL_RATES):
     """Map from the 8 traceless parameters to the dark probabilities under
-    `rates`, and its offset column, the dark probabilities of |3><3|."""
+    `rates`, and its offset column, the dark probabilities of |3><3|. Each
+    entry is a sum of two matrix elements, so it has the same bits in any
+    summation order; the map is C-contiguous, as the solved one, so a
+    product with it takes the same path."""
     dark = _subrun_effects(settings, rates)["D"]
-    return np.einsum("gij,kji->kg", tg._BASIS8, dark).real, dark[:, 2, 2].real
+    a = np.einsum("gij,kji->kg", tg._BASIS8, dark).real
+    return np.ascontiguousarray(a), dark[:, 2, 2].real
 
 
 def test_traceless_basis_spans_the_unit_trace_states():
@@ -51,7 +66,11 @@ READOUT_RATES = [simulate.readout_rates(noise) for noise in (
 
 
 def test_settings_rank_eight(settings):
+    """The solved map is rank 8 and is read off the very effects the
+    sub-runs are drawn from, which equal those built sub-run by sub-run."""
     for rates in READOUT_RATES:
+        drawn = _drawn_effects(settings, rates)
+        assert np.array_equal(drawn[::2], _subrun_effects(settings, rates)["D"])
         a, offset = tg._checked_response(tuple(settings), rates)
         expected_a, expected_offset = _response(settings, rates)
         assert np.array_equal(a, expected_a)
@@ -150,23 +169,24 @@ def test_reconstruction_is_the_nearest_state(settings, noise):
         assert linalg.frobenius_distance(res.rho, h) < 1e-12
 
 
+def _dark_frequencies(state, settings, shots, seed):
+    """Raw dark frequency of every sub-run of one ideal-noise run."""
+    tables = simulate.run_roster([state], tg._subruns(settings, shots), settings,
+                                 simulate.NoiseModel.ideal(), seed)
+    return [t.counts["D"] / shots for t in tables[state.label]]
+
+
 def test_simulated_tomography_trivia(settings):
-    rng = np.random.default_rng(19)
-    ideal = simulate.NoiseModel.ideal()
     psi3 = simulate.StateSpec.pure("psi3", [0, 0, 1])
-    [row] = tg._frequencies([psi3], settings, ideal, 2000, [rng])
-    assert row[2] == 1.0  # T1, sub-run 3
+    assert _dark_frequencies(psi3, settings, 2000, 19)[2] == 1.0  # T1, sub-run 3
 
     mixed = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
-    [row] = tg._frequencies([mixed], settings, ideal, 40_000, [rng])
-    assert np.allclose(row, 1 / 3, atol=0.02)
+    assert np.allclose(_dark_frequencies(mixed, settings, 40_000, 19), 1 / 3, atol=0.02)
 
 
 def test_simulated_tomography_half_probability(settings):
-    rng = np.random.default_rng(23)
     psi1 = simulate.StateSpec.pure("psi1", [1, 0, 0])
-    [row] = tg._frequencies([psi1], settings, simulate.NoiseModel.ideal(),
-                            40_000, [rng])
+    row = _dark_frequencies(psi1, settings, 40_000, 23)
     assert row[5] == pytest.approx(0.5, abs=0.02)  # T2, sub-run 3
 
 
@@ -174,22 +194,16 @@ def test_statistical_round_trip_ideal(settings):
     """Shot noise alone limits 10k-shot fidelity to ~0.994 typical; the
     reconstruction must stay within that statistical envelope."""
     psi7 = simulate.default_state_roster()[6]
-    rngs = [np.random.default_rng(seed) for seed in range(5)]
-    b = tg._frequencies([psi7] * 5, settings, simulate.NoiseModel.ideal(),
-                        10_000, rngs)
-    fids = [res.fidelity_to_target
-            for res in tg._reconstruct(b, settings, IDEAL_RATES, [psi7.rho] * 5)]
+    fids = [res.fidelity_to_target for seed in range(5) for res in tg.run_tomography(
+        [psi7], settings, simulate.NoiseModel.ideal(), 10_000, seed)]
     assert min(fids) >= 0.985
     assert np.mean(fids) >= 0.99
 
 
 def test_paper_noise_fidelities(settings):
     states = simulate.default_state_roster()[:9]
-    rngs = [simulate.derive_rng(101, state.label, "tomo") for state in states]
-    noise = simulate.NoiseModel.paper()
-    b = tg._frequencies(states, settings, noise, 10_000, rngs)
-    for res in tg._reconstruct(b, settings, simulate.readout_rates(noise),
-                               [state.rho for state in states]):
+    for res in tg.run_tomography(states, settings, simulate.NoiseModel.paper(),
+                                 10_000, 101):
         assert res.fidelity_to_target >= 0.98
 
 
@@ -220,36 +234,40 @@ def test_reconstruct_builds_the_response_once_per_settings_list(settings):
 
 def test_equal_settings_lists_share_one_subrun_entry():
     """Settings hash by content, so two fresh `tomography_settings()` lists
-    read one cached sub-run stack."""
-    tg._subrun_dark.cache_clear()
+    read one cached sub-run stack, to draw and to solve."""
+    simulate._plan_effects.cache_clear()
     tg._checked_response.cache_clear()
     first, second = tg.tomography_settings(), tg.tomography_settings()
     assert first == second and first[0] is not second[0]
     rho = np.eye(3, dtype=complex) / 3
     assert np.array_equal(exact_probabilities(rho, first),
                           exact_probabilities(rho, second))
-    info = tg._subrun_dark.cache_info()
+    tg._checked_response(tuple(first), IDEAL_RATES)
+    tg._checked_response(tuple(second), IDEAL_RATES)
+    info = simulate._plan_effects.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+    assert tg._checked_response.cache_info().misses == 1
 
 
 def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
                                                                   monkeypatch):
     """Every state of a run reads one sub-run stack, under the run's readout
-    rates, both to draw and to solve: a run builds one stack, not two."""
+    rates, both to draw and to solve: a run builds each of the 21 sub-run
+    effects once, not twice."""
     built = []
-    original = tg.effects
+    original = simulate.effects
 
     def counting(steps, rates):
         built.append(rates)
         return original(steps, rates)
 
-    monkeypatch.setattr(tg, "effects", counting)
-    tg._subrun_dark.cache_clear()
+    monkeypatch.setattr(simulate, "effects", counting)
+    simulate._plan_effects.cache_clear()
     tg._checked_response.cache_clear()
     noise = simulate.NoiseModel.paper()
     for state in simulate.default_state_roster():
         tg.run_tomography([state], settings, noise, 10_000, 5)
-    assert built == [simulate.readout_rates(noise)]
+    assert built == [simulate.readout_rates(noise)] * 21
 
 
 STACK_NOISES = {
@@ -276,15 +294,26 @@ def _reference_fidelity(rho, target):
     return min(max(float(np.sum(sv) ** 2), 0.0), 1.0)
 
 
-def _reference_tomography(state, settings, noise, shots, rng):
-    """One state at a time: one scalar binomial draw per sub-run, raw
-    frequencies, least squares for the eight traceless parameters against
-    the run-rate map less its offset, then the Smolin-Gambetta-Smith loop on
-    the spectrum."""
+def _law(rho, effect):
+    """Tr(rho E) as a plan's law reads it: sum_ij Re(rho_ij) Re(E_ij) +
+    Im(rho_ij) Im(E_ij), the nine terms added in order, clipped to [0, 1]."""
+    terms = [r.real * e.real + r.imag * e.imag
+             for r, e in zip(rho.ravel().tolist(), effect.ravel().tolist())]
+    return min(max(functools.reduce(operator.add, terms), 0.0), 1.0)
+
+
+def _reference_tomography(state, settings, noise, shots, seed):
+    """One state and one sub-run at a time: a scalar binomial draw on the
+    sub-run's own keyed stream, raw frequencies, least squares for the
+    eight traceless parameters against the run-rate map less its offset,
+    then the Smolin-Gambetta-Smith loop on the spectrum, rescaled to unit
+    sum."""
     rates = simulate.readout_rates(noise)
-    dark = _subrun_effects(settings, rates)["D"]
-    p = np.einsum("ij,kji->k", simulate.prepare(state, noise), dark).real
-    q = np.array([int(rng.binomial(shots, pk)) / shots for pk in np.clip(p, 0.0, 1.0)])
+    rho0 = simulate.prepare(state, noise)
+    q = np.array([
+        int(derive_rng(seed, state.label, sub.key).binomial(shots, _law(rho0, dark)))
+        / shots for sub, dark in zip(tg._subruns(settings, shots),
+                                     _subrun_effects(settings, rates)["D"])])
     a, offset = _response(settings, rates)
     b = q - offset
     x = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -297,6 +326,8 @@ def _reference_tomography(state, settings, noise, shots, rng):
         lam[n - 1] = 0.0
         n -= 1
     lam[:n] = [v + acc / n for v in lam[:n]]
+    total = math.fsum(lam[:n])
+    lam[:n] = [v / total for v in lam[:n]]
     rho = (u * np.array(lam)) @ linalg.adjoint(u)
     rho = (rho + linalg.adjoint(rho)) / 2
     return tg.ReconstructionResult(rho, _reference_fidelity(rho, state.rho),
@@ -319,15 +350,13 @@ def test_run_tomography_equals_one_state_calls(settings, noise, shots):
     assert len(stacked) == len(roster)
     for state, res in zip(roster, stacked):
         [alone] = tg.run_tomography([state], settings, noise, shots, 7)
-        reference = _reference_tomography(
-            state, settings, noise, shots,
-            simulate.derive_rng(7, state.label, "tomography"))
+        reference = _reference_tomography(state, settings, noise, shots, 7)
         assert _bits(res) == _bits(alone) == _bits(reference), state.label
 
 
 def test_run_tomography_refuses_a_repeated_label(settings):
-    """Two states under one label would share one stream, so a run refuses
-    the roster and names the label."""
+    """Two states under one label would share their streams, so the run's
+    `simulate.run_roster` refuses the roster and names the label."""
     psi1, psi4 = (simulate.default_state_roster()[i] for i in (0, 3))
     with pytest.raises(ValueError, match="repeated state label: psi1"):
         tg.run_tomography([psi1, simulate.StateSpec("psi1", psi4.rho)], settings,
@@ -351,7 +380,9 @@ def test_format_density_matrix():
 def test_subrun_effects_form_a_povm(settings, noise):
     rates = simulate.readout_rates(noise)
     effs = _subrun_effects(settings, rates)
-    assert np.array_equal(effs["D"], tg._subrun_dark(tuple(settings), rates))
+    drawn = _drawn_effects(settings, rates)
+    assert np.array_equal(effs["D"], drawn[::2])
+    assert np.array_equal(effs["B"], drawn[1::2])
     assert list(effs) == ["D", "B"]
     assert effs["D"].shape == (3 * len(settings), 3, 3)
     assert np.allclose(sum(effs.values()), np.eye(3), rtol=0, atol=1e-12)
@@ -360,8 +391,18 @@ def test_subrun_effects_form_a_povm(settings, noise):
 
 
 def test_ideal_subrun_k_projects_onto_rotated_basis_state(settings):
-    dark = tg._subrun_dark(tuple(settings), IDEAL_RATES)
+    dark = _drawn_effects(settings, IDEAL_RATES)[::2]
     for i, s in enumerate(settings):
         for k, row in enumerate(compile_setting(s)):
             assert np.allclose(dark[3 * i + k], np.outer(row.conj(), row),
                                atol=1e-12)
+
+
+def test_tomography_streams_never_share_a_key_with_ks_streams(settings):
+    """Tomography settings carry ids of their own, so a state's 21 sub-run
+    streams and its 37 Kochen-Specker plan streams are 58 distinct keys."""
+    ks = settings_table()
+    assert not {s.id for s in settings} & {s.id for s in ks}
+    plan = simulate.build_plan(build_model(), ks)
+    keys = [sub.key for sub in tg._subruns(settings, 100) + plan]
+    assert len(keys) == 58 and len(set(keys)) == 58
