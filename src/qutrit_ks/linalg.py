@@ -1,7 +1,7 @@
 """Complex 3x3 linear algebra helpers: projectors, eigendecomposition, fidelity.
 
 All values are plain numpy arrays (complex128); functions are pure, and the
-package's check tolerances are named here, apart from `pulses.ATOL_MAPPING`.
+package's check tolerances are named here and nowhere else.
 `hermitian_eig` takes a matrix or a stack of them and `fidelities` a stack
 of pairs; each matrix or pair of a stack gets the bits a call on it alone
 gives.

@@ -2,8 +2,9 @@
 
 Channel 1 drives |1><->|3>, channel 2 drives |2><->|3>. Pulse lists are
 chronological; the composed unitary is therefore P_last @ ... @ P_first.
-The angle alpha is stored exactly as 2*arcsin(1/sqrt(3)); the rounded value
-0.392*pi quoted alongside the settings is only a display figure.
+Settings use only theta in {pi/2, pi, alpha, pi - alpha}, with alpha stored
+exactly as 2*arcsin(1/sqrt(3)) (0.392*pi is only a display figure), and phi in
+{0, pi}, so `verify_all_settings` proves their mappings in Q(sqrt2, sqrt3).
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .model import ray_unit
+from .model import RAYS
 
 ALPHA = 2.0 * math.asin(1.0 / math.sqrt(3.0))
-
-ATOL_MAPPING = 1e-9  # overlap deficit allowed when checking setting mappings
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,9 @@ def pulse_matrix(p: Pulse) -> np.ndarray:
 
 def swap_pulse(basis_state: int) -> Pulse:
     """Pi pulse exchanging the populations of a bright state and |3>."""
-    if basis_state == 1:
-        return Pulse(1, math.pi, 0.0)
-    if basis_state == 2:
-        return Pulse(2, math.pi, 0.0)
-    raise ValueError("|3> is already the detection state; no swap defined")
+    if basis_state not in (1, 2):
+        raise ValueError("|3> is already the detection state; no swap defined")
+    return Pulse(basis_state, math.pi, 0.0)
 
 
 _PI = math.pi
@@ -115,24 +112,23 @@ _PI = math.pi
 def settings_table() -> list[MeasurementSetting]:
     """The 16 measurement settings with their chronological pulse lists."""
     r1, r2 = (lambda t, p: Pulse(1, t, p)), (lambda t, p: Pulse(2, t, p))
-    a = ALPHA
     rows = [
         ("M1", {1: 1, 2: 2, 3: 3}, ()),
         ("M2", {1: 5, 2: 2, 3: 8}, (r1(_PI / 2, _PI),)),
         ("M3", {1: 1, 2: 4, 3: 7}, (r2(_PI / 2, 0),)),
         ("M4", {1: 9, 2: 3, 3: 6}, (r2(_PI, _PI), r1(_PI / 2, _PI))),
-        ("M5", {2: 4, 3: 10}, (r2(_PI / 2, 0), r1(a, 0))),
-        ("M6", {2: 4, 3: 13}, (r2(_PI / 2, 0), r1(a, _PI))),
-        ("M7", {1: 5, 3: 11}, (r1(_PI / 2, _PI), r2(a, _PI))),
-        ("M8", {1: 5, 3: 13}, (r1(_PI / 2, _PI), r2(a, 0))),
-        ("M9", {1: 6, 3: 12}, (r2(_PI, 0), r1(_PI / 2, _PI), r2(a, 0))),
-        ("M10", {1: 6, 2: 13}, (r2(_PI, _PI), r1(_PI / 2, 0), r2(_PI - a, 0))),
-        ("M11", {2: 7, 3: 11}, (r2(_PI / 2, _PI), r1(a, _PI))),
-        ("M12", {1: 12, 2: 7}, (r2(_PI / 2, _PI), r1(_PI - a, _PI))),
-        ("M13", {1: 8, 3: 10}, (r1(_PI / 2, 0), r2(a, 0))),
-        ("M14", {1: 8, 2: 12}, (r1(_PI / 2, 0), r2(_PI - a, 0))),
-        ("M15", {1: 10, 2: 9}, (r1(_PI, 0), r2(_PI / 2, 0), r1(_PI - a, 0))),
-        ("M16", {2: 9, 3: 11}, (r1(_PI, _PI), r2(_PI / 2, _PI), r1(a, 0))),
+        ("M5", {2: 4, 3: 10}, (r2(_PI / 2, 0), r1(ALPHA, 0))),
+        ("M6", {2: 4, 3: 13}, (r2(_PI / 2, 0), r1(ALPHA, _PI))),
+        ("M7", {1: 5, 3: 11}, (r1(_PI / 2, _PI), r2(ALPHA, _PI))),
+        ("M8", {1: 5, 3: 13}, (r1(_PI / 2, _PI), r2(ALPHA, 0))),
+        ("M9", {1: 6, 3: 12}, (r2(_PI, 0), r1(_PI / 2, _PI), r2(ALPHA, 0))),
+        ("M10", {1: 6, 2: 13}, (r2(_PI, _PI), r1(_PI / 2, 0), r2(_PI - ALPHA, 0))),
+        ("M11", {2: 7, 3: 11}, (r2(_PI / 2, _PI), r1(ALPHA, _PI))),
+        ("M12", {1: 12, 2: 7}, (r2(_PI / 2, _PI), r1(_PI - ALPHA, _PI))),
+        ("M13", {1: 8, 3: 10}, (r1(_PI / 2, 0), r2(ALPHA, 0))),
+        ("M14", {1: 8, 2: 12}, (r1(_PI / 2, 0), r2(_PI - ALPHA, 0))),
+        ("M15", {1: 10, 2: 9}, (r1(_PI, 0), r2(_PI / 2, 0), r1(_PI - ALPHA, 0))),
+        ("M16", {2: 9, 3: 11}, (r1(_PI, _PI), r2(_PI / 2, _PI), r1(ALPHA, 0))),
     ]
     return [MeasurementSetting(i, m, p) for i, m, p in rows]
 
@@ -145,36 +141,53 @@ def compile_setting(setting: MeasurementSetting) -> np.ndarray:
     return u
 
 
-@dataclass
-class MappingReport:
-    setting_id: str
-    deficits: list[tuple[int, int, float]]  # (basis state, ray, |overlap| deficit)
-
-    @property
-    def ok(self) -> bool:
-        return all(d <= ATOL_MAPPING for _, _, d in self.deficits)
+# theta -> (6 cos(theta/2), 6 sin(theta/2)), phi -> e^(i phi), keyed by the table's floats
+EXACT_ANGLES = {_PI / 2: ((0, 3, 0, 0), (0, 3, 0, 0)), _PI: ((0, 0, 0, 0), (6, 0, 0, 0)),
+                ALPHA: ((0, 0, 0, 2), (0, 0, 2, 0)), _PI - ALPHA: ((0, 0, 2, 0), (0, 0, 0, 2))}
+EXACT_PHASES = {0.0: 1, _PI: -1}
+_EYE12 = np.eye(12, dtype=np.int64)
 
 
-def verify_mapping(setting: MeasurementSetting) -> MappingReport:
-    """Check |<b| U |v_i>| = 1 for every mapped (basis state, ray) entry."""
-    u = compile_setting(setting)
-    deficits = []
-    for basis, ray in sorted(setting.mapping.items()):
-        overlap = abs(u[basis - 1, :] @ ray_unit(ray))
-        deficits.append((basis, ray, abs(1.0 - overlap)))
-    return MappingReport(setting.id, deficits)
+def _times(a, b, c, d) -> np.ndarray:
+    """Multiplication by (a, b, c, d) = a + b sqrt2 + c sqrt3 + d sqrt6, as 4x4 integers."""
+    return np.array([[a, 2 * b, 3 * c, 6 * d], [b, a, 3 * d, 3 * c],
+                     [c, 2 * d, a, 2 * b], [d, c, b, a]], dtype=np.int64)
 
 
-def verify_all_settings(settings: list[MeasurementSetting]) -> list[MappingReport]:
-    reports = [verify_mapping(s) for s in settings]
-    for r in reports:
-        if not r.ok:
-            worst = max(r.deficits, key=lambda d: d[2])
-            raise ValueError(
-                f"setting {r.setting_id}: ray v{worst[1]} misses basis state "
-                f"|{worst[0]}> by {worst[2]:.3e}"
-            )
-    return reports
+@cache
+def exact_pulse_matrix(p: Pulse) -> np.ndarray:
+    """6 x `pulse_matrix(p)` in integers: block (i, j) multiplies by 6 x entry (i, j)."""
+    (c, s), e = EXACT_ANGLES[p.theta], EXACT_PHASES[p.phi]
+    six, zero, es, mes = (6, 0, 0, 0), (0,) * 4, [e * x for x in s], [-e * x for x in s]
+    rows = ([[c, zero, es], [zero, six, zero], [mes, zero, c]] if p.channel == 1
+            else [[six, zero, zero], [zero, c, mes], [zero, es, c]])  # -s/e = -e s
+    m = np.block([[_times(*x) for x in row] for row in rows])
+    m.flags.writeable = False  # shared by every caller
+    return m
+
+
+def verify_all_settings(settings: list[MeasurementSetting]) -> None:
+    """Prove U v = +-sqrt(v.v) e_b exactly for each mapped (basis state b, ray v),
+    sqrt(v.v) being basis element v.v - 1 of block b: chains padded with 6 I to the
+    deepest length k give all 6^k U in one integer matmul chain. Raises ValueError."""
+    for s in settings:
+        if any(p.theta not in EXACT_ANGLES or p.phi not in EXACT_PHASES for p in s.pulses):
+            raise ValueError(f"setting {s.id}: a pulse angle is not in the exact set")
+    depth = max((len(s.pulses) for s in settings), default=0)
+    u = np.broadcast_to(_EYE12, (len(settings), 12, 12))
+    for k in range(depth):
+        u = np.stack([exact_pulse_matrix(s.pulses[k]) if k < len(s.pulses) else 6 * _EYE12
+                      for s in settings]) @ u
+    entries = np.array([(i, b, r) for i, s in enumerate(settings)
+                        for b, r in sorted(s.mapping.items())], dtype=np.int64).reshape(-1, 3)
+    index, basis, ray = entries.T
+    v = np.array([RAYS[r] for r in ray], dtype=np.int64).reshape(-1, 3)
+    image = np.abs(np.einsum("nij,nj->ni", u[index, :, ::4], v))  # v is rational
+    target = 6 ** depth * _EYE12[4 * (basis - 1) + (v * v).sum(axis=1) - 1]
+    misses = entries[(image != target).any(axis=1)]
+    if len(misses):
+        i, b, r = misses[0]
+        raise ValueError(f"setting {settings[i].id}: ray v{r} misses basis state |{b}>")
 
 
 def covered_pairs(settings: list[MeasurementSetting]) -> set[tuple[int, int]]:

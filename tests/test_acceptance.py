@@ -83,11 +83,13 @@ def test_criterion_04_graph_structure(model):
 
 
 def test_criterion_05_table_verification(settings):
-    reports = verify_all_settings(settings)
-    worst = max(d for r in reports for _, _, d in r.deficits)
+    try:
+        verify_all_settings(settings)
+        proved, detail = True, "every mapping exact over Q(sqrt2, sqrt3)"
+    except ValueError as exc:
+        proved, detail = False, str(exc)
     alpha_ok = abs(ALPHA - 0.392 * np.pi) < 2e-3
-    _report("criterion 5: 16 setting mappings",
-            worst < 1e-9 and alpha_ok, f"worst overlap deficit {worst:.2e}")
+    _report("criterion 5: 16 setting mappings", proved and alpha_ok, detail)
 
 
 def test_criterion_06_state_independence(model):

@@ -1,6 +1,7 @@
 import functools
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -385,3 +386,35 @@ def test_chi13_unbiased_for_deterministic_singles(model):
     over 400 seeds stays near 0."""
     mean, sd = _pulls(model, NOISE["photon-count-harsh"], ("psi1",), range(400))
     assert abs(mean) < 0.15, f"{mean:+.3f}, {sd:.3f}"
+
+
+def test_raw_chi4_excess_is_readout_not_contextuality(model, layout):
+    """Each admissible noncontextual assignment with v13 = 1 (it obeys the
+    sum rule on every triangle and the product rule on every edge), read
+    through the paper's rates: raw chi4 is r_d + 3 r_b = 1.053 > 1, yet
+    corrected chi4 is 1, chi13 is 25 and every rule residual is 0. A raw chi4
+    above its bound is therefore no evidence of contextuality."""
+    paper = simulate.NoiseModel()
+    r_d, r_b = simulate.readout_rates(paper)
+    raw = analysis.confusion_for(simulate.NoiseModel.ideal())
+    corrected = analysis.confusion_for(paper)
+    rules = [Inequality(f"sum{t}", ZO, {(): -1, **{(r,): 1 for r in t}}, 0, Fraction(0))
+             for t in sorted(model.triangles)]
+    rules += [Inequality(f"product{e}", ZO, {e: 1}, 0, Fraction(0))
+              for e in sorted(model.edges)]
+    admissible = [v for v in (dict(zip(RAYS, bits)) for bits in product((0, 1), repeat=13))
+                  if v[13] and all(sum(v[r] for r in t) == 1 for t in model.triangles)
+                  and not any(v[i] and v[j] for i, j in model.edges)]
+    assert len(admissible) == 3
+    for v in admissible:
+        # P(read dark) of each ray; the readouts of a pair are independent.
+        read = {r: r_d if v[r] else r_b for r in RAYS}
+        freqs = analysis.Frequencies(layout, exact_f(
+            layout, lambda r: read[r], lambda i, j: read[i] * read[j]))
+        chi4_raw = analysis.estimate(CHI4, freqs, raw).value
+        assert chi4_raw == pytest.approx(r_d + 3 * r_b, abs=1e-12) and chi4_raw > 1.05
+        assert analysis.estimate(CHI4, freqs, corrected).value == pytest.approx(1, abs=1e-12)
+        assert analysis.estimate(model.chi13, freqs, corrected).value == pytest.approx(
+            25, abs=1e-12)
+        for rule in rules:
+            assert abs(analysis.estimate(rule, freqs, corrected).value) <= 1e-12, rule.name

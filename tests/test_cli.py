@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qutrit_ks import cli
+from qutrit_ks import cli, pulses
 
 
 def test_verify_passes(capsys):
@@ -44,9 +44,10 @@ def test_verify_out_builds_the_model_once(tmp_path, capsys, monkeypatch):
 
 def test_verify_out_without_a_file_name_is_io_error(tmp_path, capsys, monkeypatch):
     """`--out .` names a directory, not a report file: the run exits 3 with
-    an I/O error line and writes nothing, as `--out ..` does."""
+    an I/O error line and writes nothing, as `--out ..` does, and as an empty
+    `--out ""` does, which names the current directory."""
     monkeypatch.chdir(tmp_path)
-    for out in (".", ".."):
+    for out in (".", "..", ""):
         assert cli.main(["verify", "--out", out]) == cli.EXIT_IO
         captured = capsys.readouterr()
         assert captured.err.startswith("I/O error:")
@@ -80,6 +81,28 @@ def test_verification_detects_injected_fault(monkeypatch):
     lines = []
     assert cli.run_verification(lines) is False
     assert any("FAIL" in l for l in lines)
+
+
+@pytest.mark.parametrize("theta, phi", [(1e-12, 0.0), (4e-5, 0.0), (0.0, math.pi / 2)])
+def test_verify_fails_on_an_inexact_setting_angle(monkeypatch, capsys, theta, phi):
+    """A table whose M5 alpha pulse is off by 1e-12 or 4e-5 rad, or has
+    phi = pi/2, fails `verify` with exit 1 and a FAIL line naming M5."""
+    table = pulses.settings_table()
+
+    def broken():
+        rows = list(table)
+        m5 = rows[4]
+        first, alpha = m5.pulses
+        rows[4] = dataclasses.replace(m5, pulses=(
+            first, pulses.Pulse(alpha.channel, alpha.theta + theta, alpha.phi + phi)))
+        return rows
+
+    monkeypatch.setattr(pulses, "settings_table", broken)
+    assert cli.main(["verify"]) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] all 16 setting mappings: setting M5: a pulse angle is not in " \
+        "the exact set" in lines
+    assert lines[-1] == "verification FAILED"
 
 
 def test_compile_unknown_setting(tmp_path, capsys):

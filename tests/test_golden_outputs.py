@@ -181,12 +181,14 @@ def test_one_state_runs_and_estimates_match_pinned_digest(noise):
     assert calibration_digest(LAW_NOISES[noise]) == CALIBRATION_DIGESTS[noise]
 
 
-# `verify`'s stdout, its `--out` report and the `.model.txt` dump beside it,
-# recorded before the hidden-variable enumeration and the exact operator were
-# restructured; a changed check line, count or model dump fails here.
+# `verify`'s stdout, its `--out` report and the `.model.txt` dump beside it.
+# The report was re-recorded when the setting mappings became an exact proof
+# ("exact over Q(sqrt2, sqrt3)"); the model dump was recorded before the
+# hidden-variable enumeration and the exact operator were restructured. A
+# changed check line, count or model dump fails here.
 VERIFY_DIGESTS = {
-    "stdout": "9498af176be2cad24b84835f72e32e9f6196b1cdeebda4e493d28216d59fbeee",
-    "verify.txt": "9498af176be2cad24b84835f72e32e9f6196b1cdeebda4e493d28216d59fbeee",
+    "stdout": "1cd57916c1bd3ec76676a05ed7a973754b95d1df1e1c99a6140a6cf23fd0d585",
+    "verify.txt": "1cd57916c1bd3ec76676a05ed7a973754b95d1df1e1c99a6140a6cf23fd0d585",
     "verify.model.txt": "7d5e93793beccf74a627ed7e0d04993feac6b47918303a10dadde4ff3e63e173",
 }
 

@@ -12,11 +12,13 @@ an import of `analysis` would bring in a second one. Every command writes
 its output through `cli._emit`, the one place that turns a write failure
 into exit code 3; a file written anywhere else escapes that contract. A
 module that reaches into a sibling's `_`-prefixed names depends on its
-internals. This scans the code of the package for all five.
+internals. This scans the code of the package for all five. It also checks
+that the package's check tolerances are named in `linalg` alone.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +187,49 @@ def test_writer_scanner_flags_writes(tmp_path):
     (tmp_path / "pulses.py").write_text(
         "class S:\n    def save(self, p):\n        return open(p, 'w')\n")
     assert find_writers(tmp_path) == ["cli:5: calls write_text", "pulses:3: calls open"]
+
+
+TOLERANCE = re.compile(r"^ATOL_|_FLOOR$")
+
+
+def find_tolerances(package: Path) -> list[str]:
+    """Module-level names of a check tolerance (`ATOL_*`, `*_FLOOR`) bound
+    anywhere but in `linalg`, where the package's tolerances are named."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.Assign):
+                targets = top.targets
+            elif isinstance(top, (ast.AnnAssign, ast.AugAssign)):
+                targets = [top.target]
+            else:
+                continue
+            found += [f"{path.stem}:{top.lineno}: binds {node.id}"
+                      for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name) and TOLERANCE.search(node.id)]
+    return found
+
+
+def test_only_linalg_names_tolerances():
+    assert find_tolerances(PACKAGE) == []
+
+
+def test_tolerance_scanner_flags_module_level_tolerances(tmp_path):
+    (tmp_path / "linalg.py").write_text("ATOL_UNITARY = 1e-10\nEIGVAL_FLOOR = -1e-9\n")
+    (tmp_path / "pulses.py").write_text(
+        "from .linalg import ATOL_UNITARY\nATOL_OVERLAP = 1e-9\n"
+        "def check():\n    ATOL_LOCAL = 1e-3\n    return ATOL_LOCAL\n")
+    (tmp_path / "simulate.py").write_text(
+        "PROB_FLOOR: float = 1e-12\nA, ATOL_PAIR = 1, 2e-9\nATOL_PAIR += 1\n"
+        "FLOORING = 3\n")
+    assert find_tolerances(tmp_path) == [
+        "pulses:2: binds ATOL_OVERLAP",
+        "simulate:1: binds PROB_FLOOR",
+        "simulate:2: binds ATOL_PAIR",
+        "simulate:3: binds ATOL_PAIR",
+    ]
 
 
 def test_package_import_leaves_numpy_random_unloaded():

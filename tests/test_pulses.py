@@ -78,10 +78,71 @@ def test_compile_chronological_order(settings):
 
 
 def test_all_mappings_verify(settings):
-    reports = pulses.verify_all_settings(settings)
-    assert all(r.ok for r in reports)
-    worst = max(d for r in reports for _, _, d in r.deficits)
-    assert worst < 1e-9
+    """The whole table proves exactly, and so does each setting on its own,
+    at its own chain depth."""
+    assert pulses.verify_all_settings(settings) is None
+    for s in settings:
+        pulses.verify_all_settings([s])
+
+
+SQRT = np.array([1, math.sqrt(2), math.sqrt(3), math.sqrt(6)])
+
+
+def test_exact_angles_lie_on_the_unit_circle():
+    """(6 cos)^2 + (6 sin)^2 = 36 for every exact angle, multiplied in
+    Q(sqrt2, sqrt3), and each entry is 6 cos, 6 sin of the keyed float."""
+    for theta, (c, s) in pulses.EXACT_ANGLES.items():
+        square = pulses._times(*c) @ c + pulses._times(*s) @ s
+        assert square.tolist() == [36, 0, 0, 0]
+        assert SQRT @ c / 6 == pytest.approx(math.cos(theta / 2), abs=1e-15)
+        assert SQRT @ s / 6 == pytest.approx(math.sin(theta / 2), abs=1e-15)
+    for phi, e in pulses.EXACT_PHASES.items():
+        assert np.exp(1j * phi) == pytest.approx(e, abs=1e-15)
+
+
+def test_settings_pulses_have_exact_angles(settings):
+    pulse_set = {p for s in settings for p in s.pulses}
+    assert {p.theta for p in pulse_set} == set(pulses.EXACT_ANGLES)
+    assert {p.phi for p in pulse_set} == set(pulses.EXACT_PHASES)
+
+
+def test_exact_pulse_matrices_are_the_float_pulses(settings):
+    """Each exact pulse, divided by 6 and evaluated in floats, is the
+    `pulse_matrix` that `compile` and `simulate` use: the proof is about the
+    very floats of every schedule and count."""
+    for p in {p for s in settings for p in s.pulses}:
+        exact = pulses.exact_pulse_matrix(p)
+        assert exact.dtype == np.int64 and exact.shape == (12, 12)
+        # Column 0 of each 4x4 block holds that entry's coordinates.
+        coords = exact.reshape(3, 4, 3, 4)[:, :, :, 0]
+        floats = np.einsum("ikj,k->ij", coords, SQRT) / 6
+        assert np.abs(floats - pulses.pulse_matrix(p)).max() <= 1e-15
+        with pytest.raises(ValueError):
+            exact[0, 0] = 0
+
+
+def _with_m5(settings, *m5_pulses):
+    return [dataclasses.replace(s, pulses=m5_pulses) if s.id == "M5" else s
+            for s in settings]
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (pulses.ALPHA + 1e-12, 0.0), (pulses.ALPHA + 4e-5, 0.0), (pulses.ALPHA, math.pi / 2)])
+def test_inexact_pulse_angle_is_refused(settings, theta, phi):
+    """A miscalibration far below what an overlap check in floats resolves,
+    and a phase outside {0, pi}, are refused by name."""
+    broken = _with_m5(settings, pulses.Pulse(2, math.pi / 2, 0.0), pulses.Pulse(1, theta, phi))
+    with pytest.raises(ValueError, match="setting M5: a pulse angle is not in the exact set"):
+        pulses.verify_all_settings(broken)
+
+
+def test_swapped_exact_angle_misses_its_ray(settings):
+    """alpha and pi - alpha are both exact; swapping them on M5 sends v10
+    elsewhere, and the proof names the ray and the basis state."""
+    broken = _with_m5(settings, pulses.Pulse(2, math.pi / 2, 0.0),
+                      pulses.Pulse(1, math.pi - pulses.ALPHA, 0.0))
+    with pytest.raises(ValueError, match=r"setting M5: ray v10 misses basis state \|3>"):
+        pulses.verify_all_settings(broken)
 
 
 def test_verify_named_examples(settings):
@@ -182,7 +243,7 @@ def test_setting_mapping_is_read_only_and_hash_is_lazy():
 
 def test_faulty_mapping_fails_verification(settings):
     broken = pulses.MeasurementSetting("Mx", {1: 13}, ())
-    report = pulses.verify_mapping(broken)
-    assert not report.ok
     with pytest.raises(ValueError, match="Mx"):
         pulses.verify_all_settings([broken])
+    with pytest.raises(ValueError, match=r"setting Mx: ray v13 misses basis state \|1>"):
+        pulses.verify_all_settings(settings + [broken])
