@@ -1,19 +1,20 @@
 """From count tables to inequality values with error bars.
 
-`confusion_for` inverts the readout rates of `simulate.readout_rates` for
-every noise model: r_d = P(read dark | dark), r_b = P(read dark | bright),
-vis = r_d - r_b. Every corrected probability is affine in the frequencies f
-of the count tables (D, B for a single; B, DB, DD for a pair), so an
-inequality is w0 + W . f, with (w0, W) built once per inequality, table
-layout and correction (`affine_map`), as in Guhne et al., PRA 81, 022121
-(2010). A single s_r = (q_r - r_b) / vis pools the first-detection dark
-fraction of every table that measures r first, weighted n_k / N_r. A pair's
-continued trials mix a truly dark first outcome with a misread bright one;
-summing P(DD) over the four true branches, the bright-then-dark one s_j - x
-by compatibility, gives x = (f_DD - r_b (f_DB + f_DD) - r_b vis s_j) / vis^2.
-Nothing is clipped: a clip biases every state with a probability at a
-boundary. The tables are independent multinomial draws, so sum_k Var_k(W) /
-n_k over each table's observed frequencies is the exact variance.
+Readout is the rate pair (r_d, r_b) that `simulate.readout_rates` returns
+and the simulation draws with: r_d = P(read dark | dark), r_b = P(read dark
+| bright), vis = r_d - r_b; the ideal pair (1, 0) gives the raw value. Every
+corrected probability is affine in the frequencies f of the count tables (D,
+B for a single; B, DB, DD for a pair), so an inequality is w0 + W . f, with
+(w0, W) built once per inequality, table layout and rate pair
+(`affine_map`), as in Guhne et al., PRA 81, 022121 (2010). A single s_r =
+(q_r - r_b) / vis pools the first-detection dark fraction of every table
+that measures r first, weighted n_k / N_r. A pair's continued trials mix a
+truly dark first outcome with a misread bright one; summing P(DD) over the
+four true branches, the bright-then-dark one s_j - x by compatibility, gives
+x = (f_DD - r_b (f_DB + f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a
+clip biases every state with a probability at a boundary. The tables are
+independent multinomial draws, so sum_k Var_k(W) / n_k over each table's
+observed frequencies is the exact variance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import CHI4, ZO, Inequality, KSModel
-from .simulate import NoiseModel, readout_rates
 
 
 @dataclass(frozen=True)
@@ -36,27 +36,6 @@ class Estimate:
     value: float
     stderr: float
     corrected: bool = False
-
-
-@dataclass(frozen=True)
-class ConfusionModel:
-    eps_dark_to_bright: float
-    eps_bright_to_dark: float
-
-    def __post_init__(self):
-        if self.eps_dark_to_bright + self.eps_bright_to_dark >= 1.0:
-            raise ValueError("confusion matrix is not invertible")
-
-    @property
-    def visibility(self) -> float:
-        return 1.0 - self.eps_dark_to_bright - self.eps_bright_to_dark
-
-
-def confusion_for(noise: NoiseModel) -> ConfusionModel:
-    """The detection-error correction for runs under a `simulate.NoiseModel`:
-    the confusion matrix of its readout rates, the identity for ideal noise."""
-    r_d, r_b = readout_rates(noise)
-    return ConfusionModel(1.0 - r_d, r_b)
 
 
 class Frequencies(NamedTuple):
@@ -116,11 +95,14 @@ class AffineMap(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
-def affine_map(ineq: Inequality, layout: tuple, confusion: ConfusionModel) -> AffineMap:
-    """The estimator of `ineq` over tables laid out as `layout` and
-    corrected by `confusion`, built once per distinct content of the three.
+def affine_map(ineq: Inequality, layout: tuple, rates: tuple[float, float]) -> AffineMap:
+    """The estimator of `ineq` over tables laid out as `layout` and read
+    with `rates` = (r_d, r_b), built once per distinct content of the three.
     An inequality hashes once, and so does a layout from `frequencies`."""
-    r_b, vis = confusion.eps_bright_to_dark, confusion.visibility
+    r_d, r_b = rates
+    if (1.0 - r_d) + r_b >= 1.0:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
+        raise ValueError(f"readout rates {rates} do not have r_d > r_b")
+    vis = 1.0 - (1.0 - r_d) - r_b
     sizes = [len(chain) + 1 for chain, _ in layout]
     # The dark entries of f by table (D, or DB and DD), with the table's
     # total, for the first ray it measures and for its pair.
@@ -179,10 +161,10 @@ def _expansion(ineq: Inequality):
 
 
 def estimate(ineq: Inequality, freqs: Frequencies,
-             confusion: ConfusionModel) -> Estimate:
-    """Value and exact multinomial stderr of `ineq` from one state's `Frequencies`,
-    corrected by `confusion`; raw under `confusion_for(NoiseModel.ideal())`."""
-    w0, w, table, n = affine_map(ineq, freqs.layout, confusion)
+             rates: tuple[float, float]) -> Estimate:
+    """Value and exact multinomial stderr of `ineq` from one state's
+    `Frequencies`, corrected for readout `rates`; raw at rates (1, 0)."""
+    w0, w, table, n = affine_map(ineq, freqs.layout, rates)
     f = freqs.f
     mean = np.bincount(table, weights=w * f)  # W . f_k of each table
     dev = w - mean[table]
@@ -199,9 +181,13 @@ def significance(est: Estimate, classical_bound: float) -> float:
 
 # The names the benchmark's workloads still call, as thin adapters over
 # `estimate`; ROADMAP item 1's port removes them. The package never calls them.
-def estimates_from_counts(tables, confusion: ConfusionModel | None):
-    freqs, raw = frequencies(tables), ConfusionModel(0.0, 0.0)
-    return SimpleNamespace(singles=(freqs, confusion or raw), pairs=None,
+def ConfusionModel(eps_dark_to_bright, eps_bright_to_dark):
+    return 1.0 - eps_dark_to_bright, eps_bright_to_dark
+
+
+def estimates_from_counts(tables, rates):
+    freqs, raw = frequencies(tables), (1.0, 0.0)
+    return SimpleNamespace(singles=(freqs, rates or raw), pairs=None,
                            singles_raw=(freqs, raw), pairs_raw=None)
 
 

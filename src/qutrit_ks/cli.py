@@ -155,7 +155,7 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
     plan = simulate.build_plan(model, settings, cfg.shots)
     roster = _select_roster(cfg)
     noise = _noise_from_config(cfg)
-    confusion = analysis.confusion_for(noise)
+    rates = simulate.readout_rates(noise)
     tables = simulate.run_roster(roster, plan, settings, noise, cfg.master_seed)
     if cfg.with_tomography:
         fids = [res.fidelity_to_target for res in tomography.run_tomography(
@@ -165,13 +165,13 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
         fids = linalg.fidelities([simulate.prepare(state, noise) for state in roster],
                                  [state.rho for state in roster])
 
-    raw = analysis.confusion_for(simulate.NoiseModel.ideal())
+    raw = simulate.readout_rates(simulate.NoiseModel.ideal())
     results = []
     for state, fid in zip(roster, fids):
         freqs = analysis.frequencies(tables[state.label])
         chi13_raw, chi13, chi4_raw, chi4 = (
-            analysis.estimate(ineq, freqs, c)
-            for ineq in (model.chi13, CHI4) for c in (raw, confusion))
+            analysis.estimate(ineq, freqs, r)
+            for ineq in (model.chi13, CHI4) for r in (raw, rates))
         results.append(StateResult(
             state.label, fid, chi13_raw, chi13, chi4_raw, chi4,
             analysis.significance(chi13, model.chi13.classical_bound),
@@ -218,12 +218,16 @@ def results_text(results: list[StateResult],
 
 
 def results_from_csv(text: str) -> list[StateResult]:
-    """Parse `results_csv` output, reading each column by its header name; a
-    header that lacks any column `results_csv` writes is malformed."""
+    """Parse `results_csv` output by header name; a header without a column
+    `results_csv` writes, or a row of another width, is malformed."""
     def est(row, col):
         return analysis.Estimate(float(row[col]), float(row[col + "_err"]))
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
+    def checked(values):
+        if len(values) != len(header):
+            raise ValueError(f"line {reader.line_num}: {len(values)} fields, not {len(header)}")
+        return dict(zip(header, values))
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
     missing = [c for c in RESULTS_HEADER.split(",") if c not in header]
     if missing:
         raise ValueError(f"missing columns {', '.join(missing)}")
@@ -231,7 +235,7 @@ def results_from_csv(text: str) -> list[StateResult]:
                         est(row, "chi13_raw"), est(row, "chi13"),
                         est(row, "chi4_raw"), est(row, "chi4"),
                         float(row["sigma13"]), float(row["sigma4"]))
-            for row in reader]
+            for row in map(checked, filter(None, reader))]
 
 
 def plot_data(results: list[StateResult],
@@ -324,7 +328,7 @@ def cmd_report(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO
-    except (KeyError, TypeError, ValueError) as exc:
+    except (csv.Error, ValueError) as exc:
         sys.stderr.write(f"malformed results table {src}: {exc!r}\n")
         return EXIT_IO
     text = plot_data(results, build_model().inequalities)

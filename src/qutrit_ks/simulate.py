@@ -130,8 +130,8 @@ class NoiseModel:
                        for lam in (self.lambda_bright, self.lambda_dark)):
                 raise ValueError("photon rates must be finite and non-negative")
             r_d, r_b = readout_rates(self)
-            # The correction divides by the visibility r_d - r_b, formed as
-            # `analysis.confusion_for` forms it.
+            # The correction divides by the visibility r_d - r_b;
+            # `analysis.affine_map` refuses the rates by this same test.
             if (1.0 - r_d) + r_b >= 1.0:
                 raise ValueError("photon-count readout must read dark more often "
                                  "from a dark than from a bright ion (r_d > r_b)")

@@ -33,16 +33,14 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _state_results(tabs, model, confusion):
-    raw = analysis.ConfusionModel(0.0, 0.0)
-    confusion = confusion or raw
+def _state_results(tabs, model, rates):
     results = {}
     for label, tables in tabs.items():
         freqs = analysis.frequencies(tables)
         results[label] = {
-            "chi13": analysis.estimate(model.chi13, freqs, confusion),
-            "chi13_raw": analysis.estimate(model.chi13, freqs, raw),
-            "chi4": analysis.estimate(CHI4, freqs, confusion),
+            "chi13": analysis.estimate(model.chi13, freqs, rates),
+            "chi13_raw": analysis.estimate(model.chi13, freqs, IDEAL_RATES),
+            "chi4": analysis.estimate(CHI4, freqs, rates),
         }
     return results
 
@@ -110,7 +108,7 @@ def test_criterion_07_monte_carlo_ideal(model, settings):
     tabs = simulate.run_roster(roster, plan, settings,
                                simulate.NoiseModel.ideal(), 42)
     dt = time.perf_counter() - t0
-    results = _state_results(tabs, model, None)
+    results = _state_results(tabs, model, IDEAL_RATES)
     worst = max(max(abs(r["chi13"].value - QUANTUM_CHI13) / r["chi13"].stderr,
                     abs(r["chi4"].value - QUANTUM_CHI4) / r["chi4"].stderr)
                 for r in results.values())
@@ -124,14 +122,14 @@ def test_criterion_07_monte_carlo_ideal(model, settings):
 def test_criterion_08_monte_carlo_paper_noise(model, settings):
     plan = simulate.build_plan(model, settings, shots=10_000)
     roster = simulate.default_state_roster()
-    confusion = analysis.ConfusionModel(0.010, 0.021)
+    rates = simulate.readout_rates(simulate.NoiseModel.paper())
     seeds = [1, 2, 3, 4, 5]
     passes = {"window": 0, "sig13": 0, "sig4": 0, "bias": 0}
     details = []
     for seed in seeds:
         tabs = simulate.run_roster(roster, plan, settings,
                                    simulate.NoiseModel.paper(), seed)
-        results = _state_results(tabs, model, confusion)
+        results = _state_results(tabs, model, rates)
         worst = max(abs(r["chi13"].value - QUANTUM_CHI13) / r["chi13"].stderr
                     for r in results.values())
         min_sig13 = min(analysis.significance(r["chi13"], 25.0)

@@ -12,8 +12,8 @@ from qutrit_ks.pulses import settings_table
 
 from helpers import effect_stack, expected_laws, random_density_matrix
 
-IDENTITY = analysis.ConfusionModel(0.0, 0.0)
-PAPER = analysis.ConfusionModel(0.010, 0.021)
+IDENTITY = (1.0, 0.0)
+PAPER = simulate.readout_rates(simulate.NoiseModel.paper())
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +60,9 @@ def tables_of(*chains_counts):
             for chain, counts in chains_counts]
 
 
-def single_estimate(dark, shots, confusion, ray=10):
+def single_estimate(dark, shots, rates, ray=10):
     tables = tables_of(((ray,), {"D": dark, "B": shots - dark}))
-    return analysis.estimate(probability(ray), analysis.frequencies(tables), confusion)
+    return analysis.estimate(probability(ray), analysis.frequencies(tables), rates)
 
 
 def test_estimate_probability():
@@ -79,9 +79,15 @@ def test_estimate_probability():
         single_estimate(0, 0, IDENTITY)
 
 
-def test_confusion_invertibility():
-    with pytest.raises(ValueError):
-        analysis.ConfusionModel(0.6, 0.5)
+def test_estimate_refuses_rates_without_visibility():
+    """Rates that read dark no more often from a dark ion than from a
+    bright one cannot be inverted: (0.3, 0.3) too, although its visibility
+    rounds to 5.6e-17; the ideal pair (1, 0) returns the raw value."""
+    for rates in ((0.4, 0.5), (0.5, 0.5), (0.3, 0.3)):
+        with pytest.raises(ValueError, match=r"do not have r_d > r_b"):
+            single_estimate(5000, 10_000, rates)
+    raw = single_estimate(2500, 10_000, IDENTITY)
+    assert (raw.value, raw.stderr) == (0.25, math.sqrt(0.25 * 0.75 / 10_000))
 
 
 def test_correct_ml_examples():
@@ -103,12 +109,12 @@ def test_correct_ml_monotone():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def pair_estimate(counts, n, dark_j, confusion, i=4, j=7):
+def pair_estimate(counts, n, dark_j, rates, i=4, j=7):
     """The corrected pair (i, j) from its B/DB/DD counts and a single table
     of ray j with `dark_j` of n dark."""
     tables = tables_of(((i, j), counts), ((j,), {"D": dark_j, "B": n - dark_j}))
     return analysis.estimate(probability(i, j), analysis.frequencies(tables),
-                             confusion)
+                             rates)
 
 
 def forward_pair(p1, p2d, c, n=10_000_000, eps_d=0.010, eps_b=0.021):
@@ -233,21 +239,10 @@ NOISE = {
 }
 
 
-def test_confusion_for_noise_models():
-    """The correction reads the rates the simulation draws with: rates are
-    compared, since 1 - (1 - 0.010) is not 0.010 in floating point."""
-    for noise in NOISE.values():
-        conf = analysis.confusion_for(noise)
-        r_d, r_b = simulate.readout_rates(noise)
-        assert (1.0 - conf.eps_dark_to_bright, conf.eps_bright_to_dark) == (r_d, r_b)
-        assert conf.visibility == r_d - r_b
-    assert analysis.confusion_for(NOISE["ideal"]) == analysis.ConfusionModel(0.0, 0.0)
-
-
 def _corrected(tables, noise, model):
-    freqs, confusion = analysis.frequencies(tables), analysis.confusion_for(noise)
-    return (analysis.estimate(model.chi13, freqs, confusion),
-            analysis.estimate(CHI4, freqs, confusion))
+    freqs, rates = analysis.frequencies(tables), simulate.readout_rates(noise)
+    return (analysis.estimate(model.chi13, freqs, rates),
+            analysis.estimate(CHI4, freqs, rates))
 
 
 def test_correction_inverts_exact_laws(model):
@@ -297,8 +292,8 @@ def test_estimator_lookup_hashes_layout_and_terms_once(model, monkeypatch):
             simulate.run_roster([state], plan, settings, noise, seed)[state.label])
         layouts.append(freqs.layout)
         for ineq in (model.chi13, CHI4):
-            for confusion in (IDENTITY, analysis.confusion_for(noise)):
-                analysis.estimate(ineq, freqs, confusion)
+            for rates in (IDENTITY, simulate.readout_rates(noise)):
+                analysis.estimate(ineq, freqs, rates)
     assert layouts[0] is layouts[1] is layouts[2]
     assert layouts[0] == tuple((sub.chain, 300) for sub in plan)
     assert hash(layouts[0]) == hash(tuple(layouts[0])) and calls == [1]
@@ -313,19 +308,19 @@ def test_stderr_is_the_multinomial_variance(model):
     settings = settings_table()
     plan = simulate.build_plan(model, settings, shots=2000)
     noise = NOISE["flip-depolarized"]
-    confusion = analysis.confusion_for(noise)
+    rates = simulate.readout_rates(noise)
     for label, tables in simulate.run_roster(simulate.default_state_roster(), plan,
                                              settings, noise, 5).items():
         freqs = analysis.frequencies(tables)
         for ineq in (model.chi13, CHI4):
-            m = analysis.affine_map(ineq, freqs.layout, confusion)
+            m = analysis.affine_map(ineq, freqs.layout, rates)
             var, start = 0.0, 0
             for _, n in freqs.layout:
                 stop = start + int(np.sum(m.table == m.table[start]))
                 w, f = m.w[start:stop], freqs.f[start:stop]
                 var += (w @ (np.diag(f) - np.outer(f, f)) @ w) / n
                 start = stop
-            est = analysis.estimate(ineq, freqs, confusion)
+            est = analysis.estimate(ineq, freqs, rates)
             assert est.stderr == pytest.approx(math.sqrt(var), rel=1e-9), label
             assert est.value == pytest.approx(m.w0 + m.w @ freqs.f, abs=1e-12)
 
@@ -344,7 +339,7 @@ def test_estimator_operator_is_the_quantum_value(model, name):
     def operator(ineq, noise_of_map, noise_of_stack):
         stack = effect_stack(simulate._plan_effects(
             tuple(settings), entries, simulate.readout_rates(noise_of_stack)))
-        m = analysis.affine_map(ineq, layout, analysis.confusion_for(noise_of_map))
+        m = analysis.affine_map(ineq, layout, simulate.readout_rates(noise_of_map))
         return m.w0 * np.identity(3) + np.tensordot(m.w, stack, 1)
 
     noise = NOISE[name]
@@ -395,9 +390,8 @@ def test_raw_chi4_excess_is_readout_not_contextuality(model, layout):
     corrected chi4 is 1, chi13 is 25 and every rule residual is 0. A raw chi4
     above its bound is therefore no evidence of contextuality."""
     paper = simulate.NoiseModel()
-    r_d, r_b = simulate.readout_rates(paper)
-    raw = analysis.confusion_for(simulate.NoiseModel.ideal())
-    corrected = analysis.confusion_for(paper)
+    corrected = r_d, r_b = simulate.readout_rates(paper)
+    raw = simulate.readout_rates(simulate.NoiseModel.ideal())
     rules = [Inequality(f"sum{t}", ZO, {(): -1, **{(r,): 1 for r in t}}, 0, Fraction(0))
              for t in sorted(model.triangles)]
     rules += [Inequality(f"product{e}", ZO, {e: 1}, 0, Fraction(0))

@@ -21,7 +21,7 @@ import harness  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from qutrit_ks import hv, pulses, simulate, tomography  # noqa: E402
+from qutrit_ks import cli, hv, pulses, simulate, tomography  # noqa: E402
 from qutrit_ks.model import build_model  # noqa: E402
 
 from helpers import expected_laws  # noqa: E402
@@ -40,6 +40,21 @@ def test_traced_pass_reproduces_the_untraced_pass(tmp_path, workload):
     assert detail["output_mismatches"] == 0
     assert detail["wrappers_left"] == []
     assert metrics["trace.span_count"][0] > 0
+
+
+def test_calibration_sweep_estimates_what_the_cli_estimates(tmp_path):
+    """One operation per readout mode: the sweep's flip mode corrects with
+    the rate pair of the CLI's paper noise, so its chi13 and chi4 equal
+    `cli.run_simulation`'s bit for bit; photon-count, which the sweep leaves
+    uncorrected, gives the CLI's raw values."""
+    wl = workloads.CalibrationSweep(1, tmp_path / "scratch")
+    for seed, mode, state in wl.warmup_inputs():
+        _, chi13, chi4 = wl.run((seed, mode, state))
+        cfg = cli.RunConfig(master_seed=seed, shots=wl.shots, states=(state.label,),
+                            noise="paper" if mode == "flip" else mode)
+        [r] = cli.run_simulation(cfg, wl.model)[1]
+        raw = mode == "photon-count"
+        assert (chi13, chi4) == ((r.chi13_raw, r.chi4_raw) if raw else (r.chi13, r.chi4))
 
 
 def test_observers_read_what_the_traced_functions_return():

@@ -223,6 +223,13 @@ def test_report_equals_plot_data(tmp_path, capsys):
     assert cli.main(["report", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     assert (out / "report.dat").read_bytes() == (out / "plot.dat").read_bytes()
+    # Blank lines in the table are skipped.
+    table = out / "results.csv"
+    table.write_text(table.read_text().replace("\n", "\n\n"))
+    (out / "report.dat").unlink()
+    assert cli.main(["report", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert (out / "report.dat").read_bytes() == (out / "plot.dat").read_bytes()
 
 
 def test_report_unreadable_table_is_io_error(tmp_path, capsys):
@@ -232,7 +239,21 @@ def test_report_unreadable_table_is_io_error(tmp_path, capsys):
 
 
 def test_report_malformed_table(tmp_path, capsys):
+    """A header that lacks columns, a row with more or fewer fields than the
+    full header (refused with the line and its field count), or a field past
+    the csv module's size limit is malformed."""
     (tmp_path / "results.csv").write_text("state,chi13\npsi1,27.0\n")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+    assert "malformed results table" in capsys.readouterr().err
+    for fields in (14, 11):
+        (tmp_path / "results.csv").write_text(
+            cli.RESULTS_HEADER + "\n" + ",".join(["psi1"] + ["1"] * (fields - 1)) + "\n")
+        assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "malformed results table" in err
+        assert f"line 2: {fields} fields, not 12" in err
+        assert not (tmp_path / "report.dat").exists()
+    (tmp_path / "results.csv").write_text(cli.RESULTS_HEADER + "\npsi1," + "1" * 200_000)
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
     assert "malformed results table" in capsys.readouterr().err
 
@@ -296,7 +317,7 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
     cfg = cli.RunConfig(shots=cli.MAX_SHOTS, states=("psi7", "rho10"))
     tables, _ = cli.run_simulation(cfg, model)
     assert cli.simulate.counts_to_csv(tables) == text
-    raw = cli.analysis.ConfusionModel(0.0, 0.0)
+    raw = cli.simulate.readout_rates(cli.simulate.NoiseModel.ideal())
     for label in ("psi7", "rho10"):
         chi4 = cli.analysis.estimate(cli.CHI4, cli.analysis.frequencies(tables[label]), raw)
         assert chi4.value == float(sum(Fraction(dark[label, ray], pooled[label, ray])

@@ -154,8 +154,8 @@ def calibration_digest(noise: simulate.NoiseModel) -> str:
     """sha256 over one-state runs: every count, then each estimate's bits."""
     model, settings = build_model(), pulses.settings_table()
     roster = simulate.default_state_roster()
-    corrections = (analysis.confusion_for(simulate.NoiseModel.ideal()),
-                   analysis.confusion_for(noise))
+    corrections = (simulate.readout_rates(simulate.NoiseModel.ideal()),
+                   simulate.readout_rates(noise))
     runs = [(2000, roster)] + [(shots, [s for s in roster if s.label in ("psi1", "rho10")])
                                for shots in (1, 2 ** 63 - 1)]
     digest = hashlib.sha256()
@@ -169,8 +169,8 @@ def calibration_digest(noise: simulate.NoiseModel) -> str:
                     digest.update(f" {t.seed_key}:{sorted(t.counts.items())}".encode())
                 freqs = analysis.frequencies(tables)
                 for ineq in (model.chi13, CHI4):
-                    for confusion in corrections:
-                        est = analysis.estimate(ineq, freqs, confusion)
+                    for rates in corrections:
+                        est = analysis.estimate(ineq, freqs, rates)
                         digest.update(f" {est.value.hex()} {est.stderr.hex()}".encode())
                 digest.update(b"\n")
     return digest.hexdigest()

@@ -1,19 +1,23 @@
 """Only `simulate` builds a detection and draws counts, only `cli._emit`
 writes files, tomography corrects readout through the noise-folded map
-alone, and modules keep to public names.
+alone, the estimator imports no module that runs an experiment, and modules
+keep to public names.
 
-The swap onto the detected state |3> is part of the noise-folded
-measurement map in `simulate`; any other module that calls `swap_pulse`
-builds a second copy of the detection. Every count is drawn by `simulate`
-on its keyed stream; a module that calls `binomial`, `multinomial` or
-`numpy.random` itself is a second draw path. Tomography solves against
-that map under the run's readout rates, which is its readout correction;
-an import of `analysis` would bring in a second one. Every command writes
-its output through `cli._emit`, the one place that turns a write failure
-into exit code 3; a file written anywhere else escapes that contract. A
-module that reaches into a sibling's `_`-prefixed names depends on its
-internals. This scans the code of the package for all five. It also checks
-that the package's check tolerances are named in `linalg` alone.
+The swap onto the detected state |3> is part of the noise-folded measurement
+map in `simulate`; any other module that calls `swap_pulse` builds a second
+copy of the detection. Every count is drawn by `simulate` on its keyed
+stream; a module that calls `binomial`, `multinomial` or `numpy.random`
+itself is a second draw path. Tomography solves against that map under the
+run's readout rates, which is its readout correction; an import of
+`analysis` would bring in a second one. The estimator in `analysis` reads
+count tables and a readout rate pair; a noise model, and the rates it
+implies, are `simulate`'s business, so `analysis` imports none of
+`simulate`, `tomography`, `cli`, `pulses` and `hv`. Every command writes its
+output through `cli._emit`, the one place that turns a write failure into
+exit code 3; a file written anywhere else escapes that contract. A module
+that reaches into a sibling's `_`-prefixed names depends on its internals.
+This scans the code of the package for all six. It also checks that the
+package's check tolerances are named in `linalg` alone.
 """
 
 import ast
@@ -29,7 +33,8 @@ PACKAGE = Path(qutrit_ks.__file__).parent
 SWAP_OWNERS = {"simulate", "pulses"}
 DRAWS = {"binomial", "multinomial"}
 # Sibling modules a module must not import at all.
-FORBIDDEN_IMPORTS = {"tomography": {"analysis"}}
+FORBIDDEN_IMPORTS = {"tomography": {"analysis"},
+                     "analysis": {"simulate", "tomography", "cli", "pulses", "hv"}}
 
 
 def _violations(path: Path, siblings: set[str]) -> list[str]:
@@ -86,14 +91,17 @@ def test_scanner_flags_violations(tmp_path):
     (tmp_path / "pulses.py").write_text("def swap_pulse(b): pass\n")
     (tmp_path / "tomography.py").write_text(
         "from .pulses import swap_pulse\nfrom .simulate import _prepare\n"
-        "from .analysis import confusion_for\nfrom . import linalg, analysis\n")
-    (tmp_path / "analysis.py").write_text("def confusion_for(noise): pass\n")
+        "from .analysis import estimate\nfrom . import linalg, analysis\n")
+    (tmp_path / "analysis.py").write_text(
+        "from .model import CHI4\nfrom .simulate import readout_rates\n"
+        "def estimate(ineq, freqs, rates): pass\n")
     (tmp_path / "cli.py").write_text(
         "from . import simulate, pulses, analysis\nsimulate._prepare()\n"
         "pulses.swap_pulse(1)\nrng.binomial(5, 0.5)\ndraw = rng.multinomial\n"
         "numpy.random.default_rng(1)\nfrom numpy.random import Philox\n"
         "import numpy.random\n")
     assert find_violations(tmp_path) == [
+        "analysis:2: imports simulate",
         "cli:2: uses simulate._prepare",
         "cli:3: uses swap_pulse",
         "cli:4: draws",

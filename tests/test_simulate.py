@@ -935,14 +935,14 @@ def _sweep(model, settings, plan, noises):
     """36 one-state runs, each with its four estimates, as a pull gate
     repeats them over seeds."""
     for noise in noises:
-        corrections = (analysis.confusion_for(NoiseModel.ideal()),
-                       analysis.confusion_for(noise))
+        corrections = (simulate.readout_rates(NoiseModel.ideal()),
+                       simulate.readout_rates(noise))
         for state in simulate.default_state_roster():
             [tables] = simulate.run_roster([state], plan, settings, noise, 1).values()
             freqs = analysis.frequencies(tables)
             for ineq in (model.chi13, CHI4):
-                for confusion in corrections:
-                    analysis.estimate(ineq, freqs, confusion)
+                for rates in corrections:
+                    analysis.estimate(ineq, freqs, rates)
 
 
 def test_one_state_runs_stay_small_in_memory(model, settings):
