@@ -2,11 +2,10 @@
 
 `enumerate_bound` evaluates an inequality spec from `model` on all 2^13
 assignments at once, in integer arithmetic: one gather from a ray-major int8
-table per group of terms of equal degree and coefficient. In the +-1 alphabet
-every assignment counts; in the 0/1 alphabet only those obeying the product
-rule on every edge and the sum rule on every triangle of the model's graph.
-The tests hold a scalar reference for the same spec and rules, one at a time.
-"""
+table per group of terms of equal degree and coefficient, grouped once per spec
+content. In the +-1 alphabet every assignment counts; in the 0/1 alphabet only
+those obeying the product rule on every edge and the sum rule on every triangle
+of the model's graph. The tests hold a scalar reference, one spec at a time."""
 
 from __future__ import annotations
 
@@ -36,22 +35,27 @@ def _table(alphabet: str) -> np.ndarray:
     return table
 
 
-def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
-    """Exact maximum of `ineq` over every admissible assignment."""
+@functools.lru_cache(maxsize=8)  # once per spec content; a refused spec raises every call
+def _groups(ineq: Inequality) -> tuple[tuple[np.int64, np.ndarray], ...]:
     if (sum(map(abs, ineq.terms.values())) >= 2 ** 63
             or not {r for m in ineq.terms for r in m} <= RAYS.keys()):
         raise ValueError(f"inequality {ineq.name}: terms need rays 1..13 and a sum "
                          "of |coefficients| below 2^63")
-    table = _table(ineq.alphabet)
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for rays, c in ineq.terms.items():
         groups.setdefault((len(rays), c), []).append(rays)
+    return tuple((np.int64(c), np.broadcast_to(np.array(m, dtype=np.intp) - 1, (len(m), k)))
+                 for (k, c), m in groups.items())  # table rows as read-only views
+
+
+def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
+    """Exact maximum of `ineq` over every admissible assignment."""
+    table = _table(ineq.alphabet)
     values = np.zeros(table.shape[1], dtype=np.int64)
-    for (_, c), monomials in groups.items():
-        products = table[np.array(monomials, dtype=np.intp) - 1].prod(axis=1, dtype=np.int8)
+    for c, rows in _groups(ineq):
+        products = table[rows].prod(axis=1, dtype=np.int8)
         # products are -1, 0 or 1: the smallest dtype holding -1 - m sums m exactly
-        values += np.int64(c) * products.sum(
-            axis=0, dtype=np.min_scalar_type(-1 - len(monomials)))
+        values += c * products.sum(axis=0, dtype=np.min_scalar_type(-1 - len(rows)))
     if ineq.alphabet == ZO:
         edges, triangles = (np.array(list(s), dtype=np.intp).reshape(-1, n) - 1
                             for s, n in ((model.edges, 2), (model.triangles, 3)))

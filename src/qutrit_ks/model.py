@@ -107,9 +107,11 @@ class KSModel:
         return self.chi13, CHI4
 
 
-def _integer_edges() -> frozenset[tuple[int, int]]:
-    return frozenset((i, j) for i, j in combinations(RAYS, 2)
-                     if sum(a * b for a, b in zip(RAYS[i], RAYS[j])) == 0)
+@cache  # the default graph, built on first use
+def _graph() -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int, int]]]:
+    edges = frozenset((i, j) for i, j in combinations(RAYS, 2)
+                      if sum(a * b for a, b in zip(RAYS[i], RAYS[j])) == 0)
+    return edges, _triangles(edges)
 
 
 def _triangles(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, int]]:
@@ -120,9 +122,7 @@ def _triangles(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, i
 
 
 def build_model() -> KSModel:
-    edges = _integer_edges()
-    triangles = _triangles(edges)
-
+    edges, triangles = _graph()  # shared and frozen; the weight dicts are the model's own
     triangle_edges = {e for t in WEIGHTED_TRIANGLES for e in combinations(t, 2)}
     mu_i = {i: (1 if i <= 9 else 2) for i in RAYS}
     mu_ij = {e: (1 if e in triangle_edges else 2) for e in sorted(edges)}
@@ -136,22 +136,23 @@ def exact_operator(ineq: Inequality) -> np.ndarray:
     Integer rays give rational projectors P_r = v v^T / (v . v); each value
     x_r becomes P_r (0/1 alphabet) or I - 2 P_r (+-1 alphabet), and each
     monomial the product of its factors, summed in integer arithmetic over
-    one common denominator D^K (D = lcm(v . v), K the top degree): stacked
-    object-dtype (Python int) matmuls per degree, one tensordot per degree.
-    """
+    one common denominator D^K (D = lcm(v . v), K the top degree) by stacked
+    matmuls per degree. No factor entry exceeds D, so no partial sum exceeds
+    sum |c| 3^(K-1) D^K: the sums run in int64 below 2^63, else in Python ints."""
     rays = sorted({r for m in ineq.terms for r in m})
-    v = np.array([RAYS[r] for r in rays], dtype=object).reshape(-1, 3)
-    norms = (v * v).sum(axis=1)
+    norms = [sum(x * x for x in RAYS[r]) for r in rays]
     d, top = lcm(*norms), max(map(len, ineq.terms), default=0)
-    p = v[:, :, None] * v[:, None, :] * (d // norms)[:, None, None]
+    wide = sum(map(abs, ineq.terms.values())) * 3 ** max(top - 1, 0) * d ** top >= 2 ** 63
+    v = np.array([RAYS[r] for r in rays], dtype=object if wide else np.int64).reshape(-1, 3)
+    p = v[:, :, None] * v[:, None, :] * (d // np.array(norms, dtype=np.int64))[:, None, None]
     factors = d * np.eye(3, dtype=int) - 2 * p if ineq.alphabet == PM1 else p
-    total = np.zeros((3, 3), dtype=object)
+    total = np.zeros(9, dtype=v.dtype)
     for k in set(map(len, ineq.terms)):
         terms = {m: c * d ** (top - k) for m, c in ineq.terms.items() if len(m) == k}
         idx = np.searchsorted(rays, np.array(list(terms), dtype=int)).T  # factor rows
         products = reduce(np.matmul, factors[idx]) if k else np.eye(3, dtype=int)[None]
-        total += np.tensordot(np.array([*terms.values()], dtype=object), products, axes=1)
-    return total * Fraction(1, d ** top)
+        total += np.array([*terms.values()], dtype=v.dtype) @ products.reshape(-1, 9)
+    return total.reshape(3, 3) * Fraction(1, d ** top)
 
 
 def dump_model(model: KSModel) -> str:

@@ -110,7 +110,12 @@ _PI = math.pi
 
 
 def settings_table() -> list[MeasurementSetting]:
-    """The 16 measurement settings with their chronological pulse lists."""
+    """A fresh list of the 16 measurement settings, built once per process."""
+    return list(_settings())
+
+
+@cache  # the settings and their chronological pulse lists, built on first use
+def _settings() -> tuple[MeasurementSetting, ...]:
     r1, r2 = (lambda t, p: Pulse(1, t, p)), (lambda t, p: Pulse(2, t, p))
     rows = [
         ("M1", {1: 1, 2: 2, 3: 3}, ()),
@@ -130,7 +135,7 @@ def settings_table() -> list[MeasurementSetting]:
         ("M15", {1: 10, 2: 9}, (r1(_PI, 0), r2(_PI / 2, 0), r1(_PI - ALPHA, 0))),
         ("M16", {2: 9, 3: 11}, (r1(_PI, _PI), r2(_PI / 2, _PI), r1(ALPHA, 0))),
     ]
-    return [MeasurementSetting(i, m, p) for i, m, p in rows]
+    return tuple(MeasurementSetting(i, m, p) for i, m, p in rows)
 
 
 def compile_setting(setting: MeasurementSetting) -> np.ndarray:

@@ -105,6 +105,36 @@ def test_verify_fails_on_an_inexact_setting_angle(monkeypatch, capsys, theta, ph
     assert lines[-1] == "verification FAILED"
 
 
+def test_verify_serves_nothing_stale(monkeypatch, capsys):
+    """After a passing `verify`, the graph, the settings and the term groups
+    are built, yet a removed edge, a changed mu_ij (a new chi13 spec) and an
+    inexact M5 angle each still fail in the same process: only the inputs
+    are kept, never a proof's result."""
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    model, table = cli.build_model(), pulses.settings_table()
+    m5 = table[4]
+    inexact = dataclasses.replace(m5, pulses=(
+        m5.pulses[0], dataclasses.replace(m5.pulses[1], theta=m5.pulses[1].theta + 1e-12)))
+    cases = [
+        ("build_model", dataclasses.replace(model, edges=model.edges - {(1, 2)}),
+         "[FAIL] graph edges: 23 edges"),
+        ("build_model", dataclasses.replace(model, mu_ij={**model.mu_ij, (1, 2): 3}),
+         "[FAIL] quantum chi13 operator = (83/3) I"),
+        ("settings_table", table[:4] + [inexact] + table[5:],
+         "[FAIL] all 16 setting mappings: setting M5"),
+    ]
+    capsys.readouterr()
+    for name, broken, line in cases:
+        owner = cli if name == "build_model" else pulses
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, lambda broken=broken: broken)
+            assert cli.main(["verify"]) == cli.EXIT_VERIFY
+        lines = capsys.readouterr().out.splitlines()
+        assert any(l.startswith(line) for l in lines), (line, lines)
+        assert lines[-1] == "verification FAILED"
+    assert cli.main(["verify"]) == cli.EXIT_OK
+
+
 def test_compile_unknown_setting(tmp_path, capsys):
     assert cli.main(["compile", "M99", "--out-dir", str(tmp_path)]) \
         == cli.EXIT_CONFIG

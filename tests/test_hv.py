@@ -253,6 +253,21 @@ def test_enumeration_refuses_unknown_rays_and_coefficients_beyond_int64():
                            build_model())
 
 
+def test_enumeration_refuses_a_bad_spec_on_every_call(model):
+    """A spec is checked and grouped once per content, but a refused spec is
+    never remembered as checked."""
+    for bad in (HUGE, Inequality("ray0", PM1, {(0, 1): 1}, 0, Fraction(0))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"inequality {bad.name}"):
+                hv.enumerate_bound(bad, model)
+
+
+def test_term_groups_are_shared_and_read_only():
+    groups = hv._groups(CHI4)
+    assert hv._groups(dataclasses.replace(CHI4)) is groups  # keyed by content
+    assert all(not rows.flags.writeable for _, rows in groups)
+
+
 def test_uncolorable_rules_report_no_maximum(model):
     report = hv.max_chi4_constrained(_uncolorable(model))
     assert report.maximum is None

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -153,6 +156,28 @@ def test_integer_operator_matches_fraction_reference(model, case):
     assert list(op.flat) == list(fraction_operator(ineq).flat)
 
 
+@pytest.mark.parametrize("spec", ["one_ray", "three_rays", "chi13"])
+@pytest.mark.parametrize("above", [0, 1])
+def test_int64_switch_point_is_exact(model, spec, above):
+    """At the largest sum |c| whose bound sum |c| 3^(K-1) D^K stays below
+    2^63, where the operator is summed in int64, and one above it, where
+    Python ints take over, the operator is the Fraction reference's."""
+    terms, grown, k, d = {
+        "one_ray": ({(1,): 1}, (1,), 1, 1),  # entries +-sum |c|: the bound is tight
+        # rays 5 and 13, weighted 0, make D = 6; entry [0, 0] is 6 sum |c|: tight too
+        "three_rays": ({(1,): 1, (5,): 0, (13,): 0}, (1,), 1, 6),
+        "chi13": (dict(model.chi13.terms), (1,), 3, 6),  # lcm(1, 2, 3) = 6
+    }[spec]
+    limit = (2 ** 63 - 1) // (3 ** (k - 1) * d ** k)
+    terms[grown] += limit + above - sum(map(abs, terms.values()))
+    ineq = Inequality("switch", ZO if spec == "three_rays" else PM1, terms,
+                      classical_bound=0, quantum_value=Fraction(0))
+    assert sum(map(abs, ineq.terms.values())) == limit + above
+    op = exact_operator(ineq)
+    assert all(isinstance(x, Fraction) for x in op.flat)
+    assert list(op.flat) == list(fraction_operator(ineq).flat)
+
+
 def test_operator_of_empty_inequality_is_zero():
     op = exact_operator(Inequality("empty", ZO, {}, classical_bound=0,
                                    quantum_value=Fraction(0)))
@@ -180,6 +205,24 @@ def test_triangles_match_the_all_triples_search(model):
             assert model_module._triangles(edges) == all_triples_triangles(edges)
 
 
+def test_models_share_the_graph_but_not_the_weights():
+    a, b = build_model(), build_model()
+    assert a.edges is b.edges and a.triangles is b.triangles
+    a.mu_i[1], a.mu_ij[(1, 2)], a.mu_ijk[(1, 2, 3)] = 7, 7, 7
+    assert b == build_model() and b.mu_i[1] == 1 and b.mu_ij[(1, 2)] == 2
+    assert b.mu_ijk[(1, 2, 3)] == 0
+
+
+def test_import_builds_no_graph_and_no_settings():
+    """The per-process graph and settings are built on first use, so a
+    command that needs neither pays nothing for them at start-up."""
+    code = ("import qutrit_ks.cli\nfrom qutrit_ks import model, pulses\n"
+            "print(model._graph.cache_info().currsize, pulses._settings.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["0", "0"]
+
+
 def test_build_model_does_not_search_all_triples(monkeypatch):
     sizes = []
 
@@ -188,6 +231,7 @@ def test_build_model_does_not_search_all_triples(monkeypatch):
         return combinations(items, r)
 
     monkeypatch.setattr(model_module, "combinations", recording)
+    model_module._graph.cache_clear()  # the graph is built once per process
     built = build_model()
     assert sizes and 3 not in sizes
     assert built.triangles == all_triples_triangles(built.edges)

@@ -224,7 +224,9 @@ def test_schedule_names_transitions_and_field():
 def test_setting_mapping_is_read_only_and_hash_is_lazy():
     """The mapping is a read-only copy, so the content hash, computed on
     first use and then kept, cannot go stale; building the table computes
-    no hash."""
+    no hash. The table is built once per process, so the cache is cleared to
+    watch a build."""
+    pulses._settings.cache_clear()
     table = pulses.settings_table()
     assert all("_content_hash" not in vars(s) for s in table)
     m2 = table[1]
@@ -239,6 +241,16 @@ def test_setting_mapping_is_read_only_and_hash_is_lazy():
     assert copy == m2 and hash(copy) == hash(m2)
     assert "_content_hash" in vars(m2)
     assert hash(dataclasses.replace(m2, mapping={1: 13, 2: 2, 3: 8})) != hash(m2)
+
+
+def test_settings_table_is_a_fresh_list_of_the_same_settings():
+    """The settings are built once per process; each call hands out its own
+    list of them, so a caller's edit never reaches the next caller."""
+    first, second = pulses.settings_table(), pulses.settings_table()
+    assert first is not second and first == second and len(first) == 16
+    assert all(a is b for a, b in zip(first, second))
+    first.append(pulses.MeasurementSetting("M17", {1: 1}, ()))
+    assert len(pulses.settings_table()) == 16
 
 
 def test_faulty_mapping_fails_verification(settings):
