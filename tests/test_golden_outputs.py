@@ -13,7 +13,9 @@ The law digests pin every per-shot law itself, bit for bit, so a 1-ulp
 change shows on the law and not only on a count table drawn from it.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -200,3 +202,40 @@ def test_verify_outputs_match_pinned_digests(tmp_path, capsys):
                     for name in ("verify.txt", "verify.model.txt")})
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in outputs.items()} == VERIFY_DIGESTS
+
+
+# `results.txt`, `plot.dat`, the `report.dat` that `report` writes beside
+# them and the simulate stdout, each pinned by one digest over the 8 golden
+# simulate runs above and psi1 and rho10 at 1 and 2^63 - 1 shots. Recorded
+# before the results columns were declared in one table.
+TEXT_RUNS = [[*COMMANDS["simulate"][0], *NOISES[noise], "--seed", str(seed),
+              "--shots", str(SHOTS)] for command, noise, seed in sorted(DIGESTS)
+             if command == "simulate"] + [
+    ["simulate", "--states", "psi1", "rho10", "--shots", str(shots)]
+    for shots in (1, 2 ** 63 - 1)]
+TEXT_DIGESTS = {
+    "results.txt":
+        "3748f4cc8391cba387c9dbe6084c622fc70115bb07ba7b8a53d65d0acd346cd0",
+    "plot.dat":
+        "ab4f8f5d31f38a06a835a3520436377794b1bebde9647f897dceb5a6dd08c83c",
+    "report.dat":
+        "ab4f8f5d31f38a06a835a3520436377794b1bebde9647f897dceb5a6dd08c83c",
+    "stdout":
+        "3748f4cc8391cba387c9dbe6084c622fc70115bb07ba7b8a53d65d0acd346cd0",
+}
+
+
+def test_text_outputs_match_pinned_digests(tmp_path):
+    digests = {name: hashlib.sha256() for name in TEXT_DIGESTS}
+    for i, argv in enumerate(TEXT_RUNS):
+        out, stdout = tmp_path / str(i), io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_OK
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["report", str(out)]) == cli.EXIT_OK
+        outputs = {"stdout": stdout.getvalue().encode()}
+        outputs.update({name: (out / name).read_bytes()
+                        for name in ("results.txt", "plot.dat", "report.dat")})
+        for name, data in outputs.items():
+            digests[name].update(data + b"\0")
+    assert {name: d.hexdigest() for name, d in digests.items()} == TEXT_DIGESTS
