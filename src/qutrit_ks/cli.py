@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,20 +138,40 @@ def cmd_compile(args) -> int:
     return _emit(files, "".join(f"wrote {path}\n" for path in files))
 
 
-@dataclass
-class StateResult:
-    label: str
-    fidelity: float
-    chi13_raw: analysis.Estimate
-    chi13: analysis.Estimate
-    chi4_raw: analysis.Estimate
-    chi4: analysis.Estimate
-    significance13: float
-    significance4: float
+class _Column(NamedTuple):
+    """A results column: its `results.csv` name, format and parser, whether
+    `plot.dat` shows it, its `results.txt` heading and cell (a row format)."""
+    name: str
+    fmt: str = ".6f"
+    parse: type = float
+    plot: bool = False
+    heading: str = ""
+    width: int = 0
+    cell: str = ""
 
 
-def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResult]]:
-    """Execute the full plan for the configured roster; pure computation."""
+# Every results column, in file order, declared once. A number's cell opens
+# with a space: a value wider than its column shifts the row, not its text.
+_COLUMNS = (
+    _Column("state", "s", str, True, "state", 8, "{state:<8}"),
+    _Column("fidelity", heading="fid", width=8, cell=" {fidelity:>7.4f}"),
+    _Column("chi13_raw", heading="chi13 raw", width=14, cell=" {chi13_raw:>13.3f}"),
+    _Column("chi13_raw_err"),
+    _Column("chi13", ".6f", float, True, "chi13 corr", 16, " {chi13:>9.3f} ({chi13_err:.3f})"),
+    _Column("chi13_err", plot=True),
+    _Column("chi4_raw"),
+    _Column("chi4_raw_err"),
+    _Column("chi4", ".6f", float, True, "chi4 corr", 14, " {chi4:>8.4f} ({chi4_err:.4f})"),
+    _Column("chi4_err", plot=True),
+    _Column("sigma13", ".3f", heading="sig13", width=8, cell=" {sigma13:>7.1f}"),
+    _Column("sigma4", ".3f", heading="sig4", width=8, cell=" {sigma4:>7.1f}"),
+)
+RESULTS_HEADER = ",".join(c.name for c in _COLUMNS)
+
+
+def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[dict]]:
+    """Execute the full plan for the configured roster; pure computation.
+    Each state's result is a row keyed by column name."""
     settings = pulses.settings_table()
     plan = simulate.build_plan(model, settings, cfg.shots)
     roster = _select_roster(cfg)
@@ -166,85 +187,61 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[StateResu
                                  [state.rho for state in roster])
 
     raw = simulate.readout_rates(simulate.NoiseModel.ideal())
-    results = []
+    rows = []
     for state, fid in zip(roster, fids):
         freqs = analysis.frequencies(tables[state.label])
-        chi13_raw, chi13, chi4_raw, chi4 = (
-            analysis.estimate(ineq, freqs, r)
-            for ineq in (model.chi13, CHI4) for r in (raw, rates))
-        results.append(StateResult(
-            state.label, fid, chi13_raw, chi13, chi4_raw, chi4,
-            analysis.significance(chi13, model.chi13.classical_bound),
-            analysis.significance(chi4, CHI4.classical_bound)))
-    return tables, results
+        row = {"state": state.label, "fidelity": fid}
+        for ineq in model.inequalities:
+            for name, r in ((f"{ineq.name}_raw", raw), (ineq.name, rates)):
+                est = analysis.estimate(ineq, freqs, r)
+                row[name], row[f"{name}_err"] = est.value, est.stderr
+            row["sigma" + ineq.name.removeprefix("chi")] = analysis.significance(
+                est, ineq.classical_bound)
+        rows.append(row)
+    return tables, rows
 
 
-RESULTS_HEADER = ("state,fidelity,chi13_raw,chi13_raw_err,chi13,chi13_err,"
-                  "chi4_raw,chi4_raw_err,chi4,chi4_err,sigma13,sigma4")
+def _line(columns, sep: str) -> str:  # the format string of a row's `columns`
+    return sep.join(f"{{{c.name}:{c.fmt}}}" for c in columns)
 
 
-def results_csv(results: list[StateResult]) -> str:
-    lines = [RESULTS_HEADER]
-    for r in results:
-        lines.append(
-            f"{r.label},{r.fidelity:.6f},"
-            f"{r.chi13_raw.value:.6f},{r.chi13_raw.stderr:.6f},"
-            f"{r.chi13.value:.6f},{r.chi13.stderr:.6f},"
-            f"{r.chi4_raw.value:.6f},{r.chi4_raw.stderr:.6f},"
-            f"{r.chi4.value:.6f},{r.chi4.stderr:.6f},"
-            f"{r.significance13:.3f},{r.significance4:.3f}")
-    return "\n".join(lines) + "\n"
+def results_csv(rows: list[dict]) -> str:
+    return "\n".join([",".join(c.name for c in _COLUMNS),
+                      *map(_line(_COLUMNS, ",").format_map, rows)]) + "\n"
 
 
-def results_text(results: list[StateResult],
-                 inequalities: tuple[Inequality, ...]) -> str:
-    head = (f"{'state':<8}{'fid':>8}{'chi13 raw':>14}{'chi13 corr':>16}"
-            f"{'chi4 corr':>14}{'sig13':>8}{'sig4':>8}")
-    lines = [head, "-" * len(head)]
-    # Each number opens with a space, so a value wider than its column
-    # shifts the row instead of running into the column before it.
-    for r in results:
-        lines.append(
-            f"{r.label:<8} {r.fidelity:>7.4f}"
-            f" {r.chi13_raw.value:>13.3f}"
-            f" {r.chi13.value:>9.3f} ({r.chi13.stderr:.3f})"
-            f" {r.chi4.value:>8.4f} ({r.chi4.stderr:.4f})"
-            f" {r.significance13:>7.1f} {r.significance4:>7.1f}")
-    lines.append("-" * len(head))
+def results_text(rows: list[dict], inequalities: tuple[Inequality, ...]) -> str:
+    shown = [c for c in _COLUMNS if c.cell]
+    head = "".join(f"{c.heading:{'<' if c is shown[0] else '>'}{c.width}}" for c in shown)
+    rule = "-" * len(head)
+    cells = "".join(c.cell for c in shown)
     bounds = ", ".join(f"{w.name} <= {w.classical_bound}" for w in inequalities)
     values = ", ".join(f"{float(w.quantum_value):.4f}" for w in inequalities)
-    lines.append(f"classical bounds: {bounds}; quantum values: {values}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([head, rule, *map(cells.format_map, rows), rule,
+                      f"classical bounds: {bounds}; quantum values: {values}"]) + "\n"
 
 
-def results_from_csv(text: str) -> list[StateResult]:
-    """Parse `results_csv` output by header name; a header without a column
-    `results_csv` writes, or a row of another width, is malformed."""
-    def est(row, col):
-        return analysis.Estimate(float(row[col]), float(row[col + "_err"]))
-    def checked(values):
+def results_from_csv(text: str) -> list[dict]:
+    """Parse `results_csv` output by header name into rows; a header without
+    a column `results_csv` writes, or a row of another width, is malformed."""
+    def parsed(values):
         if len(values) != len(header):
             raise ValueError(f"line {reader.line_num}: {len(values)} fields, not {len(header)}")
-        return dict(zip(header, values))
+        row = dict(zip(header, values))
+        return {c.name: c.parse(row[c.name]) for c in _COLUMNS}
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
-    missing = [c for c in RESULTS_HEADER.split(",") if c not in header]
+    missing = [c.name for c in _COLUMNS if c.name not in header]
     if missing:
         raise ValueError(f"missing columns {', '.join(missing)}")
-    return [StateResult(row["state"], float(row["fidelity"]),
-                        est(row, "chi13_raw"), est(row, "chi13"),
-                        est(row, "chi4_raw"), est(row, "chi4"),
-                        float(row["sigma13"]), float(row["sigma4"]))
-            for row in map(checked, filter(None, reader))]
+    return [parsed(values) for values in filter(None, reader)]
 
 
-def plot_data(results: list[StateResult],
-              inequalities: tuple[Inequality, ...]) -> str:
+def plot_data(rows: list[dict], inequalities: tuple[Inequality, ...]) -> str:
     """Columnar plot-ready data with the inequalities' reference lines."""
-    lines = ["# column data: state chi13 chi13_err chi4 chi4_err"]
-    for r in results:
-        lines.append(f"{r.label} {r.chi13.value:.6f} {r.chi13.stderr:.6f} "
-                     f"{r.chi4.value:.6f} {r.chi4.stderr:.6f}")
+    shown = [c for c in _COLUMNS if c.plot]
+    lines = ["# column data: " + " ".join(c.name for c in shown),
+             *map(_line(shown, " ").format_map, rows)]
     for w in inequalities:
         lines.append(f"# reference classical_{w.name} {w.classical_bound}")
         lines.append(f"# reference quantum_{w.name} {float(w.quantum_value):.9f}")
@@ -277,18 +274,18 @@ def _manifest(cfg: RunConfig, extra: dict) -> str:
 def cmd_simulate(args) -> int:
     try:
         cfg, model = _config(args), build_model()
-        tables, results = run_simulation(cfg, model)
+        tables, rows = run_simulation(cfg, model)
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
-    text = results_text(results, model.inequalities)
+    text = results_text(rows, model.inequalities)
     plan_size = len(next(iter(tables.values())))
     return _emit({
         out / "counts.csv": simulate.counts_to_csv(tables),
-        out / "results.csv": results_csv(results),
+        out / "results.csv": results_csv(rows),
         out / "results.txt": text,
-        out / "plot.dat": plot_data(results, model.inequalities),
+        out / "plot.dat": plot_data(rows, model.inequalities),
         out / "manifest.json": _manifest(cfg, {
             "plan_size": plan_size,
             "realizations_per_state": plan_size * cfg.shots,
@@ -324,14 +321,14 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     src = run_dir / "results.csv"
     try:
-        results = results_from_csv(src.read_text())
+        rows = results_from_csv(src.read_text())
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return EXIT_IO
     except (csv.Error, ValueError) as exc:
         sys.stderr.write(f"malformed results table {src}: {exc!r}\n")
         return EXIT_IO
-    text = plot_data(results, build_model().inequalities)
+    text = plot_data(rows, build_model().inequalities)
     return _emit({run_dir / "report.dat": text}, text)
 
 

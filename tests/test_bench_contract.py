@@ -22,6 +22,7 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 from qutrit_ks import cli, hv, pulses, simulate, tomography  # noqa: E402
+from qutrit_ks.analysis import Estimate  # noqa: E402
 from qutrit_ks.model import build_model  # noqa: E402
 
 from helpers import expected_laws  # noqa: E402
@@ -53,8 +54,9 @@ def test_calibration_sweep_estimates_what_the_cli_estimates(tmp_path):
         cfg = cli.RunConfig(master_seed=seed, shots=wl.shots, states=(state.label,),
                             noise="paper" if mode == "flip" else mode)
         [r] = cli.run_simulation(cfg, wl.model)[1]
-        raw = mode == "photon-count"
-        assert (chi13, chi4) == ((r.chi13_raw, r.chi4_raw) if raw else (r.chi13, r.chi4))
+        raw = "_raw" if mode == "photon-count" else ""
+        assert (chi13, chi4) == tuple(Estimate(r[name + raw], r[name + raw + "_err"])
+                                      for name in ("chi13", "chi4"))
 
 
 def test_observers_read_what_the_traced_functions_return():

@@ -211,8 +211,8 @@ def test_one_shot_run_has_nan_significance(tmp_path, capsys):
                      "--out-dir", str(out)]) == cli.EXIT_OK
     assert (out / "results.csv").read_text().splitlines()[1].endswith(",nan,nan")
     [r] = cli.results_from_csv((out / "results.csv").read_text())
-    assert (r.chi13.stderr, r.chi4.stderr) == (0.0, 0.0)
-    assert math.isnan(r.significance13) and math.isnan(r.significance4)
+    assert (r["chi13_err"], r["chi4_err"]) == (0.0, 0.0)
+    assert math.isnan(r["sigma13"]) and math.isnan(r["sigma4"])
     capsys.readouterr()
     assert cli.main(["report", str(out)]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].startswith("psi1 ")
@@ -354,6 +354,11 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
                                        for ray in range(10, 14)))
 
 
+ORDINARY = {"state": "rho10", "fidelity": 0.9876, "chi13_raw": 25.846, "chi13_raw_err": 0.1,
+            "chi13": 27.5, "chi13_err": 0.146, "chi4_raw": 1.2, "chi4_raw_err": 0.2,
+            "chi4": 1.33, "chi4_err": 0.0123, "sigma13": 17.25, "sigma4": math.nan}
+
+
 def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
     """A significance wider than its column (here 9 and 10 digits) still
     stands apart from its neighbours; an ordinary or nan row fills its
@@ -363,19 +368,16 @@ def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
                      "--out-dir", str(out)]) == cli.EXIT_OK
     row = (out / "results.txt").read_text().splitlines()[2]
     [r] = cli.results_from_csv((out / "results.csv").read_text())
-    assert r.significance13 >= 1e8 and r.significance4 >= 1e8
-    assert row.split()[-2:] == [f"{r.significance13:.1f}", f"{r.significance4:.1f}"]
+    assert r["sigma13"] >= 1e8 and r["sigma4"] >= 1e8
+    assert row.split()[-2:] == [f"{r['sigma13']:.1f}", f"{r['sigma4']:.1f}"]
     assert capsys.readouterr().out == (out / "results.txt").read_text()
 
-    est = cli.analysis.Estimate
-    ordinary = cli.StateResult("rho10", 0.9876, est(25.846, 0.1), est(27.5, 0.146),
-                               est(1.2, 0.2), est(1.33, 0.0123), 17.25, math.nan)
-    assert cli.results_text([ordinary], cli.build_model().inequalities).splitlines()[2] \
+    assert cli.results_text([ORDINARY], cli.build_model().inequalities).splitlines()[2] \
         == "rho10     0.9876        25.846    27.500 (0.146)   1.3300 (0.0123)    17.2     nan"
 
 
 def _results(out):
-    return {r.label: r for r in cli.results_from_csv((out / "results.csv").read_text())}
+    return {r["state"]: r for r in cli.results_from_csv((out / "results.csv").read_text())}
 
 
 @pytest.mark.parametrize("argv", [
@@ -437,7 +439,7 @@ def test_ideal_noise_honours_prep_depolarization(tmp_path, capsys):
                      "--out-dir", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     # (1 - p) * 1 + p / 3 for a pure state depolarized with weight p
-    assert _results(out)["psi1"].fidelity == pytest.approx(2 / 3, abs=1e-6)
+    assert _results(out)["psi1"]["fidelity"] == pytest.approx(2 / 3, abs=1e-6)
 
 
 @pytest.mark.parametrize("command", ["simulate", "tomography"])
