@@ -146,25 +146,24 @@ class _Column(NamedTuple):
     parse: type = float
     plot: bool = False
     heading: str = ""
-    width: int = 0
     cell: str = ""
 
 
 # Every results column, in file order, declared once. A number's cell opens
 # with a space: a value wider than its column shifts the row, not its text.
 _COLUMNS = (
-    _Column("state", "s", str, True, "state", 8, "{state:<8}"),
-    _Column("fidelity", heading="fid", width=8, cell=" {fidelity:>7.4f}"),
-    _Column("chi13_raw", heading="chi13 raw", width=14, cell=" {chi13_raw:>13.3f}"),
+    _Column("state", "s", str, True, "state", "{state:<8}"),
+    _Column("fidelity", heading="fid", cell=" {fidelity:>7.4f}"),
+    _Column("chi13_raw", heading="chi13 raw", cell=" {chi13_raw:>13.3f}"),
     _Column("chi13_raw_err"),
-    _Column("chi13", ".6f", float, True, "chi13 corr", 16, " {chi13:>9.3f} ({chi13_err:.3f})"),
+    _Column("chi13", ".6f", float, True, "chi13 corr", " {chi13:>9.3f} ({chi13_err:.3f})"),
     _Column("chi13_err", plot=True),
     _Column("chi4_raw"),
     _Column("chi4_raw_err"),
-    _Column("chi4", ".6f", float, True, "chi4 corr", 14, " {chi4:>8.4f} ({chi4_err:.4f})"),
+    _Column("chi4", ".6f", float, True, "chi4 corr", " {chi4:>8.4f} ({chi4_err:.4f})"),
     _Column("chi4_err", plot=True),
-    _Column("sigma13", ".3f", heading="sig13", width=8, cell=" {sigma13:>7.1f}"),
-    _Column("sigma4", ".3f", heading="sig4", width=8, cell=" {sigma4:>7.1f}"),
+    _Column("sigma13", ".3f", heading="sig13", cell=" {sigma13:>7.1f}"),
+    _Column("sigma4", ".3f", heading="sig4", cell=" {sigma4:>7.1f}"),
 )
 RESULTS_HEADER = ",".join(c.name for c in _COLUMNS)
 
@@ -212,7 +211,10 @@ def results_csv(rows: list[dict]) -> str:
 
 def results_text(rows: list[dict], inequalities: tuple[Inequality, ...]) -> str:
     shown = [c for c in _COLUMNS if c.cell]
-    head = "".join(f"{c.heading:{'<' if c is shown[0] else '>'}{c.width}}" for c in shown)
+    zero = dict.fromkeys((c.name for c in _COLUMNS), 0.0)  # a row of ordinary width
+    widths = [len(c.cell.format_map(zero)) for c in shown]
+    head = "".join(f"{c.heading:{'<' if c is shown[0] else '>'}{w}}"
+                   for c, w in zip(shown, widths))
     rule = "-" * len(head)
     cells = "".join(c.cell for c in shown)
     bounds = ", ".join(f"{w.name} <= {w.classical_bound}" for w in inequalities)

@@ -362,7 +362,7 @@ ORDINARY = {"state": "rho10", "fidelity": 0.9876, "chi13_raw": 25.846, "chi13_ra
 def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
     """A significance wider than its column (here 9 and 10 digits) still
     stands apart from its neighbours; an ordinary or nan row fills its
-    columns exactly as before."""
+    columns exactly as before, and each heading and both rules end with it."""
     out = tmp_path / "run"
     assert cli.main(["simulate", "--states", "psi1", "--shots", str(cli.MAX_SHOTS),
                      "--out-dir", str(out)]) == cli.EXIT_OK
@@ -372,8 +372,13 @@ def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
     assert row.split()[-2:] == [f"{r['sigma13']:.1f}", f"{r['sigma4']:.1f}"]
     assert capsys.readouterr().out == (out / "results.txt").read_text()
 
-    assert cli.results_text([ORDINARY], cli.build_model().inequalities).splitlines()[2] \
-        == "rho10     0.9876        25.846    27.500 (0.146)   1.3300 (0.0123)    17.2     nan"
+    head, rule, row = cli.results_text([ORDINARY], cli.build_model().inequalities).splitlines()[:3]
+    assert row == "rho10     0.9876        25.846    27.500 (0.146)   1.3300 (0.0123)    17.2     nan"
+    assert len(head) == len(rule) == len(row)
+    # each heading but the left-aligned state ends where its values end
+    value_ends = {i for i, ch in enumerate(row) if ch != " " and row[i + 1:i + 2] in ("", " ")}
+    assert {head.index(c.heading) + len(c.heading) - 1
+            for c in cli._COLUMNS[1:] if c.cell} <= value_ends
 
 
 def _results(out):
