@@ -135,32 +135,31 @@ def cmd_compile(args) -> int:
         return EXIT_CONFIG
     files = {Path(args.out_dir, f"{sid}.schedule"): pulses.format_schedule(table[sid])
              for sid in (args.settings or sorted(table))}
-    return _emit(files, "".join(f"wrote {path}\n" for path in files))
+    return _emit(files, "".join(f"wrote {path}\n" for path in files), out_dir=args.out_dir)
 
 
 class _Column(NamedTuple):
-    """A results column: its `results.csv` name, format and parser, whether
-    `plot.dat` shows it, its `results.txt` heading and cell (a row format)."""
+    """A results column: its `results.csv` name and format (read back as text
+    if "s", else float), whether `plot.dat` shows it, its `results.txt` heading and cell."""
     name: str
     fmt: str = ".6f"
-    parse: type = float
     plot: bool = False
     heading: str = ""
     cell: str = ""
 
 
 # Every results column, in file order, declared once. A number's cell opens
-# with a space: a value wider than its column shifts the row, not its text.
+# with a space, so a value too wide for its column cannot touch its neighbour.
 _COLUMNS = (
-    _Column("state", "s", str, True, "state", "{state:<8}"),
+    _Column("state", "s", True, "state", "{state:<8}"),
     _Column("fidelity", heading="fid", cell=" {fidelity:>7.4f}"),
     _Column("chi13_raw", heading="chi13 raw", cell=" {chi13_raw:>13.3f}"),
     _Column("chi13_raw_err"),
-    _Column("chi13", ".6f", float, True, "chi13 corr", " {chi13:>9.3f} ({chi13_err:.3f})"),
+    _Column("chi13", ".6f", True, "chi13 corr", " {chi13:>9.3f} ({chi13_err:.3f})"),
     _Column("chi13_err", plot=True),
     _Column("chi4_raw"),
     _Column("chi4_raw_err"),
-    _Column("chi4", ".6f", float, True, "chi4 corr", " {chi4:>8.4f} ({chi4_err:.4f})"),
+    _Column("chi4", ".6f", True, "chi4 corr", " {chi4:>8.4f} ({chi4_err:.4f})"),
     _Column("chi4_err", plot=True),
     _Column("sigma13", ".3f", heading="sig13", cell=" {sigma13:>7.1f}"),
     _Column("sigma4", ".3f", heading="sig4", cell=" {sigma4:>7.1f}"),
@@ -230,7 +229,7 @@ def results_from_csv(text: str) -> list[dict]:
         if len(values) != len(header):
             raise ValueError(f"line {reader.line_num}: {len(values)} fields, not {len(header)}")
         row = dict(zip(header, values))
-        return {c.name: c.parse(row[c.name]) for c in _COLUMNS}
+        return {c.name: row[c.name] if c.fmt == "s" else float(row[c.name]) for c in _COLUMNS}
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
     missing = [c.name for c in _COLUMNS if c.name not in header]
@@ -250,10 +249,12 @@ def plot_data(rows: list[dict], inequalities: tuple[Inequality, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(files: dict[Path, str], stdout: str, code: int = EXIT_OK) -> int:
-    """The one output path: write every file (creating its directory), then
-    print `stdout` and return `code`; EXIT_IO if a file cannot be written."""
+def _emit(files: dict[Path, str], stdout: str, code: int = EXIT_OK, out_dir: str = ".") -> int:
+    """The one output path: write every file (creating its directory), then print
+    `stdout` and return `code`; EXIT_IO if a file cannot be written or `out_dir` is ""."""
     try:
+        if not out_dir:  # Path("") is the current directory
+            raise OSError("the output directory name is empty")
         for path, text in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
@@ -292,7 +293,7 @@ def cmd_simulate(args) -> int:
             "plan_size": plan_size,
             "realizations_per_state": plan_size * cfg.shots,
         }),
-    }, text)
+    }, text, out_dir=cfg.out_dir)
 
 
 def cmd_tomography(args) -> int:
@@ -307,16 +308,16 @@ def cmd_tomography(args) -> int:
         return EXIT_CONFIG
     out = Path(cfg.out_dir)
     lines = ["state,fidelity,residual,projected"]
-    files, fids = {}, []
+    files = {}
     for state, res in zip(roster, results):
-        fids.append(res.fidelity_to_target)
         lines.append(f"{state.label},{res.fidelity_to_target:.6f},"
                      f"{res.residual:.6g},{int(res.projected)}")
         files[out / f"{state.label}.rho.txt"] = tomography.format_density_matrix(res.rho)
     table = "\n".join(lines) + "\n"
     files[out / "fidelities.csv"] = table
     files[out / "manifest.json"] = _manifest(cfg, {"command": "tomography"})
-    return _emit(files, f"{table}mean fidelity {sum(fids) / len(fids):.4f}\n")
+    mean = sum(res.fidelity_to_target for res in results) / len(results)
+    return _emit(files, f"{table}mean fidelity {mean:.4f}\n", out_dir=cfg.out_dir)
 
 
 def cmd_report(args) -> int:

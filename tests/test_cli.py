@@ -390,15 +390,23 @@ def _results(out):
     ["compile", "M5", "--out-dir", "{blocked}/schedules"],
     ["simulate", "--shots", "100", "--states", "psi1", "--out-dir", "{blocked}/run"],
     ["tomography", "--shots", "100", "--states", "psi1", "--out-dir", "{blocked}/tomo"],
+    ["compile", "M5", "--out-dir", ""],
+    ["simulate", "--shots", "100", "--states", "psi1", "--out-dir", ""],
+    ["tomography", "--shots", "100", "--states", "psi1", "--out-dir", ""],
 ])
-def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
+def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, argv):
+    """An output under a regular file, or an empty `--out-dir`, which would
+    name the current directory, exits 3 with one I/O error line and writes
+    nothing."""
+    monkeypatch.chdir(tmp_path)
     blocked = tmp_path / "file"
     blocked.write_text("a regular file, not a directory\n")
     rc = cli.main([a.format(blocked=blocked) for a in argv])
     assert rc == cli.EXIT_IO
     captured = capsys.readouterr()
-    assert captured.err.startswith("I/O error:")
+    assert captured.err.startswith("I/O error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [blocked]
 
 
 def test_report_unwritable_output_is_io_error(tmp_path, capsys):
