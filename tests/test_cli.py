@@ -381,6 +381,28 @@ def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
             for c in cli._COLUMNS[1:] if c.cell} <= value_ends
 
 
+@pytest.mark.parametrize("plot, cell", [(False, ""), (True, " {extra:>6.2f}")])
+def test_a_column_added_to_the_table_reaches_every_output(monkeypatch, plot, cell):
+    """`run_simulation` fills exactly the table's columns; a column patched
+    into the table, and a row that holds it, need no other edit to reach
+    results.csv, plot.dat and results.txt when marked, and the parser."""
+    _, rows = cli.run_simulation(cli.RunConfig(shots=100, states=("psi1",)), cli.build_model())
+    assert [set(row) for row in rows] == [{c.name for c in cli._COLUMNS}]
+
+    extra = cli._Column("extra", ".2f", plot, "extra", cell)
+    monkeypatch.setattr(cli, "_COLUMNS", (*cli._COLUMNS, extra))
+    row, inequalities = {**ORDINARY, "extra": 2.5}, cli.build_model().inequalities
+    text = cli.results_csv([row])
+    assert [line.split(",")[-1] for line in text.splitlines()] == ["extra", "2.50"]
+    [back] = cli.results_from_csv(text)
+    assert (back["state"], back["extra"]) == ("rho10", 2.5)
+    head, data = cli.plot_data([row], inequalities).splitlines()[:2]
+    assert (head.endswith(" extra"), data.endswith(" 2.50")) == (plot, plot)
+    head, rule, data = cli.results_text([row], inequalities).splitlines()[:3]
+    assert (head.split()[-1], data.split()[-1]) == (("extra", "2.50") if cell else ("sig4", "nan"))
+    assert len(head) == len(rule) == len(data)
+
+
 def _results(out):
     return {r["state"]: r for r in cli.results_from_csv((out / "results.csv").read_text())}
 

@@ -1,9 +1,12 @@
-"""The inequality constants and the paper's flip rates are written once.
+"""The inequality constants, the paper's flip rates and the results column
+names are written once.
 
 The quantum values 83/3 and 4/3 and the chi4 ray set live in `CHI4` and
 `KSModel.chi13` of `model.py`, the flip rates 0.010 and 0.021 in
-`simulate.NoiseModel`; every other module reads them from there. This scans
-the code (not docstrings or comments) of the package for copies.
+`simulate.NoiseModel`; every other module reads them from there. The names
+of the results columns (`chi13_raw`, `sigma4`, ...) and their `results.txt`
+headings live in `cli._COLUMNS`; no other string in `cli.py` names one. This
+scans the code (not docstrings or comments) of the package for copies.
 """
 
 import ast
@@ -12,7 +15,9 @@ from pathlib import Path
 import qutrit_ks
 
 PACKAGE = Path(qutrit_ks.__file__).parent
-SPEC_NODES = {"model.py": {"CHI4", "chi13"}, "simulate.py": {"NoiseModel"}}
+SPEC_NODES = {"model.py": {"CHI4", "chi13"}, "simulate.py": {"NoiseModel"},
+              "cli.py": {"_COLUMNS"}}
+COLUMN_NAMES = ("chi13", "chi4", "sigma13", "sigma4", "sig13", "sig4")
 
 
 def _is_number(node, value):
@@ -36,6 +41,21 @@ def _copied_constant(node) -> str | None:
     return None
 
 
+def _docstrings(tree) -> set[int]:
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+
+
+def _copied_name(node, docstrings) -> str | None:
+    """A string constant of the code, not a docstring, that names a column."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings and any(n in node.value for n in COLUMN_NAMES)):
+        return repr(node.value)
+    return None
+
+
 def _spec_spans(tree, names) -> list[tuple[int, int]]:
     spans = []
     for node in ast.walk(tree):
@@ -52,8 +72,10 @@ def find_copies(package: Path) -> list[str]:
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text())
         spans = _spec_spans(tree, SPEC_NODES.get(path.name, ()))
+        docstrings = _docstrings(tree) if path.name == "cli.py" else None
         hits = sorted((node.lineno, what) for node in ast.walk(tree)
-                      if (what := _copied_constant(node)))
+                      if (what := _copied_constant(node) or (
+                          docstrings is not None and _copied_name(node, docstrings))))
         found += [f"{path.name}:{line}: {what}" for line, what in hits
                   if not any(a <= line <= b for a, b in spans)]
     return found
@@ -65,7 +87,7 @@ def test_spec_constants_are_not_copied():
 
 def test_spec_holds_the_constants():
     for name, constants in (("model.py", {"83", "(10, 11, 12, 13)"}),
-                            ("simulate.py", {"0.010", "0.021"})):
+                            ("simulate.py", {"0.010", "0.021"}), ("cli.py", set())):
         tree = ast.parse((PACKAGE / name).read_text())
         found = {_copied_constant(n) for n in ast.walk(tree)} - {None}
         assert found == constants
@@ -73,13 +95,16 @@ def test_spec_holds_the_constants():
 
 
 def test_scanner_flags_copies(tmp_path):
-    (tmp_path / "model.py").write_text("CHI4 = (10, 11, 12, 13)\n")
+    (tmp_path / "model.py").write_text("CHI4 = (10, 11, 12, 13)\nNAME = 'chi13'\n")
     (tmp_path / "simulate.py").write_text(
         "class NoiseModel:\n    eps: float = 0.010\nEPS = 0.021\n")
     (tmp_path / "cli.py").write_text(
         "Q = 83.0 / 3.0\nR = 4 / 3\nS = 4.0 / 3.0\nfor i in (10, 11, 12, 13): pass\n"
-        "E = (0.01, 0.021)\n")
+        "E = (0.01, 0.021)\n"
+        "def f(x):\n    \"\"\"chi4 in a docstring\"\"\"\n    return 'sigma13', f'{x} sig4'\n"
+        "_COLUMNS = ('chi13', 'chi4_err')\n")
     assert find_copies(tmp_path) == ["cli.py:1: 83", "cli.py:2: 4 / 3",
                                      "cli.py:3: 4 / 3", "cli.py:4: (10, 11, 12, 13)",
                                      "cli.py:5: 0.010", "cli.py:5: 0.021",
+                                     "cli.py:8: ' sig4'", "cli.py:8: 'sigma13'",
                                      "simulate.py:3: 0.021"]
