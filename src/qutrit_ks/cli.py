@@ -151,15 +151,15 @@ class _Column(NamedTuple):
 # Every results column, in file order, declared once. A number's cell opens
 # with a space, so a value too wide for its column cannot touch its neighbour.
 _COLUMNS = (
-    _Column("state", "s", True, "state", "{state:<8}"),
+    _Column("state", "s", plot=True, heading="state", cell="{state:<8}"),
     _Column("fidelity", heading="fid", cell=" {fidelity:>7.4f}"),
     _Column("chi13_raw", heading="chi13 raw", cell=" {chi13_raw:>13.3f}"),
     _Column("chi13_raw_err"),
-    _Column("chi13", ".6f", True, "chi13 corr", " {chi13:>9.3f} ({chi13_err:.3f})"),
+    _Column("chi13", plot=True, heading="chi13 corr", cell=" {chi13:>9.3f} ({chi13_err:.3f})"),
     _Column("chi13_err", plot=True),
     _Column("chi4_raw"),
     _Column("chi4_raw_err"),
-    _Column("chi4", ".6f", True, "chi4 corr", " {chi4:>8.4f} ({chi4_err:.4f})"),
+    _Column("chi4", plot=True, heading="chi4 corr", cell=" {chi4:>8.4f} ({chi4_err:.4f})"),
     _Column("chi4_err", plot=True),
     _Column("sigma13", ".3f", heading="sig13", cell=" {sigma13:>7.1f}"),
     _Column("sigma4", ".3f", heading="sig4", cell=" {sigma4:>7.1f}"),
@@ -193,8 +193,8 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[dict]]:
             for name, r in ((f"{ineq.name}_raw", raw), (ineq.name, rates)):
                 est = analysis.estimate(ineq, freqs, r)
                 row[name], row[f"{name}_err"] = est.value, est.stderr
-            row["sigma" + ineq.name.removeprefix("chi")] = analysis.significance(
-                est, ineq.classical_bound)
+            z = "sigma" + ineq.name.removeprefix("chi")  # corrected est's z: sigma13, sigma4
+            row[z] = analysis.significance(est, ineq.classical_bound)
         rows.append(row)
     return tables, rows
 
