@@ -288,6 +288,15 @@ def test_report_malformed_table(tmp_path, capsys):
     assert "malformed results table" in capsys.readouterr().err
 
 
+def test_report_undecodable_table_is_malformed(tmp_path, capsys):
+    """A `results.csv` that is not valid UTF-8 is a malformed table: exit 3,
+    and no `report.dat`."""
+    (tmp_path / "results.csv").write_bytes(b"\xff\xfe\x00")
+    assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
+    assert "malformed results table" in capsys.readouterr().err
+    assert not (tmp_path / "report.dat").exists()
+
+
 def test_report_rejects_an_incomplete_header_without_rows(tmp_path, capsys):
     """A header that lacks a column is malformed whether or not rows follow;
     the full header without rows is an empty table."""
