@@ -1,7 +1,8 @@
 """Command-line entry point: verify, compile, simulate, tomography, report.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error.
+Each `cmd_*` returns its files, its output and its exit code, and `main`
+writes them. Exit codes: 0 success, 1 verification failure, 2 configuration
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def run_verification(report_lines: list[str], model: KSModel | None = None) -> b
     return ok
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     lines: list[str] = []
     model = build_model()
     ok = run_verification(lines, model)
@@ -122,20 +123,19 @@ def cmd_verify(args) -> int:
     files = {}
     if args.out is not None:
         out = Path(args.out)
-        # with_suffix raises on a nameless "." or "/"; writing one of those exits 3.
         files = {out: text, out.parent / f"{out.stem}.model.txt": dump_model(model)}
-    return _emit(files, text, EXIT_OK if ok else EXIT_VERIFY)
+    return files, text, EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args):
     table = {s.id: s for s in pulses.settings_table()}
     unknown = [i for i in args.settings if i not in table]
     if unknown:
-        sys.stderr.write(f"unknown setting ids: {', '.join(unknown)}\n")
-        return EXIT_CONFIG
-    files = {Path(args.out_dir, f"{sid}.schedule"): pulses.format_schedule(table[sid])
+        raise ValueError(f"unknown setting ids: {', '.join(unknown)}")
+    out = _dir(args.out_dir)
+    files = {out / f"{sid}.schedule": pulses.format_schedule(table[sid])
              for sid in (args.settings or sorted(table))}
-    return _emit(files, "".join(f"wrote {path}\n" for path in files), out_dir=args.out_dir)
+    return files, "".join(f"wrote {path}\n" for path in files), EXIT_OK
 
 
 class _Column(NamedTuple):
@@ -249,20 +249,17 @@ def plot_data(rows: list[dict], inequalities: tuple[Inequality, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(files: dict[Path, str], stdout: str, code: int = EXIT_OK, out_dir: str = ".") -> int:
-    """The one output path: write every file (creating its directory), then print
-    `stdout` and return `code`; EXIT_IO if a file cannot be written or `out_dir` is ""."""
-    try:
-        if not out_dir:  # Path("") is the current directory
-            raise OSError("the output directory name is empty")
-        for path, text in files.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-    except OSError as exc:
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
-    sys.stdout.write(stdout)
-    return code
+def _emit(files: dict[Path, str]) -> None:
+    """The one output path: write every file, creating its directory."""
+    for path, text in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def _dir(name: str, role: str = "output") -> Path:
+    if not name:  # Path("") is the current directory
+        raise OSError(f"the {role} directory name is empty")
+    return Path(name)
 
 
 def _config(args) -> RunConfig:
@@ -274,17 +271,13 @@ def _manifest(cfg: RunConfig, extra: dict) -> str:
     return json.dumps({"config": asdict(cfg), **extra}, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_simulate(args) -> int:
-    try:
-        cfg, model = _config(args), build_model()
-        tables, rows = run_simulation(cfg, model)
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    out = Path(cfg.out_dir)
+def cmd_simulate(args):
+    cfg, model = _config(args), build_model()
+    tables, rows = run_simulation(cfg, model)
+    out = _dir(cfg.out_dir)
     text = results_text(rows, model.inequalities)
     plan_size = len(next(iter(tables.values())))
-    return _emit({
+    return {
         out / "counts.csv": simulate.counts_to_csv(tables),
         out / "results.csv": results_csv(rows),
         out / "results.txt": text,
@@ -293,20 +286,16 @@ def cmd_simulate(args) -> int:
             "plan_size": plan_size,
             "realizations_per_state": plan_size * cfg.shots,
         }),
-    }, text, out_dir=cfg.out_dir)
+    }, text, EXIT_OK
 
 
-def cmd_tomography(args) -> int:
-    try:
-        cfg = _config(args)
-        roster = _select_roster(cfg)
-        results = tomography.run_tomography(
-            roster, tomography.tomography_settings(), _noise_from_config(cfg),
-            cfg.shots, cfg.master_seed)
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    out = Path(cfg.out_dir)
+def cmd_tomography(args):
+    cfg = _config(args)
+    roster = _select_roster(cfg)
+    results = tomography.run_tomography(
+        roster, tomography.tomography_settings(), _noise_from_config(cfg),
+        cfg.shots, cfg.master_seed)
+    out = _dir(cfg.out_dir)
     lines = ["state,fidelity,residual,projected"]
     files = {}
     for state, res in zip(roster, results):
@@ -317,22 +306,18 @@ def cmd_tomography(args) -> int:
     files[out / "fidelities.csv"] = table
     files[out / "manifest.json"] = _manifest(cfg, {"command": "tomography"})
     mean = sum(res.fidelity_to_target for res in results) / len(results)
-    return _emit(files, f"{table}mean fidelity {mean:.4f}\n", out_dir=cfg.out_dir)
+    return files, f"{table}mean fidelity {mean:.4f}\n", EXIT_OK
 
 
-def cmd_report(args) -> int:
-    run_dir = Path(args.run_dir)
+def cmd_report(args):
+    run_dir = _dir(args.run_dir, "run")
     src = run_dir / "results.csv"
     try:
         rows = results_from_csv(src.read_text())
-    except OSError as exc:
-        sys.stderr.write(f"I/O error: {exc}\n")
-        return EXIT_IO
-    except (csv.Error, ValueError) as exc:
-        sys.stderr.write(f"malformed results table {src}: {exc!r}\n")
-        return EXIT_IO
+    except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise OSError(f"malformed results table {src}: {exc!r}") from exc
     text = plot_data(rows, build_model().inequalities)
-    return _emit({run_dir / "report.dat": text}, text)
+    return {run_dir / "report.dat": text}, text, EXIT_OK
 
 
 @functools.cache
@@ -374,10 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, write its files, print its output and return its exit
+    code; the one place a refusal becomes a stderr line and an exit code."""
     args = build_parser().parse_args(argv)
-    # Looked up by name on every call, not stored in the cached parser, so a
-    # command wrapped on the module after the first parse runs wrapped.
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # Looked up by name on every call, not stored in the cached parser, so a
+        # command wrapped on the module after the first parse runs wrapped.
+        files, stdout, code = globals()[f"cmd_{args.command}"](args)
+        _emit(files)
+    except ValueError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except OSError as exc:
+        sys.stderr.write(f"I/O error: {exc}\n")
+        return EXIT_IO
+    sys.stdout.write(stdout)
+    return code
 
 
 if __name__ == "__main__":
