@@ -27,6 +27,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
+_Result = tuple[dict[Path, str], str, int]  # a command's files, stdout and exit code
 
 
 @dataclass
@@ -114,7 +115,7 @@ def run_verification(report_lines: list[str], model: KSModel | None = None) -> b
     return ok
 
 
-def cmd_verify(args):
+def cmd_verify(args) -> _Result:
     lines: list[str] = []
     model = build_model()
     ok = run_verification(lines, model)
@@ -127,7 +128,7 @@ def cmd_verify(args):
     return files, text, EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_compile(args):
+def cmd_compile(args) -> _Result:
     table = {s.id: s for s in pulses.settings_table()}
     unknown = [i for i in args.settings if i not in table]
     if unknown:
@@ -164,7 +165,6 @@ _COLUMNS = (
     _Column("sigma13", ".3f", heading="sig13", cell=" {sigma13:>7.1f}"),
     _Column("sigma4", ".3f", heading="sig4", cell=" {sigma4:>7.1f}"),
 )
-RESULTS_HEADER = ",".join(c.name for c in _COLUMNS)
 
 
 def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[dict]]:
@@ -271,7 +271,7 @@ def _manifest(cfg: RunConfig, extra: dict) -> str:
     return json.dumps({"config": asdict(cfg), **extra}, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_simulate(args):
+def cmd_simulate(args) -> _Result:
     cfg, model = _config(args), build_model()
     tables, rows = run_simulation(cfg, model)
     out = _dir(cfg.out_dir)
@@ -289,7 +289,7 @@ def cmd_simulate(args):
     }, text, EXIT_OK
 
 
-def cmd_tomography(args):
+def cmd_tomography(args) -> _Result:
     cfg = _config(args)
     roster = _select_roster(cfg)
     results = tomography.run_tomography(
@@ -309,7 +309,7 @@ def cmd_tomography(args):
     return files, f"{table}mean fidelity {mean:.4f}\n", EXIT_OK
 
 
-def cmd_report(args):
+def cmd_report(args) -> _Result:
     run_dir = _dir(args.run_dir, "run")
     src = run_dir / "results.csv"
     try:

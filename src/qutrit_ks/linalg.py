@@ -34,8 +34,8 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
     return bool(np.max(np.abs(m - adjoint(m))) <= atol)
 
 
-def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
-    return frobenius_distance(adjoint(m) @ m, IDENTITY) <= atol
+def is_unitary(m: np.ndarray) -> bool:
+    return frobenius_distance(adjoint(m) @ m, IDENTITY) <= ATOL_UNITARY
 
 
 def projector_from_ray(v) -> np.ndarray:

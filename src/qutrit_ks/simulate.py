@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .model import KSModel, ray_unit
+from .model import RAYS, KSModel, ray_unit
 from .pulses import MeasurementSetting, compile_setting, pulse_matrix, swap_pulse
 
 DARK = np.diag([0.0, 0.0, 1.0]).astype(complex)  # |3><3|
@@ -179,7 +179,7 @@ def build_plan(model: KSModel, settings: list[MeasurementSetting],
     Returns 13 + 24 = 37 sub-experiments; total realizations = 37 * shots.
     """
     plan: list[SubExperiment] = []
-    for ray in range(1, 14):
+    for ray in RAYS:
         sid = next((s.id for s in settings if ray in s.mapping.values()), None)
         if sid is None:
             raise ValueError(f"no setting maps ray v{ray}")

@@ -138,7 +138,8 @@ def test_verify_serves_nothing_stale(monkeypatch, capsys):
 def test_compile_unknown_setting(tmp_path, capsys):
     assert cli.main(["compile", "M99", "--out-dir", str(tmp_path)]) \
         == cli.EXIT_CONFIG
-    capsys.readouterr()
+    assert capsys.readouterr().err == "config error: unknown setting ids: M99\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compile_writes_schedules(tmp_path, capsys):
@@ -274,16 +275,18 @@ def test_report_malformed_table(tmp_path, capsys):
     the csv module's size limit is malformed."""
     (tmp_path / "results.csv").write_text("state,chi13\npsi1,27.0\n")
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
-    assert "malformed results table" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed results table" in err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
     for fields in (14, 11):
         (tmp_path / "results.csv").write_text(
-            cli.RESULTS_HEADER + "\n" + ",".join(["psi1"] + ["1"] * (fields - 1)) + "\n")
+            cli.results_csv([]) + ",".join(["psi1"] + ["1"] * (fields - 1)) + "\n")
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert "malformed results table" in err
         assert f"line 2: {fields} fields, not 12" in err
         assert not (tmp_path / "report.dat").exists()
-    (tmp_path / "results.csv").write_text(cli.RESULTS_HEADER + "\npsi1," + "1" * 200_000)
+    (tmp_path / "results.csv").write_text(cli.results_csv([]) + "psi1," + "1" * 200_000)
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
     assert "malformed results table" in capsys.readouterr().err
 
@@ -305,7 +308,7 @@ def test_report_rejects_an_incomplete_header_without_rows(tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == cli.EXIT_IO
         assert "malformed results table" in capsys.readouterr().err
         assert not (tmp_path / "report.dat").exists()
-    (tmp_path / "results.csv").write_text(cli.RESULTS_HEADER + "\n")
+    (tmp_path / "results.csv").write_text(cli.results_csv([]))
     assert cli.main(["report", str(tmp_path)]) == cli.EXIT_OK
     assert all(line.startswith("#") for line in capsys.readouterr().out.splitlines())
 
@@ -424,20 +427,23 @@ def _results(out):
     ["compile", "M5", "--out-dir", ""],
     ["simulate", "--shots", "100", "--states", "psi1", "--out-dir", ""],
     ["tomography", "--shots", "100", "--states", "psi1", "--out-dir", ""],
+    ["report", ""],
 ])
 def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, argv):
-    """An output under a regular file, or an empty `--out-dir`, which would
-    name the current directory, exits 3 with one I/O error line and writes
-    nothing."""
+    """An output under a regular file, or an empty `--out-dir` or `report`
+    run directory, which would name the current directory, exits 3 with one
+    I/O error line and writes nothing, even where the current directory holds
+    a results table."""
     monkeypatch.chdir(tmp_path)
     blocked = tmp_path / "file"
     blocked.write_text("a regular file, not a directory\n")
+    (tmp_path / "results.csv").write_text(cli.results_csv([]))
     rc = cli.main([a.format(blocked=blocked) for a in argv])
     assert rc == cli.EXIT_IO
     captured = capsys.readouterr()
     assert captured.err.startswith("I/O error:") and captured.err.count("\n") == 1
     assert captured.out == ""
-    assert list(tmp_path.iterdir()) == [blocked]
+    assert sorted(tmp_path.iterdir()) == [blocked, tmp_path / "results.csv"]
 
 
 def test_report_unwritable_output_is_io_error(tmp_path, capsys):
