@@ -12,11 +12,13 @@ run's readout rates, which is its readout correction; an import of
 `analysis` would bring in a second one. The estimator in `analysis` reads
 count tables and a readout rate pair; a noise model, and the rates it
 implies, are `simulate`'s business, so `analysis` imports none of
-`simulate`, `tomography`, `cli`, `pulses` and `hv`. Every command writes its
-output through `cli._emit`, the one place that turns a write failure into
-exit code 3; a file written anywhere else escapes that contract. A module
-that reaches into a sibling's `_`-prefixed names depends on its internals.
-This scans the code of the package for all six. It also checks that the
+`simulate`, `tomography`, `cli`, `pulses` and `hv`. Every command returns
+its files, output and exit code to `cli.main`, which writes the files
+through `cli._emit`, prints the output and alone turns a refusal into exit
+code 2 or 3; a file written anywhere else, or a command that prints or
+picks a refusal's exit code itself, escapes that contract. A module that
+reaches into a sibling's `_`-prefixed names depends on its internals. This
+scans the code of the package for all seven. It also checks that the
 package's check tolerances are named in `linalg` alone.
 """
 
@@ -195,6 +197,53 @@ def test_writer_scanner_flags_writes(tmp_path):
     (tmp_path / "pulses.py").write_text(
         "class S:\n    def save(self, p):\n        return open(p, 'w')\n")
     assert find_writers(tmp_path) == ["cli:5: calls write_text", "pulses:3: calls open"]
+
+
+STREAMS = {"stdout", "stderr"}
+MAIN_ONLY = {"print", "EXIT_CONFIG", "EXIT_IO"}
+
+
+def find_refusals_outside_main(package: Path) -> list[str]:
+    """Uses in `cli.py`, outside `main`, of `sys.stdout`, `sys.stderr`,
+    `print`, `EXIT_CONFIG` or `EXIT_IO`; binding a name does not count, nor
+    does another object's attribute of that name (an estimate's `stderr`)."""
+    found = []
+    for top in ast.parse((package / "cli.py").read_text()).body:
+        if getattr(top, "name", None) == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module == "sys":
+                found += [(node.lineno, f"cli:{node.lineno}: imports sys.{a.name}")
+                          for a in node.names if a.name in STREAMS]
+            elif (isinstance(node, ast.Attribute) and node.attr in STREAMS
+                    and getattr(node.value, "id", None) == "sys"):
+                found.append((node.lineno, f"cli:{node.lineno}: uses sys.{node.attr}"))
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in MAIN_ONLY):
+                found.append((node.lineno, f"cli:{node.lineno}: uses {node.id}"))
+    return [v for _, v in sorted(found)]
+
+
+def test_only_main_prints_and_picks_refusal_codes():
+    assert find_refusals_outside_main(PACKAGE) == []
+
+
+def test_refusal_scanner_flags_output_outside_main(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import sys\nfrom sys import stderr\nEXIT_CONFIG, EXIT_IO = 2, 3\n"
+        "def cmd_run(args):\n    sys.stderr.write('refused')\n    return EXIT_IO\n"
+        "def _emit(files):\n    print(files)\n    sys.stdout.write('')\n"
+        "    est.stderr\n    return {'code': EXIT_CONFIG}\n"
+        "def main():\n    sys.stderr.write('')\n    return EXIT_CONFIG\n"
+        "if __name__ == '__main__':\n    sys.exit(main())\n")
+    assert find_refusals_outside_main(tmp_path) == [
+        "cli:2: imports sys.stderr",
+        "cli:5: uses sys.stderr",
+        "cli:6: uses EXIT_IO",
+        "cli:8: uses print",
+        "cli:9: uses sys.stdout",
+        "cli:11: uses EXIT_CONFIG",
+    ]
 
 
 TOLERANCE = re.compile(r"^ATOL_|_FLOOR$")
