@@ -1,4 +1,5 @@
-"""Complex 3x3 linear algebra helpers: projectors, eigendecomposition, fidelity.
+"""Complex 3x3 linear algebra helpers: projectors, eigendecomposition, the
+nearest density-matrix spectrum, fidelity.
 
 All values are plain numpy arrays (complex128); functions are pure, and the
 package's check tolerances are named here and nowhere else.
@@ -9,10 +10,11 @@ gives.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Tolerances, fixed once so invariant checks are reproducible.
-ATOL_HERMITIAN = 1e-12     # entrywise Hermiticity of operators
 ATOL_UNITARY = 1e-10       # Frobenius norm of U†U - I
 ATOL_DM_HERMITIAN = 1e-10  # density-matrix Hermiticity
 ATOL_DM_TRACE = 1e-10      # |Tr(rho) - 1|
@@ -30,8 +32,8 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_HERMITIAN) -> bool:
-    return bool(np.max(np.abs(m - adjoint(m))) <= atol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - adjoint(m))) <= ATOL_DM_HERMITIAN)
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -55,7 +57,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues descending, eigenvectors as columns).
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, atol=ATOL_DM_HERMITIAN):
+    if not is_hermitian(m):
         raise ValueError("hermitian_eig: input is not Hermitian")
     w, u = np.linalg.eigh(m)
     order = np.argsort(w, axis=-1)[..., ::-1]
@@ -63,10 +65,25 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(u, order[..., None, :], -1))
 
 
+def nearest_spectrum(mu: list[float]) -> list[float]:
+    """Spectrum of the density matrix nearest to a unit-trace Hermitian
+    matrix of descending spectrum `mu` (Smolin, Gambetta & Smith 2012): zero
+    the negative tail from the bottom, spread its mass evenly over the rest,
+    and rescale to unit sum: the spread alone misses it by ~1e-16 |mu|, too
+    much at the large scale that a visibility near 0 gives."""
+    i, acc = len(mu), 0.0
+    while mu[i - 1] + acc / i < 0.0:
+        acc += mu[i - 1]
+        i -= 1
+    kept = [m + acc / i for m in mu[:i]]
+    total = math.fsum(kept)
+    return [m / total for m in kept] + [0.0] * (len(mu) - i)
+
+
 def _check_density_matrices(rho: np.ndarray) -> None:
     """Hermiticity, unit trace and positivity of a 3x3 matrix or of every
     matrix of a stack."""
-    if not is_hermitian(rho, atol=ATOL_DM_HERMITIAN):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > ATOL_DM_TRACE:
         raise ValueError("density matrix trace differs from 1")

@@ -15,10 +15,10 @@ is Tr(rho E). A process stacks the effects of each distinct plan once
 default plan, keyed on the settings themselves, the chains and the readout
 rates, never on the seed, state or shots). A setting hashes by content and
 computes that hash once, on first use. The stack is kept as (9, n) real and
-imaginary planes of the effects' matrix elements, so `_law_rows`, the one
-place a law is computed, forms each state's row of Tr(rho E) as nine row
-adds in a fixed order; kept by the bytes of the prepared rho, a row is
-formed once for a state redrawn over seeds.
+imaginary planes of the effects' matrix elements. `_law_row`, the one place
+a law is computed, forms a state's row of Tr(rho E) as nine row adds in a
+fixed order, and `PlanEffects.law_row` keeps the last `_MEMO_ROWS` rows in
+an LRU keyed by prepared rho, so a state redrawn over seeds forms one row.
 
 Shots are i.i.d., so each sub-experiment makes a single draw from its law
 (`run_subexperiment`), and cost does not grow with the shot count: numpy's
@@ -43,7 +43,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -303,12 +303,24 @@ def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
 class PlanEffects(NamedTuple):
     """A plan's n noise-folded effects under one readout, entry after entry
     in draw order, as contiguous (9, n) planes of the real and imaginary
-    parts of their matrix elements, element ij in row 3i + j."""
+    parts of their matrix elements, element ij in row 3i + j, and `law_row`:
+    `_law_row` of these planes, keeping its last `_MEMO_ROWS` rows in an LRU."""
     symbols: tuple[tuple[str, ...], ...]  # each entry's readout symbols
     re: np.ndarray
     im: np.ndarray
     slices: tuple[slice, ...]  # each entry's columns
-    rows: dict[bytes, tuple[tuple[float, ...], ...]]  # kept by `_law_rows`
+    law_row: Callable[[bytes], tuple[tuple[float, ...], ...]]
+
+
+def _law_row(re: np.ndarray, im: np.ndarray, slices: tuple, key: bytes) -> tuple:
+    """Each plan entry's P(s) = Tr(rho E_s) for its symbols in draw order, clipped
+    to [0, 1], as tuples, for the prepared rho whose bytes are `key`."""
+    rho = np.frombuffer(key, complex)
+    # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij), its
+    # nine terms added in a fixed order, which a BLAS or einsum reduction may not keep.
+    terms = rho.real[:, None] * re + rho.imag[:, None] * im
+    law = np.clip(functools.reduce(np.add, terms), 0.0, 1.0).tolist()
+    return tuple(tuple(law[s]) for s in slices)
 
 
 @functools.lru_cache(maxsize=8)
@@ -327,8 +339,10 @@ def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
     re, im = np.ascontiguousarray(planes.real), np.ascontiguousarray(planes.imag)
     re.flags.writeable = im.flags.writeable = False
     stops = list(itertools.accumulate(len(effs) for effs in compiled))
-    return PlanEffects(tuple(tuple(effs) for effs in compiled), re, im,
-                       tuple(map(slice, [0, *stops], stops)), {})
+    slices = tuple(map(slice, [0, *stops], stops))
+    return PlanEffects(tuple(tuple(effs) for effs in compiled), re, im, slices,
+                       functools.lru_cache(maxsize=_MEMO_ROWS)(
+                           functools.partial(_law_row, re, im, slices)))
 
 
 def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
@@ -337,35 +351,6 @@ def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
     every draw of the plan reads."""
     return _plan_effects(tuple(settings),
                          tuple((sub.setting_id, sub.chain) for sub in plan), rates)
-
-
-def _law_rows(roster: list[StateSpec], plan: list[SubExperiment],
-              settings: list[MeasurementSetting], noise: NoiseModel
-              ) -> tuple[tuple[tuple[str, ...], ...], list[tuple]]:
-    """Each plan entry's readout symbols and, for each state, the law of
-    each entry: P(s) = Tr(rho E_s) for its symbols in draw order, clipped
-    to [0, 1], as tuples. The plan's effects keep up to `_MEMO_ROWS` rows,
-    keyed by the bytes of the prepared rho, and a call forms only the rest."""
-    effs = plan_effects(plan, settings, readout_rates(noise))
-    keys = [np.ascontiguousarray(prepare(state, noise), dtype=complex).tobytes()
-            for state in roster]
-    rows = {key: effs.rows.get(key) for key in keys}  # read once: others may clear it
-    missing = [key for key, row in rows.items() if row is None]
-    if missing:
-        rhos = np.frombuffer(b"".join(missing), complex).reshape(-1, 9).T
-        # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij).
-        # The nine terms are added one by one in a fixed order, so a law's bits
-        # do not depend on the other states or entries in the call, as a BLAS
-        # or einsum reduction's may.
-        terms = (rhos.real[:, :, None] * effs.re[:, None]
-                 + rhos.imag[:, :, None] * effs.im[:, None])
-        laws = np.clip(functools.reduce(np.add, terms), 0.0, 1.0).tolist()
-        for key, law in zip(missing, laws):
-            rows[key] = tuple(tuple(law[s]) for s in effs.slices)
-        if len(effs.rows) + len(missing) > _MEMO_ROWS:
-            effs.rows.clear()
-        effs.rows.update({key: rows[key] for key in missing[:_MEMO_ROWS]})
-    return effs.symbols, [rows[key] for key in keys]
 
 
 def run_subexperiment(symbols: tuple[str, ...], law: tuple[float, ...],
@@ -397,20 +382,21 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
     in which sub-experiments execute. The call holds one idle stream from a
     module pool, re-keyed for each sub-experiment, and returns it when done:
     a call builds no generator unless every pooled one is in use."""
-    symbols, laws = _law_rows(roster, plan, settings, noise)
+    effs = plan_effects(plan, settings, readout_rates(noise))
     try:
         stream = _IDLE_STREAMS.pop()
     except IndexError:
         stream = _KeyedStream()
     try:
         tables = {}
-        for state, state_laws in zip(roster, laws):
+        for state in roster:
             if state.label in tables:
                 raise ValueError(f"repeated state label: {state.label}")
             prefix = f"{master_seed}/{state.label}/"
+            row = effs.law_row(np.asarray(prepare(state, noise), dtype=complex).tobytes())
             tables[state.label] = [
                 run_subexperiment(syms, law, sub, prefix + sub.key, stream)
-                for syms, law, sub in zip(symbols, state_laws, plan)]
+                for syms, law, sub in zip(effs.symbols, row, plan)]
         return tables
     finally:
         _IDLE_STREAMS.append(stream)

@@ -89,21 +89,6 @@ def tomography_settings() -> list[MeasurementSetting]:
             for k, seq in enumerate(sequences, start=1)]
 
 
-def _nearest_spectrum(mu: list[float]) -> list[float]:
-    """Spectrum of the density matrix nearest to a unit-trace Hermitian
-    matrix of descending spectrum `mu` (Smolin, Gambetta & Smith 2012): zero
-    the negative tail from the bottom, spread its mass evenly over the rest,
-    and rescale to unit sum: the spread alone misses it by ~1e-16 |mu|, too
-    much at the large scale that a visibility near 0 gives."""
-    i, acc = len(mu), 0.0
-    while mu[i - 1] + acc / i < 0.0:
-        acc += mu[i - 1]
-        i -= 1
-    kept = [m + acc / i for m in mu[:i]]
-    total = math.fsum(kept)
-    return [m / total for m in kept] + [0.0] * (len(mu) - i)
-
-
 @dataclass
 class ReconstructionResult:
     rho: np.ndarray
@@ -131,7 +116,7 @@ def _reconstruct(q: np.ndarray, settings: list[MeasurementSetting],
     rho = DARK + sum(x[:, k, None, None] * g for k, g in enumerate(_BASIS8))
     w, u = linalg.hermitian_eig(rho)
     projected = w.min(axis=-1) < 0.0
-    w = np.array([_nearest_spectrum(mu) for mu in w.tolist()])
+    w = np.array([linalg.nearest_spectrum(mu) for mu in w.tolist()])
     rho = (u * w[:, None, :]) @ linalg.adjoint(u)
     rho = (rho + linalg.adjoint(rho)) / 2
     return [ReconstructionResult(r, f, res, proj) for r, f, res, proj

@@ -24,13 +24,23 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
 IDEAL_RATES = simulate.readout_rates(simulate.NoiseModel.ideal())
 
 
+def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[tuple]]:
+    """Each plan entry's readout symbols and each state's law row, read as
+    `simulate.run_roster` reads them: from the plan's cached effects, by the
+    bytes of the prepared rho."""
+    effs = simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
+    return effs.symbols, [
+        effs.law_row(np.asarray(simulate.prepare(state, noise), dtype=complex).tobytes())
+        for state in roster]
+
+
 def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     """Noise-free dark probability of every tomography sub-run, three per
     setting in settings order: the law each sub-run is drawn from, the row
     `tomography._reconstruct` inverts exactly under `IDEAL_RATES`."""
     state = simulate.StateSpec("exact", linalg.validate_density_matrix(rho))
-    _, [row] = simulate._law_rows([state], tomography._subruns(settings, 1), settings,
-                                  simulate.NoiseModel.ideal())
+    _, [row] = law_rows([state], tomography._subruns(settings, 1), settings,
+                        simulate.NoiseModel.ideal())
     return np.array([law[0] for law in row])
 
 
@@ -47,7 +57,7 @@ def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, flo
     label, then by the count-table symbols in draw order (D/B for a single,
     B/DB/DD for a sequential pair): the law rows `simulate.run_roster` draws
     from, as dicts."""
-    symbols, laws = simulate._law_rows(roster, plan, settings, noise)
+    symbols, laws = law_rows(roster, plan, settings, noise)
     return {state.label: [dict(zip(syms, law)) for syms, law in zip(symbols, state_laws)]
             for state, state_laws in zip(roster, laws)}
 

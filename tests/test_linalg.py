@@ -54,6 +54,20 @@ def test_projector_properties_under_scaling():
             < ATOL_PROJECTOR
 
 
+def test_nearest_spectrum_zeroes_the_negative_tail():
+    """A spectrum with a negative tail loses it, its mass spread over the
+    rest; a valid spectrum is kept; the result sums to 1 at any scale."""
+    assert linalg.nearest_spectrum([0.7, 0.4, -0.1]) == pytest.approx([0.65, 0.35, 0.0])
+    assert linalg.nearest_spectrum([0.5, 0.3, 0.2]) == [0.5, 0.3, 0.2]
+    assert linalg.nearest_spectrum([50.0, -20.0, -29.0]) == [1.0, 0.0, 0.0]
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        mu = rng.normal(size=3) * 1e3
+        mu = sorted((mu + (1.0 - mu.sum()) / 3).tolist(), reverse=True)
+        w = linalg.nearest_spectrum(mu)
+        assert min(w) >= 0.0 and sum(w) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_hermitian_eig_diagonal():
     w, u = linalg.hermitian_eig(np.diag([3.0, 2.0, 1.0]).astype(complex))
     assert np.allclose(w, [3, 2, 1])

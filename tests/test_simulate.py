@@ -13,7 +13,8 @@ from qutrit_ks.model import CHI4, RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
-from helpers import derive_rng, effect_stack, expected_laws, random_density_matrix
+from helpers import (derive_rng, effect_stack, expected_laws, law_rows,
+                     random_density_matrix)
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -848,7 +849,7 @@ def test_repeated_state_label_is_refused(model, settings):
 
 
 def _rows(states, plan, settings, noise):
-    return simulate._law_rows(states, plan, settings, noise)[1]
+    return law_rows(states, plan, settings, noise)[1]
 
 
 def test_law_rows_are_kept_read_only_tuples(model, settings):
@@ -865,7 +866,8 @@ def test_law_rows_are_kept_read_only_tuples(model, settings):
         assert type(row) is tuple and len(row) == len(plan)
         assert all(type(law) is tuple for law in row)
         assert all(type(p) is float for law in row for p in law)
-    assert len(_plan_effects(plan, settings, noise).rows) == len(roster)
+    info = _plan_effects(plan, settings, noise).law_row.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(roster), 1, len(roster))
 
 
 def test_law_rows_are_keyed_by_the_prepared_state(model, settings):
@@ -880,7 +882,8 @@ def test_law_rows_are_keyed_by_the_prepared_state(model, settings):
              ([psi4], paper), ([psi4], depolarized)]
     simulate._plan_effects.cache_clear()
     kept = [_rows(states, plan, settings, noise) for states, noise in cases]
-    assert len(_plan_effects(plan, settings, paper).rows) == 3
+    info = _plan_effects(plan, settings, paper).law_row.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
     fresh = []
     for states, noise in cases:
         simulate._plan_effects.cache_clear()
@@ -899,25 +902,52 @@ def test_law_rows_kept_stay_within_the_cap(model, settings):
     """However many distinct states a process draws, one plan and readout
     keep at most `_MEMO_ROWS` rows, whether the states come one per call or
     all in one call, and every row returned is the one formed afresh."""
-    plan = simulate.build_plan(model, settings)
+    plan = simulate.build_plan(model, settings, shots=100)
     noise = NOISE_CONFIGS["paper"]
     states = _random_states(500, 3)
     simulate._plan_effects.cache_clear()
-    kept = _plan_effects(plan, settings, noise).rows
+    kept = _plan_effects(plan, settings, noise).law_row
+    assert kept.cache_info().maxsize == simulate._MEMO_ROWS
     rows = []
     for state in states:
+        simulate.run_roster([state], plan, settings, noise, 1)
         rows += _rows([state], plan, settings, noise)
-        assert len(kept) <= simulate._MEMO_ROWS
+        assert kept.cache_info().currsize <= simulate._MEMO_ROWS
+    simulate.run_roster(states, plan, settings, noise, 1)
+    assert kept.cache_info().currsize <= simulate._MEMO_ROWS
     assert _rows(states, plan, settings, noise) == rows
-    assert len(kept) <= simulate._MEMO_ROWS
     simulate._plan_effects.cache_clear()
     assert [_rows([state], plan, settings, noise)[0] for state in states[::50]] == rows[::50]
+
+
+def test_no_field_of_cached_plan_effects_can_be_mutated(model, settings):
+    """A cached `PlanEffects` is shared by every run of its plan, so a
+    caller can neither rebind a field nor change what one holds: the planes
+    are read-only, every other field is made of tuples, strings and slices
+    all the way down, and so is every row `law_row` hands out."""
+    key = simulate.default_state_roster()[0].rho.tobytes()
+
+    def frozen(value):
+        if isinstance(value, np.ndarray):
+            return not value.flags.writeable
+        if isinstance(value, tuple):
+            return all(frozen(v) for v in value)
+        if callable(value):  # `law_row`: what it hands out
+            return frozen(value(key))
+        return isinstance(value, (str, float, slice))
+
+    plan = simulate.build_plan(model, settings, shots=1000)
+    effs = _plan_effects(plan, settings, NOISE_CONFIGS["paper"])
+    for name, value in zip(effs._fields, effs):
+        with pytest.raises(AttributeError):
+            setattr(effs, name, value)
+        assert frozen(value), name
 
 
 def test_concurrent_runs_that_overflow_the_kept_rows(model, settings):
     """Two threads whose distinct states overflow the kept rows many times
     over, with a thread switch forced every microsecond, get exactly the
-    serial tables: a row is never read back from the shared memo."""
+    serial tables: the shared LRU hands each thread the rows it would form."""
     plan = simulate.build_plan(model, settings, shots=2000)
     noise = NOISE_CONFIGS["paper"]
     work_lists = (_random_states(60, 5), _random_states(60, 6))
