@@ -26,7 +26,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
 _Result = tuple[dict[Path, str], str, int]  # a command's files, stdout and exit code
 
 
@@ -47,8 +46,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.states = tuple(self.states)
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be at least 1 and at most {MAX_SHOTS}, "
+        if not 1 <= self.shots <= simulate.MAX_SHOTS:
+            raise ValueError(f"shots must be at least 1 and at most {simulate.MAX_SHOTS}, "
                              f"got {self.shots}")
 
 

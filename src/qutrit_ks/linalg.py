@@ -59,10 +59,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise ValueError("hermitian_eig: input is not Hermitian")
-    w, u = np.linalg.eigh(m)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    return (np.take_along_axis(w, order, -1).astype(float),
-            np.take_along_axis(u, order[..., None, :], -1))
+    w, u = np.linalg.eigh(m)  # ascending
+    return w[..., ::-1], u[..., ::-1]
 
 
 def nearest_spectrum(mu: list[float]) -> list[float]:
@@ -80,16 +78,18 @@ def nearest_spectrum(mu: list[float]) -> list[float]:
     return [m / total for m in kept] + [0.0] * (len(mu) - i)
 
 
-def _check_density_matrices(rho: np.ndarray) -> None:
-    """Hermiticity, unit trace and positivity of a 3x3 matrix or of every
-    matrix of a stack."""
+def _checked_eig(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eig` of a 3x3 matrix or of every matrix of a stack, checked
+    for Hermiticity, unit trace and positivity."""
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > ATOL_DM_TRACE:
         raise ValueError("density matrix trace differs from 1")
-    w = np.linalg.eigvalsh(rho).min()
-    if float(w) < EIGVAL_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
+    w, u = hermitian_eig(rho)
+    low = w[..., -1].min()
+    if float(low) < EIGVAL_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    return w, u
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -97,13 +97,13 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError("density matrix must be 3x3")
-    _check_density_matrices(rho)
+    _checked_eig(rho)
     return rho
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a positive semidefinite matrix or of each of a stack."""
-    w, u = hermitian_eig(m)
+def _psd_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Square root of a positive semidefinite matrix, or of each of a stack,
+    from its `hermitian_eig` decomposition."""
     # zero out eigenvalues at roundoff scale: sqrt would amplify them to 1e-8
     w = np.where(w > 1e-12 * np.maximum(w[..., :1], 1e-300), w, 0.0)
     return (u * np.sqrt(w)[..., None, :]) @ adjoint(u)
@@ -122,7 +122,6 @@ def fidelities(rhos: np.ndarray, targets: np.ndarray) -> list[float]:
     rhos, targets = (np.asarray(m, dtype=complex) for m in (rhos, targets))
     if rhos.ndim != 3 or rhos.shape[1:] != (3, 3) or targets.shape != rhos.shape:
         raise ValueError("fidelities need one 3x3 target per 3x3 state")
-    _check_density_matrices(rhos)
-    _check_density_matrices(targets)
-    sv = np.linalg.svd(_psd_sqrt(rhos) @ _psd_sqrt(targets), compute_uv=False)
+    sv = np.linalg.svd(_psd_sqrt(*_checked_eig(rhos)) @ _psd_sqrt(*_checked_eig(targets)),
+                       compute_uv=False)
     return [min(max(float(np.sum(s) ** 2), 0.0), 1.0) for s in sv]

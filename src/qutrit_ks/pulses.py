@@ -72,29 +72,19 @@ class MeasurementSetting:
         return hash((self.id, tuple(sorted(self.mapping.items())), self.pulses))
 
 
-def r1_matrix(theta: float, phi: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    e = np.exp(1j * phi)
-    return np.array([
-        [c, 0, e * s],
-        [0, 1, 0],
-        [-s / e, 0, c],
-    ], dtype=complex)
-
-
-def r2_matrix(theta: float, phi: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    e = np.exp(1j * phi)
-    return np.array([
-        [1, 0, 0],
-        [0, c, -s / e],
-        [0, e * s, c],
-    ], dtype=complex)
+def _rotation(channel: int, c, es, mes, one, zero) -> list[list]:
+    """A pulse's 3x3 entries as rows, from its cos(theta/2), e s, -s/e, one and
+    zero, each as a float or as field coordinates: the one layout of both forms."""
+    if channel == 1:
+        return [[c, zero, es], [zero, one, zero], [mes, zero, c]]
+    return [[one, zero, zero], [zero, c, mes], [zero, es, c]]
 
 
 @cache
 def pulse_matrix(p: Pulse) -> np.ndarray:
-    m = r1_matrix(p.theta, p.phi) if p.channel == 1 else r2_matrix(p.theta, p.phi)
+    c, s = math.cos(p.theta / 2), math.sin(p.theta / 2)
+    e = np.exp(1j * p.phi)
+    m = np.array(_rotation(p.channel, c, e * s, -s / e, 1, 0), dtype=complex)
     m.flags.writeable = False  # shared by every caller
     return m
 
@@ -163,9 +153,8 @@ def _times(a, b, c, d) -> np.ndarray:
 def exact_pulse_matrix(p: Pulse) -> np.ndarray:
     """6 x `pulse_matrix(p)` in integers: block (i, j) multiplies by 6 x entry (i, j)."""
     (c, s), e = EXACT_ANGLES[p.theta], EXACT_PHASES[p.phi]
-    six, zero, es, mes = (6, 0, 0, 0), (0,) * 4, [e * x for x in s], [-e * x for x in s]
-    rows = ([[c, zero, es], [zero, six, zero], [mes, zero, c]] if p.channel == 1
-            else [[six, zero, zero], [zero, c, mes], [zero, es, c]])  # -s/e = -e s
+    es, mes = [e * x for x in s], [-e * x for x in s]  # -s/e = -e s for e = +-1
+    rows = _rotation(p.channel, c, es, mes, (6, 0, 0, 0), (0,) * 4)
     m = np.block([[_times(*x) for x in row] for row in rows])
     m.flags.writeable = False  # shared by every caller
     return m

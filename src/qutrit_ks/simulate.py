@@ -56,6 +56,7 @@ BRIGHT = linalg.IDENTITY - DARK
 # Pi pulse moving basis state `slot` onto the detected |3> (none for |3>).
 SWAP = {1: pulse_matrix(swap_pulse(1)), 2: pulse_matrix(swap_pulse(2)),
         3: linalg.IDENTITY}
+MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
 _MEMO_ROWS = 32  # law rows a plan's effects keep, ~5 KB each for the default plan
 
 
@@ -156,6 +157,8 @@ class SubExperiment:
         shots = operator.index(self.shots)
         if shots < 1:
             raise ValueError(f"a sub-experiment needs at least 1 shot, got {shots}")
+        if shots > MAX_SHOTS:
+            raise ValueError(f"a sub-experiment draws at most {MAX_SHOTS} shots, got {shots}")
         object.__setattr__(self, "shots", shots)
 
     @functools.cached_property

@@ -331,14 +331,14 @@ def test_oversized_shots_is_config_error(tmp_path, capsys, command):
     assert "at most 9223372036854775807, got 10000000000000000000" \
         in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-    assert cli.RunConfig(shots=2 ** 63 - 1).shots == cli.MAX_SHOTS
+    assert cli.RunConfig(shots=2 ** 63 - 1).shots == cli.simulate.MAX_SHOTS
 
 
 def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
     """At 2**63 - 1 shots every table still sums to its shots, and raw chi4,
     whose pooled totals exceed int64, is the float of the exact sum of each
     ray's dark / total."""
-    argv = ["--shots", str(cli.MAX_SHOTS), "--states", "psi7", "rho10"]
+    argv = ["--shots", str(cli.simulate.MAX_SHOTS), "--states", "psi7", "rho10"]
     out = tmp_path / "run"
     assert cli.main(["simulate", *argv, "--out-dir", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
@@ -352,11 +352,11 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
         if symbol in ("D", "DB", "DD"):
             dark[first] = dark.get(first, 0) + int(count)
     assert len(totals) == 2 * 37
-    assert set(totals.values()) == {cli.MAX_SHOTS}
+    assert set(totals.values()) == {cli.simulate.MAX_SHOTS}
     assert max(pooled.values()) > 2 ** 63
 
     model = cli.build_model()
-    cfg = cli.RunConfig(shots=cli.MAX_SHOTS, states=("psi7", "rho10"))
+    cfg = cli.RunConfig(shots=cli.simulate.MAX_SHOTS, states=("psi7", "rho10"))
     tables, _ = cli.run_simulation(cfg, model)
     assert cli.simulate.counts_to_csv(tables) == text
     raw = cli.simulate.readout_rates(cli.simulate.NoiseModel.ideal())
@@ -376,7 +376,7 @@ def test_results_text_keeps_wide_columns_apart(tmp_path, capsys):
     stands apart from its neighbours; an ordinary or nan row fills its
     columns exactly as before, and each heading and both rules end with it."""
     out = tmp_path / "run"
-    assert cli.main(["simulate", "--states", "psi1", "--shots", str(cli.MAX_SHOTS),
+    assert cli.main(["simulate", "--states", "psi1", "--shots", str(cli.simulate.MAX_SHOTS),
                      "--out-dir", str(out)]) == cli.EXIT_OK
     row = (out / "results.txt").read_text().splitlines()[2]
     [r] = cli.results_from_csv((out / "results.csv").read_text())

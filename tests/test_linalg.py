@@ -135,10 +135,23 @@ def test_fidelity_symmetric_for_commuting_inputs():
             fidelity(sig, rho), abs=ATOL_FIDELITY)
 
 
+NOT_HERMITIAN = np.array([[0.5, 0.1, 0], [0, 0.5, 0], [0, 0, 0]], dtype=complex)
+BAD_DENSITY_MATRICES = {
+    "density matrix is not Hermitian": NOT_HERMITIAN,
+    "density matrix trace differs from 1": np.diag([1.0, 1.0, 0.0]),
+    "density matrix has negative eigenvalue -5.000e-01": np.diag([1.5, -0.5, 0.0]),
+}
+
+
 def test_fidelity_rejects_invalid_density_matrix():
-    bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        linalg.fidelities([bad], [linalg.IDENTITY / 3])
+    """One bad matrix in a stack of good ones is refused, with the same
+    message, whether it is a state or a target."""
+    good = [linalg.IDENTITY / 3, linalg.projector_from_ray([1, 1, 0])]
+    for message, rho in BAD_DENSITY_MATRICES.items():
+        bad = good + [rho]
+        for rhos, targets in [(bad, good + good[:1]), (good + good[:1], bad)]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                linalg.fidelities(rhos, targets)
 
 
 def test_fidelities_of_a_stack_equal_one_pair_calls():
@@ -168,3 +181,5 @@ def test_density_matrix_validation():
         linalg.validate_density_matrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         linalg.validate_density_matrix(np.diag([1.2, -0.2, 0.0]).astype(complex))
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+        linalg.validate_density_matrix(NOT_HERMITIAN)

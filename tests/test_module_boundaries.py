@@ -19,7 +19,9 @@ code 2 or 3; a file written anywhere else, or a command that prints or
 picks a refusal's exit code itself, escapes that contract. A module that
 reaches into a sibling's `_`-prefixed names depends on its internals. This
 scans the code of the package for all seven. It also checks that the
-package's check tolerances are named in `linalg` alone.
+package's check tolerances are named in `linalg` alone, and that
+`linalg.hermitian_eig` is its one eigendecomposition, so a density matrix
+is decomposed once for its checks and its square root alike.
 """
 
 import ast
@@ -286,6 +288,48 @@ def test_tolerance_scanner_flags_module_level_tolerances(tmp_path):
         "simulate:1: binds PROB_FLOOR",
         "simulate:2: binds ATOL_PAIR",
         "simulate:3: binds ATOL_PAIR",
+    ]
+
+
+EIGEN = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def find_eigendecompositions(package: Path) -> list[str]:
+    """Uses of numpy's eigendecompositions, by attribute or by import, but for
+    `eigh` in `linalg.hermitian_eig`."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        uses = []
+        for top in ast.parse(path.read_text()).body:
+            owner = path.stem == "linalg" and getattr(top, "name", None) == "hermitian_eig"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in EIGEN and not (
+                        owner and node.attr == "eigh"):
+                    uses.append((node.lineno, node.col_offset,
+                                 f"{path.stem}:{node.lineno}: calls {node.attr}"))
+                elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    uses += [(node.lineno, 0, f"{path.stem}:{node.lineno}: imports {a.name}")
+                             for a in node.names if a.name in EIGEN]
+        found += [v for *_, v in sorted(uses)]
+    return found
+
+
+def test_hermitian_eig_is_the_one_eigendecomposition():
+    assert find_eigendecompositions(PACKAGE) == []
+
+
+def test_eigendecomposition_scanner_flags_other_call_sites(tmp_path):
+    (tmp_path / "linalg.py").write_text(
+        "import numpy as np\ndef hermitian_eig(m):\n    return np.linalg.eigh(m)\n"
+        "def check(m):\n    return np.linalg.eigvalsh(m).min(), np.linalg.eigh(m)\n")
+    (tmp_path / "tomography.py").write_text(
+        "from numpy.linalg import eig, svd\nw = numpy.linalg.eigvals(m)\n"
+        "linalg.hermitian_eig(m)\n")
+    assert find_eigendecompositions(tmp_path) == [
+        "linalg:5: calls eigvalsh",
+        "linalg:5: calls eigh",
+        "tomography:1: imports eig",
+        "tomography:2: calls eigvals",
     ]
 
 

@@ -13,19 +13,23 @@ def settings():
     return pulses.settings_table()
 
 
+def rotation(channel, theta, phi):
+    return pulses.pulse_matrix(pulses.Pulse(channel, theta, phi))
+
+
 def test_r1_identity():
-    assert np.allclose(pulses.r1_matrix(0, 1.23), np.eye(3), atol=1e-15)
+    assert np.allclose(rotation(1, 0.0, 1.23), np.eye(3), atol=1e-15)
 
 
 def test_r1_direct_substitution():
-    m = pulses.r1_matrix(math.pi / 2, math.pi)
+    m = rotation(1, math.pi / 2, math.pi)
     s = 1 / math.sqrt(2)
     expected = np.array([[s, 0, -s], [0, 1, 0], [s, 0, s]])
     assert np.allclose(m, expected, atol=1e-12)
 
 
 def test_r2_direct_substitution():
-    m = pulses.r2_matrix(math.pi, math.pi)
+    m = rotation(2, math.pi, math.pi)
     expected = np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
     assert np.allclose(m, expected, atol=1e-12)
 
@@ -34,7 +38,7 @@ def test_rotations_unitary():
     rng = np.random.default_rng(1)
     for _ in range(100):
         t, p = rng.uniform(0, 2 * math.pi, 2)
-        for m in (pulses.r1_matrix(t, p), pulses.r2_matrix(t, p)):
+        for m in (rotation(1, t, p), rotation(2, t, p)):
             assert linalg.frobenius_distance(
                 linalg.adjoint(m) @ m, np.eye(3)) < 1e-12
 
@@ -69,9 +73,9 @@ def test_compile_chronological_order(settings):
     by_id = {s.id: s for s in settings}
     assert np.allclose(pulses.compile_setting(by_id["M1"]), np.eye(3))
     assert np.allclose(pulses.compile_setting(by_id["M2"]),
-                       pulses.r1_matrix(math.pi / 2, math.pi))
+                       rotation(1, math.pi / 2, math.pi))
     u4 = pulses.compile_setting(by_id["M4"])
-    expected = pulses.r1_matrix(math.pi / 2, math.pi) @ pulses.r2_matrix(math.pi, math.pi)
+    expected = rotation(1, math.pi / 2, math.pi) @ rotation(2, math.pi, math.pi)
     assert np.allclose(u4, expected, atol=1e-12)
     # v9 must land on |1> up to phase
     assert abs(u4[0, :] @ ray_unit(9)) == pytest.approx(1.0, abs=1e-12)
@@ -108,9 +112,11 @@ def test_settings_pulses_have_exact_angles(settings):
 
 def test_exact_pulse_matrices_are_the_float_pulses(settings):
     """Each exact pulse, divided by 6 and evaluated in floats, is the
-    `pulse_matrix` that `compile` and `simulate` use: the proof is about the
-    very floats of every schedule and count."""
-    for p in {p for s in settings for p in s.pulses}:
+    `pulse_matrix` that `compile` and `simulate` use, the swaps that
+    `simulate.SWAP` detects with included: the proof is about the very
+    floats of every schedule and count."""
+    swaps = {pulses.swap_pulse(b) for b in (1, 2)}
+    for p in {p for s in settings for p in s.pulses} | swaps:
         exact = pulses.exact_pulse_matrix(p)
         assert exact.dtype == np.int64 and exact.shape == (12, 12)
         # Column 0 of each 4x4 block holds that entry's coordinates.
@@ -188,8 +194,7 @@ def test_memoized_rays_and_pulses_match_fresh_and_are_read_only(settings):
             ray_unit(r)[0] = 0
     swaps = [pulses.swap_pulse(b) for b in (1, 2)]
     for p in [p for s in settings for p in s.pulses] + swaps:
-        rotation = pulses.r1_matrix if p.channel == 1 else pulses.r2_matrix
-        assert pulses.pulse_matrix(p).tobytes() == rotation(p.theta, p.phi).tobytes()
+        assert pulses.pulse_matrix(p).tobytes() == pulses.pulse_matrix.__wrapped__(p).tobytes()
         with pytest.raises(ValueError):
             pulses.pulse_matrix(p)[0, 0] = 0
 

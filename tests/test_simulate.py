@@ -207,6 +207,19 @@ def test_sub_experiment_takes_numpy_integer_shots_as_int(model, settings):
     assert simulate.SubExperiment("M1", (1,), np.uint8(1)).shots == 1
 
 
+def test_build_plan_refuses_a_shot_count_numpy_cannot_draw(model, settings):
+    """numpy draws counts as int64, so one shot more than its largest value
+    is refused, with the bound, when the plan is built, not by numpy's bare
+    `OverflowError` during the draw; the largest value itself is kept."""
+    bound = f"a sub-experiment draws at most {simulate.MAX_SHOTS} shots, got {2 ** 63}"
+    with pytest.raises(ValueError, match=bound):
+        simulate.build_plan(model, settings, 2 ** 63)
+    with pytest.raises(ValueError, match=bound):
+        simulate.SubExperiment("M1", (1,), np.uint64(2 ** 63))
+    assert simulate.MAX_SHOTS == np.iinfo(np.int64).max
+    assert simulate.SubExperiment("M1", (1,), simulate.MAX_SHOTS).shots == 2 ** 63 - 1
+
+
 def test_detect_dark_state_ideal():
     rng = np.random.default_rng(0)
     rho = linalg.projector_from_ray([0, 0, 1])

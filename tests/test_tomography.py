@@ -8,7 +8,7 @@ import pytest
 
 from qutrit_ks import linalg, simulate, tomography as tg
 from qutrit_ks.model import build_model
-from qutrit_ks.pulses import Pulse, compile_setting, r1_matrix, r2_matrix, settings_table
+from qutrit_ks.pulses import Pulse, compile_setting, pulse_matrix, settings_table
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, exact_probabilities,
                      random_density_matrix)
@@ -93,7 +93,8 @@ def test_two_pulse_settings_run_the_channel_2_pulse_first(settings):
     for s, phi in zip(settings[5:], (0.0, half)):
         assert s.mapping == {}
         assert np.array_equal(compile_setting(s),
-                              r1_matrix(half, phi) @ r2_matrix(half, 0.0))
+                              pulse_matrix(Pulse(1, half, phi))
+                              @ pulse_matrix(Pulse(2, half, 0.0)))
 
 
 def test_identity_setting_yields_diagonal(settings):
@@ -361,6 +362,12 @@ def test_run_tomography_refuses_a_repeated_label(settings):
     with pytest.raises(ValueError, match="repeated state label: psi1"):
         tg.run_tomography([psi1, simulate.StateSpec("psi1", psi4.rho)], settings,
                           simulate.NoiseModel.paper(), 100, 7)
+
+
+def test_run_tomography_refuses_a_shot_count_numpy_cannot_draw(settings):
+    roster = simulate.default_state_roster()[:1]
+    with pytest.raises(ValueError, match=f"draws at most {simulate.MAX_SHOTS} shots"):
+        tg.run_tomography(roster, settings, simulate.NoiseModel.paper(), 2 ** 63, 7)
 
 
 def test_format_density_matrix():
