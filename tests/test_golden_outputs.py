@@ -204,6 +204,23 @@ def test_verify_outputs_match_pinned_digests(tmp_path, capsys):
             for name, data in outputs.items()} == VERIFY_DIGESTS
 
 
+# The 16 `.schedule` files that `compile` writes with no setting named, by
+# one digest over each file's name and content in name order; recorded before
+# the hardware figures became module constants.
+SCHEDULE_DIGEST = "5e80773f66506a58cfcaa844d76360c0f3ba1c9128216af6eab0faa6ab90a851"
+
+
+def test_compiled_schedules_match_pinned_digest(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["compile", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    paths = sorted(tmp_path.glob("*.schedule"))
+    assert len(paths) == 16
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == SCHEDULE_DIGEST
+
+
 # `results.txt`, `plot.dat`, the `report.dat` that `report` writes beside
 # them and the simulate stdout, each pinned by one digest over the 8 golden
 # simulate runs above and psi1 and rho10 at 1 and 2^63 - 1 shots. Recorded
