@@ -50,16 +50,13 @@ def projector_from_ray(v) -> np.ndarray:
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian 3x3 matrix, or of each matrix of a
-    stack; LAPACK decomposes each matrix on its own, so a matrix's result
-    does not depend on the rest of the stack.
+    """Eigendecomposition of a 3x3 matrix, or of each matrix of a stack,
+    assumed Hermitian as `eigh` assumes it: `_checked_eig` tests that. LAPACK
+    takes each matrix alone, so its result does not depend on the rest of the stack.
 
     Returns (eigenvalues descending, eigenvectors as columns).
     """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError("hermitian_eig: input is not Hermitian")
-    w, u = np.linalg.eigh(m)  # ascending
+    w, u = np.linalg.eigh(np.asarray(m, dtype=complex))  # ascending
     return w[..., ::-1], u[..., ::-1]
 
 
@@ -80,7 +77,7 @@ def nearest_spectrum(mu: list[float]) -> list[float]:
 
 def _checked_eig(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`hermitian_eig` of a 3x3 matrix or of every matrix of a stack, checked
-    for Hermiticity, unit trace and positivity."""
+    for Hermiticity (the package's one such test), unit trace and positivity."""
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > ATOL_DM_TRACE:

@@ -23,6 +23,13 @@ from .model import RAYS
 
 ALPHA = 2.0 * math.asin(1.0 / math.sqrt(3.0))
 
+OMEGA1_MHZ = 12642.8213        # transition |1>-|3>, units of 2*pi MHz
+OMEGA2_OFFSET_MHZ = 7.6372     # omega2 - omega1
+RABI_TWO_PI_US = 29.5          # 2*pi Rabi time, microseconds
+B_FIELD_GAUSS = 5.455
+DOPPLER_COOLING_US = 1000.0
+OPTICAL_PUMPING_US = 3.0
+
 
 @dataclass(frozen=True)
 class Pulse:
@@ -37,17 +44,8 @@ class Pulse:
             raise ValueError("pulse angles must lie in [0, 2*pi)")
 
 
-@dataclass(frozen=True)
-class HardwareParams:
-    omega1_mhz: float = 12642.8213        # transition |1>-|3>, units of 2*pi MHz
-    omega2_offset_mhz: float = 7.6372     # omega2 - omega1
-    rabi_two_pi_us: float = 29.5          # 2*pi Rabi time, microseconds
-    b_field_gauss: float = 5.455
-    doppler_cooling_us: float = 1000.0
-    optical_pumping_us: float = 3.0
-
-    def pulse_duration_us(self, pulse: Pulse) -> float:
-        return pulse.theta / (2 * math.pi) * self.rabi_two_pi_us
+def pulse_duration_us(pulse: Pulse) -> float:
+    return pulse.theta / (2 * math.pi) * RABI_TWO_PI_US
 
 
 @dataclass(frozen=True)
@@ -195,18 +193,17 @@ def format_schedule(setting: MeasurementSetting) -> str:
     drives (omega/2pi in MHz) and the magnetic field, the cooling and
     pumping preamble, then one pulse per line as (channel, theta/pi,
     phi/pi, duration_us) with 4 decimals."""
-    hw = HardwareParams()
     lines = [
         f"# schedule {setting.id}",
-        f"# ch1 |1>-|3> omega1/2pi={hw.omega1_mhz:.4f} MHz  "
-        f"ch2 |2>-|3> (omega2-omega1)/2pi={hw.omega2_offset_mhz:.4f} MHz  "
-        f"B={hw.b_field_gauss:.4f} G",
-        f"cool    {hw.doppler_cooling_us:.4f}",
-        f"pump    {hw.optical_pumping_us:.4f}",
+        f"# ch1 |1>-|3> omega1/2pi={OMEGA1_MHZ:.4f} MHz  "
+        f"ch2 |2>-|3> (omega2-omega1)/2pi={OMEGA2_OFFSET_MHZ:.4f} MHz  "
+        f"B={B_FIELD_GAUSS:.4f} G",
+        f"cool    {DOPPLER_COOLING_US:.4f}",
+        f"pump    {OPTICAL_PUMPING_US:.4f}",
     ]
     for p in setting.pulses:
         lines.append(
             f"pulse   ch{p.channel}  theta/pi={p.theta / _PI:.4f}  "
-            f"phi/pi={p.phi / _PI:.4f}  duration_us={hw.pulse_duration_us(p):.4f}"
+            f"phi/pi={p.phi / _PI:.4f}  duration_us={pulse_duration_us(p):.4f}"
         )
     return "\n".join(lines) + "\n"

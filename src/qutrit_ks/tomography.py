@@ -112,7 +112,8 @@ def _reconstruct(q: np.ndarray, settings: list[MeasurementSetting],
     for k, row in enumerate(q - offset):
         x[k] = np.linalg.lstsq(a, row, rcond=None)[0]
         residuals.append(float(np.linalg.norm(a @ x[k] - row)))
-    # Generators added one at a time from 0, which fixes the signs of zeros.
+    # Real x_k times Hermitian generators, added one at a time from 0: exactly
+    # Hermitian, as `hermitian_eig` assumes, and the signs of zeros are fixed.
     rho = DARK + sum(x[:, k, None, None] * g for k, g in enumerate(_BASIS8))
     w, u = linalg.hermitian_eig(rho)
     projected = w.min(axis=-1) < 0.0

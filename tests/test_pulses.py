@@ -200,10 +200,9 @@ def test_memoized_rays_and_pulses_match_fresh_and_are_read_only(settings):
 
 
 def test_schedule_durations():
-    hw = pulses.HardwareParams()
-    assert hw.pulse_duration_us(pulses.Pulse(1, math.pi / 2, math.pi)) \
+    assert pulses.pulse_duration_us(pulses.Pulse(1, math.pi / 2, math.pi)) \
         == pytest.approx(7.375)
-    assert hw.pulse_duration_us(pulses.Pulse(2, math.pi, 0)) \
+    assert pulses.pulse_duration_us(pulses.Pulse(2, math.pi, 0)) \
         == pytest.approx(14.75)
     by_id = {s.id: s for s in pulses.settings_table()}
     text = pulses.format_schedule(by_id["M1"])
@@ -215,13 +214,13 @@ def test_schedule_durations():
 
 def test_schedule_names_transitions_and_field():
     """Each schedule's header states the transition frequencies and the
-    magnetic field it assumes, read from `HardwareParams`."""
-    hw = pulses.HardwareParams()
+    magnetic field it assumes, read from the module's hardware constants."""
     for s in pulses.settings_table():
         header = pulses.format_schedule(s).splitlines()[1]
-        assert header == (f"# ch1 |1>-|3> omega1/2pi={hw.omega1_mhz:.4f} MHz  "
+        assert header == (f"# ch1 |1>-|3> omega1/2pi={pulses.OMEGA1_MHZ:.4f} MHz  "
                           f"ch2 |2>-|3> (omega2-omega1)/2pi="
-                          f"{hw.omega2_offset_mhz:.4f} MHz  B={hw.b_field_gauss:.4f} G")
+                          f"{pulses.OMEGA2_OFFSET_MHZ:.4f} MHz  "
+                          f"B={pulses.B_FIELD_GAUSS:.4f} G")
     assert "omega1/2pi=12642.8213 MHz" in header
     assert "(omega2-omega1)/2pi=7.6372 MHz" in header and "B=5.4550 G" in header
 

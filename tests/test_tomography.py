@@ -355,6 +355,58 @@ def test_run_tomography_equals_one_state_calls(settings, noise, shots):
         assert _bits(res) == _bits(alone) == _bits(reference), state.label
 
 
+# The stack noises and a readout of visibility 1e-10, which scales the
+# least-squares solution, and so every entry of the estimate, by 1e10.
+HERMITIAN_NOISES = {**STACK_NOISES, "visibility-1e-10": simulate.NoiseModel(
+    eps_dark_to_bright=0.5, eps_bright_to_dark=0.4999999999)}
+
+
+@pytest.mark.parametrize("shots", [1, 10_000, 1_000_000])
+@pytest.mark.parametrize("noise", HERMITIAN_NOISES.values(), ids=HERMITIAN_NOISES.keys())
+def test_reconstruction_decomposes_an_exactly_hermitian_stack(settings, noise, shots,
+                                                              monkeypatch):
+    """`hermitian_eig` assumes, and does not test, a Hermitian input. The
+    estimate that `_reconstruct` hands it, rho = |3><3| + sum_k x_k G_k with
+    real x_k and Hermitian G_k summed in one order, is Hermitian bit for bit:
+    each entry equals the conjugate of its mirror (signed zeros compare
+    equal), so it needs no test of its own."""
+    roster = simulate.default_state_roster()  # built and validated before the capture
+    inputs = []
+    original = linalg.hermitian_eig
+
+    def capturing(m):
+        inputs.append(np.array(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", capturing)
+    tg.run_tomography(roster, settings, noise, shots, 7)
+    estimate = inputs[0]  # then the two stacks `fidelities` decomposes
+    assert len(inputs) == 3 and estimate.shape == (len(roster), 3, 3)
+    assert (estimate == linalg.adjoint(estimate)).all()
+
+
+def test_each_stack_is_tested_for_hermiticity_once(settings, monkeypatch):
+    """`_checked_eig` is the package's one Hermiticity test: on a warm
+    roster, a `fidelities` call tests its state stack and its target stack
+    once each, and a tomography run tests only those two."""
+    roster = simulate.default_state_roster()
+    noise = simulate.NoiseModel.paper()
+    results = tg.run_tomography(roster, settings, noise, 10_000, 7)  # warm
+    tested = []
+    original = linalg.is_hermitian
+
+    def counting(m):
+        tested.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "is_hermitian", counting)
+    linalg.fidelities([r.rho for r in results], [s.rho for s in roster])
+    assert tested == [(len(roster), 3, 3)] * 2
+    tested.clear()
+    tg.run_tomography(roster, settings, noise, 10_000, 7)
+    assert tested == [(len(roster), 3, 3)] * 2
+
+
 def test_run_tomography_refuses_a_repeated_label(settings):
     """Two states under one label would share their streams, so the run's
     `simulate.run_roster` refuses the roster and names the label."""
