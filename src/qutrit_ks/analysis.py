@@ -4,17 +4,19 @@ Readout is the rate pair (r_d, r_b) that `simulate.readout_rates` returns
 and the simulation draws with: r_d = P(read dark | dark), r_b = P(read dark
 | bright), vis = r_d - r_b; the ideal pair (1, 0) gives the raw value. Every
 corrected probability is affine in the frequencies f of the count tables (D,
-B for a single; B, DB, DD for a pair), so an inequality is w0 + W . f, with
-(w0, W) built once per inequality, table layout and rate pair
-(`affine_map`), as in Guhne et al., PRA 81, 022121 (2010). A single s_r =
-(q_r - r_b) / vis pools the first-detection dark fraction of every table
-that measures r first, weighted n_k / N_r. A pair's continued trials mix a
-truly dark first outcome with a misread bright one; summing P(DD) over the
-four true branches, the bright-then-dark one s_j - x by compatibility, gives
-x = (f_DD - r_b (f_DB + f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a
-clip biases every state with a probability at a boundary. The tables are
-independent multinomial draws, so sum_k Var_k(W) / n_k over each table's
-observed frequencies is the exact variance.
+B for a single; B, DB, DD for a pair), so an inequality is w0 + W . f, as
+in Guhne et al., PRA 81, 022121 (2010). (w0, W) is a sum of rate-free
+rationals times monomials in u = 1 / vis and r_b, built once per inequality
+and table layout (`_parts`) and evaluated once per rate pair, exactly at
+`Fraction` rates (`affine_map`). A single s_r = (q_r - r_b) / vis pools the
+first-detection dark fraction of every table that measures r first, weighted
+n_k / N_r. A pair's continued trials mix a truly dark first outcome with a
+misread bright one; summing P(DD) over the four true branches, the
+bright-then-dark one s_j - x by compatibility, gives x = (f_DD - r_b (f_DB +
+f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip biases every state
+with a probability at a boundary. The tables are independent multinomial
+draws, so sum_k Var_k(W) / n_k over each table's observed frequencies is the
+exact variance.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, combinations
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -45,26 +48,6 @@ class Frequencies(NamedTuple):
     f: np.ndarray
 
 
-class _Layout(tuple):
-    """A table layout that computes its hash once, however many estimates
-    look up the estimator cache by it."""
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-@functools.lru_cache(maxsize=8)
-def _interned(layout: tuple) -> _Layout:
-    """The one `_Layout` of this content: the `Frequencies` of every run with
-    this layout share it, so an estimate finds its cached map by identity,
-    without rehashing or comparing the layout."""
-    return _Layout(layout)
-
-
 def frequencies(tables) -> Frequencies:
     """The `Frequencies` of one state's `simulate.CountTable`s; each is
     Python's correctly rounded count / n_k. Each table's counts are read
@@ -83,61 +66,80 @@ def frequencies(tables) -> Frequencies:
             raise ValueError(f"count table {t.subexperiment.key} has no counts")
         layout.append((chain, n))
         f += (d / n, b / n) if single else (b / n, db / n, dd / n)
-    return Frequencies(_interned(tuple(layout)), np.array(f))
+    return Frequencies(tuple(layout), np.array(f))
 
 
 class AffineMap(NamedTuple):
-    """value = w0 + w . f; `table` holds the table of each entry of f."""
+    """value = w0 + w . f; `table` holds the table of each entry of f. Floats
+    at float rates, `Fraction`s at `Fraction` rates."""
     w0: float
     w: np.ndarray
     table: np.ndarray
     n: np.ndarray  # each table's count total
 
 
-@functools.lru_cache(maxsize=32)
-def affine_map(ineq: Inequality, layout: tuple, rates: tuple[float, float]) -> AffineMap:
-    """The estimator of `ineq` over tables laid out as `layout` and read
-    with `rates` = (r_d, r_b), built once per distinct content of the three.
-    An inequality hashes once, and so does a layout from `frequencies`."""
-    r_d, r_b = rates
-    if (1.0 - r_d) + r_b >= 1.0:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
-        raise ValueError(f"readout rates {rates} do not have r_d > r_b")
-    vis = 1.0 - (1.0 - r_d) - r_b
+@functools.lru_cache(maxsize=8)
+def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
+    """`ineq` over tables laid out as `layout` without the rates, built once
+    per content of the two: (exact, floats, table, n). Row m of `exact` holds
+    the rational coefficients, in w0 (column 0) and in W, of the m-th of the
+    monomials (1, u, u^2, r_b u, r_b u^2, (r_b u)^2), u = 1 / vis; `floats` is
+    its correctly rounded copy, and `table` and `n` are `AffineMap`'s."""
     sizes = [len(chain) + 1 for chain, _ in layout]
-    # The dark entries of f by table (D, or DB and DD), with the table's
+    # The dark entries of W by table (D, or DB and DD), with the table's
     # total, for the first ray it measures and for its pair.
     entries = {}
-    for start, (chain, n) in zip(accumulate(sizes, initial=0), layout):
+    for start, (chain, n) in zip(accumulate(sizes, initial=1), layout):
         dark = [start] if len(chain) == 1 else [start + 1, start + 2]
         entries.setdefault(chain[:1], []).append((dark, n))
         if len(chain) == 2:
             entries.setdefault(chain, []).append((dark, n))
-    w, w0 = np.zeros(sum(sizes)), 0.0
+    parts = np.zeros((6, 1 + sum(sizes)), dtype=object)  # int 0 until a term adds
 
-    def add(rays, weights):
+    def add(monomial, rays, weights):
         """Add `weights` * n_k / N to the entries of each table k of `rays`."""
         if rays not in entries:
             raise ValueError(f"missing estimate for v{'-v'.join(map(str, rays))}")
         total = sum(n for _, n in entries[rays])
         for index, n in entries[rays]:
-            w[index] += np.multiply(weights, n / total)
+            parts[monomial, index] += np.multiply(weights, Fraction(n, total))
 
-    def single(ray, coef):  # adds coef * s_ray; returns its constant
-        add((ray,), coef / vis)
-        return -coef * r_b / vis
-
+    # A single's coef s_i adds coef u to i's dark entries and -coef r_b u to
+    # w0; a pair's coef x_ij adds -coef r_b u^2 to DB, coef u^2 - coef r_b u^2
+    # to DD, and the single -coef r_b u s_j.
     for rays, coef in _expansion(ineq):
         if len(rays) == 2:
-            c = coef / vis ** 2
-            add(rays, (-r_b * c, (1.0 - r_b) * c))
-            w0 += single(rays[1], -coef * r_b / vis)
+            add(2, rays, (0, coef))
+            add(4, rays, (-coef, -coef))
+            add(4, rays[1:], -coef)
+            parts[5, 0] += coef
+        elif rays:
+            add(1, rays, coef)
+            parts[3, 0] -= coef
         else:
-            w0 += single(rays[0], coef) if rays else coef
-    table = np.repeat(np.arange(len(layout)), sizes)
-    n = np.array([float(n_k) for _, n_k in layout])
-    for a in (w, table, n):
+            parts[0, 0] += coef
+    out = (parts, parts.astype(float), np.repeat(np.arange(len(layout)), sizes),
+           np.array([float(n_k) for _, n_k in layout]))
+    for a in out:
         a.flags.writeable = False
-    return AffineMap(w0, w, table, n)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def affine_map(ineq: Inequality, layout: tuple, rates: tuple[float, float]) -> AffineMap:
+    """The estimator of `ineq` over tables laid out as `layout` and read
+    with `rates` = (r_d, r_b): `_parts` at the rates, exact at `Fraction`
+    rates, once per distinct content of the three. An inequality hashes once."""
+    r_d, r_b = rates
+    if (1 - r_d) + r_b >= 1:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
+        raise ValueError(f"readout rates {(float(r_d), float(r_b))} do not have r_d > r_b")
+    u = 1 / (1 - (1 - r_d) - r_b)
+    exact, floats, table, n = _parts(ineq, layout)
+    is_exact, bu = isinstance(u, Fraction), r_b * u
+    v = sum(m * row for m, row in zip((1, u, u * u, bu, bu * u, bu * bu),
+                                      exact if is_exact else floats))
+    v.flags.writeable = False
+    return AffineMap(v[0] if is_exact else float(v[0]), v[1:], table, n)
 
 
 def _expansion(ineq: Inequality):

@@ -73,12 +73,9 @@ CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},
                   classical_bound=1, quantum_value=Fraction(4, 3))
 
 
-@cache
 def ray_unit(i: int) -> np.ndarray:
     v = np.asarray(RAYS[i], dtype=complex)
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False  # shared by every caller
-    return v
+    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)

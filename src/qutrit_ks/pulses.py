@@ -78,13 +78,10 @@ def _rotation(channel: int, c, es, mes, one, zero) -> list[list]:
     return [[one, zero, zero], [zero, c, mes], [zero, es, c]]
 
 
-@cache
 def pulse_matrix(p: Pulse) -> np.ndarray:
     c, s = math.cos(p.theta / 2), math.sin(p.theta / 2)
     e = np.exp(1j * p.phi)
-    m = np.array(_rotation(p.channel, c, e * s, -s / e, 1, 0), dtype=complex)
-    m.flags.writeable = False  # shared by every caller
-    return m
+    return np.array(_rotation(p.channel, c, e * s, -s / e, 1, 0), dtype=complex)
 
 
 def swap_pulse(basis_state: int) -> Pulse:

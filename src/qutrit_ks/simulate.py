@@ -131,7 +131,7 @@ class NoiseModel:
                        for lam in (self.lambda_bright, self.lambda_dark)):
                 raise ValueError("photon rates must be finite and non-negative")
             r_d, r_b = readout_rates(self)
-            # The correction divides by the visibility r_d - r_b;
+            # The correction is polynomial in u = 1 / (r_d - r_b);
             # `analysis.affine_map` refuses the rates by this same test.
             if (1.0 - r_d) + r_b >= 1.0:
                 raise ValueError("photon-count readout must read dark more often "

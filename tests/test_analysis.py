@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -84,8 +85,12 @@ def test_estimate_refuses_rates_without_visibility():
     bright one cannot be inverted: (0.3, 0.3) too, although its visibility
     rounds to 5.6e-17; the ideal pair (1, 0) returns the raw value."""
     for rates in ((0.4, 0.5), (0.5, 0.5), (0.3, 0.3)):
-        with pytest.raises(ValueError, match=r"do not have r_d > r_b"):
-            single_estimate(5000, 10_000, rates)
+        messages = set()
+        for r in (rates, tuple(Fraction(str(x)) for x in rates)):
+            with pytest.raises(ValueError, match=r"do not have r_d > r_b") as refused:
+                single_estimate(5000, 10_000, r)
+            messages.add(str(refused.value))
+        assert messages == {f"readout rates {rates} do not have r_d > r_b"}
     raw = single_estimate(2500, 10_000, IDENTITY)
     assert (raw.value, raw.stderr) == (0.25, math.sqrt(0.25 * 0.75 / 10_000))
 
@@ -272,33 +277,67 @@ def test_chi13_pulls_are_calibrated(model):
         assert abs(mean) < 0.2 and 0.9 <= sd <= 1.1, f"{name}: {mean:+.3f}, {sd:.3f}"
 
 
-def test_estimator_lookup_hashes_layout_and_terms_once(model, monkeypatch):
-    """Every run of one table layout gets the same layout object, which
-    hashes once, and an inequality hashes once, so the four estimates of
-    each run find their cached maps without rehashing either."""
+def test_estimator_lookup_hashes_each_inequality_once(model, monkeypatch):
+    """An inequality hashes once, so the four estimates of each run find
+    their cached maps without rehashing its terms."""
     calls = []
-    original = analysis._Layout._hash.func
+    original = Inequality._hash.func
     counting = functools.cached_property(
-        lambda layout: calls.append(1) or original(layout))
-    counting.__set_name__(analysis._Layout, "_hash")
-    monkeypatch.setattr(analysis._Layout, "_hash", counting)
-    analysis._interned.cache_clear()
+        lambda ineq: calls.append(ineq.name) or original(ineq))
+    counting.__set_name__(Inequality, "_hash")
+    monkeypatch.setattr(Inequality, "_hash", counting)
+    fresh = [dataclasses.replace(ineq) for ineq in (model.chi13, CHI4)]
     settings = settings_table()
     plan = simulate.build_plan(model, settings, shots=300)
     state, noise = simulate.default_state_roster()[4], NOISE["paper"]
-    layouts = []
     for seed in range(3):
         freqs = analysis.frequencies(
             simulate.run_roster([state], plan, settings, noise, seed)[state.label])
-        layouts.append(freqs.layout)
-        for ineq in (model.chi13, CHI4):
+        for ineq in fresh:
             for rates in (IDENTITY, simulate.readout_rates(noise)):
                 analysis.estimate(ineq, freqs, rates)
-    assert layouts[0] is layouts[1] is layouts[2]
-    assert layouts[0] == tuple((sub.chain, 300) for sub in plan)
-    assert hash(layouts[0]) == hash(tuple(layouts[0])) and calls == [1]
-    for ineq in (model.chi13, CHI4):
+    assert type(freqs.layout) is tuple
+    assert calls == ["chi13", "chi4"]
+    for ineq in fresh:
         assert vars(ineq)["_hash"] == hash(ineq)
+
+
+def test_float_maps_are_the_exact_maps_rounded(model, layout):
+    """At 200 random rational rate pairs the float map is the `Fraction`-rate
+    map to 1e-12 relative, over tables of unequal totals; at (1, 0) the
+    float map is the exact raw map bit for bit."""
+    unequal = tuple((chain, n + 7 * k) for k, (chain, n) in enumerate(layout))
+    rng = np.random.default_rng(13)
+    for k in range(200):
+        r_d = Fraction(int(rng.integers(550, 1001)), 1000)
+        r_b = Fraction(int(rng.integers(0, 450)), 1000)
+        ineq = (model.chi13, CHI4)[k % 2]
+        fm = analysis.affine_map(ineq, unequal, (float(r_d), float(r_b)))
+        em = analysis.affine_map(ineq, unequal, (r_d, r_b))
+        scale = max(abs(em.w0), max(map(abs, em.w)))
+        assert abs(fm.w0 - em.w0) <= 1e-12 * scale
+        assert np.abs(fm.w - em.w.astype(float)).max() <= 1e-12 * scale
+    for ineq in (model.chi13, CHI4):
+        fm = analysis.affine_map(ineq, layout, IDENTITY)
+        em = analysis.affine_map(ineq, layout, (Fraction(1), Fraction(0)))
+        assert fm.w.tobytes() == em.w.astype(float).tobytes()
+        assert fm.w0 == float(em.w0)
+
+
+def test_raw_and_corrected_maps_share_one_build(model):
+    """A run's four maps evaluate two rate-free builds, one per inequality."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots=50)
+    state, noise = simulate.default_state_roster()[0], NOISE["photon-count"]
+    freqs = analysis.frequencies(
+        simulate.run_roster([state], plan, settings, noise, 3)[state.label])
+    analysis.affine_map.cache_clear()
+    analysis._parts.cache_clear()
+    for ineq in (model.chi13, CHI4):
+        for rates in (IDENTITY, simulate.readout_rates(noise)):
+            analysis.estimate(ineq, freqs, rates)
+    info = analysis._parts.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_stderr_is_the_multinomial_variance(model):
