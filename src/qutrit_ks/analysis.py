@@ -97,7 +97,7 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
     parts = np.zeros((6, 1 + sum(sizes)), dtype=object)  # int 0 until a term adds
 
     def add(monomial, rays, weights):
-        """Add `weights` * n_k / N to the entries of each table k of `rays`."""
+        """Add `weights` * n_k / N to row `monomial` at each table k of `rays`."""
         if rays not in entries:
             raise ValueError(f"missing estimate for v{'-v'.join(map(str, rays))}")
         total = sum(n for _, n in entries[rays])
@@ -167,6 +167,8 @@ def estimate(ineq: Inequality, freqs: Frequencies,
     """Value and exact multinomial stderr of `ineq` from one state's
     `Frequencies`, corrected for readout `rates`; raw at rates (1, 0)."""
     w0, w, table, n = affine_map(ineq, freqs.layout, rates)
+    if w.dtype == object:  # the exact map at `Fraction` rates, rounded once
+        w0, w = float(w0), w.astype(float)
     f = freqs.f
     mean = np.bincount(table, weights=w * f)  # W . f_k of each table
     dev = w - mean[table]

@@ -99,6 +99,8 @@ def test_correct_ml_examples():
     corr = single_estimate(5000, 10_000, PAPER)
     assert corr.value == pytest.approx(0.479 / 0.969, abs=1e-9)
     assert corr.stderr == pytest.approx(0.005 / 0.969)
+    exact = single_estimate(5000, 10_000, (Fraction(99, 100), Fraction(21, 1000)))
+    assert (exact.value, exact.stderr) == pytest.approx((corr.value, corr.stderr), rel=1e-15)
 
     # Below the bright floor the corrected value is negative: no clip.
     low = single_estimate(100, 10_000, PAPER)
