@@ -91,18 +91,18 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
     entries = {}
     for start, (chain, n) in zip(accumulate(sizes, initial=1), layout):
         dark = [start] if len(chain) == 1 else [start + 1, start + 2]
-        entries.setdefault(chain[:1], []).append((dark, n))
-        if len(chain) == 2:
-            entries.setdefault(chain, []).append((dark, n))
-    parts = np.zeros((6, 1 + sum(sizes)), dtype=object)  # int 0 until a term adds
+        for rays in {chain[:1], chain}:  # one key for a single
+            entries.setdefault(rays, []).append((dark, n))
+    rows = [[0] * (1 + sum(sizes)) for _ in range(6)]  # int 0 until a term adds
 
     def add(monomial, rays, weights):
-        """Add `weights` * n_k / N to row `monomial` at each table k of `rays`."""
+        """Add weight * n_k / N to row `monomial` at the dark entries of tables k of `rays`."""
         if rays not in entries:
             raise ValueError(f"missing estimate for v{'-v'.join(map(str, rays))}")
         total = sum(n for _, n in entries[rays])
         for index, n in entries[rays]:
-            parts[monomial, index] += np.multiply(weights, Fraction(n, total))
+            for i, weight in zip(index, weights):
+                rows[monomial][i] += Fraction(weight * n, total)
 
     # A single's coef s_i adds coef u to i's dark entries and -coef r_b u to
     # w0; a pair's coef x_ij adds -coef r_b u^2 to DB, coef u^2 - coef r_b u^2
@@ -111,13 +111,14 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
         if len(rays) == 2:
             add(2, rays, (0, coef))
             add(4, rays, (-coef, -coef))
-            add(4, rays[1:], -coef)
-            parts[5, 0] += coef
+            add(4, rays[1:], (-coef, -coef))
+            rows[5][0] += coef
         elif rays:
-            add(1, rays, coef)
-            parts[3, 0] -= coef
+            add(1, rays, (coef, coef))
+            rows[3][0] -= coef
         else:
-            parts[0, 0] += coef
+            rows[0][0] += coef
+    parts = np.array(rows, dtype=object)
     out = (parts, parts.astype(float), np.repeat(np.arange(len(layout)), sizes),
            np.array([float(n_k) for _, n_k in layout]))
     for a in out:
@@ -125,12 +126,11 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def affine_map(ineq: Inequality, layout: tuple, rates: tuple[float, float]) -> AffineMap:
-    """The estimator of `ineq` over tables laid out as `layout` and read
-    with `rates` = (r_d, r_b): `_parts` at the rates, exact at `Fraction`
-    rates, once per distinct content of the three. An inequality hashes once."""
-    r_d, r_b = rates
+@functools.lru_cache(maxsize=32, typed=True)  # as (1.0, 0.0) == (Fraction(1), Fraction(0))
+def affine_map(ineq: Inequality, layout: tuple, r_d: float, r_b: float) -> AffineMap:
+    """The estimator of `ineq` over tables laid out as `layout` and read at
+    rates (r_d, r_b): `_parts` at the rates, exact at `Fraction` rates, once
+    per content of the four and the rates' types. An inequality hashes once."""
     if (1 - r_d) + r_b >= 1:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
         raise ValueError(f"readout rates {(float(r_d), float(r_b))} do not have r_d > r_b")
     u = 1 / (1 - (1 - r_d) - r_b)
@@ -166,7 +166,7 @@ def estimate(ineq: Inequality, freqs: Frequencies,
              rates: tuple[float, float]) -> Estimate:
     """Value and exact multinomial stderr of `ineq` from one state's
     `Frequencies`, corrected for readout `rates`; raw at rates (1, 0)."""
-    w0, w, table, n = affine_map(ineq, freqs.layout, rates)
+    w0, w, table, n = affine_map(ineq, freqs.layout, *rates)
     if w.dtype == object:  # the exact map at `Fraction` rates, rounded once
         w0, w = float(w0), w.astype(float)
     f = freqs.f

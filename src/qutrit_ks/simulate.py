@@ -56,6 +56,7 @@ BRIGHT = linalg.IDENTITY - DARK
 # Pi pulse moving basis state `slot` onto the detected |3> (none for |3>).
 SWAP = {1: pulse_matrix(swap_pulse(1)), 2: pulse_matrix(swap_pulse(2)),
         3: linalg.IDENTITY}
+SWAP[1].flags.writeable = SWAP[2].flags.writeable = False  # shared by every effects build
 MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
 _MEMO_ROWS = 32  # law rows a plan's effects keep, ~5 KB each for the default plan
 

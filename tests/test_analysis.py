@@ -189,7 +189,7 @@ def assignments(model, layout):
     index = np.arange(2 ** 13)
     v = (index[:, None] >> np.arange(13)) & 1
     col = lambda r: v[:, r - 1]  # noqa: E731
-    m = analysis.affine_map(model.chi13, layout, IDENTITY)
+    m = analysis.affine_map(model.chi13, layout, *IDENTITY)
     return v, m.w0 + m.w @ exact_f(layout, col, lambda i, j: col(i) * col(j))
 
 
@@ -306,24 +306,33 @@ def test_estimator_lookup_hashes_each_inequality_once(model, monkeypatch):
 
 def test_float_maps_are_the_exact_maps_rounded(model, layout):
     """At 200 random rational rate pairs the float map is the `Fraction`-rate
-    map to 1e-12 relative, over tables of unequal totals; at (1, 0) the
-    float map is the exact raw map bit for bit."""
+    map to 1e-12 relative, over tables of unequal totals. At (1, 0) the float
+    map sums three rounded rows, so it is the exact raw map to within one
+    unit in the last place (chi4's bit for bit). Float and `Fraction` rates
+    of equal value get their own maps, whichever is asked for first."""
     unequal = tuple((chain, n + 7 * k) for k, (chain, n) in enumerate(layout))
     rng = np.random.default_rng(13)
     for k in range(200):
         r_d = Fraction(int(rng.integers(550, 1001)), 1000)
         r_b = Fraction(int(rng.integers(0, 450)), 1000)
         ineq = (model.chi13, CHI4)[k % 2]
-        fm = analysis.affine_map(ineq, unequal, (float(r_d), float(r_b)))
-        em = analysis.affine_map(ineq, unequal, (r_d, r_b))
+        fm = analysis.affine_map(ineq, unequal, float(r_d), float(r_b))
+        em = analysis.affine_map(ineq, unequal, r_d, r_b)
         scale = max(abs(em.w0), max(map(abs, em.w)))
         assert abs(fm.w0 - em.w0) <= 1e-12 * scale
         assert np.abs(fm.w - em.w.astype(float)).max() <= 1e-12 * scale
+    pairs = [IDENTITY, (Fraction(1), Fraction(0)), (0.75, 0.25), (Fraction(3, 4), Fraction(1, 4))]
     for ineq in (model.chi13, CHI4):
-        fm = analysis.affine_map(ineq, layout, IDENTITY)
-        em = analysis.affine_map(ineq, layout, (Fraction(1), Fraction(0)))
-        assert fm.w.tobytes() == em.w.astype(float).tobytes()
-        assert fm.w0 == float(em.w0)
+        for order in (1, -1):
+            analysis.affine_map.cache_clear()
+            maps = [analysis.affine_map(ineq, layout, *r) for r in pairs[::order]][::order]
+            assert [(m.w.dtype, type(m.w0)) for m in maps] == [(float, float),
+                                                               (object, Fraction)] * 2
+        fm, em = maps[:2]
+        assert fm.w0 == em.w0
+        w = em.w.astype(float)
+        assert (np.abs(fm.w - w) <= np.spacing(np.abs(w))).all()
+        assert (fm.w.tobytes() == w.tobytes()) == (ineq is CHI4)
 
 
 def test_raw_and_corrected_maps_share_one_build(model):
@@ -354,7 +363,7 @@ def test_stderr_is_the_multinomial_variance(model):
                                              settings, noise, 5).items():
         freqs = analysis.frequencies(tables)
         for ineq in (model.chi13, CHI4):
-            m = analysis.affine_map(ineq, freqs.layout, rates)
+            m = analysis.affine_map(ineq, freqs.layout, *rates)
             var, start = 0.0, 0
             for _, n in freqs.layout:
                 stop = start + int(np.sum(m.table == m.table[start]))
@@ -380,7 +389,7 @@ def test_estimator_operator_is_the_quantum_value(model, name):
     def operator(ineq, noise_of_map, noise_of_stack):
         stack = effect_stack(simulate._plan_effects(
             tuple(settings), entries, simulate.readout_rates(noise_of_stack)))
-        m = analysis.affine_map(ineq, layout, simulate.readout_rates(noise_of_map))
+        m = analysis.affine_map(ineq, layout, *simulate.readout_rates(noise_of_map))
         return m.w0 * np.identity(3) + np.tensordot(m.w, stack, 1)
 
     noise = NOISE[name]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg, pulses
+from qutrit_ks import linalg, pulses, simulate
 from qutrit_ks.model import RAYS, build_model, ray_unit
 
 
@@ -189,7 +189,8 @@ def test_swap_pulse():
 def test_rays_and_pulses_are_their_formulas(settings):
     """Each unit ray is its integer direction over its norm, and each pulse
     is the two-level rotation cos, e^(i phi) sin, -e^(-i phi) sin on its
-    channel's levels, bit for bit."""
+    channel's levels, bit for bit. `simulate.SWAP`'s two pulses, which every
+    effects build shares, are these and read-only."""
     for r in RAYS:
         v = np.asarray(RAYS[r], dtype=complex)
         assert ray_unit(r).tobytes() == (v / np.linalg.norm(v)).tobytes()
@@ -200,6 +201,9 @@ def test_rays_and_pulses_are_their_formulas(settings):
         rows = ([[c, 0, e * s], [0, 1, 0], [-s / e, 0, c]] if p.channel == 1
                 else [[1, 0, 0], [0, c, -s / e], [0, e * s, c]])
         assert pulses.pulse_matrix(p).tobytes() == np.array(rows, dtype=complex).tobytes()
+    for b, p in zip((1, 2), swaps):
+        assert simulate.SWAP[b].tobytes() == pulses.pulse_matrix(p).tobytes()
+        assert not simulate.SWAP[b].flags.writeable
 
 
 def test_schedule_durations():
