@@ -20,18 +20,11 @@ a law is computed, forms a state's row of Tr(rho E) as nine row adds in a
 fixed order, and `PlanEffects.law_row` keeps the last `_MEMO_ROWS` rows in
 an LRU keyed by prepared rho, so a state redrawn over seeds forms one row.
 
-Shots are i.i.d., so each sub-experiment makes a single draw from its law
-(`run_subexperiment`), and cost does not grow with the shot count: numpy's
-`multinomial` draw, made as its binomial steps, one for a single's two
-outcomes and two for a pair's three, so the counts are those of
-`multinomial`. `run_roster` draws from each state's law row directly. Each
-(seed, state, sub-experiment) draws from its own keyed Philox stream
-(`_KeyedStream`), so counts do not depend on execution order. A run takes one
-generator from a small module pool and gives it back when it returns, so no
-two live runs, concurrent or nested, share one, and a run builds none while
-the pool has one idle. It re-keys that generator for each draw by swapping
-the key words, as Python ints, into one kept state dict, and each
-sub-experiment formats its key once. `numpy.random` is loaded on first use.
+Shots are i.i.d., so a state's count tables are one multinomial draw from
+its law row, and cost does not grow with the shot count: `run_roster` makes
+that draw in one `multinomial` call on the keyed Philox stream of (seed,
+state, plan), so a state's counts depend on neither the roster's order nor
+its other states. `numpy.random` is loaded on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ import hashlib
 import itertools
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -197,38 +189,6 @@ def build_plan(model: KSModel, settings: list[MeasurementSetting],
     return plan
 
 
-class _KeyedStream:
-    """One Philox generator moved from keyed stream to keyed stream. A name
-    "seed/label/..." keys Philox4x64 (Salmon et al., SC'11) at counter 0,
-    with an empty output buffer and the first 16 bytes of sha256(name) read
-    as two little-endian uint64 key words; each key is its own stream, so
-    draws do not depend on the order in which sub-experiments execute.
-    `rekey` moves the generator to the start of a name's stream by setting
-    one kept state dict with the new key words (as Python ints)."""
-
-    __slots__ = ("rng", "binomial", "_bit_generator", "_state", "_key")
-
-    def __init__(self):
-        self.rng = np.random.Generator(np.random.Philox(0))
-        self.binomial = self.rng.binomial
-        self._bit_generator = self.rng.bit_generator
-        self._key = {"counter": (0, 0, 0, 0), "key": (0, 0)}
-        self._state = {"bit_generator": "Philox", "state": self._key,
-                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
-                       "uinteger": 0}
-
-    def rekey(self, name: str) -> None:
-        digest = hashlib.sha256(name.encode()).digest()
-        self._key["key"] = struct.unpack_from("<2Q", digest)
-        self._bit_generator.state = self._state
-
-
-# Idle streams. A `run_roster` call pops one (or builds one when none is
-# idle) and pushes it back when it returns, so no two live calls, concurrent
-# or nested, share a generator; list pop and append are atomic.
-_IDLE_STREAMS: list[_KeyedStream] = []
-
-
 def prepare(state: StateSpec, noise: NoiseModel) -> np.ndarray:
     """The state a run starts from, after preparation depolarization."""
     rho = state.rho
@@ -357,61 +317,43 @@ def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
                          tuple((sub.setting_id, sub.chain) for sub in plan), rates)
 
 
-def run_subexperiment(symbols: tuple[str, ...], law: tuple[float, ...],
-                      sub: SubExperiment, seed_key: str,
-                      stream: _KeyedStream) -> CountTable:
-    """Counts of `sub.shots` i.i.d. shots of `law`, the probability of each
-    readout symbol in draw order, from the keyed stream of `seed_key`, onto
-    which `stream` is re-keyed: `run_roster` passes the pooled stream it
-    holds, which no other live call uses. The draw is numpy's `multinomial`,
-    made as its binomial steps: `binomial(shots, P(first))`, then the rest
-    split at P(second) / (1 - P(first)), clamped to 1 as rounding can exceed
-    it (`multinomial` then draws all the rest)."""
-    stream.rekey(seed_key)
-    shots, binomial = sub.shots, stream.binomial
-    first = binomial(shots, law[0])
-    rest = shots - first
-    if len(law) == 2:
-        return CountTable(sub, {symbols[0]: first, symbols[1]: rest}, seed_key)
-    second = binomial(rest, min(law[1] / (1.0 - law[0]), 1.0)) if rest > 0 else 0
-    return CountTable(sub, {symbols[0]: first, symbols[1]: second,
-                            symbols[2]: rest - second}, seed_key)
-
-
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
-    """Full run: each state's law rows drawn entry by entry on the stream of
-    its (seed, state, sub-experiment), so counts do not depend on the order
-    in which sub-experiments execute. The call holds one idle stream from a
-    module pool, re-keyed for each sub-experiment, and returns it when done:
-    a call builds no generator unless every pooled one is in use."""
+    """Full run: each state's law row drawn in one `multinomial` call on its
+    own stream, so its counts depend on neither the roster's order nor its
+    other states. The stream of a name "seed/label/plan" is Philox4x64
+    (Salmon et al., SC'11) at counter 0 under the first 16 bytes of
+    sha256(name), read as two little-endian uint64 words, where "plan" is 16
+    hex digits of the sha256 of the entries' keys, so two plans of a state,
+    as the Kochen-Specker and the tomography plans, draw on distinct streams."""
     effs = plan_effects(plan, settings, readout_rates(noise))
-    try:
-        stream = _IDLE_STREAMS.pop()
-    except IndexError:
-        stream = _KeyedStream()
-    try:
-        tables = {}
-        for state in roster:
-            if state.label in tables:
-                raise ValueError(f"repeated state label: {state.label}")
-            prefix = f"{master_seed}/{state.label}/"
-            row = effs.law_row(np.asarray(prepare(state, noise), dtype=complex).tobytes())
-            tables[state.label] = [
-                run_subexperiment(syms, law, sub, prefix + sub.key, stream)
-                for syms, law, sub in zip(effs.symbols, row, plan)]
-        return tables
-    finally:
-        _IDLE_STREAMS.append(stream)
+    plan_id = hashlib.sha256(",".join(sub.key for sub in plan).encode()).hexdigest()[:16]
+    shots = [sub.shots for sub in plan]
+    tables = {}
+    for state in roster:
+        if state.label in tables:
+            raise ValueError(f"repeated state label: {state.label}")
+        name = f"{master_seed}/{state.label}/{plan_id}"
+        key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+        row = effs.law_row(np.asarray(prepare(state, noise), dtype=complex).tobytes())
+        # A single is padded with a leading 0, so its remainder falls on B: a
+        # trailing pad gets counts whenever P(B) / (1 - P(D)) rounds below 1.
+        counts = np.random.Generator(np.random.Philox(key=key)).multinomial(
+            shots, [law if len(law) == 3 else (0.0, *law) for law in row]).tolist()
+        tables[state.label] = [CountTable(sub, dict(zip(syms, c[-len(syms):])), name)
+                               for sub, syms, c in zip(plan, effs.symbols, counts)]
+    return tables
 
 
 def counts_to_csv(tables: dict[str, list[CountTable]]) -> str:
+    """One row per count, each table's symbols in draw order (D, B for a
+    single; B, DB, DD for a pair); the seed column names the state's stream."""
     lines = ["state,setting,chain,symbol,count,seed"]
     for label in tables:
         for t in tables[label]:
             chain = "-".join(str(r) for r in t.subexperiment.chain)
-            for symbol in sorted(t.counts):
+            for symbol, count in t.counts.items():
                 lines.append(f"{label},{t.subexperiment.setting_id},{chain},"
-                             f"{symbol},{t.counts[symbol]},{t.seed_key}")
+                             f"{symbol},{count},{t.seed_key}")
     return "\n".join(lines) + "\n"

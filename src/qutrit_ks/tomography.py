@@ -7,14 +7,15 @@ two-pulse sequences; `pulses.compile_setting` builds their unitaries. Each
 setting runs three sub-runs, each transferring one basis state to the dark
 state |3>. The 21 sub-runs are a plan of `simulate.SubExperiment` singles
 whose chain names the detected slot, so `simulate.run_roster` draws them as
-it draws every count, one draw per (seed, state, sub-run) on its own keyed
-stream "seed/label/single:0k:Tn", and the solve reads the plan's cached
-effects (`simulate.plan_effects`), the very ones the draw read. A dark
-effect is r_b*I + vis*P, so least squares on the raw frequencies against
-that map is the readout correction, unclipped. The trace is exact: rho =
-|3><3| + sum_k x_k G_k over eight traceless generators, whose map is checked
-for rank 8. A negative eigenvalue sends the estimate to the nearest density
-matrix (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
+it draws every count, in one draw per state on the keyed stream of (seed,
+state, plan), which the Kochen-Specker plan never shares, and the solve
+reads the plan's cached effects (`simulate.plan_effects`), the very ones
+the draw read. A dark effect is r_b*I + vis*P, so least squares on the
+raw frequencies against that map is the readout correction, unclipped. The
+trace is exact: rho = |3><3| + sum_k x_k G_k over eight traceless
+generators, whose map is checked for rank 8. A negative eigenvalue sends
+the estimate to the nearest density matrix (Smolin, Gambetta & Smith, PRL
+108, 070502 (2012)).
 
 `run_tomography` is the one entry point: it draws a whole roster and
 reconstructs it in one stacked pass. Each state keeps its own least-squares
@@ -129,7 +130,7 @@ def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
                    noise: NoiseModel, shots: int,
                    master_seed: int) -> list[ReconstructionResult]:
     """Simulated tomography of every state of `roster`: its sub-runs drawn by
-    `simulate.run_roster` on the streams of (seed, state, sub-run),
+    `simulate.run_roster` on the stream of (seed, state, plan),
     reconstructed in one stacked pass and compared with the state's target
     `rho`. A state's result does not depend on the rest of the roster: it
     equals, field for field, the result of a roster of that state alone."""

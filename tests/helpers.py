@@ -1,5 +1,6 @@
 """Shared test inputs."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -44,12 +45,20 @@ def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     return np.array([law[0] for law in row])
 
 
-def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
-    """A fresh generator at the start of the keyed stream of the name
-    "seed/part/...", the stream every count of that key is drawn from."""
-    stream = simulate._KeyedStream()
-    stream.rekey("/".join([str(master_seed), *parts]))
-    return stream.rng
+def stream_name(master_seed: int, label: str, plan) -> str:
+    """The name of a state's stream for a plan: "seed/label/plan", "plan"
+    being the first 16 hex digits of sha256 of the entries' keys, joined by
+    commas."""
+    keys = ",".join(sub.key for sub in plan)
+    return f"{master_seed}/{label}/{hashlib.sha256(keys.encode()).hexdigest()[:16]}"
+
+
+def derive_rng(name: str) -> np.random.Generator:
+    """A fresh generator at the start of the keyed stream of `name`, the
+    stream a state's counts are drawn from: Philox4x64 at counter 0 under
+    the first 16 bytes of sha256(name), as two little-endian uint64 words."""
+    key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, float]]]:

@@ -25,8 +25,6 @@ from qutrit_ks import cli, hv, pulses, simulate, tomography  # noqa: E402
 from qutrit_ks.analysis import Estimate  # noqa: E402
 from qutrit_ks.model import build_model  # noqa: E402
 
-from helpers import expected_laws  # noqa: E402
-
 
 @pytest.mark.parametrize("workload", [workloads.Roster, workloads.CalibrationSweep],
                          ids=lambda w: w.name)
@@ -70,12 +68,8 @@ def test_observers_read_what_the_traced_functions_return():
     noise = simulate.NoiseModel.paper()
     state = simulate.default_state_roster()[0]
     settings = pulses.settings_table()
-    sub = simulate.build_plan(model, settings, 1000)[0]
-    law = expected_laws([state], [sub], settings, noise)[state.label][0]
-    draw = (tuple(law), list(law.values()), sub, "0/psi1/key", simulate._KeyedStream())
     calls = {
         "pulses.compile_setting": (pulses.compile_setting, (settings[0],)),
-        "simulate.run_subexperiment": (simulate.run_subexperiment, draw),
         "hv.max_chi13_noncontextual": (hv.max_chi13_noncontextual, (model,)),
         "hv.max_chi4_constrained": (hv.max_chi4_constrained, (model,)),
     }
@@ -86,7 +80,6 @@ def test_observers_read_what_the_traced_functions_return():
     obs.table()["tomography.reconstruct"]((), {}, res)
     assert (obs.reconstructions, len(obs.fidelities)) == (1, 1)
     assert obs.settings == {(-1, settings[0].id)}
-    assert obs.shots == sub.shots
     assert obs.chi4_enumerated == 2 ** len(model.mu_i)
     assert obs.chi4_admissible > 0 and obs.assignments > obs.chi4_admissible
 

@@ -13,8 +13,8 @@ from qutrit_ks.model import CHI4, RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
-from helpers import (derive_rng, effect_stack, expected_laws, law_rows,
-                     random_density_matrix)
+from helpers import (IDEAL_RATES, derive_rng, effect_stack, expected_laws, law_rows,
+                     random_density_matrix, stream_name)
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -270,7 +270,7 @@ def test_run_single_trivial(settings):
     [table] = simulate.run_roster([psi3], [sub], settings,
                                   simulate.NoiseModel.ideal(), 4)["psi3"]
     assert table.counts == {"D": 1000, "B": 0}
-    assert table.seed_key == "4/psi3/single:03:M1"
+    assert table.seed_key == stream_name(4, "psi3", [sub])
 
 
 def test_run_single_unmapped_ray_errors(by_id):
@@ -328,40 +328,41 @@ def test_roster_determinism(model, settings):
 
 
 def test_stream_independence_of_execution_order(model, settings):
-    """A sub-experiment's counts depend only on its key, not on which other
-    sub-experiments ran before it: each law drawn alone, on a fresh
-    `derive_rng` stream of its key, reproduces the roster for all 12 x 37
-    entries."""
+    """A state's tables depend only on (seed, state, plan), never on the rest
+    of the roster: the full roster, the reversed roster and each one-state
+    roster give each state the same tables, and they are `multinomial`
+    draws of its laws, entry after entry, on a fresh `derive_rng` stream of
+    its name, for all 12 x 37 entries."""
     plan = simulate.build_plan(model, settings, shots=500)
     roster = simulate.default_state_roster()
     for name in ("ideal", "paper", "photon-count"):
         noise = NOISE_CONFIGS[name]
         full = simulate.run_roster(roster, plan, settings, noise, 7)
+        assert simulate.run_roster(roster[::-1], plan, settings, noise, 7) == full
         laws = expected_laws(roster, plan, settings, noise)
         for state in roster:
-            solo = []
-            for sub, law in zip(plan, laws[state.label]):
-                rng = derive_rng(7, state.label, sub.key)
-                counts = rng.multinomial(sub.shots, list(law.values())).tolist()
-                solo.append((sub, dict(zip(law, counts)), f"7/{state.label}/{sub.key}"))
+            assert simulate.run_roster([state], plan, settings, noise, 7) == \
+                {state.label: full[state.label]}
+            key = stream_name(7, state.label, plan)
+            rng = derive_rng(key)
+            solo = [(sub, dict(zip(law, rng.multinomial(sub.shots, list(law.values())).tolist())),
+                     key) for sub, law in zip(plan, laws[state.label])]
             assert [(t.subexperiment, t.counts, t.seed_key)
                     for t in full[state.label]] == solo, (name, state.label)
 
 
 def test_derive_rng_is_keyed_philox(settings):
-    """The stream of (seed, labels) is Philox at counter 0 under the first 16
-    bytes of sha256("seed/label/..."), as two little-endian uint64 words."""
-    name = "42/psi7/pair:04-10:M5"
+    """The stream of a name is Philox at counter 0 under the first 16 bytes
+    of sha256(name), as two little-endian uint64 words, and a state's run
+    draws on the stream its seed, label and plan name."""
+    sub = simulate.SubExperiment("M5", (4, 10), 10_000)
+    name = stream_name(42, "psi7", [sub])
+    assert name == "42/psi7/" + hashlib.sha256(b"pair:04-10:M5").hexdigest()[:16]
     key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
-    ref = np.random.Philox(key=key)
-    rng = derive_rng(42, "psi7", "pair:04-10:M5")
-    philox = rng.bit_generator.state["state"]
+    philox = derive_rng(name).bit_generator.state["state"]
     assert philox["key"].tolist() == key.tolist()
     assert philox["counter"].tolist() == [0, 0, 0, 0]
-    assert rng.random(8).tolist() == np.random.Generator(ref).random(8).tolist()
-    # the roster's draw for that key is a draw from the same stream
     state = simulate.default_state_roster()[6]
-    sub = simulate.SubExperiment("M5", (4, 10), 10_000)
     table = simulate.run_roster([state], [sub], settings, NOISE_CONFIGS["paper"],
                                 42)["psi7"][0]
     law = expected_laws([state], [sub], settings, NOISE_CONFIGS["paper"])["psi7"][0]
@@ -591,18 +592,25 @@ def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
 
 
 def test_run_roster_draws_once_per_state_and_entry(model, settings, monkeypatch):
-    draws = []
-    original = simulate.run_subexperiment
+    """Each (state, entry) is drawn once: a run builds exactly one Philox
+    generator per state and draws all of that state's entries in one
+    `multinomial` call over its (entries, 3) law row."""
+    built, draws = [], []
+    philox = np.random.Philox
 
-    def counting(symbols, law, sub, seed_key, rng):
-        draws.append(seed_key)
-        return original(symbols, law, sub, seed_key, rng)
+    class Counting(np.random.Generator):
+        def multinomial(self, n, pvals, size=None):
+            draws.append(np.shape(pvals))
+            return super().multinomial(n, pvals, size)
 
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or philox(*a, **k))
+    monkeypatch.setattr(np.random, "Generator", Counting)
     plan = simulate.build_plan(model, settings, shots=100)
     roster = simulate.default_state_roster()
-    monkeypatch.setattr(simulate, "run_subexperiment", counting)
-    simulate.run_roster(roster, plan, settings, simulate.NoiseModel.paper(), 2)
-    assert draws == [f"2/{state.label}/{sub.key}" for state in roster for sub in plan]
+    tables = simulate.run_roster(roster, plan, settings, simulate.NoiseModel.paper(), 2)
+    assert len(built) == len(roster)
+    assert draws == [(len(plan), 3)] * len(roster)
+    assert [[t.subexperiment for t in ts] for ts in tables.values()] == [plan] * len(roster)
 
 
 @pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
@@ -637,29 +645,44 @@ def test_plan_effects_form_a_povm(model, settings, noise):
 DRAW_SHOTS = (1, 7, 2000, 10 ** 6, 2 ** 62, 2 ** 63 - 1)
 
 
-def _assert_draws_are_multinomial(symbols, law):
-    """On three keyed streams and at every shot count of `DRAW_SHOTS`,
-    `run_subexperiment` gives, as Python ints, the counts of numpy's
-    `multinomial` on a fresh `derive_rng` stream of the same key."""
-    stream = simulate._KeyedStream()
+def _assert_draws_are_multinomial(monkeypatch, settings, law):
+    """`run_roster` of a plan of one entry per shot count of `DRAW_SHOTS`,
+    each entry's law stubbed to `law`, on three seeds: each table holds
+    Python-int counts of its own symbols alone (a single has no third count),
+    summing to its shots, and the tables are numpy's `multinomial` draws of
+    `law`, entry after entry, on a fresh `derive_rng` stream of the state's
+    name."""
     chain = (1,) if len(law) == 2 else (1, 2)
-    for shots in DRAW_SHOTS:
-        for seed in range(3):
-            sub = simulate.SubExperiment("M1", chain, shots)
-            key = f"{seed}/psi1/{sub.key}"
-            table = simulate.run_subexperiment(symbols, law, sub, key, stream)
-            expected = derive_rng(seed, "psi1", sub.key).multinomial(shots, law)
-            assert table.counts == dict(zip(symbols, expected.tolist())), (shots, seed)
+    plan = [simulate.SubExperiment("M1", chain, shots) for shots in DRAW_SHOTS]
+    effs = simulate.plan_effects(plan, settings, IDEAL_RATES)
+    stub = effs._replace(law_row=lambda key: (tuple(law),) * len(plan))
+    monkeypatch.setattr(simulate, "plan_effects", lambda *args: stub)
+    state = simulate.default_state_roster()[0]
+    for seed in range(3):
+        [tables] = simulate.run_roster([state], plan, settings, NoiseModel.ideal(),
+                                       seed).values()
+        rng = derive_rng(stream_name(seed, state.label, plan))
+        for sub, syms, table in zip(plan, effs.symbols, tables):
+            expected = rng.multinomial(sub.shots, law).tolist()
+            assert table.counts == dict(zip(syms, expected)), (sub.shots, seed)
+            assert list(table.counts) == list(syms)
             assert all(type(c) is int for c in table.counts.values())
-            assert table.seed_key == key
+            assert sum(table.counts.values()) == sub.shots
 
 
 @pytest.mark.parametrize("p_dark", [0.0, 5e-324, 0.021, 0.5, 0.99, 1 - 2 ** -53, 1.0])
-def test_two_outcome_draw_is_the_multinomial_draw(p_dark):
-    """A two-outcome law is drawn as `binomial(shots, P(D))`, the first
-    binomial step of numpy's `multinomial`, so on the same keyed stream it
-    gives the same counts at every law and shot count."""
-    _assert_draws_are_multinomial(("D", "B"), [p_dark, 1.0 - p_dark])
+def test_two_outcome_draw_is_the_multinomial_draw(monkeypatch, settings, p_dark):
+    """A single's law, padded with a leading 0 in the state's one draw,
+    gives the counts of numpy's two-outcome `multinomial` at every law and
+    shot count: the padded step, at probability 0, draws nothing."""
+    _assert_draws_are_multinomial(monkeypatch, settings, [p_dark, 1.0 - p_dark])
+
+
+def test_a_single_draws_its_remainder_on_b(monkeypatch, settings):
+    """The leading pad puts a single's remainder on B even where
+    P(B) / (1 - P(D)) rounds below 1, as here, where a trailing pad would
+    get counts (440 of 2^62 shots on one stream)."""
+    _assert_draws_are_multinomial(monkeypatch, settings, [0.1, np.nextafter(0.9, 0.0)])
 
 
 @pytest.mark.parametrize("law", [
@@ -672,40 +695,11 @@ def test_two_outcome_draw_is_the_multinomial_draw(p_dark):
     [0.3, 0.0, 0.7],
     [0.021, 0.5, 0.479],
 ])
-def test_pair_draw_is_the_multinomial_draw(law):
-    """A pair's law is drawn as numpy's `multinomial` draws it, in two
-    binomial steps, the second at P(DB) / (1 - P(B)) clamped to 1, so on the
-    same keyed stream it gives the same counts at every law and shot count,
-    including laws whose ratio rounds above 1."""
-    _assert_draws_are_multinomial(("B", "DB", "DD"), law)
-
-
-def test_rekey_reproduces_derive_rng_streams():
-    """A stream re-keyed by `_KeyedStream.rekey`, whatever it drew before, is
-    the `derive_rng` stream of the name: counter 0, empty buffer, the key
-    words of sha256 read little-endian (top bit set included), and equal 2-
-    and 3-outcome multinomial draws."""
-    stream = simulate._KeyedStream()
-    rng = stream.rng
-    top_bit = 0
-    for n in range(1000):
-        parts = (f"psi{n % 12 + 1}", f"pair:{n % 13 + 1:02d}-10:M{n % 16 + 1}")
-        name = "/".join([str(n), *parts])
-        key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
-        top_bit += int(key.max() >= 2 ** 63)
-        rng.integers(2 ** 32, dtype=np.uint32)  # leave a half-used word behind
-        assert rng.bit_generator.state["has_uint32"] == 1
-        stream.rekey(name)
-        state = rng.bit_generator.state
-        assert [int(w) for w in state["state"]["key"]] == key.tolist()
-        assert [int(w) for w in state["state"]["counter"]] == [0, 0, 0, 0]
-        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
-        fresh = derive_rng(n, *parts)
-        assert fresh.bit_generator.state["state"]["key"].tolist() == key.tolist()
-        for law in ([0.3, 0.7], [0.2, 0.5, 0.3]):
-            assert rng.multinomial(n + 1, law).tolist() == \
-                fresh.multinomial(n + 1, law).tolist()
-    assert top_bit > 500
+def test_pair_draw_is_the_multinomial_draw(monkeypatch, settings, law):
+    """A pair's law gives numpy's three-outcome `multinomial` counts at
+    every law and shot count, including laws whose P(DB) / (1 - P(B))
+    rounds above 1, where numpy gives DB all the rest."""
+    _assert_draws_are_multinomial(monkeypatch, settings, law)
 
 
 def test_default_roster_is_built_once_and_read_only(monkeypatch):
@@ -728,30 +722,6 @@ def test_default_roster_is_built_once_and_read_only(monkeypatch):
     assert calls == []
     simulate._default_states.__wrapped__()
     assert len(calls) == 12
-
-
-def test_run_roster_draws_from_a_pooled_generator(model, settings, monkeypatch):
-    """A run takes an idle generator from the module pool and returns it, so
-    only a call that finds the pool empty constructs a Philox bit generator,
-    however many states and entries it draws; `derive_rng` builds a fresh
-    one on every call."""
-    built = []
-    original = np.random.Philox
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", counting)
-    monkeypatch.setattr(simulate, "_IDLE_STREAMS", [])
-    plan = simulate.build_plan(model, settings, shots=100)
-    roster = simulate.default_state_roster()
-    for states in (roster[:1], roster, roster[:1]):
-        simulate.run_roster(states, plan, settings, simulate.NoiseModel.paper(), 3)
-    assert len(built) == 1 and len(simulate._IDLE_STREAMS) == 1
-    derive_rng(3)
-    derive_rng(3)
-    assert len(built) == 3 and len(simulate._IDLE_STREAMS) == 1
 
 
 def _one_state_tables(model, settings, seeds, noise=NOISE_CONFIGS["paper"]):
@@ -794,43 +764,6 @@ def test_concurrent_runs_never_share_a_generator(model, settings):
     assert _in_two_threads(lambda s: _one_state_tables(model, settings, s), seeds) == serial
 
 
-def test_nested_run_leaves_the_outer_counts_unchanged(model, settings, monkeypatch):
-    """A `run_roster` called from inside a draw (a wrapped
-    `run_subexperiment`) takes another generator from the pool, so the outer
-    run keeps one generator throughout and its counts do not move."""
-    expected = _one_state_tables(model, settings, [4])
-    original = simulate.run_subexperiment
-    streams, depth = ([], []), []
-
-    def nested(symbols, law, sub, seed_key, stream):
-        streams[len(depth)].append(stream)
-        if not depth:
-            depth.append(1)
-            _one_state_tables(model, settings, [len(streams[0])], NOISE_CONFIGS["ideal"])
-            depth.pop()
-        return original(symbols, law, sub, seed_key, stream)
-
-    monkeypatch.setattr(simulate, "run_subexperiment", nested)
-    assert _one_state_tables(model, settings, [4]) == expected
-    outer, inner = ({id(s) for s in d} for d in streams)
-    assert (len(streams[0]), len(streams[1])) == (37, 37 * 37)
-    assert len(outer) == 1 and not outer & inner
-
-
-def test_derived_generators_drawn_in_alternation_match_each_alone():
-    """Two `derive_rng` generators are independent objects: drawing from them
-    in alternation gives the same draws as drawing from each alone."""
-    keys = (("psi1", "tomography"), ("rho10", "tomography"))
-    alone = [derive_rng(5, *k).binomial(1000, [0.1, 0.5, 0.9] * 4).tolist()
-             for k in keys]
-    a, b = (derive_rng(5, *k) for k in keys)
-    mixed = [[], []]
-    for _ in range(4):
-        for i, rng in enumerate((a, b)):
-            mixed[i] += rng.binomial(1000, [0.1, 0.5, 0.9]).tolist()
-    assert mixed == alone
-
-
 def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
     formatted = []
     original = simulate.SubExperiment.key
@@ -847,7 +780,7 @@ def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
     for seed in (1, 2):
         tables = simulate.run_roster(roster, plan, settings, NOISE_CONFIGS["paper"], seed)
     assert formatted == plan
-    assert [t.seed_key for t in tables["psi1"]] == [f"2/psi1/{sub.key}" for sub in plan]
+    assert {t.seed_key for t in tables["psi1"]} == {stream_name(2, "psi1", plan)}
     assert plan[13].key == "pair:01-02:M1"
 
 

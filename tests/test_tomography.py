@@ -6,12 +6,12 @@ import operator
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg, simulate, tomography as tg
+from qutrit_ks import cli, linalg, simulate, tomography as tg
 from qutrit_ks.model import build_model
 from qutrit_ks.pulses import Pulse, compile_setting, pulse_matrix, settings_table
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, exact_probabilities,
-                     random_density_matrix)
+                     random_density_matrix, stream_name)
 
 ROUND_TRIP_TOL = 1e-9  # reconstruction error of exact probabilities
 
@@ -304,17 +304,17 @@ def _law(rho, effect):
 
 
 def _reference_tomography(state, settings, noise, shots, seed):
-    """One state and one sub-run at a time: a scalar binomial draw on the
-    sub-run's own keyed stream, raw frequencies, least squares for the
+    """One state and one sub-run at a time: scalar binomial draws, in plan
+    order, on the state's keyed stream for the plan, raw frequencies, least squares for the
     eight traceless parameters against the run-rate map less its offset,
     then the Smolin-Gambetta-Smith loop on the spectrum, rescaled to unit
     sum."""
     rates = simulate.readout_rates(noise)
     rho0 = simulate.prepare(state, noise)
-    q = np.array([
-        int(derive_rng(seed, state.label, sub.key).binomial(shots, _law(rho0, dark)))
-        / shots for sub, dark in zip(tg._subruns(settings, shots),
-                                     _subrun_effects(settings, rates)["D"])])
+    subruns = tg._subruns(settings, shots)
+    rng = derive_rng(stream_name(seed, state.label, subruns))
+    q = np.array([int(rng.binomial(shots, _law(rho0, dark))) / shots
+                  for dark in _subrun_effects(settings, rates)["D"]])
     a, offset = _response(settings, rates)
     b = q - offset
     x = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -457,11 +457,20 @@ def test_ideal_subrun_k_projects_onto_rotated_basis_state(settings):
                                atol=1e-12)
 
 
-def test_tomography_streams_never_share_a_key_with_ks_streams(settings):
-    """Tomography settings carry ids of their own, so a state's 21 sub-run
-    streams and its 37 Kochen-Specker plan streams are 58 distinct keys."""
-    ks = settings_table()
-    assert not {s.id for s in settings} & {s.id for s in ks}
-    plan = simulate.build_plan(build_model(), ks)
-    keys = [sub.key for sub in tg._subruns(settings, 100) + plan]
-    assert len(keys) == 58 and len(set(keys)) == 58
+def test_tomography_streams_never_share_a_key_with_ks_streams(monkeypatch):
+    """`simulate --tomography` draws each state twice, for the Kochen-Specker
+    plan and for the tomography sub-runs, each on the one stream its seed,
+    label and plan name: the 12 states' 24 draws use 24 distinct names."""
+    names = []
+    original = simulate.run_roster
+
+    def recording(*args):
+        tables = original(*args)
+        names.extend({t.seed_key for t in ts} for ts in tables.values())
+        return tables
+
+    monkeypatch.setattr(simulate, "run_roster", recording)
+    monkeypatch.setattr(tg, "run_roster", recording)
+    cli.run_simulation(cli.RunConfig(shots=100, with_tomography=True), build_model())
+    assert [len(n) for n in names] == [1] * 24
+    assert len(set().union(*names)) == 24
