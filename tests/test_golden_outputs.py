@@ -1,13 +1,14 @@
 """Run directories pinned by digest: a refactor of the simulation or the
 tomography path must reproduce every output file byte for byte.
 
-All 16 run digests were re-recorded when tomography's sub-runs became a
-plan drawn by `simulate.run_roster`, each on its own keyed stream
-(seed/label/sub-run key) where a state's sub-runs used to share one
-stream: `fidelities.csv` and the `*.rho.txt` files changed, and so did the
-fidelity column of the simulate `results.csv`, while `counts.csv` stayed
-byte-identical. A change that means to alter a draw, a reconstruction or an
-estimate updates them and says why in CHANGES.md.
+All 16 run digests, the three one-state digests and the text digests were
+re-recorded when each state's count tables became one multinomial draw on
+the keyed stream of (seed, state, plan), where each sub-experiment and
+tomography sub-run had a stream of its own, and `counts.csv` came to list
+each table's symbols in draw order: every count-derived byte moved, while
+the law, `verify` and schedule digests did not. A change that means to
+alter a draw, a reconstruction or an estimate updates them and says why in
+CHANGES.md.
 
 The law digests pin every per-shot law itself, bit for bit, so a 1-ulp
 change shows on the law and not only on a count table drawn from it.
@@ -40,37 +41,37 @@ SHOTS = 10_000
 
 DIGESTS = {
     ("simulate", "ideal", 0):
-        "94db9d5e9f5cba73bf89070455a5abde2e01a9affac8e35ea8449f779357948e",
+        "8ac620da497f3a273ab7dffc40c3f210a2517cb236a00bbc6e7679087e3e6141",
     ("simulate", "ideal", 7):
-        "335cc46faa48d156338309eb6bccd977a2914fe431738d434feb182270a219a1",
+        "b2b1dcd1c96f02f079dbd6cea56a7965a8d54ff6b36d2720180a3ee2953e633c",
     ("simulate", "paper", 0):
-        "0a75e28bbcb661ff0294ef3b72b09b37a2d8ca9c958ee9593c4f23a3f74d376f",
+        "8feb9db4787037e79476d9636a8932caed267c3cae6883d1bdd8d8a29d07f054",
     ("simulate", "paper", 7):
-        "c906ce2ae7ae12771ce7d166de698a7ccb3a732d7755fb28254584d3e99a3b57",
+        "2df3c7db72bb27bd41f2d1c222e19e189c6db2610582632956332761e8f4b733",
     ("simulate", "photon-count", 0):
-        "9f9f292b34ad85a4d5c7502eb1e0a5633b88db1133f7a2d8aabb496c23f5408e",
+        "c0309bd50bf33334f3eea6abd2854d074286063426300e7a23d8cd03c3e75e68",
     ("simulate", "photon-count", 7):
-        "7e73715e4fd5ef024d7672bd4f44d0344c4610c82b54126f0c78a64c716f5a0a",
+        "c309f01fedc4b40807dd44fabb84f13ce8d03f255b4b3301405041130d06a190",
     ("simulate", "flip-harsh", 0):
-        "dec0ad4fe9a457dfc01d9a326818946ecf0709d98fc6f15860548082cd68eee5",
+        "f97253fb7255d59c2b01cc0178542d2bfac6fd005bd8ebcb2e2445ae80c16667",
     ("simulate", "flip-harsh", 7):
-        "14523b7ab4add5c6f2edb9f03d711a329a90e2db4949107d80ebbe5b244888d9",
+        "5f72855463f103ee37e2188a760f3afe98e8a21915c2a079e7e48d8309967c47",
     ("tomography", "ideal", 0):
-        "d13c4e17b91bfebe086e9b8ca73584675a2184ebf7f2add271fac931d919bbfb",
+        "9fa3c332b9bc2c11684c335958d59220a96030b303d6d2368d4091605fd643c2",
     ("tomography", "ideal", 7):
-        "6453972167c808e8209a82c850a14f7f01238e15c121e1495081281e7b53f8f9",
+        "1abfc8beeab7d02679621315e8148f201df1d109fcd52eff5090b8b03e10f1c9",
     ("tomography", "paper", 0):
-        "e733471cad4bc735a96c5c918fe460fa3c2b5537e271dccfaaf99fe228ca4982",
+        "00f6e3931eb8b9096c5652a9c23a290a09999a577d620dbefb494d4326b6acc1",
     ("tomography", "paper", 7):
-        "b408b0ca2593af0a46a03ffba032d4398fc8687f5b6373a29723f41f1cf8b6d8",
+        "f3b2ff55fcf62a6255815a502cd36a546064573572cc67289df33c0f51c2a6fb",
     ("tomography", "photon-count", 0):
-        "90729136789edc294c4d7fa7fb8fe20d8103d168ffee9ef74d3e02d2b73481c8",
+        "fea0e1df6e60cef79ac206b622a6289843b4c96aee2cf683565b83a9892203ae",
     ("tomography", "photon-count", 7):
-        "ea22fde99e83219dadc3f73411f36d0deae7ad2cd652e15454a9a1f01fefe10b",
+        "1f153124de457aa53bd89b61f026b3868a3e57027b6c6babf082bee8b9e91cbe",
     ("tomography", "flip-harsh", 0):
-        "cc23fa6124d115344823595d2f4ec648bef0ca3628b0110c42a241ac1f8ceb59",
+        "6472b432e99a87d9cf8a7d481bfa6584e44b762e03381fbdbf90394de47d30f3",
     ("tomography", "flip-harsh", 7):
-        "fcfb9aa5ea39a2527ef739eae3f8c038af85f5ae68c31c8ff707ae5f50db42c9",
+        "e6cdb13f0af0f4825ac4a892245f43d2198f65a06b8c6a627fdbe81588e674bb",
 }
 
 
@@ -139,18 +140,16 @@ def test_expected_laws_match_pinned_digest(noise):
 # gate repeats over seeds: each count and the `float.hex` of the value and
 # stderr of raw and corrected chi13 and chi4, for all 12 states at 2000
 # shots and for psi1 and rho10 at 1 and 2^63 - 1 shots, seeds 0, 1 and
-# 10000; recorded before the draw loop and the estimator lookup were
-# restructured. "paper" and "photon-count" were re-recorded when the
-# estimator became rate-free parts evaluated at the rates: their estimates
-# moved by at most 5.3e-15 relative, and no count moved.
+# 10000. All three were re-recorded when each state came to draw its plan
+# in one multinomial call on the stream of (seed, state, plan).
 CALIBRATION_SEEDS = (0, 1, 10_000)
 CALIBRATION_DIGESTS = {
     "ideal":
-        "91d09266ac8518786deea9dbd9073170ebd471bcc962a489a7709fe22e070d69",
+        "2fde1f7bedcf2b7f321e616e2d31e9514c825265a9c2bf49503a59ebca7045b8",
     "paper":
-        "afa147387f110289e659a60228991e3db917df5cc5f2ee824416dca62373f87e",
+        "f0920126bb943dc02afa13fe2009e18bd998d87c0fc0ce0930067956fd9407aa",
     "photon-count":
-        "fa7c72fb1afc30fb6c17ad8ef39cc37fb8e9177aedbf7c62161077197e1e41aa",
+        "33659687c6b4202687688d0d9b6991d7c7e1d38b13a9434671e8a5708f80776b",
 }
 
 
@@ -225,10 +224,8 @@ def test_compiled_schedules_match_pinned_digest(tmp_path):
 
 # `results.txt`, `plot.dat`, the `report.dat` that `report` writes beside
 # them and the simulate stdout, each pinned by one digest over the 8 golden
-# simulate runs above and psi1 and rho10 at 1 and 2^63 - 1 shots. Recorded
-# before the results columns were declared in one table; `results.txt` and
-# the stdout were re-recorded when each heading came to end where its values
-# end and the rules to span an ordinary row (82 characters, not 76).
+# simulate runs above and psi1 and rho10 at 1 and 2^63 - 1 shots;
+# re-recorded with the run digests, when every count moved.
 TEXT_RUNS = [[*COMMANDS["simulate"][0], *NOISES[noise], "--seed", str(seed),
               "--shots", str(SHOTS)] for command, noise, seed in sorted(DIGESTS)
              if command == "simulate"] + [
@@ -236,13 +233,13 @@ TEXT_RUNS = [[*COMMANDS["simulate"][0], *NOISES[noise], "--seed", str(seed),
     for shots in (1, 2 ** 63 - 1)]
 TEXT_DIGESTS = {
     "results.txt":
-        "e793525cd379be6c6377147038000e80340b02c40e9d702153f82bc5beae7cd9",
+        "0e406b6d2b700bd09c17b2955ac206ec8599fdf8e0eeb3db1ebb2c1f1d56506e",
     "plot.dat":
-        "ab4f8f5d31f38a06a835a3520436377794b1bebde9647f897dceb5a6dd08c83c",
+        "aa9cc7772591ee674a29e55f9bf0c9fa4c81c341be60cd08b85fea5d2ed1b646",
     "report.dat":
-        "ab4f8f5d31f38a06a835a3520436377794b1bebde9647f897dceb5a6dd08c83c",
+        "aa9cc7772591ee674a29e55f9bf0c9fa4c81c341be60cd08b85fea5d2ed1b646",
     "stdout":
-        "e793525cd379be6c6377147038000e80340b02c40e9d702153f82bc5beae7cd9",
+        "0e406b6d2b700bd09c17b2955ac206ec8599fdf8e0eeb3db1ebb2c1f1d56506e",
 }
 
 
