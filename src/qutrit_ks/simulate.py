@@ -163,8 +163,8 @@ class SubExperiment:
 @dataclass(slots=True)
 class CountTable:
     subexperiment: SubExperiment
-    counts: dict[str, int]
-    seed_key: str
+    counts: dict[str, int]  # in draw order
+    seed_key: str  # the name of the state's stream, shared by its tables
 
 
 def build_plan(model: KSModel, settings: list[MeasurementSetting],
