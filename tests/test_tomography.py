@@ -8,7 +8,7 @@ import pytest
 
 from qutrit_ks import cli, linalg, simulate, tomography as tg
 from qutrit_ks.model import build_model
-from qutrit_ks.pulses import Pulse, compile_setting, pulse_matrix, settings_table
+from qutrit_ks.pulses import Pulse, compile_setting, pulse_matrix
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, exact_probabilities,
                      random_density_matrix, stream_name)
