@@ -21,6 +21,7 @@ ATOL_DM_TRACE = 1e-10      # |Tr(rho) - 1|
 EIGVAL_FLOOR = -1e-9       # smallest admissible density-matrix eigenvalue
 
 IDENTITY = np.eye(3, dtype=complex)
+IDENTITY.flags.writeable = False  # shared: a pulse-free setting compiles to it
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -10,18 +10,16 @@ That process is one noise-folded measurement map, which tomography draws
 and solves through too (its settings map no ray, so its singles name their
 slot): `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
-is Tr(rho E). A process stacks the effects of each distinct plan once
-(`_plan_effects`, 13 singles x 2 symbols + 24 pairs x 3 = 98 for the
-default plan, keyed on the settings themselves, the chains and the readout
-rates, never on the seed, state or shots). A setting hashes by content and
-computes that hash once, on first use. The stack is kept as (9, n) real and
-imaginary planes of the effects' matrix elements. `_law_row`, the one place
-a law is computed, forms a state's row of Tr(rho E) as nine row adds in a
-fixed order, and `PlanEffects.law_row` keeps the last `_MEMO_ROWS` rows in
-an LRU keyed by prepared rho, so a state redrawn over seeds forms one row.
+is Tr(rho E). `_plan_effects`, the map's one cache, holds one entry per plan
+and readout, keyed on the settings themselves (each hashes its content once),
+the chains and the readout rates, never on the seed, state or shots: the
+effects as (9, 3n) real and imaginary planes, three columns per plan entry,
+a single's first a zero effect, and the plan's stream id, hashed once.
+`_laws`, the one place a law is computed, forms a state's (n, 3) law of
+Tr(rho E) on every draw, as nine row adds in a fixed order.
 
 Shots are i.i.d., so a state's count tables are one multinomial draw from
-its law row, and cost does not grow with the shot count: `run_roster` makes
+its law, and cost does not grow with the shot count: `run_roster` makes
 that draw in one `multinomial` call on the keyed Philox stream of (seed,
 state, plan), so a state's counts depend on neither the roster's order nor
 its other states. `numpy.random` is loaded on first use.
@@ -31,11 +29,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,12 +42,12 @@ from .pulses import MeasurementSetting, compile_setting, pulse_matrix, swap_puls
 
 DARK = np.diag([0.0, 0.0, 1.0]).astype(complex)  # |3><3|
 BRIGHT = linalg.IDENTITY - DARK
+DARK.flags.writeable = BRIGHT.flags.writeable = False  # shared, as `linalg.IDENTITY`
 # Pi pulse moving basis state `slot` onto the detected |3> (none for |3>).
 SWAP = {1: pulse_matrix(swap_pulse(1)), 2: pulse_matrix(swap_pulse(2)),
         3: linalg.IDENTITY}
 SWAP[1].flags.writeable = SWAP[2].flags.writeable = False  # shared by every effects build
 MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
-_MEMO_ROWS = 32  # law rows a plan's effects keep, ~5 KB each for the default plan
 
 
 @dataclass(frozen=True)
@@ -156,8 +153,13 @@ class SubExperiment:
 
     @functools.cached_property
     def key(self) -> str:  # formatted once per sub-experiment
-        return f"{'single' if len(self.chain) == 1 else 'pair'}:" \
-               f"{'-'.join(f'{r:02d}' for r in self.chain)}:{self.setting_id}"
+        return _entry_key(self.setting_id, self.chain)
+
+
+def _entry_key(setting_id: str, chain: tuple[int, ...]) -> str:
+    """A plan entry's key, as "single:01:M1" or "pair:01-02:M1"."""
+    return f"{'single' if len(chain) == 1 else 'pair'}:" \
+           f"{'-'.join(f'{r:02d}' for r in chain)}:{setting_id}"
 
 
 @dataclass(slots=True)
@@ -265,26 +267,23 @@ def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
 
 
 class PlanEffects(NamedTuple):
-    """A plan's n noise-folded effects under one readout, entry after entry
-    in draw order, as contiguous (9, n) planes of the real and imaginary
-    parts of their matrix elements, element ij in row 3i + j, and `law_row`:
-    `_law_row` of these planes, keeping its last `_MEMO_ROWS` rows in an LRU."""
+    """A plan's noise-folded effects under one readout as contiguous (9, 3n)
+    planes of the real and imaginary parts of their matrix elements, element
+    ij in row 3i + j, three columns per entry in draw order, a single's first
+    a zero effect; `plan_id` is 16 hex digits of sha256 of the entries' keys."""
     symbols: tuple[tuple[str, ...], ...]  # each entry's readout symbols
     re: np.ndarray
     im: np.ndarray
-    slices: tuple[slice, ...]  # each entry's columns
-    law_row: Callable[[bytes], tuple[tuple[float, ...], ...]]
+    plan_id: str
 
 
-def _law_row(re: np.ndarray, im: np.ndarray, slices: tuple, key: bytes) -> tuple:
-    """Each plan entry's P(s) = Tr(rho E_s) for its symbols in draw order, clipped
-    to [0, 1], as tuples, for the prepared rho whose bytes are `key`."""
-    rho = np.frombuffer(key, complex)
+def _laws(effs: PlanEffects, rho: np.ndarray) -> np.ndarray:
+    """Each plan entry's P(s) = Tr(rho E_s) for its three columns, clipped to
+    [0, 1], as an (n, 3) array: a single's row reads (0, P(D), P(B))."""
     # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij), its
     # nine terms added in a fixed order, which a BLAS or einsum reduction may not keep.
-    terms = rho.real[:, None] * re + rho.imag[:, None] * im
-    law = np.clip(functools.reduce(np.add, terms), 0.0, 1.0).tolist()
-    return tuple(tuple(law[s]) for s in slices)
+    terms = rho.real.reshape(9, 1) * effs.re + rho.imag.reshape(9, 1) * effs.im
+    return np.clip(functools.reduce(np.add, terms), 0.0, 1.0).reshape(-1, 3)
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,14 +298,13 @@ def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
                  for sid in dict.fromkeys(sid for sid, _ in entries)}
     compiled = [effects(_steps(by_id[sid], chain, unitaries[sid]), rates)
                 for sid, chain in entries]
-    planes = np.array([e for effs in compiled for e in effs.values()]).reshape(-1, 9).T
+    # A leading zero pad puts a single's remainder on B; a trailing one leaks counts.
+    planes = np.array([e for effs in compiled for e in [np.zeros((3, 3))] * (3 - len(effs))
+                       + [*effs.values()]]).reshape(-1, 9).T
     re, im = np.ascontiguousarray(planes.real), np.ascontiguousarray(planes.imag)
     re.flags.writeable = im.flags.writeable = False
-    stops = list(itertools.accumulate(len(effs) for effs in compiled))
-    slices = tuple(map(slice, [0, *stops], stops))
-    return PlanEffects(tuple(tuple(effs) for effs in compiled), re, im, slices,
-                       functools.lru_cache(maxsize=_MEMO_ROWS)(
-                           functools.partial(_law_row, re, im, slices)))
+    keys = ",".join(_entry_key(sid, chain) for sid, chain in entries).encode()
+    return PlanEffects(tuple(map(tuple, compiled)), re, im, hashlib.sha256(keys).hexdigest()[:16])
 
 
 def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
@@ -320,7 +318,7 @@ def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
-    """Full run: each state's law row drawn in one `multinomial` call on its
+    """Full run: each state's law drawn in one `multinomial` call on its
     own stream, so its counts depend on neither the roster's order nor its
     other states. The stream of a name "seed/label/plan" is Philox4x64
     (Salmon et al., SC'11) at counter 0 under the first 16 bytes of
@@ -328,19 +326,15 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
     hex digits of the sha256 of the entries' keys, so two plans of a state,
     as the Kochen-Specker and the tomography plans, draw on distinct streams."""
     effs = plan_effects(plan, settings, readout_rates(noise))
-    plan_id = hashlib.sha256(",".join(sub.key for sub in plan).encode()).hexdigest()[:16]
     shots = [sub.shots for sub in plan]
     tables = {}
     for state in roster:
         if state.label in tables:
             raise ValueError(f"repeated state label: {state.label}")
-        name = f"{master_seed}/{state.label}/{plan_id}"
+        name = f"{master_seed}/{state.label}/{effs.plan_id}"
         key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
-        row = effs.law_row(np.asarray(prepare(state, noise), dtype=complex).tobytes())
-        # A single is padded with a leading 0, so its remainder falls on B: a
-        # trailing pad gets counts whenever P(B) / (1 - P(D)) rounds below 1.
         counts = np.random.Generator(np.random.Philox(key=key)).multinomial(
-            shots, [law if len(law) == 3 else (0.0, *law) for law in row]).tolist()
+            shots, _laws(effs, prepare(state, noise))).tolist()
         tables[state.label] = [CountTable(sub, dict(zip(syms, c[-len(syms):])), name)
                                for sub, syms, c in zip(plan, effs.symbols, counts)]
     return tables

@@ -8,9 +8,9 @@ setting runs three sub-runs, each transferring one basis state to the dark
 state |3>. The 21 sub-runs are a plan of `simulate.SubExperiment` singles
 whose chain names the detected slot, so `simulate.run_roster` draws them as
 it draws every count, in one draw per state on the keyed stream of (seed,
-state, plan), which the Kochen-Specker plan never shares, and the solve
-reads the plan's cached effects (`simulate.plan_effects`), the very ones
-the draw read. A dark effect is r_b*I + vis*P, so least squares on the
+state, plan), which the Kochen-Specker plan never shares, and each solve
+forms its map from the plan's cached effects (`simulate.plan_effects`), the
+very ones the draw read. A dark effect is r_b*I + vis*P, so least squares on the
 raw frequencies against that map is the readout correction, unclipped. The
 trace is exact: rho = |3><3| + sum_k x_k G_k over eight traceless
 generators, whose map is checked for rank 8. A negative eigenvalue sends
@@ -27,7 +27,6 @@ rest of the roster.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,22 +59,20 @@ def _subruns(settings: list[MeasurementSetting], shots: int) -> list[SubExperime
     return [SubExperiment(s.id, (slot,), shots) for s in settings for slot in (1, 2, 3)]
 
 
-@functools.lru_cache(maxsize=8)
-def _checked_response(settings: tuple[MeasurementSetting, ...],
+def _checked_response(settings: list[MeasurementSetting],
                       rates: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only map from the 8 traceless parameters to the sub-runs' dark
+    """Map from the 8 traceless parameters to the sub-runs' dark
     probabilities under `rates`, checked for rank 8 at a tolerance relative
     to its scale (it scales with the visibility), and the offset column, the
     dark probabilities of |3><3|, read off the planes the sub-runs are drawn from."""
     effs = plan_effects(_subruns(settings, 1), settings, rates)  # any shot count
-    re, im = effs.re[:, ::2], effs.im[:, ::2]  # each sub-run's D, not its B
+    re, im = effs.re[:, 1::3], effs.im[:, 1::3]  # each sub-run's D: pad, D, B
     # Tr(G E) = sum_ij Re(G_ij) Re(E_ij) + Im(G_ij) Im(E_ij) for Hermitian
     # G and E, the form in which a law reads the planes.
     flat = _BASIS8.reshape(8, 9).T
     a = re.T @ flat.real + im.T @ flat.imag
     if np.linalg.matrix_rank(a) < 8:
         raise ValueError("response map is rank-deficient; extend the settings")
-    a.flags.writeable = False
     return a, re[8]  # element (3, 3) of each dark effect
 
 
@@ -105,7 +102,7 @@ def _reconstruct(q: np.ndarray, settings: list[MeasurementSetting],
     frequencies in settings order) against the sub-run map under `rates`,
     the nearest density matrix, and the fidelity to the target at the same
     index. `residual` is the norm of the fit's misses, in frequency."""
-    a, offset = _checked_response(tuple(settings), rates)
+    a, offset = _checked_response(settings, rates)
     # One solve per state: one solve with several right-hand sides gives
     # most solutions other last bits than solving each alone.
     x = np.empty((len(q), 8))

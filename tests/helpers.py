@@ -25,13 +25,15 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
 IDEAL_RATES = simulate.readout_rates(simulate.NoiseModel.ideal())
 
 
-def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[tuple]]:
-    """Each plan entry's readout symbols and each state's law row, read as
-    `simulate.run_roster` reads them: from the plan's cached effects, by the
-    bytes of the prepared rho."""
+def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[list[tuple]]]:
+    """Each plan entry's readout symbols and each state's law row, formed as
+    `simulate.run_roster` forms them, from the plan's cached effects and the
+    prepared rho, each entry's law as a tuple of its symbols' probabilities
+    (a single's leading pad dropped)."""
     effs = simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
     return effs.symbols, [
-        effs.law_row(np.asarray(simulate.prepare(state, noise), dtype=complex).tobytes())
+        [tuple(law[-len(syms):]) for syms, law in zip(
+            effs.symbols, simulate._laws(effs, simulate.prepare(state, noise)).tolist())]
         for state in roster]
 
 
@@ -72,5 +74,8 @@ def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, flo
 
 
 def effect_stack(plan_effects) -> np.ndarray:
-    """The `(n, 3, 3)` effects held in the planes of `simulate._plan_effects`."""
-    return (plan_effects.re + 1j * plan_effects.im).T.reshape(-1, 3, 3)
+    """The `(n, 3, 3)` effects held in the planes of `simulate._plan_effects`,
+    entry after entry in draw order, each single's leading zero pad dropped."""
+    padded = (plan_effects.re + 1j * plan_effects.im).T.reshape(-1, 3, 3, 3)
+    return np.concatenate([effs[-len(syms):] for effs, syms
+                           in zip(padded, plan_effects.symbols)])

@@ -119,7 +119,6 @@ def law_digest(noise: simulate.NoiseModel) -> str:
     """sha256 over each state, plan entry, symbol and `float.hex` of its law."""
     settings = pulses.settings_table()
     plan = simulate.build_plan(build_model(), settings)
-    simulate._plan_effects.cache_clear()  # form every row afresh, none kept
     laws = expected_laws(simulate.default_state_roster(), plan, settings, noise)
     digest = hashlib.sha256()
     for label, state_laws in laws.items():

@@ -19,9 +19,11 @@ code 2 or 3; a file written anywhere else, or a command that prints or
 picks a refusal's exit code itself, escapes that contract. A module that
 reaches into a sibling's `_`-prefixed names depends on its internals. This
 scans the code of the package for all seven. It also checks that the
-package's check tolerances are named in `linalg` alone, and that
+package's check tolerances are named in `linalg` alone, that
 `linalg.hermitian_eig` is its one eigendecomposition, so a density matrix
-is decomposed once for its checks and its square root alike.
+is decomposed once for its checks and its square root alike, and that every
+`functools` cache of the package is one of a named set, so a new cache
+shows up as an edit of that set.
 """
 
 import ast
@@ -344,3 +346,75 @@ def test_package_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
+# Every `functools` cache of the package. `simulate._plan_effects` is the one
+# cache of the measurement map; the laws and the tomography response map are
+# formed from it on every call.
+CACHES = [
+    "analysis._parts",
+    "analysis.affine_map",
+    "cli.build_parser",
+    "hv._groups",
+    "hv._table",
+    "model.Inequality._hash",
+    "model.KSModel.chi13",
+    "model._graph",
+    "pulses.MeasurementSetting._content_hash",
+    "pulses._settings",
+    "pulses.exact_pulse_matrix",
+    "simulate.SubExperiment.key",
+    "simulate._default_states",
+    "simulate._plan_effects",
+]
+
+
+def find_caches(package: Path) -> list[str]:
+    """Every use of `functools.cache`, `lru_cache` and `cached_property`,
+    by attribute or by imported name: a decorated function or method as
+    `module.qualname`, any other use, such as a cache built in a call, as
+    `module:line`."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        decorators = set()
+
+        def decorated(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                name = getattr(child, "name", None)
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    for d in child.decorator_list:
+                        target = d.func if isinstance(d, ast.Call) else d
+                        if getattr(target, "id", getattr(target, "attr", None)) in CACHE_NAMES:
+                            found.append(f"{prefix}.{name}")
+                            decorators.add(target)
+                    decorated(child, f"{prefix}.{name}")
+                else:
+                    decorated(child, prefix)
+
+        tree = ast.parse(path.read_text())
+        decorated(tree, path.stem)
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if node not in decorators and getattr(
+                      node, "id", getattr(node, "attr", None)) in CACHE_NAMES
+                  and isinstance(node, (ast.Name, ast.Attribute))]
+    return sorted(found)
+
+
+def test_every_cache_is_named():
+    assert find_caches(PACKAGE) == CACHES
+
+
+def test_cache_scanner_finds_every_cache(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "import functools\nfrom functools import cache, cached_property\n"
+        "class Plan:\n    @functools.cached_property\n    def key(self): pass\n"
+        "    @cached_property\n    def rows(self): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef _effects(): pass\n"
+        "@cache\ndef _states():\n"
+        "    return functools.lru_cache(maxsize=32)(lambda key: key)\n"
+        "memo = cache(len)\n")
+    (tmp_path / "linalg.py").write_text("import functools\ndef adjoint(m): pass\n")
+    assert find_caches(tmp_path) == [
+        "simulate.Plan.key", "simulate.Plan.rows", "simulate._effects",
+        "simulate._states", "simulate:12", "simulate:13"]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg, pulses, simulate
+from qutrit_ks import linalg, pulses, simulate, tomography
 from qutrit_ks.model import RAYS, build_model, ray_unit
 
 
@@ -79,6 +79,22 @@ def test_compile_chronological_order(settings):
     assert np.allclose(u4, expected, atol=1e-12)
     # v9 must land on |1> up to phase
     assert abs(u4[0, :] @ ray_unit(9)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shared_matrices_are_read_only(settings):
+    """A pulse-free setting compiles to the shared `linalg.IDENTITY`, which
+    is also the swap of slot 3 and enters every effects build and `prepare`:
+    an in-place edit through a compiled unitary, or of the detection
+    projectors, raises instead of corrupting every later build."""
+    by_id = {s.id: s for s in settings}
+    tomography_identity = next(s for s in tomography.tomography_settings() if not s.pulses)
+    for u in (pulses.compile_setting(by_id["M1"]), pulses.compile_setting(tomography_identity)):
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+    for shared in (linalg.IDENTITY, simulate.DARK, simulate.BRIGHT, *simulate.SWAP.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 0.5
+    assert np.array_equal(pulses.compile_setting(by_id["M1"]), np.eye(3))
 
 
 def test_all_mappings_verify(settings):

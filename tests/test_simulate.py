@@ -559,7 +559,7 @@ def test_cached_plan_effects_are_read_only(model, settings, by_id):
     assert _plan_effects(plan, settings_table(), noise) is effs
     assert [len(s) for s in effs.symbols] == [len(sub.chain) + 1 for sub in plan]
     for plane in (effs.re, effs.im):
-        assert plane.shape == (9, 13 * 2 + 24 * 3) and plane.flags.c_contiguous
+        assert plane.shape == (9, 3 * len(plan)) and plane.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             plane[0, 0] = 0.0
     # element ij of each effect in row 3i + j, entry after entry
@@ -578,8 +578,6 @@ def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
     roster = simulate.default_state_roster()
 
     def computed(states, entries, noise):
-        # a cleared cache forms every row afresh, never reading a kept one
-        simulate._plan_effects.cache_clear()
         return expected_laws(states, entries, settings, noise)
 
     for noise in NOISE_CONFIGS.values():
@@ -642,6 +640,26 @@ def test_plan_effects_form_a_povm(model, settings, noise):
     assert start == len(stack)
 
 
+@pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)
+def test_a_single_leads_with_a_zero_pad(model, settings, noise):
+    """Each single's first column is a zero effect in both planes, so every
+    state's law row of a single reads (0, P(D), P(B)), which the one draw
+    takes as it is."""
+    plan = simulate.build_plan(model, settings)
+    effs = _plan_effects(plan, settings, noise)
+    singles = [3 * k for k, sub in enumerate(plan) if len(sub.chain) == 1]
+    assert len(singles) == 13
+    for plane in (effs.re, effs.im):
+        assert not plane[:, singles].any()
+    roster = simulate.default_state_roster()
+    laws = expected_laws(roster, plan, settings, noise)
+    for state in roster:
+        row = simulate._laws(effs, simulate.prepare(state, noise)).tolist()
+        for sub, law, drawn in zip(plan, laws[state.label], row):
+            if len(sub.chain) == 1:
+                assert drawn == [0.0, law["D"], law["B"]]
+
+
 DRAW_SHOTS = (1, 7, 2000, 10 ** 6, 2 ** 62, 2 ** 63 - 1)
 
 
@@ -655,8 +673,8 @@ def _assert_draws_are_multinomial(monkeypatch, settings, law):
     chain = (1,) if len(law) == 2 else (1, 2)
     plan = [simulate.SubExperiment("M1", chain, shots) for shots in DRAW_SHOTS]
     effs = simulate.plan_effects(plan, settings, IDEAL_RATES)
-    stub = effs._replace(law_row=lambda key: (tuple(law),) * len(plan))
-    monkeypatch.setattr(simulate, "plan_effects", lambda *args: stub)
+    padded = [0.0] * (3 - len(law)) + list(law)
+    monkeypatch.setattr(simulate, "_laws", lambda *args: np.array([padded] * len(plan)))
     state = simulate.default_state_roster()[0]
     for seed in range(3):
         [tables] = simulate.run_roster([state], plan, settings, NoiseModel.ideal(),
@@ -765,8 +783,12 @@ def test_concurrent_runs_never_share_a_generator(model, settings):
 
 
 def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
-    formatted = []
+    """A sub-experiment formats its key once, on first use. A run formats
+    none: its plan's stream id, hashed from the same keys, is formed once per
+    cached plan, and the stream names are those of the sub-experiments' keys."""
+    formatted, hashed = [], []
     original = simulate.SubExperiment.key
+    entry_key = simulate._entry_key
 
     def counting(sub):
         formatted.append(sub)
@@ -775,12 +797,17 @@ def test_subexperiment_key_is_formatted_once(model, settings, monkeypatch):
     key = functools.cached_property(counting)
     key.__set_name__(simulate.SubExperiment, "key")
     monkeypatch.setattr(simulate.SubExperiment, "key", key)
+    monkeypatch.setattr(simulate, "_entry_key",
+                        lambda *args: hashed.append(args) or entry_key(*args))
     plan = simulate.build_plan(model, settings, shots=100)
     roster = simulate.default_state_roster()
+    simulate._plan_effects.cache_clear()
     for seed in (1, 2):
         tables = simulate.run_roster(roster, plan, settings, NOISE_CONFIGS["paper"], seed)
-    assert formatted == plan
+    assert formatted == []
+    assert hashed == [(sub.setting_id, sub.chain) for sub in plan]
     assert {t.seed_key for t in tables["psi1"]} == {stream_name(2, "psi1", plan)}
+    assert formatted == plan
     assert plan[13].key == "pair:01-02:M1"
 
 
@@ -798,44 +825,23 @@ def _rows(states, plan, settings, noise):
     return law_rows(states, plan, settings, noise)[1]
 
 
-def test_law_rows_are_kept_read_only_tuples(model, settings):
-    """A row is formed once per (plan, readout, prepared rho) and kept as
-    tuples, so a later call hands out the same row and nobody can alter it."""
-    plan = simulate.build_plan(model, settings)
-    roster = simulate.default_state_roster()
-    noise = NOISE_CONFIGS["paper"]
-    simulate._plan_effects.cache_clear()
-    first = _rows(roster, plan, settings, noise)
-    again = _rows(roster[:1], plan, settings, noise)
-    assert again[0] is first[0]
-    for row in first:
-        assert type(row) is tuple and len(row) == len(plan)
-        assert all(type(law) is tuple for law in row)
-        assert all(type(p) is float for law in row for p in law)
-    info = _plan_effects(plan, settings, noise).law_row.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (len(roster), 1, len(roster))
-
-
-def test_law_rows_are_keyed_by_the_prepared_state(model, settings):
-    """Rows are kept by the prepared rho, never by label: two states under
-    one label, and one state under two depolarizations with the same
-    readout rates, each get the rows a fresh computation gives them."""
+def test_laws_follow_the_prepared_state(model, settings):
+    """A law is formed from the prepared rho, never from the label: two
+    states under one label, and one state under two depolarizations with
+    the same readout rates, each get the law a fresh cache gives them."""
     plan = simulate.build_plan(model, settings)
     psi1, psi4 = (simulate.default_state_roster()[i] for i in (0, 3))
     paper = NOISE_CONFIGS["paper"]
     depolarized = dataclasses.replace(paper, prep_depolarization=0.1)
     cases = [([psi1], paper), ([simulate.StateSpec("psi1", psi4.rho)], paper),
              ([psi4], paper), ([psi4], depolarized)]
-    simulate._plan_effects.cache_clear()
-    kept = [_rows(states, plan, settings, noise) for states, noise in cases]
-    info = _plan_effects(plan, settings, paper).law_row.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
+    warm = [_rows(states, plan, settings, noise) for states, noise in cases]
     fresh = []
     for states, noise in cases:
         simulate._plan_effects.cache_clear()
         fresh.append(_rows(states, plan, settings, noise))
-    assert kept == fresh
-    assert kept[0] != kept[1] == kept[2] != kept[3]
+    assert warm == fresh
+    assert warm[0] != warm[1] == warm[2] != warm[3]
 
 
 def _random_states(n, seed):
@@ -844,43 +850,17 @@ def _random_states(n, seed):
             for i in range(n)]
 
 
-def test_law_rows_kept_stay_within_the_cap(model, settings):
-    """However many distinct states a process draws, one plan and readout
-    keep at most `_MEMO_ROWS` rows, whether the states come one per call or
-    all in one call, and every row returned is the one formed afresh."""
-    plan = simulate.build_plan(model, settings, shots=100)
-    noise = NOISE_CONFIGS["paper"]
-    states = _random_states(500, 3)
-    simulate._plan_effects.cache_clear()
-    kept = _plan_effects(plan, settings, noise).law_row
-    assert kept.cache_info().maxsize == simulate._MEMO_ROWS
-    rows = []
-    for state in states:
-        simulate.run_roster([state], plan, settings, noise, 1)
-        rows += _rows([state], plan, settings, noise)
-        assert kept.cache_info().currsize <= simulate._MEMO_ROWS
-    simulate.run_roster(states, plan, settings, noise, 1)
-    assert kept.cache_info().currsize <= simulate._MEMO_ROWS
-    assert _rows(states, plan, settings, noise) == rows
-    simulate._plan_effects.cache_clear()
-    assert [_rows([state], plan, settings, noise)[0] for state in states[::50]] == rows[::50]
-
-
 def test_no_field_of_cached_plan_effects_can_be_mutated(model, settings):
     """A cached `PlanEffects` is shared by every run of its plan, so a
     caller can neither rebind a field nor change what one holds: the planes
-    are read-only, every other field is made of tuples, strings and slices
-    all the way down, and so is every row `law_row` hands out."""
-    key = simulate.default_state_roster()[0].rho.tobytes()
-
+    are read-only, and every other field is made of tuples and strings all
+    the way down."""
     def frozen(value):
         if isinstance(value, np.ndarray):
             return not value.flags.writeable
         if isinstance(value, tuple):
             return all(frozen(v) for v in value)
-        if callable(value):  # `law_row`: what it hands out
-            return frozen(value(key))
-        return isinstance(value, (str, float, slice))
+        return isinstance(value, str)
 
     plan = simulate.build_plan(model, settings, shots=1000)
     effs = _plan_effects(plan, settings, NOISE_CONFIGS["paper"])
@@ -888,23 +868,6 @@ def test_no_field_of_cached_plan_effects_can_be_mutated(model, settings):
         with pytest.raises(AttributeError):
             setattr(effs, name, value)
         assert frozen(value), name
-
-
-def test_concurrent_runs_that_overflow_the_kept_rows(model, settings):
-    """Two threads whose distinct states overflow the kept rows many times
-    over, with a thread switch forced every microsecond, get exactly the
-    serial tables: the shared LRU hands each thread the rows it would form."""
-    plan = simulate.build_plan(model, settings, shots=2000)
-    noise = NOISE_CONFIGS["paper"]
-    work_lists = (_random_states(60, 5), _random_states(60, 6))
-
-    def tables(states):
-        return [[(t.seed_key, t.counts) for t in
-                 simulate.run_roster([state], plan, settings, noise, 1)[state.label]]
-                for state in states]
-
-    serial = [tables(states) for states in work_lists]
-    assert _in_two_threads(tables, work_lists) == serial
 
 
 def _sweep(model, settings, plan, noises):
@@ -924,7 +887,7 @@ def _sweep(model, settings, plan, noises):
 def test_one_state_runs_stay_small_in_memory(model, settings):
     """Warm one-state runs and their estimates allocate at most 64 KiB at
     their peak over three sweeps, and 500 distinct states leave at most
-    256 KiB held: the kept law rows are bounded. A faster run lets a
+    256 KiB held: a run keeps nothing per state. A faster run lets a
     benchmark keep more per-operation records, so the run's own memory must
     stay small for peak RSS to hold."""
     plan = simulate.build_plan(model, settings, shots=2000)
