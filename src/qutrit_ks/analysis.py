@@ -3,21 +3,22 @@
 Readout is the rate pair (r_d, r_b) that `simulate.readout_rates` returns
 and the simulation draws with: r_d = P(read dark | dark), r_b = P(read dark
 | bright), vis = r_d - r_b; the ideal pair (1, 0) gives the raw value. Every
-corrected probability is affine in the frequencies f of the count tables (D,
-B for a single; B, DB, DD for a pair), so an inequality is w0 + W . f, as
-in Guhne et al., PRA 81, 022121 (2010). (w0, W) is a sum of rate-free
-rationals times monomials in u = 1 / vis and r_b, built once per inequality
-and table layout (`_parts`) and evaluated once per rate pair, exactly at
-`Fraction` rates (`affine_map`). A single s_r = (q_r - r_b) / vis pools the
-first-detection dark fraction of every table that measures r first, weighted
-n_k / N_r. A pair's continued trials mix a truly dark first outcome with a
-misread bright one; summing P(DD) over the four true branches, the
-bright-then-dark one s_j - x by compatibility, gives x = (f_DD - r_b (f_DB +
-f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip biases every state
-with a probability at a boundary. The tables are independent multinomial
-draws, so sum_k Var_k(W) / n_k over each table's observed frequencies is the
-exact variance.
-"""
+corrected probability is affine in the frequencies f of the count tables, so
+an inequality is w0 + W . f, as in Guhne et al., PRA 81, 022121 (2010). f
+has the draw's layout, three entries per table in draw order, (0, D, B) for
+a single and (B, DB, DD) for a pair: the columns of `simulate.PlanEffects`,
+so w0 + W . f at a law of `simulate._laws` is the exact mean. (w0, W) is a
+sum of rate-free rationals times monomials in u = 1 / vis and r_b, built
+once per inequality and table layout (`_parts`) and evaluated once per rate
+pair, exactly at `Fraction` rates (`affine_map`). A single s_r = (q_r - r_b)
+/ vis pools the first-detection dark fraction of every table that measures r
+first, weighted n_k / N_r. A pair's continued trials mix a truly dark first
+outcome with a misread bright one; summing P(DD) over the four true
+branches, the bright-then-dark one s_j - x by compatibility, gives x = (f_DD
+- r_b (f_DB + f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip
+biases every state with a probability at a boundary. The tables are
+independent multinomial draws, so sum_k Var_k(W) / n_k over each table's
+observed frequencies is the exact variance."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -43,7 +44,7 @@ class Estimate:
 
 class Frequencies(NamedTuple):
     """One state's count tables as the estimator reads them: each table's
-    (chain, count total n_k) and all frequencies, table after table."""
+    (chain, count total n_k) and its three frequencies, table after table."""
     layout: tuple[tuple[tuple[int, ...], int], ...]
     f: np.ndarray
 
@@ -51,27 +52,22 @@ class Frequencies(NamedTuple):
 def frequencies(tables) -> Frequencies:
     """The `Frequencies` of one state's `simulate.CountTable`s; each is
     Python's correctly rounded count / n_k. Each table's counts are read
-    once, in draw order: D, B for a single; B, DB, DD for a pair."""
+    once, in draw order: (0, D, B) for a single; (B, DB, DD) for a pair."""
     layout, f = [], []
     for t in tables:
-        counts, chain = t.counts, t.subexperiment.chain
-        single = len(chain) == 1
-        if single:
-            d, b = counts["D"], counts["B"]
-            n = d + b
-        else:
-            b, db, dd = counts["B"], counts["DB"], counts["DD"]
-            n = b + db + dd
+        c, chain = t.counts, t.subexperiment.chain
+        x, y, z = (0, c["D"], c["B"]) if len(chain) == 1 else (c["B"], c["DB"], c["DD"])
+        n = x + y + z
         if n <= 0:
             raise ValueError(f"count table {t.subexperiment.key} has no counts")
         layout.append((chain, n))
-        f += (d / n, b / n) if single else (b / n, db / n, dd / n)
+        f += (x / n, y / n, z / n)
     return Frequencies(tuple(layout), np.array(f))
 
 
 class AffineMap(NamedTuple):
-    """value = w0 + w . f; `table` holds the table of each entry of f. Floats
-    at float rates, `Fraction`s at `Fraction` rates."""
+    """value = w0 + w . f; `table` holds the table of each entry of f, three
+    per table. Floats at float rates, `Fraction`s at `Fraction` rates."""
     w0: float
     w: np.ndarray
     table: np.ndarray
@@ -85,15 +81,14 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
     the rational coefficients, in w0 (column 0) and in W, of the m-th of the
     monomials (1, u, u^2, r_b u, r_b u^2, (r_b u)^2), u = 1 / vis; `floats` is
     its correctly rounded copy, and `table` and `n` are `AffineMap`'s."""
-    sizes = [len(chain) + 1 for chain, _ in layout]
-    # The dark entries of W by table (D, or DB and DD), with the table's
-    # total, for the first ray it measures and for its pair.
+    # The dark entries of W by table k (D, or DB and DD: columns 3k + 2 on),
+    # with the table's total, for the first ray it measures and for its pair.
     entries = {}
-    for start, (chain, n) in zip(accumulate(sizes, initial=1), layout):
-        dark = [start] if len(chain) == 1 else [start + 1, start + 2]
+    for k, (chain, n) in enumerate(layout):
+        dark = range(3 * k + 2, 3 * k + 2 + len(chain))
         for rays in {chain[:1], chain}:  # one key for a single
             entries.setdefault(rays, []).append((dark, n))
-    rows = [[0] * (1 + sum(sizes)) for _ in range(6)]  # int 0 until a term adds
+    rows = [[0] * (1 + 3 * len(layout)) for _ in range(6)]  # int 0 until a term adds
 
     def add(monomial, rays, weights):
         """Add weight * n_k / N to row `monomial` at the dark entries of tables k of `rays`."""
@@ -119,7 +114,7 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
         else:
             rows[0][0] += coef
     parts = np.array(rows, dtype=object)
-    out = (parts, parts.astype(float), np.repeat(np.arange(len(layout)), sizes),
+    out = (parts, parts.astype(float), np.repeat(np.arange(len(layout)), 3),
            np.array([float(n_k) for _, n_k in layout]))
     for a in out:
         a.flags.writeable = False

@@ -11,12 +11,12 @@ and solves through too (its settings map no ray, so its singles name their
 slot): `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
 is Tr(rho E). `_plan_effects`, the map's one cache, holds one entry per plan
-and readout, keyed on the settings themselves (each hashes its content once),
-the chains and the readout rates, never on the seed, state or shots: the
-effects as (9, 3n) real and imaginary planes, three columns per plan entry,
-a single's first a zero effect, and the plan's stream id, hashed once.
-`_laws`, the one place a law is computed, forms a state's (n, 3) law of
-Tr(rho E) on every draw, as nine row adds in a fixed order.
+and readout, keyed on the settings, chains and readout rates, never on the
+seed, state or shots: the plan's stream id, and its effects as (9, 3n) real
+and imaginary planes in the package's one outcome layout, three columns per
+entry in draw order, (0, D, B) for a single and (B, DB, DD) for a pair.
+`_laws` forms a state's (n, 3) law in it on every draw, in nine row adds of
+fixed order, and `analysis.frequencies` lays counts out the same way.
 
 Shots are i.i.d., so a state's count tables are one multinomial draw from
 its law, and cost does not grow with the shot count: `run_roster` makes
@@ -139,11 +139,14 @@ class NoiseModel:
 @dataclass(frozen=True)
 class SubExperiment:
     setting_id: str
-    chain: tuple[int, ...]  # 1 ray (single) or 2 rays (sequential pair)
+    chain: tuple[int, ...]  # 1 ray (single) or 2 distinct rays (sequential pair)
     shots: int = 10_000
 
     def __post_init__(self):
         # Checked once, when the plan is built: numpy ints pass as ints.
+        if len(self.chain) not in (1, 2) or len(set(self.chain)) < len(self.chain):
+            raise ValueError("a sub-experiment measures one ray or two distinct rays, "
+                             f"got chain {self.chain}")
         shots = operator.index(self.shots)
         if shots < 1:
             raise ValueError(f"a sub-experiment needs at least 1 shot, got {shots}")

@@ -8,8 +8,8 @@ setting runs three sub-runs, each transferring one basis state to the dark
 state |3>. The 21 sub-runs are a plan of `simulate.SubExperiment` singles
 whose chain names the detected slot, so `simulate.run_roster` draws them as
 it draws every count, in one draw per state on the keyed stream of (seed,
-state, plan), which the Kochen-Specker plan never shares, and each solve
-forms its map from the plan's cached effects (`simulate.plan_effects`), the
+state, plan), which the Kochen-Specker plan never shares, and the solve
+forms its map from that plan's cached effects (`simulate.plan_effects`), the
 very ones the draw read. A dark effect is r_b*I + vis*P, so least squares on the
 raw frequencies against that map is the readout correction, unclipped. The
 trace is exact: rho = |3><3| + sum_k x_k G_k over eight traceless
@@ -34,8 +34,8 @@ import numpy as np
 
 from . import linalg
 from .pulses import MeasurementSetting, Pulse
-from .simulate import (DARK, NoiseModel, StateSpec, SubExperiment, plan_effects,
-                       readout_rates, run_roster)
+from .simulate import (DARK, NoiseModel, PlanEffects, StateSpec, SubExperiment,
+                       plan_effects, readout_rates, run_roster)
 
 
 def _traceless_basis() -> np.ndarray:
@@ -59,13 +59,11 @@ def _subruns(settings: list[MeasurementSetting], shots: int) -> list[SubExperime
     return [SubExperiment(s.id, (slot,), shots) for s in settings for slot in (1, 2, 3)]
 
 
-def _checked_response(settings: list[MeasurementSetting],
-                      rates: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+def _checked_response(effs: PlanEffects) -> tuple[np.ndarray, np.ndarray]:
     """Map from the 8 traceless parameters to the sub-runs' dark
-    probabilities under `rates`, checked for rank 8 at a tolerance relative
-    to its scale (it scales with the visibility), and the offset column, the
-    dark probabilities of |3><3|, read off the planes the sub-runs are drawn from."""
-    effs = plan_effects(_subruns(settings, 1), settings, rates)  # any shot count
+    probabilities under the sub-run planes `effs`, checked for rank 8 at a
+    tolerance relative to its scale (it scales with the visibility), and the
+    offset column, the dark probabilities of |3><3|."""
     re, im = effs.re[:, 1::3], effs.im[:, 1::3]  # each sub-run's D: pad, D, B
     # Tr(G E) = sum_ij Re(G_ij) Re(E_ij) + Im(G_ij) Im(E_ij) for Hermitian
     # G and E, the form in which a law reads the planes.
@@ -95,14 +93,13 @@ class ReconstructionResult:
     projected: bool
 
 
-def _reconstruct(q: np.ndarray, settings: list[MeasurementSetting],
-                 rates: tuple[float, float],
+def _reconstruct(q: np.ndarray, effs: PlanEffects,
                  targets: list[np.ndarray]) -> list[ReconstructionResult]:
     """Least squares of each row of the stack `q` (raw sub-run dark
-    frequencies in settings order) against the sub-run map under `rates`,
-    the nearest density matrix, and the fidelity to the target at the same
-    index. `residual` is the norm of the fit's misses, in frequency."""
-    a, offset = _checked_response(settings, rates)
+    frequencies in plan order) against the sub-run planes `effs` they were
+    drawn from, the nearest density matrix, and the fidelity to the target
+    at the same index. `residual` is the norm of the fit's misses, in frequency."""
+    a, offset = _checked_response(effs)
     # One solve per state: one solve with several right-hand sides gives
     # most solutions other last bits than solving each alone.
     x = np.empty((len(q), 8))
@@ -131,10 +128,12 @@ def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
     reconstructed in one stacked pass and compared with the state's target
     `rho`. A state's result does not depend on the rest of the roster: it
     equals, field for field, the result of a roster of that state alone."""
-    tables = run_roster(roster, _subruns(settings, shots), settings, noise, master_seed)
+    plan = _subruns(settings, shots)
+    tables = run_roster(roster, plan, settings, noise, master_seed)
     # Python division rounds n / shots once, whatever the size of shots.
     q = np.array([[t.counts["D"] / shots for t in ts] for ts in tables.values()])
-    return _reconstruct(q, settings, readout_rates(noise), [s.rho for s in roster])
+    return _reconstruct(q, plan_effects(plan, settings, readout_rates(noise)),
+                        [s.rho for s in roster])
 
 
 def format_density_matrix(rho: np.ndarray) -> str:

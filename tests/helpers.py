@@ -25,16 +25,20 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
 IDEAL_RATES = simulate.readout_rates(simulate.NoiseModel.ideal())
 
 
-def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[list[tuple]]]:
-    """Each plan entry's readout symbols and each state's law row, formed as
+def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[list[list[float]]]]:
+    """Each plan entry's readout symbols and each state's law, formed as
     `simulate.run_roster` forms them, from the plan's cached effects and the
-    prepared rho, each entry's law as a tuple of its symbols' probabilities
-    (a single's leading pad dropped)."""
+    prepared rho: three probabilities per entry in draw order, (0, P(D),
+    P(B)) for a single, the layout of `analysis.frequencies`."""
     effs = simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
-    return effs.symbols, [
-        [tuple(law[-len(syms):]) for syms, law in zip(
-            effs.symbols, simulate._laws(effs, simulate.prepare(state, noise)).tolist())]
-        for state in roster]
+    return effs.symbols, [simulate._laws(effs, simulate.prepare(state, noise)).tolist()
+                          for state in roster]
+
+
+def subrun_plan_effects(settings, rates=IDEAL_RATES):
+    """The cached `simulate.PlanEffects` of the tomography sub-run plan of
+    `settings` under `rates`: the map its counts are drawn from and solved against."""
+    return simulate.plan_effects(tomography._subruns(settings, 1), settings, rates)
 
 
 def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
@@ -44,7 +48,7 @@ def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     state = simulate.StateSpec("exact", linalg.validate_density_matrix(rho))
     _, [row] = law_rows([state], tomography._subruns(settings, 1), settings,
                         simulate.NoiseModel.ideal())
-    return np.array([law[0] for law in row])
+    return np.array([law[1] for law in row])  # each single's pad, D, B
 
 
 def stream_name(master_seed: int, label: str, plan) -> str:
@@ -67,15 +71,15 @@ def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, flo
     """Per-shot outcome law of every (state, plan entry), keyed by state
     label, then by the count-table symbols in draw order (D/B for a single,
     B/DB/DD for a sequential pair): the law rows `simulate.run_roster` draws
-    from, as dicts."""
+    from, as dicts, each single's leading 0 dropped."""
     symbols, laws = law_rows(roster, plan, settings, noise)
-    return {state.label: [dict(zip(syms, law)) for syms, law in zip(symbols, state_laws)]
+    return {state.label: [dict(zip(syms, law[-len(syms):]))
+                          for syms, law in zip(symbols, state_laws)]
             for state, state_laws in zip(roster, laws)}
 
 
 def effect_stack(plan_effects) -> np.ndarray:
-    """The `(n, 3, 3)` effects held in the planes of `simulate._plan_effects`,
-    entry after entry in draw order, each single's leading zero pad dropped."""
-    padded = (plan_effects.re + 1j * plan_effects.im).T.reshape(-1, 3, 3, 3)
-    return np.concatenate([effs[-len(syms):] for effs, syms
-                           in zip(padded, plan_effects.symbols)])
+    """The `(3n, 3, 3)` effects held in the planes of `simulate._plan_effects`,
+    three per entry in draw order, each single's first a zero pad: the
+    columns of a law and of the estimator's W."""
+    return (plan_effects.re + 1j * plan_effects.im).T.reshape(-1, 3, 3)

@@ -12,7 +12,7 @@ from qutrit_ks.model import CHI4, build_model, exact_operator
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
-from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix
+from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix, subrun_plan_effects
 
 QUANTUM_CHI13 = 83 / 3
 QUANTUM_CHI4 = 4 / 3
@@ -156,7 +156,7 @@ def test_criterion_09_tomography():
     rhos = [random_density_matrix(rng) for _ in range(100)]
     exact = tg._reconstruct(
         np.array([exact_probabilities(rho, settings) for rho in rhos]),
-        settings, IDEAL_RATES, rhos)
+        subrun_plan_effects(settings), rhos)
     worst_exact = max(linalg.frobenius_distance(res.rho, rho)
                       for res, rho in zip(exact, rhos))
     fids = [res.fidelity_to_target for res in tg.run_tomography(

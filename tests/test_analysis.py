@@ -31,13 +31,13 @@ def layout(model):
 
 def exact_f(layout, single, pair):
     """The frequency vector of noiseless tables that read P(V_i = 1) =
-    single(i) and P(V_i = 1 and V_j = 1) = pair(i, j) exactly; with array
-    arguments, one column per input."""
+    single(i) and P(V_i = 1 and V_j = 1) = pair(i, j) exactly, three entries
+    per table in draw order; with array arguments, one column per input."""
     f = []
     for chain, _ in layout:
         p = single(chain[0])
         if len(chain) == 1:
-            f += [p, 1 - p]
+            f += [0 * p, p, 1 - p]
         else:
             x = pair(*chain)
             f += [1 - p, p - x, x]
@@ -387,10 +387,12 @@ def test_estimator_operator_is_the_quantum_value(model, name):
     entries = tuple((sub.setting_id, sub.chain) for sub in plan)
 
     def operator(ineq, noise_of_map, noise_of_stack):
-        stack = effect_stack(simulate._plan_effects(
-            tuple(settings), entries, simulate.readout_rates(noise_of_stack)))
+        effs = simulate._plan_effects(
+            tuple(settings), entries, simulate.readout_rates(noise_of_stack))
         m = analysis.affine_map(ineq, layout, *simulate.readout_rates(noise_of_map))
-        return m.w0 * np.identity(3) + np.tensordot(m.w, stack, 1)
+        # One layout on both sides: W's entries are the planes' columns, pads included.
+        assert len(m.w) == effs.re.shape[1] == 3 * len(plan)
+        return m.w0 * np.identity(3) + np.tensordot(m.w, effect_stack(effs), 1)
 
     noise = NOISE[name]
     for ineq in (model.chi13, CHI4):
@@ -401,6 +403,30 @@ def test_estimator_operator_is_the_quantum_value(model, name):
         err = abs(operator(model.chi13, noise, NOISE["photon-count-harsh"])
                   - float(model.chi13.quantum_value) * np.identity(3)).max()
         assert err > 1e-3
+
+
+@pytest.mark.parametrize("name", ["ideal", "paper", "photon-count", "flip-depolarized"])
+def test_estimate_at_the_law_is_the_quantum_value(model, name):
+    """The estimator's exact mean is `estimate` read at a state's law: the
+    law of `simulate._laws` has the frequencies' layout, so every roster
+    state's law corrects to the quantum value of each witness."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings)
+    layout = tuple((sub.chain, sub.shots) for sub in plan)
+    noise = NOISE[name]
+    rates = simulate.readout_rates(noise)
+    effs = simulate.plan_effects(plan, settings, rates)
+    roster = simulate.default_state_roster()
+    [tables] = simulate.run_roster(roster[:1], plan, settings, noise, 0).values()
+    drawn = analysis.frequencies(tables)
+    assert drawn.layout == layout and drawn.f.shape == (3 * len(plan),)
+    singles = [3 * k for k, sub in enumerate(plan) if len(sub.chain) == 1]
+    assert drawn.f[singles].tolist() == [0.0] * 13  # a single's first entry, as its law's
+    for state in roster:
+        law = simulate._laws(effs, simulate.prepare(state, noise)).ravel()
+        for ineq in (model.chi13, CHI4):
+            mean = analysis.estimate(ineq, analysis.Frequencies(layout, law), rates).value
+            assert abs(mean - float(ineq.quantum_value)) <= 1e-12, (state.label, ineq.name)
 
 
 def _pulls(model, noise, labels, seeds):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -218,6 +219,16 @@ def test_build_plan_refuses_a_shot_count_numpy_cannot_draw(model, settings):
         simulate.SubExperiment("M1", (1,), np.uint64(2 ** 63))
     assert simulate.MAX_SHOTS == np.iinfo(np.int64).max
     assert simulate.SubExperiment("M1", (1,), simulate.MAX_SHOTS).shots == 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("chain", [(1, 2, 3), (1, 1), ()])
+def test_sub_experiment_refuses_a_chain_the_draw_cannot_measure(chain):
+    """The draw reads a chain's first two rays and collapses between them,
+    so three rays would be drawn as the pair of the first two, a repeated
+    ray would read dark then bright, and no ray has no law: each is refused,
+    naming the chain, when the sub-experiment is made."""
+    with pytest.raises(ValueError, match=f"two distinct rays, got chain {re.escape(str(chain))}$"):
+        simulate.SubExperiment("M1", chain)
 
 
 def test_detect_dark_state_ideal():
@@ -562,11 +573,14 @@ def test_cached_plan_effects_are_read_only(model, settings, by_id):
         assert plane.shape == (9, 3 * len(plan)) and plane.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             plane[0, 0] = 0.0
-    # element ij of each effect in row 3i + j, entry after entry
-    expected = [e for sub in plan for e in simulate.effects(
-        simulate._steps(by_id[sub.setting_id], sub.chain,
-                        compile_setting(by_id[sub.setting_id])),
-        simulate.readout_rates(noise)).values()]
+    # element ij of each effect in row 3i + j, three per entry, a single's first 0
+    expected = []
+    for sub in plan:
+        effs_of_sub = simulate.effects(
+            simulate._steps(by_id[sub.setting_id], sub.chain,
+                            compile_setting(by_id[sub.setting_id])),
+            simulate.readout_rates(noise)).values()
+        expected += [np.zeros((3, 3))] * (3 - len(effs_of_sub)) + [*effs_of_sub]
     assert np.array_equal(effect_stack(effs), np.array(expected))
 
 
@@ -630,14 +644,11 @@ def test_plan_effects_form_a_povm(model, settings, noise):
     """The effects `run_roster` compiles for each plan entry sum to the
     identity and are positive."""
     plan_effs = _plan_effects(simulate.build_plan(model, settings), settings, noise)
-    symbols, stack = plan_effs.symbols, effect_stack(plan_effs)
-    start = 0
-    for syms in symbols:
-        effs = stack[start:start + len(syms)]
-        start += len(syms)
+    stack = effect_stack(plan_effs)  # three per entry, a single's zero pad among them
+    assert len(stack) == 3 * len(plan_effs.symbols)
+    for effs in stack.reshape(-1, 3, 3, 3):
         assert np.allclose(effs.sum(axis=0), np.eye(3), rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(effs).min() >= -1e-12
-    assert start == len(stack)
 
 
 @pytest.mark.parametrize("noise", NOISE_CONFIGS.values(), ids=NOISE_CONFIGS)

@@ -11,7 +11,7 @@ from qutrit_ks.model import build_model
 from qutrit_ks.pulses import Pulse, compile_setting, pulse_matrix
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, exact_probabilities,
-                     random_density_matrix, stream_name)
+                     random_density_matrix, stream_name, subrun_plan_effects)
 
 ROUND_TRIP_TOL = 1e-9  # reconstruction error of exact probabilities
 
@@ -31,8 +31,8 @@ def _subrun_effects(settings, rates):
 
 
 def _drawn_effects(settings, rates):
-    """The effects every sub-run is drawn from, D then B of each in turn."""
-    return effect_stack(simulate.plan_effects(tg._subruns(settings, 1), settings, rates))
+    """The effects every sub-run is drawn from, pad, D and B of each in turn."""
+    return effect_stack(subrun_plan_effects(settings, rates))
 
 
 def _response(settings, rates=IDEAL_RATES):
@@ -70,8 +70,8 @@ def test_settings_rank_eight(settings):
     sub-runs are drawn from, which equal those built sub-run by sub-run."""
     for rates in READOUT_RATES:
         drawn = _drawn_effects(settings, rates)
-        assert np.array_equal(drawn[::2], _subrun_effects(settings, rates)["D"])
-        a, offset = tg._checked_response(settings, rates)
+        assert np.array_equal(drawn[1::3], _subrun_effects(settings, rates)["D"])
+        a, offset = tg._checked_response(subrun_plan_effects(settings, rates))
         expected_a, expected_offset = _response(settings, rates)
         assert np.array_equal(a, expected_a)
         assert np.array_equal(offset, expected_offset)
@@ -84,7 +84,7 @@ def test_base_five_settings_are_rank_deficient():
     for rates in READOUT_RATES:
         assert np.linalg.matrix_rank(_response(base, rates)[0]) < 8
         with pytest.raises(ValueError, match="rank-deficient"):
-            tg._checked_response(base, rates)
+            tg._checked_response(subrun_plan_effects(base, rates))
 
 
 def test_two_pulse_settings_run_the_channel_2_pulse_first(settings):
@@ -106,7 +106,7 @@ def test_exact_round_trip_100_states(settings):
     rng = np.random.default_rng(13)
     rhos = [random_density_matrix(rng) for _ in range(100)]
     b = np.array([exact_probabilities(rho, settings) for rho in rhos])
-    for rho, res in zip(rhos, tg._reconstruct(b, settings, IDEAL_RATES, rhos)):
+    for rho, res in zip(rhos, tg._reconstruct(b, subrun_plan_effects(settings), rhos)):
         assert linalg.frobenius_distance(res.rho, rho) < ROUND_TRIP_TOL
         assert res.residual < 1e-10
 
@@ -117,7 +117,8 @@ def test_reconstruction_is_always_physical(settings):
     b = np.array([np.concatenate([np.clip(rng.normal(1 / 3, 0.3, 3), 0, 1)
                                   for _ in settings]) for _ in range(20)])
     for rates in (IDEAL_RATES, simulate.readout_rates(simulate.NoiseModel.paper())):
-        for res in tg._reconstruct(b, settings, rates, [linalg.IDENTITY / 3] * len(b)):
+        for res in tg._reconstruct(b, subrun_plan_effects(settings, rates),
+                                   [linalg.IDENTITY / 3] * len(b)):
             linalg.validate_density_matrix(res.rho)
 
 
@@ -145,7 +146,8 @@ def test_reconstruction_is_the_nearest_state(settings, noise):
     200 random pure and mixed states; a physical H comes back unchanged."""
     rng = np.random.default_rng(29)
     rates = simulate.readout_rates(noise)
-    a, offset = tg._checked_response(settings, rates)
+    effs = subrun_plan_effects(settings, rates)
+    a, offset = tg._checked_response(effs)
     sigmas = [f(rng) for _ in range(100) for f in (_random_pure, random_density_matrix)]
     unphysical = []
     while len(unphysical) < 20:
@@ -157,7 +159,7 @@ def test_reconstruction_is_the_nearest_state(settings, noise):
     physical = [random_density_matrix(rng) for _ in range(5)] + [_random_pure(rng)]
     hs = unphysical + physical
     q = np.array([offset + a @ _parameters(h) for h in hs])
-    results = tg._reconstruct(q, settings, rates, [linalg.IDENTITY / 3] * len(hs))
+    results = tg._reconstruct(q, effs, [linalg.IDENTITY / 3] * len(hs))
     for h, res in zip(unphysical, results):
         assert res.projected
         linalg.validate_density_matrix(res.rho)
@@ -210,7 +212,7 @@ def test_paper_noise_fidelities(settings):
 def test_reconstruct_rejects_rank_deficient():
     base = tg.tomography_settings()[:5]
     with pytest.raises(ValueError, match="rank"):
-        tg._reconstruct(np.full((1, 3 * len(base)), 1 / 3), base, IDEAL_RATES,
+        tg._reconstruct(np.full((1, 3 * len(base)), 1 / 3), subrun_plan_effects(base),
                         [linalg.IDENTITY / 3])
 
 
@@ -224,7 +226,7 @@ def test_reconstruct_follows_the_settings_content(settings):
               dataclasses.replace(last, pulses=(Pulse(2, 0.3, 0.0), *last.pulses))]
     for state in states[:3]:
         [res] = tg._reconstruct(exact_probabilities(state.rho, turned)[None],
-                                turned, IDEAL_RATES, [state.rho])
+                                subrun_plan_effects(turned), [state.rho])
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-9)
 
 
@@ -237,8 +239,8 @@ def test_equal_settings_lists_share_one_subrun_entry():
     rho = np.eye(3, dtype=complex) / 3
     assert np.array_equal(exact_probabilities(rho, first),
                           exact_probabilities(rho, second))
-    tg._checked_response(first, IDEAL_RATES)
-    tg._checked_response(second, IDEAL_RATES)
+    tg._checked_response(subrun_plan_effects(first))
+    tg._checked_response(subrun_plan_effects(second))
     info = simulate._plan_effects.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
@@ -432,8 +434,9 @@ def test_subrun_effects_form_a_povm(settings, noise):
     rates = simulate.readout_rates(noise)
     effs = _subrun_effects(settings, rates)
     drawn = _drawn_effects(settings, rates)
-    assert np.array_equal(effs["D"], drawn[::2])
-    assert np.array_equal(effs["B"], drawn[1::2])
+    assert not drawn[::3].any()  # each sub-run's leading pad
+    assert np.array_equal(effs["D"], drawn[1::3])
+    assert np.array_equal(effs["B"], drawn[2::3])
     assert list(effs) == ["D", "B"]
     assert effs["D"].shape == (3 * len(settings), 3, 3)
     assert np.allclose(sum(effs.values()), np.eye(3), rtol=0, atol=1e-12)
@@ -442,7 +445,7 @@ def test_subrun_effects_form_a_povm(settings, noise):
 
 
 def test_ideal_subrun_k_projects_onto_rotated_basis_state(settings):
-    dark = _drawn_effects(settings, IDEAL_RATES)[::2]
+    dark = _drawn_effects(settings, IDEAL_RATES)[1::3]
     for i, s in enumerate(settings):
         for k, row in enumerate(compile_setting(s)):
             assert np.allclose(dark[3 * i + k], np.outer(row.conj(), row),
