@@ -49,20 +49,21 @@ class Frequencies(NamedTuple):
     f: np.ndarray
 
 
-def frequencies(tables) -> Frequencies:
-    """The `Frequencies` of one state's `simulate.CountTable`s; each is
-    Python's correctly rounded count / n_k. Each table's counts are read
-    once, in draw order: (0, D, B) for a single; (B, DB, DD) for a pair."""
-    layout, f = [], []
-    for t in tables:
-        c, chain = t.counts, t.subexperiment.chain
-        x, y, z = (0, c["D"], c["B"]) if len(chain) == 1 else (c["B"], c["DB"], c["DD"])
-        n = x + y + z
-        if n <= 0:
-            raise ValueError(f"count table {t.subexperiment.key} has no counts")
-        layout.append((chain, n))
-        f += (x / n, y / n, z / n)
-    return Frequencies(tuple(layout), np.array(f))
+def frequencies(plan, counts: np.ndarray) -> Frequencies:
+    """The `Frequencies` of one state's (n, 3) `counts` under `plan`, a
+    sequence of `simulate.SubExperiment`s, in draw order: (0, D, B) for a
+    single; (B, DB, DD) for a pair. Each is Python's correctly rounded
+    count / n_k, which numpy's division, rounding a count first, is not past
+    2^53."""
+    n = counts.sum(axis=1)  # a drawn row sums to its shots, below 2^63
+    totals = n.tolist()
+    if min(totals) <= 0:
+        raise ValueError(f"count table {plan[totals.index(min(totals))].key} has no counts")
+    if max(totals) > 2 ** 53:
+        f = (counts.astype(object) / n.astype(object)[:, None]).astype(float)
+    else:
+        f = counts / n[:, None]
+    return Frequencies(tuple(zip([sub.chain for sub in plan], totals)), f.ravel())
 
 
 class AffineMap(NamedTuple):
@@ -184,8 +185,18 @@ def ConfusionModel(eps_dark_to_bright, eps_bright_to_dark):
     return 1.0 - eps_dark_to_bright, eps_bright_to_dark
 
 
+def _table_counts(tables) -> tuple[list, np.ndarray]:
+    """`simulate.CountTable`s as the plan and the (n, 3) counts `frequencies` reads."""
+    plan, flat = [], []
+    for t in tables:
+        c = t.counts
+        plan.append(t.subexperiment)
+        flat += (0, c["D"], c["B"]) if len(t.subexperiment.chain) == 1 else (c["B"], c["DB"], c["DD"])
+    return plan, np.array(flat, dtype=np.int64).reshape(-1, 3)
+
+
 def estimates_from_counts(tables, rates):
-    freqs, raw = frequencies(tables), (1.0, 0.0)
+    freqs, raw = frequencies(*_table_counts(tables)), (1.0, 0.0)
     return SimpleNamespace(singles=(freqs, rates or raw), pairs=None,
                            singles_raw=(freqs, raw), pairs_raw=None)
 

@@ -166,15 +166,16 @@ _COLUMNS = (
 )
 
 
-def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[dict]]:
+def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[tuple, list[dict]]:
     """Execute the full plan for the configured roster; pure computation.
-    Each state's result is a row keyed by column name."""
+    Returns `simulate.draw_roster`'s plan effects and draws, and each
+    state's result as a row keyed by column name."""
     settings = pulses.settings_table()
     plan = simulate.build_plan(model, settings, cfg.shots)
     roster = _select_roster(cfg)
     noise = _noise_from_config(cfg)
     rates = simulate.readout_rates(noise)
-    tables = simulate.run_roster(roster, plan, settings, noise, cfg.master_seed)
+    effs, draws = simulate.draw_roster(roster, plan, settings, noise, cfg.master_seed)
     if cfg.with_tomography:
         fids = [res.fidelity_to_target for res in tomography.run_tomography(
             roster, tomography.tomography_settings(), noise, cfg.shots,
@@ -186,7 +187,7 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[dict]]:
     raw = simulate.readout_rates(simulate.NoiseModel.ideal())
     rows = []
     for state, fid in zip(roster, fids):
-        freqs = analysis.frequencies(tables[state.label])
+        freqs = analysis.frequencies(plan, draws[state.label].counts)
         row = {"state": state.label, "fidelity": fid}
         for ineq in model.inequalities:
             for name, r in ((f"{ineq.name}_raw", raw), (ineq.name, rates)):
@@ -195,7 +196,7 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[dict, list[dict]]:
             z = "sigma" + ineq.name.removeprefix("chi")  # corrected est's z: sigma13, sigma4
             row[z] = analysis.significance(est, ineq.classical_bound)
         rows.append(row)
-    return tables, rows
+    return (effs, draws), rows
 
 
 def _line(columns, sep: str) -> str:  # the format string of a row's `columns`
@@ -272,12 +273,12 @@ def _manifest(cfg: RunConfig, extra: dict) -> str:
 
 def cmd_simulate(args) -> _Result:
     cfg, model = _config(args), build_model()
-    tables, rows = run_simulation(cfg, model)
+    run, rows = run_simulation(cfg, model)
     out = _dir(cfg.out_dir)
     text = results_text(rows, model.inequalities)
-    plan_size = len(next(iter(tables.values())))
+    plan_size = len(run[0].entries)
     return {
-        out / "counts.csv": simulate.counts_to_csv(tables),
+        out / "counts.csv": simulate.counts_to_csv(*run),
         out / "results.csv": results_csv(rows),
         out / "results.txt": text,
         out / "plot.dat": plot_data(rows, model.inequalities),

@@ -12,17 +12,21 @@ slot): `effects` turns the unitary before each detection and the readout
 rates into one 3x3 effect per readout string, so every outcome probability
 is Tr(rho E). `_plan_effects`, the map's one cache, holds one entry per plan
 and readout, keyed on the settings, chains and readout rates, never on the
-seed, state or shots: the plan's stream id, and its effects as (9, 3n) real
-and imaginary planes in the package's one outcome layout, three columns per
-entry in draw order, (0, D, B) for a single and (B, DB, DD) for a pair.
-`_laws` forms a state's (n, 3) law in it on every draw, in nine row adds of
-fixed order, and `analysis.frequencies` lays counts out the same way.
+seed, state or shots: the plan's entries, its stream id, and its effects as
+(9, 3n) real and imaginary planes in the package's one outcome layout,
+three columns per entry in draw order, (0, D, B) for a single and (B, DB,
+DD) for a pair. `_laws` forms the (n, 3) laws of a state, or of a stack of
+states, in it on every draw, in nine row adds of fixed order, and a state's
+counts and `analysis.frequencies` keep that layout.
 
-Shots are i.i.d., so a state's count tables are one multinomial draw from
-its law, and cost does not grow with the shot count: `run_roster` makes
-that draw in one `multinomial` call on the keyed Philox stream of (seed,
-state, plan), so a state's counts depend on neither the roster's order nor
-its other states. `numpy.random` is loaded on first use.
+Shots are i.i.d., so a state's counts are one multinomial draw from its
+law, and cost does not grow with the shot count: `draw_roster` forms every
+law of a roster in one `_laws` pass and `draw`s each state's in one
+`multinomial` call on the keyed Philox stream of (seed, state, plan), so a
+state's counts, an (n, 3) int64 array, depend on neither the roster's
+order nor its other states. `counts_to_csv` writes those arrays, and
+`run_roster` splits them into symbol-keyed `CountTable`s for the callers
+that still read tables. `numpy.random` is loaded on first use.
 """
 
 from __future__ import annotations
@@ -274,6 +278,7 @@ class PlanEffects(NamedTuple):
     planes of the real and imaginary parts of their matrix elements, element
     ij in row 3i + j, three columns per entry in draw order, a single's first
     a zero effect; `plan_id` is 16 hex digits of sha256 of the entries' keys."""
+    entries: tuple[tuple[str, tuple[int, ...]], ...]  # each entry's (setting id, chain)
     symbols: tuple[tuple[str, ...], ...]  # each entry's readout symbols
     re: np.ndarray
     im: np.ndarray
@@ -282,11 +287,14 @@ class PlanEffects(NamedTuple):
 
 def _laws(effs: PlanEffects, rho: np.ndarray) -> np.ndarray:
     """Each plan entry's P(s) = Tr(rho E_s) for its three columns, clipped to
-    [0, 1], as an (n, 3) array: a single's row reads (0, P(D), P(B))."""
+    [0, 1], as an (n, 3) array for a 3x3 `rho`, or (S, n, 3) for an (S, 3, 3)
+    stack: a single's row reads (0, P(D), P(B)). A state's law in a stack has
+    the bits of a call on it alone."""
     # rho and E are Hermitian, so Tr(rho E) = sum_ij Re(conj(E_ij) rho_ij), its
     # nine terms added in a fixed order, which a BLAS or einsum reduction may not keep.
-    terms = rho.real.reshape(9, 1) * effs.re + rho.imag.reshape(9, 1) * effs.im
-    return np.clip(functools.reduce(np.add, terms), 0.0, 1.0).reshape(-1, 3)
+    flat = rho.reshape(-1, 9).T[:, :, None]  # element ij of every state in row 3i + j
+    terms = flat.real * effs.re[:, None] + flat.imag * effs.im[:, None]
+    return np.clip(functools.reduce(np.add, terms), 0.0, 1.0).reshape(*rho.shape[:-2], -1, 3)
 
 
 @functools.lru_cache(maxsize=8)
@@ -307,7 +315,8 @@ def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
     re, im = np.ascontiguousarray(planes.real), np.ascontiguousarray(planes.imag)
     re.flags.writeable = im.flags.writeable = False
     keys = ",".join(_entry_key(sid, chain) for sid, chain in entries).encode()
-    return PlanEffects(tuple(map(tuple, compiled)), re, im, hashlib.sha256(keys).hexdigest()[:16])
+    return PlanEffects(entries, tuple(map(tuple, compiled)), re, im,
+                       hashlib.sha256(keys).hexdigest()[:16])
 
 
 def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
@@ -318,39 +327,69 @@ def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
                          tuple((sub.setting_id, sub.chain) for sub in plan), rates)
 
 
+class Draw(NamedTuple):
+    """A state's counts under one plan: the name of the stream they were
+    drawn on and an (n, 3) int64 array, in the plan's outcome layout."""
+    name: str
+    counts: np.ndarray
+
+
+def draw(law: np.ndarray, shots: list[int], name: str) -> np.ndarray:
+    """One `multinomial` draw of every row of `law` at its entry of `shots`,
+    on the stream of `name`: Philox4x64 (Salmon et al., SC'11) at counter 0
+    under the first 16 bytes of sha256(name), read as two little-endian
+    uint64 words."""
+    key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, law)
+
+
+def draw_roster(roster: list[StateSpec], plan: list[SubExperiment],
+                settings: list[MeasurementSetting], noise: NoiseModel,
+                master_seed: int) -> tuple[PlanEffects, dict[str, Draw]]:
+    """Full run: the plan's `PlanEffects`, which every law is formed from,
+    and each state's `Draw` by label, in roster order. The laws of the whole
+    roster are one `_laws` pass; each state's are drawn in one call on the
+    stream "seed/label/plan", where "plan" is the plan's `plan_id`, so its
+    counts depend on neither the roster's order nor its other states, and
+    two plans of a state, as the Kochen-Specker and the tomography plans,
+    draw on distinct streams."""
+    labels = [state.label for state in roster]
+    if len(set(labels)) < len(labels):
+        raise ValueError("repeated state label: "
+                         f"{next(x for x in labels if labels.count(x) > 1)}")
+    effs = plan_effects(plan, settings, readout_rates(noise))
+    laws = _laws(effs, np.array([prepare(state, noise) for state in roster]))
+    shots = [sub.shots for sub in plan]
+    draws = {}
+    for label, law in zip(labels, laws):
+        name = f"{master_seed}/{label}/{effs.plan_id}"
+        draws[label] = Draw(name, draw(law, shots, name))
+    return effs, draws
+
+
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                settings: list[MeasurementSetting], noise: NoiseModel,
                master_seed: int) -> dict[str, list[CountTable]]:
-    """Full run: each state's law drawn in one `multinomial` call on its
-    own stream, so its counts depend on neither the roster's order nor its
-    other states. The stream of a name "seed/label/plan" is Philox4x64
-    (Salmon et al., SC'11) at counter 0 under the first 16 bytes of
-    sha256(name), read as two little-endian uint64 words, where "plan" is 16
-    hex digits of the sha256 of the entries' keys, so two plans of a state,
-    as the Kochen-Specker and the tomography plans, draw on distinct streams."""
-    effs = plan_effects(plan, settings, readout_rates(noise))
-    shots = [sub.shots for sub in plan]
-    tables = {}
-    for state in roster:
-        if state.label in tables:
-            raise ValueError(f"repeated state label: {state.label}")
-        name = f"{master_seed}/{state.label}/{effs.plan_id}"
-        key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
-        counts = np.random.Generator(np.random.Philox(key=key)).multinomial(
-            shots, _laws(effs, prepare(state, noise))).tolist()
-        tables[state.label] = [CountTable(sub, dict(zip(syms, c[-len(syms):])), name)
-                               for sub, syms, c in zip(plan, effs.symbols, counts)]
-    return tables
+    """`draw_roster`'s counts as each state's `CountTable`s: each entry's
+    Python-int counts keyed by its readout symbols, in draw order."""
+    effs, draws = draw_roster(roster, plan, settings, noise, master_seed)
+    return {label: [CountTable(sub, dict(zip(syms, c[-len(syms):])), name)
+                    for sub, syms, c in zip(plan, effs.symbols, counts.tolist())]
+            for label, (name, counts) in draws.items()}
 
 
-def counts_to_csv(tables: dict[str, list[CountTable]]) -> str:
-    """One row per count, each table's symbols in draw order (D, B for a
-    single; B, DB, DD for a pair); the seed column names the state's stream."""
-    lines = ["state,setting,chain,symbol,count,seed"]
-    for label in tables:
-        for t in tables[label]:
-            chain = "-".join(str(r) for r in t.subexperiment.chain)
-            for symbol, count in t.counts.items():
-                lines.append(f"{label},{t.subexperiment.setting_id},{chain},"
-                             f"{symbol},{count},{t.seed_key}")
-    return "\n".join(lines) + "\n"
+def counts_to_csv(effs: PlanEffects, draws: dict[str, Draw]) -> str:
+    """One row per count of each state's `Draw` under the plan of `effs`,
+    each entry's symbols in draw order (D, B for a single; B, DB, DD for a
+    pair); the seed column names the state's stream."""
+    cells, heads = [], []  # each written count's flat index and its row's middle
+    for k, ((sid, chain), syms) in enumerate(zip(effs.entries, effs.symbols)):
+        rays = "-".join(map(str, chain))
+        for col, symbol in enumerate(syms, start=3 - len(syms)):
+            cells.append(3 * k + col)
+            heads.append(f",{sid},{rays},{symbol},")
+    lines = ["state,setting,chain,symbol,count,seed\n"]
+    for label, (name, counts) in draws.items():
+        lines += [f"{label}{head}{c},{name}\n"
+                  for head, c in zip(heads, counts.ravel()[cells].tolist())]
+    return "".join(lines)

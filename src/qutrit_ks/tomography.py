@@ -6,11 +6,12 @@ five single-tone quarter rotations, which alone are rank-deficient, and two
 two-pulse sequences; `pulses.compile_setting` builds their unitaries. Each
 setting runs three sub-runs, each transferring one basis state to the dark
 state |3>. The 21 sub-runs are a plan of `simulate.SubExperiment` singles
-whose chain names the detected slot, so `simulate.run_roster` draws them as
-it draws every count, in one draw per state on the keyed stream of (seed,
-state, plan), which the Kochen-Specker plan never shares, and the solve
-forms its map from that plan's cached effects (`simulate.plan_effects`), the
-very ones the draw read. A dark effect is r_b*I + vis*P, so least squares on the
+whose chain names the detected slot, so `simulate.draw_roster` draws them
+as it draws every count, in one draw per state on the keyed stream of
+(seed, state, plan), which the Kochen-Specker plan never shares, as an
+array whose D column holds each sub-run's dark count; the solve forms its
+map from the `simulate.PlanEffects` that draw returns, the very planes it
+read. A dark effect is r_b*I + vis*P, so least squares on the
 raw frequencies against that map is the readout correction, unclipped. The
 trace is exact: rho = |3><3| + sum_k x_k G_k over eight traceless
 generators, whose map is checked for rank 8. A negative eigenvalue sends
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import linalg
 from .pulses import MeasurementSetting, Pulse
-from .simulate import (DARK, NoiseModel, PlanEffects, StateSpec, SubExperiment,
-                       plan_effects, readout_rates, run_roster)
+from .simulate import DARK, NoiseModel, PlanEffects, StateSpec, SubExperiment, draw_roster
 
 
 def _traceless_basis() -> np.ndarray:
@@ -124,15 +124,17 @@ def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
                    noise: NoiseModel, shots: int,
                    master_seed: int) -> list[ReconstructionResult]:
     """Simulated tomography of every state of `roster`: its sub-runs drawn by
-    `simulate.run_roster` on the stream of (seed, state, plan),
+    `simulate.draw_roster` on the stream of (seed, state, plan), their dark
+    counts divided by `shots` and solved against the planes that draw read,
     reconstructed in one stacked pass and compared with the state's target
     `rho`. A state's result does not depend on the rest of the roster: it
     equals, field for field, the result of a roster of that state alone."""
-    plan = _subruns(settings, shots)
-    tables = run_roster(roster, plan, settings, noise, master_seed)
-    # Python division rounds n / shots once, whatever the size of shots.
-    q = np.array([[t.counts["D"] / shots for t in ts] for ts in tables.values()])
-    return _reconstruct(q, plan_effects(plan, settings, readout_rates(noise)),
+    effs, draws = draw_roster(roster, _subruns(settings, shots), settings, noise,
+                              master_seed)
+    dark = np.array([counts[:, 1] for _, counts in draws.values()])  # each sub-run's D
+    if shots > 2 ** 53:  # Python division rounds n / shots once; numpy's rounds n first
+        dark = dark.astype(object)
+    return _reconstruct((dark / shots).astype(float, copy=False), effs,
                         [s.rho for s in roster])
 
 

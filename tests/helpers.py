@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qutrit_ks import linalg, simulate, tomography
+from qutrit_ks import analysis, linalg, simulate, tomography
 from qutrit_ks.model import PM1, Inequality
 
 # Coefficients beyond int64: exact arithmetic must carry them, and int64
@@ -33,6 +33,12 @@ def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[list[list[float
     effs = simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
     return effs.symbols, [simulate._laws(effs, simulate.prepare(state, noise)).tolist()
                           for state in roster]
+
+
+def table_frequencies(tables) -> analysis.Frequencies:
+    """The `analysis.Frequencies` of one state's `simulate.CountTable`s, read
+    through the count array `analysis.frequencies` takes."""
+    return analysis.frequencies(*analysis._table_counts(tables))
 
 
 def subrun_plan_effects(settings, rates=IDEAL_RATES):

@@ -12,7 +12,8 @@ from qutrit_ks.model import CHI4, build_model, exact_operator
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
-from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix, subrun_plan_effects
+from helpers import (IDEAL_RATES, exact_probabilities, random_density_matrix, subrun_plan_effects,
+                     table_frequencies)
 
 QUANTUM_CHI13 = 83 / 3
 QUANTUM_CHI4 = 4 / 3
@@ -36,7 +37,7 @@ def _report(name, ok, detail=""):
 def _state_results(tabs, model, rates):
     results = {}
     for label, tables in tabs.items():
-        freqs = analysis.frequencies(tables)
+        freqs = table_frequencies(tables)
         results[label] = {
             "chi13": analysis.estimate(model.chi13, freqs, rates),
             "chi13_raw": analysis.estimate(model.chi13, freqs, IDEAL_RATES),
@@ -174,9 +175,9 @@ def test_criterion_10_determinism(model, settings):
     roster = simulate.default_state_roster()
     noise = simulate.NoiseModel.paper()
     a = simulate.counts_to_csv(
-        simulate.run_roster(roster, plan, settings, noise, 1234))
+        *simulate.draw_roster(roster, plan, settings, noise, 1234))
     b = simulate.counts_to_csv(
-        simulate.run_roster(roster, plan, settings, noise, 1234))
+        *simulate.draw_roster(roster, plan, settings, noise, 1234))
     # order independence: a state run alone draws its tables in the roster
     label = roster[4].label
     solo = simulate.run_roster([roster[4]], plan, settings, noise, 1234)[label]

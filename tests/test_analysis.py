@@ -11,7 +11,7 @@ from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model
 from qutrit_ks.pulses import settings_table
 
-from helpers import effect_stack, expected_laws, random_density_matrix
+from helpers import effect_stack, expected_laws, random_density_matrix, table_frequencies
 
 IDENTITY = (1.0, 0.0)
 PAPER = simulate.readout_rates(simulate.NoiseModel.paper())
@@ -63,7 +63,7 @@ def tables_of(*chains_counts):
 
 def single_estimate(dark, shots, rates, ray=10):
     tables = tables_of(((ray,), {"D": dark, "B": shots - dark}))
-    return analysis.estimate(probability(ray), analysis.frequencies(tables), rates)
+    return analysis.estimate(probability(ray), table_frequencies(tables), rates)
 
 
 def test_estimate_probability():
@@ -120,7 +120,7 @@ def pair_estimate(counts, n, dark_j, rates, i=4, j=7):
     """The corrected pair (i, j) from its B/DB/DD counts and a single table
     of ray j with `dark_j` of n dark."""
     tables = tables_of(((i, j), counts), ((j,), {"D": dark_j, "B": n - dark_j}))
-    return analysis.estimate(probability(i, j), analysis.frequencies(tables),
+    return analysis.estimate(probability(i, j), table_frequencies(tables),
                              rates)
 
 
@@ -215,15 +215,33 @@ def test_dropped_term_is_conservative(model, assignments):
     assert (all_dark > 0).any()
 
 
+@pytest.mark.parametrize("shots", [2 ** 53 + 1, 2 ** 63 - 1])
+def test_frequencies_divide_as_python_past_2_53(model, shots):
+    """numpy's int64 division rounds each count, and a total past 2^53, to
+    a float before it divides; every frequency of a drawn state is still
+    Python's correctly rounded count / n, where numpy's would miss some."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots)
+    _, draws = simulate.draw_roster(simulate.default_state_roster(), plan, settings,
+                                    NOISE["paper"], 3)
+    missed = 0
+    for _, counts in draws.values():
+        f = analysis.frequencies(plan, counts)
+        assert f.layout == tuple((sub.chain, shots) for sub in plan)
+        assert f.f.tolist() == [c / shots for c in counts.ravel().tolist()]
+        missed += f.f.tolist() != (counts / shots).ravel().tolist()
+    assert missed > 0
+
+
 def test_assemble_chi4():
     third = tables_of(*(((r,), {"D": 3000, "B": 6000}) for r in range(10, 14)))
-    est = analysis.estimate(CHI4, analysis.frequencies(third), IDENTITY)
+    est = analysis.estimate(CHI4, table_frequencies(third), IDENTITY)
     assert est.value == pytest.approx(4 / 3)
     assert est.stderr == pytest.approx(math.sqrt(4 * (1 / 3) * (2 / 3) / 9000))
     zeros = tables_of(*(((r,), {"D": 0, "B": 9000}) for r in range(10, 14)))
-    assert analysis.estimate(CHI4, analysis.frequencies(zeros), IDENTITY).value == 0.0
+    assert analysis.estimate(CHI4, table_frequencies(zeros), IDENTITY).value == 0.0
     with pytest.raises(ValueError, match="v10"):
-        analysis.estimate(CHI4, analysis.frequencies(third[1:]), IDENTITY)
+        analysis.estimate(CHI4, table_frequencies(third[1:]), IDENTITY)
 
 
 def test_significance():
@@ -247,7 +265,7 @@ NOISE = {
 
 
 def _corrected(tables, noise, model):
-    freqs, rates = analysis.frequencies(tables), simulate.readout_rates(noise)
+    freqs, rates = table_frequencies(tables), simulate.readout_rates(noise)
     return (analysis.estimate(model.chi13, freqs, rates),
             analysis.estimate(CHI4, freqs, rates))
 
@@ -293,7 +311,7 @@ def test_estimator_lookup_hashes_each_inequality_once(model, monkeypatch):
     plan = simulate.build_plan(model, settings, shots=300)
     state, noise = simulate.default_state_roster()[4], NOISE["paper"]
     for seed in range(3):
-        freqs = analysis.frequencies(
+        freqs = table_frequencies(
             simulate.run_roster([state], plan, settings, noise, seed)[state.label])
         for ineq in fresh:
             for rates in (IDENTITY, simulate.readout_rates(noise)):
@@ -340,7 +358,7 @@ def test_raw_and_corrected_maps_share_one_build(model):
     settings = settings_table()
     plan = simulate.build_plan(model, settings, shots=50)
     state, noise = simulate.default_state_roster()[0], NOISE["photon-count"]
-    freqs = analysis.frequencies(
+    freqs = table_frequencies(
         simulate.run_roster([state], plan, settings, noise, 3)[state.label])
     analysis.affine_map.cache_clear()
     analysis._parts.cache_clear()
@@ -361,7 +379,7 @@ def test_stderr_is_the_multinomial_variance(model):
     rates = simulate.readout_rates(noise)
     for label, tables in simulate.run_roster(simulate.default_state_roster(), plan,
                                              settings, noise, 5).items():
-        freqs = analysis.frequencies(tables)
+        freqs = table_frequencies(tables)
         for ineq in (model.chi13, CHI4):
             m = analysis.affine_map(ineq, freqs.layout, *rates)
             var, start = 0.0, 0
@@ -418,7 +436,7 @@ def test_estimate_at_the_law_is_the_quantum_value(model, name):
     effs = simulate.plan_effects(plan, settings, rates)
     roster = simulate.default_state_roster()
     [tables] = simulate.run_roster(roster[:1], plan, settings, noise, 0).values()
-    drawn = analysis.frequencies(tables)
+    drawn = table_frequencies(tables)
     assert drawn.layout == layout and drawn.f.shape == (3 * len(plan),)
     singles = [3 * k for k, sub in enumerate(plan) if len(sub.chain) == 1]
     assert drawn.f[singles].tolist() == [0.0] * 13  # a single's first entry, as its law's

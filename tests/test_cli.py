@@ -357,11 +357,13 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
 
     model = cli.build_model()
     cfg = cli.RunConfig(shots=cli.simulate.MAX_SHOTS, states=("psi7", "rho10"))
-    tables, _ = cli.run_simulation(cfg, model)
-    assert cli.simulate.counts_to_csv(tables) == text
+    run, _ = cli.run_simulation(cfg, model)
+    assert cli.simulate.counts_to_csv(*run) == text
     raw = cli.simulate.readout_rates(cli.simulate.NoiseModel.ideal())
+    plan = cli.simulate.build_plan(model, cli.pulses.settings_table(), cfg.shots)
     for label in ("psi7", "rho10"):
-        chi4 = cli.analysis.estimate(cli.CHI4, cli.analysis.frequencies(tables[label]), raw)
+        freqs = cli.analysis.frequencies(plan, run[1][label].counts)
+        chi4 = cli.analysis.estimate(cli.CHI4, freqs, raw)
         assert chi4.value == float(sum(Fraction(dark[label, ray], pooled[label, ray])
                                        for ray in range(10, 14)))
 

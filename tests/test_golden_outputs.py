@@ -23,7 +23,7 @@ import pytest
 from qutrit_ks import analysis, cli, pulses, simulate
 from qutrit_ks.model import CHI4, build_model
 
-from helpers import expected_laws
+from helpers import expected_laws, table_frequencies
 
 NOISES = {
     "ideal": ["--noise", "ideal"],
@@ -169,7 +169,7 @@ def calibration_digest(noise: simulate.NoiseModel) -> str:
                 digest.update(f"{shots}/{seed}/{state.label}".encode())
                 for t in tables:
                     digest.update(f" {t.seed_key}:{sorted(t.counts.items())}".encode())
-                freqs = analysis.frequencies(tables)
+                freqs = table_frequencies(tables)
                 for ineq in (model.chi13, CHI4):
                     for rates in corrections:
                         est = analysis.estimate(ineq, freqs, rates)

@@ -21,9 +21,11 @@ reaches into a sibling's `_`-prefixed names depends on its internals. This
 scans the code of the package for all seven. It also checks that the
 package's check tolerances are named in `linalg` alone, that
 `linalg.hermitian_eig` is its one eigendecomposition, so a density matrix
-is decomposed once for its checks and its square root alike, and that every
+is decomposed once for its checks and its square root alike, that every
 `functools` cache of the package is one of a named set, so a new cache
-shows up as an edit of that set.
+shows up as an edit of that set, and that the command path (`cli` and
+`tomography`) reads each state's counts as `simulate.draw_roster`'s array,
+never through `run_roster`'s per-table dicts.
 """
 
 import ast
@@ -170,6 +172,50 @@ def test_unreferenced_scanner_flags_test_only_names(tmp_path):
         "tomography.fit()\nclass Obs:\n    def reconstruct(self): self.plot()\n")
     assert find_unreferenced(pkg, [bench]) == ["tomography.reconstruct",
                                                "tomography.plot"]
+
+
+# The command path reads each state's counts as one array; the per-table
+# dicts are for the callers that still read tables, never for these modules.
+ARRAY_READERS = {"cli", "tomography"}
+TABLE_NAMES = {"run_roster", "CountTable"}
+
+
+def find_table_users(package: Path) -> list[str]:
+    """Names of `simulate.run_roster` or `simulate.CountTable` in `cli` or
+    `tomography`, bare, as an attribute or imported."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in ARRAY_READERS:
+            continue
+        uses = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            uses += [(node.lineno, f"{path.stem}:{node.lineno}: names {name}")
+                     for name in names if name in TABLE_NAMES]
+        found += [v for _, v in sorted(uses)]
+    return found
+
+
+def test_command_path_reads_count_arrays():
+    assert find_table_users(PACKAGE) == []
+
+
+def test_table_scanner_flags_table_users(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from . import simulate\ntables = simulate.run_roster(r, p, s, n, 0)\n"
+        "def f(t: simulate.CountTable): pass\nrows = simulate.draw_roster(r, p, s, n, 0)\n")
+    (tmp_path / "tomography.py").write_text(
+        "from .simulate import CountTable, draw_roster\nrun_roster = draw_roster\n")
+    (tmp_path / "analysis.py").write_text("def f(t: CountTable): return run_roster\n")
+    assert find_table_users(tmp_path) == [
+        "cli:2: names run_roster",
+        "cli:3: names CountTable",
+        "tomography:1: names CountTable",
+        "tomography:2: names run_roster",
+    ]
 
 
 WRITERS = {"open", "write_text", "mkdir"}

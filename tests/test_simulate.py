@@ -15,7 +15,7 @@ from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, expected_laws, law_rows,
-                     random_density_matrix, stream_name)
+                     random_density_matrix, stream_name, table_frequencies)
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -331,29 +331,48 @@ def test_roster_determinism(model, settings):
     plan = simulate.build_plan(model, settings, shots=500)
     roster = simulate.default_state_roster()[:3]
     noise = simulate.NoiseModel.paper()
-    a = simulate.run_roster(roster, plan, settings, noise, 99)
-    b = simulate.run_roster(roster, plan, settings, noise, 99)
-    assert simulate.counts_to_csv(a) == simulate.counts_to_csv(b)
-    c = simulate.run_roster(roster, plan, settings, noise, 100)
-    assert simulate.counts_to_csv(a) != simulate.counts_to_csv(c)
+    a = simulate.draw_roster(roster, plan, settings, noise, 99)
+    b = simulate.draw_roster(roster, plan, settings, noise, 99)
+    assert simulate.counts_to_csv(*a) == simulate.counts_to_csv(*b)
+    c = simulate.draw_roster(roster, plan, settings, noise, 100)
+    assert simulate.counts_to_csv(*a) != simulate.counts_to_csv(*c)
+
+
+def _draws(draws):
+    """`draw_roster`'s draws as comparable values: each state's stream name
+    and counts, by label."""
+    return {label: (name, counts.tolist()) for label, (name, counts) in draws.items()}
 
 
 def test_stream_independence_of_execution_order(model, settings):
     """A state's tables depend only on (seed, state, plan), never on the rest
     of the roster: the full roster, the reversed roster and each one-state
-    roster give each state the same tables, and they are `multinomial`
-    draws of its laws, entry after entry, on a fresh `derive_rng` stream of
-    its name, for all 12 x 37 entries."""
+    roster give each state the same stream name and count array, and the
+    same tables, and they are `multinomial` draws of its laws, entry after
+    entry, on a fresh `derive_rng` stream of its name, for all 12 x 37
+    entries."""
     plan = simulate.build_plan(model, settings, shots=500)
     roster = simulate.default_state_roster()
     for name in ("ideal", "paper", "photon-count"):
         noise = NOISE_CONFIGS[name]
+        effs, draws = simulate.draw_roster(roster, plan, settings, noise, 7)
+        assert effs is simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
+        assert [d.counts.shape for d in draws.values()] == [(len(plan), 3)] * len(roster)
+        assert all(d.counts.dtype == np.int64 for d in draws.values())
+        reversed_draws = simulate.draw_roster(roster[::-1], plan, settings, noise, 7)[1]
+        assert list(reversed_draws) == [s.label for s in roster[::-1]]
+        assert _draws(reversed_draws) == _draws(draws)
         full = simulate.run_roster(roster, plan, settings, noise, 7)
         assert simulate.run_roster(roster[::-1], plan, settings, noise, 7) == full
         laws = expected_laws(roster, plan, settings, noise)
         for state in roster:
+            alone = simulate.draw_roster([state], plan, settings, noise, 7)[1]
+            assert _draws(alone) == {state.label: _draws(draws)[state.label]}
             assert simulate.run_roster([state], plan, settings, noise, 7) == \
                 {state.label: full[state.label]}
+            assert [list(t.counts.values()) for t in full[state.label]] == \
+                [row[-len(t.counts):] for t, row in zip(full[state.label],
+                                                        draws[state.label].counts.tolist())]
             key = stream_name(7, state.label, plan)
             rng = derive_rng(key)
             solo = [(sub, dict(zip(law, rng.multinomial(sub.shots, list(law.values())).tolist())),
@@ -386,9 +405,8 @@ def test_derive_rng_is_keyed_philox(settings):
 def test_counts_csv_shape(model, settings):
     plan = simulate.build_plan(model, settings, shots=100)
     roster = simulate.default_state_roster()[:1]
-    tables = simulate.run_roster(roster, plan, settings,
-                                 simulate.NoiseModel.ideal(), 1)
-    csv = simulate.counts_to_csv(tables)
+    run = simulate.draw_roster(roster, plan, settings, simulate.NoiseModel.ideal(), 1)
+    csv = simulate.counts_to_csv(*run)
     lines = csv.strip().splitlines()
     assert lines[0] == "state,setting,chain,symbol,count,seed"
     # 13 singles x 2 symbols + 24 pairs x 3 symbols
@@ -501,14 +519,14 @@ def test_run_roster_compiles_each_setting_once(model, settings, monkeypatch):
     noise = simulate.NoiseModel.paper()
     monkeypatch.setattr(simulate, "compile_setting", counting)
     simulate._plan_effects.cache_clear()
-    tables = simulate.run_roster(roster, plan, settings, noise, 5)
+    run = simulate.draw_roster(roster, plan, settings, noise, 5)
     assert sorted(compiled) == sorted(s.id for s in settings)
     # equal content in fresh objects: the same plan, settings and rates
     fresh = settings_table()
-    again = simulate.run_roster(roster, simulate.build_plan(model, fresh, 1000),
-                                fresh, noise, 5)
+    again = simulate.draw_roster(roster, simulate.build_plan(model, fresh, 1000),
+                                 fresh, noise, 5)
     assert len(compiled) == len(settings)
-    assert simulate.counts_to_csv(again) == simulate.counts_to_csv(tables)
+    assert simulate.counts_to_csv(*again) == simulate.counts_to_csv(*run)
 
 
 def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
@@ -532,10 +550,10 @@ def test_plan_effects_keyed_on_setting_content(model, settings, by_id):
                 _branch_law(state, tilted, sub.chain, noise), abs=1e-12)
         else:
             assert tilted_law == law
-    tables = simulate.run_roster([state], plan, altered, noise, 3)
+    run = simulate.draw_roster([state], plan, altered, noise, 3)
     simulate._plan_effects.cache_clear()
-    fresh = simulate.run_roster([state], plan, altered, noise, 3)
-    assert simulate.counts_to_csv(tables) == simulate.counts_to_csv(fresh)
+    fresh = simulate.draw_roster([state], plan, altered, noise, 3)
+    assert simulate.counts_to_csv(*run) == simulate.counts_to_csv(*fresh)
 
 
 def _plan_effects(plan, settings, noise):
@@ -671,6 +689,24 @@ def test_a_single_leads_with_a_zero_pad(model, settings, noise):
                 assert drawn == [0.0, law["D"], law["B"]]
 
 
+@pytest.mark.parametrize("name", ["ideal", "paper", "photon-count", "flip-depolarized"])
+def test_stacked_laws_keep_each_states_bits(model, settings, name):
+    """`_laws` of the roster's (12, 3, 3) stack of prepared states gives
+    each state, `float.hex` for `float.hex`, the law of a call on its matrix
+    alone: the stack adds the same nine rows in the same order."""
+    noise = NOISE_CONFIGS[name]
+    plan = simulate.build_plan(model, settings)
+    effs = _plan_effects(plan, settings, noise)
+    rhos = [simulate.prepare(state, noise) for state in simulate.default_state_roster()]
+    stacked = simulate._laws(effs, np.array(rhos))
+    assert stacked.shape == (len(rhos), len(plan), 3)
+
+    def bits(law):
+        return [float.hex(p) for p in law.ravel().tolist()]
+    for rho, law in zip(rhos, stacked):
+        assert bits(law) == bits(simulate._laws(effs, rho))
+
+
 DRAW_SHOTS = (1, 7, 2000, 10 ** 6, 2 ** 62, 2 ** 63 - 1)
 
 
@@ -685,7 +721,8 @@ def _assert_draws_are_multinomial(monkeypatch, settings, law):
     plan = [simulate.SubExperiment("M1", chain, shots) for shots in DRAW_SHOTS]
     effs = simulate.plan_effects(plan, settings, IDEAL_RATES)
     padded = [0.0] * (3 - len(law)) + list(law)
-    monkeypatch.setattr(simulate, "_laws", lambda *args: np.array([padded] * len(plan)))
+    monkeypatch.setattr(simulate, "_laws",  # one (n, 3) law per state of the stack
+                        lambda effs, rho: np.array([[padded] * len(plan)] * len(rho)))
     state = simulate.default_state_roster()[0]
     for seed in range(3):
         [tables] = simulate.run_roster([state], plan, settings, NoiseModel.ideal(),
@@ -864,14 +901,14 @@ def _random_states(n, seed):
 def test_no_field_of_cached_plan_effects_can_be_mutated(model, settings):
     """A cached `PlanEffects` is shared by every run of its plan, so a
     caller can neither rebind a field nor change what one holds: the planes
-    are read-only, and every other field is made of tuples and strings all
-    the way down."""
+    are read-only, and every other field is made of tuples, strings and ints
+    (the rays of each entry's chain) all the way down."""
     def frozen(value):
         if isinstance(value, np.ndarray):
             return not value.flags.writeable
         if isinstance(value, tuple):
             return all(frozen(v) for v in value)
-        return isinstance(value, str)
+        return isinstance(value, (str, int))
 
     plan = simulate.build_plan(model, settings, shots=1000)
     effs = _plan_effects(plan, settings, NOISE_CONFIGS["paper"])
@@ -889,7 +926,7 @@ def _sweep(model, settings, plan, noises):
                        simulate.readout_rates(noise))
         for state in simulate.default_state_roster():
             [tables] = simulate.run_roster([state], plan, settings, noise, 1).values()
-            freqs = analysis.frequencies(tables)
+            freqs = table_frequencies(tables)
             for ineq in (model.chi13, CHI4):
                 for rates in corrections:
                     analysis.estimate(ineq, freqs, rates)

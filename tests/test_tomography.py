@@ -249,7 +249,7 @@ def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
                                                                   monkeypatch):
     """Every state of a run reads one sub-run stack, under the run's readout
     rates, both to draw and to solve: a run builds each of the 21 sub-run
-    effects once, not twice."""
+    effects once, not twice, and looks its planes up once."""
     built = []
     original = simulate.effects
 
@@ -257,12 +257,28 @@ def test_tomography_run_builds_the_subrun_effects_once_per_rates(settings,
         built.append(rates)
         return original(steps, rates)
 
+    looked_up, solved = [], []
+    lookup, solve = simulate.plan_effects, tg._reconstruct
+
+    def recording_lookup(*args):
+        looked_up.append(lookup(*args))
+        return looked_up[-1]
+
+    def recording_solve(q, effs, targets):
+        solved.append(effs)
+        return solve(q, effs, targets)
+
     monkeypatch.setattr(simulate, "effects", counting)
+    monkeypatch.setattr(simulate, "plan_effects", recording_lookup)
+    monkeypatch.setattr(tg, "_reconstruct", recording_solve)
     simulate._plan_effects.cache_clear()
     noise = simulate.NoiseModel.paper()
     for state in simulate.default_state_roster():
         tg.run_tomography([state], settings, noise, 10_000, 5)
     assert built == [simulate.readout_rates(noise)] * 21
+    # one lookup per run, whose planes both the draw and the solve read
+    assert len(looked_up) == len(solved) == 12
+    assert all(a is b for a, b in zip(looked_up, solved))
 
 
 STACK_NOISES = {
@@ -403,7 +419,7 @@ def test_each_stack_is_tested_for_hermiticity_once(settings, monkeypatch):
 
 def test_run_tomography_refuses_a_repeated_label(settings):
     """Two states under one label would share their streams, so the run's
-    `simulate.run_roster` refuses the roster and names the label."""
+    `simulate.draw_roster` refuses the roster and names the label."""
     psi1, psi4 = (simulate.default_state_roster()[i] for i in (0, 3))
     with pytest.raises(ValueError, match="repeated state label: psi1"):
         tg.run_tomography([psi1, simulate.StateSpec("psi1", psi4.rho)], settings,
@@ -414,6 +430,25 @@ def test_run_tomography_refuses_a_shot_count_numpy_cannot_draw(settings):
     roster = simulate.default_state_roster()[:1]
     with pytest.raises(ValueError, match=f"draws at most {simulate.MAX_SHOTS} shots"):
         tg.run_tomography(roster, settings, simulate.NoiseModel.paper(), 2 ** 63, 7)
+
+
+@pytest.mark.parametrize("shots", [2 ** 53 + 1, 2 ** 63 - 1])
+def test_dark_frequencies_divide_as_python_past_2_53(settings, shots, monkeypatch):
+    """The dark frequencies a run solves are Python's correctly rounded
+    count / shots past 2^53 too. numpy's int64 division rounds both to
+    floats first: at 2^53 + 1 shots, which round to 2^53, it misses some of
+    these; at 2^63 - 1, which round to a power of two, it misses only where
+    a count's own rounding does, which none of these 252 happens to."""
+    roster = simulate.default_state_roster()
+    noise = simulate.NoiseModel.paper()
+    _, draws = simulate.draw_roster(roster, tg._subruns(settings, shots), settings, noise, 3)
+    dark = [counts[:, 1].tolist() for _, counts in draws.values()]
+    solved = []
+    monkeypatch.setattr(tg, "_reconstruct", lambda q, effs, targets: solved.append(q.tolist()))
+    tg.run_tomography(roster, settings, noise, shots, 3)
+    assert solved == [[[n / shots for n in row] for row in dark]]
+    if shots == 2 ** 53 + 1:
+        assert solved[0] != (np.array(dark) / shots).tolist()
 
 
 def test_format_density_matrix():
@@ -457,15 +492,12 @@ def test_tomography_streams_never_share_a_key_with_ks_streams(monkeypatch):
     plan and for the tomography sub-runs, each on the one stream its seed,
     label and plan name: the 12 states' 24 draws use 24 distinct names."""
     names = []
-    original = simulate.run_roster
+    original = simulate.draw
 
-    def recording(*args):
-        tables = original(*args)
-        names.extend({t.seed_key for t in ts} for ts in tables.values())
-        return tables
+    def recording(law, shots, name):
+        names.append(name)
+        return original(law, shots, name)
 
-    monkeypatch.setattr(simulate, "run_roster", recording)
-    monkeypatch.setattr(tg, "run_roster", recording)
+    monkeypatch.setattr(simulate, "draw", recording)
     cli.run_simulation(cli.RunConfig(shots=100, with_tomography=True), build_model())
-    assert [len(n) for n in names] == [1] * 24
-    assert len(set().union(*names)) == 24
+    assert len(names) == len(set(names)) == 24
