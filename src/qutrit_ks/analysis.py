@@ -43,27 +43,33 @@ class Estimate:
 
 
 class Frequencies(NamedTuple):
-    """One state's count tables as the estimator reads them: each table's
-    (chain, count total n_k) and its three frequencies, table after table."""
+    """Count tables as the estimator reads them: each table's (chain, count
+    total n_k) and its three frequencies, table after table, as one state's
+    (3n,) vector or a roster's (S, 3n) stack, whose states share the totals."""
     layout: tuple[tuple[tuple[int, ...], int], ...]
     f: np.ndarray
 
 
 def frequencies(plan, counts: np.ndarray) -> Frequencies:
-    """The `Frequencies` of one state's (n, 3) `counts` under `plan`, a
-    sequence of `simulate.SubExperiment`s, in draw order: (0, D, B) for a
-    single; (B, DB, DD) for a pair. Each is Python's correctly rounded
-    count / n_k, which numpy's division, rounding a count first, is not past
-    2^53."""
-    n = counts.sum(axis=1)  # a drawn row sums to its shots, below 2^63
-    totals = n.tolist()
-    if min(totals) <= 0:
-        raise ValueError(f"count table {plan[totals.index(min(totals))].key} has no counts")
+    """The `Frequencies` of one state's (n, 3) `counts`, or of a roster's
+    (S, n, 3) stack, under `plan`, a sequence of `simulate.SubExperiment`s,
+    in draw order: (0, D, B) for a single; (B, DB, DD) for a pair. Each is
+    Python's correctly rounded count / n_k, which numpy's division, rounding
+    a count first, is not past 2^53."""
+    n = counts.sum(axis=-1)  # a drawn row sums to its shots, below 2^63
+    rows = n.tolist() if n.ndim == 2 else [n.tolist()]
+    totals = rows[0]
+    if min(map(min, rows)) <= 0:
+        empty = next(k for row in rows for k, n_k in enumerate(row) if n_k <= 0)
+        raise ValueError(f"count table {plan[empty].key} has no counts")
+    if rows.count(totals) < len(rows):
+        raise ValueError("the states of a stack have different count totals")
     if max(totals) > 2 ** 53:
-        f = (counts.astype(object) / n.astype(object)[:, None]).astype(float)
+        f = (counts.astype(object) / n.astype(object)[..., None]).astype(float)
     else:
-        f = counts / n[:, None]
-    return Frequencies(tuple(zip([sub.chain for sub in plan], totals)), f.ravel())
+        f = counts / n[..., None]
+    return Frequencies(tuple(zip([sub.chain for sub in plan], totals)),
+                       f.ravel() if f.ndim == 2 else f.reshape(len(f), -1))
 
 
 class AffineMap(NamedTuple):
@@ -159,17 +165,28 @@ def _expansion(ineq: Inequality):
 
 
 def estimate(ineq: Inequality, freqs: Frequencies,
-             rates: tuple[float, float]) -> Estimate:
-    """Value and exact multinomial stderr of `ineq` from one state's
-    `Frequencies`, corrected for readout `rates`; raw at rates (1, 0)."""
+             rates: tuple[float, float]) -> Estimate | list[Estimate]:
+    """Value and exact multinomial stderr of `ineq` from `Frequencies`,
+    corrected for readout `rates`; raw at rates (1, 0). One state's (3n,)
+    f gives its `Estimate`; an (S, 3n) stack gives one per state, each with
+    the bits of a call on that state alone."""
     w0, w, table, n = affine_map(ineq, freqs.layout, *rates)
     if w.dtype == object:  # the exact map at `Fraction` rates, rounded once
         w0, w = float(w0), w.astype(float)
-    f = freqs.f
-    mean = np.bincount(table, weights=w * f)  # W . f_k of each table
+    f = np.asarray(freqs.f)
+    if f.ndim == 2:  # the map tiled per state: table k of state s is bin k + s * len(n)
+        table = (table + len(n) * np.arange(len(f))[:, None]).ravel()
+        w, n = np.tile(w, len(f)), np.tile(n, len(f))
+    flat = f.ravel()
+    mean = np.bincount(table, weights=w * flat)  # W . f_k of each table, in one-state order
     dev = w - mean[table]
-    var = np.bincount(table, weights=f * dev * dev) / n
-    return Estimate(w0 + float(np.add.reduce(mean)), math.sqrt(np.add.reduce(var)))
+    var = np.bincount(table, weights=flat * dev * dev) / n
+    if f.ndim == 1:
+        return Estimate(w0 + float(np.add.reduce(mean)), math.sqrt(np.add.reduce(var)))
+    by_state = (len(f), -1)  # each state's sums reduce as a one-state call's do
+    return [Estimate(w0 + v, math.sqrt(e)) for v, e in zip(
+        np.add.reduce(mean.reshape(by_state), 1).tolist(),
+        np.add.reduce(var.reshape(by_state), 1).tolist())]
 
 
 def significance(est: Estimate, classical_bound: float) -> float:

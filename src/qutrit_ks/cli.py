@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, hv, linalg, pulses, simulate, tomography
+from . import __version__, analysis, hv, linalg, pulses, simulate, tomography
 from .model import CHI4, Inequality, KSModel, build_model, dump_model, exact_operator
 
 EXIT_OK = 0
@@ -185,17 +185,16 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[tuple, list[dict]]:
                                  [state.rho for state in roster])
 
     raw = simulate.readout_rates(simulate.NoiseModel.ideal())
-    rows = []
-    for state, fid in zip(roster, fids):
-        freqs = analysis.frequencies(plan, draws[state.label].counts)
-        row = {"state": state.label, "fidelity": fid}
-        for ineq in model.inequalities:
-            for name, r in ((f"{ineq.name}_raw", raw), (ineq.name, rates)):
-                est = analysis.estimate(ineq, freqs, r)
+    freqs = analysis.frequencies(plan, np.array([counts for _, counts in draws.values()]))
+    rows = [{"state": state.label, "fidelity": fid} for state, fid in zip(roster, fids)]
+    for ineq in model.inequalities:
+        for name, r in ((f"{ineq.name}_raw", raw), (ineq.name, rates)):
+            ests = analysis.estimate(ineq, freqs, r)
+            for row, est in zip(rows, ests):
                 row[name], row[f"{name}_err"] = est.value, est.stderr
-            z = "sigma" + ineq.name.removeprefix("chi")  # corrected est's z: sigma13, sigma4
+        z = "sigma" + ineq.name.removeprefix("chi")  # corrected est's z: sigma13, sigma4
+        for row, est in zip(rows, ests):
             row[z] = analysis.significance(est, ineq.classical_bound)
-        rows.append(row)
     return (effs, draws), rows
 
 
@@ -250,9 +249,11 @@ def plot_data(rows: list[dict], inequalities: tuple[Inequality, ...]) -> str:
 
 
 def _emit(files: dict[Path, str]) -> None:
-    """The one output path: write every file, creating its directory."""
+    """The one output path: create each distinct directory once, then write
+    every file."""
+    for directory in dict.fromkeys(path.parent for path in files):
+        directory.mkdir(parents=True, exist_ok=True)
     for path, text in files.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
 
 
@@ -268,7 +269,12 @@ def _config(args) -> RunConfig:
 
 
 def _manifest(cfg: RunConfig, extra: dict) -> str:
-    return json.dumps({"config": asdict(cfg), **extra}, indent=2, sort_keys=True) + "\n"
+    """The run's config and `extra`, with the versions that made it: numpy
+    does not promise a `Generator`'s streams across releases (NEP 19)."""
+    versions = {"qutrit_ks": __version__, "numpy": np.__version__,
+                "python": "{}.{}.{}".format(*sys.version_info)}
+    return json.dumps({"config": asdict(cfg), "versions": versions, **extra},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def cmd_simulate(args) -> _Result:

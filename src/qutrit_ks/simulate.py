@@ -21,12 +21,13 @@ counts and `analysis.frequencies` keep that layout.
 
 Shots are i.i.d., so a state's counts are one multinomial draw from its
 law, and cost does not grow with the shot count: `draw_roster` forms every
-law of a roster in one `_laws` pass and `draw`s each state's in one
-`multinomial` call on the keyed Philox stream of (seed, state, plan), so a
-state's counts, an (n, 3) int64 array, depend on neither the roster's
-order nor its other states. `counts_to_csv` writes those arrays, and
-`run_roster` splits them into symbol-keyed `CountTable`s for the callers
-that still read tables. `numpy.random` is loaded on first use.
+law of a roster in one `_laws` pass and draws them in one `draw` call, on
+one generator re-keyed per state, each state's in one `multinomial` call on
+the keyed Philox stream of (seed, state, plan), so a state's counts, an (n,
+3) int64 array, depend on neither the roster's order nor its other states.
+`counts_to_csv` writes those arrays, and `run_roster` splits them into
+symbol-keyed `CountTable`s for the callers that still read tables.
+`numpy.random` is loaded on first use.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -183,18 +185,20 @@ def build_plan(model: KSModel, settings: list[MeasurementSetting],
 
     Returns 13 + 24 = 37 sub-experiments; total realizations = 37 * shots.
     """
+    first: dict = {}  # each ray, and each co-mapped pair of rays, to its first setting
+    for s in settings:
+        rays = sorted(s.mapping.values())
+        for key in (*rays, *combinations(rays, 2)):
+            first.setdefault(key, s.id)
     plan: list[SubExperiment] = []
     for ray in RAYS:
-        sid = next((s.id for s in settings if ray in s.mapping.values()), None)
-        if sid is None:
+        if ray not in first:
             raise ValueError(f"no setting maps ray v{ray}")
-        plan.append(SubExperiment(sid, (ray,), shots))
+        plan.append(SubExperiment(first[ray], (ray,), shots))
     for edge in sorted(model.edges):
-        sid = next((s.id for s in settings
-                    if set(edge) <= set(s.mapping.values())), None)
-        if sid is None:
+        if edge not in first:
             raise ValueError(f"no setting covers edge {edge}")
-        plan.append(SubExperiment(sid, edge, shots))
+        plan.append(SubExperiment(first[edge], edge, shots))
     return plan
 
 
@@ -334,13 +338,25 @@ class Draw(NamedTuple):
     counts: np.ndarray
 
 
-def draw(law: np.ndarray, shots: list[int], name: str) -> np.ndarray:
-    """One `multinomial` draw of every row of `law` at its entry of `shots`,
-    on the stream of `name`: Philox4x64 (Salmon et al., SC'11) at counter 0
-    under the first 16 bytes of sha256(name), read as two little-endian
-    uint64 words."""
-    key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
-    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, law)
+def draw(laws: np.ndarray, shots: list[int], names: list[str]) -> list[np.ndarray]:
+    """One `multinomial` draw of every row of each law of the (S, n, 3)
+    stack `laws` at its entry of `shots`, law s on the stream of `names[s]`:
+    Philox4x64 (Salmon et al., SC'11) at counter 0 under the first 16 bytes
+    of sha256(name), read as two little-endian uint64 words. The call's one
+    generator is re-keyed for each later name to the state of a fresh one,
+    counter 0 and an empty buffer, so each law's (n, 3) int64 counts are
+    those of a generator of its name alone."""
+    keys = [np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+            for name in names]
+    bits = np.random.Philox(key=keys[0])
+    gen, fresh = np.random.Generator(bits), bits.state if len(keys) > 1 else None
+    counts = []
+    for key, law in zip(keys, laws):
+        if counts:
+            fresh["state"]["key"] = key
+            bits.state = fresh
+        counts.append(gen.multinomial(shots, law))
+    return counts
 
 
 def draw_roster(roster: list[StateSpec], plan: list[SubExperiment],
@@ -348,7 +364,7 @@ def draw_roster(roster: list[StateSpec], plan: list[SubExperiment],
                 master_seed: int) -> tuple[PlanEffects, dict[str, Draw]]:
     """Full run: the plan's `PlanEffects`, which every law is formed from,
     and each state's `Draw` by label, in roster order. The laws of the whole
-    roster are one `_laws` pass; each state's are drawn in one call on the
+    roster are one `_laws` pass and one `draw` call, each state's on the
     stream "seed/label/plan", where "plan" is the plan's `plan_id`, so its
     counts depend on neither the roster's order nor its other states, and
     two plans of a state, as the Kochen-Specker and the tomography plans,
@@ -359,12 +375,9 @@ def draw_roster(roster: list[StateSpec], plan: list[SubExperiment],
                          f"{next(x for x in labels if labels.count(x) > 1)}")
     effs = plan_effects(plan, settings, readout_rates(noise))
     laws = _laws(effs, np.array([prepare(state, noise) for state in roster]))
-    shots = [sub.shots for sub in plan]
-    draws = {}
-    for label, law in zip(labels, laws):
-        name = f"{master_seed}/{label}/{effs.plan_id}"
-        draws[label] = Draw(name, draw(law, shots, name))
-    return effs, draws
+    names = [f"{master_seed}/{label}/{effs.plan_id}" for label in labels]
+    counts = draw(laws, [sub.shots for sub in plan], names)
+    return effs, {label: Draw(name, c) for label, name, c in zip(labels, names, counts)}
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],

@@ -19,11 +19,11 @@ the estimate to the nearest density matrix (Smolin, Gambetta & Smith, PRL
 108, 070502 (2012)).
 
 `run_tomography` is the one entry point: it draws a whole roster and
-reconstructs it in one stacked pass. Each state keeps its own least-squares
-solve and its own projection; the basis sum, the eigendecomposition and the
-fidelities run on the stack in operations whose result for one state has
-the bits of a one-state call, so a state's result does not depend on the
-rest of the roster.
+reconstructs it in one stacked pass. The map's one SVD solves every state,
+one matrix-vector product each, and each state keeps its own projection;
+the basis sum, the eigendecomposition and the fidelities run on the stack
+in operations whose result for one state has the bits of a one-state call,
+so a state's result does not depend on the rest of the roster.
 """
 
 from __future__ import annotations
@@ -59,19 +59,21 @@ def _subruns(settings: list[MeasurementSetting], shots: int) -> list[SubExperime
     return [SubExperiment(s.id, (slot,), shots) for s in settings for slot in (1, 2, 3)]
 
 
-def _checked_response(effs: PlanEffects) -> tuple[np.ndarray, np.ndarray]:
+def _checked_response(effs: PlanEffects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map from the 8 traceless parameters to the sub-runs' dark
     probabilities under the sub-run planes `effs`, checked for rank 8 at a
-    tolerance relative to its scale (it scales with the visibility), and the
-    offset column, the dark probabilities of |3><3|."""
+    tolerance relative to its scale (it scales with the visibility), the
+    offset column, the dark probabilities of |3><3|, and the map's
+    pseudo-inverse V diag(1/s) U^T from its one SVD."""
     re, im = effs.re[:, 1::3], effs.im[:, 1::3]  # each sub-run's D: pad, D, B
     # Tr(G E) = sum_ij Re(G_ij) Re(E_ij) + Im(G_ij) Im(E_ij) for Hermitian
     # G and E, the form in which a law reads the planes.
     flat = _BASIS8.reshape(8, 9).T
     a = re.T @ flat.real + im.T @ flat.imag
-    if np.linalg.matrix_rank(a) < 8:
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if (s > s.max() * max(a.shape) * np.finfo(float).eps).sum() < 8:  # `matrix_rank`'s test
         raise ValueError("response map is rank-deficient; extend the settings")
-    return a, re[8]  # element (3, 3) of each dark effect
+    return a, re[8], (vt.T / s) @ u.T  # re[8]: element (3, 3) of each dark effect
 
 
 def tomography_settings() -> list[MeasurementSetting]:
@@ -99,14 +101,15 @@ def _reconstruct(q: np.ndarray, effs: PlanEffects,
     frequencies in plan order) against the sub-run planes `effs` they were
     drawn from, the nearest density matrix, and the fidelity to the target
     at the same index. `residual` is the norm of the fit's misses, in frequency."""
-    a, offset = _checked_response(effs)
-    # One solve per state: one solve with several right-hand sides gives
-    # most solutions other last bits than solving each alone.
-    x = np.empty((len(q), 8))
-    residuals = []
-    for k, row in enumerate(q - offset):
-        x[k] = np.linalg.lstsq(a, row, rcond=None)[0]
-        residuals.append(float(np.linalg.norm(a @ x[k] - row)))
+    a, offset, pinv = _checked_response(effs)
+    # Stacked `matmul`s: one matrix-vector product (and one dot) per state,
+    # so a state's x has the bits of a one-state call, as one product with
+    # the whole stack need not.
+    b = (q - offset)[:, :, None]
+    x = pinv @ b
+    miss = a @ x - b
+    residuals = np.sqrt(np.swapaxes(miss, 1, 2) @ miss).ravel().tolist()
+    x = x[:, :, 0]
     # Real x_k times Hermitian generators, added one at a time from 0: exactly
     # Hermitian, as `hermitian_eig` assumes, and the signs of zeros are fixed.
     rho = DARK + sum(x[:, k, None, None] * g for k, g in enumerate(_BASIS8))

@@ -233,6 +233,46 @@ def test_frequencies_divide_as_python_past_2_53(model, shots):
     assert missed > 0
 
 
+@pytest.mark.parametrize("shots", [100, 10_000, 1_000_000, 2 ** 53 + 1])
+def test_stacked_estimates_equal_one_state_calls(model, shots):
+    """A roster's (S, n, 3) count stack divides and estimates as its states
+    do one by one, bit for bit: frequencies, and the value and stderr of
+    every inequality, raw and corrected, at float and at `Fraction` rates."""
+    settings = settings_table()
+    plan = simulate.build_plan(model, settings, shots)
+    for noise in NOISE.values():
+        _, draws = simulate.draw_roster(simulate.default_state_roster(), plan, settings,
+                                        noise, shots % 7)
+        stacked = analysis.frequencies(plan, np.array([c for _, c in draws.values()]))
+        alone = [analysis.frequencies(plan, c) for _, c in draws.values()]
+        assert all(f.layout == stacked.layout for f in alone)
+        assert stacked.f.tobytes() == np.array([f.f for f in alone]).tobytes()
+        for ineq in model.inequalities:
+            for rates in (IDENTITY, simulate.readout_rates(noise),
+                          (Fraction(99, 100), Fraction(21, 1000))):
+                ests = analysis.estimate(ineq, stacked, rates)
+                assert [(e.value.hex(), e.stderr.hex()) for e in ests] == [
+                    (e.value.hex(), e.stderr.hex())
+                    for e in (analysis.estimate(ineq, f, rates) for f in alone)]
+
+
+def test_frequencies_refuse_a_stack_with_an_empty_table(model):
+    """A table without counts in any state of a stack, the last included, is
+    refused and named; so is a stack whose states differ in a table's total,
+    which no one affine map fits."""
+    plan = simulate.build_plan(model, settings_table(), 10)
+    counts = np.tile(np.array([0, 4, 6]), (3, len(plan), 1))
+    assert analysis.frequencies(plan, counts).f.shape == (3, 3 * len(plan))
+    empty = counts.copy()
+    empty[-1, 20] = 0
+    with pytest.raises(ValueError, match=f"count table {plan[20].key} has no counts"):
+        analysis.frequencies(plan, empty)
+    uneven = counts.copy()
+    uneven[-1, 20, 0] = 1
+    with pytest.raises(ValueError, match="different count totals"):
+        analysis.frequencies(plan, uneven)
+
+
 def test_assemble_chi4():
     third = tables_of(*(((r,), {"D": 3000, "B": 6000}) for r in range(10, 14)))
     est = analysis.estimate(CHI4, table_frequencies(third), IDENTITY)

@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qutrit_ks
 from qutrit_ks import cli, pulses
 
 
@@ -189,6 +193,53 @@ def test_simulate_determinism_byte_identical(tmp_path, capsys, monkeypatch):
     assert "manifest.json" in names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("states", [("psi7",), ()], ids=["one state", "roster"])
+def test_run_simulation_estimates_each_witness_once_per_readout(monkeypatch, states):
+    """A run divides its count stack once and estimates each inequality once
+    raw and once corrected, whatever the roster size: 4 `estimate` calls,
+    each over the whole stack."""
+    calls = []
+    original = cli.analysis.estimate
+
+    def counting(ineq, freqs, rates):
+        calls.append(freqs.f.shape)
+        return original(ineq, freqs, rates)
+
+    monkeypatch.setattr(cli.analysis, "estimate", counting)
+    _, rows = cli.run_simulation(cli.RunConfig(shots=100, states=states), cli.build_model())
+    assert calls == [(len(rows), 3 * 37)] * 4
+
+
+def test_manifest_records_the_versions(tmp_path, capsys, monkeypatch):
+    """Both run commands record the package, numpy and Python versions, which
+    explain a count digest that moved, and a rerun writes the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    versions = {"qutrit_ks": qutrit_ks.__version__, "numpy": np.__version__,
+                "python": ".".join(map(str, sys.version_info[:3]))}
+    for command in ("simulate", "tomography"):
+        written = []
+        for _ in range(2):
+            assert cli.main([command, "--shots", "50", "--states", "psi1",
+                             "--out-dir", command]) == cli.EXIT_OK
+            written.append((tmp_path / command / "manifest.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["versions"] == versions
+    capsys.readouterr()
+
+
+def test_emit_creates_each_directory_once(tmp_path, monkeypatch):
+    made = []
+    original = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda self, *a, **k: made.append(self) or
+                        original(self, *a, **k))
+    (tmp_path / "b").mkdir()
+    made.clear()
+    files = {tmp_path / "a" / f"{k}.txt": str(k) for k in range(4)}
+    cli._emit({**files, tmp_path / "b" / "c" / "x.txt": "x"})
+    assert made == [tmp_path / "a", tmp_path / "b" / "c"]
+    assert [p.read_text() for p in files] == ["0", "1", "2", "3"]
 
 
 def test_report_from_run(tmp_path, capsys):

@@ -188,6 +188,50 @@ def test_build_plan_structure(model, settings):
     assert next(p for p in pairs if p.chain == (1, 4)).setting_id == "M3"
 
 
+def _first_match_plan(model, settings, shots):
+    """The plan by a search of the settings per ray and per edge, in order:
+    each single at the first setting that maps its ray, each edge's pair at
+    the first setting that maps both rays, every ray checked before any edge."""
+    plan = []
+    for ray in RAYS:
+        sid = next((s.id for s in settings if ray in s.mapping.values()), None)
+        if sid is None:
+            raise ValueError(f"no setting maps ray v{ray}")
+        plan.append(simulate.SubExperiment(sid, (ray,), shots))
+    for edge in sorted(model.edges):
+        sid = next((s.id for s in settings if set(edge) <= set(s.mapping.values())), None)
+        if sid is None:
+            raise ValueError(f"no setting covers edge {edge}")
+        plan.append(simulate.SubExperiment(sid, edge, shots))
+    return plan
+
+
+def _plan_or_refusal(build, model, settings):
+    try:
+        return build(model, settings, 10)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_build_plan_is_the_first_match_search(model, settings):
+    """`build_plan`'s one pass over the settings gives the plan, or the
+    refusal, of the first-match search on the table, reversed, trimmed at
+    either end, without the settings that map v10 (a missing ray, found
+    before the edges it also leaves uncovered) and without M5 (a missing edge)."""
+    tables = {"table": settings, "reversed": settings[::-1],
+              "missing ray": [s for s in settings if 10 not in s.mapping.values()],
+              "missing edge": [s for s in settings if s.id != "M5"]}
+    for k in range(len(settings)):
+        tables[f"first {k}"], tables[f"from {k}"] = settings[:k], settings[k:]
+    for name, table in tables.items():
+        expected = _plan_or_refusal(_first_match_plan, model, table)
+        assert _plan_or_refusal(simulate.build_plan, model, table) == expected, name
+    assert _plan_or_refusal(simulate.build_plan, model, tables["missing ray"]) == \
+        "no setting maps ray v10"
+    assert _plan_or_refusal(simulate.build_plan, model, tables["missing edge"]) == \
+        "no setting covers edge (4, 10)"
+
+
 @pytest.mark.parametrize("shots, error", [(2.5, TypeError), ("10", TypeError),
                                           (0, ValueError), (-5, ValueError)])
 def test_build_plan_rejects_a_shot_count_below_one_or_not_an_integer(
@@ -400,6 +444,25 @@ def test_derive_rng_is_keyed_philox(settings):
         10_000, list(law.values()))
     assert table.seed_key == name
     assert list(table.counts.values()) == expected.tolist()
+
+
+def test_a_stacked_draw_keeps_each_names_stream(model, settings):
+    """`draw` re-keys its one generator for each law of a stack: every law's
+    counts equal a fresh `Philox(key=...)` draw of its name alone, whatever
+    the names before it, a repeated name included."""
+    plan = simulate.build_plan(model, settings, 1)
+    effs = simulate.plan_effects(plan, settings, simulate.readout_rates(NOISE_CONFIGS["paper"]))
+    psi7, rho12 = (simulate.default_state_roster()[i].rho for i in (6, 11))
+    laws = simulate._laws(effs, np.array([psi7, rho12, psi7, psi7]))
+    shots = [1000 + 37 * k for k in range(len(plan))]
+    names = ["1/psi1/p", "1/psi2/p", "2/psi1/p", "1/psi1/p"]
+    counts = simulate.draw(laws, shots, names)
+    assert [(c.shape, c.dtype) for c in counts] == [(laws.shape[1:], np.int64)] * len(names)
+    for name, law, drawn in zip(names, laws, counts):
+        key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
+        fresh = np.random.Generator(np.random.Philox(key=key)).multinomial(shots, law)
+        assert drawn.tolist() == fresh.tolist(), name
+    assert counts[0].tolist() == counts[3].tolist() != counts[2].tolist()
 
 
 def test_counts_csv_shape(model, settings):
@@ -623,8 +686,8 @@ def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):
 
 def test_run_roster_draws_once_per_state_and_entry(model, settings, monkeypatch):
     """Each (state, entry) is drawn once: a run builds exactly one Philox
-    generator per state and draws all of that state's entries in one
-    `multinomial` call over its (entries, 3) law row."""
+    generator, re-keyed for each later state, and draws all of a state's
+    entries in one `multinomial` call over its (entries, 3) law row."""
     built, draws = [], []
     philox = np.random.Philox
 
@@ -638,7 +701,7 @@ def test_run_roster_draws_once_per_state_and_entry(model, settings, monkeypatch)
     plan = simulate.build_plan(model, settings, shots=100)
     roster = simulate.default_state_roster()
     tables = simulate.run_roster(roster, plan, settings, simulate.NoiseModel.paper(), 2)
-    assert len(built) == len(roster)
+    assert len(built) == 1
     assert draws == [(len(plan), 3)] * len(roster)
     assert [[t.subexperiment for t in ts] for ts in tables.values()] == [plan] * len(roster)
 
