@@ -58,10 +58,10 @@ def frequencies(plan, counts: np.ndarray) -> Frequencies:
     a count first, is not past 2^53."""
     n = counts.sum(axis=-1)  # a drawn row sums to its shots, below 2^63
     rows = n.tolist() if n.ndim == 2 else [n.tolist()]
+    for row in rows:
+        if min(row) <= 0:
+            raise ValueError(f"count table {plan[row.index(min(row))].key} has no counts")
     totals = rows[0]
-    if min(map(min, rows)) <= 0:
-        empty = next(k for row in rows for k, n_k in enumerate(row) if n_k <= 0)
-        raise ValueError(f"count table {plan[empty].key} has no counts")
     if rows.count(totals) < len(rows):
         raise ValueError("the states of a stack have different count totals")
     if max(totals) > 2 ** 53:

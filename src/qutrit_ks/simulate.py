@@ -349,6 +349,7 @@ def draw(laws: np.ndarray, shots: list[int], names: list[str]) -> list[np.ndarra
     keys = [np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
             for name in names]
     bits = np.random.Philox(key=keys[0])
+    # A fresh generator's state, read once to re-key from; one name needs none.
     gen, fresh = np.random.Generator(bits), bits.state if len(keys) > 1 else None
     counts = []
     for key, law in zip(keys, laws):
