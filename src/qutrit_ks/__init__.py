@@ -3,7 +3,7 @@
 from .model import build_model
 from .hv import max_chi4_constrained, max_chi13_noncontextual
 from .pulses import settings_table, verify_all_settings
-from .simulate import NoiseModel, build_plan, default_state_roster, draw_roster, run_roster
+from .simulate import NoiseModel, build_plan, default_state_roster, draw_roster
 from .analysis import estimate, frequencies, significance
 from .tomography import run_tomography, tomography_settings
 

@@ -168,14 +168,14 @@ _COLUMNS = (
 
 def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[tuple, list[dict]]:
     """Execute the full plan for the configured roster; pure computation.
-    Returns `simulate.draw_roster`'s plan effects and draws, and each
-    state's result as a row keyed by column name."""
+    Returns `simulate.draw_roster`'s plan effects, stream names and count
+    stack, and each state's result as a row keyed by column name."""
     settings = pulses.settings_table()
     plan = simulate.build_plan(model, settings, cfg.shots)
     roster = _select_roster(cfg)
     noise = _noise_from_config(cfg)
     rates = simulate.readout_rates(noise)
-    effs, draws = simulate.draw_roster(roster, plan, settings, noise, cfg.master_seed)
+    run = simulate.draw_roster(roster, plan, settings, noise, cfg.master_seed)
     if cfg.with_tomography:
         fids = [res.fidelity_to_target for res in tomography.run_tomography(
             roster, tomography.tomography_settings(), noise, cfg.shots,
@@ -185,7 +185,7 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[tuple, list[dict]]:
                                  [state.rho for state in roster])
 
     raw = simulate.readout_rates(simulate.NoiseModel.ideal())
-    freqs = analysis.frequencies(plan, np.array([counts for _, counts in draws.values()]))
+    freqs = analysis.frequencies(plan, run[2])  # the roster's (S, n, 3) count stack
     rows = [{"state": state.label, "fidelity": fid} for state, fid in zip(roster, fids)]
     for ineq in model.inequalities:
         for name, r in ((f"{ineq.name}_raw", raw), (ineq.name, rates)):
@@ -195,7 +195,7 @@ def run_simulation(cfg: RunConfig, model: KSModel) -> tuple[tuple, list[dict]]:
         z = "sigma" + ineq.name.removeprefix("chi")  # corrected est's z: sigma13, sigma4
         for row, est in zip(rows, ests):
             row[z] = analysis.significance(est, ineq.classical_bound)
-    return (effs, draws), rows
+    return run, rows
 
 
 def _line(columns, sep: str) -> str:  # the format string of a row's `columns`

@@ -23,9 +23,10 @@ Shots are i.i.d., so a state's counts are one multinomial draw from its
 law, and cost does not grow with the shot count: `draw_roster` forms every
 law of a roster in one `_laws` pass and draws them in one `draw` call, on
 one generator re-keyed per state, each state's in one `multinomial` call on
-the keyed Philox stream of (seed, state, plan), so a state's counts, an (n,
-3) int64 array, depend on neither the roster's order nor its other states.
-`counts_to_csv` writes those arrays, and `run_roster` splits them into
+the keyed Philox stream of (seed, state, plan). The roster's counts are one
+(S, n, 3) int64 stack, the only count container the module hands out, and
+a state's row depends on neither the roster's order nor its other states.
+`counts_to_csv` writes the stack, and `run_roster` splits it into
 symbol-keyed `CountTable`s for the callers that still read tables.
 `numpy.random` is loaded on first use.
 """
@@ -331,40 +332,34 @@ def plan_effects(plan: list[SubExperiment], settings: list[MeasurementSetting],
                          tuple((sub.setting_id, sub.chain) for sub in plan), rates)
 
 
-class Draw(NamedTuple):
-    """A state's counts under one plan: the name of the stream they were
-    drawn on and an (n, 3) int64 array, in the plan's outcome layout."""
-    name: str
-    counts: np.ndarray
-
-
-def draw(laws: np.ndarray, shots: list[int], names: list[str]) -> list[np.ndarray]:
+def draw(laws: np.ndarray, shots: list[int], names: list[str]) -> np.ndarray:
     """One `multinomial` draw of every row of each law of the (S, n, 3)
     stack `laws` at its entry of `shots`, law s on the stream of `names[s]`:
     Philox4x64 (Salmon et al., SC'11) at counter 0 under the first 16 bytes
     of sha256(name), read as two little-endian uint64 words. The call's one
     generator is re-keyed for each later name to the state of a fresh one,
-    counter 0 and an empty buffer, so each law's (n, 3) int64 counts are
-    those of a generator of its name alone."""
+    counter 0 and an empty buffer, so each law's counts, row s of the (S, n,
+    3) int64 stack returned, are those of a generator of its name alone."""
     keys = [np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
             for name in names]
     bits = np.random.Philox(key=keys[0])
     # A fresh generator's state, read once to re-key from; one name needs none.
     gen, fresh = np.random.Generator(bits), bits.state if len(keys) > 1 else None
-    counts = []
-    for key, law in zip(keys, laws):
-        if counts:
+    counts = np.empty(laws.shape, np.int64)
+    for s, key in enumerate(keys):
+        if s:
             fresh["state"]["key"] = key
             bits.state = fresh
-        counts.append(gen.multinomial(shots, law))
+        counts[s] = gen.multinomial(shots, laws[s])
     return counts
 
 
 def draw_roster(roster: list[StateSpec], plan: list[SubExperiment],
                 settings: list[MeasurementSetting], noise: NoiseModel,
-                master_seed: int) -> tuple[PlanEffects, dict[str, Draw]]:
+                master_seed: int) -> tuple[PlanEffects, dict[str, str], np.ndarray]:
     """Full run: the plan's `PlanEffects`, which every law is formed from,
-    and each state's `Draw` by label, in roster order. The laws of the whole
+    each state's stream name by label, in roster order, and the roster's
+    counts as one (S, n, 3) int64 stack in that order. The laws of the whole
     roster are one `_laws` pass and one `draw` call, each state's on the
     stream "seed/label/plan", where "plan" is the plan's `plan_id`, so its
     counts depend on neither the roster's order nor its other states, and
@@ -376,9 +371,8 @@ def draw_roster(roster: list[StateSpec], plan: list[SubExperiment],
                          f"{next(x for x in labels if labels.count(x) > 1)}")
     effs = plan_effects(plan, settings, readout_rates(noise))
     laws = _laws(effs, np.array([prepare(state, noise) for state in roster]))
-    names = [f"{master_seed}/{label}/{effs.plan_id}" for label in labels]
-    counts = draw(laws, [sub.shots for sub in plan], names)
-    return effs, {label: Draw(name, c) for label, name, c in zip(labels, names, counts)}
+    names = {label: f"{master_seed}/{label}/{effs.plan_id}" for label in labels}
+    return effs, names, draw(laws, [sub.shots for sub in plan], list(names.values()))
 
 
 def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
@@ -386,16 +380,17 @@ def run_roster(roster: list[StateSpec], plan: list[SubExperiment],
                master_seed: int) -> dict[str, list[CountTable]]:
     """`draw_roster`'s counts as each state's `CountTable`s: each entry's
     Python-int counts keyed by its readout symbols, in draw order."""
-    effs, draws = draw_roster(roster, plan, settings, noise, master_seed)
+    effs, names, counts = draw_roster(roster, plan, settings, noise, master_seed)
     return {label: [CountTable(sub, dict(zip(syms, c[-len(syms):])), name)
-                    for sub, syms, c in zip(plan, effs.symbols, counts.tolist())]
-            for label, (name, counts) in draws.items()}
+                    for sub, syms, c in zip(plan, effs.symbols, state)]
+            for (label, name), state in zip(names.items(), counts.tolist())}
 
 
-def counts_to_csv(effs: PlanEffects, draws: dict[str, Draw]) -> str:
-    """One row per count of each state's `Draw` under the plan of `effs`,
-    each entry's symbols in draw order (D, B for a single; B, DB, DD for a
-    pair); the seed column names the state's stream."""
+def counts_to_csv(effs: PlanEffects, names: dict[str, str], counts: np.ndarray) -> str:
+    """One row per count of each state of the (S, n, 3) stack `counts` under
+    the plan of `effs`, the states in the order of `names`, each entry's
+    symbols in draw order (D, B for a single; B, DB, DD for a pair); the
+    seed column names the state's stream."""
     cells, heads = [], []  # each written count's flat index and its row's middle
     for k, ((sid, chain), syms) in enumerate(zip(effs.entries, effs.symbols)):
         rays = "-".join(map(str, chain))
@@ -403,7 +398,7 @@ def counts_to_csv(effs: PlanEffects, draws: dict[str, Draw]) -> str:
             cells.append(3 * k + col)
             heads.append(f",{sid},{rays},{symbol},")
     lines = ["state,setting,chain,symbol,count,seed\n"]
-    for label, (name, counts) in draws.items():
-        lines += [f"{label}{head}{c},{name}\n"
-                  for head, c in zip(heads, counts.ravel()[cells].tolist())]
+    for (label, name), row in zip(names.items(),
+                                  counts.reshape(len(counts), -1)[:, cells].tolist()):
+        lines += [f"{label}{head}{c},{name}\n" for head, c in zip(heads, row)]
     return "".join(lines)

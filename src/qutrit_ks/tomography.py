@@ -8,15 +8,15 @@ setting runs three sub-runs, each transferring one basis state to the dark
 state |3>. The 21 sub-runs are a plan of `simulate.SubExperiment` singles
 whose chain names the detected slot, so `simulate.draw_roster` draws them
 as it draws every count, in one draw per state on the keyed stream of
-(seed, state, plan), which the Kochen-Specker plan never shares, as an
-array whose D column holds each sub-run's dark count; the solve forms its
-map from the `simulate.PlanEffects` that draw returns, the very planes it
-read. A dark effect is r_b*I + vis*P, so least squares on the
-raw frequencies against that map is the readout correction, unclipped. The
-trace is exact: rho = |3><3| + sum_k x_k G_k over eight traceless
-generators, whose map is checked for rank 8. A negative eigenvalue sends
-the estimate to the nearest density matrix (Smolin, Gambetta & Smith, PRL
-108, 070502 (2012)).
+(seed, state, plan), which the Kochen-Specker plan never shares, into the
+roster's (S, n, 3) count stack, whose D column holds each sub-run's dark
+count; the solve forms its map from the `simulate.PlanEffects` that draw
+returns, the very planes it read. A dark effect is r_b*I + vis*P, so least
+squares on the raw frequencies against that map is the readout correction,
+unclipped. The trace is exact: rho = |3><3| + sum_k x_k G_k over eight
+traceless generators, whose map is checked for rank 8. A negative
+eigenvalue sends the estimate to the nearest density matrix (Smolin,
+Gambetta & Smith, PRL 108, 070502 (2012)).
 
 `run_tomography` is the one entry point: it draws a whole roster and
 reconstructs it in one stacked pass. The map's one SVD solves every state,
@@ -132,9 +132,9 @@ def run_tomography(roster: list[StateSpec], settings: list[MeasurementSetting],
     reconstructed in one stacked pass and compared with the state's target
     `rho`. A state's result does not depend on the rest of the roster: it
     equals, field for field, the result of a roster of that state alone."""
-    effs, draws = draw_roster(roster, _subruns(settings, shots), settings, noise,
-                              master_seed)
-    dark = np.array([counts[:, 1] for _, counts in draws.values()])  # each sub-run's D
+    effs, _, counts = draw_roster(roster, _subruns(settings, shots), settings, noise,
+                                  master_seed)
+    dark = counts[:, :, 1]  # each sub-run's D
     if shots > 2 ** 53:  # Python division rounds n / shots once; numpy's rounds n first
         dark = dark.astype(object)
     return _reconstruct((dark / shots).astype(float, copy=False), effs,

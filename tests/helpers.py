@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qutrit_ks import analysis, linalg, simulate, tomography
+from qutrit_ks import linalg, simulate, tomography
 from qutrit_ks.model import PM1, Inequality
 
 # Coefficients beyond int64: exact arithmetic must carry them, and int64
@@ -27,18 +27,12 @@ IDEAL_RATES = simulate.readout_rates(simulate.NoiseModel.ideal())
 
 def law_rows(roster, plan, settings, noise) -> tuple[tuple, list[list[list[float]]]]:
     """Each plan entry's readout symbols and each state's law, formed as
-    `simulate.run_roster` forms them, from the plan's cached effects and the
+    `simulate.draw_roster` forms them, from the plan's cached effects and the
     prepared rho: three probabilities per entry in draw order, (0, P(D),
     P(B)) for a single, the layout of `analysis.frequencies`."""
     effs = simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
     return effs.symbols, [simulate._laws(effs, simulate.prepare(state, noise)).tolist()
                           for state in roster]
-
-
-def table_frequencies(tables) -> analysis.Frequencies:
-    """The `analysis.Frequencies` of one state's `simulate.CountTable`s, read
-    through the count array `analysis.frequencies` takes."""
-    return analysis.frequencies(*analysis._table_counts(tables))
 
 
 def subrun_plan_effects(settings, rates=IDEAL_RATES):
@@ -76,7 +70,7 @@ def derive_rng(name: str) -> np.random.Generator:
 def expected_laws(roster, plan, settings, noise) -> dict[str, list[dict[str, float]]]:
     """Per-shot outcome law of every (state, plan entry), keyed by state
     label, then by the count-table symbols in draw order (D/B for a single,
-    B/DB/DD for a sequential pair): the law rows `simulate.run_roster` draws
+    B/DB/DD for a sequential pair): the law rows `simulate.draw_roster` draws
     from, as dicts, each single's leading 0 dropped."""
     symbols, laws = law_rows(roster, plan, settings, noise)
     return {state.label: [dict(zip(syms, law[-len(syms):]))

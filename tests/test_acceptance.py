@@ -12,8 +12,7 @@ from qutrit_ks.model import CHI4, build_model, exact_operator
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
-from helpers import (IDEAL_RATES, exact_probabilities, random_density_matrix, subrun_plan_effects,
-                     table_frequencies)
+from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix, subrun_plan_effects
 
 QUANTUM_CHI13 = 83 / 3
 QUANTUM_CHI4 = 4 / 3
@@ -34,10 +33,11 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _state_results(tabs, model, rates):
+def _state_results(run, plan, model, rates):
+    _, names, stack = run
     results = {}
-    for label, tables in tabs.items():
-        freqs = table_frequencies(tables)
+    for label, counts in zip(names, stack):
+        freqs = analysis.frequencies(plan, counts)
         results[label] = {
             "chi13": analysis.estimate(model.chi13, freqs, rates),
             "chi13_raw": analysis.estimate(model.chi13, freqs, IDEAL_RATES),
@@ -106,15 +106,15 @@ def test_criterion_07_monte_carlo_ideal(model, settings):
     plan = simulate.build_plan(model, settings, shots=10_000)
     roster = simulate.default_state_roster()
     t0 = time.perf_counter()
-    tabs = simulate.run_roster(roster, plan, settings,
+    run = simulate.draw_roster(roster, plan, settings,
                                simulate.NoiseModel.ideal(), 42)
     dt = time.perf_counter() - t0
-    results = _state_results(tabs, model, IDEAL_RATES)
+    results = _state_results(run, plan, model, IDEAL_RATES)
     worst = max(max(abs(r["chi13"].value - QUANTUM_CHI13) / r["chi13"].stderr,
                     abs(r["chi4"].value - QUANTUM_CHI4) / r["chi4"].stderr)
                 for r in results.values())
-    dd_total = sum(t.counts["DD"] for tables in tabs.values() for t in tables
-                   if len(t.subexperiment.chain) == 2)
+    pairs = [k for k, sub in enumerate(plan) if len(sub.chain) == 2]
+    dd_total = int(run[2][:, pairs, 2].sum())  # a pair's DD column
     _report("criterion 7: ideal-noise Monte Carlo",
             worst < 3.0 and dd_total == 0 and dt < 120.0,
             f"worst deviation {worst:.2f} sigma, DD total {dd_total}, {dt:.1f}s")
@@ -128,9 +128,9 @@ def test_criterion_08_monte_carlo_paper_noise(model, settings):
     passes = {"window": 0, "sig13": 0, "sig4": 0, "bias": 0}
     details = []
     for seed in seeds:
-        tabs = simulate.run_roster(roster, plan, settings,
+        run = simulate.draw_roster(roster, plan, settings,
                                    simulate.NoiseModel.paper(), seed)
-        results = _state_results(tabs, model, rates)
+        results = _state_results(run, plan, model, rates)
         worst = max(abs(r["chi13"].value - QUANTUM_CHI13) / r["chi13"].stderr
                     for r in results.values())
         min_sig13 = min(analysis.significance(r["chi13"], 25.0)

@@ -11,7 +11,7 @@ from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model
 from qutrit_ks.pulses import settings_table
 
-from helpers import effect_stack, expected_laws, random_density_matrix, table_frequencies
+from helpers import effect_stack, law_rows, random_density_matrix
 
 IDENTITY = (1.0, 0.0)
 PAPER = simulate.readout_rates(simulate.NoiseModel.paper())
@@ -55,15 +55,17 @@ def probability(*rays):
                       quantum_value=Fraction(1))
 
 
-def tables_of(*chains_counts):
-    """Count tables (chain, counts); the setting id and key do not matter."""
-    return [simulate.CountTable(simulate.SubExperiment("M1", chain), counts, "t")
-            for chain, counts in chains_counts]
+def counts_of(*chains_counts):
+    """One state's plan and (n, 3) count array from (chain, counts) pairs,
+    each table's counts in draw order: (0, D, B) for a single, (B, DB, DD)
+    for a pair; the setting id does not matter."""
+    return ([simulate.SubExperiment("M1", chain) for chain, _ in chains_counts],
+            np.array([counts for _, counts in chains_counts], dtype=np.int64))
 
 
 def single_estimate(dark, shots, rates, ray=10):
-    tables = tables_of(((ray,), {"D": dark, "B": shots - dark}))
-    return analysis.estimate(probability(ray), table_frequencies(tables), rates)
+    freqs = analysis.frequencies(*counts_of(((ray,), (0, dark, shots - dark))))
+    return analysis.estimate(probability(ray), freqs, rates)
 
 
 def test_estimate_probability():
@@ -119,9 +121,9 @@ def test_correct_ml_monotone():
 def pair_estimate(counts, n, dark_j, rates, i=4, j=7):
     """The corrected pair (i, j) from its B/DB/DD counts and a single table
     of ray j with `dark_j` of n dark."""
-    tables = tables_of(((i, j), counts), ((j,), {"D": dark_j, "B": n - dark_j}))
-    return analysis.estimate(probability(i, j), table_frequencies(tables),
-                             rates)
+    freqs = analysis.frequencies(*counts_of(
+        ((i, j), [counts[s] for s in ("B", "DB", "DD")]), ((j,), (0, dark_j, n - dark_j))))
+    return analysis.estimate(probability(i, j), freqs, rates)
 
 
 def forward_pair(p1, p2d, c, n=10_000_000, eps_d=0.010, eps_b=0.021):
@@ -222,10 +224,10 @@ def test_frequencies_divide_as_python_past_2_53(model, shots):
     Python's correctly rounded count / n, where numpy's would miss some."""
     settings = settings_table()
     plan = simulate.build_plan(model, settings, shots)
-    _, draws = simulate.draw_roster(simulate.default_state_roster(), plan, settings,
-                                    NOISE["paper"], 3)
+    _, _, stack = simulate.draw_roster(simulate.default_state_roster(), plan, settings,
+                                       NOISE["paper"], 3)
     missed = 0
-    for _, counts in draws.values():
+    for counts in stack:
         f = analysis.frequencies(plan, counts)
         assert f.layout == tuple((sub.chain, shots) for sub in plan)
         assert f.f.tolist() == [c / shots for c in counts.ravel().tolist()]
@@ -241,10 +243,10 @@ def test_stacked_estimates_equal_one_state_calls(model, shots):
     settings = settings_table()
     plan = simulate.build_plan(model, settings, shots)
     for noise in NOISE.values():
-        _, draws = simulate.draw_roster(simulate.default_state_roster(), plan, settings,
-                                        noise, shots % 7)
-        stacked = analysis.frequencies(plan, np.array([c for _, c in draws.values()]))
-        alone = [analysis.frequencies(plan, c) for _, c in draws.values()]
+        _, _, counts = simulate.draw_roster(simulate.default_state_roster(), plan, settings,
+                                            noise, shots % 7)
+        stacked = analysis.frequencies(plan, counts)
+        alone = [analysis.frequencies(plan, c) for c in counts]
         assert all(f.layout == stacked.layout for f in alone)
         assert stacked.f.tobytes() == np.array([f.f for f in alone]).tobytes()
         for ineq in model.inequalities:
@@ -274,14 +276,14 @@ def test_frequencies_refuse_a_stack_with_an_empty_table(model):
 
 
 def test_assemble_chi4():
-    third = tables_of(*(((r,), {"D": 3000, "B": 6000}) for r in range(10, 14)))
-    est = analysis.estimate(CHI4, table_frequencies(third), IDENTITY)
+    plan, third = counts_of(*(((r,), (0, 3000, 6000)) for r in range(10, 14)))
+    est = analysis.estimate(CHI4, analysis.frequencies(plan, third), IDENTITY)
     assert est.value == pytest.approx(4 / 3)
     assert est.stderr == pytest.approx(math.sqrt(4 * (1 / 3) * (2 / 3) / 9000))
-    zeros = tables_of(*(((r,), {"D": 0, "B": 9000}) for r in range(10, 14)))
-    assert analysis.estimate(CHI4, table_frequencies(zeros), IDENTITY).value == 0.0
+    zeros = counts_of(*(((r,), (0, 0, 9000)) for r in range(10, 14)))
+    assert analysis.estimate(CHI4, analysis.frequencies(*zeros), IDENTITY).value == 0.0
     with pytest.raises(ValueError, match="v10"):
-        analysis.estimate(CHI4, table_frequencies(third[1:]), IDENTITY)
+        analysis.estimate(CHI4, analysis.frequencies(plan[1:], third[1:]), IDENTITY)
 
 
 def test_significance():
@@ -304,8 +306,8 @@ NOISE = {
 }
 
 
-def _corrected(tables, noise, model):
-    freqs, rates = table_frequencies(tables), simulate.readout_rates(noise)
+def _corrected(plan, counts, noise, model):
+    freqs, rates = analysis.frequencies(plan, counts), simulate.readout_rates(noise)
     return (analysis.estimate(model.chi13, freqs, rates),
             analysis.estimate(CHI4, freqs, rates))
 
@@ -317,12 +319,10 @@ def test_correction_inverts_exact_laws(model):
     plan = simulate.build_plan(model, settings)
     roster = simulate.default_state_roster()
     for name, noise in NOISE.items():
-        laws = expected_laws(roster, plan, settings, noise)
-        for state in roster:
-            tables = [simulate.CountTable(sub, {
-                s: round(p * 10 ** 15) for s, p in law.items()}, "exact")
-                for sub, law in zip(plan, laws[state.label])]
-            chi13, chi4 = _corrected(tables, noise, model)
+        _, laws = law_rows(roster, plan, settings, noise)
+        for state, law in zip(roster, laws):
+            counts = np.array([[round(p * 10 ** 15) for p in row] for row in law])
+            chi13, chi4 = _corrected(plan, counts, noise, model)
             assert chi13.value == pytest.approx(float(model.chi13.quantum_value),
                                                 abs=1e-9), (name, state.label)
             assert chi4.value == pytest.approx(float(CHI4.quantum_value),
@@ -351,8 +351,8 @@ def test_estimator_lookup_hashes_each_inequality_once(model, monkeypatch):
     plan = simulate.build_plan(model, settings, shots=300)
     state, noise = simulate.default_state_roster()[4], NOISE["paper"]
     for seed in range(3):
-        freqs = table_frequencies(
-            simulate.run_roster([state], plan, settings, noise, seed)[state.label])
+        freqs = analysis.frequencies(
+            plan, simulate.draw_roster([state], plan, settings, noise, seed)[2][0])
         for ineq in fresh:
             for rates in (IDENTITY, simulate.readout_rates(noise)):
                 analysis.estimate(ineq, freqs, rates)
@@ -398,8 +398,8 @@ def test_raw_and_corrected_maps_share_one_build(model):
     settings = settings_table()
     plan = simulate.build_plan(model, settings, shots=50)
     state, noise = simulate.default_state_roster()[0], NOISE["photon-count"]
-    freqs = table_frequencies(
-        simulate.run_roster([state], plan, settings, noise, 3)[state.label])
+    freqs = analysis.frequencies(
+        plan, simulate.draw_roster([state], plan, settings, noise, 3)[2][0])
     analysis.affine_map.cache_clear()
     analysis._parts.cache_clear()
     for ineq in (model.chi13, CHI4):
@@ -417,9 +417,10 @@ def test_stderr_is_the_multinomial_variance(model):
     plan = simulate.build_plan(model, settings, shots=2000)
     noise = NOISE["flip-depolarized"]
     rates = simulate.readout_rates(noise)
-    for label, tables in simulate.run_roster(simulate.default_state_roster(), plan,
-                                             settings, noise, 5).items():
-        freqs = table_frequencies(tables)
+    _, names, stack = simulate.draw_roster(simulate.default_state_roster(), plan,
+                                           settings, noise, 5)
+    for label, counts in zip(names, stack):
+        freqs = analysis.frequencies(plan, counts)
         for ineq in (model.chi13, CHI4):
             m = analysis.affine_map(ineq, freqs.layout, *rates)
             var, start = 0.0, 0
@@ -475,8 +476,8 @@ def test_estimate_at_the_law_is_the_quantum_value(model, name):
     rates = simulate.readout_rates(noise)
     effs = simulate.plan_effects(plan, settings, rates)
     roster = simulate.default_state_roster()
-    [tables] = simulate.run_roster(roster[:1], plan, settings, noise, 0).values()
-    drawn = table_frequencies(tables)
+    [counts] = simulate.draw_roster(roster[:1], plan, settings, noise, 0)[2]
+    drawn = analysis.frequencies(plan, counts)
     assert drawn.layout == layout and drawn.f.shape == (3 * len(plan),)
     singles = [3 * k for k, sub in enumerate(plan) if len(sub.chain) == 1]
     assert drawn.f[singles].tolist() == [0.0] * 13  # a single's first entry, as its law's
@@ -494,8 +495,8 @@ def _pulls(model, noise, labels, seeds):
     truth = float(model.chi13.quantum_value)
     pulls = []
     for seed in seeds:
-        for tables in simulate.run_roster(roster, plan, settings, noise, seed).values():
-            chi13, _ = _corrected(tables, noise, model)
+        for counts in simulate.draw_roster(roster, plan, settings, noise, seed)[2]:
+            chi13, _ = _corrected(plan, counts, noise, model)
             pulls.append((chi13.value - truth) / chi13.stderr)
     return np.mean(pulls), np.std(pulls, ddof=1)
 

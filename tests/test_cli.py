@@ -412,8 +412,9 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
     assert cli.simulate.counts_to_csv(*run) == text
     raw = cli.simulate.readout_rates(cli.simulate.NoiseModel.ideal())
     plan = cli.simulate.build_plan(model, cli.pulses.settings_table(), cfg.shots)
+    counts = dict(zip(run[1], run[2]))
     for label in ("psi7", "rho10"):
-        freqs = cli.analysis.frequencies(plan, run[1][label].counts)
+        freqs = cli.analysis.frequencies(plan, counts[label])
         chi4 = cli.analysis.estimate(cli.CHI4, freqs, raw)
         assert chi4.value == float(sum(Fraction(dark[label, ray], pooled[label, ray])
                                        for ray in range(10, 14)))

@@ -28,7 +28,7 @@ import pytest
 from qutrit_ks import analysis, cli, pulses, simulate
 from qutrit_ks.model import CHI4, build_model
 
-from helpers import expected_laws, table_frequencies
+from helpers import expected_laws
 
 NOISES = {
     "ideal": ["--noise", "ideal"],
@@ -170,11 +170,13 @@ def calibration_digest(noise: simulate.NoiseModel) -> str:
         plan = simulate.build_plan(model, settings, shots)
         for seed in CALIBRATION_SEEDS:
             for state in states:
-                [tables] = simulate.run_roster([state], plan, settings, noise, seed).values()
+                effs, names, [counts] = simulate.draw_roster([state], plan, settings, noise,
+                                                             seed)
                 digest.update(f"{shots}/{seed}/{state.label}".encode())
-                for t in tables:
-                    digest.update(f" {t.seed_key}:{sorted(t.counts.items())}".encode())
-                freqs = table_frequencies(tables)
+                for syms, row in zip(effs.symbols, counts.tolist()):
+                    table = sorted(zip(syms, row[-len(syms):]))  # a single's pad dropped
+                    digest.update(f" {names[state.label]}:{table}".encode())
+                freqs = analysis.frequencies(plan, counts)
                 for ineq in (model.chi13, CHI4):
                     for rates in corrections:
                         est = analysis.estimate(ineq, freqs, rates)

@@ -24,8 +24,8 @@ package's check tolerances are named in `linalg` alone, that
 is decomposed once for its checks and its square root alike, that every
 `functools` cache of the package is one of a named set, so a new cache
 shows up as an edit of that set, and that the command path (`cli` and
-`tomography`) reads each state's counts as `simulate.draw_roster`'s array,
-never through `run_roster`'s per-table dicts.
+`tomography`) reads a roster's counts as `simulate.draw_roster`'s (S, n, 3)
+stack, never through `run_roster`'s per-table dicts.
 """
 
 import ast
@@ -174,7 +174,7 @@ def test_unreferenced_scanner_flags_test_only_names(tmp_path):
                                                "tomography.plot"]
 
 
-# The command path reads each state's counts as one array; the per-table
+# The command path reads a roster's counts as one stack; the per-table
 # dicts are for the callers that still read tables, never for these modules.
 ARRAY_READERS = {"cli", "tomography"}
 TABLE_NAMES = {"run_roster", "CountTable"}

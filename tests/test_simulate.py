@@ -15,7 +15,7 @@ from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap
 from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, expected_laws, law_rows,
-                     random_density_matrix, stream_name, table_frequencies)
+                     random_density_matrix, stream_name)
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -382,10 +382,11 @@ def test_roster_determinism(model, settings):
     assert simulate.counts_to_csv(*a) != simulate.counts_to_csv(*c)
 
 
-def _draws(draws):
-    """`draw_roster`'s draws as comparable values: each state's stream name
-    and counts, by label."""
-    return {label: (name, counts.tolist()) for label, (name, counts) in draws.items()}
+def _draws(run):
+    """`draw_roster`'s names and count stack as comparable values: each
+    state's stream name and counts, by label."""
+    _, names, counts = run
+    return {label: (name, c) for (label, name), c in zip(names.items(), counts.tolist())}
 
 
 def test_stream_independence_of_execution_order(model, settings):
@@ -399,24 +400,26 @@ def test_stream_independence_of_execution_order(model, settings):
     roster = simulate.default_state_roster()
     for name in ("ideal", "paper", "photon-count"):
         noise = NOISE_CONFIGS[name]
-        effs, draws = simulate.draw_roster(roster, plan, settings, noise, 7)
+        run = simulate.draw_roster(roster, plan, settings, noise, 7)
+        effs, _, counts = run
         assert effs is simulate.plan_effects(plan, settings, simulate.readout_rates(noise))
-        assert [d.counts.shape for d in draws.values()] == [(len(plan), 3)] * len(roster)
-        assert all(d.counts.dtype == np.int64 for d in draws.values())
-        reversed_draws = simulate.draw_roster(roster[::-1], plan, settings, noise, 7)[1]
-        assert list(reversed_draws) == [s.label for s in roster[::-1]]
-        assert _draws(reversed_draws) == _draws(draws)
+        assert counts.shape == (len(roster), len(plan), 3)
+        assert counts.dtype == np.int64
+        draws = _draws(run)
+        reversed_run = simulate.draw_roster(roster[::-1], plan, settings, noise, 7)
+        assert list(reversed_run[1]) == [s.label for s in roster[::-1]]
+        assert _draws(reversed_run) == draws
         full = simulate.run_roster(roster, plan, settings, noise, 7)
         assert simulate.run_roster(roster[::-1], plan, settings, noise, 7) == full
         laws = expected_laws(roster, plan, settings, noise)
         for state in roster:
-            alone = simulate.draw_roster([state], plan, settings, noise, 7)[1]
-            assert _draws(alone) == {state.label: _draws(draws)[state.label]}
+            alone = simulate.draw_roster([state], plan, settings, noise, 7)
+            assert _draws(alone) == {state.label: draws[state.label]}
             assert simulate.run_roster([state], plan, settings, noise, 7) == \
                 {state.label: full[state.label]}
             assert [list(t.counts.values()) for t in full[state.label]] == \
                 [row[-len(t.counts):] for t, row in zip(full[state.label],
-                                                        draws[state.label].counts.tolist())]
+                                                        draws[state.label][1])]
             key = stream_name(7, state.label, plan)
             rng = derive_rng(key)
             solo = [(sub, dict(zip(law, rng.multinomial(sub.shots, list(law.values())).tolist())),
@@ -448,8 +451,9 @@ def test_derive_rng_is_keyed_philox(settings):
 
 def test_a_stacked_draw_keeps_each_names_stream(model, settings):
     """`draw` re-keys its one generator for each law of a stack: every law's
-    counts equal a fresh `Philox(key=...)` draw of its name alone, whatever
-    the names before it, a repeated name included."""
+    counts, one row of the (S, n, 3) int64 stack it returns, equal a fresh
+    `Philox(key=...)` draw of its name alone, whatever the names before it,
+    a repeated name included."""
     plan = simulate.build_plan(model, settings, 1)
     effs = simulate.plan_effects(plan, settings, simulate.readout_rates(NOISE_CONFIGS["paper"]))
     psi7, rho12 = (simulate.default_state_roster()[i].rho for i in (6, 11))
@@ -457,6 +461,7 @@ def test_a_stacked_draw_keeps_each_names_stream(model, settings):
     shots = [1000 + 37 * k for k in range(len(plan))]
     names = ["1/psi1/p", "1/psi2/p", "2/psi1/p", "1/psi1/p"]
     counts = simulate.draw(laws, shots, names)
+    assert (type(counts), counts.shape, counts.dtype) == (np.ndarray, laws.shape, np.int64)
     assert [(c.shape, c.dtype) for c in counts] == [(laws.shape[1:], np.int64)] * len(names)
     for name, law, drawn in zip(names, laws, counts):
         key = np.frombuffer(hashlib.sha256(name.encode()).digest()[:16], "<u8")
@@ -474,6 +479,25 @@ def test_counts_csv_shape(model, settings):
     assert lines[0] == "state,setting,chain,symbol,count,seed"
     # 13 singles x 2 symbols + 24 pairs x 3 symbols
     assert len(lines) - 1 == 13 * 2 + 24 * 3
+
+
+def test_counts_csv_is_each_states_rows_in_roster_order(model, settings):
+    """`counts_to_csv` of a roster is the header, then each one-state run's
+    rows, in roster order: the writer reads state s from row s of the count
+    stack. A reversed roster only reorders those blocks."""
+    plan = simulate.build_plan(model, settings, shots=100)
+    roster = simulate.default_state_roster()
+    noise = NOISE_CONFIGS["paper"]
+    header = "state,setting,chain,symbol,count,seed\n"
+    blocks = []
+    for state in roster:
+        text = simulate.counts_to_csv(*simulate.draw_roster([state], plan, settings, noise, 5))
+        assert text.startswith(header)
+        blocks.append(text[len(header):])
+    assert len(set(blocks)) == len(roster)
+    for order, expected in ((roster, blocks), (roster[::-1], blocks[::-1])):
+        run = simulate.draw_roster(order, plan, settings, noise, 5)
+        assert simulate.counts_to_csv(*run) == header + "".join(expected)
 
 
 def test_readout_rates():
@@ -988,8 +1012,8 @@ def _sweep(model, settings, plan, noises):
         corrections = (simulate.readout_rates(NoiseModel.ideal()),
                        simulate.readout_rates(noise))
         for state in simulate.default_state_roster():
-            [tables] = simulate.run_roster([state], plan, settings, noise, 1).values()
-            freqs = table_frequencies(tables)
+            [counts] = simulate.draw_roster([state], plan, settings, noise, 1)[2]
+            freqs = analysis.frequencies(plan, counts)
             for ineq in (model.chi13, CHI4):
                 for rates in corrections:
                     analysis.estimate(ineq, freqs, rates)

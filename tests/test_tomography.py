@@ -173,9 +173,9 @@ def test_reconstruction_is_the_nearest_state(settings, noise):
 
 def _dark_frequencies(state, settings, shots, seed):
     """Raw dark frequency of every sub-run of one ideal-noise run."""
-    tables = simulate.run_roster([state], tg._subruns(settings, shots), settings,
-                                 simulate.NoiseModel.ideal(), seed)
-    return [t.counts["D"] / shots for t in tables[state.label]]
+    [counts] = simulate.draw_roster([state], tg._subruns(settings, shots), settings,
+                                    simulate.NoiseModel.ideal(), seed)[2]
+    return [d / shots for d in counts[:, 1].tolist()]  # each sub-run's D
 
 
 def test_simulated_tomography_trivia(settings):
@@ -455,8 +455,9 @@ def test_dark_frequencies_divide_as_python_past_2_53(settings, shots, monkeypatc
     a count's own rounding does, which none of these 252 happens to."""
     roster = simulate.default_state_roster()
     noise = simulate.NoiseModel.paper()
-    _, draws = simulate.draw_roster(roster, tg._subruns(settings, shots), settings, noise, 3)
-    dark = [counts[:, 1].tolist() for _, counts in draws.values()]
+    _, _, stack = simulate.draw_roster(roster, tg._subruns(settings, shots), settings,
+                                       noise, 3)
+    dark = [counts[:, 1].tolist() for counts in stack]
     solved = []
     monkeypatch.setattr(tg, "_reconstruct", lambda q, effs, targets: solved.append(q.tolist()))
     tg.run_tomography(roster, settings, noise, shots, 3)
