@@ -14,13 +14,15 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, analysis, hv, linalg, pulses, simulate, tomography
-from .model import CHI4, Inequality, KSModel, build_model, dump_model, exact_operator
+from .model import (CHI4, Inequality, KSModel, build_model, dump_model, operator_numerator,
+                    triple_free)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -92,16 +94,22 @@ def run_verification(report_lines: list[str], model: KSModel | None = None) -> b
           f"{sorted(model.triangles)}")
 
     for ineq in model.inequalities:
-        op, value = exact_operator(ineq), np.diag([ineq.quantum_value] * 3)
-        err = abs(op - value).max() if (op != value).any() else 0  # no Fraction built
-        check(f"quantum {ineq.name} operator = ({ineq.quantum_value}) I",
-              err == 0, f"exact, max entry error {err}")
+        numerator, den = operator_numerator(ineq)  # den times the operator
+        q = ineq.quantum_value  # entries of q.denominator den (op - q I), as Python ints
+        err = max(abs(x * q.denominator - (i == j) * q.numerator * den)
+                  for i, row in enumerate(numerator.tolist()) for j, x in enumerate(row))
+        check(f"quantum {ineq.name} operator = ({q}) I", err == 0,
+              f"exact, max entry error {Fraction(err, q.denominator * den) if err else 0}")
 
     r13, r4 = hv.max_chi13_noncontextual(model), hv.max_chi4_constrained(model)
     for ineq, r, detail in ((model.chi13, r13, f"{r13.argmax_count} maximizers"),
                             (CHI4, r4, f"{r4.admissible_count} admissible assignments")):
         check(f"classical bound {ineq.name} = {ineq.classical_bound}",
               r.maximum == ineq.classical_bound, f"max {r.maximum}, {detail}")
+    free = triple_free(model.chi13)
+    r = hv.enumerate_bound(free, model)
+    check(f"noncontextual bound {free.name} = {free.classical_bound}",
+          r.maximum == free.classical_bound, f"max {r.maximum}, {r.argmax_count} maximizers")
 
     settings = pulses.settings_table()
     try:

@@ -1,20 +1,28 @@
 """Classical bounds by exhaustive hidden-variable enumeration.
 
 `enumerate_bound` evaluates an inequality spec from `model` on all 2^13
-assignments at once, in integer arithmetic: one gather from a ray-major int8
-table per group of terms of equal degree and coefficient, grouped once per spec
-content. In the +-1 alphabet every assignment counts; in the 0/1 alphabet only
-those obeying the product rule on every edge and the sum rule on every triangle
-of the model's graph. The tests hold a scalar reference, one spec at a time."""
+assignments at once, exactly. Assignment a = 128 h + l holds rays 1-7 in the
+bits of l and rays 8-13 in the bits of h, so every monomial is a low part
+times a high part, and all 8,192 values are one product G^T (C F): F and G
+hold each distinct low and high part's value on the 128 and 64 half
+assignments, and C the coefficients, placed once per spec content. In the
++-1 alphabet every assignment counts; in the 0/1 alphabet only those where
+the model's rules hold: the product rule on every edge and the sum rule on
+every triangle, as one penalty that is evaluated alike and is 0 exactly there.
+The tests hold a scalar reference, one spec at a time."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .model import CHI4, ZO, Inequality, KSModel, RAYS
+
+LOW = 7  # rays 1..LOW form the low half of an assignment
 
 
 @dataclass
@@ -26,45 +34,84 @@ class BoundReport:
 
 
 @functools.cache
-def _table(alphabet: str) -> np.ndarray:
-    """Read-only x_r of assignment a at [r - 1, a], V_r being bit r - 1 of a."""
-    index = np.arange(2 ** len(RAYS), dtype=np.uint16)
-    bits = np.stack([(index >> r & 1).astype(np.int8) for r in range(len(RAYS))])
-    table = bits if alphabet == ZO else 1 - 2 * bits
-    table.flags.writeable = False
-    return table
+def _table(alphabet: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int8 half tables: x_r of low half l at [r - 1, l] for rays
+    1-7 and of high half h at [r - 8, h] for rays 8-13, V_r being bit r - 1
+    of 128 h + l. Each ends in a row of ones, the index that pads a part."""
+    def half(n: int) -> np.ndarray:
+        bits = (np.arange(2 ** n) >> np.arange(n)[:, None] & 1).astype(np.int8)
+        table = np.vstack([bits if alphabet == ZO else 1 - 2 * bits,
+                           np.ones((1, 2 ** n), dtype=np.int8)])
+        table.flags.writeable = False
+        return table
+    return half(LOW), half(len(RAYS) - LOW)
 
 
 @functools.lru_cache(maxsize=8)  # once per spec content; a refused spec raises every call
-def _groups(ineq: Inequality) -> tuple[tuple[np.int64, np.ndarray], ...]:
-    if (sum(map(abs, ineq.terms.values())) >= 2 ** 63
-            or not {r for m in ineq.terms for r in m} <= RAYS.keys()):
+def _coefficients(ineq: Inequality) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C at [high part, low part], and each part's table rows padded with the
+    ones row, all read-only. F and G are -1, 0 or 1, so every entry of C F
+    and of G^T (C F), and every partial sum on the way, is an integer of size
+    at most sum |c|. Below 2^53 float64 holds each of them exactly, and the
+    product runs in BLAS; from there up to the refused 2^63 it runs in int64."""
+    total = sum(map(abs, ineq.terms.values()))
+    if total >= 2 ** 63 or not {r for m in ineq.terms for r in m} <= RAYS.keys():
         raise ValueError(f"inequality {ineq.name}: terms need rays 1..13 and a sum "
                          "of |coefficients| below 2^63")
-    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for rays, c in ineq.terms.items():
-        groups.setdefault((len(rays), c), []).append(rays)
-    return tuple((np.int64(c), np.broadcast_to(np.array(m, dtype=np.intp) - 1, (len(m), k)))
-                 for (k, c), m in groups.items())  # table rows as read-only views
+    lows: dict[tuple[int, ...], int] = {}
+    highs: dict[tuple[int, ...], int] = {}
+    cells = [(highs.setdefault(tuple(r - 1 - LOW for r in rays if r > LOW), len(highs)),
+              lows.setdefault(tuple(r - 1 for r in rays if r <= LOW), len(lows)), coef)
+             for rays, coef in ineq.terms.items()]
+    c = np.zeros((len(highs), len(lows)), dtype=np.float64 if total < 2 ** 53 else np.int64)
+    for h, l, coef in cells:
+        c[h, l] = coef
+
+    def rows(parts: dict, pad: int) -> np.ndarray:
+        k = max(map(len, parts), default=0)
+        return np.array([p + (pad,) * (k - len(p)) for p in parts],
+                        dtype=np.intp).reshape(len(parts), k)
+    out = c, rows(lows, LOW), rows(highs, len(RAYS) - LOW)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _values(ineq: Inequality) -> np.ndarray:
+    """The spec's int64 value at every assignment, indexed by assignment."""
+    c, low, high = _coefficients(ineq)
+    lo, hi = _table(ineq.alphabet)
+    f = lo[low].prod(axis=1, dtype=np.int8).astype(c.dtype)
+    g = hi[high].prod(axis=1, dtype=np.int8).astype(c.dtype)
+    return (g.T @ (c @ f)).ravel().astype(np.int64)
+
+
+def _rules(model: KSModel) -> Inequality:
+    """The 0/1 rules as one penalty: V_i V_j per edge plus, per triangle,
+    (1 - V_i - V_j - V_k)^2 = 1 - sum V + 2 sum V_a V_b (as V^2 = V). Each
+    part is a nonnegative integer, so the penalty is 0 exactly where every
+    rule holds."""
+    terms = dict.fromkeys(model.edges, 1)
+    for t in model.triangles:
+        for m, c in (((), 1), *(((r,), -1) for r in t), *((e, 2) for e in combinations(t, 2))):
+            terms[m] = terms.get(m, 0) + c
+    return Inequality("rules", ZO, terms, classical_bound=0, quantum_value=Fraction(0))
 
 
 def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
     """Exact maximum of `ineq` over every admissible assignment."""
-    table = _table(ineq.alphabet)
-    values = np.zeros(table.shape[1], dtype=np.int64)
-    for c, rows in _groups(ineq):
-        products = table[rows].prod(axis=1, dtype=np.int8)
-        # products are -1, 0 or 1: the smallest dtype holding -1 - m sums m exactly
-        values += c * products.sum(axis=0, dtype=np.min_scalar_type(-1 - len(rows)))
+    values = _values(ineq)
     if ineq.alphabet == ZO:
-        edges, triangles = (np.array(list(s), dtype=np.intp).reshape(-1, n) - 1
-                            for s, n in ((model.edges, 2), (model.triangles, 3)))
-        keep = np.flatnonzero((table[triangles].sum(axis=1, dtype=np.int8) == 1).all(axis=0))
-        # the product rule only on assignments the sum rule keeps: a small gather
-        values = values[keep[~table[:, keep][edges].all(axis=1).any(axis=0)]]
+        values = values[_values(_rules(model)) == 0]
     if values.size == 0:
         return BoundReport(maximum=None, argmax_count=0, admissible_count=0)
-    keys, counts = np.unique(values, return_counts=True)
+    low = values.min()
+    if int(values.max()) - int(low) + 1 < values.size:  # a span below the count: bin it
+        counts = np.bincount(values - low)
+        keys = np.flatnonzero(counts)
+        keys, counts = keys + low, counts[keys]
+    else:
+        keys, counts = np.unique(values, return_counts=True)
     return BoundReport(maximum=int(keys[-1]), argmax_count=int(counts[-1]),
                        admissible_count=int(values.size),
                        histogram=dict(zip(keys.tolist(), counts.tolist())))

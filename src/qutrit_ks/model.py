@@ -73,6 +73,28 @@ CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},
                   classical_bound=1, quantum_value=Fraction(4, 3))
 
 
+def triple_free(ineq: Inequality) -> Inequality:
+    """The +-1 spec `ineq` with each c A_i A_j A_k replaced by
+    c (1 - sum A + sum A_a A_b), where a, b run over the three rays.
+
+    With A = 1 - 2V the two differ by exactly -8c V_i V_j V_k, the one term
+    no sub-experiment measures, so this is the spec that the estimator
+    reports on a noncontextual assignment (`analysis._expansion`). For chi13
+    each c = -mu_ijk <= 0 and every value only falls, so the classical bound
+    is kept. A triangle's projectors multiply to 0, so the quantum value is
+    kept too."""
+    if ineq.alphabet != PM1:
+        raise ValueError(f"inequality {ineq.name}: triple terms are dropped from +-1 specs")
+    terms = dict(ineq.terms)
+    for rays in [m for m in ineq.terms if len(m) == 3]:
+        c = terms.pop(rays)
+        for m, sign in (((), 1), *(((r,), -1) for r in rays),
+                        *((e, 1) for e in combinations(rays, 2))):
+            terms[m] = terms.get(m, 0) + sign * c
+    return Inequality(f"{ineq.name} without triple terms", PM1, terms,
+                      ineq.classical_bound, ineq.quantum_value)
+
+
 def ray_unit(i: int) -> np.ndarray:
     v = np.asarray(RAYS[i], dtype=complex)
     return v / np.linalg.norm(v)
@@ -127,8 +149,9 @@ def build_model() -> KSModel:
     return KSModel(edges, triangles, mu_i, mu_ij, mu_ijk)
 
 
-def exact_operator(ineq: Inequality) -> np.ndarray:
-    """The inequality's quantum operator as a 3x3 array of `Fraction`s.
+def operator_numerator(ineq: Inequality) -> tuple[np.ndarray, int]:
+    """The inequality's quantum operator times D^K, as a 3x3 integer array,
+    and D^K.
 
     Integer rays give rational projectors P_r = v v^T / (v . v); each value
     x_r becomes P_r (0/1 alphabet) or I - 2 P_r (+-1 alphabet), and each
@@ -143,13 +166,15 @@ def exact_operator(ineq: Inequality) -> np.ndarray:
     v = np.array([RAYS[r] for r in rays], dtype=object if wide else np.int64).reshape(-1, 3)
     p = v[:, :, None] * v[:, None, :] * (d // np.array(norms, dtype=np.int64))[:, None, None]
     factors = d * np.eye(3, dtype=int) - 2 * p if ineq.alphabet == PM1 else p
+    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
+    for m, c in ineq.terms.items():
+        by_degree.setdefault(len(m), {})[m] = c * d ** (top - len(m))
     total = np.zeros(9, dtype=v.dtype)
-    for k in set(map(len, ineq.terms)):
-        terms = {m: c * d ** (top - k) for m, c in ineq.terms.items() if len(m) == k}
+    for k, terms in by_degree.items():
         idx = np.searchsorted(rays, np.array(list(terms), dtype=int)).T  # factor rows
         products = reduce(np.matmul, factors[idx]) if k else np.eye(3, dtype=int)[None]
         total += np.array([*terms.values()], dtype=v.dtype) @ products.reshape(-1, 9)
-    return total.reshape(3, 3) * Fraction(1, d ** top)
+    return total.reshape(3, 3), d ** top
 
 
 def dump_model(model: KSModel) -> str:

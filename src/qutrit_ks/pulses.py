@@ -136,6 +136,7 @@ EXACT_ANGLES = {_PI / 2: ((0, 3, 0, 0), (0, 3, 0, 0)), _PI: ((0, 0, 0, 0), (6, 0
                 ALPHA: ((0, 0, 0, 2), (0, 0, 2, 0)), _PI - ALPHA: ((0, 0, 2, 0), (0, 0, 0, 2))}
 EXACT_PHASES = {0.0: 1, _PI: -1}
 _EYE12 = np.eye(12, dtype=np.int64)
+_RAY_ROWS = np.array([(0, 0, 0), *RAYS.values()], dtype=np.int64)  # row r: ray r
 
 
 def _times(a, b, c, d) -> np.ndarray:
@@ -157,26 +158,32 @@ def exact_pulse_matrix(p: Pulse) -> np.ndarray:
 
 def verify_all_settings(settings: list[MeasurementSetting]) -> None:
     """Prove U v = +-sqrt(v.v) e_b exactly for each mapped (basis state b, ray v),
-    sqrt(v.v) being basis element v.v - 1 of block b: chains padded with 6 I to the
-    deepest length k give all 6^k U in one integer matmul chain. Raises ValueError."""
+    sqrt(v.v) being basis element v.v - 1 of block b: each setting's rays, as
+    columns b, go through its pulses x <- 6 P_k x, a chain padded with 6 I to the
+    deepest length k, in one stacked integer matmul per depth, so each image is
+    6^k U v. Raises ValueError."""
     for s in settings:
         if any(p.theta not in EXACT_ANGLES or p.phi not in EXACT_PHASES for p in s.pulses):
             raise ValueError(f"setting {s.id}: a pulse angle is not in the exact set")
     depth = max((len(s.pulses) for s in settings), default=0)
-    u = np.broadcast_to(_EYE12, (len(settings), 12, 12))
+    mapped = np.zeros((len(settings), 3), dtype=np.intp)  # ray of (setting, b - 1); 0: none
+    for i, s in enumerate(settings):
+        for b, r in s.mapping.items():
+            mapped[i, b - 1] = r
+    v = _RAY_ROWS[mapped]  # v is rational
+    x = np.zeros((len(settings), 12, 3), dtype=np.int64)
+    x[:, ::4] = v.transpose(0, 2, 1)
+    pad = 6 * _EYE12
     for k in range(depth):
-        u = np.stack([exact_pulse_matrix(s.pulses[k]) if k < len(s.pulses) else 6 * _EYE12
-                      for s in settings]) @ u
-    entries = np.array([(i, b, r) for i, s in enumerate(settings)
-                        for b, r in sorted(s.mapping.items())], dtype=np.int64).reshape(-1, 3)
-    index, basis, ray = entries.T
-    v = np.array([RAYS[r] for r in ray], dtype=np.int64).reshape(-1, 3)
-    image = np.abs(np.einsum("nij,nj->ni", u[index, :, ::4], v))  # v is rational
-    target = 6 ** depth * _EYE12[4 * (basis - 1) + (v * v).sum(axis=1) - 1]
-    misses = entries[(image != target).any(axis=1)]
+        x = np.array([exact_pulse_matrix(s.pulses[k]) if k < len(s.pulses) else pad
+                      for s in settings]) @ x
+    norms = (v * v).sum(axis=2)
+    target = 6 ** depth * _EYE12[4 * np.arange(3) + norms - 1] * (norms > 0)[..., None]
+    misses = np.argwhere((np.abs(x).transpose(0, 2, 1) != target).any(axis=2))
     if len(misses):
-        i, b, r = misses[0]
-        raise ValueError(f"setting {settings[i].id}: ray v{r} misses basis state |{b}>")
+        i, b = misses[0]
+        raise ValueError(f"setting {settings[i].id}: ray v{mapped[i, b]} "
+                         f"misses basis state |{b + 1}>")
 
 
 def covered_pairs(settings: list[MeasurementSetting]) -> set[tuple[int, int]]:

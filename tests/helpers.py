@@ -6,13 +6,19 @@ from fractions import Fraction
 import numpy as np
 
 from qutrit_ks import linalg, simulate, tomography
-from qutrit_ks.model import PM1, Inequality
+from qutrit_ks.model import PM1, Inequality, operator_numerator
 
 # Coefficients beyond int64: exact arithmetic must carry them, and int64
 # enumeration must refuse them.
 HUGE = Inequality("huge", PM1, {(1,): 10**30, (10,): -(10**30), (1, 4): 10**30,
                                 (2, 5, 8): -(10**30), (3, 6, 9): 7},
                   classical_bound=0, quantum_value=Fraction(0))
+
+
+def exact_operator(ineq: Inequality) -> np.ndarray:
+    """The inequality's quantum operator as a 3x3 array of `Fraction`s."""
+    numerator, denominator = operator_numerator(ineq)
+    return numerator * Fraction(1, denominator)
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:

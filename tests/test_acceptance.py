@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from qutrit_ks import analysis, hv, linalg, simulate, tomography as tg
-from qutrit_ks.model import CHI4, build_model, exact_operator
+from qutrit_ks.model import CHI4, build_model
 from qutrit_ks.pulses import ALPHA, covered_pairs, settings_table, \
     verify_all_settings
 
-from helpers import IDEAL_RATES, exact_probabilities, random_density_matrix, subrun_plan_effects
+from helpers import IDEAL_RATES, exact_operator, exact_probabilities, random_density_matrix, \
+    subrun_plan_effects
 
 QUANTUM_CHI13 = 83 / 3
 QUANTUM_CHI4 = 4 / 3

@@ -20,6 +20,17 @@ def test_verify_passes(capsys):
     assert "verification PASSED" in out
 
 
+def test_verify_bounds_chi13_without_its_triple_terms(capsys):
+    """The triple-free line is its own check; it never reads as the chi13
+    classical bound line, which the benchmark's check searches for."""
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    free = [l for l in lines if "without triple terms" in l]
+    assert free == ["[ok  ] noncontextual bound chi13 without triple terms = 25: "
+                    "max 25, 92 maximizers"]
+    assert "classical bound chi13" not in free[0]
+
+
 def test_verify_operator_lines_are_exact(capsys):
     assert cli.main(["verify"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -110,10 +121,10 @@ def test_verify_fails_on_an_inexact_setting_angle(monkeypatch, capsys, theta, ph
 
 
 def test_verify_serves_nothing_stale(monkeypatch, capsys):
-    """After a passing `verify`, the graph, the settings and the term groups
-    are built, yet a removed edge, a changed mu_ij (a new chi13 spec) and an
-    inexact M5 angle each still fail in the same process: only the inputs
-    are kept, never a proof's result."""
+    """After a passing `verify`, the graph, the settings and the coefficient
+    matrices are built, yet a removed edge, a changed mu_ij (a new chi13
+    spec) and an inexact M5 angle each still fail in the same process: only
+    the inputs are kept, never a proof's result."""
     assert cli.main(["verify"]) == cli.EXIT_OK
     model, table = cli.build_model(), pulses.settings_table()
     m5 = table[4]
@@ -293,9 +304,19 @@ def test_verification_fails_on_operator_for_changed_weight(monkeypatch):
     monkeypatch.setattr(cli, "build_model", lambda: changed)
     lines = []
     assert cli.run_verification(lines) is False
-    assert any(l.startswith("[FAIL] quantum chi13 operator = (83/3) I")
-               for l in lines)
+    assert "[FAIL] quantum chi13 operator = (83/3) I: exact, max entry error 1" in lines
     assert any(l.startswith("[ok  ] quantum chi4 operator") for l in lines)
+
+
+def test_verification_reports_a_fractional_operator_error(monkeypatch):
+    """mu_13 = 3 adds A_13 = I - 2 P_13, whose entries are 1/3 and -2/3: the
+    integer compare reports the largest as the exact `Fraction` 2/3."""
+    model = cli.build_model()
+    changed = dataclasses.replace(model, mu_i={**model.mu_i, 13: 3})
+    monkeypatch.setattr(cli, "build_model", lambda: changed)
+    lines = []
+    assert cli.run_verification(lines) is False
+    assert "[FAIL] quantum chi13 operator = (83/3) I: exact, max entry error 2/3" in lines
 
 
 def test_report_equals_plot_data(tmp_path, capsys):

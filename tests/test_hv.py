@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
+import numpy as np
 import pytest
 
-from qutrit_ks import hv
-from qutrit_ks.model import CHI4, PM1, RAYS, ZO, Inequality, KSModel, build_model
+from qutrit_ks import analysis, hv
+from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, KSModel, build_model,
+                             triple_free)
 
 from helpers import HUGE
 
@@ -174,6 +176,33 @@ def test_dropping_triple_products_keeps_bound(model):
     assert best <= 25
 
 
+@pytest.mark.parametrize("weights", ["default", "weighted_123"])
+def test_triple_free_record_is_the_estimators_expansion(model, weights):
+    """The triple-free +-1 record, read under A = 1 - 2V, is the 0/1
+    expansion that the estimator reports (`analysis._expansion`, which drops
+    the unmeasured triple term) at every assignment, for the default weights
+    and for a weighted (1, 2, 3) triangle."""
+    if weights == "weighted_123":
+        model = dataclasses.replace(model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4})
+    free = triple_free(model.chi13)
+    assert all(len(m) < 3 for m in free.terms)
+    expansion = list(analysis._expansion(model.chi13))
+    for g in product((0, 1), repeat=13):
+        assert spec_value(free, tuple(1 - 2 * v for v in g)) == \
+            sum(c * prod(g[r - 1] for r in rays) for rays, c in expansion)
+
+
+def test_triple_free_bound_matches_scalar_reference(model):
+    """Dropping the triple terms keeps chi13's bound of 25, now reached by
+    92 assignments; the record stays out of the model's inequalities."""
+    free = triple_free(model.chi13)
+    report = hv.enumerate_bound(free, model)
+    assert report.histogram == _scalar_histogram(model, free)
+    assert (report.maximum, report.argmax_count) == (25, 92)
+    assert (free.name, free.classical_bound) == ("chi13 without triple terms", 25)
+    assert free not in model.inequalities
+
+
 def test_report_text(chi13_report):
     text = report_to_text("chi13", chi13_report)
     assert "maximum          = 25" in text
@@ -245,6 +274,22 @@ def test_enumeration_sums_in_int64():
     assert report.histogram == {-(2 ** 31): 2 ** 11, 0: 2 ** 12, 2 ** 31: 2 ** 11}
 
 
+@pytest.mark.parametrize("spec", ["one_ray", "chi13"])
+@pytest.mark.parametrize("above", [0, 1, 2])
+def test_float_switch_point_is_exact(model, spec, above):
+    """At sum |c| = 2^53 - 1, the largest the product runs in float64 for,
+    at 2^53, where int64 takes over, and at 2^53 + 1, where float64 could
+    not hold the odd value of one ray, every value is the scalar reference's."""
+    terms = {"one_ray": {(1,): 1}, "chi13": dict(model.chi13.terms)}[spec]
+    terms[(1,)] += 2 ** 53 - 1 + above - sum(map(abs, terms.values()))
+    ineq = Inequality("switch", PM1, terms, classical_bound=0, quantum_value=Fraction(0))
+    assert sum(map(abs, ineq.terms.values())) == 2 ** 53 - 1 + above
+    assert hv._coefficients(ineq)[0].dtype == (np.int64 if above else np.float64)
+    report = hv.enumerate_bound(ineq, model)
+    assert report.histogram == _scalar_histogram(model, ineq)
+    assert report.maximum == max(report.histogram)
+
+
 def test_enumeration_refuses_unknown_rays_and_coefficients_beyond_int64():
     with pytest.raises(ValueError, match="inequality huge"):
         hv.enumerate_bound(HUGE, build_model())
@@ -254,7 +299,7 @@ def test_enumeration_refuses_unknown_rays_and_coefficients_beyond_int64():
 
 
 def test_enumeration_refuses_a_bad_spec_on_every_call(model):
-    """A spec is checked and grouped once per content, but a refused spec is
+    """A spec is checked and placed once per content, but a refused spec is
     never remembered as checked."""
     for bad in (HUGE, Inequality("ray0", PM1, {(0, 1): 1}, 0, Fraction(0))):
         for _ in range(2):
@@ -262,10 +307,13 @@ def test_enumeration_refuses_a_bad_spec_on_every_call(model):
                 hv.enumerate_bound(bad, model)
 
 
-def test_term_groups_are_shared_and_read_only():
-    groups = hv._groups(CHI4)
-    assert hv._groups(dataclasses.replace(CHI4)) is groups  # keyed by content
-    assert all(not rows.flags.writeable for _, rows in groups)
+def test_coefficients_are_shared_and_read_only(model):
+    """A spec's coefficient matrix and part rows are built once per content
+    and are read-only, as are the half tables they index."""
+    for ineq in (CHI4, model.chi13):
+        arrays = hv._coefficients(ineq)
+        assert hv._coefficients(dataclasses.replace(ineq)) is arrays  # keyed by content
+        assert all(not a.flags.writeable for a in arrays + hv._table(ineq.alphabet))
 
 
 def test_uncolorable_rules_report_no_maximum(model):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from qutrit_ks import linalg, model as model_module
-from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model,
-                             dump_model, exact_operator)
+from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model, dump_model,
+                             triple_free)
 
-from helpers import HUGE, random_density_matrix
+from helpers import HUGE, exact_operator, random_density_matrix
 
 PROJECTORS = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
 OBSERVABLES = {i: linalg.IDENTITY - 2 * p for i, p in PROJECTORS.items()}
@@ -235,3 +235,15 @@ def test_build_model_does_not_search_all_triples(monkeypatch):
     built = build_model()
     assert sizes and 3 not in sizes
     assert built.triangles == all_triples_triangles(built.edges)
+
+
+def test_triple_free_keeps_lower_terms_and_refuses_a_01_spec(model):
+    """A spec without triple terms comes back with the same terms; the 0/1
+    alphabet has no +-1 expansion to apply, so it is refused."""
+    pairs = Inequality("pairs", PM1, {(): 2, (1,): -1, (1, 4): 3}, 5, Fraction(1))
+    free = triple_free(pairs)
+    assert (dict(free.terms), free.classical_bound, free.quantum_value) == \
+        (dict(pairs.terms), 5, Fraction(1))
+    assert free.name == "pairs without triple terms"
+    with pytest.raises(ValueError, match="inequality chi4: triple terms"):
+        triple_free(CHI4)

@@ -402,7 +402,7 @@ CACHES = [
     "analysis._parts",
     "analysis.affine_map",
     "cli.build_parser",
-    "hv._groups",
+    "hv._coefficients",
     "hv._table",
     "model.Inequality._hash",
     "model.KSModel.chi13",

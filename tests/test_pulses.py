@@ -167,6 +167,27 @@ def test_swapped_exact_angle_misses_its_ray(settings):
         pulses.verify_all_settings(broken)
 
 
+@pytest.mark.parametrize("sid, k, miss", [
+    ("M9", 0, "v6 misses basis state |1>"), ("M9", 1, "v6 misses basis state |1>"),
+    ("M9", 2, "v12 misses basis state |3>"), ("M10", 0, "v6 misses basis state |1>"),
+    ("M10", 1, "v6 misses basis state |1>"), ("M10", 2, "v13 misses basis state |2>"),
+    ("M15", 0, "v10 misses basis state |1>"), ("M15", 1, "v10 misses basis state |1>"),
+    ("M15", 2, "v10 misses basis state |1>"), ("M16", 0, "v9 misses basis state |2>"),
+    ("M16", 1, "v9 misses basis state |2>"), ("M16", 2, "v11 misses basis state |3>")])
+def test_flipped_phase_in_a_three_pulse_setting_is_named(settings, sid, k, miss):
+    """Pulse k of a three-pulse setting with its phase flipped (0 <-> pi, both
+    exact) is carried through every later pulse of the chain, and the proof
+    names the setting, the first ray that misses and its basis state."""
+    i = [s.id for s in settings].index(sid)
+    chain = list(settings[i].pulses)
+    chain[k] = dataclasses.replace(chain[k], phi=0.0 if chain[k].phi else math.pi)
+    broken = settings[:i] + [dataclasses.replace(settings[i], pulses=tuple(chain))] \
+        + settings[i + 1:]
+    with pytest.raises(ValueError) as exc:
+        pulses.verify_all_settings(broken)
+    assert str(exc.value) == f"setting {sid}: ray {miss}"
+
+
 def test_verify_named_examples(settings):
     by_id = {s.id: s for s in settings}
     u2 = pulses.compile_setting(by_id["M2"])
