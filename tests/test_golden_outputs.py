@@ -192,12 +192,13 @@ def test_one_state_runs_and_estimates_match_pinned_digest(noise):
 
 # `verify`'s stdout, its `--out` report and the `.model.txt` dump beside it.
 # The report was re-recorded when the setting mappings became an exact proof
-# ("exact over Q(sqrt2, sqrt3)"); the model dump was recorded before the
-# hidden-variable enumeration and the exact operator were restructured. A
+# ("exact over Q(sqrt2, sqrt3)"), and again when `verify` began to bound chi13
+# without its triple terms (one new line); the model dump was recorded before
+# the hidden-variable enumeration and the exact operator were restructured. A
 # changed check line, count or model dump fails here.
 VERIFY_DIGESTS = {
-    "stdout": "1cd57916c1bd3ec76676a05ed7a973754b95d1df1e1c99a6140a6cf23fd0d585",
-    "verify.txt": "1cd57916c1bd3ec76676a05ed7a973754b95d1df1e1c99a6140a6cf23fd0d585",
+    "stdout": "9f07a80f59a11e7327809a687f3c73e98c091c02808aca25d8044d3f34ff46f8",
+    "verify.txt": "9f07a80f59a11e7327809a687f3c73e98c091c02808aca25d8044d3f34ff46f8",
     "verify.model.txt": "7d5e93793beccf74a627ed7e0d04993feac6b47918303a10dadde4ff3e63e173",
 }
 
