@@ -178,7 +178,7 @@ def verify_all_settings(settings: list[MeasurementSetting]) -> None:
         x = np.array([exact_pulse_matrix(s.pulses[k]) if k < len(s.pulses) else pad
                       for s in settings]) @ x
     norms = (v * v).sum(axis=2)
-    target = 6 ** depth * _EYE12[4 * np.arange(3) + norms - 1] * (norms > 0)[..., None]
+    target = 6 ** depth * _EYE12[4 * np.arange(3) + norms - 1] * (norms > 0)[..., None]  # 0: none
     misses = np.argwhere((np.abs(x).transpose(0, 2, 1) != target).any(axis=2))
     if len(misses):
         i, b = misses[0]
