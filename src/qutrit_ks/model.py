@@ -83,8 +83,6 @@ def triple_free(ineq: Inequality) -> Inequality:
     each c = -mu_ijk <= 0 and every value only falls, so the classical bound
     is kept. A triangle's projectors multiply to 0, so the quantum value is
     kept too."""
-    if ineq.alphabet != PM1:
-        raise ValueError(f"inequality {ineq.name}: triple terms are dropped from +-1 specs")
     terms = dict(ineq.terms)
     for rays in [m for m in ineq.terms if len(m) == 3]:
         c = terms.pop(rays)

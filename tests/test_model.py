@@ -237,13 +237,10 @@ def test_build_model_does_not_search_all_triples(monkeypatch):
     assert built.triangles == all_triples_triangles(built.edges)
 
 
-def test_triple_free_keeps_lower_terms_and_refuses_a_01_spec(model):
-    """A spec without triple terms comes back with the same terms; the 0/1
-    alphabet has no +-1 expansion to apply, so it is refused."""
+def test_triple_free_keeps_a_spec_without_triple_terms():
+    """Only degree-3 terms are replaced: a spec without any comes back with
+    the same terms, bound and quantum value, under a name that says so."""
     pairs = Inequality("pairs", PM1, {(): 2, (1,): -1, (1, 4): 3}, 5, Fraction(1))
     free = triple_free(pairs)
-    assert (dict(free.terms), free.classical_bound, free.quantum_value) == \
-        (dict(pairs.terms), 5, Fraction(1))
-    assert free.name == "pairs without triple terms"
-    with pytest.raises(ValueError, match="inequality chi4: triple terms"):
-        triple_free(CHI4)
+    assert (free.name, dict(free.terms), free.classical_bound, free.quantum_value) == \
+        ("pairs without triple terms", dict(pairs.terms), 5, Fraction(1))
