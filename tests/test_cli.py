@@ -407,38 +407,44 @@ def test_oversized_shots_is_config_error(tmp_path, capsys, command):
 
 
 def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
-    """At 2**63 - 1 shots every table still sums to its shots, and raw chi4,
-    whose pooled totals exceed int64, is the float of the exact sum of each
-    ray's dark / total."""
-    argv = ["--shots", str(cli.simulate.MAX_SHOTS), "--states", "psi7", "rho10"]
+    """At 2**63 - 1 shots every table still sums to its shots, each
+    frequency is the correctly rounded count / total, which numpy's division
+    of two rounded counts is not, and the raw chi13 weight on each table's
+    first dark entry is the correctly rounded c_r n_k / N_r of its first ray
+    r, whose pooled total N_r exceeds int64 for every ray measured first
+    more than once."""
+    argv = ["--shots", str(cli.simulate.MAX_SHOTS)]  # all 12 states
     out = tmp_path / "run"
     assert cli.main(["simulate", *argv, "--out-dir", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     text = (out / "counts.csv").read_text()
-    totals, dark, pooled = {}, {}, {}
+    totals = {}
     for row in text.splitlines()[1:]:
-        state, _, chain, symbol, count, _ = row.split(",")
+        state, _, chain, _, count, _ = row.split(",")
         totals[state, chain] = totals.get((state, chain), 0) + int(count)
-        first = (state, int(chain.split("-")[0]))
-        pooled[first] = pooled.get(first, 0) + int(count)
-        if symbol in ("D", "DB", "DD"):
-            dark[first] = dark.get(first, 0) + int(count)
-    assert len(totals) == 2 * 37
+    assert len(totals) == 12 * 37
     assert set(totals.values()) == {cli.simulate.MAX_SHOTS}
-    assert max(pooled.values()) > 2 ** 63
 
     model = cli.build_model()
-    cfg = cli.RunConfig(shots=cli.simulate.MAX_SHOTS, states=("psi7", "rho10"))
+    cfg = cli.RunConfig(shots=cli.simulate.MAX_SHOTS)
     run, _ = cli.run_simulation(cfg, model)
     assert cli.simulate.counts_to_csv(*run) == text
     raw = cli.simulate.readout_rates(cli.simulate.NoiseModel.ideal())
     plan = cli.simulate.build_plan(model, cli.pulses.settings_table(), cfg.shots)
-    counts = dict(zip(run[1], run[2]))
-    for label in ("psi7", "rho10"):
-        freqs = cli.analysis.frequencies(plan, counts[label])
-        chi4 = cli.analysis.estimate(cli.CHI4, freqs, raw)
-        assert chi4.value == float(sum(Fraction(dark[label, ray], pooled[label, ray])
-                                       for ray in range(10, 14)))
+    pooled = {}  # each ray's total over the tables that measure it first
+    for sub in plan:
+        pooled[sub.chain[0]] = pooled.get(sub.chain[0], 0) + sub.shots
+    assert max(pooled.values()) > 2 ** 63
+    freqs = cli.analysis.frequencies(plan, run[2])
+    assert freqs.f.tolist() == [[float(Fraction(c, sub.shots))
+                                 for sub, row in zip(plan, counts) for c in row]
+                                for counts in run[2].tolist()]
+    # a single's D and a pair's DB carry ray r's single weight alone
+    single = dict(cli.analysis._expansion(model.chi13))
+    w = cli.analysis.affine_map(model.chi13, freqs.layout, *raw).w
+    assert [w[3 * k + 1] for k in range(len(plan))] == [
+        float(Fraction(single[sub.chain[:1]] * sub.shots, pooled[sub.chain[0]]))
+        for sub in plan]
 
 
 ORDINARY = {"state": "rho10", "fidelity": 0.9876, "chi13_raw": 25.846, "chi13_raw_err": 0.1,
