@@ -10,7 +10,8 @@ a single and (B, DB, DD) for a pair: the columns of `simulate.PlanEffects`,
 so w0 + W . f at a law of `simulate._laws` is the exact mean. (w0, W) is a
 sum of rate-free rationals times monomials in u = 1 / vis and r_b, built
 once per inequality and table layout (`_parts`) and evaluated once per rate
-pair, exactly at `Fraction` rates (`affine_map`). A single s_r = (q_r - r_b)
+pair, exactly at the rates' values and, at float rates, rounded once
+(`affine_map`). A single s_r = (q_r - r_b)
 / vis pools the first-detection dark fraction of every table that measures r
 first, weighted n_k / N_r. A pair's continued trials mix a truly dark first
 outcome with a misread bright one; summing P(DD) over the four true
@@ -84,10 +85,10 @@ class AffineMap(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
     """`ineq` over tables laid out as `layout` without the rates, built once
-    per content of the two: (exact, floats, table, n). Row m of `exact` holds
-    the rational coefficients, in w0 (column 0) and in W, of the m-th of the
-    monomials (1, u, u^2, r_b u, r_b u^2, (r_b u)^2), u = 1 / vis; `floats` is
-    its correctly rounded copy, and `table` and `n` are `AffineMap`'s."""
+    per content of the two: (exact, table, n). Row m of `exact` holds the
+    rational coefficients, in w0 (column 0) and in W, of the m-th of the
+    monomials (1, u, u^2, r_b u, r_b u^2, (r_b u)^2), u = 1 / vis; `table`
+    and `n` are `AffineMap`'s."""
     # The dark entries of W by table k (D, or DB and DD: columns 3k + 2 on),
     # with the table's total, for the first ray it measures and for its pair.
     entries = {}
@@ -120,8 +121,7 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
             rows[3][0] -= coef
         else:
             rows[0][0] += coef
-    parts = np.array(rows, dtype=object)
-    out = (parts, parts.astype(float), np.repeat(np.arange(len(layout)), 3),
+    out = (np.array(rows, dtype=object), np.repeat(np.arange(len(layout)), 3),
            np.array([float(n_k) for _, n_k in layout]))
     for a in out:
         a.flags.writeable = False
@@ -131,17 +131,21 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=32, typed=True)  # as (1.0, 0.0) == (Fraction(1), Fraction(0))
 def affine_map(ineq: Inequality, layout: tuple, r_d: float, r_b: float) -> AffineMap:
     """The estimator of `ineq` over tables laid out as `layout` and read at
-    rates (r_d, r_b): `_parts` at the rates, exact at `Fraction` rates, once
-    per content of the four and the rates' types. An inequality hashes once."""
+    rates (r_d, r_b): `_parts` evaluated exactly at the rates' values, kept
+    exact at `Fraction` rates and rounded once at float rates, once per
+    content of the four and the rates' types. An inequality hashes once."""
     if (1 - r_d) + r_b >= 1:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
         raise ValueError(f"readout rates {(float(r_d), float(r_b))} do not have r_d > r_b")
-    u = 1 / (1 - (1 - r_d) - r_b)
-    exact, floats, table, n = _parts(ineq, layout)
-    is_exact, bu = isinstance(u, Fraction), r_b * u
-    v = sum(m * row for m, row in zip((1, u, u * u, bu, bu * u, bu * bu),
-                                      exact if is_exact else floats))
+    exact, table, n = _parts(ineq, layout)
+    b = Fraction(r_b)
+    u = 1 / (Fraction(r_d) - b)
+    bu = b * u
+    v = sum(m * row for m, row in zip((1, u, u * u, bu, bu * u, bu * bu), exact))
+    w0 = v[0]
+    if not isinstance(r_d, Fraction):
+        v, w0 = v.astype(float), float(w0)
     v.flags.writeable = False
-    return AffineMap(v[0] if is_exact else float(v[0]), v[1:], table, n)
+    return AffineMap(w0, v[1:], table, n)
 
 
 def _expansion(ineq: Inequality):

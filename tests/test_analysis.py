@@ -363,22 +363,25 @@ def test_estimator_lookup_hashes_each_inequality_once(model, monkeypatch):
 
 
 def test_float_maps_are_the_exact_maps_rounded(model, layout):
-    """At 200 random rational rate pairs the float map is the `Fraction`-rate
-    map to 1e-12 relative, over tables of unequal totals. At (1, 0) the float
-    map sums three rounded rows, so it is the exact raw map to within one
-    unit in the last place (chi4's bit for bit). Float and `Fraction` rates
-    of equal value get their own maps, whichever is asked for first."""
+    """At float rates the map is the `Fraction`-rate map at the floats'
+    exact values, each coefficient rounded once: bit for bit at (1, 0) and
+    at 200 random rate pairs, over tables of unequal totals. Float and
+    `Fraction` rates of equal value get their own maps, whichever is asked
+    for first."""
+
+    def rounded(ineq, lay, r_d, r_b):
+        em = analysis.affine_map(ineq, lay, Fraction(r_d), Fraction(r_b))
+        return float(em.w0), em.w.astype(float)
+
     unequal = tuple((chain, n + 7 * k) for k, (chain, n) in enumerate(layout))
     rng = np.random.default_rng(13)
     for k in range(200):
-        r_d = Fraction(int(rng.integers(550, 1001)), 1000)
-        r_b = Fraction(int(rng.integers(0, 450)), 1000)
+        r_d = int(rng.integers(550, 1001)) / 1000
+        r_b = int(rng.integers(0, 450)) / 1000
         ineq = (model.chi13, CHI4)[k % 2]
-        fm = analysis.affine_map(ineq, unequal, float(r_d), float(r_b))
-        em = analysis.affine_map(ineq, unequal, r_d, r_b)
-        scale = max(abs(em.w0), max(map(abs, em.w)))
-        assert abs(fm.w0 - em.w0) <= 1e-12 * scale
-        assert np.abs(fm.w - em.w.astype(float)).max() <= 1e-12 * scale
+        fm = analysis.affine_map(ineq, unequal, r_d, r_b)
+        w0, w = rounded(ineq, unequal, r_d, r_b)
+        assert fm.w0 == w0 and fm.w.tobytes() == w.tobytes()
     pairs = [IDENTITY, (Fraction(1), Fraction(0)), (0.75, 0.25), (Fraction(3, 4), Fraction(1, 4))]
     for ineq in (model.chi13, CHI4):
         for order in (1, -1):
@@ -386,11 +389,8 @@ def test_float_maps_are_the_exact_maps_rounded(model, layout):
             maps = [analysis.affine_map(ineq, layout, *r) for r in pairs[::order]][::order]
             assert [(m.w.dtype, type(m.w0)) for m in maps] == [(float, float),
                                                                (object, Fraction)] * 2
-        fm, em = maps[:2]
-        assert fm.w0 == em.w0
-        w = em.w.astype(float)
-        assert (np.abs(fm.w - w) <= np.spacing(np.abs(w))).all()
-        assert (fm.w.tobytes() == w.tobytes()) == (ineq is CHI4)
+        for fm, em in (maps[:2], maps[2:]):
+            assert fm.w0 == em.w0 and fm.w.tobytes() == em.w.astype(float).tobytes()
 
 
 def test_raw_and_corrected_maps_share_one_build(model):
