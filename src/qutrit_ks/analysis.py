@@ -10,16 +10,16 @@ a single and (B, DB, DD) for a pair: the columns of `simulate.PlanEffects`,
 so w0 + W . f at a law of `simulate._laws` is the exact mean. (w0, W) is a
 sum of rate-free rationals times monomials in u = 1 / vis and r_b, built
 once per inequality and table layout (`_parts`) and evaluated once per rate
-pair, exactly at the rates' values and, at float rates, rounded once
-(`affine_map`). A single s_r = (q_r - r_b)
-/ vis pools the first-detection dark fraction of every table that measures r
-first, weighted n_k / N_r. A pair's continued trials mix a truly dark first
-outcome with a misread bright one; summing P(DD) over the four true
-branches, the bright-then-dark one s_j - x by compatibility, gives x = (f_DD
-- r_b (f_DB + f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip
-biases every state with a probability at a boundary. The tables are
-independent multinomial draws, so sum_k Var_k(W) / n_k over each table's
-observed frequencies is the exact variance."""
+pair, exactly at the rates' values, then rounded once at float rates
+(`affine_map`). A single s_r = (q_r - r_b) / vis pools the first-detection
+dark fraction of every table that measures r first, weighted n_k / N_r. A
+pair's continued trials mix a truly dark first outcome with a misread bright
+one; summing P(DD) over the four true branches, the bright-then-dark one
+s_j - x by compatibility, gives x = (f_DD - r_b (f_DB + f_DD) - r_b vis
+s_j) / vis^2. Nothing is clipped: a clip biases every state with a
+probability at a boundary. The tables are independent multinomial draws, so
+sum_k Var_k(W) / n_k over each table's observed frequencies is the exact
+variance."""
 
 from __future__ import annotations
 
@@ -131,21 +131,18 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=32, typed=True)  # as (1.0, 0.0) == (Fraction(1), Fraction(0))
 def affine_map(ineq: Inequality, layout: tuple, r_d: float, r_b: float) -> AffineMap:
     """The estimator of `ineq` over tables laid out as `layout` and read at
-    rates (r_d, r_b): `_parts` evaluated exactly at the rates' values, kept
-    exact at `Fraction` rates and rounded once at float rates, once per
-    content of the four and the rates' types. An inequality hashes once."""
+    rates (r_d, r_b): `_parts` at the rates' exact values, rounded once at
+    float rates, once per content of the four and the rates' types. An
+    inequality hashes once."""
     if (1 - r_d) + r_b >= 1:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
         raise ValueError(f"readout rates {(float(r_d), float(r_b))} do not have r_d > r_b")
     exact, table, n = _parts(ineq, layout)
-    b = Fraction(r_b)
-    u = 1 / (Fraction(r_d) - b)
-    bu = b * u
+    u, is_exact = 1 / (Fraction(r_d) - Fraction(r_b)), isinstance(r_d, Fraction)
+    bu = Fraction(r_b) * u
     v = sum(m * row for m, row in zip((1, u, u * u, bu, bu * u, bu * bu), exact))
-    w0 = v[0]
-    if not isinstance(r_d, Fraction):
-        v, w0 = v.astype(float), float(w0)
+    v = v if is_exact else v.astype(float)  # each coefficient rounded once
     v.flags.writeable = False
-    return AffineMap(w0, v[1:], table, n)
+    return AffineMap(v[0] if is_exact else float(v[0]), v[1:], table, n)
 
 
 def _expansion(ineq: Inequality):
