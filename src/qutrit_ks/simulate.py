@@ -8,16 +8,18 @@ continue a sequential pair, exactly as the physical apparatus behaves.
 
 That process is one noise-folded measurement map, which tomography draws
 and solves through too (its settings map no ray, so its singles name their
-slot): `effects` turns the unitary before each detection and the readout
-rates into one 3x3 effect per readout string, so every outcome probability
-is Tr(rho E). `_plan_effects`, the map's one cache, holds one entry per plan
-and readout, keyed on the settings, chains and readout rates, never on the
-seed, state or shots: the plan's entries, its stream id, and its effects as
-(9, 3n) real and imaginary planes in the package's one outcome layout,
-three columns per entry in draw order, (0, D, B) for a single and (B, DB,
-DD) for a pair. `_laws` forms the (n, 3) laws of a state, or of a stack of
-states, in it on every draw, in nine row adds of fixed order, and a state's
-counts and `analysis.frequencies` keep that layout.
+slot): `effects` turns the lab-frame dark projector P = V† |3><3| V of each
+detection (`_projectors`) and the readout rates into one 3x3 effect per
+readout string, a Lüders sum per detection, so every outcome probability is
+Tr(rho E); rational projectors at `Fraction` rates give the exact effects.
+`_plan_effects`, the map's one cache, holds one entry per plan and readout,
+keyed on the settings, chains and readout rates, never on the seed, state or
+shots: the plan's entries, its stream id, and its effects as (9, 3n) real
+and imaginary planes in the package's one outcome layout, three columns per
+entry in draw order, (0, D, B) for a single and (B, DB, DD) for a pair.
+`_laws` forms the (n, 3) laws of a state, or of a stack of states, in it on
+every draw, in nine row adds of fixed order, and a state's counts and
+`analysis.frequencies` keep that layout.
 
 Shots are i.i.d., so a state's counts are one multinomial draw from its
 law, and cost does not grow with the shot count: `draw_roster` forms every
@@ -48,8 +50,8 @@ from .model import RAYS, KSModel, ray_unit
 from .pulses import MeasurementSetting, compile_setting, pulse_matrix, swap_pulse
 
 DARK = np.diag([0.0, 0.0, 1.0]).astype(complex)  # |3><3|
-BRIGHT = linalg.IDENTITY - DARK
-DARK.flags.writeable = BRIGHT.flags.writeable = False  # shared, as `linalg.IDENTITY`
+EYE = np.eye(3, dtype=int)  # an integer I, so I - P is exact for rational P
+DARK.flags.writeable = EYE.flags.writeable = False  # shared, as `linalg.IDENTITY`
 # Pi pulse moving basis state `slot` onto the detected |3> (none for |3>).
 SWAP = {1: pulse_matrix(swap_pulse(1)), 2: pulse_matrix(swap_pulse(2)),
         3: linalg.IDENTITY}
@@ -241,41 +243,34 @@ def _poisson_below(threshold: int, lam: float) -> float:
                          for k in range(threshold)), 1.0)
 
 
-def _lueders(v: np.ndarray, inner: np.ndarray, m_d: float,
-             m_b: float) -> np.ndarray:
-    """Effect of `v`, then a |3> detection whose true dark and bright
-    outcomes are weighted m_d and m_b, then `inner` on the collapsed state."""
-    collapsed = m_d * DARK @ inner @ DARK + m_b * BRIGHT @ inner @ BRIGHT
-    return linalg.adjoint(v) @ collapsed @ v
-
-
-def effects(steps: list[np.ndarray],
-            rates: tuple[float, float]) -> dict[str, np.ndarray]:
+def effects(projectors: list, rates: tuple) -> dict[str, np.ndarray]:
     """Heisenberg-picture effect E_s, P(s) = Tr(rho E_s), of each readout
-    string s of |3> detections, `steps[k]` being the unitary (or a stack of
-    them) before detection k. Collapse follows the true outcome, the rates
-    weight each branch, and a bright readout ends the sequence. Keys follow
-    the draw order: D, B for one detection; B, DB, DD for two."""
+    string s of |3> detections, `projectors[k]` being detection k's lab-frame
+    dark projector P: a detection maps the effect X of what follows it to
+    m_d P X P + m_b (I - P) X (I - P), m_d and m_b the readout's chances given
+    a true dark and a true bright outcome, and a bright readout ends the
+    sequence. Keys follow the draw order: D, B for one detection; B, DB, DD
+    for two. `Fraction` projectors and rates give exact effects."""
     r_d, r_b = rates
-    v, rest = steps[0], steps[1:]
-    bright = _lueders(v, linalg.IDENTITY, 1.0 - r_d, 1.0 - r_b)
-    if not rest:
-        return {"D": _lueders(v, linalg.IDENTITY, r_d, r_b), "B": bright}
-    inner = effects(rest, rates)
-    return {"B": bright, **{"D" + s: _lueders(v, inner[s], r_d, r_b)
-                            for s in sorted(inner)}}
+    p, rest = projectors[0], projectors[1:]
+    q = EYE - p
+    inner = effects(rest, rates) if rest else {"": EYE}
+    dark = {"D" + s: r_d * p @ x @ p + r_b * q @ x @ q for s, x in sorted(inner.items())}
+    bright = {"B": (1 - r_d) * p @ p + (1 - r_b) * q @ q}
+    return {**bright, **dark} if rest else {**dark, **bright}
 
 
-def _steps(setting: MeasurementSetting, chain: tuple[int, ...],
-           unitary: np.ndarray) -> list[np.ndarray]:
-    """Unitary before each detection of a sub-experiment: the compiled
-    setting `unitary`, then a swap of each ray's slot onto |3>."""
+def _projectors(setting: MeasurementSetting, chain: tuple[int, ...],
+                unitary: np.ndarray) -> list[np.ndarray]:
+    """Each detection's lab-frame dark projector V_k† DARK V_k of a
+    sub-experiment: V_1 is the compiled setting `unitary` then a swap of the
+    first ray's slot onto |3>, V_2 is V_1 then a swap of the second's."""
     slot_i, *rest = (_slot_of(setting, ray) for ray in chain)
-    steps = [SWAP[slot_i] @ unitary]
+    v = [SWAP[slot_i] @ unitary]
     if rest:
         # When ray_j sat in |3>, the first swap moved it to the first slot.
-        steps.append(SWAP[slot_i if rest[0] == 3 else rest[0]])
-    return steps
+        v.append(SWAP[slot_i if rest[0] == 3 else rest[0]] @ v[0])
+    return [linalg.adjoint(vk) @ DARK @ vk for vk in v]
 
 
 class PlanEffects(NamedTuple):
@@ -312,7 +307,7 @@ def _plan_effects(settings: tuple[MeasurementSetting, ...], entries: tuple,
     by_id = {s.id: s for s in settings}
     unitaries = {sid: compile_setting(by_id[sid])
                  for sid in dict.fromkeys(sid for sid, _ in entries)}
-    compiled = [effects(_steps(by_id[sid], chain, unitaries[sid]), rates)
+    compiled = [effects(_projectors(by_id[sid], chain, unitaries[sid]), rates)
                 for sid, chain in entries]
     # A leading zero pad puts a single's remainder on B; a trailing one leaks counts.
     planes = np.array([e for effs in compiled for e in [np.zeros((3, 3))] * (3 - len(effs))

@@ -91,7 +91,7 @@ def test_shared_matrices_are_read_only(settings):
     for u in (pulses.compile_setting(by_id["M1"]), pulses.compile_setting(tomography_identity)):
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0.0
-    for shared in (linalg.IDENTITY, simulate.DARK, simulate.BRIGHT, *simulate.SWAP.values()):
+    for shared in (linalg.IDENTITY, simulate.DARK, simulate.EYE, *simulate.SWAP.values()):
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 0.5
     assert np.array_equal(pulses.compile_setting(by_id["M1"]), np.eye(3))

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ import pytest
 from qutrit_ks import analysis, linalg, simulate
 from qutrit_ks.model import CHI4, RAYS, build_model, ray_unit
 from qutrit_ks.pulses import compile_setting, pulse_matrix, settings_table, swap_pulse
-from qutrit_ks.simulate import BRIGHT, DARK, NoiseModel
+from qutrit_ks.simulate import DARK, NoiseModel
 
 from helpers import (IDEAL_RATES, derive_rng, effect_stack, expected_laws, law_rows,
                      random_density_matrix, stream_name)
+
+BRIGHT = linalg.IDENTITY - DARK  # the complement of the detected |3>
 
 NOISE_CONFIGS = {
     "ideal": NoiseModel.ideal(),
@@ -682,11 +685,36 @@ def test_cached_plan_effects_are_read_only(model, settings, by_id):
     expected = []
     for sub in plan:
         effs_of_sub = simulate.effects(
-            simulate._steps(by_id[sub.setting_id], sub.chain,
-                            compile_setting(by_id[sub.setting_id])),
+            simulate._projectors(by_id[sub.setting_id], sub.chain,
+                                 compile_setting(by_id[sub.setting_id])),
             simulate.readout_rates(noise)).values()
         expected += [np.zeros((3, 3))] * (3 - len(effs_of_sub)) + [*effs_of_sub]
     assert np.array_equal(effect_stack(effs), np.array(expected))
+
+
+def _ray_projector(ray: int) -> np.ndarray:
+    """The rational projector v v^T / (v . v) of integer ray v, as `Fraction`s."""
+    v = RAYS[ray]
+    norm = sum(x * x for x in v)
+    return np.array([[Fraction(a * b, norm) for b in v] for a in v], dtype=object)
+
+
+@pytest.mark.parametrize("noise", ["ideal", "paper", "flip-depolarized", "photon-count"])
+def test_drawn_effects_are_the_exact_effects_of_the_rays(model, settings, noise):
+    """Every plan entry's drawn effects equal, to 1e-15, `effects` of its
+    rays' rational projectors at the float rates' exact values: the compiled
+    unitary and slot swaps detect the very rays the plan names, and the
+    simulator and the exact map share one effect builder."""
+    plan = simulate.build_plan(model, settings)
+    rates = simulate.readout_rates(NOISE_CONFIGS[noise])
+    drawn = effect_stack(simulate.plan_effects(plan, settings, rates))
+    exact = []
+    for sub in plan:
+        effs = simulate.effects([_ray_projector(r) for r in sub.chain],
+                                (Fraction(rates[0]), Fraction(rates[1])))
+        exact += [np.zeros((3, 3))] * (3 - len(effs)) + [e.astype(float) for e in effs.values()]
+    assert len(plan) == 37
+    assert np.abs(drawn - np.array(exact)).max() <= 1e-15
 
 
 def test_expected_laws_do_not_depend_on_the_rest_of_the_call(model, settings):

@@ -23,10 +23,11 @@ def settings():
 
 def _subrun_effects(settings, rates):
     """Both effects of every sub-run, three per setting, each built on its
-    own: sub-run k swaps basis state k onto |3>, the step rule of the
+    own: sub-run k swaps basis state k onto |3>, so it detects the lab-frame
+    projector V† |3><3| V of V = swap k after the setting, the rule of the
     simulated singles."""
-    effs = [simulate.effects([simulate.SWAP[slot] @ compile_setting(s)], rates)
-            for s in settings for slot in (1, 2, 3)]
+    steps = [simulate.SWAP[slot] @ compile_setting(s) for s in settings for slot in (1, 2, 3)]
+    effs = [simulate.effects([linalg.adjoint(v) @ simulate.DARK @ v], rates) for v in steps]
     return {symbol: np.array([e[symbol] for e in effs]) for symbol in ("D", "B")}
 
 
