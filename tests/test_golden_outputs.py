@@ -11,7 +11,12 @@ the law, `verify` and schedule digests did not. Seven of the eight
 solve every state through one SVD of the response map in place of a
 least-squares call per state: its parameters moved in their last bits
 (2.7e-15 relative at most), which reach the 12 digits of a `*.rho.txt`
-file, while no `simulate` digest moved. A change that means to alter a
+file, while no `simulate` digest moved. The four `simulate` digests of
+ideal and photon-count readout, all eight `tomography` digests, and the
+law, one-state and text digests were re-recorded when the effects came to
+be built from lab-frame projectors: the effect planes moved by at most
+2.2e-16, and a law that moves by an ulp can redraw a whole table. A
+change that means to alter a
 draw, a reconstruction or an estimate updates them and says why in
 CHANGES.md.
 
@@ -46,37 +51,37 @@ SHOTS = 10_000
 
 DIGESTS = {
     ("simulate", "ideal", 0):
-        "8ac620da497f3a273ab7dffc40c3f210a2517cb236a00bbc6e7679087e3e6141",
+        "cbe354c8b0a03094e1bdbc3de0a403599db57bc4f03a04d52d6d21b250c6aea1",
     ("simulate", "ideal", 7):
-        "b2b1dcd1c96f02f079dbd6cea56a7965a8d54ff6b36d2720180a3ee2953e633c",
+        "d6734ea386b578cdbd074d409b024c3f2c70d7559bb01406b4df20b5f6f49129",
     ("simulate", "paper", 0):
         "8feb9db4787037e79476d9636a8932caed267c3cae6883d1bdd8d8a29d07f054",
     ("simulate", "paper", 7):
         "2df3c7db72bb27bd41f2d1c222e19e189c6db2610582632956332761e8f4b733",
     ("simulate", "photon-count", 0):
-        "c0309bd50bf33334f3eea6abd2854d074286063426300e7a23d8cd03c3e75e68",
+        "845901f6efdb16e465ec261557e5a03f990a6bfb9411690e5bbbd7c3b27fd095",
     ("simulate", "photon-count", 7):
-        "c309f01fedc4b40807dd44fabb84f13ce8d03f255b4b3301405041130d06a190",
+        "bc246ae6a9717c5ebc5d2fe0bca2f642159e78d25727d5489a078977cdd51520",
     ("simulate", "flip-harsh", 0):
         "f97253fb7255d59c2b01cc0178542d2bfac6fd005bd8ebcb2e2445ae80c16667",
     ("simulate", "flip-harsh", 7):
         "5f72855463f103ee37e2188a760f3afe98e8a21915c2a079e7e48d8309967c47",
     ("tomography", "ideal", 0):
-        "35d3f0eb29d02268341c7244b067a4ad3a081c0a42187d5390311b3f8e442376",
+        "666529a3dea447e052b4375e68e34c5bff3b5e7f07a711cc42ea16ba39556d0b",
     ("tomography", "ideal", 7):
-        "119533dfc7038a6e3a8963003e3f7b96e66eb1027a6124d1d8eae91cdfeaef78",
+        "1ee441127b296ea057b61d49e55112e32bcb3c2b9d59034faadaae4fed5b22ab",
     ("tomography", "paper", 0):
-        "3a664870b62966fd4c5ad619ab1524abaaaede76a997c6cd9087dfa7c58be106",
+        "30c69105503391957bc77e18a1d7c6d2bac540a80f21ea7cad6ea39dbba98227",
     ("tomography", "paper", 7):
-        "be5949c452ac9ee7d0402a37d4b102beaeab7a8d96e72899995ff475313c652e",
+        "10442889a24151c44c541074b4b1cc4730f3ea06460d2380a1a621f54865f624",
     ("tomography", "photon-count", 0):
-        "629f59bb7f8de75b2ccbf1097adcb0f7869bee7c6126181c5665a283cedeff49",
+        "9dc57456c1947bd483bcb8846b8dbaaab871aaf124a5750cc0f6909a96b4c8a7",
     ("tomography", "photon-count", 7):
-        "14def53334fa4b078bfebd03dee18de481d46b9372af6e5c3aeb23ed471c19b9",
+        "9e46dd29586ba192bebad927f7f52edf42f83b8781a6d6fb7c7cd4440e13e74c",
     ("tomography", "flip-harsh", 0):
-        "477b0f7e92e0b6e316ba4282e6da59b904b545ca0ad847974d05d1209c936079",
+        "198be67dde69eb7d70d081448969f23cd7249121d2cd140a3c497917405b8079",
     ("tomography", "flip-harsh", 7):
-        "e6cdb13f0af0f4825ac4a892245f43d2198f65a06b8c6a627fdbe81588e674bb",
+        "5d6d22a9f2e93fff631274284281d613d73974d957df8889cea84cee69abfd15",
 }
 
 
@@ -99,8 +104,9 @@ def test_run_directory_matches_pinned_digest(tmp_path, capsys, command, noise, s
 
 # Every `expected_laws` value, as `float.hex`, of the 12 default states and
 # the 37 plan entries under each golden noise configuration, recorded before
-# the law path was restructured; a 1-ulp drift in any law fails here and not
-# only through the count tables drawn from it.
+# the law path was restructured and re-recorded when the effects came to be
+# built from lab-frame projectors; a 1-ulp drift in any law fails here and
+# not only through the count tables drawn from it.
 LAW_NOISES = {
     "ideal": simulate.NoiseModel.ideal(),
     "paper": simulate.NoiseModel.paper(),
@@ -110,13 +116,13 @@ LAW_NOISES = {
 }
 LAW_DIGESTS = {
     "ideal":
-        "6d9c949a92104734a9b1886646feb4629fe36fdda98840b5c953ef03de10c57e",
+        "1583e6141ffef7e4d04b28895890884d9570fb0e3c59fbe4fda620ed5d8fb004",
     "paper":
-        "cfef7140556401de16f2e2516995355611d95d9d767d61f4a528430bc71c1e6d",
+        "87ad71e1a81b9131deaf8922a39623f233d1d0b67bd58e48c95131ae7afff507",
     "photon-count":
-        "8768cf2330d175670ff4fe1a7cfe0bf3779324b781b427d7e9c7a9053771b702",
+        "06cfec6e7339c9bd57a909b2035a7a5d683a8027d52ca561414ee11391c41531",
     "flip-harsh":
-        "bd013edf7465f80013d5f5bc409ae07830f7a5363d755ccaac6b8a397c3d4adc",
+        "ab9316459bdf6c05ebf4adf5d760b3145b8a66a2a86340ce2e4bc44d7ddfc230",
 }
 
 
@@ -147,15 +153,16 @@ def test_expected_laws_match_pinned_digest(noise):
 # 10000. All three were re-recorded when each state came to draw its plan
 # in one multinomial call on the stream of (seed, state, plan); "paper" and
 # "photon-count" again when the estimator map came to be rounded once from
-# its exact value, which moved corrected estimates in their last bits.
+# its exact value, which moved corrected estimates in their last bits; all
+# three when the effects came to be built from lab-frame projectors.
 CALIBRATION_SEEDS = (0, 1, 10_000)
 CALIBRATION_DIGESTS = {
     "ideal":
-        "2fde1f7bedcf2b7f321e616e2d31e9514c825265a9c2bf49503a59ebca7045b8",
+        "854ac49e78e43e902f0806fefc7366784160c5630d8933819a99e2dfbdff41d9",
     "paper":
-        "544531b2bfd3e8f83b0b8b36eefa7b6168b2c68106fd861c39de3e1958c37eae",
+        "3aca46ec53661542314fd716a347ee4613b5edb71fb58aacb8c9ed8a76513eb9",
     "photon-count":
-        "353909c851168a9c5ffb8ae32a9205368699e8795e28c2f42654b05fdcff5ac3",
+        "4b35959c685fdffcad555fd9bc69eae7a56d0d351c9464f4866206a75a37dde8",
 }
 
 
@@ -234,7 +241,8 @@ def test_compiled_schedules_match_pinned_digest(tmp_path):
 # `results.txt`, `plot.dat`, the `report.dat` that `report` writes beside
 # them and the simulate stdout, each pinned by one digest over the 8 golden
 # simulate runs above and psi1 and rho10 at 1 and 2^63 - 1 shots;
-# re-recorded with the run digests, when every count moved.
+# re-recorded with the run digests, when every count moved, and when the
+# effects came to be built from lab-frame projectors.
 TEXT_RUNS = [[*COMMANDS["simulate"][0], *NOISES[noise], "--seed", str(seed),
               "--shots", str(SHOTS)] for command, noise, seed in sorted(DIGESTS)
              if command == "simulate"] + [
@@ -242,13 +250,13 @@ TEXT_RUNS = [[*COMMANDS["simulate"][0], *NOISES[noise], "--seed", str(seed),
     for shots in (1, 2 ** 63 - 1)]
 TEXT_DIGESTS = {
     "results.txt":
-        "0e406b6d2b700bd09c17b2955ac206ec8599fdf8e0eeb3db1ebb2c1f1d56506e",
+        "ff90dda2a7ee2b963e5c351582b9b02a78889a8d268b230c0d83cb79a6087b6c",
     "plot.dat":
-        "aa9cc7772591ee674a29e55f9bf0c9fa4c81c341be60cd08b85fea5d2ed1b646",
+        "30b57046c0c706f157948f5d7af6d35dac969964f16a6ff64778a7130c52b71b",
     "report.dat":
-        "aa9cc7772591ee674a29e55f9bf0c9fa4c81c341be60cd08b85fea5d2ed1b646",
+        "30b57046c0c706f157948f5d7af6d35dac969964f16a6ff64778a7130c52b71b",
     "stdout":
-        "0e406b6d2b700bd09c17b2955ac206ec8599fdf8e0eeb3db1ebb2c1f1d56506e",
+        "ff90dda2a7ee2b963e5c351582b9b02a78889a8d268b230c0d83cb79a6087b6c",
 }
 
 
