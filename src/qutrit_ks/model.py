@@ -100,19 +100,23 @@ def ray_unit(i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KSModel:
-    """Immutable bundle of the compatibility graph and its weights."""
+    """The compatibility graph and its weights, kept as read-only copies so
+    that `chi13`, built on first use, cannot go stale."""
 
     edges: frozenset[tuple[int, int]]
     triangles: frozenset[tuple[int, int, int]]
-    mu_i: dict[int, int]
-    mu_ij: dict[tuple[int, int], int]
-    mu_ijk: dict[tuple[int, int, int], int]
+    mu_i: Mapping[int, int]
+    mu_ij: Mapping[tuple[int, int], int]
+    mu_ijk: Mapping[tuple[int, int, int], int]
+
+    def __post_init__(self):
+        for name in ("mu_i", "mu_ij", "mu_ijk"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @cached_property
     def chi13(self) -> Inequality:
         """sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk A_i A_j A_k, read
-        off the weights so that a modified model carries its own inequality;
-        built once per model."""
+        off the weights so that a modified model carries its own inequality."""
         terms = {(i,): mu for i, mu in self.mu_i.items()}
         terms.update({e: -mu for e, mu in self.mu_ij.items()})
         terms.update({t: -mu for t, mu in self.mu_ijk.items()})
@@ -124,13 +128,6 @@ class KSModel:
         return self.chi13, CHI4
 
 
-@cache  # the default graph, built on first use
-def _graph() -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int, int]]]:
-    edges = frozenset((i, j) for i, j in combinations(RAYS, 2)
-                      if sum(a * b for a, b in zip(RAYS[i], RAYS[j])) == 0)
-    return edges, _triangles(edges)
-
-
 def _triangles(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, int]]:
     """Each triangle (i, j, k), i < j < k, as edge (i, j) and a common
     neighbour k > j of its two ends."""
@@ -138,8 +135,11 @@ def _triangles(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int, i
     return frozenset((i, j, k) for i, j in edges for k in above[i] & above[j])
 
 
+@cache  # the one default model, built on first use and shared by every caller
 def build_model() -> KSModel:
-    edges, triangles = _graph()  # shared and frozen; the weight dicts are the model's own
+    edges = frozenset((i, j) for i, j in combinations(RAYS, 2)
+                      if sum(a * b for a, b in zip(RAYS[i], RAYS[j])) == 0)
+    triangles = _triangles(edges)
     triangle_edges = {e for t in WEIGHTED_TRIANGLES for e in combinations(t, 2)}
     mu_i = {i: (1 if i <= 9 else 2) for i in RAYS}
     mu_ij = {e: (1 if e in triangle_edges else 2) for e in sorted(edges)}

@@ -61,17 +61,19 @@ MAX_SHOTS = 2 ** 63 - 1  # numpy draws counts as int64
 
 @dataclass(frozen=True)
 class StateSpec:
+    """A labelled state; `rho` is checked once and kept as a read-only copy."""
+
     label: str
     rho: np.ndarray
 
-    @staticmethod
-    def pure(label: str, amplitudes) -> "StateSpec":
-        return StateSpec(label, linalg.validate_density_matrix(
-            linalg.projector_from_ray(amplitudes)))
+    def __post_init__(self):
+        rho = linalg.validate_density_matrix(np.array(self.rho, dtype=complex))
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
 
     @staticmethod
-    def mixed(label: str, rho) -> "StateSpec":
-        return StateSpec(label, linalg.validate_density_matrix(np.asarray(rho, dtype=complex)))
+    def pure(label: str, amplitudes) -> "StateSpec":
+        return StateSpec(label, linalg.projector_from_ray(amplitudes))
 
 
 def default_state_roster() -> list[StateSpec]:
@@ -82,10 +84,10 @@ def default_state_roster() -> list[StateSpec]:
 
 @functools.cache
 def _default_states() -> tuple[StateSpec, ...]:
-    """The default states, built and validated once per process; `rho` is read-only."""
+    """The default states, built and validated once per process."""
     s2 = math.sqrt(2)
     psi7 = np.array([1, 1, s2]) / 2
-    states = (
+    return (
         StateSpec.pure("psi1", [1, 0, 0]),
         StateSpec.pure("psi2", [0, 1, 0]),
         StateSpec.pure("psi3", [0, 0, 1]),
@@ -95,13 +97,10 @@ def _default_states() -> tuple[StateSpec, ...]:
         StateSpec.pure("psi7", psi7),
         StateSpec.pure("psi8", np.array([1, np.exp(1j * math.pi / 4), 1]) / math.sqrt(3)),
         StateSpec.pure("psi9", np.array([s2, 1j, 1]) / 2),
-        StateSpec.mixed("rho10", linalg.IDENTITY / 3),
-        StateSpec.mixed("rho11", np.diag([0.5, 0.5, 0.0])),
-        StateSpec.mixed("rho12", 0.8 * np.outer(psi7, psi7.conj()) + 0.2 * np.eye(3) / 3),
+        StateSpec("rho10", linalg.IDENTITY / 3),
+        StateSpec("rho11", np.diag([0.5, 0.5, 0.0])),
+        StateSpec("rho12", 0.8 * np.outer(psi7, psi7.conj()) + 0.2 * np.eye(3) / 3),
     )
-    for spec in states:
-        spec.rho.flags.writeable = False
-    return states
 
 
 @dataclass(frozen=True)

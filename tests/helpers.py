@@ -51,7 +51,7 @@ def exact_probabilities(rho: np.ndarray, settings: list) -> np.ndarray:
     """Noise-free dark probability of every tomography sub-run, three per
     setting in settings order: the law each sub-run is drawn from, the row
     `tomography._reconstruct` inverts exactly under `IDEAL_RATES`."""
-    state = simulate.StateSpec("exact", linalg.validate_density_matrix(rho))
+    state = simulate.StateSpec("exact", rho)
     _, [row] = law_rows([state], tomography._subruns(settings, 1), settings,
                         simulate.NoiseModel.ideal())
     return np.array([law[1] for law in row])  # each single's pad, D, B

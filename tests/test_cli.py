@@ -20,6 +20,13 @@ def test_verify_passes(capsys):
     assert "verification PASSED" in out
 
 
+def test_verify_reads_one_model_per_process():
+    qutrit_ks.build_model.cache_clear()
+    for _ in range(3):
+        assert cli.main(["verify"]) == cli.EXIT_OK
+    assert qutrit_ks.build_model.cache_info().misses == 1
+
+
 def test_verify_bounds_chi13_without_its_triple_terms(capsys):
     """The triple-free line is its own check; it never reads as the chi13
     classical bound line, which the benchmark's check searches for."""

@@ -5,11 +5,12 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from qutrit_ks import linalg, model as model_module
+from qutrit_ks import hv, linalg, model as model_module
 from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model, dump_model,
                              triple_free)
 
@@ -117,8 +118,16 @@ def test_exact_operators_are_multiples_of_identity(model):
 
 
 def test_chi13_spec_follows_modified_weights(model):
-    changed = dataclasses.replace(model, mu_ij={**model.mu_ij, (1, 2): 5})
+    """A modified model agrees with itself: chi13, the noncontextual maximum
+    and the dump read the weights it was built with, also after the caller
+    writes to the dict it passed."""
+    weights = {**model.mu_ij, (1, 2): 5}
+    changed = dataclasses.replace(model, mu_ij=weights)
     assert changed.chi13.terms[(1, 2)] == -5
+    weights[(1, 2)] = 2
+    assert changed.mu_ij[(1, 2)] == 5 and changed.chi13.terms[(1, 2)] == -5
+    assert hv.max_chi13_noncontextual(changed).maximum == 28
+    assert "( 1, 2)   mu_ij = 5" in dump_model(changed).splitlines()
     assert model.chi13.terms[(1, 2)] == -2
     assert model.chi13 is model.chi13  # built once per model
 
@@ -205,19 +214,24 @@ def test_triangles_match_the_all_triples_search(model):
             assert model_module._triangles(edges) == all_triples_triangles(edges)
 
 
-def test_models_share_the_graph_but_not_the_weights():
+def test_default_model_is_one_shared_record_with_read_only_weights():
+    """Every caller reads one default model, and no caller can write its
+    weights in place: a modified model is a `dataclasses.replace`."""
     a, b = build_model(), build_model()
-    assert a.edges is b.edges and a.triangles is b.triangles
-    a.mu_i[1], a.mu_ij[(1, 2)], a.mu_ijk[(1, 2, 3)] = 7, 7, 7
-    assert b == build_model() and b.mu_i[1] == 1 and b.mu_ij[(1, 2)] == 2
-    assert b.mu_ijk[(1, 2, 3)] == 0
+    assert a is b
+    for weights, key in ((a.mu_i, 1), (a.mu_ij, (1, 2)), (a.mu_ijk, (1, 2, 3))):
+        assert isinstance(weights, MappingProxyType)
+        with pytest.raises(TypeError):
+            weights[key] = 7
+    assert (b.mu_i[1], b.mu_ij[(1, 2)], b.mu_ijk[(1, 2, 3)]) == (1, 2, 0)
 
 
 def test_import_builds_no_graph_and_no_settings():
-    """The per-process graph and settings are built on first use, so a
+    """The per-process model and settings are built on first use, so a
     command that needs neither pays nothing for them at start-up."""
     code = ("import qutrit_ks.cli\nfrom qutrit_ks import model, pulses\n"
-            "print(model._graph.cache_info().currsize, pulses._settings.cache_info().currsize)")
+            "print(model.build_model.cache_info().currsize,"
+            " pulses._settings.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.split() == ["0", "0"]
@@ -231,7 +245,7 @@ def test_build_model_does_not_search_all_triples(monkeypatch):
         return combinations(items, r)
 
     monkeypatch.setattr(model_module, "combinations", recording)
-    model_module._graph.cache_clear()  # the graph is built once per process
+    build_model.cache_clear()  # the model is built once per process
     built = build_model()
     assert sizes and 3 not in sizes
     assert built.triangles == all_triples_triangles(built.edges)

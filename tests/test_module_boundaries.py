@@ -406,7 +406,7 @@ CACHES = [
     "hv._table",
     "model.Inequality._hash",
     "model.KSModel.chi13",
-    "model._graph",
+    "model.build_model",
     "pulses.MeasurementSetting._content_hash",
     "pulses._settings",
     "pulses.exact_pulse_matrix",

@@ -351,7 +351,7 @@ def test_run_single_matches_trace(settings, by_id):
 
 
 def test_run_pair_ideal_dd_is_zero(settings, model):
-    state = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
+    state = simulate.StateSpec("rho10", np.eye(3) / 3)
     plan = [simulate.SubExperiment(next(s.id for s in settings
                                         if set(edge) <= set(s.mapping.values())),
                                    edge, 4000)
@@ -369,7 +369,7 @@ def test_run_pair_aligned_state(by_id):
 
 
 def test_run_pair_flip_dd_small(by_id):
-    state = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
+    state = simulate.StateSpec("rho10", np.eye(3) / 3)
     law = _law(state, by_id["M5"], (4, 10), simulate.NoiseModel.paper())
     assert 0 < law["DD"] < 0.05
 
@@ -905,6 +905,22 @@ def test_default_roster_is_built_once_and_read_only(monkeypatch):
     assert len(calls) == 12
 
 
+def test_state_keeps_its_checked_matrix():
+    """A state keeps a read-only copy of the matrix it checked, so a later
+    write to the caller's array cannot change it."""
+    rho = np.eye(3, dtype=complex) / 3
+    state = simulate.StateSpec("rho10", rho)
+    rho[0, 0] = 1.0
+    assert np.array_equal(state.rho, np.eye(3) / 3)
+    with pytest.raises(ValueError, match="read-only"):
+        state.rho[0, 0] = 1.0
+
+
+def test_state_constructor_checks_the_matrix():
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        simulate.StateSpec("bad", np.eye(3))
+
+
 def _one_state_tables(model, settings, seeds, noise=NOISE_CONFIGS["paper"]):
     plan = simulate.build_plan(model, settings, shots=2000)
     state = simulate.default_state_roster()[6]
@@ -1009,7 +1025,7 @@ def test_laws_follow_the_prepared_state(model, settings):
 
 def _random_states(n, seed):
     rng = np.random.default_rng(seed)
-    return [simulate.StateSpec.mixed(f"r{i}", random_density_matrix(rng))
+    return [simulate.StateSpec(f"r{i}", random_density_matrix(rng))
             for i in range(n)]
 
 

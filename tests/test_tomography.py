@@ -183,7 +183,7 @@ def test_simulated_tomography_trivia(settings):
     psi3 = simulate.StateSpec.pure("psi3", [0, 0, 1])
     assert _dark_frequencies(psi3, settings, 2000, 19)[2] == 1.0  # T1, sub-run 3
 
-    mixed = simulate.StateSpec.mixed("rho10", np.eye(3) / 3)
+    mixed = simulate.StateSpec("rho10", np.eye(3) / 3)
     assert np.allclose(_dark_frequencies(mixed, settings, 40_000, 19), 1 / 3, atol=0.02)
 
 
