@@ -7,24 +7,25 @@ corrected probability is affine in the frequencies f of the count tables, so
 an inequality is w0 + W . f, as in Guhne et al., PRA 81, 022121 (2010). f
 has the draw's layout, three entries per table in draw order, (0, D, B) for
 a single and (B, DB, DD) for a pair: the columns of `simulate.PlanEffects`,
-so w0 + W . f at a law of `simulate._laws` is the exact mean. (w0, W) is a
-sum of rate-free rationals times monomials in u = 1 / vis and r_b, built
-once per inequality and table layout (`_parts`) and evaluated once per rate
-pair, exactly at the rates' values, then rounded once at float rates
-(`affine_map`). A single s_r = (q_r - r_b) / vis pools the first-detection
-dark fraction of every table that measures r first, weighted n_k / N_r. A
-pair's continued trials mix a truly dark first outcome with a misread bright
-one; summing P(DD) over the four true branches, the bright-then-dark one
-s_j - x by compatibility, gives x = (f_DD - r_b (f_DB + f_DD) - r_b vis
-s_j) / vis^2. Nothing is clipped: a clip biases every state with a
-probability at a boundary. The tables are independent multinomial draws, so
-sum_k Var_k(W) / n_k over each table's observed frequencies is the exact
-variance."""
+so w0 + W . f at a law of `simulate._laws` is the exact mean. (w0, W) sums
+six monomials in u = 1 / vis and r_b times rows of Python ints over one
+scale L, built once per inequality and table layout (`_parts`); at a rate
+pair each coefficient is one integer over another, exact as a `Fraction` or
+rounded once by int / int (`affine_map`). A single s_r = (q_r - r_b) / vis
+pools the first-detection dark fraction of every table that measures r
+first, weighted n_k / N_r. A pair's continued trials mix a truly dark first
+outcome with a misread bright one; summing P(DD) over the four true
+branches, the bright-then-dark one s_j - x by compatibility, gives x = (f_DD
+- r_b (f_DB + f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip
+biases every state with a probability at a boundary. The tables are
+independent multinomial draws, so sum_k Var_k(W) / n_k over each table's
+observed frequencies is the exact variance."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -83,29 +84,28 @@ class AffineMap(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
+def _parts(ineq: Inequality, layout: tuple) -> tuple:
     """`ineq` over tables laid out as `layout` without the rates, built once
-    per content of the two: (exact, table, n). Row m of `exact` holds the
-    rational coefficients, in w0 (column 0) and in W, of the m-th of the
-    monomials (1, u, u^2, r_b u, r_b u^2, (r_b u)^2), u = 1 / vis; `table`
-    and `n` are `AffineMap`'s."""
-    # The dark entries of W by table k (D, or DB and DD: columns 3k + 2 on),
-    # with the table's total, for the first ray it measures and for its pair.
+    per content of the two: (rows, L, table, n), row m the coefficients, in w0
+    (column 0) and W, of the m-th monomial of (1, u, u^2, r_b u, r_b u^2,
+    (r_b u)^2), u = 1 / vis, times the least L that makes each an int."""
+    # Table k's dark entries of W (D, or DB and DD: 3k + 2 on) and total, by first ray and by pair.
     entries = {}
     for k, (chain, n) in enumerate(layout):
         dark = range(3 * k + 2, 3 * k + 2 + len(chain))
         for rays in {chain[:1], chain}:  # one key for a single
             entries.setdefault(rays, []).append((dark, n))
-    rows = [[0] * (1 + 3 * len(layout)) for _ in range(6)]  # int 0 until a term adds
+    scale = math.lcm(*(sum(n for _, n in tables) for tables in entries.values()))
+    rows = [[0] * (1 + 3 * len(layout)) for _ in range(6)]
 
     def add(monomial, rays, weights):
-        """Add weight * n_k / N to row `monomial` at the dark entries of tables k of `rays`."""
+        """Add L * weight * n_k / N to row `monomial` at the dark entries of tables k of `rays`."""
         if rays not in entries:
             raise ValueError(f"missing estimate for v{'-v'.join(map(str, rays))}")
-        total = sum(n for _, n in entries[rays])
+        per = scale // sum(n for _, n in entries[rays])
         for index, n in entries[rays]:
             for i, weight in zip(index, weights):
-                rows[monomial][i] += Fraction(weight * n, total)
+                rows[monomial][i] += weight * n * per
 
     # A single's coef s_i adds coef u to i's dark entries and -coef r_b u to
     # w0; a pair's coef x_ij adds -coef r_b u^2 to DB, coef u^2 - coef r_b u^2
@@ -115,34 +115,34 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple[np.ndarray, ...]:
             add(2, rays, (0, coef))
             add(4, rays, (-coef, -coef))
             add(4, rays[1:], (-coef, -coef))
-            rows[5][0] += coef
+            rows[5][0] += coef * scale
         elif rays:
             add(1, rays, (coef, coef))
-            rows[3][0] -= coef
+            rows[3][0] -= coef * scale
         else:
-            rows[0][0] += coef
-    out = (np.array(rows, dtype=object), np.repeat(np.arange(len(layout)), 3),
-           np.array([float(n_k) for _, n_k in layout]))
-    for a in out:
-        a.flags.writeable = False
-    return out
+            rows[0][0] += coef * scale
+    g = math.gcd(scale, *(math.gcd(*row) for row in rows))
+    table, n = np.repeat(np.arange(len(layout)), 3), np.array([float(n_k) for _, n_k in layout])
+    table.flags.writeable = n.flags.writeable = False
+    return tuple(tuple([x // g for x in row]) for row in rows), scale // g, table, n
 
 
 @functools.lru_cache(maxsize=32, typed=True)  # as (1.0, 0.0) == (Fraction(1), Fraction(0))
 def affine_map(ineq: Inequality, layout: tuple, r_d: float, r_b: float) -> AffineMap:
-    """The estimator of `ineq` over tables laid out as `layout` and read at
-    rates (r_d, r_b): `_parts` at the rates' exact values, rounded once at
-    float rates, once per content of the four and the rates' types. An
-    inequality hashes once."""
+    """The estimator of `ineq` over `layout`'s tables at rates (r_d, r_b), once
+    per content of the four and the rates' types: each coefficient is one int
+    over another, exact at `Fraction` rates, rounded once by int / int at floats."""
     if (1 - r_d) + r_b >= 1:  # vis <= 0, or rounded up from 0 as at (0.3, 0.3)
         raise ValueError(f"readout rates {(float(r_d), float(r_b))} do not have r_d > r_b")
-    exact, table, n = _parts(ineq, layout)
-    u, is_exact = 1 / (Fraction(r_d) - Fraction(r_b)), isinstance(r_d, Fraction)
-    bu = Fraction(r_b) * u
-    v = sum(m * row for m, row in zip((1, u, u * u, bu, bu * u, bu * bu), exact))
-    v = v if is_exact else v.astype(float)  # each coefficient rounded once
-    v.flags.writeable = False
-    return AffineMap(v[0] if is_exact else float(v[0]), v[1:], table, n)
+    rows, scale, table, n = _parts(ineq, layout)
+    (p, q), (c, d) = r_d.as_integer_ratio(), r_b.as_integer_ratio()
+    e, s, t = p * d - c * q, q * d, c * q  # vis = e / s, u = s / e, r_b u = t / e
+    monomials = (e * e, e * s, s * s, e * t, s * t, t * t)  # `_parts`' monomials times e^2
+    divide = Fraction if isinstance(r_d, Fraction) else operator.truediv
+    v = [divide(sum(map(operator.mul, monomials, col)), e * e * scale) for col in zip(*rows)]
+    w = np.array(v[1:])
+    w.flags.writeable = False
+    return AffineMap(v[0], w, table, n)
 
 
 def _expansion(ineq: Inequality):

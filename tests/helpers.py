@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qutrit_ks import linalg, simulate, tomography
+from qutrit_ks import analysis, linalg, simulate, tomography
 from qutrit_ks.model import PM1, Inequality, operator_numerator
 
 # Coefficients beyond int64: exact arithmetic must carry them, and int64
@@ -89,3 +89,45 @@ def effect_stack(plan_effects) -> np.ndarray:
     three per entry in draw order, each single's first a zero pad: the
     columns of a law and of the estimator's W."""
     return (plan_effects.re + 1j * plan_effects.im).T.reshape(-1, 3, 3)
+
+
+def reference_rows(ineq: Inequality, layout: tuple) -> list[list]:
+    """The estimator's rate-free rows in `Fraction` arithmetic, built as
+    `analysis._parts` built them before it kept integers: row m holds the
+    rational coefficients, in w0 (column 0) and in W, of the m-th of the
+    monomials (1, u, u^2, r_b u, r_b u^2, (r_b u)^2), u = 1 / vis."""
+    entries = {}
+    for k, (chain, n) in enumerate(layout):
+        dark = range(3 * k + 2, 3 * k + 2 + len(chain))
+        for rays in {chain[:1], chain}:
+            entries.setdefault(rays, []).append((dark, n))
+    rows = [[0] * (1 + 3 * len(layout)) for _ in range(6)]
+
+    def add(monomial, rays, weights):
+        total = sum(n for _, n in entries[rays])
+        for index, n in entries[rays]:
+            for i, weight in zip(index, weights):
+                rows[monomial][i] += Fraction(weight * n, total)
+
+    for rays, coef in analysis._expansion(ineq):
+        if len(rays) == 2:
+            add(2, rays, (0, coef))
+            add(4, rays, (-coef, -coef))
+            add(4, rays[1:], (-coef, -coef))
+            rows[5][0] += coef
+        elif rays:
+            add(1, rays, (coef, coef))
+            rows[3][0] -= coef
+        else:
+            rows[0][0] += coef
+    return rows
+
+
+def reference_map(rows: list[list], r_d, r_b) -> list[Fraction]:
+    """(w0, *W) of `reference_rows` at the rates' exact values, summed in
+    `Fraction`s: the exact map, which `analysis.affine_map` gives at
+    `Fraction` rates and rounds once at float rates."""
+    u = 1 / (Fraction(r_d) - Fraction(r_b))
+    bu = Fraction(r_b) * u
+    monomials = (1, u, u * u, bu, bu * u, bu * bu)
+    return [Fraction(sum(m * x for m, x in zip(monomials, col))) for col in zip(*rows)]

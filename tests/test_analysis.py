@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from qutrit_ks import analysis, linalg, simulate
-from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model
+from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model, triple_free
 from qutrit_ks.pulses import settings_table
 
-from helpers import effect_stack, law_rows, random_density_matrix
+from helpers import (effect_stack, law_rows, random_density_matrix, reference_map,
+                     reference_rows)
 
 IDENTITY = (1.0, 0.0)
 PAPER = simulate.readout_rates(simulate.NoiseModel.paper())
@@ -391,6 +392,48 @@ def test_float_maps_are_the_exact_maps_rounded(model, layout):
                                                                (object, Fraction)] * 2
         for fm, em in (maps[:2], maps[2:]):
             assert fm.w0 == em.w0 and fm.w.tobytes() == em.w.astype(float).tobytes()
+
+
+def test_maps_are_the_fraction_reference(model, layout):
+    """`affine_map` is the map that `reference_map` sums in `Fraction`
+    arithmetic: equal at `Fraction` rates, and at float rates each
+    coefficient the reference's rounded once, hex for hex. Both witnesses and
+    the triple-free chi13, over the default layout, an unequal one and one
+    at 2^63 - 1 shots per table, at the named rate pairs down to a visibility
+    of 2^-53 and at 200 random pairs."""
+    layouts = (layout, tuple((chain, n + 7 * k) for k, (chain, n) in enumerate(layout)),
+               tuple((chain, 2 ** 63 - 1) for chain, _ in layout))
+    cases = [(ineq, lay) for ineq in (model.chi13, CHI4, triple_free(model.chi13))
+             for lay in layouts]
+    rows = {case: reference_rows(*case) for case in cases}
+    named = [IDENTITY, PAPER, (0.8, 0.3), (0.99, 5e-324), (0.5, 0.5 - 2 ** -53),
+             simulate.readout_rates(NOISE["photon-count"])]
+    rng = np.random.default_rng(46)
+    drawn = [(float(r_d), float(r_b)) for r_d, r_b in rng.uniform((0.5, 0.0), (1.0, 0.5), (200, 2))]
+    checks = [(case, rates) for case in cases for rates in named]
+    checks += [(cases[k % len(cases)], rates) for k, rates in enumerate(drawn)]
+    for (ineq, lay), (r_d, r_b) in checks:
+        exact = reference_map(rows[ineq, lay], r_d, r_b)
+        em = analysis.affine_map(ineq, lay, Fraction(r_d), Fraction(r_b))
+        assert [em.w0, *em.w] == exact, (ineq.name, r_d, r_b)
+        assert {type(x) for x in em.w} | {type(em.w0)} == {Fraction}
+        fm = analysis.affine_map(ineq, lay, r_d, r_b)
+        assert [fm.w0.hex(), *map(float.hex, fm.w.tolist())] == [float(x).hex() for x in exact]
+        assert type(fm.w0) is float and fm.w.dtype == float
+
+
+def test_parts_rows_are_integers_over_the_least_scale(model, layout):
+    """`_parts` keeps Python ints over one scale L, the least one: on the
+    default layout, at any shot count, L is 15 for chi13 and 1 for chi4,
+    and the largest entry in size is 3,960 for chi13 and 4 for chi4."""
+    for shots in (1, 10 ** 4, 2 ** 63 - 1):
+        lay = tuple((chain, shots) for chain, _ in layout)
+        for ineq, scale, largest in ((model.chi13, 15, 3960), (CHI4, 1, 4)):
+            rows, L, _, _ = analysis._parts(ineq, lay)
+            entries = [x for row in rows for x in row]
+            assert {type(x) for x in entries} == {int} and type(L) is int
+            assert L == scale and math.gcd(L, *entries) == 1
+            assert max(map(abs, entries)) == largest
 
 
 def test_raw_and_corrected_maps_share_one_build(model):
