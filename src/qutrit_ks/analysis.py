@@ -2,24 +2,26 @@
 
 Readout is the rate pair (r_d, r_b) that `simulate.readout_rates` returns
 and the simulation draws with: r_d = P(read dark | dark), r_b = P(read dark
-| bright), vis = r_d - r_b; the ideal pair (1, 0) gives the raw value. Every
-corrected probability is affine in the frequencies f of the count tables, so
-an inequality is w0 + W . f, as in Guhne et al., PRA 81, 022121 (2010). f
-has the draw's layout, three entries per table in draw order, (0, D, B) for
-a single and (B, DB, DD) for a pair: the columns of `simulate.PlanEffects`,
-so w0 + W . f at a law of `simulate._laws` is the exact mean. (w0, W) sums
-six monomials in u = 1 / vis and r_b times rows of Python ints over one
-scale L, built once per inequality and table layout (`_parts`); at a rate
-pair each coefficient is one integer over another, exact as a `Fraction` or
-rounded once by int / int (`affine_map`). A single s_r = (q_r - r_b) / vis
-pools the first-detection dark fraction of every table that measures r
-first, weighted n_k / N_r. A pair's continued trials mix a truly dark first
-outcome with a misread bright one; summing P(DD) over the four true
-branches, the bright-then-dark one s_j - x by compatibility, gives x = (f_DD
-- r_b (f_DB + f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip
-biases every state with a probability at a boundary. The tables are
-independent multinomial draws, so sum_k Var_k(W) / n_k over each table's
-observed frequencies is the exact variance."""
+| bright), vis = r_d - r_b; the ideal pair (1, 0) gives the raw value. An
+inequality's 0/1 terms, less the unmeasured triples (`model.triple_free`),
+are the probabilities P(V_i = 1) and P(V_i = V_j = 1). Each corrected one is
+affine in the frequencies f of the count tables, so an inequality is
+w0 + W . f, as in Guhne et al., PRA 81, 022121 (2010). f has the draw's
+layout, three entries per table in draw order, (0, D, B) for a single and
+(B, DB, DD) for a pair: the columns of `simulate.PlanEffects`, so w0 + W . f
+at a law of `simulate._laws` is the exact mean. (w0, W) sums six monomials
+in u = 1 / vis and r_b times rows of Python ints over one scale L, built
+once per inequality and table layout (`_parts`); at a rate pair each
+coefficient is one integer over another, exact as a `Fraction` or rounded
+once by int / int (`affine_map`). A single s_r = (q_r - r_b) / vis pools the
+first-detection dark fraction of every table that measures r first, weighted
+n_k / N_r. A pair's continued trials mix a truly dark first outcome with a
+misread bright one; summing P(DD) over the four true branches, the
+bright-then-dark one s_j - x by compatibility, gives x = (f_DD - r_b (f_DB +
+f_DD) - r_b vis s_j) / vis^2. Nothing is clipped: a clip biases every state
+with a probability at a boundary. The tables are independent multinomial
+draws, so sum_k Var_k(W) / n_k over each table's observed frequencies is the
+exact variance."""
 
 from __future__ import annotations
 
@@ -28,13 +30,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import CHI4, ZO, Inequality, KSModel
+from .model import CHI4, Inequality, KSModel, triple_free
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,11 @@ class AffineMap(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _parts(ineq: Inequality, layout: tuple) -> tuple:
-    """`ineq` over tables laid out as `layout` without the rates, built once
-    per content of the two: (rows, L, table, n), row m the coefficients, in w0
-    (column 0) and W, of the m-th monomial of (1, u, u^2, r_b u, r_b u^2,
-    (r_b u)^2), u = 1 / vis, times the least L that makes each an int."""
+    """`triple_free(ineq)` over tables laid out as `layout` without the rates,
+    built once per content of the two: (rows, L, table, n), row m the
+    coefficients, in w0 (column 0) and W, of the m-th monomial of (1, u, u^2,
+    r_b u, r_b u^2, (r_b u)^2), u = 1 / vis, times the least L that makes
+    each an int."""
     # Table k's dark entries of W (D, or DB and DD: 3k + 2 on) and total, by first ray and by pair.
     entries = {}
     for k, (chain, n) in enumerate(layout):
@@ -109,8 +111,8 @@ def _parts(ineq: Inequality, layout: tuple) -> tuple:
 
     # A single's coef s_i adds coef u to i's dark entries and -coef r_b u to
     # w0; a pair's coef x_ij adds -coef r_b u^2 to DB, coef u^2 - coef r_b u^2
-    # to DD, and the single -coef r_b u s_j.
-    for rays, coef in _expansion(ineq):
+    # to DD, and the single -coef r_b u s_j. No table measures a triple term.
+    for rays, coef in triple_free(ineq).terms.items():
         if len(rays) == 2:
             add(2, rays, (0, coef))
             add(4, rays, (-coef, -coef))
@@ -143,26 +145,6 @@ def affine_map(ineq: Inequality, layout: tuple, r_d: float, r_b: float) -> Affin
     w = np.array(v[1:])
     w.flags.writeable = False
     return AffineMap(v[0], w, table, n)
-
-
-def _expansion(ineq: Inequality):
-    """The inequality as (rays, coefficient) items over the measured
-    probabilities: () the constant, (i,) P(V_i = 1), (i, j) P(V_i = V_j = 1).
-    A +-1 term expands with A_r = 1 - 2 V_r as c A_i A_j A_k = c - 2c sum V_r
-    + 4c sum V_r V_s - 8c V_i V_j V_k. No sub-experiment measures the triple
-    term; it vanishes in quantum mechanics (a triangle's rays are mutually
-    orthogonal) and enters as +8 mu_ijk P_ijk >= 0, so dropping it can only
-    lower the value."""
-    if ineq.alphabet == ZO:
-        return ineq.terms.items()
-    out: dict[tuple[int, ...], int] = {}
-    for rays, c in ineq.terms.items():
-        out[()] = out.get((), 0) + c
-        for r in rays:
-            out[(r,)] = out.get((r,), 0) - 2 * c
-        for pair in combinations(rays, 2):
-            out[pair] = out.get(pair, 0) + 4 * c
-    return out.items()
 
 
 def estimate(ineq: Inequality, freqs: Frequencies,

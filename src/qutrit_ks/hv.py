@@ -5,10 +5,10 @@ assignments at once, exactly. Assignment a = 128 h + l holds rays 1-7 in the
 bits of l and rays 8-13 in the bits of h, so every monomial is a low part
 times a high part, and all 8,192 values are one product G^T (C F): F and G
 hold each distinct low and high part's value on the 128 and 64 half
-assignments, and C the coefficients, placed once per spec content. In the
-+-1 alphabet every assignment counts; in the 0/1 alphabet only those where
-the model's rules hold: the product rule on every edge and the sum rule on
-every triangle, as one penalty that is evaluated alike and is 0 exactly there.
+assignments, and C the coefficients, placed once per spec content. A spec
+with `rules` counts only the assignments where the model's rules hold (the
+product rule on every edge and the sum rule on every triangle, as one
+penalty evaluated alike and 0 exactly there); any other counts every one.
 The tests hold a scalar reference, one spec at a time."""
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import CHI4, ZO, Inequality, KSModel, RAYS
+from .model import CHI4, Inequality, KSModel, RAYS
 
 LOW = 7  # rays 1..LOW form the low half of an assignment
 
@@ -34,14 +34,13 @@ class BoundReport:
 
 
 @functools.cache
-def _table(alphabet: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int8 half tables: x_r of low half l at [r - 1, l] for rays
+def _table() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int8 half tables: V_r of low half l at [r - 1, l] for rays
     1-7 and of high half h at [r - 8, h] for rays 8-13, V_r being bit r - 1
     of 128 h + l. Each ends in a row of ones, the index that pads a part."""
     def half(n: int) -> np.ndarray:
         bits = (np.arange(2 ** n) >> np.arange(n)[:, None] & 1).astype(np.int8)
-        table = np.vstack([bits if alphabet == ZO else 1 - 2 * bits,
-                           np.ones((1, 2 ** n), dtype=np.int8)])
+        table = np.vstack([bits, np.ones((1, 2 ** n), dtype=np.int8)])
         table.flags.writeable = False
         return table
     return half(LOW), half(len(RAYS) - LOW)
@@ -50,7 +49,7 @@ def _table(alphabet: str) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)  # once per spec content; a refused spec raises every call
 def _coefficients(ineq: Inequality) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C at [high part, low part], and each part's table rows padded with the
-    ones row, all read-only. F and G are -1, 0 or 1, so every entry of C F
+    ones row, all read-only. F and G are 0 or 1, so every entry of C F
     and of G^T (C F), and every partial sum on the way, is an integer of size
     at most sum |c|. Below 2^53 float64 holds each of them exactly, and the
     product runs in BLAS; from there up to the refused 2^63 it runs in int64."""
@@ -80,7 +79,7 @@ def _coefficients(ineq: Inequality) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _values(ineq: Inequality) -> np.ndarray:
     """The spec's int64 value at every assignment, indexed by assignment."""
     c, low, high = _coefficients(ineq)
-    lo, hi = _table(ineq.alphabet)
+    lo, hi = _table()
     f = lo[low].prod(axis=1, dtype=np.int8).astype(c.dtype)
     g = hi[high].prod(axis=1, dtype=np.int8).astype(c.dtype)
     return (g.T @ (c @ f)).ravel().astype(np.int64)
@@ -95,13 +94,13 @@ def _rules(model: KSModel) -> Inequality:
     for t in model.triangles:
         for m, c in (((), 1), *(((r,), -1) for r in t), *((e, 2) for e in combinations(t, 2))):
             terms[m] = terms.get(m, 0) + c
-    return Inequality("rules", ZO, terms, classical_bound=0, quantum_value=Fraction(0))
+    return Inequality("rules", terms, classical_bound=0, quantum_value=Fraction(0))
 
 
 def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
     """Exact maximum of `ineq` over every admissible assignment."""
     values = _values(ineq)
-    if ineq.alphabet == ZO:
+    if ineq.rules:
         values = values[_values(_rules(model)) == 0]
     if values.size == 0:
         return BoundReport(maximum=None, argmax_count=0, admissible_count=0)

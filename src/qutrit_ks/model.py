@@ -7,6 +7,8 @@ ends in the constructed edge set rather than hard-coded.
 
 Each inequality is one `Inequality` record read by enumeration, the exact
 quantum operator, analysis and the CLI; another weighting is a data change.
+Every record holds 0/1 terms, monomials in the ray values V_r (the projectors
+P_r); `pm1` expands a +-1 witness such as chi13, A_r = 1 - 2 V_r, into them.
 """
 
 from __future__ import annotations
@@ -40,57 +42,57 @@ RAYS: dict[int, tuple[int, int, int]] = {
 
 WEIGHTED_TRIANGLES = frozenset({(1, 4, 7), (2, 5, 8), (3, 6, 9)})
 
-PM1 = "pm1"  # ray values A_r = +-1, quantum observable I - 2 P_r
-ZO = "01"    # ray values V_r in {0, 1}, quantum projector P_r
-
 
 @dataclass(frozen=True)
 class Inequality:
-    """sum_m c_m prod_{r in m} x_r <= classical_bound for noncontextual x_r
-    (0/1 values obey the product and sum rules); the quantum operator is
-    claimed to be quantum_value * I. The terms are kept as a read-only
-    copy, so the hash, computed on first use, cannot go stale."""
+    """sum_m c_m prod_{r in m} V_r <= classical_bound for noncontextual 0/1
+    values V_r: on every assignment, or with `rules` on those that obey the
+    product and sum rules. With each V_r the projector P_r, the quantum
+    operator is claimed to be quantum_value * I. The terms are kept as a
+    read-only copy, so the hash, computed on first use, cannot go stale."""
 
     name: str
-    alphabet: str  # PM1 or ZO
     terms: Mapping[tuple[int, ...], int]  # sorted rays -> integer coefficient
     classical_bound: int
     quantum_value: Fraction
+    rules: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.name, self.alphabet, tuple(self.terms.items()),
-                     self.classical_bound, self.quantum_value))
+    def _hash(self) -> int:  # sorted, as == does not see the terms' order
+        return hash((self.name, tuple(sorted(self.terms.items())),
+                     self.classical_bound, self.quantum_value, self.rules))
 
     def __hash__(self) -> int:
         return self._hash
 
 
-CHI4 = Inequality("chi4", ZO, {(r,): 1 for r in (10, 11, 12, 13)},
-                  classical_bound=1, quantum_value=Fraction(4, 3))
+CHI4 = Inequality("chi4", {(r,): 1 for r in (10, 11, 12, 13)},
+                  classical_bound=1, quantum_value=Fraction(4, 3), rules=True)
+
+
+def pm1(terms: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The 0/1 terms of +-1 terms: with A_r = 1 - 2 V_r, c prod_{r in m} A_r
+    is the sum of c (-2)^|s| prod_{r in s} V_r over the subsets s of m."""
+    out: dict[tuple[int, ...], int] = {}
+    for m, c in terms.items():
+        for k in range(len(m) + 1):
+            for s in combinations(m, k):
+                out[s] = out.get(s, 0) + c * (-2) ** k
+    return out
 
 
 def triple_free(ineq: Inequality) -> Inequality:
-    """The +-1 spec `ineq` with each c A_i A_j A_k replaced by
-    c (1 - sum A + sum A_a A_b), where a, b run over the three rays.
-
-    With A = 1 - 2V the two differ by exactly -8c V_i V_j V_k, the one term
-    no sub-experiment measures, so this is the spec that the estimator
-    reports on a noncontextual assignment (`analysis._expansion`). For chi13
-    each c = -mu_ijk <= 0 and every value only falls, so the classical bound
-    is kept. A triangle's projectors multiply to 0, so the quantum value is
-    kept too."""
-    terms = dict(ineq.terms)
-    for rays in [m for m in ineq.terms if len(m) == 3]:
-        c = terms.pop(rays)
-        for m, sign in (((), 1), *(((r,), -1) for r in rays),
-                        *((e, 1) for e in combinations(rays, 2))):
-            terms[m] = terms.get(m, 0) + sign * c
-    return Inequality(f"{ineq.name} without triple terms", PM1, terms,
-                      ineq.classical_bound, ineq.quantum_value)
+    """`ineq` without its degree-3 terms, which no sub-experiment measures:
+    the spec that the estimator reports (`analysis._parts`). For chi13 each
+    dropped term is 8 mu_ijk V_i V_j V_k >= 0, so every value only falls and
+    the classical bound is kept. A triangle's projectors multiply to 0, so
+    the quantum value is kept too."""
+    return Inequality(f"{ineq.name} without triple terms",
+                      {m: c for m, c in ineq.terms.items() if len(m) != 3},
+                      ineq.classical_bound, ineq.quantum_value, ineq.rules)
 
 
 def ray_unit(i: int) -> np.ndarray:
@@ -115,12 +117,13 @@ class KSModel:
 
     @cached_property
     def chi13(self) -> Inequality:
-        """sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk A_i A_j A_k, read
-        off the weights so that a modified model carries its own inequality."""
+        """sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk A_i A_j A_k in 0/1
+        terms (`pm1`), read off the weights so that a modified model carries
+        its own inequality."""
         terms = {(i,): mu for i, mu in self.mu_i.items()}
         terms.update({e: -mu for e, mu in self.mu_ij.items()})
         terms.update({t: -mu for t, mu in self.mu_ijk.items()})
-        return Inequality("chi13", PM1, terms, classical_bound=25,
+        return Inequality("chi13", pm1(terms), classical_bound=25,
                           quantum_value=Fraction(83, 3))
 
     @property
@@ -152,25 +155,24 @@ def operator_numerator(ineq: Inequality) -> tuple[np.ndarray, int]:
     and D^K.
 
     Integer rays give rational projectors P_r = v v^T / (v . v); each value
-    x_r becomes P_r (0/1 alphabet) or I - 2 P_r (+-1 alphabet), and each
-    monomial the product of its factors, summed in integer arithmetic over
-    one common denominator D^K (D = lcm(v . v), K the top degree) by stacked
-    matmuls per degree. No factor entry exceeds D, so no partial sum exceeds
-    sum |c| 3^(K-1) D^K: the sums run in int64 below 2^63, else in Python ints."""
+    V_r becomes P_r, and each monomial the product of its projectors, summed
+    in integer arithmetic over one common denominator D^K (D = lcm(v . v), K
+    the top degree) by stacked matmuls per degree. No projector entry exceeds
+    D, so no partial sum exceeds sum |c| 3^(K-1) D^K: the sums run in int64
+    below 2^63, else in Python ints."""
     rays = sorted({r for m in ineq.terms for r in m})
     norms = [sum(x * x for x in RAYS[r]) for r in rays]
     d, top = lcm(*norms), max(map(len, ineq.terms), default=0)
     wide = sum(map(abs, ineq.terms.values())) * 3 ** max(top - 1, 0) * d ** top >= 2 ** 63
     v = np.array([RAYS[r] for r in rays], dtype=object if wide else np.int64).reshape(-1, 3)
     p = v[:, :, None] * v[:, None, :] * (d // np.array(norms, dtype=np.int64))[:, None, None]
-    factors = d * np.eye(3, dtype=int) - 2 * p if ineq.alphabet == PM1 else p
     by_degree: dict[int, dict[tuple[int, ...], int]] = {}
     for m, c in ineq.terms.items():
         by_degree.setdefault(len(m), {})[m] = c * d ** (top - len(m))
     total = np.zeros(9, dtype=v.dtype)
     for k, terms in by_degree.items():
-        idx = np.searchsorted(rays, np.array(list(terms), dtype=int)).T  # factor rows
-        products = reduce(np.matmul, factors[idx]) if k else np.eye(3, dtype=int)[None]
+        idx = np.searchsorted(rays, np.array(list(terms), dtype=int)).T  # projector rows
+        products = reduce(np.matmul, p[idx]) if k else np.eye(3, dtype=int)[None]
         total += np.array([*terms.values()], dtype=v.dtype) @ products.reshape(-1, 9)
     return total.reshape(3, 3), d ** top
 

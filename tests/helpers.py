@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from qutrit_ks import analysis, linalg, simulate, tomography
-from qutrit_ks.model import PM1, Inequality, operator_numerator
+from qutrit_ks import linalg, simulate, tomography
+from qutrit_ks.model import Inequality, operator_numerator, pm1
 
 # Coefficients beyond int64: exact arithmetic must carry them, and int64
-# enumeration must refuse them.
-HUGE = Inequality("huge", PM1, {(1,): 10**30, (10,): -(10**30), (1, 4): 10**30,
-                                (2, 5, 8): -(10**30), (3, 6, 9): 7},
-                  classical_bound=0, quantum_value=Fraction(0))
+# enumeration must refuse them. HUGE reads the terms as +-1 terms.
+HUGE_TERMS = {(1,): 10**30, (10,): -(10**30), (1, 4): 10**30, (2, 5, 8): -(10**30),
+              (3, 6, 9): 7}
+HUGE = Inequality("huge", pm1(HUGE_TERMS), classical_bound=0, quantum_value=Fraction(0))
 
 
 def exact_operator(ineq: Inequality) -> np.ndarray:
@@ -109,16 +109,16 @@ def reference_rows(ineq: Inequality, layout: tuple) -> list[list]:
             for i, weight in zip(index, weights):
                 rows[monomial][i] += Fraction(weight * n, total)
 
-    for rays, coef in analysis._expansion(ineq):
+    for rays, coef in ineq.terms.items():  # no table measures a triple term
         if len(rays) == 2:
             add(2, rays, (0, coef))
             add(4, rays, (-coef, -coef))
             add(4, rays[1:], (-coef, -coef))
             rows[5][0] += coef
-        elif rays:
+        elif len(rays) == 1:
             add(1, rays, (coef, coef))
             rows[3][0] -= coef
-        else:
+        elif not rays:
             rows[0][0] += coef
     return rows
 

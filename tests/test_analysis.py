@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qutrit_ks import analysis, linalg, simulate
-from qutrit_ks.model import CHI4, RAYS, ZO, Inequality, build_model, triple_free
+from qutrit_ks.model import CHI4, RAYS, Inequality, build_model, triple_free
 from qutrit_ks.pulses import settings_table
 
 from helpers import (effect_stack, law_rows, random_density_matrix, reference_map,
@@ -52,8 +52,7 @@ def exact_estimate(ineq, layout, single, pair=lambda i, j: 0.0):
 
 def probability(*rays):
     """The inequality whose value is P(V_r = 1 for every r in rays)."""
-    return Inequality("p", ZO, {rays: 1}, classical_bound=1,
-                      quantum_value=Fraction(1))
+    return Inequality("p", {rays: 1}, classical_bound=1, quantum_value=Fraction(1))
 
 
 def counts_of(*chains_counts):
@@ -205,11 +204,10 @@ def test_hidden_variable_assignments_bounded(assignments):
 
 def test_dropped_term_is_conservative(model, assignments):
     """The dropped triple term is never negative: on every assignment the
-    estimator's value is at most chi13 of A = 1 - 2V with the triple terms,
-    and equal where no triangle is all dark."""
+    estimator's value is at most chi13 with its triple terms, and equal
+    where no triangle is all dark."""
     v, values = assignments
-    a = 1 - 2 * v
-    full = sum(c * np.prod(a[:, [r - 1 for r in rays]], axis=1)
+    full = sum(c * np.prod(v[:, [r - 1 for r in rays]], axis=1)
                for rays, c in model.chi13.terms.items())
     all_dark = sum(np.prod(v[:, [r - 1 for r in t]], axis=1)
                    for t in model.triangles)
@@ -570,9 +568,9 @@ def test_raw_chi4_excess_is_readout_not_contextuality(model, layout):
     paper = simulate.NoiseModel()
     corrected = r_d, r_b = simulate.readout_rates(paper)
     raw = simulate.readout_rates(simulate.NoiseModel.ideal())
-    rules = [Inequality(f"sum{t}", ZO, {(): -1, **{(r,): 1 for r in t}}, 0, Fraction(0))
+    rules = [Inequality(f"sum{t}", {(): -1, **{(r,): 1 for r in t}}, 0, Fraction(0))
              for t in sorted(model.triangles)]
-    rules += [Inequality(f"product{e}", ZO, {e: 1}, 0, Fraction(0))
+    rules += [Inequality(f"product{e}", {e: 1}, 0, Fraction(0))
               for e in sorted(model.edges)]
     admissible = [v for v in (dict(zip(RAYS, bits)) for bits in product((0, 1), repeat=13))
                   if v[13] and all(sum(v[r] for r in t) == 1 for t in model.triangles)

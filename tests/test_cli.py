@@ -447,7 +447,7 @@ def test_max_shots_run_pools_in_exact_integers(tmp_path, capsys):
                                  for sub, row in zip(plan, counts) for c in row]
                                 for counts in run[2].tolist()]
     # a single's D and a pair's DB carry ray r's single weight alone
-    single = dict(cli.analysis._expansion(model.chi13))
+    single = model.chi13.terms
     w = cli.analysis.affine_map(model.chi13, freqs.layout, *raw).w
     assert [w[3 * k + 1] for k in range(len(plan))] == [
         float(Fraction(single[sub.chain[:1]] * sub.shots, pooled[sub.chain[0]]))

@@ -7,41 +7,29 @@ from math import prod
 import numpy as np
 import pytest
 
-from qutrit_ks import analysis, hv
-from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, KSModel, build_model,
-                             triple_free)
+from qutrit_ks import analysis, hv, pulses, simulate
+from qutrit_ks.model import CHI4, RAYS, Inequality, KSModel, build_model, triple_free
 
 from helpers import HUGE
 
 
 @dataclass(frozen=True)
 class Assignment:
-    """One hidden-variable assignment: a value per ray in one alphabet."""
+    """One hidden-variable assignment: a 0/1 value V_r per ray."""
 
     values: tuple[int, ...]
-    alphabet: str  # PM1 or ZO
 
     def __post_init__(self):
         if len(self.values) != 13:
             raise ValueError("assignment needs 13 values")
-        allowed = {-1, 1} if self.alphabet == PM1 else {0, 1}
-        if not set(self.values) <= allowed:
-            raise ValueError(f"values do not match alphabet {self.alphabet}")
+        if not set(self.values) <= {0, 1}:
+            raise ValueError("values must be 0 or 1")
 
 
 def spec_value(ineq: Inequality, values: tuple[int, ...]) -> int:
-    """Scalar reference for `hv.enumerate_bound`: sum_m c_m prod_{r in m} x_r
+    """Scalar reference for `hv.enumerate_bound`: sum_m c_m prod_{r in m} V_r
     at one assignment, in Python ints."""
     return sum(c * prod(values[r - 1] for r in rays) for rays, c in ineq.terms.items())
-
-
-def evaluate_assignment(f: Assignment, model: KSModel) -> int:
-    """The value of the model's inequality in the assignment's alphabet, the
-    weighted 13-observable chi13 for +-1, chi4 for 0/1."""
-    by_alphabet = {ineq.alphabet: ineq for ineq in model.inequalities}
-    if f.alphabet not in by_alphabet:
-        raise ValueError(f"unknown alphabet {f.alphabet!r}")
-    return spec_value(by_alphabet[f.alphabet], f.values)
 
 
 def admissible(g: tuple[int, ...], model: KSModel) -> bool:
@@ -99,9 +87,9 @@ def test_chi13_argmax_count_regression(chi13_report):
 
 
 def test_all_plus_one_value(model):
-    f = Assignment((1,) * 13, PM1)
+    f = Assignment((0,) * 13)  # every A = 1 - 2V is +1
     # sum(mu_i) = 17, sum(mu_ij) = 39, sum(mu_ijk) = 9 -> 17 - 39 - 9
-    assert evaluate_assignment(f, model) == -31
+    assert spec_value(model.chi13, f.values) == -31
 
 
 def test_chi4_bound_is_1(chi4_report):
@@ -121,19 +109,20 @@ def test_product_rule_rejects_shared_edge(model):
 
 
 def test_chi4_functional_trivia(model):
-    assert evaluate_assignment(Assignment((0,) * 13, ZO), model) == 0
+    assert spec_value(CHI4, Assignment((0,) * 13).values) == 0
     g = [0] * 13
     g[2] = 1
-    assert evaluate_assignment(Assignment(tuple(g), ZO), model) == 0
+    assert spec_value(CHI4, Assignment(tuple(g)).values) == 0
 
 
 def test_alphabet_validation():
+    """An assignment takes 13 values, each 0 or 1; a +-1 value is refused."""
     with pytest.raises(ValueError):
-        Assignment((0,) * 13, PM1)
+        Assignment((-1,) * 13)
     with pytest.raises(ValueError):
-        Assignment((2,) * 13, ZO)
+        Assignment((2,) * 13)
     with pytest.raises(ValueError):
-        Assignment((1,) * 12, PM1)
+        Assignment((1,) * 12)
 
 
 def test_quantum_violation_gap(chi13_report):
@@ -141,15 +130,13 @@ def test_quantum_violation_gap(chi13_report):
 
 
 def test_admissible_chi4_assignments_respect_chi13_bound(model):
-    """Every admissible 0/1 coloring, mapped through A = 1 - 2V, stays within
-    the +-1 bound."""
+    """Every admissible 0/1 coloring stays within chi13's bound."""
     count = 0
     for g in product((0, 1), repeat=13):
         if not admissible(g, model):
             continue
         count += 1
-        f = tuple(1 - 2 * v for v in g)
-        assert evaluate_assignment(Assignment(f, PM1), model) <= 25
+        assert spec_value(model.chi13, Assignment(g).values) <= 25
     assert count == 24
 
 
@@ -158,38 +145,29 @@ def test_determinism(model, chi13_report):
     assert again == chi13_report
 
 
-def test_dropping_triple_products_keeps_bound(model):
-    """Dropping the triple products V_iV_jV_k keeps the maximum <= 25.
-
-    In 0/1 variables the three-observable term expands to
-    1 - 2(g_i+g_j+g_k) + 4(g_ig_j+...) - 8 g_ig_jg_k, so removing the
-    g_ig_jg_k piece only lowers the value of every assignment and the
-    classical bound survives.
-    """
-    best = None
-    for g in product((0, 1), repeat=13):
-        f = tuple(1 - 2 * v for v in g)
-        val = evaluate_assignment(Assignment(f, PM1), model)
-        val -= 8 * sum(mu * g[i - 1] * g[j - 1] * g[k - 1]
-                       for (i, j, k), mu in model.mu_ijk.items())
-        best = val if best is None else max(best, val)
-    assert best <= 25
-
-
 @pytest.mark.parametrize("weights", ["default", "weighted_123"])
 def test_triple_free_record_is_the_estimators_expansion(model, weights):
-    """The triple-free +-1 record, read under A = 1 - 2V, is the 0/1
-    expansion that the estimator reports (`analysis._expansion`, which drops
-    the unmeasured triple term) at every assignment, for the default weights
-    and for a weighted (1, 2, 3) triangle."""
+    """The estimator reports the triple-free record: chi13's map is
+    `triple_free(chi13)`'s, hex for hex at float rates and exactly at
+    `Fraction` rates, for the default weights and a weighted (1, 2, 3)
+    triangle. `triple_free` drops the degree-3 terms and nothing else, and
+    keeps `rules`."""
     if weights == "weighted_123":
         model = dataclasses.replace(model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4})
     free = triple_free(model.chi13)
-    assert all(len(m) < 3 for m in free.terms)
-    expansion = list(analysis._expansion(model.chi13))
-    for g in product((0, 1), repeat=13):
-        assert spec_value(free, tuple(1 - 2 * v for v in g)) == \
-            sum(c * prod(g[r - 1] for r in rays) for rays, c in expansion)
+    assert dict(free.terms) == {m: c for m, c in model.chi13.terms.items() if len(m) < 3}
+    assert any(len(m) == 3 for m in model.chi13.terms)
+    assert (free.rules, triple_free(CHI4).rules) == (False, True)
+    layout = tuple((sub.chain, sub.shots)
+                   for sub in simulate.build_plan(model, pulses.settings_table()))
+    paper = simulate.readout_rates(simulate.NoiseModel.paper())
+    for rates in ((1.0, 0.0), paper, (0.8, 0.3)):
+        full, dropped = (analysis.affine_map(i, layout, *rates) for i in (model.chi13, free))
+        assert [full.w0.hex(), *map(float.hex, full.w.tolist())] == \
+            [dropped.w0.hex(), *map(float.hex, dropped.w.tolist())]
+    exact = tuple(map(Fraction, paper))
+    full, dropped = (analysis.affine_map(i, layout, *exact) for i in (model.chi13, free))
+    assert [full.w0, *full.w] == [dropped.w0, *dropped.w]
 
 
 def test_triple_free_bound_matches_scalar_reference(model):
@@ -213,10 +191,9 @@ def _scalar_histogram(model, ineq):
     """Histogram of the scalar reference over all 8192 assignments."""
     hist = {}
     for g in product((0, 1), repeat=13):
-        if ineq.alphabet == ZO and not admissible(g, model):
+        if ineq.rules and not admissible(g, model):
             continue
-        values = g if ineq.alphabet == ZO else tuple(1 - 2 * v for v in g)
-        val = spec_value(ineq, values)
+        val = spec_value(ineq, g)
         hist[val] = hist.get(val, 0) + 1
     return dict(sorted(hist.items()))
 
@@ -247,11 +224,11 @@ def test_grouped_enumeration_matches_scalar_reference(model, case):
         "weighted_123": dataclasses.replace(
             model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4}).chi13,
         "constant_and_zero": Inequality(
-            "constant", PM1, {(): 5, (1,): 0, (2,): -3, (10, 13): 2, (11, 12): 2,
-                              (1, 5, 9): -1, (4, 8, 12): 0}, 0, Fraction(0)),
+            "constant", {(): 5, (1,): 0, (2,): -3, (10, 13): 2, (11, 12): 2,
+                         (1, 5, 9): -1, (4, 8, 12): 0}, 0, Fraction(0)),
         "01_pairs_and_triples": Inequality(
-            "pairs", ZO, {(10,): 1, (1, 5): 2, (10, 13): -2, (5, 12): 3,
-                          (1, 5, 9): 4, (3, 10, 13): -1}, 0, Fraction(0)),
+            "pairs", {(10,): 1, (1, 5): 2, (10, 13): -2, (5, 12): 3,
+                      (1, 5, 9): 4, (3, 10, 13): -1}, 0, Fraction(0), rules=True),
         "uncolorable": CHI4,
     }[case]
     if case == "uncolorable":
@@ -268,10 +245,10 @@ def test_grouped_enumeration_matches_scalar_reference(model, case):
 
 def test_enumeration_sums_in_int64():
     """Two terms of 2^30 reach 2^31, past int32, exactly."""
-    big = Inequality("big", PM1, {(1,): 2 ** 30, (2,): 2 ** 30}, 0, Fraction(0))
+    big = Inequality("big", {(1,): 2 ** 30, (2,): 2 ** 30}, 0, Fraction(0))
     report = hv.enumerate_bound(big, build_model())
     assert report.maximum == 2 ** 31
-    assert report.histogram == {-(2 ** 31): 2 ** 11, 0: 2 ** 12, 2 ** 31: 2 ** 11}
+    assert report.histogram == {0: 2 ** 11, 2 ** 30: 2 ** 12, 2 ** 31: 2 ** 11}
 
 
 @pytest.mark.parametrize("spec", ["one_ray", "chi13"])
@@ -282,7 +259,7 @@ def test_float_switch_point_is_exact(model, spec, above):
     not hold the odd value of one ray, every value is the scalar reference's."""
     terms = {"one_ray": {(1,): 1}, "chi13": dict(model.chi13.terms)}[spec]
     terms[(1,)] += 2 ** 53 - 1 + above - sum(map(abs, terms.values()))
-    ineq = Inequality("switch", PM1, terms, classical_bound=0, quantum_value=Fraction(0))
+    ineq = Inequality("switch", terms, classical_bound=0, quantum_value=Fraction(0))
     assert sum(map(abs, ineq.terms.values())) == 2 ** 53 - 1 + above
     assert hv._coefficients(ineq)[0].dtype == (np.int64 if above else np.float64)
     report = hv.enumerate_bound(ineq, model)
@@ -294,14 +271,14 @@ def test_enumeration_refuses_unknown_rays_and_coefficients_beyond_int64():
     with pytest.raises(ValueError, match="inequality huge"):
         hv.enumerate_bound(HUGE, build_model())
     with pytest.raises(ValueError, match="inequality ray0"):
-        hv.enumerate_bound(Inequality("ray0", PM1, {(0, 1): 1}, 0, Fraction(0)),
+        hv.enumerate_bound(Inequality("ray0", {(0, 1): 1}, 0, Fraction(0)),
                            build_model())
 
 
 def test_enumeration_refuses_a_bad_spec_on_every_call(model):
     """A spec is checked and placed once per content, but a refused spec is
     never remembered as checked."""
-    for bad in (HUGE, Inequality("ray0", PM1, {(0, 1): 1}, 0, Fraction(0))):
+    for bad in (HUGE, Inequality("ray0", {(0, 1): 1}, 0, Fraction(0))):
         for _ in range(2):
             with pytest.raises(ValueError, match=f"inequality {bad.name}"):
                 hv.enumerate_bound(bad, model)
@@ -313,7 +290,7 @@ def test_coefficients_are_shared_and_read_only(model):
     for ineq in (CHI4, model.chi13):
         arrays = hv._coefficients(ineq)
         assert hv._coefficients(dataclasses.replace(ineq)) is arrays  # keyed by content
-        assert all(not a.flags.writeable for a in arrays + hv._table(ineq.alphabet))
+        assert all(not a.flags.writeable for a in arrays + hv._table())
 
 
 def test_uncolorable_rules_report_no_maximum(model):

@@ -10,11 +10,10 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from qutrit_ks import hv, linalg, model as model_module
-from qutrit_ks.model import (CHI4, PM1, RAYS, ZO, Inequality, build_model, dump_model,
-                             triple_free)
+from qutrit_ks import analysis, hv, linalg, model as model_module
+from qutrit_ks.model import CHI4, RAYS, Inequality, build_model, dump_model, triple_free
 
-from helpers import HUGE, exact_operator, random_density_matrix
+from helpers import HUGE, HUGE_TERMS, exact_operator, random_density_matrix
 
 PROJECTORS = {i: linalg.projector_from_ray(RAYS[i]) for i in RAYS}
 OBSERVABLES = {i: linalg.IDENTITY - 2 * p for i, p in PROJECTORS.items()}
@@ -123,12 +122,12 @@ def test_chi13_spec_follows_modified_weights(model):
     writes to the dict it passed."""
     weights = {**model.mu_ij, (1, 2): 5}
     changed = dataclasses.replace(model, mu_ij=weights)
-    assert changed.chi13.terms[(1, 2)] == -5
+    assert changed.chi13.terms[(1, 2)] == 4 * -5  # -mu_ij A_1 A_2 has 4 (-mu_ij) V_1 V_2
     weights[(1, 2)] = 2
-    assert changed.mu_ij[(1, 2)] == 5 and changed.chi13.terms[(1, 2)] == -5
+    assert changed.mu_ij[(1, 2)] == 5 and changed.chi13.terms[(1, 2)] == 4 * -5
     assert hv.max_chi13_noncontextual(changed).maximum == 28
     assert "( 1, 2)   mu_ij = 5" in dump_model(changed).splitlines()
-    assert model.chi13.terms[(1, 2)] == -2
+    assert model.chi13.terms[(1, 2)] == 4 * -2
     assert model.chi13 is model.chi13  # built once per model
 
 
@@ -138,11 +137,10 @@ def fraction_operator(ineq):
     factors = {}
     for r in {r for rays in ineq.terms for r in rays}:
         v = np.array(RAYS[r], dtype=object)
-        p = np.outer(v, v) * Fraction(1, v @ v)
-        factors[r] = eye - 2 * p if ineq.alphabet == PM1 else p
+        factors[r] = np.outer(v, v) * Fraction(1, v @ v)
     out = 0 * eye
     for rays, c in ineq.terms.items():
-        out += c * reduce(np.matmul, [factors[r] for r in rays])
+        out += c * reduce(np.matmul, [factors[r] for r in rays], eye)
     return out
 
 
@@ -157,7 +155,7 @@ def test_integer_operator_matches_fraction_reference(model, case):
         "weighted_123": dataclasses.replace(
             model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4}).chi13,
         "huge_pm1": HUGE,  # coefficients beyond int64
-        "huge_01": dataclasses.replace(HUGE, alphabet=ZO),
+        "huge_01": dataclasses.replace(HUGE, terms=HUGE_TERMS),
     }[case]
     op = exact_operator(ineq)
     assert op.shape == (3, 3)
@@ -172,15 +170,14 @@ def test_int64_switch_point_is_exact(model, spec, above):
     2^63, where the operator is summed in int64, and one above it, where
     Python ints take over, the operator is the Fraction reference's."""
     terms, grown, k, d = {
-        "one_ray": ({(1,): 1}, (1,), 1, 1),  # entries +-sum |c|: the bound is tight
+        "one_ray": ({(1,): 1}, (1,), 1, 1),  # entry [0, 0] is sum |c|: the bound is tight
         # rays 5 and 13, weighted 0, make D = 6; entry [0, 0] is 6 sum |c|: tight too
         "three_rays": ({(1,): 1, (5,): 0, (13,): 0}, (1,), 1, 6),
         "chi13": (dict(model.chi13.terms), (1,), 3, 6),  # lcm(1, 2, 3) = 6
     }[spec]
     limit = (2 ** 63 - 1) // (3 ** (k - 1) * d ** k)
     terms[grown] += limit + above - sum(map(abs, terms.values()))
-    ineq = Inequality("switch", ZO if spec == "three_rays" else PM1, terms,
-                      classical_bound=0, quantum_value=Fraction(0))
+    ineq = Inequality("switch", terms, classical_bound=0, quantum_value=Fraction(0))
     assert sum(map(abs, ineq.terms.values())) == limit + above
     op = exact_operator(ineq)
     assert all(isinstance(x, Fraction) for x in op.flat)
@@ -188,8 +185,7 @@ def test_int64_switch_point_is_exact(model, spec, above):
 
 
 def test_operator_of_empty_inequality_is_zero():
-    op = exact_operator(Inequality("empty", ZO, {}, classical_bound=0,
-                                   quantum_value=Fraction(0)))
+    op = exact_operator(Inequality("empty", {}, classical_bound=0, quantum_value=Fraction(0)))
     assert op.shape == (3, 3)
     assert all(isinstance(x, Fraction) and x == 0 for x in op.flat)
 
@@ -252,9 +248,50 @@ def test_build_model_does_not_search_all_triples(monkeypatch):
 
 
 def test_triple_free_keeps_a_spec_without_triple_terms():
-    """Only degree-3 terms are replaced: a spec without any comes back with
+    """Only degree-3 terms are dropped: a spec without any comes back with
     the same terms, bound and quantum value, under a name that says so."""
-    pairs = Inequality("pairs", PM1, {(): 2, (1,): -1, (1, 4): 3}, 5, Fraction(1))
+    pairs = Inequality("pairs", {(): 2, (1,): -1, (1, 4): 3}, 5, Fraction(1))
     free = triple_free(pairs)
     assert (free.name, dict(free.terms), free.classical_bound, free.quantum_value) == \
         ("pairs without triple terms", dict(pairs.terms), 5, Fraction(1))
+
+
+def test_equal_specs_hash_equal():
+    """Two specs with the same terms in another order are equal, so they
+    hash equal: a set keeps one, and the enumeration and estimator caches
+    each miss once for the two. `rules` is part of the content."""
+    a = Inequality("p", {(1,): 1, (2,): 2}, 1, Fraction(1))
+    b = Inequality("p", {(2,): 2, (1,): 1}, 1, Fraction(1))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    ruled = dataclasses.replace(a, rules=True)
+    assert ruled != a and hash(ruled) != hash(a)
+    layout = (((1,), 10), ((2,), 10))
+    before = hv._coefficients.cache_info().misses, analysis._parts.cache_info().misses
+    for ineq in (a, b):
+        hv._coefficients(ineq)
+        analysis._parts(ineq, layout)
+    after = hv._coefficients.cache_info().misses, analysis._parts.cache_info().misses
+    assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+
+@pytest.mark.parametrize("weights", ["default", "changed_mu_ij", "weighted_123"])
+def test_chi13_terms_are_the_pm1_witness_at_every_assignment(model, weights):
+    """`pm1` checked apart from itself: at each of the 8,192 assignments V,
+    chi13's 0/1 terms equal sum mu_i A_i - sum mu_ij A_i A_j - sum mu_ijk
+    A_i A_j A_k, computed from the weights at A = 1 - 2V."""
+    if weights == "changed_mu_ij":
+        model = dataclasses.replace(model, mu_ij={**model.mu_ij, (1, 2): 5})
+    elif weights == "weighted_123":
+        model = dataclasses.replace(model, mu_ijk={**model.mu_ijk, (1, 2, 3): 4})
+    v = (np.arange(2 ** 13)[:, None] >> np.arange(13) & 1).astype(np.int64)
+    a = 1 - 2 * v  # column r - 1 holds ray r
+
+    def product(x, rays):
+        return np.prod(x[:, [r - 1 for r in rays]], axis=1)
+
+    witness = (sum(mu * a[:, i - 1] for i, mu in model.mu_i.items())
+               - sum(mu * product(a, e) for e, mu in model.mu_ij.items())
+               - sum(mu * product(a, t) for t, mu in model.mu_ijk.items()))
+    terms = sum(c * product(v, rays) for rays, c in model.chi13.terms.items())
+    assert np.array_equal(terms, witness)
+    assert max(map(len, model.chi13.terms)) == 3
