@@ -6,17 +6,17 @@ bits of l and rays 8-13 in the bits of h, so every monomial is a low part
 times a high part, and all 8,192 values are one product G^T (C F): F and G
 hold each distinct low and high part's value on the 128 and 64 half
 assignments, and C the coefficients, placed once per spec content. A spec
-with `rules` counts only the assignments where the model's rules hold (the
-product rule on every edge and the sum rule on every triangle, as one
-penalty evaluated alike and 0 exactly there); any other counts every one.
-The tests hold a scalar reference, one spec at a time."""
+with `rules` counts only the assignments where every one of `KSModel.rules`
+holds: their squares sum to one penalty, built once per rule set, evaluated
+alike on every call and 0 exactly there; any other counts every one. The
+tests hold a scalar reference, one spec at a time."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 import numpy as np
 
@@ -85,15 +85,15 @@ def _values(ineq: Inequality) -> np.ndarray:
     return (g.T @ (c @ f)).ravel().astype(np.int64)
 
 
-def _rules(model: KSModel) -> Inequality:
-    """The 0/1 rules as one penalty: V_i V_j per edge plus, per triangle,
-    (1 - V_i - V_j - V_k)^2 = 1 - sum V + 2 sum V_a V_b (as V^2 = V). Each
-    part is a nonnegative integer, so the penalty is 0 exactly where every
-    rule holds."""
-    terms = dict.fromkeys(model.edges, 1)
-    for t in model.triangles:
-        for m, c in (((), 1), *(((r,), -1) for r in t), *((e, 2) for e in combinations(t, 2))):
-            terms[m] = terms.get(m, 0) + c
+@functools.lru_cache(maxsize=8)  # once per rule set
+def _penalty(rules: tuple[Inequality, ...]) -> Inequality:
+    """The rules as one penalty, the sum of each rule squared (V^2 = V): a
+    nonnegative integer, 0 exactly where every rule holds."""
+    terms: dict[tuple[int, ...], int] = {}
+    for rule in rules:
+        for (m, c), (n, d) in product(rule.terms.items(), repeat=2):
+            key = tuple(sorted({*m, *n}))
+            terms[key] = terms.get(key, 0) + c * d
     return Inequality("rules", terms, classical_bound=0, quantum_value=Fraction(0))
 
 
@@ -101,7 +101,7 @@ def enumerate_bound(ineq: Inequality, model: KSModel) -> BoundReport:
     """Exact maximum of `ineq` over every admissible assignment."""
     values = _values(ineq)
     if ineq.rules:
-        values = values[_values(_rules(model)) == 0]
+        values = values[_values(_penalty(model.rules)) == 0]
     if values.size == 0:
         return BoundReport(maximum=None, argmax_count=0, admissible_count=0)
     low = values.min()

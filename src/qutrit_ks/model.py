@@ -9,6 +9,7 @@ Each inequality is one `Inequality` record read by enumeration, the exact
 quantum operator, analysis and the CLI; another weighting is a data change.
 Every record holds 0/1 terms, monomials in the ray values V_r (the projectors
 P_r); `pm1` expands a +-1 witness such as chi13, A_r = 1 - 2 V_r, into them.
+The sum and product rules that chi4's bound needs are records too (`rules`).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ WEIGHTED_TRIANGLES = frozenset({(1, 4, 7), (2, 5, 8), (3, 6, 9)})
 @dataclass(frozen=True)
 class Inequality:
     """sum_m c_m prod_{r in m} V_r <= classical_bound for noncontextual 0/1
-    values V_r: on every assignment, or with `rules` on those that obey the
-    product and sum rules. With each V_r the projector P_r, the quantum
+    values V_r: on every assignment, or with `rules` on those that obey
+    `KSModel.rules`. With each V_r the projector P_r, the quantum
     operator is claimed to be quantum_value * I. The terms are kept as a
     read-only copy, so the hash, computed on first use, cannot go stale."""
 
@@ -103,7 +104,7 @@ def ray_unit(i: int) -> np.ndarray:
 @dataclass(frozen=True)
 class KSModel:
     """The compatibility graph and its weights, kept as read-only copies so
-    that `chi13`, built on first use, cannot go stale."""
+    that `chi13` and `rules`, built on first use, cannot go stale."""
 
     edges: frozenset[tuple[int, int]]
     triangles: frozenset[tuple[int, int, int]]
@@ -125,6 +126,15 @@ class KSModel:
         terms.update({t: -mu for t, mu in self.mu_ijk.items()})
         return Inequality("chi13", pm1(terms), classical_bound=25,
                           quantum_value=Fraction(83, 3))
+
+    @cached_property
+    def rules(self) -> tuple[Inequality, ...]:
+        """The rules that a `rules` spec's bound needs, each 0 exactly where
+        it holds: the sum rule V_i + V_j + V_k - 1 per triangle, then the
+        product rule V_i V_j per edge, so a modified graph has its own."""
+        return (*(Inequality(f"sum{t}", {(): -1, **{(r,): 1 for r in t}}, 0, Fraction(0))
+                  for t in sorted(self.triangles)),
+                *(Inequality(f"product{e}", {e: 1}, 0, Fraction(0)) for e in sorted(self.edges)))
 
     @property
     def inequalities(self) -> tuple[Inequality, Inequality]:

@@ -568,10 +568,6 @@ def test_raw_chi4_excess_is_readout_not_contextuality(model, layout):
     paper = simulate.NoiseModel()
     corrected = r_d, r_b = simulate.readout_rates(paper)
     raw = simulate.readout_rates(simulate.NoiseModel.ideal())
-    rules = [Inequality(f"sum{t}", {(): -1, **{(r,): 1 for r in t}}, 0, Fraction(0))
-             for t in sorted(model.triangles)]
-    rules += [Inequality(f"product{e}", {e: 1}, 0, Fraction(0))
-              for e in sorted(model.edges)]
     admissible = [v for v in (dict(zip(RAYS, bits)) for bits in product((0, 1), repeat=13))
                   if v[13] and all(sum(v[r] for r in t) == 1 for t in model.triangles)
                   and not any(v[i] and v[j] for i, j in model.edges)]
@@ -586,5 +582,5 @@ def test_raw_chi4_excess_is_readout_not_contextuality(model, layout):
         assert analysis.estimate(CHI4, freqs, corrected).value == pytest.approx(1, abs=1e-12)
         assert analysis.estimate(model.chi13, freqs, corrected).value == pytest.approx(
             25, abs=1e-12)
-        for rule in rules:
+        for rule in model.rules:
             assert abs(analysis.estimate(rule, freqs, corrected).value) <= 1e-12, rule.name

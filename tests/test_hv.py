@@ -7,7 +7,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from qutrit_ks import analysis, hv, pulses, simulate
+from qutrit_ks import analysis, cli, hv, pulses, simulate
 from qutrit_ks.model import CHI4, RAYS, Inequality, KSModel, build_model, triple_free
 
 from helpers import HUGE
@@ -297,3 +297,32 @@ def test_uncolorable_rules_report_no_maximum(model):
     report = hv.max_chi4_constrained(_uncolorable(model))
     assert report.maximum is None
     assert "KS-uncolorable" in report_to_text("chi4", report)
+
+
+@pytest.mark.parametrize("case", ["default", "uncolorable"])
+def test_penalty_is_zero_exactly_where_the_rules_hold(model, case):
+    """At each of the 8,192 assignments the penalty that `hv` filters on
+    equals the sum of each of `model.rules` squared, in the scalar
+    reference, and is 0 exactly where the scalar `admissible` holds."""
+    if case == "uncolorable":
+        model = _uncolorable(model)
+    penalty = hv._values(hv._penalty(model.rules))
+    zeros = 0
+    for g in product((0, 1), repeat=13):
+        value = int(penalty[sum(bit << i for i, bit in enumerate(g))])
+        assert value == sum(spec_value(rule, g) ** 2 for rule in model.rules)
+        assert (value == 0) == admissible(g, model)
+        zeros += value == 0
+    assert zeros == {"default": 24, "uncolorable": 0}[case]
+
+
+def test_a_second_verification_misses_no_penalty_or_coefficients(model):
+    """The penalty is built once per rule set and each spec placed once per
+    content, so a second `verify` suite on the same model misses neither
+    cache, though it looks the penalty up again."""
+    assert cli.run_verification([], model)
+    before = hv._penalty.cache_info(), hv._coefficients.cache_info()
+    assert cli.run_verification([], model)
+    after = hv._penalty.cache_info(), hv._coefficients.cache_info()
+    assert (after[0].misses, after[1].misses) == (before[0].misses, before[1].misses)
+    assert after[0].hits > before[0].hits

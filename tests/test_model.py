@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qutrit_ks import analysis, hv, linalg, model as model_module
-from qutrit_ks.model import CHI4, RAYS, Inequality, build_model, dump_model, triple_free
+from qutrit_ks.model import (CHI4, RAYS, Inequality, build_model, dump_model,
+                             operator_numerator, triple_free)
 
 from helpers import HUGE, HUGE_TERMS, exact_operator, random_density_matrix
 
@@ -295,3 +296,24 @@ def test_chi13_terms_are_the_pm1_witness_at_every_assignment(model, weights):
     terms = sum(c * product(v, rays) for rays, c in model.chi13.terms.items())
     assert np.array_equal(terms, witness)
     assert max(map(len, model.chi13.terms)) == 3
+
+
+def test_rules_are_the_sum_and_product_rules_of_the_graph(model):
+    """`KSModel.rules`: V_i + V_j + V_k - 1 on each sorted triangle, then
+    V_i V_j on each sorted edge, each with bound and quantum value 0, which
+    the exact operator confirms; built once per model. A model without an
+    edge carries its own rules, one fewer."""
+    rules = model.rules
+    triangles = [(1, 2, 3), (1, 4, 7), (2, 5, 8), (3, 6, 9)]
+    assert len(rules) == 28 and model.rules is rules
+    assert [r.name for r in rules] == ([f"sum({i}, {j}, {k})" for i, j, k in triangles]
+                                       + [f"product({i}, {j})" for i, j in sorted(model.edges)])
+    assert [dict(r.terms) for r in rules[:4]] == [
+        {(): -1, (i,): 1, (j,): 1, (k,): 1} for i, j, k in triangles]
+    assert [dict(r.terms) for r in rules[4:]] == [{e: 1} for e in sorted(model.edges)]
+    for rule in rules:
+        assert (rule.classical_bound, rule.quantum_value, rule.rules) == (0, 0, False)
+        assert not operator_numerator(rule)[0].any()
+    fewer = dataclasses.replace(model, edges=model.edges - {(1, 2)})
+    assert len(fewer.rules) == 27
+    assert "product(1, 2)" not in {r.name for r in fewer.rules}

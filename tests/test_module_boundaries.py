@@ -403,9 +403,11 @@ CACHES = [
     "analysis.affine_map",
     "cli.build_parser",
     "hv._coefficients",
+    "hv._penalty",
     "hv._table",
     "model.Inequality._hash",
     "model.KSModel.chi13",
+    "model.KSModel.rules",
     "model.build_model",
     "pulses.MeasurementSetting._content_hash",
     "pulses._settings",

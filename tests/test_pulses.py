@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,21 @@ def test_swap_pulse():
         assert abs((m @ m)[b - 1, b - 1]) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         pulses.swap_pulse(3)
+
+
+@pytest.mark.parametrize("channel, theta, phi, message", [
+    (0, 0.0, 0.0, "pulse channel must be 1 or 2"),
+    (3, 1.0, 1.0, "pulse channel must be 1 or 2"),
+    (1, 2 * math.pi, 0.0, "pulse angles must lie in [0, 2*pi)"),
+    (2, 1.0, -0.1, "pulse angles must lie in [0, 2*pi)"),
+    (1, math.nan, 0.0, "pulse angles must lie in [0, 2*pi)"),
+    (1, 0.0, math.nan, "pulse angles must lie in [0, 2*pi)"),
+])
+def test_pulse_refuses_a_bad_channel_or_angle(channel, theta, phi, message):
+    """A pulse drives channel 1 or 2 with both angles in [0, 2*pi): 2*pi,
+    a negative phase and NaN are each refused."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pulses.Pulse(channel, theta, phi)
 
 
 def test_rays_and_pulses_are_their_formulas(settings):

@@ -919,6 +919,8 @@ def test_state_keeps_its_checked_matrix():
 def test_state_constructor_checks_the_matrix():
     with pytest.raises(ValueError, match="trace differs from 1"):
         simulate.StateSpec("bad", np.eye(3))
+    with pytest.raises(ValueError, match="^density matrix must be 3x3$"):
+        simulate.StateSpec("x", np.eye(2) / 2)
 
 
 def _one_state_tables(model, settings, seeds, noise=NOISE_CONFIGS["paper"]):
